@@ -1,4 +1,4 @@
-//! Adaptive-execution benchmark: the three runtime re-planning rules
+//! Adaptive-execution benchmark: runtime re-planning of shuffled joins
 //! against the same queries statically planned.
 //!
 //! 1. *Dynamic broadcast demotion* — a skewed fact table joins a small
@@ -10,9 +10,6 @@
 //! 2. *Skew splitting* — a shuffled join whose hot key lands >80% of the
 //!    rows in one reduce partition; adaptive execution splits that
 //!    partition by map ranges so the join runs on all cores.
-//! 3. *Partition coalescing* — an aggregate planned with 64 reduce
-//!    partitions over data that measures a few hundred KB; adaptive
-//!    execution merges the post-shuffle partitions to the size target.
 //!
 //! Writes `BENCH_adaptive.json` to the working directory.
 //!
@@ -212,37 +209,7 @@ fn main() {
     }
     skew.print();
 
-    // -- 3. partition coalescing ----------------------------------------
-    // An aggregate planned with 64 reduce partitions whose combined map
-    // output measures far under 64 × target: adaptive merges the
-    // post-shuffle partitions, cutting 64 tiny tasks down to a few.
-    let agg_fact = fact_rows(200_000, 0, 1_000);
-    let agg_conf = |c: &mut spark_sql::SqlConf| c.shuffle_partitions = 64;
-    let agg_query = |ctx: &SQLContext| {
-        let f = ctx.spark_context().parallelize(agg_fact.to_vec(), 4);
-        ctx.dataframe_from_rdd("fact", fact_schema(), f)
-            .expect("fact")
-            .group_by_cols(&["k"])
-            .agg(vec![count_star().alias("n"), sum(col("v")).alias("s")])
-            .expect("agg")
-    };
-    let coalesce = run_pair("coalesce_aggregate", agg_conf, agg_query);
-    {
-        let ctx = SQLContext::new_local(4);
-        ctx.set_conf(|c| {
-            agg_conf(c);
-            c.adaptive_enabled = true;
-        });
-        assert_fires(&agg_query(&ctx), AdaptiveRule::CoalescePartitions);
-    }
-    coalesce.print();
-
-    let json = format!(
-        "{{\n  {},\n  {},\n  {}\n}}\n",
-        demotion.json(),
-        skew.json(),
-        coalesce.json()
-    );
+    let json = format!("{{\n  {},\n  {}\n}}\n", demotion.json(), skew.json());
     std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
     println!("\nwrote BENCH_adaptive.json");
 

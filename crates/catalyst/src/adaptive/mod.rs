@@ -138,9 +138,9 @@ impl fmt::Debug for AdaptivePlanChange {
 }
 
 /// Pre-order node ids of the operators that induce an exchange — the
-/// stage boundaries adaptive execution breaks the plan at. Sort exchanges
-/// are listed too even though only joins and aggregates re-plan today
-/// (the range partitioner already samples its input).
+/// stage boundaries adaptive execution breaks the plan at. Sort and
+/// aggregate exchanges are listed too even though only joins re-plan
+/// today.
 pub fn exchange_operators(plan: &PhysicalPlan) -> Vec<(usize, String)> {
     fn walk(plan: &PhysicalPlan, id: usize, out: &mut Vec<(usize, String)>) {
         match plan {

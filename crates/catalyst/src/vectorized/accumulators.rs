@@ -1,32 +1,256 @@
-//! Typed accumulator lanes for batch-native hash aggregation.
+//! Aggregate accumulators: the one partial-state definition ([`Acc`])
+//! and the typed lanes ([`AccLane`]) the batch kernel fills it from.
+//!
+//! [`Acc`] is the per-group, per-call partial state every stage of the
+//! GROUP BY pipeline exchanges: the row kernel folds argument values
+//! into it directly ([`Acc::update`]), the batch kernel emits it from its
+//! lanes ([`AccLane::partial`]), the shuffle carries it, the reduce side
+//! merges it ([`Acc::merge`]) and spills it ([`Acc::to_value`]), and the
+//! final projection reads [`Acc::finish`]. NULL skipping, Int→Long
+//! widening and tie-breaking are therefore defined here once.
 //!
 //! One [`AccLane`] holds the accumulator state of one aggregate call for
 //! *every* group, as primitive lanes indexed by group id. Updates run in
 //! row-arrival order over `(lane, group)` assignments produced by
 //! [`BatchGroups`](super::hash::BatchGroups), so the resulting partials
-//! are exactly what the row path's per-row accumulators would have
-//! produced for the same partition:
+//! are exactly what [`Acc::update`] would have produced row by row for
+//! the same partition:
 //!
 //! * COUNT(\*) counts every row; every other aggregate skips NULL
 //!   arguments.
-//! * SUM/AVG over Int/Long lanes are exact 64-bit sums with the row
-//!   path's sticky Int→Long widening (an Int sum that ever leaves i32
-//!   range stays Long), and panic on 64-bit overflow like
-//!   [`Value::add`].
+//! * SUM/AVG over Int/Long lanes are exact 64-bit sums with
+//!   [`Value::add`]'s sticky Int→Long widening (an Int sum that ever
+//!   leaves i32 range stays Long), and panic on 64-bit overflow like it.
 //! * MIN/MAX compare with [`Value::total_cmp`] semantics (`i64::cmp`,
 //!   [`f64::total_cmp`], byte-wise string compare) and keep the
 //!   first-seen extreme on ties.
 //!
-//! The executor converts finished lanes into its spillable accumulator
-//! partials via [`AccLane::partial`]; unsupported aggregate/type
-//! combinations make [`AccLane::for_input`] return `None` and the caller
-//! falls back to the row path.
+//! Unsupported aggregate/type combinations (and every DISTINCT call)
+//! make [`AccLane::for_input`] return `None`; the caller then runs the
+//! row kernel.
 
 use super::batch::{ColumnVector, VectorData};
+use crate::expr::AggFunc;
 use crate::types::DataType;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Partial state of one aggregate call for one group.
+#[derive(Debug, Clone)]
+pub enum Acc {
+    /// COUNT (of non-null args, or all rows for COUNT(*)).
+    Count(i64),
+    /// SUM (None = no non-NULL input seen).
+    Sum(Option<Value>),
+    /// MIN.
+    Min(Option<Value>),
+    /// MAX.
+    Max(Option<Value>),
+    /// AVG: running sum + non-NULL count.
+    Avg(Option<Value>, i64),
+    /// Any DISTINCT aggregate: collect the distinct set, finish by func.
+    Distinct(HashSet<Value>, AggFunc),
+}
+
+impl Acc {
+    /// The empty state for `func` (`DISTINCT func` when `distinct`).
+    pub fn new(func: AggFunc, distinct: bool) -> Acc {
+        if distinct {
+            return Acc::Distinct(HashSet::new(), func);
+        }
+        match func {
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum => Acc::Sum(None),
+            AggFunc::Min => Acc::Min(None),
+            AggFunc::Max => Acc::Max(None),
+            AggFunc::Avg => Acc::Avg(None, 0),
+        }
+    }
+
+    /// Fold one argument value in. NULLs are skipped; COUNT(\*) passes a
+    /// non-NULL constant for every row.
+    pub fn update(&mut self, v: Value) {
+        if v.is_null() {
+            return;
+        }
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum(s) => *s = merge_opt_add(s.take(), Some(v)),
+            Acc::Min(m) => {
+                if m.as_ref().is_none_or(|cur| v < *cur) {
+                    *m = Some(v);
+                }
+            }
+            Acc::Max(m) => {
+                if m.as_ref().is_none_or(|cur| v > *cur) {
+                    *m = Some(v);
+                }
+            }
+            Acc::Avg(s, n) => {
+                *s = merge_opt_add(s.take(), Some(v));
+                *n += 1;
+            }
+            Acc::Distinct(set, _) => {
+                set.insert(v);
+            }
+        }
+    }
+
+    /// Combine two partials of the same call (`self` arrived first, so it
+    /// wins MIN/MAX ties).
+    pub fn merge(self, other: Acc) -> Acc {
+        match (self, other) {
+            (Acc::Count(x), Acc::Count(y)) => Acc::Count(x + y),
+            (Acc::Sum(x), Acc::Sum(y)) => Acc::Sum(merge_opt_add(x, y)),
+            (Acc::Min(x), Acc::Min(y)) => Acc::Min(merge_opt_by(x, y, |a, b| a <= b)),
+            (Acc::Max(x), Acc::Max(y)) => Acc::Max(merge_opt_by(x, y, |a, b| a >= b)),
+            (Acc::Avg(xs, xn), Acc::Avg(ys, yn)) => Acc::Avg(merge_opt_add(xs, ys), xn + yn),
+            (Acc::Distinct(mut xa, f), Acc::Distinct(yb, _)) => {
+                xa.extend(yb);
+                Acc::Distinct(xa, f)
+            }
+            _ => unreachable!("mismatched accumulators"),
+        }
+    }
+
+    /// The aggregate's result value.
+    pub fn finish(self) -> Value {
+        match self {
+            Acc::Count(n) => Value::Long(n),
+            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
+            Acc::Avg(Some(sum), n) if n > 0 => sum
+                .as_f64()
+                .map_or(Value::Null, |f| Value::Double(f / n as f64)),
+            Acc::Avg(..) => Value::Null,
+            Acc::Distinct(set, f) => match f {
+                AggFunc::Count => Value::Long(set.len() as i64),
+                AggFunc::Sum => set
+                    .into_iter()
+                    .try_fold(None::<Value>, |acc, v| match acc {
+                        Some(cur) => cur.add(&v).map(Some),
+                        None => Ok(Some(v)),
+                    })
+                    .ok()
+                    .flatten()
+                    .unwrap_or(Value::Null),
+                AggFunc::Min => set.into_iter().min().unwrap_or(Value::Null),
+                AggFunc::Max => set.into_iter().max().unwrap_or(Value::Null),
+                AggFunc::Avg => {
+                    let n = set.len();
+                    if n == 0 {
+                        Value::Null
+                    } else {
+                        let sum: f64 = set.iter().filter_map(Value::as_f64).sum();
+                        Value::Double(sum / n as f64)
+                    }
+                }
+            },
+        }
+    }
+
+    /// Encode for spilling as a self-describing tagged array. Inverse of
+    /// [`Acc::from_value`]; round-trips exactly through the spill codec.
+    pub fn to_value(&self) -> Value {
+        let items: Vec<Value> = match self {
+            Acc::Count(n) => vec![Value::Long(0), Value::Long(*n)],
+            Acc::Sum(s) => vec![Value::Long(1), s.clone().unwrap_or(Value::Null)],
+            Acc::Min(m) => vec![Value::Long(2), m.clone().unwrap_or(Value::Null)],
+            Acc::Max(m) => vec![Value::Long(3), m.clone().unwrap_or(Value::Null)],
+            Acc::Avg(s, n) => {
+                vec![
+                    Value::Long(4),
+                    s.clone().unwrap_or(Value::Null),
+                    Value::Long(*n),
+                ]
+            }
+            Acc::Distinct(set, f) => {
+                let mut items = vec![Value::Long(5), Value::Long(agg_func_tag(*f))];
+                items.extend(set.iter().cloned());
+                items
+            }
+        };
+        Value::Array(Arc::new(items))
+    }
+
+    /// Decode a spilled accumulator. Panics on malformed input — spill
+    /// files are written and read by the same process.
+    pub fn from_value(v: &Value) -> Acc {
+        let Value::Array(items) = v else {
+            panic!("corrupt spilled accumulator")
+        };
+        let opt = |v: &Value| if v.is_null() { None } else { Some(v.clone()) };
+        match (items.first(), items.get(1)) {
+            (Some(Value::Long(0)), Some(Value::Long(n))) => Acc::Count(*n),
+            (Some(Value::Long(1)), Some(s)) => Acc::Sum(opt(s)),
+            (Some(Value::Long(2)), Some(m)) => Acc::Min(opt(m)),
+            (Some(Value::Long(3)), Some(m)) => Acc::Max(opt(m)),
+            (Some(Value::Long(4)), Some(s)) => match items.get(2) {
+                Some(Value::Long(n)) => Acc::Avg(opt(s), *n),
+                _ => panic!("corrupt spilled AVG accumulator"),
+            },
+            (Some(Value::Long(5)), Some(Value::Long(tag))) => Acc::Distinct(
+                items[2..].iter().cloned().collect(),
+                agg_func_from_tag(*tag),
+            ),
+            _ => panic!("corrupt spilled accumulator"),
+        }
+    }
+
+    /// Rough in-memory footprint, for reservation accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        match self {
+            Acc::Count(_) => 16,
+            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => {
+                16 + v.as_ref().map_or(0, Value::approx_bytes)
+            }
+            Acc::Avg(v, _) => 24 + v.as_ref().map_or(0, Value::approx_bytes),
+            Acc::Distinct(set, _) => 32 + set.iter().map(|v| 16 + v.approx_bytes()).sum::<u64>(),
+        }
+    }
+}
+
+fn agg_func_tag(f: AggFunc) -> i64 {
+    match f {
+        AggFunc::Count => 0,
+        AggFunc::Sum => 1,
+        AggFunc::Min => 2,
+        AggFunc::Max => 3,
+        AggFunc::Avg => 4,
+    }
+}
+
+fn agg_func_from_tag(t: i64) -> AggFunc {
+    match t {
+        0 => AggFunc::Count,
+        1 => AggFunc::Sum,
+        2 => AggFunc::Min,
+        3 => AggFunc::Max,
+        4 => AggFunc::Avg,
+        _ => panic!("corrupt spilled aggregate function tag {t}"),
+    }
+}
+
+fn merge_opt_add(a: Option<Value>, b: Option<Value>) -> Option<Value> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.add(&y).expect("sum failed")),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
+
+fn merge_opt_by(
+    a: Option<Value>,
+    b: Option<Value>,
+    keep_left: fn(&Value, &Value) -> bool,
+) -> Option<Value> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(if keep_left(&x, &y) { x } else { y }),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
 
 /// Which aggregate a lane accumulates (non-DISTINCT only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,24 +267,6 @@ pub enum LaneAgg {
     Min,
     /// `MAX(col)`.
     Max,
-}
-
-/// A finished per-group partial, in the executor's accumulator shape.
-///
-/// Mirrors the executor's spillable accumulator variants one-to-one so
-/// the conversion is a plain constructor call.
-#[derive(Debug, Clone)]
-pub enum AccPartial {
-    /// COUNT partial.
-    Count(i64),
-    /// SUM partial (None = no non-NULL input seen).
-    Sum(Option<Value>),
-    /// AVG partial: running sum + non-NULL count.
-    Avg(Option<Value>, i64),
-    /// MIN partial.
-    Min(Option<Value>),
-    /// MAX partial.
-    Max(Option<Value>),
 }
 
 /// Typed accumulator lanes for one aggregate call across all groups.
@@ -372,9 +578,9 @@ impl AccLane {
     }
 
     /// The finished partial for group `g`.
-    pub fn partial(&self, g: usize) -> AccPartial {
+    pub fn partial(&self, g: usize) -> Acc {
         match self {
-            AccLane::Count { counts, .. } => AccPartial::Count(counts.get(g).copied().unwrap_or(0)),
+            AccLane::Count { counts, .. } => Acc::Count(counts.get(g).copied().unwrap_or(0)),
             AccLane::SumLong {
                 sums,
                 seen,
@@ -391,8 +597,8 @@ impl AccLane {
                     }
                 });
                 match avg_counts {
-                    Some(c) => AccPartial::Avg(v, c.get(g).copied().unwrap_or(0)),
-                    None => AccPartial::Sum(v),
+                    Some(c) => Acc::Avg(v, c.get(g).copied().unwrap_or(0)),
+                    None => Acc::Sum(v),
                 }
             }
             AccLane::SumDouble {
@@ -406,8 +612,8 @@ impl AccLane {
                     .unwrap_or(false)
                     .then(|| Value::Double(sums[g]));
                 match avg_counts {
-                    Some(c) => AccPartial::Avg(v, c.get(g).copied().unwrap_or(0)),
-                    None => AccPartial::Sum(v),
+                    Some(c) => Acc::Avg(v, c.get(g).copied().unwrap_or(0)),
+                    None => Acc::Sum(v),
                 }
             }
             AccLane::ExtremeLong {
@@ -426,9 +632,9 @@ impl AccLane {
                     }
                 });
                 if *is_min {
-                    AccPartial::Min(v)
+                    Acc::Min(v)
                 } else {
-                    AccPartial::Max(v)
+                    Acc::Max(v)
                 }
             }
             AccLane::ExtremeDouble { vals, seen, is_min } => {
@@ -438,17 +644,17 @@ impl AccLane {
                     .unwrap_or(false)
                     .then(|| Value::Double(vals[g]));
                 if *is_min {
-                    AccPartial::Min(v)
+                    Acc::Min(v)
                 } else {
-                    AccPartial::Max(v)
+                    Acc::Max(v)
                 }
             }
             AccLane::ExtremeStr { vals, is_min } => {
                 let v = vals.get(g).and_then(|o| o.clone()).map(Value::Str);
                 if *is_min {
-                    AccPartial::Min(v)
+                    Acc::Min(v)
                 } else {
-                    AccPartial::Max(v)
+                    Acc::Max(v)
                 }
             }
         }
@@ -513,9 +719,9 @@ mod tests {
         star.update(None, &asg, 2);
         let mut cnt = AccLane::for_input(LaneAgg::Count, &DataType::Long).unwrap();
         cnt.update(Some(&col), &asg, 2);
-        assert!(matches!(star.partial(0), AccPartial::Count(2)));
-        assert!(matches!(cnt.partial(0), AccPartial::Count(1)));
-        assert!(matches!(cnt.partial(1), AccPartial::Count(1)));
+        assert!(matches!(star.partial(0), Acc::Count(2)));
+        assert!(matches!(cnt.partial(0), Acc::Count(1)));
+        assert!(matches!(cnt.partial(1), Acc::Count(1)));
     }
 
     #[test]
@@ -528,7 +734,7 @@ mod tests {
         // The running sum left i32 range at step 2, so it stays Long even
         // though the final value (1) fits an Int again.
         match sum.partial(0) {
-            AccPartial::Sum(Some(Value::Long(1))) => {}
+            Acc::Sum(Some(Value::Long(1))) => {}
             other => panic!("expected sticky Long(1), got {other:?}"),
         }
     }
@@ -542,7 +748,7 @@ mod tests {
         min.update(Some(&col), &asg, 1);
         // total_cmp orders -0.0 below 0.0, so -0.0 replaces the first.
         match min.partial(0) {
-            AccPartial::Min(Some(Value::Double(d))) => assert!(d.is_sign_negative()),
+            Acc::Min(Some(Value::Double(d))) => assert!(d.is_sign_negative()),
             other => panic!("expected Min(-0.0), got {other:?}"),
         }
     }
@@ -555,8 +761,8 @@ mod tests {
             let mut lane = AccLane::for_input(agg, &DataType::Long).unwrap();
             lane.update(Some(&col), &asg, 1);
             match lane.partial(0) {
-                AccPartial::Sum(None) | AccPartial::Min(None) | AccPartial::Max(None) => {}
-                AccPartial::Avg(None, 0) => {}
+                Acc::Sum(None) | Acc::Min(None) | Acc::Max(None) => {}
+                Acc::Avg(None, 0) => {}
                 other => panic!("expected empty partial, got {other:?}"),
             }
         }

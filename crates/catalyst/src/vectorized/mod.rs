@@ -18,7 +18,8 @@
 //!   [`eval_projection_batch`], [`filter_batch`]).
 //! * [`hash`] — columnar group-key hashing for batch-native hash
 //!   aggregation ([`BatchGroups`]).
-//! * [`accumulators`] — typed accumulator lanes updated per-batch
+//! * [`accumulators`] — the aggregate partial state ([`Acc`]) and the
+//!   typed lanes the batch kernel updates per batch
 //!   ([`AccLane`], [`LaneAgg`]).
 //! * [`sort`] — batch-level sort-key extraction and index-sort + gather
 //!   reordering ([`sort_keys_batch`], [`sorted_indices`]).
@@ -46,7 +47,7 @@ pub mod hash;
 pub mod kernels;
 pub mod sort;
 
-pub use accumulators::{AccLane, AccPartial, LaneAgg};
+pub use accumulators::{Acc, AccLane, LaneAgg};
 pub use batch::{ColumnVector, RowBatch, VectorData};
 pub use hash::BatchGroups;
 pub use kernels::{eval_batch, eval_projection_batch, filter_batch};

@@ -45,8 +45,8 @@ pub struct SqlConf {
     pub vectorize_enabled: bool,
     /// Rows per execution batch on the vectorized path.
     pub vectorize_batch_size: usize,
-    /// Re-plan shuffled joins and aggregates at stage boundaries from
-    /// *measured* map-output sizes: coalesce small post-shuffle
+    /// Re-plan shuffled joins at stage boundaries from *measured*
+    /// map-output sizes: coalesce small post-shuffle
     /// partitions, demote shuffled hash joins to broadcast when the built
     /// side turns out small, and split skewed reduce partitions.
     /// `CATALYST_ADAPTIVE=0` in the environment flips the default off

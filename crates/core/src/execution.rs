@@ -7,6 +7,7 @@
 //! tree-walking interpreter — which is exactly the Shark-baseline
 //! configuration of the Figure 8 experiment.
 
+use crate::aggregate::{self, AggCall};
 use crate::conf::SqlConf;
 use crate::rdd_table::RddTable;
 use crate::spill::{self, SpillCtx};
@@ -22,7 +23,6 @@ use catalyst::physical::{BuildSide, PhysicalPlan};
 use catalyst::plan::JoinType;
 use catalyst::row::Row;
 use catalyst::source::RowIter;
-use catalyst::tree::{Transformed, TreeNode};
 use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
 use catalyst::value::Value;
@@ -33,13 +33,12 @@ use engine::{
     ShuffleReadSpec, SparkContext,
 };
 use std::cmp::Ordering;
-use std::hash::Hash;
 use std::time::Instant;
 
-fn engine_err(e: engine::EngineError) -> CatalystError {
+pub(crate) fn engine_err(e: engine::EngineError) -> CatalystError {
     CatalystError::Internal(format!("execution failed: {e}"))
 }
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Shared recorder of adaptive plan changes for one execution. Cloned
@@ -125,7 +124,7 @@ impl ExecContext {
     }
 
     /// Spill context for the operator with pre-order id `id`.
-    fn spill_ctx(&self, id: usize) -> SpillCtx {
+    pub(crate) fn spill_ctx(&self, id: usize) -> SpillCtx {
         SpillCtx {
             pool: self.mem.clone(),
             node: self.metrics.as_ref().map(|pm| pm.node(id)),
@@ -221,7 +220,7 @@ fn cancel_checked_batches(rdd: &RddRef<RowBatch>, token: engine::CancelToken) ->
 }
 
 /// Credit driver-side (eager) work to a node's elapsed time.
-fn note_eager_ns(ctx: &ExecContext, id: usize, start: Instant) {
+pub(crate) fn note_eager_ns(ctx: &ExecContext, id: usize, start: Instant) {
     if let Some(pm) = &ctx.metrics {
         pm.node(id)
             .add_elapsed_ns(start.elapsed().as_nanos() as u64);
@@ -231,7 +230,7 @@ fn note_eager_ns(ctx: &ExecContext, id: usize, start: Instant) {
 type RowFn = Arc<dyn Fn(&Row) -> Row + Send + Sync>;
 type PredFn = Arc<dyn Fn(&Row) -> bool + Send + Sync>;
 
-fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>> {
+pub(crate) fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>> {
     exprs
         .iter()
         .map(|e| bind_references(e.clone(), input))
@@ -270,10 +269,10 @@ fn predicate(expr: &Expr, input: &[ColumnRef], codegen_on: bool) -> Result<PredF
     }
 }
 
-type ValueFn = Arc<dyn Fn(&Row) -> Value + Send + Sync>;
+pub(crate) type ValueFn = Arc<dyn Fn(&Row) -> Value + Send + Sync>;
 
 /// Build a single-value evaluator, compiled or interpreted per config.
-fn value_fn(bound: Expr, codegen_on: bool) -> ValueFn {
+pub(crate) fn value_fn(bound: Expr, codegen_on: bool) -> ValueFn {
     if codegen_on {
         let dtype = bound.data_type().unwrap_or(DataType::String);
         let compiled = codegen::compile(&bound);
@@ -331,258 +330,6 @@ impl Ord for SortKey {
     }
 }
 
-// ---- aggregation machinery ----
-
-/// One accumulator instance.
-#[derive(Debug, Clone)]
-pub enum Acc {
-    /// COUNT (of non-null args, or all rows for COUNT(*)).
-    Count(i64),
-    /// SUM.
-    Sum(Option<Value>),
-    /// MIN.
-    Min(Option<Value>),
-    /// MAX.
-    Max(Option<Value>),
-    /// AVG (sum + count).
-    Avg(Option<Value>, i64),
-    /// Any DISTINCT aggregate: collect the distinct set, finish by func.
-    Distinct(HashSet<Value>, AggFunc),
-}
-
-/// A planned aggregate call: evaluator for the argument + accumulator
-/// factory.
-#[derive(Clone)]
-struct AggCall {
-    func: AggFunc,
-    distinct: bool,
-    /// Bound argument evaluator (None = COUNT(*)).
-    arg: Option<ValueFn>,
-}
-
-impl AggCall {
-    fn init(&self) -> Acc {
-        if self.distinct {
-            return Acc::Distinct(HashSet::new(), self.func);
-        }
-        match self.func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum => Acc::Sum(None),
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            AggFunc::Avg => Acc::Avg(None, 0),
-        }
-    }
-
-    fn arg_value(&self, row: &Row) -> Value {
-        match &self.arg {
-            None => Value::Long(1), // COUNT(*): every row counts
-            Some(f) => f(row),
-        }
-    }
-
-    fn update(&self, acc: &mut Acc, row: &Row) {
-        let v = self.arg_value(row);
-        match acc {
-            Acc::Count(n) => {
-                if self.arg.is_none() || !v.is_null() {
-                    *n += 1;
-                }
-            }
-            Acc::Sum(s) => {
-                if !v.is_null() {
-                    *s = Some(match s.take() {
-                        Some(cur) => cur.add(&v).expect("sum failed"),
-                        None => v,
-                    });
-                }
-            }
-            Acc::Min(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v < *cur) {
-                    *m = Some(v);
-                }
-            }
-            Acc::Max(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v > *cur) {
-                    *m = Some(v);
-                }
-            }
-            Acc::Avg(s, n) => {
-                if !v.is_null() {
-                    *s = Some(match s.take() {
-                        Some(cur) => cur.add(&v).expect("avg failed"),
-                        None => v,
-                    });
-                    *n += 1;
-                }
-            }
-            Acc::Distinct(set, _) => {
-                if !v.is_null() {
-                    set.insert(v);
-                }
-            }
-        }
-    }
-}
-
-impl Acc {
-    /// Encode for spilling as a self-describing tagged array. Inverse of
-    /// [`Acc::from_value`]; round-trips exactly through the spill codec.
-    pub(crate) fn to_value(&self) -> Value {
-        let items: Vec<Value> = match self {
-            Acc::Count(n) => vec![Value::Long(0), Value::Long(*n)],
-            Acc::Sum(s) => vec![Value::Long(1), s.clone().unwrap_or(Value::Null)],
-            Acc::Min(m) => vec![Value::Long(2), m.clone().unwrap_or(Value::Null)],
-            Acc::Max(m) => vec![Value::Long(3), m.clone().unwrap_or(Value::Null)],
-            Acc::Avg(s, n) => {
-                vec![
-                    Value::Long(4),
-                    s.clone().unwrap_or(Value::Null),
-                    Value::Long(*n),
-                ]
-            }
-            Acc::Distinct(set, f) => {
-                let mut items = vec![Value::Long(5), Value::Long(agg_func_tag(*f))];
-                items.extend(set.iter().cloned());
-                items
-            }
-        };
-        Value::Array(Arc::new(items))
-    }
-
-    /// Decode a spilled accumulator. Panics on malformed input — spill
-    /// files are written and read by the same process.
-    pub(crate) fn from_value(v: &Value) -> Acc {
-        let Value::Array(items) = v else {
-            panic!("corrupt spilled accumulator")
-        };
-        let opt = |v: &Value| if v.is_null() { None } else { Some(v.clone()) };
-        match (items.first(), items.get(1)) {
-            (Some(Value::Long(0)), Some(Value::Long(n))) => Acc::Count(*n),
-            (Some(Value::Long(1)), Some(s)) => Acc::Sum(opt(s)),
-            (Some(Value::Long(2)), Some(m)) => Acc::Min(opt(m)),
-            (Some(Value::Long(3)), Some(m)) => Acc::Max(opt(m)),
-            (Some(Value::Long(4)), Some(s)) => match items.get(2) {
-                Some(Value::Long(n)) => Acc::Avg(opt(s), *n),
-                _ => panic!("corrupt spilled AVG accumulator"),
-            },
-            (Some(Value::Long(5)), Some(Value::Long(tag))) => Acc::Distinct(
-                items[2..].iter().cloned().collect(),
-                agg_func_from_tag(*tag),
-            ),
-            _ => panic!("corrupt spilled accumulator"),
-        }
-    }
-
-    /// Rough in-memory footprint, for reservation accounting.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        match self {
-            Acc::Count(_) => 16,
-            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => {
-                16 + v.as_ref().map_or(0, Value::approx_bytes)
-            }
-            Acc::Avg(v, _) => 24 + v.as_ref().map_or(0, Value::approx_bytes),
-            Acc::Distinct(set, _) => 32 + set.iter().map(|v| 16 + v.approx_bytes()).sum::<u64>(),
-        }
-    }
-}
-
-fn agg_func_tag(f: AggFunc) -> i64 {
-    match f {
-        AggFunc::Count => 0,
-        AggFunc::Sum => 1,
-        AggFunc::Min => 2,
-        AggFunc::Max => 3,
-        AggFunc::Avg => 4,
-    }
-}
-
-fn agg_func_from_tag(t: i64) -> AggFunc {
-    match t {
-        0 => AggFunc::Count,
-        1 => AggFunc::Sum,
-        2 => AggFunc::Min,
-        3 => AggFunc::Max,
-        4 => AggFunc::Avg,
-        _ => panic!("corrupt spilled aggregate function tag {t}"),
-    }
-}
-
-pub(crate) fn merge_acc(a: Acc, b: Acc) -> Acc {
-    match (a, b) {
-        (Acc::Count(x), Acc::Count(y)) => Acc::Count(x + y),
-        (Acc::Sum(x), Acc::Sum(y)) => Acc::Sum(merge_opt_add(x, y)),
-        (Acc::Min(x), Acc::Min(y)) => Acc::Min(merge_opt_by(x, y, |a, b| a <= b)),
-        (Acc::Max(x), Acc::Max(y)) => Acc::Max(merge_opt_by(x, y, |a, b| a >= b)),
-        (Acc::Avg(xs, xn), Acc::Avg(ys, yn)) => Acc::Avg(merge_opt_add(xs, ys), xn + yn),
-        (Acc::Distinct(mut xa, f), Acc::Distinct(yb, _)) => {
-            xa.extend(yb);
-            Acc::Distinct(xa, f)
-        }
-        _ => unreachable!("mismatched accumulators"),
-    }
-}
-
-fn merge_opt_add(a: Option<Value>, b: Option<Value>) -> Option<Value> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.add(&y).expect("merge failed")),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-fn merge_opt_by(
-    a: Option<Value>,
-    b: Option<Value>,
-    keep_left: fn(&Value, &Value) -> bool,
-) -> Option<Value> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if keep_left(&x, &y) { x } else { y }),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-fn finish_acc(acc: Acc) -> Value {
-    match acc {
-        Acc::Count(n) => Value::Long(n),
-        Acc::Sum(s) => s.unwrap_or(Value::Null),
-        Acc::Min(m) | Acc::Max(m) => m.unwrap_or(Value::Null),
-        Acc::Avg(s, n) => match (s, n) {
-            (Some(sum), n) if n > 0 => match sum.as_f64() {
-                Some(f) => Value::Double(f / n as f64),
-                None => Value::Null,
-            },
-            _ => Value::Null,
-        },
-        Acc::Distinct(set, f) => match f {
-            AggFunc::Count => Value::Long(set.len() as i64),
-            AggFunc::Sum => set
-                .into_iter()
-                .try_fold(None::<Value>, |acc, v| -> Result<Option<Value>> {
-                    Ok(Some(match acc {
-                        Some(cur) => cur.add(&v)?,
-                        None => v,
-                    }))
-                })
-                .ok()
-                .flatten()
-                .unwrap_or(Value::Null),
-            AggFunc::Min => set.into_iter().min().unwrap_or(Value::Null),
-            AggFunc::Max => set.into_iter().max().unwrap_or(Value::Null),
-            AggFunc::Avg => {
-                let n = set.len();
-                if n == 0 {
-                    Value::Null
-                } else {
-                    let sum: f64 = set.iter().filter_map(Value::as_f64).sum();
-                    Value::Double(sum / n as f64)
-                }
-            }
-        },
-    }
-}
-
 /// Execute a physical plan into an RDD of rows.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<RddRef<Row>> {
     execute_node(plan, 0, ctx)
@@ -594,7 +341,11 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<RddRef<Row>> {
 /// Children claim their shuffle ids before the parent inspects the
 /// enclosing window, so each shuffle lands on the operator that induced
 /// the exchange (sort, aggregate, shuffled join, distinct).
-fn execute_node(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
+pub(crate) fn execute_node(
+    plan: &PhysicalPlan,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<Row>> {
     if ctx.conf.vectorize_enabled {
         if let Some(batched) = try_execute_batched(plan, id, ctx) {
             // Batch→row adapter: compact selected lanes into rows only at
@@ -723,6 +474,30 @@ fn try_execute_batched(
             Some(token) => cancel_checked_batches(&rdd, token.clone()),
             None => rdd,
         }
+    }))
+}
+
+/// Lower a plan subtree as a batch stream for a batch-native consumer:
+/// natively when it has a batch form, else its row lowering chunked
+/// through the generic row→batch adapter.
+pub(crate) fn execute_batches(
+    plan: &PhysicalPlan,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    if let Some(batched) = try_execute_batched(plan, id, ctx) {
+        return batched;
+    }
+    let rows = execute_node(plan, id, ctx)?;
+    let dtypes: Arc<Vec<DataType>> =
+        Arc::new(plan.output().iter().map(|c| c.dtype.clone()).collect());
+    let batch_size = ctx.conf.vectorize_batch_size.max(1);
+    Ok(rows.map_partitions(move |it| {
+        Box::new(IterChunks {
+            inner: it,
+            dtypes: dtypes.clone(),
+            batch_size,
+        })
     }))
 }
 
@@ -925,7 +700,7 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             input,
             groupings,
             output_exprs,
-        } => execute_aggregate(input, groupings, output_exprs, id, ctx),
+        } => aggregate::execute_aggregate(input, groupings, output_exprs, id, ctx),
 
         PhysicalPlan::Sort { input, orders } => {
             let child = execute_node(input, id + 1, ctx)?;
@@ -1131,614 +906,6 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
     }
 }
 
-// ---- compiled ("whole-stage codegen") aggregation fast path ----
-//
-// When codegen is enabled, single-integer-key aggregations over numeric
-// columns run entirely on unboxed i64/f64 accumulators: no Value boxing,
-// no per-record pair allocation, no interpreter dispatch. This is the
-// Rust analogue of the compiled aggregation that makes the Figure 9
-// DataFrame program outperform hand-written RDD code.
-
-#[derive(Clone)]
-enum TAcc {
-    /// COUNT(*) or COUNT(non-null arg).
-    Cnt(i64),
-    /// SUM with integral result type.
-    SumI(i64, bool),
-    /// SUM with floating result type.
-    SumF(f64, bool),
-    /// AVG.
-    Avg(f64, i64),
-    /// MIN over numerics.
-    MinF(f64, bool),
-    /// MAX over numerics.
-    MaxF(f64, bool),
-}
-
-impl TAcc {
-    fn merge(&mut self, other: &TAcc) {
-        match (self, other) {
-            (TAcc::Cnt(a), TAcc::Cnt(b)) => *a += b,
-            (TAcc::SumI(a, sa), TAcc::SumI(b, sb)) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (TAcc::SumF(a, sa), TAcc::SumF(b, sb)) => {
-                *a += b;
-                *sa |= sb;
-            }
-            (TAcc::Avg(a, na), TAcc::Avg(b, nb)) => {
-                *a += b;
-                *na += nb;
-            }
-            (TAcc::MinF(a, sa), TAcc::MinF(b, sb)) => {
-                if *sb && (!*sa || *b < *a) {
-                    *a = *b;
-                    *sa = true;
-                }
-            }
-            (TAcc::MaxF(a, sa), TAcc::MaxF(b, sb)) => {
-                if *sb && (!*sa || *b > *a) {
-                    *a = *b;
-                    *sa = true;
-                }
-            }
-            _ => unreachable!("mismatched typed accumulators"),
-        }
-    }
-
-    fn finish(&self, dtype: &DataType) -> Value {
-        match self {
-            TAcc::Cnt(n) => Value::Long(*n),
-            TAcc::SumI(v, seen) => {
-                if *seen {
-                    if *dtype == DataType::Int {
-                        Value::Int(*v as i32)
-                    } else {
-                        Value::Long(*v)
-                    }
-                } else {
-                    Value::Null
-                }
-            }
-            TAcc::SumF(v, seen) => {
-                if *seen {
-                    Value::Double(*v)
-                } else {
-                    Value::Null
-                }
-            }
-            TAcc::Avg(s, n) => {
-                if *n > 0 {
-                    Value::Double(s / *n as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            TAcc::MinF(v, seen) | TAcc::MaxF(v, seen) => {
-                if !*seen {
-                    Value::Null
-                } else if dtype.is_integral() {
-                    if *dtype == DataType::Int {
-                        Value::Int(*v as i32)
-                    } else {
-                        Value::Long(*v as i64)
-                    }
-                } else {
-                    Value::Double(*v)
-                }
-            }
-        }
-    }
-}
-
-/// One compiled aggregate: argument evaluator + accumulator template.
-#[derive(Clone)]
-enum TCall {
-    CountAll,
-    CountOf(codegen::RowFn<f64>),
-    SumI(codegen::RowFn<i64>),
-    SumF(codegen::RowFn<f64>),
-    Avg(codegen::RowFn<f64>),
-    Min(codegen::RowFn<f64>),
-    Max(codegen::RowFn<f64>),
-}
-
-impl TCall {
-    fn init(&self) -> TAcc {
-        match self {
-            TCall::CountAll | TCall::CountOf(_) => TAcc::Cnt(0),
-            TCall::SumI(_) => TAcc::SumI(0, false),
-            TCall::SumF(_) => TAcc::SumF(0.0, false),
-            TCall::Avg(_) => TAcc::Avg(0.0, 0),
-            TCall::Min(_) => TAcc::MinF(0.0, false),
-            TCall::Max(_) => TAcc::MaxF(0.0, false),
-        }
-    }
-
-    #[inline]
-    fn update(&self, acc: &mut TAcc, row: &Row) {
-        match (self, acc) {
-            (TCall::CountAll, TAcc::Cnt(n)) => *n += 1,
-            (TCall::CountOf(f), TAcc::Cnt(n)) => {
-                if f(row).is_some() {
-                    *n += 1;
-                }
-            }
-            (TCall::SumI(f), TAcc::SumI(s, seen)) => {
-                if let Some(v) = f(row) {
-                    *s += v;
-                    *seen = true;
-                }
-            }
-            (TCall::SumF(f), TAcc::SumF(s, seen)) => {
-                if let Some(v) = f(row) {
-                    *s += v;
-                    *seen = true;
-                }
-            }
-            (TCall::Avg(f), TAcc::Avg(s, n)) => {
-                if let Some(v) = f(row) {
-                    *s += v;
-                    *n += 1;
-                }
-            }
-            (TCall::Min(f), TAcc::MinF(m, seen)) => {
-                if let Some(v) = f(row) {
-                    if !*seen || v < *m {
-                        *m = v;
-                        *seen = true;
-                    }
-                }
-            }
-            (TCall::Max(f), TAcc::MaxF(m, seen)) => {
-                if let Some(v) = f(row) {
-                    if !*seen || v > *m {
-                        *m = v;
-                        *seen = true;
-                    }
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-/// Fast multiply-xor hasher for integer group keys (the engine-internal
-/// hashing a compiled aggregation would emit; std's SipHash is
-/// DoS-resistant but slow for this).
-#[derive(Default, Clone)]
-pub struct IntHasher(u64);
-
-impl std::hash::Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        let mut z = self.0 ^ v;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        self.0 = z ^ (z >> 31);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-type IntHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<IntHasher>>;
-
-/// Try the compiled aggregation path. Requirements: codegen on, exactly
-/// one integral grouping key, and only plain numeric aggregates.
-fn try_fast_aggregate(
-    child: &RddRef<Row>,
-    bound_groupings: &[Expr],
-    agg_exprs: &[Expr],
-    final_exprs: &[Expr],
-    id: usize,
-    ctx: &ExecContext,
-) -> Option<Result<RddRef<Row>>> {
-    if !ctx.conf.codegen_enabled || bound_groupings.len() != 1 {
-        return None;
-    }
-    let key_dtype = bound_groupings[0].data_type().ok()?;
-
-    let mut calls: Vec<(TCall, DataType)> = Vec::with_capacity(agg_exprs.len());
-    for e in agg_exprs {
-        let Expr::Agg {
-            func,
-            arg,
-            distinct: false,
-        } = e
-        else {
-            return None;
-        };
-        let out_type = e.data_type().ok()?;
-        let call = match (func, arg) {
-            (AggFunc::Count, None) => TCall::CountAll,
-            (func, Some(a)) => {
-                let compiled = codegen::compile(a);
-                let as_f = match &compiled {
-                    codegen::Compiled::Double(f) => f.clone(),
-                    codegen::Compiled::Long(f) => {
-                        let f = f.clone();
-                        Arc::new(move |row: &Row| f(row).map(|v| v as f64)) as codegen::RowFn<f64>
-                    }
-                    _ => return None,
-                };
-                match func {
-                    AggFunc::Count => TCall::CountOf(as_f),
-                    AggFunc::Sum => match &compiled {
-                        codegen::Compiled::Long(f) if out_type.is_integral() => {
-                            TCall::SumI(f.clone())
-                        }
-                        _ if out_type.is_integral() => return None,
-                        _ => TCall::SumF(as_f),
-                    },
-                    AggFunc::Avg => TCall::Avg(as_f),
-                    AggFunc::Min => TCall::Min(as_f),
-                    AggFunc::Max => TCall::Max(as_f),
-                }
-            }
-            _ => return None,
-        };
-        calls.push((call, out_type));
-    }
-
-    // Dispatch on the compiled key type: unboxed i64 or shared strings.
-    match codegen::compile(&bound_groupings[0]) {
-        codegen::Compiled::Long(key_fn) => {
-            let key_is_int = key_dtype == DataType::Int;
-            Some(run_fast_agg(
-                child,
-                key_fn,
-                Arc::new(move |key: Option<i64>| match key {
-                    None => Value::Null,
-                    Some(k) if key_is_int => Value::Int(k as i32),
-                    Some(k) => Value::Long(k),
-                }),
-                calls,
-                final_exprs,
-                id,
-                ctx,
-            ))
-        }
-        codegen::Compiled::Str(key_fn) => Some(run_fast_agg(
-            child,
-            key_fn,
-            Arc::new(|key: Option<Arc<str>>| key.map_or(Value::Null, Value::Str)),
-            calls,
-            final_exprs,
-            id,
-            ctx,
-        )),
-        _ => None,
-    }
-}
-
-/// The shared fast-aggregation pipeline: map-side combine into unboxed
-/// accumulators keyed by `K`, shuffle the combined groups raw, merge once
-/// on the reduce side, then run the final projection.
-fn run_fast_agg<K: engine::Data + std::hash::Hash + Eq>(
-    child: &RddRef<Row>,
-    key_fn: codegen::RowFn<K>,
-    key_to_value: Arc<dyn Fn(Option<K>) -> Value + Send + Sync>,
-    calls: Vec<(TCall, DataType)>,
-    final_exprs: &[Expr],
-    id: usize,
-    ctx: &ExecContext,
-) -> Result<RddRef<Row>> {
-    let calls_map = calls.clone();
-    let mapped = child.map_partitions(move |it| {
-        let mut groups: IntHashMap<Option<K>, Vec<TAcc>> = IntHashMap::default();
-        for row in it {
-            let key = key_fn(&row);
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| calls_map.iter().map(|(c, _)| c.init()).collect());
-            for ((call, _), acc) in calls_map.iter().zip(accs.iter_mut()) {
-                call.update(acc, &row);
-            }
-        }
-        Box::new(groups.into_iter())
-    });
-    let partitioner = Arc::new(HashPartitioner::new(ctx.conf.shuffle_partitions.max(1)));
-    let shuffled = if ctx.conf.adaptive_enabled {
-        // The pairs here are already map-side combined groups shuffled
-        // raw, so coalescing reducers is safe (the reduce-side merge below
-        // handles cross-map duplicates); map-range splitting would not be.
-        let size_fn: SizeFn<Option<K>, Vec<TAcc>> =
-            Arc::new(|_k: &Option<K>, accs: &Vec<TAcc>| 16 + 24 * accs.len() as u64);
-        let mat = MaterializedShuffle::create(&mapped, partitioner, None, false, Some(size_fn))
-            .map_err(engine_err)?;
-        coalesced_read(&mat, "HashAggregate", id, ctx)
-    } else {
-        mapped.partition_by(partitioner)
-    };
-    let combined = shuffled.map_partitions(|it| {
-        let mut groups: IntHashMap<Option<K>, Vec<TAcc>> = IntHashMap::default();
-        for (key, accs) in it {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (x, y) in e.get_mut().iter_mut().zip(&accs) {
-                        x.merge(y);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-            }
-        }
-        Box::new(groups.into_iter())
-    });
-
-    // Final: typed accumulators → values → final projection.
-    let final_exprs = final_exprs.to_vec();
-    Ok(combined.map(move |(key, accs)| {
-        let mut values = Vec::with_capacity(1 + accs.len());
-        values.push(key_to_value(key));
-        for ((_, dtype), acc) in calls.iter().zip(accs) {
-            values.push(acc.finish(dtype));
-        }
-        let internal = Row::new(values);
-        Row::new(
-            final_exprs
-                .iter()
-                .map(|e| interpreter::eval(e, &internal).expect("final aggregate failed"))
-                .collect(),
-        )
-    }))
-}
-
-fn execute_aggregate(
-    input: &Arc<PhysicalPlan>,
-    groupings: &[Expr],
-    output_exprs: &[Expr],
-    id: usize,
-    ctx: &ExecContext,
-) -> Result<RddRef<Row>> {
-    let input_attrs = input.output();
-
-    // Unique aggregate calls appearing anywhere in the output list.
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    for e in output_exprs {
-        e.for_each_node(&mut |n| {
-            if matches!(n, Expr::Agg { .. }) && !agg_exprs.contains(n) {
-                agg_exprs.push(n.clone());
-            }
-        });
-    }
-
-    // Rewrite output expressions over [group values ++ agg results].
-    let ngroups = groupings.len();
-    let mut final_exprs: Vec<Expr> = Vec::with_capacity(output_exprs.len());
-    for e in output_exprs {
-        let rewritten = e.clone().transform_down(&mut |n| {
-            if let Some(i) = groupings.iter().position(|g| g == &n) {
-                let dtype = n.data_type().unwrap_or(DataType::String);
-                return Transformed::yes(Expr::BoundRef {
-                    index: i,
-                    dtype,
-                    nullable: n.nullable(),
-                    name: Arc::from(n.auto_name().as_str()),
-                });
-            }
-            if let Some(j) = agg_exprs.iter().position(|a| a == &n) {
-                let dtype = n.data_type().unwrap_or(DataType::String);
-                return Transformed::yes(Expr::BoundRef {
-                    index: ngroups + j,
-                    dtype,
-                    nullable: true,
-                    name: Arc::from(n.auto_name().as_str()),
-                });
-            }
-            Transformed::no(n)
-        });
-        final_exprs.push(rewritten.data);
-    }
-
-    // Bind group keys and aggregate args to the child output.
-    let bound_groupings = bind_all(groupings, &input_attrs)?;
-    let calls: Vec<AggCall> = agg_exprs
-        .iter()
-        .map(|e| match e {
-            Expr::Agg {
-                func,
-                arg,
-                distinct,
-            } => {
-                let arg = match arg {
-                    Some(a) => {
-                        let bound = bind_references((**a).clone(), &input_attrs)?;
-                        Some(value_fn(bound, ctx.conf.codegen_enabled))
-                    }
-                    None => None,
-                };
-                Ok(AggCall {
-                    func: *func,
-                    distinct: *distinct,
-                    arg,
-                })
-            }
-            _ => unreachable!(),
-        })
-        .collect::<Result<_>>()?;
-
-    let finish_rows = {
-        let final_exprs = final_exprs.clone();
-        move |key: Row, accs: Vec<Acc>| -> Row {
-            let mut values = key.into_values();
-            values.extend(accs.into_iter().map(finish_acc));
-            let internal = Row::new(values);
-            Row::new(
-                final_exprs
-                    .iter()
-                    .map(|e| interpreter::eval(e, &internal).expect("final aggregate failed"))
-                    .collect(),
-            )
-        }
-    };
-
-    // Batch-native hash aggregation: group keys hashed columnar, typed
-    // accumulator lanes per aggregate call. Consumes the child's batch
-    // subtree directly when one exists (no row round trip), and produces
-    // the same spillable `(key, Vec<Acc>)` partials as the row path, so
-    // the shuffle and the reduce-side merge (including
-    // `merge_agg_partition` under a bounded pool) are shared. Takes
-    // precedence over the compiled fast path when vectorization is on;
-    // unsupported shapes fall through to the row path below.
-    if ctx.conf.vectorize_enabled && !groupings.is_empty() {
-        if let Some(rdd) = try_batch_aggregate(
-            input,
-            &input_attrs,
-            groupings,
-            &agg_exprs,
-            finish_rows.clone(),
-            id,
-            ctx,
-        ) {
-            return rdd;
-        }
-    }
-
-    let child = execute_node(input, id + 1, ctx)?;
-
-    // Compiled fast path (unboxed keys and accumulators). Skipped under a
-    // bounded pool: its hash tables grow without reservations.
-    if !ctx.mem.is_bounded() {
-        let bound_agg_exprs: Result<Vec<Expr>> = agg_exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Agg {
-                    func,
-                    arg,
-                    distinct,
-                } => Ok(Expr::Agg {
-                    func: *func,
-                    arg: match arg {
-                        Some(a) => Some(Box::new(bind_references((**a).clone(), &input_attrs)?)),
-                        None => None,
-                    },
-                    distinct: *distinct,
-                }),
-                _ => unreachable!(),
-            })
-            .collect();
-        if let Ok(bound_agg_exprs) = bound_agg_exprs {
-            let bound_groupings_fast = bind_all(groupings, &input_attrs)?;
-            if let Some(rdd) = try_fast_aggregate(
-                &child,
-                &bound_groupings_fast,
-                &bound_agg_exprs,
-                &final_exprs,
-                id,
-                ctx,
-            ) {
-                return rdd;
-            }
-        }
-    }
-
-    if groupings.is_empty() {
-        // Global aggregate: partials per partition, merged on the driver —
-        // correct even over an empty input (COUNT(*) = 0).
-        let eager_start = Instant::now();
-        let calls_for_job = calls.clone();
-        let partials = child
-            .run_job(move |_, it| {
-                let mut accs: Vec<Acc> = calls_for_job.iter().map(AggCall::init).collect();
-                for row in it {
-                    for (call, acc) in calls_for_job.iter().zip(accs.iter_mut()) {
-                        call.update(acc, &row);
-                    }
-                }
-                accs
-            })
-            .map_err(engine_err)?;
-        let merged = partials
-            .into_iter()
-            .reduce(|a, b| a.into_iter().zip(b).map(|(x, y)| merge_acc(x, y)).collect())
-            .unwrap_or_else(|| calls.iter().map(AggCall::init).collect());
-        let row = finish_rows(Row::empty(), merged);
-        note_eager_ns(ctx, id, eager_start);
-        return Ok(ctx.sc.parallelize(vec![row], 1));
-    }
-
-    // Grouped under a bounded pool: the spillable Partial/Final split.
-    if ctx.mem.is_bounded() {
-        let key_fns: Vec<ValueFn> = bound_groupings
-            .into_iter()
-            .map(|e| value_fn(e, ctx.conf.codegen_enabled))
-            .collect();
-        let key_dtypes: Vec<DataType> = groupings
-            .iter()
-            .map(|g| g.data_type().unwrap_or(DataType::String))
-            .collect();
-        return execute_spillable_aggregate(
-            child,
-            key_fns,
-            calls,
-            finish_rows,
-            key_dtypes,
-            id,
-            ctx,
-        );
-    }
-
-    // Grouped: map-side partial aggregation + shuffle + final merge (the
-    // engine's combine-by-key is the Partial/Final split).
-    let calls_create = calls.clone();
-    let calls_update = calls.clone();
-    let aggregator = engine::shuffle::Aggregator::new(
-        move |row: Row| {
-            let mut accs: Vec<Acc> = calls_create.iter().map(AggCall::init).collect();
-            for (call, acc) in calls_create.iter().zip(accs.iter_mut()) {
-                call.update(acc, &row);
-            }
-            accs
-        },
-        move |mut accs: Vec<Acc>, row: Row| {
-            for (call, acc) in calls_update.iter().zip(accs.iter_mut()) {
-                call.update(acc, &row);
-            }
-            accs
-        },
-        |a: Vec<Acc>, b: Vec<Acc>| a.into_iter().zip(b).map(|(x, y)| merge_acc(x, y)).collect(),
-    );
-
-    let key_fns: Vec<ValueFn> = bound_groupings
-        .into_iter()
-        .map(|e| value_fn(e, ctx.conf.codegen_enabled))
-        .collect();
-    let keyed = child.map(move |row| {
-        let key = Row::new(key_fns.iter().map(|f| f(&row)).collect());
-        (key, row)
-    });
-    let partitioner = Arc::new(HashPartitioner::new(ctx.conf.shuffle_partitions.max(1)));
-    let combined = if ctx.conf.adaptive_enabled {
-        // Adaptive: materialize the (map-side combined) shuffle, then
-        // merge small reduce partitions before the final aggregation.
-        let size_fn: SizeFn<Row, Vec<Acc>> =
-            Arc::new(|k: &Row, accs: &Vec<Acc>| k.approx_bytes() + 16 + 24 * accs.len() as u64);
-        let mat =
-            MaterializedShuffle::create(&keyed, partitioner, Some(aggregator), true, Some(size_fn))
-                .map_err(engine_err)?;
-        coalesced_read(&mat, "HashAggregate", id, ctx)
-    } else {
-        keyed.combine_by_key(aggregator, partitioner, true)
-    };
-    Ok(combined.map(move |(key, accs)| finish_rows(key, accs)))
-}
-
 /// Memory-governed sort lowering: the same sampled range partitioning as
 /// the engine's `sort_by_key`, but each output partition sorts through
 /// [`spill::external_sort`] — buffered rows spill as sorted runs when the
@@ -1811,289 +978,6 @@ fn execute_external_sort(
             Row::new(values.split_off(nk))
         }))
     }))
-}
-
-/// Memory-governed grouped aggregation: map-side partial aggregation with
-/// early emission (a denied grow flushes partials into the shuffle), then
-/// a reduce-side merge that spills its hash table recursively under
-/// pressure ([`spill::merge_agg_partition`]). Replaces the engine
-/// combine-by-key path when the pool is bounded.
-fn execute_spillable_aggregate(
-    child: RddRef<Row>,
-    key_fns: Vec<ValueFn>,
-    calls: Vec<AggCall>,
-    finish_rows: impl Fn(Row, Vec<Acc>) -> Row + Send + Sync + 'static,
-    key_dtypes: Vec<DataType>,
-    id: usize,
-    ctx: &ExecContext,
-) -> Result<RddRef<Row>> {
-    let sctx = ctx.spill_ctx(id);
-    let layout = spill::AggLayout::new(key_dtypes);
-    let map_sctx = sctx.clone();
-    let partials = child.map_partitions(move |it| {
-        Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
-    });
-    let shuffled = partials.partition_by(Arc::new(HashPartitioner::new(
-        ctx.conf.shuffle_partitions.max(1),
-    )));
-    let merged = shuffled.map_partitions(move |it| {
-        Box::new(spill::merge_agg_partition(it, &layout, &sctx, 0).into_iter())
-    });
-    Ok(merged.map(move |(key, accs)| finish_rows(key, accs)))
-}
-
-/// Partially aggregate one input partition under the pool's budget. When
-/// the reservation is denied, the partial table flushes downstream — the
-/// shuffle is the spill destination — and aggregation restarts with an
-/// empty table. Duplicate keys across flushes merge on the reduce side.
-fn partial_agg_partition(
-    it: engine::BoxIter<Row>,
-    key_fns: &[ValueFn],
-    calls: &[AggCall],
-    sctx: &SpillCtx,
-) -> Vec<(Row, Vec<Acc>)> {
-    let mut reservation = sctx.pool.register();
-    let mut table: HashMap<Row, Vec<Acc>> = HashMap::new();
-    let mut out: Vec<(Row, Vec<Acc>)> = Vec::new();
-    for row in it {
-        let key = Row::new(key_fns.iter().map(|f| f(&row)).collect());
-        if let Some(accs) = table.get_mut(&key) {
-            for (call, acc) in calls.iter().zip(accs.iter_mut()) {
-                call.update(acc, &row);
-            }
-            continue;
-        }
-        let mut accs: Vec<Acc> = calls.iter().map(AggCall::init).collect();
-        for (call, acc) in calls.iter().zip(accs.iter_mut()) {
-            call.update(acc, &row);
-        }
-        let bytes = key.approx_bytes() + 16 + 24 * accs.len() as u64;
-        if !reservation.try_grow(bytes) && !table.is_empty() {
-            out.extend(table.drain());
-            reservation.free();
-            reservation.try_grow(bytes);
-        }
-        table.insert(key, accs);
-    }
-    out.extend(table.drain());
-    out
-}
-
-// ---- batch-native hash aggregation ----
-
-/// One aggregate call planned onto a typed accumulator lane: the lane
-/// kind plus the bound argument expression and its type (`None` for
-/// `COUNT(*)`).
-type LaneSpec = (vectorized::LaneAgg, Option<(Expr, DataType)>);
-
-/// Fresh lane for a spec (support was proven at plan time).
-fn new_lane(spec: &LaneSpec) -> vectorized::AccLane {
-    let dtype = spec
-        .1
-        .as_ref()
-        .map(|(_, d)| d.clone())
-        .unwrap_or(DataType::Long);
-    vectorized::AccLane::for_input(spec.0, &dtype).expect("lane support checked at plan time")
-}
-
-/// Convert a finished lane partial into the executor's spillable
-/// accumulator shape.
-fn acc_from_partial(p: vectorized::AccPartial) -> Acc {
-    match p {
-        vectorized::AccPartial::Count(n) => Acc::Count(n),
-        vectorized::AccPartial::Sum(v) => Acc::Sum(v),
-        vectorized::AccPartial::Avg(s, n) => Acc::Avg(s, n),
-        vectorized::AccPartial::Min(v) => Acc::Min(v),
-        vectorized::AccPartial::Max(v) => Acc::Max(v),
-    }
-}
-
-/// Flush every interned group as `(key, Vec<Acc>)` partials and reset
-/// the table and lanes for continued accumulation.
-fn drain_batch_groups(
-    groups: &mut vectorized::BatchGroups,
-    lanes: &mut [vectorized::AccLane],
-    specs: &[LaneSpec],
-    out: &mut Vec<(Row, Vec<Acc>)>,
-) {
-    if groups.is_empty() {
-        return;
-    }
-    let taken = std::mem::take(groups);
-    for (g, key) in taken.into_keys().into_iter().enumerate() {
-        let accs: Vec<Acc> = lanes
-            .iter()
-            .map(|l| acc_from_partial(l.partial(g)))
-            .collect();
-        out.push((key, accs));
-    }
-    for (lane, spec) in lanes.iter_mut().zip(specs) {
-        *lane = new_lane(spec);
-    }
-}
-
-/// Batch-native partial aggregation of one input partition: group keys
-/// are evaluated and interned columnar ([`vectorized::BatchGroups`]),
-/// and each aggregate updates a typed accumulator lane over the batch's
-/// `(lane, group)` assignments. Under a bounded pool, a denied
-/// reservation flushes all partials downstream — the shuffle is the
-/// spill destination, exactly as in [`partial_agg_partition`] — and
-/// accumulation restarts empty.
-fn batch_partial_agg(
-    it: engine::BoxIter<RowBatch>,
-    kernels: bool,
-    groupings: &[Expr],
-    specs: &[LaneSpec],
-    sctx: &SpillCtx,
-    node: Option<&Arc<OperatorMetrics>>,
-) -> Vec<(Row, Vec<Acc>)> {
-    let mut reservation = sctx.pool.register();
-    let mut groups = vectorized::BatchGroups::new();
-    let mut lanes: Vec<vectorized::AccLane> = specs.iter().map(new_lane).collect();
-    let mut out: Vec<(Row, Vec<Acc>)> = Vec::new();
-    let mut asg: Vec<(u32, u32)> = Vec::new();
-    let (mut batches, mut interned) = (0u64, 0u64);
-    for batch in it {
-        batches += 1;
-        let key_batch = vectorized::eval_projection_batch(groupings, &batch, kernels)
-            .expect("group key evaluation failed");
-        let prev = groups.len();
-        groups.assign(&key_batch, &mut asg);
-        let num = groups.len();
-        interned += (num - prev) as u64;
-        for (spec, lane) in specs.iter().zip(lanes.iter_mut()) {
-            match &spec.1 {
-                Some((arg, _)) => {
-                    let col = vectorized::eval_batch(arg, &batch, kernels)
-                        .expect("aggregate argument evaluation failed");
-                    lane.update(Some(&col), &asg, num);
-                }
-                None => lane.update(None, &asg, num),
-            }
-        }
-        let new_bytes: u64 = (prev..num)
-            .map(|g| groups.key(g).approx_bytes() + 16 + 24 * lanes.len() as u64)
-            .sum();
-        if new_bytes > 0 && !reservation.try_grow(new_bytes) && prev > 0 {
-            drain_batch_groups(&mut groups, &mut lanes, specs, &mut out);
-            reservation.free();
-            reservation.try_grow(new_bytes);
-        }
-    }
-    drain_batch_groups(&mut groups, &mut lanes, specs, &mut out);
-    if let Some(n) = node {
-        n.add_extra("batches", batches);
-        n.add_extra("groups", interned);
-    }
-    out
-}
-
-/// Try to run a grouped aggregate batch-natively. Returns `None` (row
-/// path takes over) when any aggregate is DISTINCT or has no typed lane
-/// for its argument type. The child is consumed as a batch stream —
-/// directly when its subtree lowers batched ([`try_execute_batched`]),
-/// else through the generic row→batch adapter. On success the map side
-/// produces the same `(key, Vec<Acc>)` partials as the row path, so the
-/// shuffle and the spill-safe reduce-side merge
-/// ([`spill::merge_agg_partition`]) are shared — batch and row paths
-/// stay byte-identical.
-fn try_batch_aggregate(
-    input: &Arc<PhysicalPlan>,
-    input_attrs: &[ColumnRef],
-    groupings: &[Expr],
-    agg_exprs: &[Expr],
-    finish_rows: impl Fn(Row, Vec<Acc>) -> Row + Send + Sync + 'static,
-    id: usize,
-    ctx: &ExecContext,
-) -> Option<Result<RddRef<Row>>> {
-    let mut specs: Vec<LaneSpec> = Vec::with_capacity(agg_exprs.len());
-    for e in agg_exprs {
-        let Expr::Agg {
-            func,
-            arg,
-            distinct: false,
-        } = e
-        else {
-            return None;
-        };
-        let spec = match (func, arg) {
-            (AggFunc::Count, None) => (vectorized::LaneAgg::CountStar, None),
-            (func, Some(a)) => {
-                let bound = bind_references((**a).clone(), input_attrs).ok()?;
-                let dtype = bound.data_type().ok()?;
-                let lane = match func {
-                    AggFunc::Count => vectorized::LaneAgg::Count,
-                    AggFunc::Sum => vectorized::LaneAgg::Sum,
-                    AggFunc::Avg => vectorized::LaneAgg::Avg,
-                    AggFunc::Min => vectorized::LaneAgg::Min,
-                    AggFunc::Max => vectorized::LaneAgg::Max,
-                };
-                vectorized::AccLane::for_input(lane, &dtype)?;
-                (lane, Some((bound, dtype)))
-            }
-            _ => return None,
-        };
-        specs.push(spec);
-    }
-    let bound_groupings = match bind_all(groupings, input_attrs) {
-        Ok(b) => b,
-        Err(e) => return Some(Err(e)),
-    };
-
-    // Source the child as batches: natively when its subtree has a batch
-    // form, else chunked through the generic row→batch adapter.
-    let batched: RddRef<RowBatch> = match try_execute_batched(input, id + 1, ctx) {
-        Some(Ok(rdd)) => rdd,
-        Some(Err(e)) => return Some(Err(e)),
-        None => {
-            let child = match execute_node(input, id + 1, ctx) {
-                Ok(c) => c,
-                Err(e) => return Some(Err(e)),
-            };
-            let dtypes: Arc<Vec<DataType>> =
-                Arc::new(input_attrs.iter().map(|c| c.dtype.clone()).collect());
-            let batch_size = ctx.conf.vectorize_batch_size.max(1);
-            child.map_partitions(move |it| {
-                Box::new(IterChunks {
-                    inner: it,
-                    dtypes: dtypes.clone(),
-                    batch_size,
-                })
-            })
-        }
-    };
-
-    let specs = Arc::new(specs);
-    let bound_groupings = Arc::new(bound_groupings);
-    let kernels = ctx.conf.codegen_enabled;
-    let sctx = ctx.spill_ctx(id);
-    let map_sctx = sctx.clone();
-    let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
-    let partials = batched.map_partitions(move |it| {
-        Box::new(
-            batch_partial_agg(
-                it,
-                kernels,
-                &bound_groupings,
-                &specs,
-                &map_sctx,
-                node.as_ref(),
-            )
-            .into_iter(),
-        )
-    });
-    let shuffled = partials.partition_by(Arc::new(HashPartitioner::new(
-        ctx.conf.shuffle_partitions.max(1),
-    )));
-    let key_dtypes: Vec<DataType> = groupings
-        .iter()
-        .map(|g| g.data_type().unwrap_or(DataType::String))
-        .collect();
-    let layout = spill::AggLayout::new(key_dtypes);
-    let merged = shuffled.map_partitions(move |it| {
-        Box::new(spill::merge_agg_partition(it, &layout, &sctx, 0).into_iter())
-    });
-    Some(Ok(merged.map(move |(key, accs)| finish_rows(key, accs))))
 }
 
 // ---- window-function execution ----
@@ -2196,10 +1080,7 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef], codegen_on: bool) -> Resul
             })
         }
         WindowFunc::Agg(f) => {
-            let arg = match args.first() {
-                None | Some(Expr::Wildcard { .. }) => None,
-                Some(a) => Some(value_fn(bind_references(a.clone(), input)?, codegen_on)),
-            };
+            let arg = args.first().filter(|a| !matches!(a, Expr::Wildcard { .. }));
             if arg.is_none() && *f != AggFunc::Count {
                 return Err(CatalystError::Internal(format!(
                     "{}() requires an argument",
@@ -2207,11 +1088,7 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef], codegen_on: bool) -> Resul
                 )));
             }
             Ok(WindowCall::Agg {
-                call: AggCall {
-                    func: *f,
-                    distinct: false,
-                    arg,
-                },
+                call: AggCall::plan(*f, false, arg, input, codegen_on)?,
                 frame: *frame,
             })
         }
@@ -2297,8 +1174,7 @@ fn eval_window_call(
                     call.update(&mut acc, row);
                 }
                 *frames += 1;
-                let v = finish_acc(acc);
-                vec![v; n]
+                vec![acc.finish(); n]
             } else if frame.start == FrameBound::UnboundedPreceding {
                 // Growing frame: the end bound is nondecreasing in `i`,
                 // so one running accumulator serves every row.
@@ -2313,9 +1189,9 @@ fn eval_window_call(
                         }
                         *frames += 1;
                         if target == 0 {
-                            finish_acc(call.init())
+                            call.init().finish()
                         } else {
-                            finish_acc(acc.clone())
+                            acc.clone().finish()
                         }
                     })
                     .collect()
@@ -2335,7 +1211,7 @@ fn eval_window_call(
                             }
                         }
                         *frames += 1;
-                        finish_acc(acc)
+                        acc.finish()
                     })
                     .collect()
             }
@@ -3215,50 +2091,6 @@ fn execute_adaptive_shuffled_join(
                 .into_iter(),
             )
         }))
-}
-
-/// Read a materialized exchange back with small neighboring reduce
-/// partitions merged up to the coalescing target, recording the decision.
-/// Map-range splitting is never applied here: aggregated consumers need
-/// every map's contribution to a key in one partition.
-fn coalesced_read<K, V, C>(
-    mat: &MaterializedShuffle<K, V, C>,
-    what: &str,
-    id: usize,
-    ctx: &ExecContext,
-) -> RddRef<(K, C)>
-where
-    K: engine::Data + Hash + Eq,
-    V: engine::Data,
-    C: engine::Data,
-{
-    let sizes = mat.reduce_sizes();
-    let target = ctx.conf.adaptive_target_partition_bytes.max(1);
-    let ranges = adaptive_rules::coalesce_partitions(&sizes, target);
-    if ranges.len() != sizes.len() {
-        ctx.adaptive.record(AdaptivePlanChange {
-            node_id: id,
-            rule: AdaptiveRule::CoalescePartitions,
-            description: format!(
-                "{what}: {} -> {} post-shuffle partitions (target {target} B, measured {} B)",
-                sizes.len(),
-                ranges.len(),
-                mat.total_bytes(),
-            ),
-            replacement: None,
-        });
-    }
-    if let Some(pm) = &ctx.metrics {
-        pm.node(id)
-            .set_extra("adaptive_partitions", ranges.len() as u64);
-    }
-    let num_maps = mat.num_maps();
-    mat.read(
-        ranges
-            .into_iter()
-            .map(|r| ShuffleReadSpec::reducers(r.start, r.end, num_maps))
-            .collect(),
-    )
 }
 
 fn execute_nested_loop_join(

@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+mod aggregate;
 pub mod cache;
 pub mod conf;
 pub mod context;

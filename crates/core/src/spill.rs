@@ -22,12 +22,12 @@
 //! themselves on drop; a panicking task unwinds through the operator
 //! state holding them, so injected faults cannot leak disk.
 
-use crate::execution::Acc;
 use catalyst::physical::metrics::OperatorMetrics;
 use catalyst::plan::JoinType;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
+use catalyst::vectorized::Acc;
 use columnar::SpillCodec;
 use engine::{BoxIter, MemoryPool, SpillFile};
 use std::cmp::Ordering;
@@ -557,7 +557,7 @@ pub fn merge_agg_partition(
                 let merged: Vec<Acc> = std::mem::take(e.get_mut())
                     .into_iter()
                     .zip(accs)
-                    .map(|(a, b)| crate::execution::merge_acc(a, b))
+                    .map(|(a, b)| a.merge(b))
                     .collect();
                 *e.get_mut() = merged;
             }

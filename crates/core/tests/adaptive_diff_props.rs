@@ -218,9 +218,10 @@ fn adaptive_and_static_plans_agree_on_random_joins() {
         demotions > ITERS as u32 / 8,
         "only {demotions} broadcast demotions"
     );
+    // Shuffled joins are the only site that coalesces.
     assert!(
         coalesces > ITERS as u32 / 8,
-        "only {coalesces} partition coalescings"
+        "only {coalesces} join-site partition coalescings"
     );
     let _ = skew_splits; // covered deterministically below
 

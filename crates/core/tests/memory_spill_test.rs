@@ -236,3 +236,59 @@ fn spill_dir_conf_routes_files_and_cleans_up() {
     assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// DISTINCT aggregates run on the row kernel only, and their set-valued
+/// accumulators are the one state that still needs the tagged spill
+/// codec: enough groups under a 64 KiB budget must spill them, decode
+/// them back, and match the unbounded answer.
+#[test]
+fn distinct_aggregates_spill_and_match_unbounded() {
+    let run = |budget: u64| {
+        let ctx = SQLContext::new_local(2);
+        ctx.set_conf(|c| {
+            c.memory_budget_bytes = budget;
+            c.shuffle_partitions = 4;
+        });
+        let rows = (0..24_000i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Long(i % 3000),
+                    if i % 17 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Long(i % 13)
+                    },
+                    Value::Null,
+                ])
+            })
+            .collect();
+        let rdd = ctx.spark_context().parallelize(rows, 3);
+        ctx.dataframe_from_rdd("fact", fact_schema(), rdd)
+            .unwrap()
+            .register_temp_table("fact");
+        let df = ctx
+            .sql("SELECT k, count(DISTINCT v), sum(DISTINCT v), count(*) FROM fact GROUP BY k")
+            .unwrap();
+        let qe = df.query_execution().unwrap();
+        let mut rows: Vec<String> = qe
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        (rows, qe.memory_stats())
+    };
+    let (expect, none) = run(0);
+    assert!(none.is_none());
+    assert_eq!(expect.len(), 3000);
+    let (got, stats) = run(64 << 10);
+    assert_eq!(got, expect, "spilled DISTINCT aggregate diverged");
+    let stats = stats.expect("bounded run must expose pool stats");
+    assert!(stats.spill_count > 0, "DISTINCT aggregate never spilled");
+    assert!(stats.spill_files_created > 0);
+    assert_eq!(
+        stats.spill_files_created, stats.spill_files_deleted,
+        "spill files leaked past query completion"
+    );
+}

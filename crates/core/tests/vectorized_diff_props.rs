@@ -319,3 +319,72 @@ fn vectorized_count_and_bare_scan_agree() {
         assert_eq!(counts[0], counts[1], "seed {seed}: count diverged");
     }
 }
+
+/// Values no lossy accumulator survives: BIGINTs that differ only below
+/// f64's 53-bit mantissa, and an INT sum that widens to BIGINT in one
+/// group and stays INT in the other. Every configuration must return the
+/// same values *and* the same `Value` tags.
+#[test]
+fn grouped_aggregates_are_exact_and_identically_tagged_in_every_config() {
+    const BIG: i64 = 9_007_199_254_740_993; // 2^53 + 1
+    let schema = Arc::new(Schema::new(vec![
+        StructField::new("k", DataType::Long, false),
+        StructField::new("v", DataType::Long, false),
+        StructField::new("i", DataType::Int, false),
+    ]));
+    let rows = vec![
+        Row::new(vec![Value::Long(1), Value::Long(BIG), Value::Int(i32::MAX)]),
+        Row::new(vec![Value::Long(1), Value::Long(BIG - 1), Value::Int(1)]),
+        Row::new(vec![Value::Long(2), Value::Long(BIG - 1), Value::Int(2)]),
+    ];
+    let expect = vec![
+        format!(
+            "{:?}",
+            Row::new(vec![
+                Value::Long(1),
+                Value::Long(BIG),
+                Value::Long(BIG - 1),
+                Value::Long(i32::MAX as i64 + 1),
+                Value::Double((2 * BIG - 1) as f64 / 2.0),
+            ])
+        ),
+        format!(
+            "{:?}",
+            Row::new(vec![
+                Value::Long(2),
+                Value::Long(BIG - 1),
+                Value::Long(BIG - 1),
+                Value::Int(2),
+                Value::Double((BIG - 1) as f64),
+            ])
+        ),
+    ];
+    for vectorize in [true, false] {
+        for codegen in [true, false] {
+            for budget in [0u64, 64 * 1024] {
+                let ctx = SQLContext::new_local(2);
+                ctx.set_conf(|c| {
+                    c.vectorize_enabled = vectorize;
+                    c.codegen_enabled = codegen;
+                    c.memory_budget_bytes = budget;
+                });
+                ctx.create_dataframe(schema.clone(), rows.clone())
+                    .unwrap()
+                    .register_temp_table("t");
+                let mut got: Vec<String> = ctx
+                    .sql("SELECT k, MAX(v), MIN(v), SUM(i), AVG(v) FROM t GROUP BY k")
+                    .unwrap()
+                    .collect()
+                    .unwrap()
+                    .iter()
+                    .map(|r| format!("{r:?}"))
+                    .collect();
+                got.sort();
+                assert_eq!(
+                    got, expect,
+                    "vectorize={vectorize} codegen={codegen} budget={budget}"
+                );
+            }
+        }
+    }
+}
