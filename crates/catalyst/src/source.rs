@@ -20,7 +20,7 @@ use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Boxed row iterator produced by one scan partition.
 pub type RowIter = Box<dyn Iterator<Item = Row> + Send>;
@@ -249,6 +249,8 @@ pub struct MemoryTable {
     name: String,
     schema: SchemaRef,
     partitions: Vec<Arc<Vec<Row>>>,
+    /// Computed on first request: the rows never change.
+    statistics: OnceLock<Option<Vec<ColumnStatistics>>>,
 }
 
 impl MemoryTable {
@@ -273,6 +275,7 @@ impl MemoryTable {
             name: name.into(),
             schema,
             partitions,
+            statistics: OnceLock::new(),
         }
     }
 
@@ -323,6 +326,18 @@ impl BaseRelation for MemoryTable {
     }
 
     fn column_statistics(&self) -> Option<Vec<ColumnStatistics>> {
+        self.statistics
+            .get_or_init(|| self.compute_statistics())
+            .clone()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+impl MemoryTable {
+    fn compute_statistics(&self) -> Option<Vec<ColumnStatistics>> {
         // Exact single-pass stats; skipped for very large tables to keep
         // planning cheap.
         const STATS_CAP: usize = 65_536;
@@ -364,10 +379,6 @@ impl BaseRelation for MemoryTable {
             s.ndv = Some(sk.estimate());
         }
         Some(out)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

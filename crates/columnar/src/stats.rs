@@ -122,48 +122,46 @@ impl ColumnStats {
     }
 }
 
-/// Aggregate per-batch column stats into relation-level
-/// [`catalyst::source::ColumnStatistics`], one entry per column — what a
-/// columnar source reports to the constraint pass. Returns `None` when
-/// there are no batches (no information, not an empty relation).
-pub fn relation_statistics<'a>(
+/// Each column's stats merged over `batches` — what a cache block or a
+/// file keeps beside its batches so nobody has to walk them again.
+pub fn merge_batch_stats<'a>(
     batches: impl IntoIterator<Item = &'a crate::ColumnarBatch>,
     num_columns: usize,
-) -> Option<Vec<catalyst::source::ColumnStatistics>> {
+) -> Vec<ColumnStats> {
     let mut merged: Vec<ColumnStats> = vec![ColumnStats::default(); num_columns];
-    let mut any = false;
     for b in batches {
-        any = true;
         for (i, m) in merged.iter_mut().enumerate() {
             m.merge(b.stats(i));
         }
     }
-    if !any {
-        // Zero batches means zero rows — report exact empty statistics.
-        return Some(
-            (0..num_columns)
-                .map(|_| catalyst::source::ColumnStatistics {
-                    null_count: Some(0),
-                    row_count: Some(0),
-                    ndv: Some(0),
-                    ..Default::default()
-                })
-                .collect(),
-        );
-    }
-    Some(
-        merged
-            .into_iter()
-            .map(|s| catalyst::source::ColumnStatistics {
-                min: s.min,
-                max: s.max,
-                null_count: Some(s.null_count),
-                row_count: Some(s.row_count),
-                ndv: Some(s.ndv.estimate()),
-                partial: false,
-            })
-            .collect(),
-    )
+    merged
+}
+
+/// Merged per-column stats as the relation-level
+/// [`catalyst::source::ColumnStatistics`] a source reports to the
+/// constraint pass. Stats merged over nothing are the exact statistics
+/// of an empty relation (zero rows, zero nulls, zero distinct values).
+pub fn to_relation_statistics(merged: Vec<ColumnStats>) -> Vec<catalyst::source::ColumnStatistics> {
+    merged
+        .into_iter()
+        .map(|s| catalyst::source::ColumnStatistics {
+            ndv: Some(s.ndv.estimate()),
+            min: s.min,
+            max: s.max,
+            null_count: Some(s.null_count),
+            row_count: Some(s.row_count),
+            partial: false,
+        })
+        .collect()
+}
+
+/// Aggregate per-batch column stats into relation-level statistics, one
+/// entry per column.
+pub fn relation_statistics<'a>(
+    batches: impl IntoIterator<Item = &'a crate::ColumnarBatch>,
+    num_columns: usize,
+) -> Vec<catalyst::source::ColumnStatistics> {
+    to_relation_statistics(merge_batch_stats(batches, num_columns))
 }
 
 #[cfg(test)]

@@ -20,16 +20,32 @@ use catalyst::error::{CatalystError, Result};
 use catalyst::row::Row;
 use catalyst::schema::SchemaRef;
 use catalyst::source::{BaseRelation, BatchIter, Filter, RowIter, ScanCapability};
-use columnar::{batch_rows, ColumnarBatch};
+use columnar::stats::{merge_batch_stats, to_relation_statistics};
+use columnar::{batch_rows, ColumnStats, ColumnarBatch};
 use engine::metrics::Metrics;
 use engine::rdd::RddId;
 use engine::SparkContext;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// One cached partition: its data plus everything planning asks about
+/// it, computed once when the block is filled. Because the summary lives
+/// *in* the block, eviction or executor loss takes it away with the data
+/// and a refill brings it back — there is nothing to invalidate.
+struct CachedPartition {
+    data: PartitionData,
+    /// Footprint in bytes (compressed for columnar blocks).
+    bytes: u64,
+    rows: u64,
+}
+
 /// Materialized form of one cached partition.
-enum CachedPartition {
-    Columnar(Arc<Vec<ColumnarBatch>>),
+enum PartitionData {
+    Columnar {
+        batches: Arc<Vec<ColumnarBatch>>,
+        /// Each column's statistics merged over `batches`.
+        stats: Vec<ColumnStats>,
+    },
     Rows(Arc<Vec<Row>>),
 }
 
@@ -87,22 +103,37 @@ impl CachedRelation {
     /// How many of this relation's partitions are currently resident in
     /// the block store.
     pub fn resident_partitions(&self) -> usize {
-        let cm = self.sc.cache_manager();
         (0..self.num_partitions)
-            .filter(|&p| cm.get(self.cache_id, p).is_some())
+            .filter(|&p| self.peek(p).is_some())
             .count()
     }
 
     fn encode(&self, rows: Vec<Row>) -> CachedPartition {
+        let num_rows = rows.len() as u64;
         if self.columnar {
-            CachedPartition::Columnar(Arc::new(batch_rows(
-                self.schema.clone(),
-                rows,
-                self.batch_size,
-            )))
+            let batches = batch_rows(self.schema.clone(), rows, self.batch_size);
+            CachedPartition {
+                bytes: batches.iter().map(ColumnarBatch::bytes).sum(),
+                rows: num_rows,
+                data: PartitionData::Columnar {
+                    stats: merge_batch_stats(&batches, self.schema.len()),
+                    batches: Arc::new(batches),
+                },
+            }
         } else {
-            CachedPartition::Rows(Arc::new(rows))
+            CachedPartition {
+                bytes: rows.iter().map(Row::approx_bytes).sum(),
+                rows: num_rows,
+                data: PartitionData::Rows(Arc::new(rows)),
+            }
         }
+    }
+
+    /// A resident block, read without counting as a use of it: planning
+    /// must not reorder eviction.
+    fn peek(&self, partition: usize) -> Option<Arc<CachedPartition>> {
+        let block = self.sc.cache_manager().peek(self.cache_id, partition)?;
+        block.downcast::<CachedPartition>().ok()
     }
 
     /// Ensure every partition is resident, re-running the materializer
@@ -119,7 +150,7 @@ impl CachedRelation {
     fn ensure(&self) -> Result<()> {
         let cm = self.sc.cache_manager();
         let missing: Vec<usize> = (0..self.num_partitions)
-            .filter(|&p| cm.get(self.cache_id, p).is_none())
+            .filter(|&p| cm.peek(self.cache_id, p).is_none())
             .collect();
         if missing.is_empty() {
             return Ok(());
@@ -137,27 +168,28 @@ impl CachedRelation {
             // Sized puts participate in the cache budget: under
             // `spark.sql.cache.budgetBytes` the store may evict other
             // blocks (policy-chosen) to admit this one.
-            let bytes = match &block {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(ColumnarBatch::bytes).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.iter().map(Row::approx_bytes).sum(),
-            };
+            let bytes = block.bytes;
             cm.put_sized(self.cache_id, p, Arc::new(block), p % slots, bytes);
         }
         self.ever_filled.store(true, Ordering::SeqCst);
         Ok(())
     }
 
-    /// Fetch one partition's block, materializing if it is missing.
+    /// Fetch one partition's block for a scan, materializing if it is
+    /// missing. Counts in the engine's `cache_hits` when the block was
+    /// resident and in `cache_misses` when it had to be filled.
     fn partition(&self, partition: usize) -> Result<Option<Arc<CachedPartition>>> {
         if partition >= self.num_partitions {
             return Ok(None);
         }
         let cm = self.sc.cache_manager();
         let block = match cm.get(self.cache_id, partition) {
-            Some(b) => b,
+            Some(b) => {
+                Metrics::add(&self.sc.metrics().cache_hits, 1);
+                b
+            }
             None => {
+                Metrics::add(&self.sc.metrics().cache_misses, 1);
                 self.ensure()?;
                 match cm.get(self.cache_id, partition) {
                     Some(b) => b,
@@ -197,54 +229,35 @@ impl CachedRelation {
     /// executor loss the relation simply reports unknown until the next
     /// scan refills it.
     fn resident_footprint(&self) -> Option<(u64, u64)> {
-        let cm = self.sc.cache_manager();
         let mut bytes = 0u64;
         let mut rows = 0u64;
         for p in 0..self.num_partitions {
-            let block = cm.get(self.cache_id, p)?;
-            let part = block.downcast::<CachedPartition>().ok()?;
-            match part.as_ref() {
-                CachedPartition::Columnar(batches) => {
-                    bytes += batches.iter().map(ColumnarBatch::bytes).sum::<u64>();
-                    rows += batches.iter().map(|b| b.num_rows() as u64).sum::<u64>();
-                }
-                CachedPartition::Rows(r) => {
-                    bytes += r.iter().map(Row::approx_bytes).sum::<u64>();
-                    rows += r.len() as u64;
-                }
-            }
+            let part = self.peek(p)?;
+            bytes += part.bytes;
+            rows += part.rows;
         }
         Some((bytes, rows))
     }
 
-    /// Total cached footprint in bytes (materializes if needed).
-    pub fn cached_bytes(&self) -> Result<u64> {
-        self.ensure()?;
-        let mut total = 0u64;
+    /// `(bytes, rows)` over every partition, materializing what is missing.
+    fn filled_footprint(&self) -> Result<(u64, u64)> {
+        let mut total = (0u64, 0u64);
         for p in 0..self.num_partitions {
-            total += match &*self.partition(p)?.expect("in range") {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(ColumnarBatch::bytes).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.iter().map(Row::approx_bytes).sum(),
-            };
+            let part = self.partition(p)?.expect("in range");
+            total.0 += part.bytes;
+            total.1 += part.rows;
         }
         Ok(total)
     }
 
+    /// Total cached footprint in bytes (materializes if needed).
+    pub fn cached_bytes(&self) -> Result<u64> {
+        self.filled_footprint().map(|(bytes, _)| bytes)
+    }
+
     /// Total row count (materializes if needed).
     pub fn cached_rows(&self) -> Result<u64> {
-        self.ensure()?;
-        let mut total = 0u64;
-        for p in 0..self.num_partitions {
-            total += match &*self.partition(p)?.expect("in range") {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(|b| b.num_rows() as u64).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.len() as u64,
-            };
-        }
-        Ok(total)
+        self.filled_footprint().map(|(_, rows)| rows)
     }
 }
 
@@ -289,24 +302,24 @@ impl BaseRelation for CachedRelation {
         if !self.columnar {
             return None;
         }
-        let cm = self.sc.cache_manager();
-        let mut batches: Vec<columnar::ColumnarBatch> = Vec::new();
+        let mut merged = vec![ColumnStats::default(); self.schema.len()];
         let mut missing = 0usize;
         for p in 0..self.num_partitions {
-            let Some(slot) = cm.get(self.cache_id, p) else {
+            let Some(part) = self.peek(p) else {
                 missing += 1;
                 continue;
             };
-            let part = slot.downcast::<CachedPartition>().ok()?;
-            match part.as_ref() {
-                CachedPartition::Columnar(bs) => batches.extend(bs.iter().cloned()),
-                CachedPartition::Rows(_) => return None,
+            let PartitionData::Columnar { stats, .. } = &part.data else {
+                return None;
+            };
+            for (m, s) in merged.iter_mut().zip(stats) {
+                m.merge(s);
             }
         }
         if missing == self.num_partitions {
             return None;
         }
-        let mut stats = columnar::stats::relation_statistics(batches.iter(), self.schema.len())?;
+        let mut stats = to_relation_statistics(merged);
         if missing > 0 {
             for s in &mut stats {
                 s.partial = true;
@@ -328,12 +341,12 @@ impl BaseRelation for CachedRelation {
         let Some(part) = self.partition(partition)? else {
             return Ok(Box::new(std::iter::empty()));
         };
-        match &*part {
-            CachedPartition::Rows(rows) => {
+        match &part.data {
+            PartitionData::Rows(rows) => {
                 let rows = rows.clone();
                 Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
             }
-            CachedPartition::Columnar(batches) => {
+            PartitionData::Columnar { batches, .. } => {
                 // Batch skipping via statistics; then decode only the
                 // columns the projection and the filters actually touch.
                 let mut out: Vec<Row> = Vec::new();
@@ -387,7 +400,7 @@ impl BaseRelation for CachedRelation {
         let Some(part) = self.partition(partition)? else {
             return Ok(None);
         };
-        let CachedPartition::Columnar(batches) = &*part else {
+        let PartitionData::Columnar { batches, .. } = &part.data else {
             // Row-cached partitions use the generic row→batch adapter in
             // the executor.
             return Ok(None);
@@ -606,5 +619,100 @@ mod tests {
         assert!(rel
             .column_statistics()
             .is_some_and(|s| s.iter().all(|c| !c.partial)));
+    }
+
+    fn long_rows(p: i64, n: i64) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                let id = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Long(p * n + i)
+                };
+                Row::new(vec![id, Value::str(format!("c{}", i % 5))])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_statistics_equal_statistics_over_all_batches() {
+        let sc = SparkContext::new(2);
+        sc.set_chaos(None);
+        let nullable = Arc::new(Schema::new(vec![
+            StructField::new("id", DataType::Long, true),
+            StructField::new("cat", DataType::String, false),
+        ]));
+        // Partition 2 is empty: its block holds no batch at all.
+        let parts = || vec![long_rows(0, 1000), long_rows(1, 333), Vec::new()];
+        let rel = CachedRelation::new(
+            "t",
+            nullable.clone(),
+            3,
+            true,
+            64,
+            sc.clone(),
+            Box::new(move || Ok(parts())),
+        );
+        rel.cached_rows().unwrap();
+        // The oracle: walk every batch of the relation in partition order.
+        let expected = {
+            let batches: Vec<ColumnarBatch> = parts()
+                .into_iter()
+                .flat_map(|rows| batch_rows(nullable.clone(), rows, 64))
+                .collect();
+            columnar::stats::relation_statistics(&batches, nullable.len())
+        };
+        assert!(expected[0].ndv.unwrap() > 256, "sketch must be past exact");
+        assert_eq!(rel.column_statistics(), Some(expected.clone()));
+        assert_eq!(rel.row_count(), Some(1333));
+        assert_eq!(rel.size_in_bytes(), Some(rel.cached_bytes().unwrap()));
+
+        // Losing a block loses its share of the statistics; the refill
+        // brings exactly that share back.
+        sc.lose_executor(1);
+        let partial = rel.column_statistics().expect("two partitions left");
+        assert!(partial.iter().all(|s| s.partial));
+        assert_eq!(partial[0].row_count, Some(1000));
+        assert_eq!(rel.row_count(), None);
+        let _: Vec<Row> = rel.scan_partition(1, None, &[]).unwrap().collect();
+        assert_eq!(rel.column_statistics(), Some(expected));
+    }
+
+    #[test]
+    fn planning_reads_leave_eviction_order_alone() {
+        use engine::cache::EvictionPolicy;
+        // `scanned` is read by a scan before the planning reads; the other
+        // block is then the least recently *used* however often planned.
+        for scanned in [None, Some(0usize)] {
+            let sc = SparkContext::new(2);
+            sc.set_chaos(None);
+            let rel = CachedRelation::new(
+                "t",
+                schema(),
+                2,
+                true,
+                64,
+                sc.clone(),
+                Box::new(|| Ok(vec![long_rows(0, 500), long_rows(1, 500)])),
+            );
+            let cm = sc.cache_manager();
+            // Fills and then reads partition 0 before partition 1.
+            let bytes = rel.cached_bytes().unwrap();
+            cm.set_budget(Some(bytes), EvictionPolicy::Lru);
+            if let Some(p) = scanned {
+                let _: Vec<Row> = rel.scan_partition(p, None, &[]).unwrap().collect();
+            }
+            for _ in 0..25 {
+                assert!(rel.column_statistics().is_some());
+                assert_eq!(rel.size_in_bytes(), Some(bytes));
+                assert_eq!(rel.row_count(), Some(1000));
+                assert_eq!(rel.resident_partitions(), 2);
+            }
+            // One more byte than fits: the least recently used block goes.
+            cm.put_sized(sc.new_rdd_id(), 0, Arc::new(0u8), 0, 1);
+            let victim = if scanned == Some(0) { 1 } else { 0 };
+            assert!(rel.peek(victim).is_none(), "scanned {scanned:?}");
+            assert!(rel.peek(1 - victim).is_some(), "scanned {scanned:?}");
+        }
     }
 }

@@ -38,7 +38,7 @@ use std::time::Instant;
 pub(crate) fn engine_err(e: engine::EngineError) -> CatalystError {
     CatalystError::Internal(format!("execution failed: {e}"))
 }
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Shared recorder of adaptive plan changes for one execution. Cloned
@@ -307,6 +307,22 @@ impl SortKey {
     pub(crate) fn into_values(self) -> Vec<Value> {
         self.values
     }
+
+    /// How the key `bound` gives `row` compares with this one, evaluating
+    /// it a column at a time and no further than the first difference:
+    /// nothing is allocated to learn that a row does not make the top-N.
+    fn cmp_key_of(&self, bound: &[Expr], row: &Row) -> Result<Ordering> {
+        for (i, (e, mine)) in bound.iter().zip(&self.values).enumerate() {
+            let mut o = interpreter::eval(e, row)?.total_cmp(mine);
+            if self.descending_mask & (1 << i) != 0 {
+                o = o.reverse();
+            }
+            if o != Ordering::Equal {
+                return Ok(o);
+            }
+        }
+        Ok(Ordering::Equal)
+    }
 }
 
 impl PartialOrd for SortKey {
@@ -328,6 +344,46 @@ impl Ord for SortKey {
         }
         Ordering::Equal
     }
+}
+
+/// Evaluate one row's ORDER BY key.
+fn sort_key(bound: &[Expr], orders: &[SortOrder], row: &Row) -> Result<SortKey> {
+    let values = bound
+        .iter()
+        .map(|e| interpreter::eval(e, row))
+        .collect::<Result<Vec<Value>>>()?;
+    Ok(SortKey::new(values, orders))
+}
+
+/// The first `n` rows of `rows` in key order, equal keys in arrival
+/// order: what a stable sort of all of them followed by `truncate(n)`
+/// returns, holding `n` rows instead of all. A max-heap keeps the `n`
+/// best so far as `(key, arrival, row)` — arrivals are distinct, so that
+/// order is the stable sort's — and a row whose key is not below the
+/// worst of them is dropped without being stored.
+fn top_n(
+    rows: impl Iterator<Item = Row>,
+    n: usize,
+    bound: &[Expr],
+    orders: &[SortOrder],
+) -> Result<Vec<(SortKey, Row)>> {
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let mut best: BinaryHeap<(SortKey, usize, Row)> = BinaryHeap::new();
+    for (arrival, row) in rows.enumerate() {
+        if best.len() == n {
+            let mut worst = best.peek_mut().expect("n > 0 rows are held");
+            // Arrivals only grow, so an equal key never displaces one held.
+            if worst.0.cmp_key_of(bound, &row)? == Ordering::Less {
+                *worst = (sort_key(bound, orders, &row)?, arrival, row);
+            }
+        } else {
+            best.push((sort_key(bound, orders, &row)?, arrival, row));
+        }
+    }
+    let ranked = best.into_sorted_vec();
+    Ok(ranked.into_iter().map(|(key, _, row)| (key, row)).collect())
 }
 
 /// Execute a physical plan into an RDD of rows.
@@ -737,12 +793,11 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
                     })
                 })
             } else {
-                child.map(move |row| {
-                    let values: Vec<Value> = bound
-                        .iter()
-                        .map(|e| interpreter::eval(e, &row).expect("sort key failed"))
-                        .collect();
-                    (SortKey::new(values, &orders_meta), row)
+                // An RDD closure has no error channel but its task: the
+                // scheduler hands the failure to the caller as an error.
+                child.map(move |row| match sort_key(&bound, &orders_meta, &row) {
+                    Ok(key) => (key, row),
+                    Err(e) => panic!("sort key failed: {e}"),
                 })
             };
             if ctx.mem.is_bounded() {
@@ -774,21 +829,10 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             let n = *n;
             // Per-partition top-k, then a driver-side merge.
             let tops = child
-                .run_job(move |_, it| {
-                    let mut rows: Vec<(SortKey, Row)> = it
-                        .map(|row| {
-                            let values: Vec<Value> = bound
-                                .iter()
-                                .map(|e| interpreter::eval(e, &row).expect("sort key failed"))
-                                .collect();
-                            (SortKey::new(values, &orders_meta), row)
-                        })
-                        .collect();
-                    rows.sort_by(|a, b| a.0.cmp(&b.0));
-                    rows.truncate(n);
-                    rows
-                })
-                .map_err(engine_err)?;
+                .run_job(move |_, it| top_n(it, n, &bound, &orders_meta))
+                .map_err(engine_err)?
+                .into_iter()
+                .collect::<Result<Vec<_>>>()?;
             let mut all: Vec<(SortKey, Row)> = tops.into_iter().flatten().collect();
             all.sort_by(|a, b| a.0.cmp(&b.0));
             all.truncate(n);

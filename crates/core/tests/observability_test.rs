@@ -365,3 +365,35 @@ fn explain_analyze_counts_groups_and_frames_on_the_batch_back_half() {
     let text = win.explain_analyze().unwrap();
     assert!(text.contains("frames="), "missing frames= in:\n{text}");
 }
+
+#[test]
+fn cache_table_scans_count_hits_and_misses() {
+    use engine::metrics::Metrics;
+    let ctx = SQLContext::new_local(2);
+    let sc = ctx.spark_context().clone();
+    sc.set_chaos(None); // exact counters below
+    users(&ctx).register_temp_table("users");
+    ctx.sql("CACHE TABLE users").unwrap();
+    let q = "SELECT count(*) FROM users WHERE age > 30";
+    let counters = || {
+        let m = sc.metrics();
+        (Metrics::get(&m.cache_hits), Metrics::get(&m.cache_misses))
+    };
+
+    // Planning alone reads statistics and footprints: not a use.
+    let before = counters();
+    ctx.sql(q).unwrap().query_execution().unwrap();
+    assert_eq!(counters(), before, "planning counted as a cache read");
+
+    // The first scan fills the cache: at least one partition missed.
+    let first = ctx.sql(q).unwrap().collect().unwrap();
+    let (_, cold_misses) = counters();
+    assert!(cold_misses > before.1, "the filling scan counted no miss");
+
+    // A warm scan reads every partition's block and misses none.
+    let (warm_hits, _) = counters();
+    assert_eq!(ctx.sql(q).unwrap().collect().unwrap(), first);
+    let (hits, misses) = counters();
+    assert!(hits > warm_hits, "a warm cached scan counted no hit");
+    assert_eq!(misses, cold_misses, "a warm cached scan counted a miss");
+}

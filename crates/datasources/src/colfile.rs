@@ -17,7 +17,7 @@ use catalyst::types::DataType;
 use columnar::serde::{checked, get_column, get_dtype, put_column, put_dtype};
 use columnar::ColumnarBatch;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: &[u8; 4] = b"RCF1";
 
@@ -91,6 +91,8 @@ pub struct ColFileRelation {
     groups_skipped: AtomicU64,
     /// Row groups actually decoded.
     groups_read: AtomicU64,
+    /// Row-group footers merged on first request: the file never changes.
+    statistics: OnceLock<Vec<catalyst::source::ColumnStatistics>>,
 }
 
 impl ColFileRelation {
@@ -103,6 +105,7 @@ impl ColFileRelation {
             bytes,
             groups_skipped: AtomicU64::new(0),
             groups_read: AtomicU64::new(0),
+            statistics: OnceLock::new(),
         })
     }
 
@@ -154,7 +157,10 @@ impl BaseRelation for ColFileRelation {
     }
 
     fn column_statistics(&self) -> Option<Vec<catalyst::source::ColumnStatistics>> {
-        columnar::stats::relation_statistics(self.file.groups.iter(), self.file.schema.len())
+        let stats = self.statistics.get_or_init(|| {
+            columnar::stats::relation_statistics(self.file.groups.iter(), self.file.schema.len())
+        });
+        Some(stats.clone())
     }
 
     fn capability(&self) -> ScanCapability {

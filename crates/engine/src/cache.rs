@@ -147,6 +147,14 @@ impl CacheManager {
         st.blocks.get(&(rdd, partition)).map(|(b, _)| b.clone())
     }
 
+    /// Fetch a cached partition *without* touching the eviction clock or
+    /// the hit count. Planning-time readers (statistics, footprint,
+    /// residency checks) use this: only a scan is a use of the block.
+    pub fn peek(&self, rdd: RddId, partition: usize) -> Option<Block> {
+        let st = self.state.lock();
+        st.blocks.get(&(rdd, partition)).map(|(b, _)| b.clone())
+    }
+
     /// Set (or clear) the byte budget and eviction policy. Shrinking the
     /// budget below current usage evicts immediately.
     pub fn set_budget(&self, budget: Option<u64>, policy: EvictionPolicy) {
@@ -387,6 +395,27 @@ mod tests {
         assert_eq!(stats.used_bytes, 80);
         // Budget evictions are not failures: no recompute marker.
         assert!(!cm.take_lost(1, 1));
+    }
+
+    #[test]
+    fn peek_leaves_eviction_order_alone() {
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
+            let cm = CacheManager::default();
+            cm.set_budget(Some(100), policy);
+            cm.put_sized(1, 0, Arc::new(vec![0u8; 40]), 0, 40);
+            cm.put_sized(1, 1, Arc::new(vec![0u8; 40]), 0, 40);
+            // However often the older block is peeked, it stays the victim.
+            for _ in 0..50 {
+                assert!(cm.peek(1, 0).is_some());
+            }
+            cm.put_sized(1, 2, Arc::new(vec![0u8; 40]), 0, 40);
+            assert!(cm.peek(1, 0).is_none(), "{policy:?}: peeks kept it alive");
+            // One real read of the now-oldest block is enough to save it.
+            assert!(cm.get(1, 1).is_some());
+            cm.put_sized(1, 3, Arc::new(vec![0u8; 40]), 0, 40);
+            assert!(cm.peek(1, 1).is_some(), "{policy:?}: a get is a use");
+            assert!(cm.peek(1, 2).is_none());
+        }
     }
 
     #[test]

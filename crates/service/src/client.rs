@@ -171,7 +171,7 @@ impl Client {
             ("op", Json::Str("fetch".into())),
             ("query", Json::Int(query as i64)),
         ]))?;
-        Ok(decode_fetch(&reply))
+        Ok(decode_fetch(reply))
     }
 
     /// Submit and fetch in one call.
@@ -203,28 +203,35 @@ impl Client {
 }
 
 /// Pull a [`FetchResult`] out of a fetch reply (also used on `ok:false`
-/// replies, where only the counters are populated).
-pub fn decode_fetch(reply: &Json) -> FetchResult {
+/// replies, where only the counters are populated). Takes the reply by
+/// value: the rows move out of it rather than being copied.
+pub fn decode_fetch(reply: Json) -> FetchResult {
+    let mut reply = match reply {
+        Json::Obj(fields) => fields,
+        _ => Default::default(),
+    };
+    let mut list = |key: &str| match reply.remove(key) {
+        Some(Json::Arr(items)) => items,
+        _ => Vec::new(),
+    };
+    let columns = list("columns");
+    let rows = list("rows");
     let int = |k: &str| reply.get(k).and_then(Json::as_i64).unwrap_or(0) as u64;
     FetchResult {
-        columns: reply
-            .get("columns")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
+        columns: columns
+            .into_iter()
+            .filter_map(|v| match v {
+                Json::Str(name) => Some(name),
+                _ => None,
             })
-            .unwrap_or_default(),
-        rows: reply
-            .get("rows")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|r| r.as_arr().map(<[Json]>::to_vec))
-                    .collect()
+            .collect(),
+        rows: rows
+            .into_iter()
+            .filter_map(|r| match r {
+                Json::Arr(values) => Some(values),
+                _ => None,
             })
-            .unwrap_or_default(),
+            .collect(),
         queued: reply.get("queued").and_then(Json::as_bool).unwrap_or(false),
         wall_ns: int("wall_ns"),
         spill_files_created: int("spill_files_created"),

@@ -13,9 +13,10 @@
 //!   from the [`Scheduler`], so admission and fairness hold regardless
 //!   of how many connections exist.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::sched::{Outcome, QueryTask, Scheduler, ServiceConf};
-use crate::wire::{read_frame, write_frame};
+use crate::wire::{self, read_frame, write_frame};
+use catalyst::row::Row;
 use catalyst::value::Value;
 use spark_sql::SQLContext;
 use std::collections::HashMap;
@@ -147,30 +148,33 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// requests are served in order until `close` or EOF.
 fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let mut session_id: Option<String> = None;
+    // Every reply is a small JSON tree except a fetched result, which
+    // is written from its rows straight into the frame.
+    let tree = |reply: Json| wire::frame(|out| reply.write(out));
     while let Some(req) = read_frame(&mut stream)? {
         let op = req.get("op").and_then(Json::as_str).unwrap_or("");
-        let reply = match (op, &session_id) {
+        let frame = match (op, &session_id) {
             ("hello", _) => {
                 let id = format!("s{}", shared.next_session.fetch_add(1, Ordering::SeqCst));
                 let ctx = shared.root.new_session(&id);
                 shared.sessions.lock().unwrap().insert(id.clone(), ctx);
                 session_id = Some(id.clone());
-                ok([("session", Json::Str(id))])
+                tree(ok([("session", Json::Str(id))]))
             }
-            (_, None) => err("handshake required: send {\"op\":\"hello\"} first"),
+            (_, None) => tree(err("handshake required: send {\"op\":\"hello\"} first")),
             ("close", Some(_)) => {
                 let _ = write_frame(&mut stream, &ok([]));
                 return Ok(());
             }
-            ("set", Some(sid)) => handle_set(shared, sid, &req),
-            ("conf", Some(sid)) => handle_conf(shared, sid, &req),
-            ("query", Some(sid)) => handle_query(shared, sid, &req),
+            ("set", Some(sid)) => tree(handle_set(shared, sid, &req)),
+            ("conf", Some(sid)) => tree(handle_conf(shared, sid, &req)),
+            ("query", Some(sid)) => tree(handle_query(shared, sid, &req)),
             ("fetch", Some(_)) => handle_fetch(shared, &req),
-            ("cancel", Some(_)) => handle_cancel(shared, &req),
-            ("stats", Some(_)) => stats_json(shared),
-            (other, Some(_)) => err(&format!("unknown op {other:?}")),
-        };
-        write_frame(&mut stream, &reply)?;
+            ("cancel", Some(_)) => tree(handle_cancel(shared, &req)),
+            ("stats", Some(_)) => tree(stats_json(shared)),
+            (other, Some(_)) => tree(err(&format!("unknown op {other:?}"))),
+        }?;
+        wire::write_bytes(&mut stream, &frame)?;
     }
     Ok(())
 }
@@ -223,16 +227,25 @@ fn handle_query(shared: &Shared, sid: &str, req: &Json) -> Json {
     }
 }
 
-fn handle_fetch(shared: &Shared, req: &Json) -> Json {
+fn handle_fetch(shared: &Shared, req: &Json) -> io::Result<Vec<u8>> {
+    let refuse = |message: &str| wire::frame(|out| err(message).write(out));
     let Some(id) = req.get("query").and_then(Json::as_i64) else {
-        return err("fetch needs an integer field query");
+        return refuse("fetch needs an integer field query");
     };
     let Some(task) = shared.sched.task(id as u64) else {
-        return err(&format!("unknown query handle {id}"));
+        return refuse(&format!("unknown query handle {id}"));
     };
     let outcome = task.wait_done();
     shared.sched.forget(id as u64);
-    let queued = task.queued_by_admission.load(Ordering::SeqCst);
+    fetch_frame(task.queued_by_admission.load(Ordering::SeqCst), &outcome)
+}
+
+/// The reply frame to a `fetch`: the query's counters and, when it
+/// succeeded, its columns and rows. The rows go from `&[Row]` into the
+/// frame as they are formatted — no [`Json`] value per cell, no second
+/// copy of the text — and the bytes are those of the same reply built as
+/// a tree holding `rows: Json::Arr(rows.map(row_json))`.
+fn fetch_frame(queued: bool, outcome: &Outcome) -> io::Result<Vec<u8>> {
     let mut fields = vec![
         ("queued", Json::Bool(queued)),
         ("wall_ns", Json::Int(outcome.wall_ns as i64)),
@@ -246,25 +259,32 @@ fn handle_fetch(shared: &Shared, req: &Json) -> Json {
         ),
         ("evictions", Json::Int(outcome.evictions as i64)),
     ];
-    match outcome.rows {
-        Ok((columns, rows)) => {
-            fields.push((
-                "columns",
-                Json::Arr(columns.into_iter().map(Json::Str).collect()),
-            ));
-            fields.push(("rows", Json::Arr(rows.iter().map(row_json).collect())));
-            ok(fields)
-        }
+    let (columns, rows) = match &outcome.rows {
+        Ok(result) => result,
         Err(e) => {
-            let mut reply = err(&e);
-            if let Json::Obj(map) = &mut reply {
-                for (k, v) in fields {
-                    map.insert(k.to_string(), v);
-                }
-            }
-            reply
+            fields.extend([("ok", Json::Bool(false)), ("error", Json::Str(e.clone()))]);
+            return wire::frame(|out| Json::obj(fields).write(out));
         }
-    }
+    };
+    fields.push((
+        "columns",
+        Json::Arr(columns.iter().cloned().map(Json::Str).collect()),
+    ));
+    let Json::Obj(mut before) = ok(fields) else {
+        unreachable!("ok() builds an object")
+    };
+    // Keys sort `columns`, `evictions`, `ok`, `queued` | `rows` |
+    // `spill_files_*`, `wall_ns`: fields stand on both sides of the rows.
+    let after = before.split_off("rows");
+    wire::frame(|out| {
+        out.push('{');
+        json::write_fields(&before, out);
+        out.push_str(",\"rows\":");
+        write_rows(rows, out);
+        out.push(',');
+        json::write_fields(&after, out);
+        out.push('}');
+    })
 }
 
 fn handle_cancel(shared: &Shared, req: &Json) -> Json {
@@ -403,8 +423,31 @@ fn run_query(shared: &Arc<Shared>, task: &QueryTask) -> Outcome {
 
 /// Encode one result row exactly as `fetch` replies do — exposed so
 /// tests can compare wire results byte-for-byte against library runs.
-pub fn row_json(row: &catalyst::row::Row) -> Json {
+pub fn row_json(row: &Row) -> Json {
     Json::Arr(row.values().iter().map(value_json).collect())
+}
+
+/// `rows` as the JSON array of [`row_json`] arrays, written in place.
+fn write_rows(rows: &[Row], out: &mut String) {
+    out.push('[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, v) in row.values().iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match v {
+                // The one value whose `Json` form would copy its payload.
+                Value::Str(s) => json::write_string(s, out),
+                scalar => value_json(scalar).write(out),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
 }
 
 /// Convert one SQL value to its wire representation. Primitives map to
@@ -437,4 +480,127 @@ fn err(message: &str) -> Json {
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message.to_string())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc as StdArc;
+
+    /// The reply `fetch` used to build: the whole result as a [`Json`]
+    /// tree, framed by [`write_frame`].
+    fn tree_frame(queued: bool, outcome: &Outcome) -> Vec<u8> {
+        let mut fields = vec![
+            ("queued", Json::Bool(queued)),
+            ("wall_ns", Json::Int(outcome.wall_ns as i64)),
+            (
+                "spill_files_created",
+                Json::Int(outcome.spill_files_created as i64),
+            ),
+            (
+                "spill_files_deleted",
+                Json::Int(outcome.spill_files_deleted as i64),
+            ),
+            ("evictions", Json::Int(outcome.evictions as i64)),
+        ];
+        let reply = match &outcome.rows {
+            Ok((columns, rows)) => {
+                fields.push((
+                    "columns",
+                    Json::Arr(columns.iter().cloned().map(Json::Str).collect()),
+                ));
+                fields.push(("rows", Json::Arr(rows.iter().map(row_json).collect())));
+                ok(fields)
+            }
+            Err(e) => {
+                let mut reply = err(e);
+                if let Json::Obj(map) = &mut reply {
+                    for (k, v) in fields {
+                        map.insert(k.to_string(), v);
+                    }
+                }
+                reply
+            }
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &reply).unwrap();
+        frame
+    }
+
+    fn outcome(rows: std::result::Result<(Vec<String>, Vec<Row>), String>) -> Outcome {
+        Outcome {
+            rows,
+            wall_ns: 1_234_567,
+            spill_files_created: 3,
+            spill_files_deleted: 3,
+            evictions: 2,
+        }
+    }
+
+    #[test]
+    fn streamed_fetch_frames_are_the_tree_frames_byte_for_byte() {
+        let columns = vec!["s".to_string(), "a \"quoted\"\tname".to_string()];
+        let awkward = vec![
+            Row::new(vec![Value::Null, Value::Null]),
+            Row::new(vec![Value::Boolean(true), Value::Boolean(false)]),
+            Row::new(vec![Value::Int(i32::MIN), Value::Long(i64::MAX)]),
+            Row::new(vec![Value::Long(i64::MIN), Value::Date(-3653)]),
+            Row::new(vec![
+                Value::Date(3743),
+                Value::Timestamp(1_700_000_000_000_000),
+            ]),
+            // A whole float keeps its point; an integer never grows one.
+            Row::new(vec![Value::Double(2.0), Value::Long(2)]),
+            Row::new(vec![Value::Float(0.1), Value::Double(0.1)]),
+            Row::new(vec![Value::Double(-0.0), Value::Double(1e300)]),
+            Row::new(vec![Value::Double(f64::NAN), Value::Double(f64::INFINITY)]),
+            Row::new(vec![Value::Float(f32::NEG_INFINITY), Value::Double(5e-324)]),
+            Row::new(vec![Value::str(""), Value::str("plain")]),
+            Row::new(vec![
+                Value::str("quote \" slash \\ solidus /"),
+                Value::str("line\nfeed\rreturn\ttab\u{8}\u{c}\0\u{1f}\u{7f}"),
+            ]),
+            Row::new(vec![Value::str("é 你 😀"), Value::str("\\u0041 \\n")]),
+            Row::new(vec![
+                Value::Decimal(-12345, 10, 2),
+                Value::Binary(StdArc::from(&b"\x00\xff\""[..])),
+            ]),
+            Row::new(vec![
+                Value::Array(StdArc::new(vec![
+                    Value::Int(1),
+                    Value::Null,
+                    Value::str("x\"y"),
+                ])),
+                Value::Struct(StdArc::new(vec![Value::Double(2.0), Value::str("\n")])),
+            ]),
+            Row::new(vec![]),
+        ];
+        let cases = [
+            outcome(Ok((columns.clone(), awkward))),
+            outcome(Ok((columns, Vec::new()))),
+            outcome(Ok((Vec::new(), Vec::new()))),
+            Outcome::default(),
+            outcome(Err("query 7: cancelled \"mid\"\nflight".to_string())),
+        ];
+        for case in &cases {
+            for queued in [false, true] {
+                let streamed = fetch_frame(queued, case).unwrap();
+                assert_eq!(
+                    String::from_utf8_lossy(&streamed[4..]),
+                    String::from_utf8_lossy(&tree_frame(queued, case)[4..]),
+                );
+                assert_eq!(streamed, tree_frame(queued, case));
+                // And a client reads back what the tree reader reads.
+                let reply = read_frame(&mut &streamed[..]).unwrap().expect("one frame");
+                assert_eq!(
+                    reply.get("ok").and_then(Json::as_bool),
+                    Some(case.rows.is_ok())
+                );
+                assert_eq!(
+                    reply.get("evictions").and_then(Json::as_i64),
+                    Some(case.evictions as i64)
+                );
+            }
+        }
+    }
 }

@@ -12,22 +12,34 @@ use std::io::{self, Read, Write};
 /// attempted.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Build one frame: the length prefix, then whatever `body` writes.
+///
+/// The body is written straight into the buffer the socket is handed.
+/// The four bytes kept free for the prefix start out as NULs — valid
+/// UTF-8, so the buffer can be a `String` while the JSON goes in — and
+/// take the length once it is known.
+pub(crate) fn frame(body: impl FnOnce(&mut String)) -> io::Result<Vec<u8>> {
+    let mut text = String::from("\0\0\0\0");
+    body(&mut text);
+    let len = u32::try_from(text.len() - 4)
+        .ok()
+        .filter(|len| *len <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"))?;
+    let mut frame = text.into_bytes();
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
 /// Write one JSON message as a length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
-    let body = msg.encode();
-    let len = body.len() as u32;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    // One write per frame: a split header/body write pattern interacts
-    // with Nagle + delayed ACK and costs ~40ms per round trip.
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(body.as_bytes());
-    w.write_all(&frame)?;
+    write_bytes(w, &frame(|out| msg.write(out))?)
+}
+
+/// Send a built frame. One write per frame: a split header/body write
+/// pattern interacts with Nagle + delayed ACK and costs ~40ms per round
+/// trip.
+pub(crate) fn write_bytes(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -77,6 +89,14 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn oversized_body_is_refused_before_it_is_sent() {
+        let body = "a".repeat(MAX_FRAME as usize - 1);
+        // Two quotes bring the string to one byte past the limit.
+        let e = frame(|out| Json::Str(body).write(out)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

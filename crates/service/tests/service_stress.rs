@@ -224,7 +224,7 @@ fn cancel_mid_flight_releases_spill_files() {
                     "cancelled query must report cancellation, got: {msg}"
                 );
                 let reply = e.reply().expect("server-side error carries counters");
-                let fetched = service::client::decode_fetch(reply);
+                let fetched = service::client::decode_fetch(reply.clone());
                 if fetched.spill_files_created > 0 {
                     assert_eq!(
                         fetched.spill_files_created, fetched.spill_files_deleted,
