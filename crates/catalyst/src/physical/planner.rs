@@ -248,6 +248,14 @@ impl Strategy for JoinSelection {
         };
 
         if keys.is_empty() {
+            // A nested loop streams the left side against the collected
+            // right, so it can pad unmatched left rows and nothing else.
+            if matches!(join_type, JoinType::Right | JoinType::Full) {
+                return Err(CatalystError::Plan(format!(
+                    "non-equi {} joins are not supported; rewrite with an equality condition",
+                    join_type.keyword()
+                )));
+            }
             return Ok(Some(PhysicalPlan::NestedLoopJoin {
                 left: left_phys,
                 right: right_phys,

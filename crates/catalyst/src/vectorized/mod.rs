@@ -21,8 +21,6 @@
 //! * [`accumulators`] — the aggregate partial state ([`Acc`]) and the
 //!   typed lanes the batch kernel updates per batch
 //!   ([`AccLane`], [`LaneAgg`]).
-//! * [`sort`] — batch-level sort-key extraction and index-sort + gather
-//!   reordering ([`sort_keys_batch`], [`sorted_indices`]).
 //!
 //! Design rules (documented in DESIGN.md):
 //!
@@ -45,10 +43,8 @@ pub mod accumulators;
 pub mod batch;
 pub mod hash;
 pub mod kernels;
-pub mod sort;
 
 pub use accumulators::{Acc, AccLane, LaneAgg};
 pub use batch::{ColumnVector, RowBatch, VectorData};
 pub use hash::BatchGroups;
 pub use kernels::{eval_batch, eval_projection_batch, filter_batch};
-pub use sort::{sort_keys_batch, sorted_indices};

@@ -54,10 +54,10 @@ impl AggCall {
         distinct: bool,
         arg: Option<&Expr>,
         input: &[ColumnRef],
-        codegen_on: bool,
+        ctx: &ExecContext,
     ) -> Result<AggCall> {
         let arg = match arg {
-            Some(a) => Some(value_fn(bind_references(a.clone(), input)?, codegen_on)),
+            Some(a) => Some(value_fn(bind_references(a.clone(), input)?, ctx)),
             None => None,
         };
         Ok(AggCall {
@@ -92,7 +92,7 @@ fn update_all(calls: &[AggCall], accs: &mut [Acc], row: &Row) {
 fn plan_row_calls(
     agg_exprs: &[Expr],
     input: &[ColumnRef],
-    codegen_on: bool,
+    ctx: &ExecContext,
 ) -> Result<Vec<AggCall>> {
     agg_exprs
         .iter()
@@ -101,7 +101,7 @@ fn plan_row_calls(
                 func,
                 arg,
                 distinct,
-            } => AggCall::plan(*func, *distinct, arg.as_deref(), input, codegen_on),
+            } => AggCall::plan(*func, *distinct, arg.as_deref(), input, ctx),
             _ => unreachable!("aggregate list holds only Expr::Agg"),
         })
         .collect()
@@ -170,7 +170,7 @@ pub(crate) fn execute_aggregate(
     if groupings.is_empty() {
         // Global aggregate: partials per partition, merged on the driver —
         // correct even over an empty input (COUNT(*) = 0).
-        let calls = plan_row_calls(&agg_exprs, &input_attrs, codegen_on)?;
+        let calls = plan_row_calls(&agg_exprs, &input_attrs, ctx)?;
         let child = execute_node(input, id + 1, ctx)?;
         let eager_start = Instant::now();
         let calls_for_job = calls.clone();
@@ -216,10 +216,10 @@ pub(crate) fn execute_aggregate(
             })
         }
         None => {
-            let calls = plan_row_calls(&agg_exprs, &input_attrs, codegen_on)?;
+            let calls = plan_row_calls(&agg_exprs, &input_attrs, ctx)?;
             let key_fns: Vec<ValueFn> = bound_groupings
                 .into_iter()
-                .map(|e| value_fn(e, codegen_on))
+                .map(|e| value_fn(e, ctx))
                 .collect();
             execute_node(input, id + 1, ctx)?.map_partitions(move |it| {
                 Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())

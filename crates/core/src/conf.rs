@@ -59,19 +59,15 @@ pub struct SqlConf {
     /// median partition size (and the target above).
     pub adaptive_skew_factor: f64,
     /// Byte budget for buffering operators (hash join build sides, hash
-    /// aggregation tables, sort buffers). `0` means unbounded — the
-    /// all-in-memory fast path. When bounded, operators that outgrow
-    /// their fair share of the budget spill to disk and merge.
+    /// aggregation tables, sort buffers). `0` means unbounded: the pool
+    /// never denies a reservation. Under a budget the same operators, on
+    /// outgrowing their fair share of it, spill to disk and merge.
     /// `SPARK_SQL_MEMORY_BUDGET` in the environment sets the default
     /// (plain bytes or `64k` / `16m` / `1g`).
     pub memory_budget_bytes: u64,
     /// Directory for operator spill files; empty means the system temp
     /// directory. `SPARK_SQL_SPILL_DIR` sets the default.
     pub spill_dir: String,
-    /// Escape hatch: with `false`, operators ignore the memory budget and
-    /// run the unbounded in-memory path even when `memory_budget_bytes`
-    /// is set (for differential testing of the spill machinery).
-    pub spill_enabled: bool,
     /// Plan-validation override: `Some(b)` forces validation on/off,
     /// `None` defers to [`catalyst::validation::enabled`] (environment,
     /// then build profile). `CATALYST_VALIDATE` routes here.
@@ -145,7 +141,6 @@ impl SqlConf {
             adaptive_skew_factor: 4.0,
             memory_budget_bytes: 0,
             spill_dir: String::new(),
-            spill_enabled: true,
             plan_validation: None,
             chaos_seed: None,
             chaos_prob: None,
@@ -243,16 +238,6 @@ impl SqlConf {
         let mut keys: Vec<&'static str> = entries().iter().map(|e| e.key).collect();
         keys.sort_unstable();
         keys
-    }
-
-    /// Effective memory budget: `None` when unbounded (no budget, or the
-    /// spill escape hatch is off).
-    pub fn effective_memory_budget(&self) -> Option<u64> {
-        if self.spill_enabled && self.memory_budget_bytes > 0 {
-            Some(self.memory_budget_bytes)
-        } else {
-            None
-        }
     }
 
     /// Directory spill files go to.
@@ -390,11 +375,6 @@ fn entries() -> &'static [ConfEntry] {
                 "spark.sql.adaptive.enabled",
                 Some("CATALYST_ADAPTIVE"),
                 adaptive_enabled
-            ),
-            bool_entry!(
-                "spark.sql.memory.spillEnabled",
-                Some("SPARK_SQL_SPILL"),
-                spill_enabled
             ),
             bool_entry!(
                 "spark.sql.constraints.enabled",
@@ -775,16 +755,18 @@ mod tests {
         assert_eq!(entries, sorted);
         assert!(entries
             .iter()
-            .any(|(k, v)| k == "spark.sql.memory.spillEnabled" && v == "true"));
+            .any(|(k, v)| k == "spark.sql.memory.budgetBytes" && v == "0"));
     }
 
     #[test]
-    fn effective_budget_honors_escape_hatch() {
+    fn the_spill_escape_hatch_is_gone() {
+        // Budget 0 is the one way to say "unbounded".
         let mut c = SqlConf::base();
-        assert_eq!(c.effective_memory_budget(), None);
-        c.memory_budget_bytes = 4096;
-        assert_eq!(c.effective_memory_budget(), Some(4096));
-        c.set("spark.sql.memory.spillEnabled", "false").unwrap();
-        assert_eq!(c.effective_memory_budget(), None);
+        let err = c
+            .set("spark.sql.memory.spillEnabled", "false")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown config key"), "{err}");
+        assert!(err.contains("spark.sql.memory.budgetBytes"), "{err}");
     }
 }

@@ -42,10 +42,13 @@ pub mod context;
 pub mod dataframe;
 pub mod execution;
 pub mod io;
+mod join;
 pub mod query_execution;
 pub mod rdd_table;
 pub mod record;
+mod sort;
 pub mod spill;
+mod window;
 
 pub use conf::SqlConf;
 pub use context::SQLContext;

@@ -5,12 +5,12 @@
 //! against the execution's [`engine::MemoryPool`] and grows it as its
 //! buffer fills. A denied grow is the spill signal:
 //!
-//! * [`external_sort`] sorts what it has, writes the run to a
+//! * `external_sort` sorts what it has, writes the run to a
 //!   [`SpillFile`], and k-way merges all runs (plus the final in-memory
 //!   buffer) at the end. Ties merge by run index, which reproduces the
 //!   stable in-memory sort exactly.
-//! * [`grace_hash_join_partition`] falls back to a grace hash join:
-//!   both sides re-partition to disk by a depth-salted key hash and each
+//! * The hash join (`join.rs`) goes grace: both sides re-partition to
+//!   disk through `SpillBuckets` by a depth-salted key hash and each
 //!   sub-partition joins recursively.
 //! * [`merge_agg_partition`] spills its partial-aggregate hash table the
 //!   same way, re-partitioning `(key, accumulators)` pairs and merging
@@ -22,15 +22,14 @@
 //! themselves on drop; a panicking task unwinds through the operator
 //! state holding them, so injected faults cannot leak disk.
 
+use crate::sort::{KeyedRow, SortKey};
 use catalyst::physical::metrics::OperatorMetrics;
-use catalyst::plan::JoinType;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::Acc;
 use columnar::SpillCodec;
 use engine::{BoxIter, MemoryPool, SpillFile};
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -41,12 +40,7 @@ const BLOCK_ROWS: usize = 256;
 const FANOUT: usize = 8;
 /// Past this re-partitioning depth, buffers build un-reserved rather
 /// than recursing forever on pathological key distributions.
-const MAX_DEPTH: usize = 6;
-
-/// Row comparator (a bound sort order).
-pub type RowCmp = Arc<dyn Fn(&Row, &Row) -> Ordering + Send + Sync>;
-/// Row predicate (a bound residual join condition).
-pub type PredFn = Arc<dyn Fn(&Row) -> bool + Send + Sync>;
+pub(crate) const MAX_DEPTH: usize = 6;
 
 /// Shared spill context for one operator: the execution's pool plus the
 /// operator's metrics slot (spills show up as `spill_count` /
@@ -83,28 +77,48 @@ fn bucket(key: &Row, depth: usize) -> usize {
 
 // ---- external sort ----
 
-/// A spilled sorted run being merged: decodes one block at a time.
-struct RunCursor {
-    /// Keeps the backing file alive (and deleted when merging finishes).
-    _file: SpillFile,
-    blocks: engine::memory::SpillBlockIter,
+/// Spill layout of a sort: a `(key, row)` pair crosses the disk boundary
+/// flattened to `key ++ row`, and only then — pairs that never spill are
+/// never flattened.
+#[derive(Clone)]
+pub(crate) struct SortLayout {
     codec: SpillCodec,
-    buf: std::vec::IntoIter<Row>,
+    key_width: usize,
+    descending_mask: u64,
 }
 
-impl RunCursor {
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(row);
-            }
-            let block = self.blocks.next()?.expect("spill read failed");
-            self.buf = self
-                .codec
-                .decode_block(&block)
-                .expect("spill decode failed")
-                .into_iter();
+impl SortLayout {
+    /// Layout for keys and rows of the given column types, ordered per
+    /// `descending_mask` (see [`SortKey`]).
+    pub(crate) fn new(
+        mut key_dtypes: Vec<DataType>,
+        row_dtypes: impl IntoIterator<Item = DataType>,
+        descending_mask: u64,
+    ) -> SortLayout {
+        let key_width = key_dtypes.len();
+        key_dtypes.extend(row_dtypes);
+        SortLayout {
+            codec: SpillCodec::new(key_dtypes),
+            key_width,
+            descending_mask,
         }
+    }
+
+    fn encode_block(&self, pairs: impl Iterator<Item = KeyedRow>) -> Vec<u8> {
+        let flat: Vec<Row> = pairs
+            .map(|(key, row)| {
+                let mut values = key.into_values();
+                values.extend(row.into_values());
+                Row::new(values)
+            })
+            .collect();
+        self.codec.encode_block(&flat)
+    }
+
+    fn decode_pair(&self, flat: Row) -> KeyedRow {
+        let mut values = flat.into_values();
+        let row = Row::new(values.split_off(self.key_width));
+        (SortKey::new(values, self.descending_mask), row)
     }
 }
 
@@ -112,103 +126,88 @@ impl RunCursor {
 /// highest run index). Equal keys pop lowest-run-first, which is arrival
 /// order — the same order a single stable in-memory sort produces.
 struct MergeIter {
-    runs: Vec<(Option<Row>, RunCursor)>,
-    tail: std::vec::IntoIter<Row>,
-    tail_head: Option<Row>,
-    cmp: RowCmp,
+    runs: Vec<(Option<KeyedRow>, BoxIter<KeyedRow>)>,
+    tail: std::vec::IntoIter<KeyedRow>,
+    tail_head: Option<KeyedRow>,
     /// Frees the tail buffer's reservation when merging finishes.
     _reservation: engine::MemoryReservation,
 }
 
 impl Iterator for MergeIter {
-    type Item = Row;
+    type Item = KeyedRow;
 
-    fn next(&mut self) -> Option<Row> {
+    fn next(&mut self) -> Option<KeyedRow> {
         if self.tail_head.is_none() {
             self.tail_head = self.tail.next();
         }
         let mut best: Option<usize> = None; // None = tail, Some(i) = run i
-        let mut best_row: Option<&Row> = self.tail_head.as_ref();
+        let mut best_key: Option<&SortKey> = self.tail_head.as_ref().map(|(k, _)| k);
         for (i, (head, _)) in self.runs.iter().enumerate().rev() {
-            if let Some(h) = head {
-                if best_row.is_none_or(|b| (self.cmp)(h, b) != Ordering::Greater) {
+            if let Some((k, _)) = head {
+                if best_key.is_none_or(|b| k <= b) {
                     best = Some(i);
-                    best_row = Some(h);
+                    best_key = Some(k);
                 }
             }
         }
         match best {
             Some(i) => {
-                let (head, cursor) = &mut self.runs[i];
-                let row = head.take();
-                *head = cursor.next();
-                row
+                let (head, run) = &mut self.runs[i];
+                std::mem::replace(head, run.next())
             }
             None => self.tail_head.take(),
         }
     }
 }
 
-/// Sort `input` by `cmp` under the pool's budget. Rows buffer in memory
+/// Sort `(key, row)` pairs by key under the pool's budget — the sort of
+/// every ORDER BY and every window partition. Pairs buffer in memory
 /// while the reservation grows; when it is denied, the buffer is sorted
-/// and spilled as one run, and all runs k-way merge at the end. With an
-/// unbounded pool this is exactly an in-memory stable sort.
-pub fn external_sort(
-    input: BoxIter<Row>,
-    codec: &SpillCodec,
-    cmp: RowCmp,
+/// and spilled as one run, and all runs k-way merge at the end. A pool
+/// that never denies makes this exactly an in-memory stable sort.
+pub(crate) fn external_sort(
+    input: BoxIter<KeyedRow>,
+    layout: &SortLayout,
     ctx: &SpillCtx,
-) -> BoxIter<Row> {
+) -> BoxIter<KeyedRow> {
     let mut reservation = ctx.pool.register();
     let mut runs: Vec<SpillFile> = Vec::new();
-    let mut buf: Vec<Row> = Vec::new();
-    for row in input {
-        let bytes = row.approx_bytes();
+    let mut buf: Vec<KeyedRow> = Vec::new();
+    for (key, row) in input {
+        let bytes = key.approx_bytes() + row.approx_bytes();
         if !reservation.try_grow(bytes) && !buf.is_empty() {
-            buf.sort_by(|a, b| cmp(a, b));
+            buf.sort_by(|a, b| a.0.cmp(&b.0));
             let mut file = ctx.pool.spill_file().expect("spill create failed");
-            for chunk in buf.chunks(BLOCK_ROWS) {
-                file.append(&codec.encode_block(chunk))
+            let mut pairs = buf.drain(..).peekable();
+            while pairs.peek().is_some() {
+                file.append(&layout.encode_block(pairs.by_ref().take(BLOCK_ROWS)))
                     .expect("spill write failed");
             }
+            drop(pairs);
             ctx.note_spill(file.bytes_written());
             runs.push(file);
-            buf.clear();
             reservation.free();
             // Re-reserve for the row that overflowed; a single row larger
             // than the fair share proceeds unreserved (it must go somewhere).
             reservation.try_grow(bytes);
         }
-        buf.push(row);
+        buf.push((key, row));
     }
-    buf.sort_by(|a, b| cmp(a, b));
-    if runs.is_empty() {
-        return Box::new(MergeIter {
-            runs: Vec::new(),
-            tail: buf.into_iter(),
-            tail_head: None,
-            cmp,
-            _reservation: reservation,
-        });
-    }
+    buf.sort_by(|a, b| a.0.cmp(&b.0));
     let runs = runs
         .into_iter()
-        .map(|mut file| {
-            let blocks = file.blocks().expect("spill reopen failed");
-            let mut cursor = RunCursor {
-                _file: file,
-                blocks,
-                codec: codec.clone(),
-                buf: Vec::new().into_iter(),
-            };
-            (cursor.next(), cursor)
+        .map(|file| {
+            let layout = layout.clone();
+            let mut run: BoxIter<KeyedRow> = Box::new(
+                BlockRows::open(file, layout.codec.clone()).map(move |r| layout.decode_pair(r)),
+            );
+            (run.next(), run)
         })
         .collect();
     Box::new(MergeIter {
         runs,
         tail: buf.into_iter(),
         tail_head: None,
-        cmp,
         _reservation: reservation,
     })
 }
@@ -270,7 +269,7 @@ impl SideLayout {
 /// One side's spill buckets: rows partitioned by depth-salted key hash
 /// (NULL keys to bucket 0 — they never match, but outer joins must still
 /// see them exactly once).
-struct SpillBuckets {
+pub(crate) struct SpillBuckets {
     files: Vec<Option<SpillFile>>,
     bufs: Vec<Vec<Row>>,
     layout: SideLayout,
@@ -278,7 +277,7 @@ struct SpillBuckets {
 }
 
 impl SpillBuckets {
-    fn new(layout: SideLayout, depth: usize) -> SpillBuckets {
+    pub(crate) fn new(layout: SideLayout, depth: usize) -> SpillBuckets {
         SpillBuckets {
             files: (0..FANOUT).map(|_| None).collect(),
             bufs: vec![Vec::new(); FANOUT],
@@ -287,7 +286,7 @@ impl SpillBuckets {
         }
     }
 
-    fn push(&mut self, ctx: &SpillCtx, key: &Option<Row>, row: &Row) {
+    pub(crate) fn push(&mut self, ctx: &SpillCtx, key: &Option<Row>, row: &Row) {
         let b = match key {
             Some(k) => bucket(k, self.depth),
             None => 0,
@@ -311,7 +310,7 @@ impl SpillBuckets {
 
     /// Seal all buckets, recording one spill per written file, and return
     /// per-bucket pair iterators (empty buckets yield empty iterators).
-    fn finish(mut self, ctx: &SpillCtx) -> Vec<BoxIter<(Option<Row>, Row)>> {
+    pub(crate) fn finish(mut self, ctx: &SpillCtx) -> Vec<BoxIter<(Option<Row>, Row)>> {
         for b in 0..FANOUT {
             self.flush(ctx, b);
         }
@@ -320,19 +319,12 @@ impl SpillBuckets {
             .map(|file| -> BoxIter<(Option<Row>, Row)> {
                 match file {
                     None => Box::new(std::iter::empty()),
-                    Some(mut file) => {
+                    Some(file) => {
                         ctx.note_spill(file.bytes_written());
-                        let blocks = file.blocks().expect("spill reopen failed");
                         let layout = self.layout.clone();
-                        let codec = layout.codec.clone();
                         Box::new(
-                            BlockRows {
-                                _file: file,
-                                blocks,
-                                codec,
-                                buf: Vec::new().into_iter(),
-                            }
-                            .map(move |flat| layout.decode_pair(flat)),
+                            BlockRows::open(file, layout.codec.clone())
+                                .map(move |flat| layout.decode_pair(flat)),
                         )
                     }
                 }
@@ -343,10 +335,23 @@ impl SpillBuckets {
 
 /// Streaming row reader over a sealed spill file.
 struct BlockRows {
+    /// Keeps the backing file alive (and deleted when reading finishes).
     _file: SpillFile,
     blocks: engine::memory::SpillBlockIter,
     codec: SpillCodec,
     buf: std::vec::IntoIter<Row>,
+}
+
+impl BlockRows {
+    fn open(mut file: SpillFile, codec: SpillCodec) -> BlockRows {
+        let blocks = file.blocks().expect("spill reopen failed");
+        BlockRows {
+            _file: file,
+            blocks,
+            codec,
+            buf: Vec::new().into_iter(),
+        }
+    }
 }
 
 impl Iterator for BlockRows {
@@ -365,125 +370,6 @@ impl Iterator for BlockRows {
                 .into_iter();
         }
     }
-}
-
-/// Static shape of one grace hash join — join semantics, residual
-/// filter, and both sides' spill layouts and row widths — shared by
-/// every recursion level and every partition of the same join node.
-pub struct GraceJoinSpec {
-    /// Join semantics (outer-row emission).
-    pub join_type: JoinType,
-    /// Non-equi residual predicate over the joined row, if any.
-    pub residual_pred: Option<PredFn>,
-    /// Spill layout of the streamed (left) side.
-    pub left_layout: SideLayout,
-    /// Spill layout of the build (right) side.
-    pub right_layout: SideLayout,
-    /// Column count of the left side (NULL padding for right-outer rows).
-    pub left_width: usize,
-    /// Column count of the right side (NULL padding for left-outer rows).
-    pub right_width: usize,
-}
-
-/// Hash-join one co-partitioned pair of keyed row streams under the
-/// pool's budget: build from the right under a reservation; if the build
-/// side does not fit, re-partition **both** sides to disk by key hash and
-/// join each sub-partition recursively (the grace hash join). Semantics
-/// (matching, residual filtering, outer-row emission) are identical to
-/// the in-memory join.
-pub fn grace_hash_join_partition(
-    lit: BoxIter<(Option<Row>, Row)>,
-    mut rit: BoxIter<(Option<Row>, Row)>,
-    spec: &GraceJoinSpec,
-    ctx: &SpillCtx,
-    depth: usize,
-) -> Vec<Row> {
-    let join_type = spec.join_type;
-    let residual_pred = &spec.residual_pred;
-    let (left_layout, right_layout) = (&spec.left_layout, &spec.right_layout);
-    let (left_width, right_width) = (spec.left_width, spec.right_width);
-    // Build from the right partition, growing a reservation as it fills.
-    let mut reservation = ctx.pool.register();
-    let mut table: HashMap<Row, Vec<(Row, bool)>> = HashMap::new();
-    let mut null_key_right: Vec<Row> = Vec::new();
-    let reserve = depth < MAX_DEPTH;
-    let mut overflow: Option<(Option<Row>, Row)> = None;
-    for (k, row) in rit.by_ref() {
-        let bytes = row.approx_bytes() + k.as_ref().map_or(8, Row::approx_bytes);
-        if reserve && !reservation.try_grow(bytes) {
-            overflow = Some((k, row));
-            break;
-        }
-        match k {
-            Some(k) => table.entry(k).or_default().push((row, false)),
-            None => null_key_right.push(row),
-        }
-    }
-
-    if let Some(first) = overflow {
-        // Build side exceeds its share: go grace. Everything buffered so
-        // far, plus the rest of both streams, re-partitions to disk.
-        let mut rbuckets = SpillBuckets::new(right_layout.clone(), depth);
-        for (k, rows) in table.drain() {
-            for (row, _) in rows {
-                rbuckets.push(ctx, &Some(k.clone()), &row);
-            }
-        }
-        for row in null_key_right.drain(..) {
-            rbuckets.push(ctx, &None, &row);
-        }
-        reservation.free();
-        for (k, row) in std::iter::once(first).chain(rit) {
-            rbuckets.push(ctx, &k, &row);
-        }
-        let mut lbuckets = SpillBuckets::new(left_layout.clone(), depth);
-        for (k, row) in lit {
-            lbuckets.push(ctx, &k, &row);
-        }
-        let mut out = Vec::new();
-        for (lsub, rsub) in lbuckets.finish(ctx).into_iter().zip(rbuckets.finish(ctx)) {
-            out.extend(grace_hash_join_partition(lsub, rsub, spec, ctx, depth + 1));
-        }
-        return out;
-    }
-
-    // Build fit: probe with the streaming left side.
-    let mut out: Vec<Row> = Vec::new();
-    for (k, lrow) in lit {
-        let mut matched = false;
-        if let Some(k) = &k {
-            if let Some(entries) = table.get_mut(k) {
-                for (rrow, rmatched) in entries.iter_mut() {
-                    let joined = lrow.concat(rrow);
-                    if residual_pred.as_ref().is_none_or(|p| p(&joined)) {
-                        *rmatched = true;
-                        matched = true;
-                        out.push(joined);
-                    }
-                }
-            }
-        }
-        if !matched && matches!(join_type, JoinType::Left | JoinType::Full) {
-            out.push(lrow.concat(&null_row(right_width)));
-        }
-    }
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for entries in table.values() {
-            for (rrow, matched) in entries {
-                if !matched {
-                    out.push(null_row(left_width).concat(rrow));
-                }
-            }
-        }
-        for rrow in &null_key_right {
-            out.push(null_row(left_width).concat(rrow));
-        }
-    }
-    out
-}
-
-fn null_row(width: usize) -> Row {
-    Row::new(vec![Value::Null; width])
 }
 
 // ---- spillable aggregation ----

@@ -131,6 +131,72 @@ fn join_aggregate_sort_spills_and_matches_unbounded() {
     assert!(json.contains("\"spill_count\":"), "{json}");
 }
 
+/// A budgeted join builds the side its plan says it builds. Dim (known,
+/// small) joins fact (an RDD of unknown size), so the CBO plans
+/// `build=Left`; each dim partition is far under a task's share of the
+/// budget and each fact partition far over it. Building the planned side
+/// never spills; building the right side regardless — what the grace join
+/// used to do under any budget — would.
+#[test]
+fn a_budgeted_join_builds_the_planned_side() {
+    let run = |budget: u64, adaptive: bool| {
+        let ctx = SQLContext::new_local(2);
+        ctx.set_conf(|c| {
+            c.memory_budget_bytes = budget;
+            c.adaptive_enabled = adaptive;
+            c.broadcast_threshold = 0;
+            c.shuffle_partitions = 4;
+        });
+        let fact_rdd = ctx.spark_context().parallelize(fact_rows(4000), 3);
+        let fact = ctx
+            .dataframe_from_rdd("fact", fact_schema(), fact_rdd)
+            .unwrap();
+        let dim = ctx.create_dataframe(dim_schema(), dim_rows()).unwrap();
+        let df = dim
+            .join(&fact, JoinType::Left, Some(col("dk").eq(col("k"))))
+            .unwrap();
+        let qe = df.query_execution().unwrap();
+        let plan = qe.physical().to_string();
+        assert!(
+            plan.contains("ShuffledHashJoin") && plan.contains("build=Left"),
+            "{plan}"
+        );
+        let mut rows: Vec<String> = qe
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        let join_spills: u64 = ctx
+            .query_log()
+            .last()
+            .expect("the query was logged")
+            .operators
+            .iter()
+            .filter(|op| op.operator.contains("Join"))
+            .flat_map(|op| op.extras.iter())
+            .filter(|(k, _)| k == "spill_count")
+            .map(|(_, v)| *v)
+            .sum();
+        (rows, join_spills, qe.memory_stats())
+    };
+    for adaptive in [true, false] {
+        let (expect, _, none) = run(0, adaptive);
+        assert!(none.is_none());
+        assert!(expect.len() > 3000);
+        let (got, join_spills, stats) = run(64 << 10, adaptive);
+        assert_eq!(got, expect, "adaptive={adaptive}: bounded join diverged");
+        assert_eq!(
+            join_spills, 0,
+            "adaptive={adaptive}: the join spilled — it built the big right side"
+        );
+        let stats = stats.expect("bounded run must expose pool stats");
+        assert!(stats.peak > 0, "adaptive={adaptive}: nothing was reserved");
+        assert!(stats.peak <= stats.budget);
+    }
+}
+
 #[test]
 fn set_statement_controls_memory_confs_end_to_end() {
     let ctx = SQLContext::new_local(2);
@@ -163,7 +229,7 @@ fn set_statement_controls_memory_confs_end_to_end() {
     assert_eq!(all.len(), SqlConf::valid_keys().len());
     assert!(all
         .iter()
-        .any(|r| r.values()[0] == Value::str("spark.sql.memory.spillEnabled")));
+        .any(|r| r.values()[0] == Value::str("spark.sql.memory.spillDir")));
 
     // Unknown keys error through SQL exactly like ctx.set.
     let err = ctx
@@ -188,8 +254,8 @@ fn set_statement_controls_memory_confs_end_to_end() {
     assert_eq!(stats.budget, 8192);
     assert!(stats.spill_count > 0, "3000 rows under 8 KiB never spilled");
 
-    // The escape hatch: spillEnabled=false ignores the budget entirely.
-    ctx.sql("SET spark.sql.memory.spillEnabled=false")
+    // Budget 0 is how a session goes back to a pool that never denies.
+    ctx.sql("SET spark.sql.memory.budgetBytes=0")
         .unwrap()
         .collect()
         .unwrap();
@@ -197,8 +263,17 @@ fn set_statement_controls_memory_confs_end_to_end() {
     assert_eq!(qe2.collect().unwrap().len(), 3000);
     assert!(
         qe2.memory_stats().is_none(),
-        "escape hatch did not disable the pool"
+        "budget 0 did not unbound the pool"
     );
+
+    // There is no second switch: the old escape hatch is an unknown key,
+    // and the error lists the keys that do exist.
+    let err = ctx
+        .sql("SET spark.sql.memory.spillEnabled=false")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("unknown config key"), "{err}");
+    assert!(err.contains("spark.sql.memory.budgetBytes"), "{err}");
 }
 
 #[test]

@@ -58,8 +58,7 @@ fn arb_fact_rows(rng: &mut StdRng) -> Vec<Row> {
         .collect()
 }
 
-fn arb_dim_rows(rng: &mut StdRng) -> Vec<Row> {
-    let m = rng.random_range(1usize..48);
+fn arb_dim_rows(rng: &mut StdRng, m: usize) -> Vec<Row> {
     (0..m)
         .map(|_| {
             let dk = if rng.random_bool(0.1) {
@@ -78,6 +77,10 @@ fn arb_dim_rows(rng: &mut StdRng) -> Vec<Row> {
 struct GenQuery {
     fact_rows: Vec<Row>,
     dim_rows: Vec<Row>,
+    /// Which side of the join the dim table is on. Its size is known and
+    /// the fact RDD's is not, so the planner builds the dim side: this is
+    /// the plan's `build=` side, and the join under test must build it.
+    dim_left: bool,
     join: Option<JoinType>,
     aggregate: bool,
     sort: bool,
@@ -99,20 +102,35 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
     if join.is_none() && !aggregate {
         sort = true; // always at least one governed operator
     }
+    let fact_rows = arb_fact_rows(rng);
+    let small = rng.random_range(1usize..48);
+    let mut dim_rows = arb_dim_rows(rng, small);
+    let vectorize = rng.random_bool(0.5);
+    let adaptive = rng.random_bool(0.5);
+    let budget = [4u64 << 10, 8 << 10, 16 << 10][rng.random_range(0usize..3)];
+    // Half the build sides outgrow any of the budgets, so the join goes
+    // grace with either side built; the rest fit and must not spill.
+    if rng.random_bool(0.5) {
+        let more = rng.random_range(150usize..400);
+        dim_rows.extend(arb_dim_rows(rng, more));
+    }
     GenQuery {
-        fact_rows: arb_fact_rows(rng),
-        dim_rows: arb_dim_rows(rng),
+        fact_rows,
+        dim_rows,
+        dim_left: rng.random_bool(0.5),
         join,
         aggregate,
         sort,
-        vectorize: rng.random_bool(0.5),
-        adaptive: rng.random_bool(0.5),
-        budget: [4u64 << 10, 8 << 10, 16 << 10][rng.random_range(0usize..3)],
+        vectorize,
+        adaptive,
+        budget,
     }
 }
 
 struct Outcome {
     rows: Vec<String>,
+    /// The physical plan as planned (before any adaptive change).
+    plan: String,
     stats: Option<MemoryStats>,
     /// Physical-operator names that recorded a nonzero `spill_count`.
     spilled_ops: Vec<String>,
@@ -137,14 +155,16 @@ fn run(q: &GenQuery, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
         .dataframe_from_rdd("fact", fact_schema(), fact_rdd)
         .expect("fact");
     let mut df = match q.join {
-        // Dim on the left: hash joins build from the right stream, so the
-        // *large* fact table is the side under memory pressure.
         Some(jt) => {
             let dim = ctx
                 .create_dataframe(dim_schema(), q.dim_rows.clone())
                 .expect("dim");
-            dim.join(&fact, jt, Some(col("dk").eq(col("k"))))
-                .expect("join")
+            let on = Some(col("dk").eq(col("k")));
+            if q.dim_left {
+                dim.join(&fact, jt, on).expect("join")
+            } else {
+                fact.join(&dim, jt, on).expect("join")
+            }
         }
         None => fact,
     };
@@ -189,6 +209,7 @@ fn run(q: &GenQuery, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
         .unwrap_or_default();
     Outcome {
         rows,
+        plan: qe.physical().to_string(),
         stats: qe.memory_stats(),
         spilled_ops,
     }
@@ -199,6 +220,9 @@ fn spilling_plans_match_unbounded_results() {
     let mut nonempty = 0u32;
     let mut spilled_runs = 0u32;
     let mut join_spills = 0u32;
+    // Per planned build side: [joins seen, joins that spilled].
+    let (mut build_left, mut build_right) = ([0u32; 2], [0u32; 2]);
+    let mut build_left_types: Vec<JoinType> = Vec::new();
     let mut agg_spills = 0u32;
     let mut sort_spills = 0u32;
     let mut total_spill_count = 0u64;
@@ -246,6 +270,22 @@ fn spilling_plans_match_unbounded_results() {
             spilled_runs += 1;
         }
         total_spill_count += stats.spill_count;
+        if let Some(jt) = q.join {
+            let planned_left = bounded.plan.contains("build=Left");
+            assert_eq!(planned_left, q.dim_left, "seed {seed}: {}", bounded.plan);
+            let side = if planned_left {
+                if !build_left_types.contains(&jt) {
+                    build_left_types.push(jt);
+                }
+                &mut build_left
+            } else {
+                &mut build_right
+            };
+            side[0] += 1;
+            if bounded.spilled_ops.iter().any(|op| op.contains("Join")) {
+                side[1] += 1;
+            }
+        }
         for op in &bounded.spilled_ops {
             if op.contains("Join") {
                 join_spills += 1;
@@ -261,7 +301,8 @@ fn spilling_plans_match_unbounded_results() {
 
     eprintln!(
         "spill sweep: spilled_runs={spilled_runs}/{ITERS} total_spills={total_spill_count} \
-         join={join_spills} agg={agg_spills} sort={sort_spills}"
+         join={join_spills} agg={agg_spills} sort={sort_spills} \
+         build_left={build_left:?} build_right={build_right:?} (joins, spilled)"
     );
     // Meaningfulness floors: the budgets must actually force disk spills,
     // and all three governed operators must have taken their spill path.
@@ -277,6 +318,26 @@ fn spilling_plans_match_unbounded_results() {
         join_spills >= 3,
         "hash join spilled in only {join_spills} runs"
     );
+    // Both build sides were planned, over every join type, and each went
+    // grace some of the time and fit some of the time.
+    assert!(
+        build_left[0] >= 8,
+        "only {} build=Left joins",
+        build_left[0]
+    );
+    assert_eq!(
+        build_left_types.len(),
+        4,
+        "build=Left joins covered only {build_left_types:?}"
+    );
+    for (side, [joins, spilled]) in [("Left", build_left), ("Right", build_right)] {
+        assert!(spilled >= 3, "build={side}: only {spilled} joins spilled");
+        assert!(
+            joins - spilled >= 3,
+            "build={side}: only {} joins fit",
+            joins - spilled
+        );
+    }
     assert!(
         agg_spills >= 3,
         "hash aggregate spilled in only {agg_spills} runs"
@@ -304,6 +365,7 @@ fn external_sort_reproduces_in_memory_order_exactly() {
             .chain((0..600).map(|i| Row::new(vec![Value::Null, Value::Long(i % 2), Value::Null])))
             .collect(),
         dim_rows: vec![],
+        dim_left: true,
         join: None,
         aggregate: false,
         sort: false, // ordered below, un-sorted comparison
@@ -340,6 +402,89 @@ fn external_sort_reproduces_in_memory_order_exactly() {
     assert!(stats.peak <= stats.budget);
     // Exact sequence equality — not a sorted multiset.
     assert_eq!(got, expect, "external sort reordered equal-key rows");
+}
+
+/// ORDER BY is one operator whatever the budget: over keys with heavy
+/// ties, NULLs and mixed directions, the row *sequence* — equal keys in
+/// arrival order — is the same unbounded, under a budget that spills every
+/// few dozen rows, and under one that rarely denies, vectorized or not.
+#[test]
+fn order_by_sequence_is_the_same_at_every_budget() {
+    let mut spilled = 0u32;
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0x0DE2 ^ seed.wrapping_mul(0x9E37_79B9));
+        let maybe_null = |rng: &mut StdRng, v: Value| {
+            if rng.random_bool(0.15) {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        let rows: Vec<Row> = (0..rng.random_range(300usize..900))
+            .map(|_| {
+                let k = Value::Long(rng.random_range(0i64..4));
+                let v = Value::Long(rng.random_range(0i64..3));
+                let s = Value::str(STR_POOL[rng.random_range(0..STR_POOL.len())]);
+                Row::new(vec![
+                    maybe_null(&mut rng, k),
+                    maybe_null(&mut rng, v),
+                    maybe_null(&mut rng, s),
+                ])
+            })
+            .collect();
+        // One to three of the columns, each ascending or descending; the
+        // columns left out make every key heavily tied.
+        let mut orders = Vec::new();
+        for c in ["k", "v", "s"] {
+            if rng.random_bool(0.6) {
+                orders.push(if rng.random_bool(0.5) {
+                    col(c).asc()
+                } else {
+                    col(c).desc()
+                });
+            }
+        }
+        if orders.is_empty() {
+            orders.push(col("s").desc());
+        }
+        let sequence = |budget: u64, vectorize: bool| {
+            let ctx = SQLContext::new_local(2);
+            ctx.set_conf(|c| {
+                c.memory_budget_bytes = budget;
+                c.vectorize_enabled = vectorize;
+                c.shuffle_partitions = 3;
+            });
+            let rdd = ctx.spark_context().parallelize(rows.clone(), 3);
+            let qe = ctx
+                .dataframe_from_rdd("fact", fact_schema(), rdd)
+                .unwrap()
+                .order_by(orders.clone())
+                .unwrap()
+                .query_execution()
+                .unwrap();
+            let rows: Vec<String> = qe
+                .collect()
+                .unwrap()
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            (rows, qe.memory_stats().map_or(0, |s| s.spill_count))
+        };
+        let (expect, _) = sequence(0, false);
+        assert_eq!(expect.len(), rows.len());
+        for budget in [0u64, 4 << 10, 64 << 10] {
+            for vectorize in [false, true] {
+                let (got, spills) = sequence(budget, vectorize);
+                assert_eq!(
+                    got, expect,
+                    "seed {seed}: budget={budget} vectorize={vectorize} reordered rows \
+                     (ORDER BY {orders:?})"
+                );
+                spilled += (spills > 0) as u32;
+            }
+        }
+    }
+    assert!(spilled >= 12, "only {spilled} bounded sorts spilled");
 }
 
 /// Spilling under chaos-injected task panics, fetch failures, and

@@ -384,6 +384,64 @@ fn explain_shows_three_plans() {
     assert!(all.contains("Physical Plan"), "{all}");
 }
 
+/// Non-equi RIGHT/FULL OUTER joins are refused by the planner: `EXPLAIN`,
+/// `df.explain()` and execution all report it, through SQL and through
+/// the DataFrame API, and no job has run by the time they do — the query
+/// joins an aggregated (eagerly staged) sibling to prove that.
+#[test]
+fn non_equi_outer_joins_are_refused_at_planning() {
+    let ctx = ctx_with_tables();
+    let refused = |err: catalyst::error::CatalystError, join: &str| {
+        assert!(
+            matches!(err, catalyst::error::CatalystError::Plan(_)),
+            "{err:?}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains(&format!("non-equi {join} joins are not supported")),
+            "{text}"
+        );
+    };
+    let jobs_before = ctx.spark_context().metrics().snapshot().jobs_run;
+    for (join, join_type) in [
+        ("RIGHT OUTER", JoinType::Right),
+        ("FULL OUTER", JoinType::Full),
+    ] {
+        let query = format!(
+            "SELECT e.name, d.n FROM employees e {join} JOIN \
+             (SELECT id, count(*) AS n FROM dept GROUP BY id) d \
+             ON e.salary > d.n"
+        );
+        let df = ctx.sql(&query).expect("analysis accepts the query");
+        refused(df.explain().unwrap_err(), join);
+        refused(df.collect().unwrap_err(), join);
+        let explained = ctx
+            .sql(&format!("EXPLAIN {query}"))
+            .and_then(|df| df.collect());
+        refused(explained.unwrap_err(), join);
+
+        let employees = ctx.table("employees").unwrap();
+        let dept = ctx.table("dept").unwrap();
+        let df = employees
+            .join(&dept, join_type, Some(col("salary").gt(col("dept.id"))))
+            .unwrap();
+        refused(df.explain().unwrap_err(), join);
+        refused(df.count().unwrap_err(), join);
+    }
+    assert_eq!(
+        ctx.spark_context().metrics().snapshot().jobs_run,
+        jobs_before,
+        "a stage ran before the refusal surfaced"
+    );
+    // The supported non-equi shapes still plan and run.
+    let n = ctx
+        .sql("SELECT e.name FROM employees e LEFT JOIN dept d ON e.salary > d.id * 50")
+        .unwrap()
+        .count()
+        .unwrap();
+    assert!(n >= 6);
+}
+
 #[test]
 fn cache_table_roundtrip() {
     let ctx = ctx_with_tables();

@@ -424,15 +424,26 @@ pub trait SortedPairRdd<K: Data + Hash + Eq + Ord, V: Data> {
         ascending: bool,
         num_partitions: usize,
     ) -> crate::Result<RddRef<(K, V)>>;
+
+    /// The shuffle half of a global sort: count, sample ~20 keys per
+    /// output partition, and range-partition on the sampled boundaries,
+    /// so partition `i` holds only keys ordered before partition `i + 1`'s.
+    /// Partitions come back unsorted — callers that sort them under a
+    /// memory budget (the SQL layer's external sort) start from here. An
+    /// empty input comes back as it is.
+    fn try_range_partition(
+        &self,
+        ascending: bool,
+        num_partitions: usize,
+    ) -> crate::Result<RddRef<(K, V)>>;
 }
 
 impl<K: Data + Hash + Eq + Ord, V: Data> SortedPairRdd<K, V> for RddRef<(K, V)> {
-    fn try_sort_by_key(
+    fn try_range_partition(
         &self,
         ascending: bool,
         num_partitions: usize,
     ) -> crate::Result<RddRef<(K, V)>> {
-        // Sample ~20 keys per output partition to pick range boundaries.
         let total = (num_partitions * 20).max(20);
         let sample: Vec<K> = {
             let keys = self.keys();
@@ -446,7 +457,16 @@ impl<K: Data + Hash + Eq + Ord, V: Data> SortedPairRdd<K, V> for RddRef<(K, V)> 
         let bounds = RangePartitioner::bounds_from_sample(sample, num_partitions);
         let partitioner: Arc<dyn Partitioner<K>> =
             Arc::new(RangePartitioner::new(bounds, ascending));
-        Ok(self.partition_by(partitioner).map_partitions(move |it| {
+        Ok(self.partition_by(partitioner))
+    }
+
+    fn try_sort_by_key(
+        &self,
+        ascending: bool,
+        num_partitions: usize,
+    ) -> crate::Result<RddRef<(K, V)>> {
+        let partitioned = self.try_range_partition(ascending, num_partitions)?;
+        Ok(partitioned.map_partitions(move |it| {
             let mut rows: Vec<(K, V)> = it.collect();
             if ascending {
                 rows.sort_by(|a, b| a.0.cmp(&b.0));

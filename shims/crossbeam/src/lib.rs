@@ -112,7 +112,11 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake every blocked receiver so they
-                // can observe disconnection.
+                // can observe disconnection. A receiver reads `senders`
+                // and parks under the queue lock, so notify under it too:
+                // otherwise one that has read 1 and not yet parked misses
+                // this — the only — wake-up.
+                let _queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 self.0.ready.notify_all();
             }
         }
@@ -230,5 +234,40 @@ mod tests {
             local += 1;
         }
         assert_eq!(local + h.join().unwrap(), n);
+    }
+
+    /// The last sender's drop must reach a receiver that has seen
+    /// `senders == 1` and is about to park. A lost wake-up leaves that
+    /// receiver blocked forever, so a watchdog turns it into a failure.
+    #[test]
+    fn dropping_the_last_sender_wakes_every_receiver() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for _ in 0..100_000 {
+                let (tx, rx) = unbounded::<fn()>();
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let rx = rx.clone();
+                        std::thread::spawn(move || {
+                            while let Ok(task) = rx.recv() {
+                                task();
+                            }
+                        })
+                    })
+                    .collect();
+                for _ in 0..4 {
+                    tx.send(|| {}).unwrap();
+                }
+                drop(tx);
+                for w in workers {
+                    w.join().unwrap();
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a receiver never saw the disconnect (lost wake-up)");
+        stress.join().unwrap();
     }
 }
