@@ -4,7 +4,9 @@
 //! For each client count the run reports per-query latency quantiles
 //! (p50/p99), throughput, and the service counters that prove the
 //! machinery engaged: admission queueing under the shared memory budget
-//! and shared-cache evictions under a bounded cache budget.
+//! and shared-cache evictions under a bounded cache budget; and the
+//! per-session plan cache serving the shapes a client sends again (the
+//! run fails if a tier that repeats shapes saw no plan-cache hit).
 //!
 //! Writes `BENCH_service.json` to the working directory.
 //!
@@ -74,13 +76,15 @@ struct Tier {
     queued_by_admission: i64,
     rejected: i64,
     cache_evictions: i64,
+    plan_cache_hits: i64,
 }
 
 impl Tier {
     fn print(&self) {
         println!(
             "{:>3} clients: p50 {:>8.2} ms  p99 {:>8.2} ms  \
-             ({} queries in {:.0} ms; {} queued, {} rejected, {} evictions)",
+             ({} queries in {:.0} ms; {} queued, {} rejected, {} evictions, \
+             {} plan-cache hits)",
             self.clients,
             self.p50_ms,
             self.p99_ms,
@@ -89,6 +93,7 @@ impl Tier {
             self.queued_by_admission,
             self.rejected,
             self.cache_evictions,
+            self.plan_cache_hits,
         );
     }
 
@@ -97,7 +102,7 @@ impl Tier {
             "\"clients_{}\": {{\"clients\": {}, \"queries\": {}, \
              \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"wall_ms\": {:.1}, \
              \"queued_by_admission\": {}, \"rejected\": {}, \
-             \"cache_evictions\": {}}}",
+             \"cache_evictions\": {}, \"plan_cache_hits\": {}}}",
             self.clients,
             self.clients,
             self.clients * self.queries_per_client,
@@ -107,6 +112,7 @@ impl Tier {
             self.queued_by_admission,
             self.rejected,
             self.cache_evictions,
+            self.plan_cache_hits,
         )
     }
 }
@@ -175,7 +181,14 @@ fn run_tier(clients: usize, queries_per_client: usize) -> Tier {
         queued_by_admission: stat("queued_by_admission"),
         rejected: stat("rejected"),
         cache_evictions: stat("cache_evictions"),
+        plan_cache_hits: stat("plan_cache_hits"),
     };
+    // Each client cycles the shapes, so from the second lap on its
+    // session has planned what it is sent.
+    assert!(
+        tier.plan_cache_hits > 0 || queries_per_client <= SHAPES.len(),
+        "{clients} clients re-sent shapes and no session served one from its plan cache"
+    );
     probe.close().unwrap();
     server.stop();
     tier

@@ -24,7 +24,9 @@ pub mod catalog;
 pub mod constraints;
 pub mod lint;
 
-pub use catalog::{Catalog, FunctionRegistry, OverlayCatalog, SimpleCatalog};
+pub use catalog::{
+    Catalog, CatalogEntry, FunctionRegistry, OverlayCatalog, RecordingCatalog, SimpleCatalog,
+};
 
 use crate::error::{CatalystError, Result};
 use crate::expr::{AggFunc, BinaryOperator, ColumnRef, Expr, ScalarFunc, SortOrder};
@@ -79,7 +81,7 @@ impl Analyzer {
         let out = plan.transform_up(&mut |p| match p {
             LogicalPlan::UnresolvedRelation { name } => {
                 match catalog::require_table(self.catalog.as_ref(), &name) {
-                    Ok(resolved) => Transformed::yes(resolved.subquery_alias(name)),
+                    Ok(entry) => Transformed::yes(entry.plan.subquery_alias(name)),
                     Err(e) => {
                         err = Some(e);
                         Transformed::no(LogicalPlan::UnresolvedRelation { name })

@@ -451,6 +451,57 @@ mod tests {
     }
 
     #[test]
+    fn column_pruning_narrows_window_input() {
+        use crate::expr::{ColumnRef, SortOrder, WindowFrame, WindowFunc};
+        use crate::rules::Rule;
+        let cols: Vec<ColumnRef> = ["part", "ord", "arg", "shown", "unused1", "unused2"]
+            .iter()
+            .map(|n| ColumnRef::new(*n, DataType::Long, false))
+            .collect();
+        let c = |i: usize| Expr::Column(cols[i].clone());
+        let order_by = vec![SortOrder {
+            expr: c(1),
+            ascending: true,
+        }];
+        let w = Expr::WindowFunction {
+            func: WindowFunc::Agg(crate::expr::AggFunc::Sum),
+            args: vec![c(2)],
+            partition_by: vec![c(0)],
+            order_by: order_by.clone(),
+            frame: WindowFrame::default_for(true),
+        }
+        .alias("w");
+        let w_attr = Expr::Column(w.to_attribute().unwrap());
+        let base = LogicalPlan::LocalRelation {
+            output: cols.clone(),
+            rows: Arc::new(vec![]),
+        };
+        let plan = base
+            .window(vec![w], vec![c(0)], order_by)
+            .project(vec![c(3), w_attr]);
+        let before = plan.output();
+
+        let out = ColumnPruning.apply(plan);
+        assert!(out.changed);
+        assert_eq!(out.data.output(), before, "{}", out.data);
+        let mut window_input = vec![];
+        out.data.for_each(&mut |p| {
+            if let LogicalPlan::Window { input, .. } = p {
+                window_input = input.output().iter().map(|c| c.name.to_string()).collect();
+            }
+        });
+        // Partition, order, argument, and what the projection shows.
+        assert_eq!(
+            window_input,
+            ["part", "ord", "arg", "shown"],
+            "{}",
+            out.data
+        );
+        // Nothing left to prune the second time.
+        assert!(!ColumnPruning.apply(out.data).changed);
+    }
+
+    #[test]
     fn decimal_aggregates_rewrites_small_precision_sums() {
         let t = table(&[("d", DataType::Decimal(6, 2))]);
         let plan = analyze(

@@ -417,8 +417,8 @@ impl Rule<LogicalPlan> for PushDownPredicate {
     }
 }
 
-/// Projection pruning (§4.3.2): narrow join and aggregate inputs to the
-/// columns actually used, shrinking shuffles.
+/// Projection pruning (§4.3.2): narrow join, window and aggregate inputs
+/// to the columns actually used, shrinking shuffles.
 pub struct ColumnPruning;
 
 impl ColumnPruning {
@@ -481,6 +481,34 @@ impl Rule<LogicalPlan> for ColumnPruning {
                     } else {
                         Transformed::no(node)
                     }
+                }
+                // Project over Window: the window passes its input
+                // through, so that input needs what the projection reads
+                // of it plus the partition, order and argument columns.
+                LogicalPlan::Window {
+                    input: child,
+                    window_exprs,
+                    partition_by,
+                    order_by,
+                } => {
+                    let required: Vec<ColumnRef> = exprs
+                        .iter()
+                        .chain(&window_exprs)
+                        .chain(&partition_by)
+                        .chain(order_by.iter().map(|o| &o.expr))
+                        .flat_map(|e| e.references())
+                        .collect();
+                    let (new_child, changed) = Self::prune_side(child, &required);
+                    let node = LogicalPlan::Project {
+                        input: Arc::new(LogicalPlan::Window {
+                            input: new_child,
+                            window_exprs,
+                            partition_by,
+                            order_by,
+                        }),
+                        exprs,
+                    };
+                    Transformed::no(node).or_changed(changed)
                 }
                 other => Transformed::no(LogicalPlan::Project {
                     input: Arc::new(other),

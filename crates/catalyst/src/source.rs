@@ -224,6 +224,17 @@ pub trait BaseRelation: Send + Sync {
         None
     }
 
+    /// A number that moves whenever [`BaseRelation::size_in_bytes`],
+    /// [`BaseRelation::row_count`] or [`BaseRelation::column_statistics`]
+    /// may answer differently than before. A plan kept for reuse
+    /// remembers it for every relation it scans and is made again once it
+    /// moved, so a statement first planned while a cache was cold gets
+    /// its statistics-driven plan after the fill. Sources whose answers
+    /// never change keep the default.
+    fn statistics_epoch(&self) -> u64 {
+        0
+    }
+
     /// Downcasting hook for engine-specific integrations.
     fn as_any(&self) -> &dyn Any;
 }

@@ -261,6 +261,15 @@ impl CachedRelation {
     }
 }
 
+/// The relation owns its blocks: once no catalog entry, plan or RDD holds
+/// it, nothing can read them again, so they leave the block store with it
+/// (`UNCACHE TABLE`, a re-registered name, a closed service session).
+impl Drop for CachedRelation {
+    fn drop(&mut self) {
+        self.sc.cache_manager().release_rdd(self.cache_id);
+    }
+}
+
 impl BaseRelation for CachedRelation {
     fn name(&self) -> String {
         format!("InMemoryCache:{}", self.name)
@@ -326,6 +335,13 @@ impl BaseRelation for CachedRelation {
             }
         }
         Some(stats)
+    }
+
+    fn statistics_epoch(&self) -> u64 {
+        // The data never changes, so the three statistics answers depend
+        // only on which partitions are resident — and which of "none",
+        // "some" and "all" it is decides every rewrite they feed.
+        self.resident_partitions() as u64
     }
 
     fn num_partitions(&self) -> usize {

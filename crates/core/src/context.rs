@@ -7,10 +7,17 @@ use crate::conf::SqlConf;
 use crate::dataframe::DataFrame;
 use crate::execution::{execute, ExecContext};
 use crate::io::DataFrameReader;
+use crate::plan_cache::{
+    statistics_epochs, PlanCache, PlanCacheStats, PlanMemo, PlanStamp, Planned,
+};
 use crate::query_execution::QueryLogEntry;
 use crate::rdd_table::RddTable;
 use crate::record::Record;
-use catalyst::analysis::{Analyzer, Catalog, FunctionRegistry, OverlayCatalog, SimpleCatalog};
+use catalyst::analysis::catalog::require_table;
+use catalyst::analysis::{
+    Analyzer, Catalog, CatalogEntry, FunctionRegistry, OverlayCatalog, RecordingCatalog,
+    SimpleCatalog,
+};
 use catalyst::error::{CatalystError, Result};
 use catalyst::expr::{ColumnRef, UdfImpl};
 use catalyst::optimizer::Optimizer;
@@ -27,8 +34,13 @@ use catalyst::value::Value;
 use datasources::{CsvOptions, DataSourceRegistry, JsonRelation, Options};
 use engine::{RddRef, SparkContext};
 use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// How many runs the session query log keeps; the oldest falls off when
+/// one more is recorded.
+pub const QUERY_LOG_CAPACITY: usize = 1024;
 
 struct CtxInner {
     sc: SparkContext,
@@ -41,12 +53,22 @@ struct CtxInner {
     udts: Arc<UdtRegistry>,
     sources: Arc<DataSourceRegistry>,
     conf: RwLock<SqlConf>,
+    /// Bumped by every write to `conf`; half of a [`PlanStamp`].
+    conf_version: AtomicU64,
     strategies: RwLock<Vec<Arc<dyn Strategy>>>,
     optimizer: Mutex<Optimizer>,
-    /// Plans saved by `CACHE TABLE` so `UNCACHE` can restore them.
-    uncached_plans: Mutex<std::collections::HashMap<String, LogicalPlan>>,
-    /// Instrumented runs recorded by `QueryExecution::collect`.
-    query_log: Mutex<Vec<QueryLogEntry>>,
+    /// Bumped whenever a UDF, UDT, strategy or optimizer batch is
+    /// registered; the other half of a [`PlanStamp`]. Functions and UDTs
+    /// are shared with derived sessions, so the counter is too.
+    plan_generation: Arc<AtomicU64>,
+    /// Statement text → analyzed plan + plan memo (see `plan_cache`).
+    plan_cache: Mutex<PlanCache>,
+    /// Catalog entries replaced by `CACHE TABLE`, for `UNCACHE` to put
+    /// back as they were.
+    uncached: Mutex<HashMap<String, CatalogEntry>>,
+    /// Instrumented runs recorded by `QueryExecution::collect`, newest
+    /// last, at most [`QUERY_LOG_CAPACITY`].
+    query_log: Mutex<VecDeque<QueryLogEntry>>,
     /// Stable id stamped on this session's query-log entries. `"local"`
     /// for library use; the SQL service assigns `s1`, `s2`, ….
     session_id: String,
@@ -72,10 +94,13 @@ impl SQLContext {
                 udts: Arc::new(UdtRegistry::default()),
                 sources: Arc::new(DataSourceRegistry::default()),
                 conf: RwLock::new(SqlConf::default()),
+                conf_version: AtomicU64::new(0),
                 strategies: RwLock::new(Vec::new()),
                 optimizer: Mutex::new(Optimizer::new()),
-                uncached_plans: Mutex::new(std::collections::HashMap::new()),
-                query_log: Mutex::new(Vec::new()),
+                plan_generation: Arc::new(AtomicU64::new(0)),
+                plan_cache: Mutex::new(PlanCache::default()),
+                uncached: Mutex::new(HashMap::new()),
+                query_log: Mutex::new(VecDeque::new()),
                 session_id: "local".to_string(),
                 next_query_id: AtomicU64::new(1),
             }),
@@ -91,7 +116,8 @@ impl SQLContext {
     /// gets its own temp-view layer (a [`OverlayCatalog`] over the shared
     /// catalog), a snapshot of the current configuration (later `SET`s
     /// are invisible across sessions), its own query log, and its own
-    /// query-id counter. Custom optimizer batches are *not* inherited.
+    /// query-id counter and its own plan cache. Custom optimizer batches
+    /// are *not* inherited.
     pub fn new_session(&self, session_id: impl Into<String>) -> SQLContext {
         SQLContext {
             inner: Arc::new(CtxInner {
@@ -104,10 +130,13 @@ impl SQLContext {
                 udts: self.inner.udts.clone(),
                 sources: self.inner.sources.clone(),
                 conf: RwLock::new(self.conf()),
+                conf_version: AtomicU64::new(0),
                 strategies: RwLock::new(self.inner.strategies.read().clone()),
                 optimizer: Mutex::new(Optimizer::new()),
-                uncached_plans: Mutex::new(std::collections::HashMap::new()),
-                query_log: Mutex::new(Vec::new()),
+                plan_generation: self.inner.plan_generation.clone(),
+                plan_cache: Mutex::new(PlanCache::default()),
+                uncached: Mutex::new(HashMap::new()),
+                query_log: Mutex::new(VecDeque::new()),
                 session_id: session_id.into(),
                 next_query_id: AtomicU64::new(1),
             }),
@@ -132,18 +161,39 @@ impl SQLContext {
         }
     }
 
-    fn catalog_register(&self, name: &str, plan: LogicalPlan) {
+    /// Put `entry` under `name` in the layer this session writes to
+    /// (its temp-view layer, or the shared catalog for the root context).
+    fn catalog_insert(&self, name: &str, entry: CatalogEntry) {
         match &self.inner.session_catalog {
-            Some(overlay) => overlay.register(name, plan),
-            None => self.inner.shared_catalog.register(name, plan),
+            Some(overlay) => overlay.insert(name, entry),
+            None => self.inner.shared_catalog.insert(name, entry),
         }
+        self.drop_stale_plans();
     }
 
     fn catalog_unregister(&self, name: &str) -> bool {
-        match &self.inner.session_catalog {
+        let existed = match &self.inner.session_catalog {
             Some(overlay) => overlay.unregister(name),
             None => self.inner.shared_catalog.unregister(name),
-        }
+        };
+        self.drop_stale_plans();
+        existed
+    }
+
+    /// This session just changed its catalog: let go of cached plans over
+    /// entries that are gone for good, so they do not keep a dropped
+    /// relation (and a cached one's blocks) alive until their text happens
+    /// to be sent again. An entry `CACHE TABLE` set aside is not gone —
+    /// `UNCACHE TABLE` brings it back and plans over it with it.
+    fn drop_stale_plans(&self) {
+        let catalog = self.catalog_dyn();
+        let set_aside = self.inner.uncached.lock();
+        self.inner.plan_cache.lock().drop_stale(|name, id| {
+            catalog.lookup_entry(name).is_some_and(|e| e.id == id)
+                || set_aside
+                    .get(&name.to_ascii_lowercase())
+                    .is_some_and(|e| e.id == id)
+        });
     }
 
     /// Create a session with a fresh local "cluster" of
@@ -165,6 +215,7 @@ impl SQLContext {
     /// Mutate the configuration.
     pub fn set_conf(&self, f: impl FnOnce(&mut SqlConf)) {
         f(&mut self.inner.conf.write());
+        self.inner.conf_version.fetch_add(1, Ordering::SeqCst);
         // Shared-resource knobs (the cache budget/policy) act on the
         // engine immediately, same as the string-keyed `set` path.
         self.apply_cache_conf();
@@ -176,6 +227,7 @@ impl SQLContext {
     /// statements and startup environment variables.
     pub fn set(&self, key: &str, value: &str) -> Result<()> {
         self.inner.conf.write().set(key, value)?;
+        self.inner.conf_version.fetch_add(1, Ordering::SeqCst);
         let lower = key.to_ascii_lowercase();
         if lower.starts_with("spark.sql.chaos.") {
             self.apply_chaos_conf();
@@ -330,24 +382,118 @@ impl SQLContext {
         })
     }
 
-    /// Full pipeline: analyzed plan → engine RDD.
-    pub fn execute_plan(&self, analyzed: &LogicalPlan) -> Result<RddRef<Row>> {
-        let (_, physical) = self.plan_query(analyzed)?;
+    /// What planning depends on besides the analyzed plan, as of now.
+    fn plan_stamp(&self) -> PlanStamp {
+        PlanStamp {
+            conf_version: self.inner.conf_version.load(Ordering::SeqCst),
+            generation: self.inner.plan_generation.load(Ordering::SeqCst),
+        }
+    }
+
+    /// The optimized + physical plans of `analyzed`, planned at most once
+    /// per `memo` while the session's configuration and extension
+    /// registries stay as they are. The flag says whether the memo
+    /// answered. Every output operation and `query_execution()` come
+    /// through here, so a statement served from the plan cache, a
+    /// DataFrame collected twice and an `EXPLAIN` all see one plan.
+    pub(crate) fn planned(
+        &self,
+        analyzed: &LogicalPlan,
+        memo: &PlanMemo,
+    ) -> Result<(Arc<Planned>, bool)> {
+        // Read before planning: a change that races with it leaves a
+        // stamp that no longer matches, never a stale plan that does.
+        let stamp = self.plan_stamp();
+        if let Some(planned) = memo.get(stamp) {
+            return Ok((planned, true));
+        }
+        let statistics = statistics_epochs(analyzed);
+        let PlannedQuery {
+            optimized,
+            physical,
+            ..
+        } = self.plan_query_monitored(analyzed)?;
+        let planned = Arc::new(Planned {
+            optimized,
+            physical,
+            stamp,
+            statistics,
+        });
+        memo.set(planned.clone());
+        Ok((planned, false))
+    }
+
+    /// Lower a physical plan to an engine RDD under the configuration of
+    /// this moment (lowering, shuffle ids and the memory pool belong to
+    /// one execution, not to the plan).
+    pub(crate) fn lower(&self, physical: &PhysicalPlan) -> Result<RddRef<Row>> {
         let ctx = ExecContext::new(self.inner.sc.clone(), self.conf());
-        execute(&physical, &ctx)
+        execute(physical, &ctx)
+    }
+
+    // ---- plan cache ----
+
+    /// A `SELECT` this session has analyzed before, if every table it
+    /// reads, the configuration and the extension registries are what
+    /// they were then.
+    fn cached_statement(&self, text: &str) -> Option<DataFrame> {
+        let catalog = self.catalog_dyn();
+        let (analyzed, memo) =
+            self.inner
+                .plan_cache
+                .lock()
+                .get(text, self.plan_stamp(), catalog.as_ref())?;
+        Some(DataFrame::with_memo(self.clone(), analyzed, memo))
+    }
+
+    /// Analyze a parsed `SELECT`, recording which catalog entries it
+    /// resolved, and keep the result under its text.
+    fn analyze_statement(&self, text: &str, plan: LogicalPlan) -> Result<DataFrame> {
+        let stamp = self.plan_stamp();
+        let catalog = Arc::new(RecordingCatalog::new(self.catalog_dyn()));
+        let analyzed =
+            Analyzer::new(catalog.clone(), self.inner.functions.clone()).analyze(plan)?;
+        let memo = PlanMemo::default();
+        self.inner.plan_cache.lock().insert(
+            text,
+            analyzed.clone(),
+            catalog.take_seen(),
+            stamp,
+            memo.clone(),
+        );
+        Ok(DataFrame::with_memo(self.clone(), analyzed, memo))
+    }
+
+    /// This session's plan-cache counters: `sql()` calls served from the
+    /// cache, `SELECT`s that had to be analyzed, entries dropped because
+    /// what they were planned against changed, and entries resident.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.inner.plan_cache.lock().stats()
     }
 
     // ---- query log ----
 
     /// Record one instrumented run (called by `QueryExecution::collect`).
     pub(crate) fn log_query(&self, entry: QueryLogEntry) {
-        self.inner.query_log.lock().push(entry);
+        let mut log = self.inner.query_log.lock();
+        if log.len() == QUERY_LOG_CAPACITY {
+            log.pop_front();
+        }
+        log.push_back(entry);
     }
 
-    /// Snapshot of the session query log: one entry per instrumented run
-    /// (`collect` on a `QueryExecution`, or `explain_analyze`).
+    /// Snapshot of the session query log, oldest first: one entry per
+    /// instrumented run (`collect` on a `QueryExecution`, or
+    /// `explain_analyze`). The log is a ring of the most recent
+    /// [`QUERY_LOG_CAPACITY`] (1024) runs, so a context can serve queries
+    /// for days without it growing.
     pub fn query_log(&self) -> Vec<QueryLogEntry> {
-        self.inner.query_log.lock().clone()
+        self.inner.query_log.lock().iter().cloned().collect()
+    }
+
+    /// The most recent instrumented run, if any.
+    pub fn last_query_log_entry(&self) -> Option<QueryLogEntry> {
+        self.inner.query_log.lock().back().cloned()
     }
 
     /// Drop every recorded query log entry.
@@ -372,9 +518,21 @@ impl SQLContext {
 
     /// Run a SQL statement. Queries return a DataFrame; DDL statements
     /// return an empty DataFrame after taking effect.
+    ///
+    /// A `SELECT` whose exact text this session has run before is served
+    /// from its plan cache — no parse, no analysis and, once executed, no
+    /// optimization or physical planning — provided every table it reads
+    /// is the catalog entry it was analyzed against and neither the
+    /// configuration nor a UDF/UDT/strategy/optimizer-batch registry
+    /// changed since. Otherwise it is planned afresh and replaces the
+    /// entry. The cache holds the [`crate::plan_cache::PLAN_CACHE_CAPACITY`]
+    /// most recently used statements; `EXPLAIN` and DDL are never cached.
     pub fn sql(&self, text: &str) -> Result<DataFrame> {
+        if let Some(df) = self.cached_statement(text) {
+            return Ok(df);
+        }
         match sql::parse(text)? {
-            sql::Statement::Query(plan) => self.dataframe(plan),
+            sql::Statement::Query(plan) => self.analyze_statement(text, plan),
             sql::Statement::CreateTempTable {
                 name,
                 provider,
@@ -507,12 +665,12 @@ impl SQLContext {
     /// Register an analyzed plan as a temp table (in the session layer,
     /// for sessions; in the shared catalog, for the root context).
     pub fn register_plan(&self, name: &str, plan: LogicalPlan) {
-        self.catalog_register(name, plan);
+        self.catalog_insert(name, CatalogEntry::new(plan));
     }
 
     /// Register a data source relation as a table.
     pub fn register_relation(&self, name: &str, relation: Arc<dyn BaseRelation>) {
-        self.catalog_register(name, scan_plan(relation));
+        self.register_plan(name, scan_plan(relation));
     }
 
     /// Register literal rows as a table.
@@ -645,23 +803,32 @@ impl SQLContext {
             return_type,
             func: Box::new(f),
         });
+        self.bump_plan_generation();
+    }
+
+    /// An extension point changed: plans made before it are stale.
+    fn bump_plan_generation(&self) {
+        self.inner.plan_generation.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Register a user-defined type (§4.4.2).
     pub fn register_udt(&self, name: &str, sql_type: DataType) {
         self.inner.udts.register(name, sql_type);
+        self.bump_plan_generation();
     }
 
     /// Register a physical planning strategy ahead of the defaults (what
     /// the §7.2 interval join uses).
     pub fn add_strategy(&self, strategy: Arc<dyn Strategy>) {
         self.inner.strategies.write().push(strategy);
+        self.bump_plan_generation();
     }
 
     /// Append a batch of logical optimizer rules (§4.4: "developers can
     /// add batches of rules … at runtime").
     pub fn add_optimizer_batch(&self, batch: Batch<LogicalPlan>) {
         self.inner.optimizer.lock().add_batch(batch);
+        self.bump_plan_generation();
     }
 
     // ---- caching (§3.6) ----
@@ -693,35 +860,37 @@ impl SQLContext {
         )))
     }
 
-    /// `CACHE TABLE name`: replace the catalog entry with its cached form.
+    /// `CACHE TABLE name`: replace the catalog entry with its cached
+    /// form, keeping the entry it replaces — the entry as stored, not the
+    /// alias-wrapped plan analysis makes of it, so a table's plan is the
+    /// same size after any number of `CACHE`/`UNCACHE` round trips.
     pub fn cache_table(&self, name: &str) -> Result<()> {
-        let df = self.table(name)?;
-        let plan = df.logical_plan().clone();
-        let rel = self.cached_relation_for(&df, name)?;
+        let stored = require_table(self.catalog_dyn().as_ref(), name)?;
+        let rel = self.cached_relation_for(&self.table(name)?, name)?;
+        // Caching a cached table again keeps the first, uncached entry.
         self.inner
-            .uncached_plans
+            .uncached
             .lock()
-            .insert(name.to_ascii_lowercase(), plan);
+            .entry(name.to_ascii_lowercase())
+            .or_insert(stored);
         self.register_relation(name, rel);
         Ok(())
     }
 
-    /// `UNCACHE TABLE name`: restore the original plan.
+    /// `UNCACHE TABLE name`: put back the entry `CACHE TABLE` replaced —
+    /// the same entry, so statements planned before the `CACHE TABLE` are
+    /// valid again, and the ones planned over the cached form are dropped
+    /// with it.
     pub fn uncache_table(&self, name: &str) -> Result<()> {
-        match self
+        let set_aside = self
             .inner
-            .uncached_plans
+            .uncached
             .lock()
-            .remove(&name.to_ascii_lowercase())
-        {
-            Some(plan) => {
-                self.register_plan(name, plan);
-                Ok(())
-            }
-            None => Err(CatalystError::analysis(format!(
-                "table '{name}' is not cached"
-            ))),
-        }
+            .remove(&name.to_ascii_lowercase());
+        let entry = set_aside
+            .ok_or_else(|| CatalystError::analysis(format!("table '{name}' is not cached")))?;
+        self.catalog_insert(name, entry);
+        Ok(())
     }
 }
 

@@ -4,6 +4,7 @@
 //! line of code that caused them (§3.4).
 
 use crate::context::SQLContext;
+use crate::plan_cache::PlanMemo;
 use catalyst::error::Result;
 use catalyst::expr::builders;
 use catalyst::expr::{Expr, SortOrder};
@@ -22,6 +23,11 @@ use engine::RddRef;
 pub struct DataFrame {
     ctx: SQLContext,
     plan: LogicalPlan,
+    /// The optimized + physical plans, once an output operation,
+    /// `explain()` or `query_execution()` has asked for them. Shared with
+    /// clones, and with the session's plan cache when `sql()` built this
+    /// DataFrame.
+    memo: PlanMemo,
 }
 
 impl std::fmt::Debug for DataFrame {
@@ -32,7 +38,11 @@ impl std::fmt::Debug for DataFrame {
 
 impl DataFrame {
     pub(crate) fn new(ctx: SQLContext, plan: LogicalPlan) -> DataFrame {
-        DataFrame { ctx, plan }
+        DataFrame::with_memo(ctx, plan, PlanMemo::default())
+    }
+
+    pub(crate) fn with_memo(ctx: SQLContext, plan: LogicalPlan, memo: PlanMemo) -> DataFrame {
+        DataFrame { ctx, plan, memo }
     }
 
     /// The session this DataFrame belongs to.
@@ -62,10 +72,7 @@ impl DataFrame {
     fn derive(&self, plan: LogicalPlan) -> Result<DataFrame> {
         // Eager analysis (§3.4).
         let analyzed = self.ctx.analyze(plan)?;
-        Ok(DataFrame {
-            ctx: self.ctx.clone(),
-            plan: analyzed,
-        })
+        Ok(DataFrame::new(self.ctx.clone(), analyzed))
     }
 
     // ---- relational transformations (§3.3) ----
@@ -208,7 +215,8 @@ impl DataFrame {
     /// Spark code (§3.1: "each DataFrame can also be viewed as an RDD of
     /// Row objects").
     pub fn to_rdd(&self) -> Result<RddRef<Row>> {
-        self.ctx.execute_plan(&self.plan)
+        let (planned, _) = self.ctx.planned(&self.plan, &self.memo)?;
+        self.ctx.lower(&planned.physical)
     }
 
     /// Render up to `n` rows as an aligned text table.
@@ -262,11 +270,11 @@ impl DataFrame {
 
     /// EXPLAIN output: analyzed, optimized, and physical plans.
     pub fn explain(&self) -> Result<String> {
-        let (optimized, physical) = self.ctx.plan_query(&self.plan)?;
+        let (planned, _) = self.ctx.planned(&self.plan, &self.memo)?;
         Ok(format!(
             "== Analyzed Logical Plan ==\n{}\n== Optimized Logical Plan ==\n{}\n\
              == Physical Plan ==\n{}",
-            self.plan, optimized, physical
+            self.plan, planned.optimized, planned.physical
         ))
     }
 
@@ -292,7 +300,7 @@ impl DataFrame {
     /// physical plans plus a per-operator metrics registry that fills in
     /// when the handle executes.
     pub fn query_execution(&self) -> Result<crate::query_execution::QueryExecution> {
-        crate::query_execution::QueryExecution::new(self.ctx.clone(), self.plan.clone())
+        crate::query_execution::QueryExecution::new(self.ctx.clone(), self.plan.clone(), &self.memo)
     }
 
     /// Run the query and render the physical plan annotated with actual

@@ -43,6 +43,7 @@ pub mod dataframe;
 pub mod execution;
 pub mod io;
 mod join;
+pub mod plan_cache;
 pub mod query_execution;
 pub mod rdd_table;
 pub mod record;
@@ -54,6 +55,7 @@ pub use conf::SqlConf;
 pub use context::SQLContext;
 pub use dataframe::{DataFrame, GroupedData};
 pub use io::{DataFrameReader, DataFrameWriter, SaveMode};
+pub use plan_cache::PlanCacheStats;
 pub use query_execution::{
     CacheEvents, OperatorLogEntry, QueryExecution, QueryLogEntry, RecoveryEvents,
 };

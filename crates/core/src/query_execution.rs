@@ -11,6 +11,7 @@
 
 use crate::context::SQLContext;
 use crate::execution::{execute, AdaptiveLog, ExecContext};
+use crate::plan_cache::{PlanMemo, Planned};
 use catalyst::adaptive::{self, AdaptivePlanChange};
 use catalyst::error::Result;
 use catalyst::physical::metrics::{format_ns, render_annotated, PlanMetrics};
@@ -20,7 +21,7 @@ use catalyst::row::Row;
 use catalyst::rules::RuleHealthReport;
 use catalyst::CatalystError;
 use engine::{CacheBudgetStats, CancelToken, MemoryPool, MemoryStats, RddRef};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One query's compilation pipeline plus its execution metrics.
@@ -33,10 +34,14 @@ use std::time::Instant;
 pub struct QueryExecution {
     ctx: SQLContext,
     analyzed: LogicalPlan,
-    optimized: LogicalPlan,
-    physical: PhysicalPlan,
+    /// Optimized + physical plans, shared with the DataFrame's memo (and
+    /// the session plan cache) — everything else here is this handle's.
+    planned: Arc<Planned>,
+    /// True when `planned` came out of the memo instead of the planner.
+    plan_cached: bool,
     metrics: Arc<PlanMetrics>,
-    rule_health: RuleHealthReport,
+    /// Computed on first request: see [`QueryExecution::rule_health`].
+    rule_health: OnceLock<RuleHealthReport>,
     adaptive_log: AdaptiveLog,
     /// Memory pool of the most recent run (set by [`QueryExecution::to_rdd`]).
     mem_pool: Mutex<Option<Arc<MemoryPool>>>,
@@ -47,8 +52,12 @@ pub struct QueryExecution {
 }
 
 impl QueryExecution {
-    pub(crate) fn new(ctx: SQLContext, analyzed: LogicalPlan) -> Result<QueryExecution> {
-        let planned = ctx.plan_query_monitored(&analyzed)?;
+    pub(crate) fn new(
+        ctx: SQLContext,
+        analyzed: LogicalPlan,
+        memo: &PlanMemo,
+    ) -> Result<QueryExecution> {
+        let (planned, plan_cached) = ctx.planned(&analyzed, memo)?;
         let metrics = PlanMetrics::for_plan(&planned.physical);
         // Stamp cost-model row estimates up front so EXPLAIN ANALYZE can
         // grade estimated vs. actual rows per operator after the run.
@@ -57,10 +66,10 @@ impl QueryExecution {
         Ok(QueryExecution {
             ctx,
             analyzed,
-            optimized: planned.optimized,
-            physical: planned.physical,
+            planned,
+            plan_cached,
             metrics,
-            rule_health: planned.rule_health,
+            rule_health: OnceLock::new(),
             adaptive_log: AdaptiveLog::default(),
             mem_pool: Mutex::new(None),
             query_id,
@@ -84,19 +93,36 @@ impl QueryExecution {
         *self.cancel.lock().unwrap() = Some(token);
     }
 
+    /// True when this handle's plans were reused — from the session plan
+    /// cache or the DataFrame's own memo — instead of planned for it.
+    pub fn plan_cached(&self) -> bool {
+        self.plan_cached
+    }
+
     /// Per-rule health for this query's optimizer run: how often each
     /// rule was applied vs. actually fired, rules that change their own
     /// output when re-applied (idempotence probes), rewrites the plan
     /// validator rejected, and batches that hit `max_iterations` without
     /// converging.
+    ///
+    /// The report is not kept with the plan (a cached plan would carry
+    /// 7 KB of it for nobody): the first request re-runs the optimizer
+    /// over the analyzed plan under a monitor and keeps what it saw. If
+    /// that run fails — the session changed under the handle — the report
+    /// is empty.
     pub fn rule_health(&self) -> &RuleHealthReport {
-        &self.rule_health
+        self.rule_health.get_or_init(|| {
+            self.ctx
+                .plan_query_monitored(&self.analyzed)
+                .map(|p| p.rule_health)
+                .unwrap_or_default()
+        })
     }
 
     /// The rule-health report rendered as an aligned table, suitable for
     /// printing next to [`QueryExecution::explain_analyze`] output.
     pub fn rule_health_report(&self) -> String {
-        self.rule_health.render()
+        self.rule_health().render()
     }
 
     /// The analyzed logical plan (names resolved, types checked).
@@ -106,12 +132,12 @@ impl QueryExecution {
 
     /// The optimized logical plan.
     pub fn optimized(&self) -> &LogicalPlan {
-        &self.optimized
+        &self.planned.optimized
     }
 
     /// The physical plan the metrics registry is shaped after.
     pub fn physical(&self) -> &PhysicalPlan {
-        &self.physical
+        &self.planned.physical
     }
 
     /// Per-operator metrics, indexed by pre-order node id. Zero until an
@@ -135,7 +161,7 @@ impl QueryExecution {
         ctx.adaptive = self.adaptive_log.clone();
         ctx.cancel = self.cancel.lock().unwrap().clone();
         *self.mem_pool.lock().unwrap() = Some(ctx.mem.clone());
-        execute(&self.physical, &ctx)
+        execute(self.physical(), &ctx)
     }
 
     /// Memory-pool counters of the most recent run: `Some` only when the
@@ -161,7 +187,7 @@ impl QueryExecution {
     /// The plan that actually executed: the initial physical plan with
     /// the most recent run's adaptive rewrites applied.
     pub fn final_physical(&self) -> PhysicalPlan {
-        adaptive::final_plan(&self.physical, &self.adaptive_changes())
+        adaptive::final_plan(self.physical(), &self.adaptive_changes())
     }
 
     /// Execute, gather all rows, and record the run: operator metrics
@@ -212,25 +238,25 @@ impl QueryExecution {
         ));
         if changes.is_empty() {
             out.push_str("== Physical Plan (executed) ==\n");
-            out.push_str(&render_annotated(&self.physical, &self.metrics));
+            out.push_str(&render_annotated(self.physical(), &self.metrics));
         } else {
             // Adaptive execution re-planned mid-run: show what the static
             // planner chose, each runtime decision, and what actually ran.
             // Demotions keep the subtree shape, so the metrics registry's
             // pre-order ids line up with the final plan.
             out.push_str("== Initial Physical Plan ==\n");
-            out.push_str(&self.physical.to_string());
+            out.push_str(&self.physical().to_string());
             out.push_str("== Adaptive Plan Changes ==\n");
             for c in &changes {
                 out.push_str(&format!("{c}\n"));
             }
             out.push_str("== Final Physical Plan (executed) ==\n");
             out.push_str(&render_annotated(
-                &adaptive::final_plan(&self.physical, &changes),
+                &adaptive::final_plan(self.physical(), &changes),
                 &self.metrics,
             ));
         }
-        let entry = self.ctx.query_log().pop();
+        let entry = self.ctx.last_query_log_entry();
         let (wall, recovery, memory, cache) = entry
             .map(|e| (e.wall_ns, e.recovery, e.memory, e.cache))
             .unwrap_or((0, RecoveryEvents::default(), None, CacheEvents::default()));
@@ -297,7 +323,7 @@ impl QueryExecution {
         cache: CacheEvents,
     ) -> QueryLogEntry {
         let mut names = Vec::new();
-        preorder_descriptions(&self.physical, &mut names);
+        preorder_descriptions(self.physical(), &mut names);
         let operators = names
             .into_iter()
             .enumerate()
@@ -315,7 +341,8 @@ impl QueryExecution {
         QueryLogEntry {
             session_id: self.ctx.session_id().to_string(),
             query_id: self.query_id,
-            query: self.optimized.node_description(),
+            query: self.optimized().node_description(),
+            plan_cached: self.plan_cached,
             wall_ns,
             output_rows,
             operators,
@@ -475,6 +502,9 @@ pub struct QueryLogEntry {
     pub query_id: u64,
     /// Root description of the optimized logical plan.
     pub query: String,
+    /// True when the run reused a memoised plan (the session plan cache,
+    /// or an earlier use of the same DataFrame) instead of planning.
+    pub plan_cached: bool,
     /// End-to-end wall time of the run (driver side).
     pub wall_ns: u64,
     /// Rows the query returned.
@@ -536,10 +566,11 @@ impl QueryLogEntry {
             ),
         };
         format!(
-            "{{\"session_id\":{},\"query_id\":{},\"query\":{},\"wall_ns\":{},\"output_rows\":{},\"recovery\":{},\"memory\":{},\"cache\":{},\"operators\":[{}]}}",
+            "{{\"session_id\":{},\"query_id\":{},\"query\":{},\"plan_cached\":{},\"wall_ns\":{},\"output_rows\":{},\"recovery\":{},\"memory\":{},\"cache\":{},\"operators\":[{}]}}",
             json_string(&self.session_id),
             self.query_id,
             json_string(&self.query),
+            self.plan_cached,
             self.wall_ns,
             self.output_rows,
             self.recovery.to_json(),
@@ -585,6 +616,7 @@ mod tests {
             session_id: "local".into(),
             query_id: 7,
             query: "Project [a]".into(),
+            plan_cached: true,
             wall_ns: 1200,
             output_rows: 3,
             operators: vec![OperatorLogEntry {
@@ -606,6 +638,7 @@ mod tests {
         assert!(json.contains("\"session_id\":\"local\""), "{json}");
         assert!(json.contains("\"query_id\":7"), "{json}");
         assert!(json.contains("\"query\":\"Project [a]\""), "{json}");
+        assert!(json.contains("\"plan_cached\":true"), "{json}");
         assert!(
             json.contains("\"cache\":{\"evictions\":0,\"evicted_bytes\":0}"),
             "{json}"

@@ -244,6 +244,25 @@ impl CacheManager {
         }
     }
 
+    /// Release every block of an RDD whose owner is gone: the blocks and
+    /// their budget share are freed and nothing is marked lost, because
+    /// nobody is left to refill them — this is disposal, not a failure
+    /// for recovery accounting to count.
+    pub fn release_rdd(&self, rdd: RddId) {
+        let mut st = self.state.lock();
+        st.blocks.retain(|(id, _), _| *id != rdd);
+        st.lost.retain(|(id, _)| *id != rdd);
+        let sized: Vec<_> = st
+            .meta
+            .keys()
+            .filter(|(id, _)| *id == rdd)
+            .copied()
+            .collect();
+        for k in sized {
+            st.forget(&k);
+        }
+    }
+
     /// Drop everything.
     pub fn clear(&self) {
         let mut st = self.state.lock();
@@ -395,6 +414,22 @@ mod tests {
         assert_eq!(stats.used_bytes, 80);
         // Budget evictions are not failures: no recompute marker.
         assert!(!cm.take_lost(1, 1));
+    }
+
+    #[test]
+    fn release_frees_blocks_and_budget_without_marking_them_lost() {
+        let cm = CacheManager::default();
+        cm.put_sized(1, 0, Arc::new(vec![0u8; 40]), 0, 40);
+        cm.put_sized(1, 1, Arc::new(vec![0u8; 40]), 1, 40);
+        cm.put_sized(2, 0, Arc::new(vec![0u8; 10]), 0, 10);
+        // A block already lost to a failure is forgotten with the rest.
+        assert!(cm.evict(1, 1));
+        cm.release_rdd(1);
+        assert_eq!(cm.len(), 1);
+        assert_eq!(cm.budget_stats().used_bytes, 10);
+        assert_eq!(cm.budget_stats().resident_blocks, 1);
+        assert!(!cm.take_lost(1, 0) && !cm.take_lost(1, 1));
+        assert!(cm.get(2, 0).is_some());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::sched::{Outcome, QueryTask, Scheduler, ServiceConf};
 use crate::wire::{self, read_frame, write_frame};
 use catalyst::row::Row;
 use catalyst::value::Value;
-use spark_sql::SQLContext;
+use spark_sql::{PlanCacheStats, SQLContext};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,6 +33,9 @@ struct Shared {
     root: SQLContext,
     sched: Scheduler,
     sessions: Mutex<HashMap<String, SQLContext>>,
+    /// Plan-cache counters of sessions that have ended, so `stats` keeps
+    /// counting what they did.
+    ended_plan_cache: Mutex<PlanCacheStats>,
     next_session: AtomicU64,
     next_query: AtomicU64,
     shutdown: AtomicBool,
@@ -43,6 +46,40 @@ struct Shared {
 impl Shared {
     fn session(&self, id: &str) -> Option<SQLContext> {
         self.sessions.lock().unwrap().get(id).cloned()
+    }
+
+    /// Forget a session whose connection is over. Dropping its context
+    /// drops its temp views and plan cache, and with them whatever it
+    /// `CACHE TABLE`d: those blocks leave the shared block store.
+    fn end_session(&self, id: &str) {
+        let Some(ctx) = self.sessions.lock().unwrap().remove(id) else {
+            return;
+        };
+        let counters = PlanCacheStats {
+            entries: 0, // gone with the session
+            ..ctx.plan_cache_stats()
+        };
+        let mut ended = self.ended_plan_cache.lock().unwrap();
+        *ended = add_counters(*ended, counters);
+    }
+
+    /// Plan-cache counters summed over every session this server has had.
+    fn plan_cache_stats(&self) -> PlanCacheStats {
+        let ended = *self.ended_plan_cache.lock().unwrap();
+        self.sessions
+            .lock()
+            .unwrap()
+            .values()
+            .fold(ended, |sum, ctx| add_counters(sum, ctx.plan_cache_stats()))
+    }
+}
+
+fn add_counters(a: PlanCacheStats, b: PlanCacheStats) -> PlanCacheStats {
+    PlanCacheStats {
+        hits: a.hits + b.hits,
+        misses: a.misses + b.misses,
+        invalidations: a.invalidations + b.invalidations,
+        entries: a.entries + b.entries,
     }
 }
 
@@ -67,6 +104,7 @@ impl SqlServer {
             root,
             sched: Scheduler::new(conf.clone()),
             sessions: Mutex::new(HashMap::new()),
+            ended_plan_cache: Mutex::new(PlanCacheStats::default()),
             next_session: AtomicU64::new(1),
             next_query: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -93,8 +131,9 @@ impl SqlServer {
         self.addr
     }
 
-    /// Scheduler counters plus cache stats, as one JSON object (same
-    /// shape the `stats` wire op returns).
+    /// Scheduler counters, block-cache stats and the plan-cache counters
+    /// summed over every session so far, as one JSON object (same shape
+    /// the `stats` wire op returns). `sessions` counts open sessions.
     pub fn stats(&self) -> Json {
         stats_json(&self.shared)
     }
@@ -145,25 +184,41 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 /// One connection: a hello handshake binds it to a fresh session, then
-/// requests are served in order until `close` or EOF.
+/// requests are served in order until `close` or EOF, and the session
+/// ends with the connection however that came about.
 fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let mut session_id: Option<String> = None;
+    let served = serve_requests(&mut stream, shared, &mut session_id);
+    if let Some(id) = session_id {
+        shared.end_session(&id);
+    }
+    served
+}
+
+fn serve_requests(
+    stream: &mut TcpStream,
+    shared: &Arc<Shared>,
+    session_id: &mut Option<String>,
+) -> io::Result<()> {
     // Every reply is a small JSON tree except a fetched result, which
     // is written from its rows straight into the frame.
     let tree = |reply: Json| wire::frame(|out| reply.write(out));
-    while let Some(req) = read_frame(&mut stream)? {
+    while let Some(req) = read_frame(stream)? {
         let op = req.get("op").and_then(Json::as_str).unwrap_or("");
-        let frame = match (op, &session_id) {
-            ("hello", _) => {
+        let frame = match (op, &*session_id) {
+            ("hello", previous) => {
+                if let Some(previous) = previous {
+                    shared.end_session(previous);
+                }
                 let id = format!("s{}", shared.next_session.fetch_add(1, Ordering::SeqCst));
                 let ctx = shared.root.new_session(&id);
                 shared.sessions.lock().unwrap().insert(id.clone(), ctx);
-                session_id = Some(id.clone());
+                *session_id = Some(id.clone());
                 tree(ok([("session", Json::Str(id))]))
             }
             (_, None) => tree(err("handshake required: send {\"op\":\"hello\"} first")),
             ("close", Some(_)) => {
-                let _ = write_frame(&mut stream, &ok([]));
+                let _ = write_frame(stream, &ok([]));
                 return Ok(());
             }
             ("set", Some(sid)) => tree(handle_set(shared, sid, &req)),
@@ -174,7 +229,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<(
             ("stats", Some(_)) => tree(stats_json(shared)),
             (other, Some(_)) => tree(err(&format!("unknown op {other:?}"))),
         }?;
-        wire::write_bytes(&mut stream, &frame)?;
+        wire::write_bytes(stream, &frame)?;
     }
     Ok(())
 }
@@ -303,6 +358,7 @@ fn handle_cancel(shared: &Shared, req: &Json) -> Json {
 fn stats_json(shared: &Shared) -> Json {
     let c = &shared.sched.counters;
     let cache = shared.root.spark_context().cache_manager().budget_stats();
+    let plans = shared.plan_cache_stats();
     ok([
         (
             "admitted",
@@ -328,6 +384,12 @@ fn stats_json(shared: &Shared) -> Json {
         ("cache_evictions", Json::Int(cache.evictions as i64)),
         ("cache_evicted_bytes", Json::Int(cache.evicted_bytes as i64)),
         ("cache_used_bytes", Json::Int(cache.used_bytes as i64)),
+        ("plan_cache_hits", Json::Int(plans.hits as i64)),
+        ("plan_cache_misses", Json::Int(plans.misses as i64)),
+        (
+            "plan_cache_invalidations",
+            Json::Int(plans.invalidations as i64),
+        ),
     ])
 }
 

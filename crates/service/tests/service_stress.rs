@@ -286,15 +286,25 @@ fn bounded_cache_evicts_and_queries_still_complete() {
     let expected_count = format!("{FACT_ROWS}");
     let mut server = SqlServer::start(root).unwrap();
     let addr = server.addr();
+    // A session's cached copy goes when the session ends, so the four
+    // stay connected until each has filled its own: four copies at once.
+    let all_cached = Arc::new(std::sync::Barrier::new(4));
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let expected = expected_count.clone();
+            let all_cached = all_cached.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                client.sql("CACHE TABLE fact").unwrap();
-                for _ in 0..2 {
-                    let r = client.sql("SELECT count(*) FROM fact").unwrap();
-                    assert_eq!(r.rows[0][0].encode(), expected);
+                let cached = client.sql("CACHE TABLE fact");
+                let counts: Vec<_> = (0..2)
+                    .map(|_| client.sql("SELECT count(*) FROM fact"))
+                    .collect();
+                // Checked after the barrier: a failure here must not
+                // leave the other three waiting for this one.
+                all_cached.wait();
+                cached.unwrap();
+                for r in counts {
+                    assert_eq!(r.unwrap().rows[0][0].encode(), expected);
                 }
                 client.close().unwrap();
             })
@@ -371,5 +381,55 @@ fn temp_views_are_session_scoped() {
     );
     a.close().unwrap();
     b.close().unwrap();
+    server.stop();
+}
+
+/// A session's `CACHE TABLE` blocks go when the session does, the plan
+/// cache serves its repeated statements, and `stats` keeps counting a
+/// session's plan-cache activity after it has ended.
+#[test]
+fn an_ended_session_gives_back_its_cached_blocks_and_keeps_its_counters() {
+    let root = root_with_tables();
+    root.spark_context().set_chaos(None);
+    let sc = root.spark_context().clone();
+    let baseline = (
+        sc.cache_manager().len(),
+        sc.cache_manager().budget_stats().used_bytes,
+    );
+    let mut server = SqlServer::start(root).unwrap();
+    let stat =
+        |server: &SqlServer, key: &str| server.stats().get(key).and_then(Json::as_i64).unwrap();
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.sql("CACHE TABLE fact").unwrap();
+    let sql = "SELECT count(*), sum(v) FROM fact";
+    let first = client.sql(sql).unwrap();
+    for _ in 0..3 {
+        assert_eq!(client.sql(sql).unwrap().rows, first.rows);
+    }
+    assert!(sc.cache_manager().len() > baseline.0);
+    assert_eq!(stat(&server, "sessions"), 1);
+    assert_eq!(stat(&server, "plan_cache_misses"), 1);
+    assert_eq!(stat(&server, "plan_cache_hits"), 3);
+    client.close().unwrap();
+
+    // The connection thread ends the session after replying to `close`.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let settled = || {
+        (
+            sc.cache_manager().len(),
+            sc.cache_manager().budget_stats().used_bytes,
+        )
+    };
+    while (settled() != baseline || stat(&server, "sessions") != 0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(stat(&server, "sessions"), 0);
+    assert_eq!(settled(), baseline, "the session's cached copy leaked");
+    assert_eq!(stat(&server, "plan_cache_hits"), 3);
+    assert_eq!(stat(&server, "plan_cache_misses"), 1);
+    assert_eq!(stat(&server, "plan_cache_invalidations"), 0);
     server.stop();
 }

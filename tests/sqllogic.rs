@@ -4,7 +4,9 @@
 //! tables. Each `query` record carries its expected output inline; the
 //! runner executes the whole corpus under the full configuration matrix
 //! (vectorize × adaptive × cbo × bounded-memory = 16 configs) and
-//! requires byte-identical results in every cell of the matrix. The
+//! requires byte-identical results in every cell of the matrix — twice
+//! on each context, the second pass served from the session plan cache
+//! and byte-identical to the first. The
 //! recorded goldens double as a cross-config differential oracle: an
 //! optimization that changes any answer fails with the file, query, SQL,
 //! and config that diverged.
@@ -364,30 +366,52 @@ fn run_file(name: &str) {
     }
 
     let mut queries = 0usize;
+    let has_statements = records
+        .iter()
+        .any(|r| matches!(r.directive, Directive::StatementOk));
     for config in matrix() {
         let ctx = context_for(config);
-        for r in &records {
-            let got = run_record(&ctx, r).unwrap_or_else(|e| {
-                panic!(
-                    "{}:{}: {e}\nSQL: {}\nconfig: {config}",
-                    path.display(),
-                    r.line,
-                    r.sql
-                )
-            });
-            if matches!(r.directive, Directive::StatementOk) {
-                continue;
+        // The corpus runs twice on one context. The first pass plans every
+        // statement; the second re-sends the same texts and — in a file
+        // that never touches the catalog — must be answered from the
+        // session plan cache, every query of it. Both are held to the
+        // goldens, so the second reproduces the first byte for byte.
+        for pass in 0..2 {
+            let before = ctx.plan_cache_stats();
+            let mut sent = 0u64;
+            for r in &records {
+                let got = run_record(&ctx, r).unwrap_or_else(|e| {
+                    panic!(
+                        "{}:{}: {e}\nSQL: {}\nconfig: {config} pass: {pass}",
+                        path.display(),
+                        r.line,
+                        r.sql
+                    )
+                });
+                if matches!(r.directive, Directive::StatementOk) {
+                    continue;
+                }
+                sent += 1;
+                queries += 1;
+                if got != r.expected {
+                    panic!(
+                        "{}:{}: result mismatch\nSQL: {}\nconfig: {config} pass: {pass}\n\
+                         expected:\n{}\ngot:\n{}",
+                        path.display(),
+                        r.line,
+                        r.sql,
+                        r.expected.join("\n"),
+                        got.join("\n"),
+                    );
+                }
             }
-            queries += 1;
-            if got != r.expected {
-                panic!(
-                    "{}:{}: result mismatch\nSQL: {}\nconfig: {config}\n\
-                     expected:\n{}\ngot:\n{}",
-                    path.display(),
-                    r.line,
-                    r.sql,
-                    r.expected.join("\n"),
-                    got.join("\n"),
+            let after = ctx.plan_cache_stats();
+            if pass == 1 && !has_statements {
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (sent, 0),
+                    "{}: second pass was not served from the plan cache\nconfig: {config}",
+                    path.display()
                 );
             }
         }
