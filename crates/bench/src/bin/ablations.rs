@@ -1,8 +1,8 @@
 //! Ablations for the design choices DESIGN.md calls out: each Catalyst
 //! feature is toggled in isolation and measured on a workload that
-//! exercises it.
+//! exercises it. (Compiled vs interpreted evaluation is Figure 4's and
+//! Figure 8's question: `--bin fig4`, `--bin fig8`.)
 //!
-//! * codegen on/off        → AMPLab query 1c (CPU-bound scan+filter);
 //! * filter pushdown       → federation query (bytes over the wire);
 //! * columnar cache on/off → cached-table scan footprint + query time;
 //! * broadcast threshold   → join strategy crossover sweep.
@@ -19,38 +19,9 @@ use spark_sql::{SQLContext, SqlConf};
 use std::sync::Arc;
 
 fn main() {
-    codegen_ablation();
     pushdown_ablation();
     cache_ablation();
     broadcast_crossover();
-}
-
-fn codegen_ablation() {
-    println!("== codegen on/off (AMPLab q1c + q2a) ==");
-    let data = amplab::generate(AmplabScale {
-        pages: 100_000,
-        visits: 200_000,
-        documents: 0,
-    });
-    for (label, codegen) in [("codegen on", true), ("codegen off", false)] {
-        let conf = SqlConf {
-            codegen_enabled: codegen,
-            ..SqlConf::default()
-        };
-        let ctx = amplab::make_context(&data, conf, 4);
-        let t1 = median_time(3, || {
-            ctx.sql(&amplab::query("1c")).unwrap().count().unwrap()
-        });
-        let t2 = median_time(3, || {
-            ctx.sql(&amplab::query("2a")).unwrap().count().unwrap()
-        });
-        println!(
-            "  {label:<12} q1c {:>7.1}ms   q2a {:>7.1}ms",
-            ms(t1),
-            ms(t2)
-        );
-    }
-    println!();
 }
 
 fn pushdown_ablation() {

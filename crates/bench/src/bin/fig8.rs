@@ -8,7 +8,8 @@
 //! native engine.
 //!
 //! Variants:
-//! * `shark`    — Spark SQL with codegen/columnar/pushdown disabled;
+//! * `shark`    — `SqlConf::shark_like()`: the interpreted, row-at-a-time
+//!   reference engine with the columnar cache and pushdown disabled;
 //! * `sparksql` — full configuration;
 //! * `native`   — hand-written multithreaded Rust per query ("Impala").
 //!

@@ -143,21 +143,34 @@ fn try_compile(expr: &Expr) -> Option<Compiled> {
         Expr::BoundRef { index, dtype, .. } => compile_bound_ref(*index, dtype),
         Expr::Alias { child, .. } => try_compile(child),
         Expr::Cast { expr, dtype } => {
-            let inner = compile(expr);
-            match dtype {
-                DataType::Long | DataType::Int => match inner {
-                    Compiled::Long(f) => Some(Compiled::Long(f)),
-                    Compiled::Double(f) => Some(Compiled::Long(Arc::new(move |row| {
-                        f(row).map(|v| v as i64)
-                    }))),
-                    _ => None,
-                },
-                DataType::Double | DataType::Float => as_double(&inner).map(Compiled::Double),
+            // As `Value::cast_to`: a BIGINT narrows to INT by wrapping, a
+            // float saturates.
+            let to_int = *dtype == DataType::Int;
+            match (dtype, compile(expr)) {
+                (DataType::Int | DataType::Long, Compiled::Long(f)) if to_int && !is_int(expr) => {
+                    Some(Compiled::Long(Arc::new(move |row| {
+                        f(row).map(|v| wrap(v, true))
+                    })))
+                }
+                (DataType::Int | DataType::Long, Compiled::Long(f)) => Some(Compiled::Long(f)),
+                (DataType::Int | DataType::Long, Compiled::Double(f)) => {
+                    Some(Compiled::Long(Arc::new(move |row| {
+                        f(row).map(|v| if to_int { v as i32 as i64 } else { v as i64 })
+                    })))
+                }
+                (DataType::Double | DataType::Float, inner) => {
+                    as_double(&inner).map(Compiled::Double)
+                }
                 _ => None,
             }
         }
         Expr::Negate(e) => match compile(e) {
-            Compiled::Long(f) => Some(Compiled::Long(Arc::new(move |row| f(row).map(|v| -v)))),
+            Compiled::Long(f) => {
+                let int = is_int(e);
+                Some(Compiled::Long(Arc::new(move |row| {
+                    f(row).map(|v| wrap(v.wrapping_neg(), int))
+                })))
+            }
             Compiled::Double(f) => Some(Compiled::Double(Arc::new(move |row| f(row).map(|v| -v)))),
             _ => None,
         },
@@ -301,6 +314,31 @@ macro_rules! arith {
     }};
 }
 
+/// Integral `+ - *` wrap at the declared width, as in Java (the paper-era
+/// Spark and Hive rule): INT with INT wraps at 32 bits, anything with a
+/// BIGINT at 64. Explicit `wrapping_*`, so debug and release agree.
+macro_rules! int_arith {
+    ($l:expr, $r:expr, $int:expr, $op:ident) => {{
+        let (l, r, int) = ($l, $r, $int);
+        Arc::new(move |row: &Row| Some(wrap(l(row)?.$op(r(row)?), int))) as RowFn<i64>
+    }};
+}
+
+/// Is `e` INT-typed (integral arithmetic over it wraps at 32 bits)?
+fn is_int(e: &Expr) -> bool {
+    e.data_type().ok() == Some(DataType::Int)
+}
+
+/// Wrap a 64-bit integral result to 32 bits when it is INT-typed.
+#[inline]
+pub(crate) fn wrap(v: i64, int: bool) -> i64 {
+    if int {
+        v as i32 as i64
+    } else {
+        v
+    }
+}
+
 macro_rules! cmp_fn {
     ($l:expr, $r:expr, $op:ident) => {{
         let (l, r) = ($l, $r);
@@ -333,18 +371,19 @@ fn compile_binary(left: &Expr, op: BinaryOperator, right: &Expr) -> Option<Compi
         return Some(Compiled::Bool(f));
     }
 
-    // Integer fast path: both sides integral, op not division.
+    // Integer fast path: both sides integral.
     if let (Some(l), Some(r)) = (as_long(&lc), as_long(&rc)) {
+        let int = is_int(left) && is_int(right);
         return Some(match op {
-            Add => Compiled::Long(arith!(l, r, +)),
-            Sub => Compiled::Long(arith!(l, r, -)),
-            Mul => Compiled::Long(arith!(l, r, *)),
+            Add => Compiled::Long(int_arith!(l, r, int, wrapping_add)),
+            Sub => Compiled::Long(int_arith!(l, r, int, wrapping_sub)),
+            Mul => Compiled::Long(int_arith!(l, r, int, wrapping_mul)),
             Mod => Compiled::Long(Arc::new(move |row| {
                 let b = r(row)?;
                 if b == 0 {
                     None
                 } else {
-                    Some(l(row)? % b)
+                    Some(l(row)?.wrapping_rem(b))
                 }
             })),
             Div => Compiled::Double(Arc::new(move |row| {

@@ -1,5 +1,5 @@
 //! Statistics-driven cardinality estimation — the cost model behind the
-//! CBO phase (`spark.sql.cbo.enabled`).
+//! CBO phase (run in production, skipped by the reference configuration).
 //!
 //! [`physical::stats::estimate`](crate::physical::stats) answers "how
 //! many bytes" for the broadcast decision; this module answers "how many

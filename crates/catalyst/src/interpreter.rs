@@ -250,9 +250,27 @@ fn eval_binary(left: &Expr, op: BinaryOperator, right: &Expr, row: &Row) -> Resu
     let l = eval(left, row)?;
     let r = eval(right, row)?;
     match op {
-        Add => l.add(&r),
-        Sub => l.sub(&r),
-        Mul => l.mul(&r),
+        Add | Sub | Mul => match (l.as_i64(), r.as_i64()) {
+            // Integral arithmetic wraps at the declared width, as in Java
+            // (the paper-era Spark and Hive rule): INT with INT is INT,
+            // anything with a BIGINT is BIGINT.
+            (Some(a), Some(b)) => {
+                let v = match op {
+                    Add => a.wrapping_add(b),
+                    Sub => a.wrapping_sub(b),
+                    _ => a.wrapping_mul(b),
+                };
+                Ok(match (&l, &r) {
+                    (Value::Int(_), Value::Int(_)) => Value::Int(v as i32),
+                    _ => Value::Long(v),
+                })
+            }
+            _ => match op {
+                Add => l.add(&r),
+                Sub => l.sub(&r),
+                _ => l.mul(&r),
+            },
+        },
         Div => l.div(&r),
         Mod => l.rem(&r),
         Eq | NotEq | Lt | LtEq | Gt | GtEq => {
@@ -444,6 +462,24 @@ mod tests {
         assert_eq!(eval(&e, &test_row()).unwrap(), Value::Long(30));
         let p = bound(&input, col("x").lt(lit(11i64)));
         assert_eq!(eval(&p, &test_row()).unwrap(), Value::Boolean(true));
+    }
+
+    #[test]
+    fn integral_arithmetic_wraps_at_the_declared_width() {
+        let int = |v: i32| Expr::Literal(Value::Int(v));
+        let long = |v: i64| Expr::Literal(Value::Long(v));
+        let cases = [
+            (int(i32::MAX).add(int(1)), Value::Int(i32::MIN)),
+            (int(i32::MIN).sub(int(1)), Value::Int(i32::MAX)),
+            (int(65_536).mul(int(65_536)), Value::Int(0)),
+            (int(i32::MAX).add(long(1)), Value::Long(i32::MAX as i64 + 1)),
+            (long(i64::MAX).add(long(1)), Value::Long(i64::MIN)),
+            (Expr::Negate(Box::new(int(i32::MIN))), Value::Int(i32::MIN)),
+            (long(i64::MIN).rem(long(-1)), Value::Long(0)),
+        ];
+        for (e, want) in cases {
+            assert_eq!(eval(&e, &Row::empty()).unwrap(), want, "{e}");
+        }
     }
 
     #[test]

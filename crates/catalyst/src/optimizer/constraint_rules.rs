@@ -2,7 +2,7 @@
 //! abstract interpretation in [`crate::analysis::constraints`].
 //!
 //! These run as a separate optimizer phase *after* the standard batches
-//! (gated by `spark.sql.constraints.enabled`), because they want to see
+//! (production runs it, the reference does not), because they want to see
 //! the plan in its settled shape — filters combined and pushed, casts
 //! simplified — before reasoning about nullability and value domains.
 //!

@@ -1,4 +1,4 @@
-//! Cost-based optimizer rules (`spark.sql.cbo.enabled`): join
+//! Cost-based optimizer rules (production runs them): join
 //! reordering by estimated cardinality, aggregates answered from source
 //! statistics, and common-subexpression elimination.
 //!

@@ -68,7 +68,7 @@ impl Optimizer {
         Optimizer { executor }
     }
 
-    /// The constraint-driven phase (`spark.sql.constraints.enabled`):
+    /// The constraint-driven phase (production only, not the reference):
     /// rules consuming the [`crate::analysis::constraints`] abstract
     /// interpretation, followed by a cleanup pass of the standard rules
     /// to fold the literals and collapse the filters the constraint
@@ -102,7 +102,7 @@ impl Optimizer {
         Optimizer { executor }
     }
 
-    /// The cost-based phase (`spark.sql.cbo.enabled`): statistics-driven
+    /// The cost-based phase (production only): statistics-driven
     /// join reordering, aggregates answered from source statistics, and
     /// common-subexpression elimination, followed by a cleanup pass.
     /// Runs after [`Optimizer::constraint_phase`] so estimates see the

@@ -21,10 +21,10 @@ pub struct PlannerConfig {
     pub column_pruning_enabled: bool,
     /// Broadcast-join threshold in estimated bytes.
     pub broadcast_threshold: u64,
-    /// Cost-based build-side selection for shuffled hash joins
-    /// (`spark.sql.cbo.enabled`): build the smaller estimated side.
-    /// When off, shuffled joins always build the right side.
-    pub cbo_enabled: bool,
+    /// Cost-based build-side selection for shuffled hash joins: build the
+    /// smaller estimated side. When off (the reference configuration),
+    /// shuffled joins always build the right side.
+    pub cost_based_build_side: bool,
 }
 
 impl Default for PlannerConfig {
@@ -33,7 +33,7 @@ impl Default for PlannerConfig {
             pushdown_enabled: true,
             column_pruning_enabled: true,
             broadcast_threshold: 10 * 1024 * 1024,
-            cbo_enabled: true,
+            cost_based_build_side: true,
         }
     }
 }
@@ -324,7 +324,7 @@ impl Strategy for JoinSelection {
             // either side may be built for any join type — build the
             // smaller estimated side. A side with unknown statistics is
             // arbitrarily large and never preferred.
-            let build_side = if planner.config.cbo_enabled
+            let build_side = if planner.config.cost_based_build_side
                 && !left_stats.is_unknown()
                 && (right_stats.is_unknown() || left_size < right_size)
             {

@@ -199,7 +199,7 @@ impl Value {
                 if b == 0 {
                     Ok(Value::Null)
                 } else {
-                    Ok(Value::Long(a % b))
+                    Ok(Value::Long(a.wrapping_rem(b)))
                 }
             }
             (a, b) => match (a.as_f64(), b.as_f64()) {
@@ -210,12 +210,13 @@ impl Value {
         }
     }
 
-    /// Arithmetic negation.
+    /// Arithmetic negation; integers wrap at their width (`-MIN` is
+    /// `MIN`), as in Java.
     pub fn neg(&self) -> Result<Value> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(v) => Ok(Value::Int(-v)),
-            Value::Long(v) => Ok(Value::Long(-v)),
+            Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
+            Value::Long(v) => Ok(Value::Long(v.wrapping_neg())),
             Value::Float(v) => Ok(Value::Float(-v)),
             Value::Double(v) => Ok(Value::Double(-v)),
             Value::Decimal(u, p, s) => Ok(Value::Decimal(-u, *p, *s)),
@@ -659,6 +660,8 @@ mod tests {
 
     #[test]
     fn integer_arithmetic_widens_on_overflow() {
+        // What the SUM accumulator relies on; expression arithmetic wraps
+        // at its declared width instead (see `interpreter`).
         let big = Value::Int(i32::MAX);
         assert_eq!(
             big.add(&Value::Int(1)).unwrap(),

@@ -6,6 +6,7 @@
 //! [`vectorized`](crate::vectorized)).
 
 use super::batch::{ColumnVector, NumLanes, RowBatch, VectorData};
+use crate::codegen::wrap;
 use crate::error::Result;
 use crate::expr::{BinaryOperator, Expr};
 use crate::interpreter;
@@ -14,26 +15,23 @@ use crate::value::Value;
 use std::sync::Arc;
 
 /// Evaluate `expr` over a batch, returning one output lane per physical
-/// row (unselected lanes hold unspecified filler). With `kernels` set,
-/// supported subtrees run as columnar kernels; otherwise (and for
-/// unsupported subtrees) the interpreter evaluates selected rows one at a
-/// time, exactly like the row path with codegen disabled.
-pub fn eval_batch(expr: &Expr, batch: &RowBatch, kernels: bool) -> Result<Arc<ColumnVector>> {
-    if kernels {
-        if let Some(v) = eval_kernel(expr, batch)? {
-            return Ok(v);
-        }
+/// row (unselected lanes hold unspecified filler). Supported subtrees run
+/// as columnar kernels; for the rest the interpreter evaluates selected
+/// rows one at a time.
+pub fn eval_batch(expr: &Expr, batch: &RowBatch) -> Result<Arc<ColumnVector>> {
+    match eval_kernel(expr, batch)? {
+        Some(v) => Ok(v),
+        None => fallback_eval(expr, batch),
     }
-    fallback_eval(expr, batch)
 }
 
 /// Evaluate a projection column-at-a-time. Output columns are re-tagged
 /// to each expression's declared type; the input selection carries over.
-pub fn eval_projection_batch(exprs: &[Expr], batch: &RowBatch, kernels: bool) -> Result<RowBatch> {
+pub fn eval_projection_batch(exprs: &[Expr], batch: &RowBatch) -> Result<RowBatch> {
     let columns = exprs
         .iter()
         .map(|e| {
-            let v = eval_batch(e, batch, kernels)?;
+            let v = eval_batch(e, batch)?;
             Ok(match e.data_type() {
                 Ok(declared) => v.retagged(&declared),
                 Err(_) => v,
@@ -49,8 +47,8 @@ pub fn eval_projection_batch(exprs: &[Expr], batch: &RowBatch, kernels: bool) ->
 
 /// Evaluate a predicate and refine the batch's selection vector to the
 /// lanes where it is non-NULL `TRUE`. No rows are copied.
-pub fn filter_batch(pred: &Expr, batch: &RowBatch, kernels: bool) -> Result<RowBatch> {
-    let v = eval_batch(pred, batch, kernels)?;
+pub fn filter_batch(pred: &Expr, batch: &RowBatch) -> Result<RowBatch> {
+    let v = eval_batch(pred, batch)?;
     let mut sel = Vec::with_capacity(batch.selected_count());
     batch.for_each_selected(|i| {
         if v.is_true(i) {
@@ -100,11 +98,11 @@ fn eval_kernel(expr: &Expr, batch: &RowBatch) -> Result<Option<Arc<ColumnVector>
                 return Ok(None);
             };
             Ok(match c.num_lanes() {
-                Some(NumLanes::I(v)) => Some(Arc::new(ColumnVector::new(
-                    DataType::Long,
-                    VectorData::Long(v.iter().map(|x| x.wrapping_neg()).collect()),
+                Some(NumLanes::I(v)) => Some(int_vector(
+                    v.iter().map(|x| x.wrapping_neg()),
+                    c.dtype == DataType::Int,
                     c.nulls.clone(),
-                ))),
+                )),
                 Some(NumLanes::F(v)) => Some(Arc::new(ColumnVector::new(
                     DataType::Double,
                     VectorData::Double(v.iter().map(|x| -x).collect()),
@@ -165,15 +163,24 @@ fn broadcast(v: &Value, n: usize) -> Option<Arc<ColumnVector>> {
     Some(Arc::new(ColumnVector::new(dtype, data, None)))
 }
 
-/// Numeric casts, mirroring the codegen `Cast` cases; everything else
-/// falls back.
+/// Numeric casts, mirroring the codegen `Cast` cases and
+/// [`Value::cast_to`]: a BIGINT narrows to INT by wrapping, a float
+/// saturates; everything else falls back.
 fn cast_kernel(c: &Arc<ColumnVector>, target: &DataType) -> Option<Arc<ColumnVector>> {
+    let narrow = *target == DataType::Int;
     match target {
         DataType::Int | DataType::Long => match c.num_lanes()? {
+            NumLanes::I(v) if narrow && c.dtype != DataType::Int => {
+                Some(int_vector(v.iter().copied(), true, c.nulls.clone()))
+            }
             NumLanes::I(_) => Some(c.clone().retagged(target)),
             NumLanes::F(v) => Some(Arc::new(ColumnVector::new(
                 target.clone(),
-                VectorData::Long(v.iter().map(|x| *x as i64).collect()),
+                VectorData::Long(
+                    v.iter()
+                        .map(|x| if narrow { *x as i32 as i64 } else { *x as i64 })
+                        .collect(),
+                ),
                 c.nulls.clone(),
             ))),
         },
@@ -199,6 +206,19 @@ fn null_test(c: &ColumnVector, n: usize, want_null: bool) -> Arc<ColumnVector> {
     ))
 }
 
+/// Integral lanes at their declared width: INT lanes wrap to 32 bits,
+/// as integral `+ - *` and unary `-` do in Java (the paper-era Spark and
+/// Hive rule); anything else is BIGINT.
+fn int_vector(
+    lanes: impl Iterator<Item = i64>,
+    int: bool,
+    nulls: Option<Vec<bool>>,
+) -> Arc<ColumnVector> {
+    let dtype = if int { DataType::Int } else { DataType::Long };
+    let lanes = lanes.map(|x| wrap(x, int)).collect();
+    Arc::new(ColumnVector::new(dtype, VectorData::Long(lanes), nulls))
+}
+
 fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<bool>> {
     match (a, b) {
         (None, None) => None,
@@ -208,10 +228,10 @@ fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<b
 }
 
 /// Binary kernels with the exact semantics of `codegen::compile_binary`:
-/// three-valued AND/OR, an exact integer fast path (Hive `/` always
-/// fractional, `%`/`/` by zero ⇒ NULL), a widening float path, and string
-/// comparison/concatenation. Type combinations the code generator would
-/// not compile return `None`.
+/// three-valued AND/OR, an integer fast path wrapping at the declared
+/// width (Hive `/` always fractional, `%`/`/` by zero ⇒ NULL), a widening
+/// float path, and string comparison/concatenation. Type combinations the
+/// code generator would not compile return `None`.
 fn binary_kernel(
     l: &Arc<ColumnVector>,
     op: BinaryOperator,
@@ -255,13 +275,15 @@ fn binary_kernel(
         )));
     }
 
-    // Integer fast path: exact 64-bit arithmetic and comparisons.
+    // Integer fast path: arithmetic at the declared width, exact
+    // comparisons.
     if let (Some(lv), Some(rv)) = (l.long_lanes(), r.long_lanes()) {
         let nulls = union_nulls(l.nulls(), r.nulls(), n);
+        let int = l.dtype == DataType::Int && r.dtype == DataType::Int;
         return Some(match op {
-            Add => long_arith(lv, rv, nulls, |a, b| a.wrapping_add(b)),
-            Sub => long_arith(lv, rv, nulls, |a, b| a.wrapping_sub(b)),
-            Mul => long_arith(lv, rv, nulls, |a, b| a.wrapping_mul(b)),
+            Add => long_arith(lv, rv, nulls, int, i64::wrapping_add),
+            Sub => long_arith(lv, rv, nulls, int, i64::wrapping_sub),
+            Mul => long_arith(lv, rv, nulls, int, i64::wrapping_mul),
             Mod => {
                 let mut nulls = nulls.unwrap_or_else(|| vec![false; n]);
                 let mut lanes = vec![0i64; n];
@@ -389,14 +411,10 @@ fn long_arith(
     lv: &[i64],
     rv: &[i64],
     nulls: Option<Vec<bool>>,
+    int: bool,
     f: impl Fn(i64, i64) -> i64,
 ) -> Arc<ColumnVector> {
-    let lanes = lv.iter().zip(rv).map(|(a, b)| f(*a, *b)).collect();
-    Arc::new(ColumnVector::new(
-        DataType::Long,
-        VectorData::Long(lanes),
-        nulls,
-    ))
+    int_vector(lv.iter().zip(rv).map(|(a, b)| f(*a, *b)), int, nulls)
 }
 
 fn long_cmp(
@@ -426,6 +444,14 @@ mod tests {
         }
     }
 
+    fn bin(l: Expr, op: BinaryOperator, r: Expr) -> Expr {
+        Expr::BinaryOp {
+            left: Box::new(l),
+            op,
+            right: Box::new(r),
+        }
+    }
+
     fn long_batch(vals: &[Option<i64>]) -> RowBatch {
         let values: Vec<Value> = vals
             .iter()
@@ -437,77 +463,152 @@ mod tests {
         )
     }
 
+    /// `expr` has a kernel, and on every selected lane of `batch` that
+    /// kernel answers what the interpreter answers for the lane's row —
+    /// value and tag.
+    fn assert_kernel_matches_interpreter(expr: &Expr, batch: &RowBatch) {
+        let out = eval_kernel(expr, batch)
+            .unwrap()
+            .unwrap_or_else(|| panic!("no kernel for {expr}"));
+        batch.for_each_selected(|i| {
+            let row = batch.row(i);
+            let want = interpreter::eval(expr, &row).unwrap();
+            assert_eq!(out.get(i), want, "{expr} on {row:?}");
+        });
+    }
+
     #[test]
     fn filter_refines_selection_without_copying() {
         let batch = long_batch(&[Some(1), Some(5), None, Some(9)]);
-        let pred = Expr::BinaryOp {
-            left: Box::new(bound(0, DataType::Long)),
-            op: BinaryOperator::Gt,
-            right: Box::new(Expr::Literal(Value::Long(4))),
-        };
-        for kernels in [true, false] {
-            let out = filter_batch(&pred, &batch, kernels).unwrap();
-            assert_eq!(out.num_rows(), 4, "lanes stay physical");
-            assert_eq!(out.selection(), Some(&[1u32, 3][..]));
-            let rows = out.into_selected_rows();
-            assert_eq!(rows.len(), 2);
-            assert_eq!(rows[0].get(0), &Value::Long(5));
-        }
-    }
-
-    #[test]
-    fn division_by_zero_is_null_in_both_paths() {
-        let batch = long_batch(&[Some(10), Some(7)]);
-        let div = Expr::BinaryOp {
-            left: Box::new(bound(0, DataType::Long)),
-            op: BinaryOperator::Div,
-            right: Box::new(Expr::Literal(Value::Long(0))),
-        };
-        for kernels in [true, false] {
-            let v = eval_batch(&div, &batch, kernels).unwrap();
-            assert_eq!(v.get(0), Value::Null, "kernels={kernels}");
-        }
-        let modz = Expr::BinaryOp {
-            left: Box::new(bound(0, DataType::Long)),
-            op: BinaryOperator::Mod,
-            right: Box::new(Expr::Literal(Value::Long(0))),
-        };
-        for kernels in [true, false] {
-            let v = eval_batch(&modz, &batch, kernels).unwrap();
-            assert_eq!(v.get(1), Value::Null, "kernels={kernels}");
-        }
-    }
-
-    #[test]
-    fn three_valued_and_or_match_interpreter() {
-        let b = |v: Option<bool>| v.map_or(Value::Null, Value::Boolean);
-        let cases = [
-            (Some(true), None),
-            (Some(false), None),
-            (None, None),
-            (Some(true), Some(false)),
-        ];
-        let values: Vec<Value> = cases.iter().map(|(a, _)| b(*a)).collect();
-        let rvals: Vec<Value> = cases.iter().map(|(_, x)| b(*x)).collect();
-        let batch = RowBatch::new(
-            vec![
-                Arc::new(ColumnVector::from_values(&DataType::Boolean, values)),
-                Arc::new(ColumnVector::from_values(&DataType::Boolean, rvals)),
-            ],
-            cases.len(),
+        let pred = bin(
+            bound(0, DataType::Long),
+            BinaryOperator::Gt,
+            Expr::Literal(Value::Long(4)),
         );
-        for op in [BinaryOperator::And, BinaryOperator::Or] {
-            let e = Expr::BinaryOp {
-                left: Box::new(bound(0, DataType::Boolean)),
-                op,
-                right: Box::new(bound(1, DataType::Boolean)),
-            };
-            let fast = eval_batch(&e, &batch, true).unwrap();
-            let slow = eval_batch(&e, &batch, false).unwrap();
-            for i in 0..cases.len() {
-                assert_eq!(fast.get(i), slow.get(i), "{op:?} lane {i}");
+        let out = filter_batch(&pred, &batch).unwrap();
+        assert_eq!(out.num_rows(), 4, "lanes stay physical");
+        assert_eq!(out.selection(), Some(&[1u32, 3][..]));
+        let rows = out.into_selected_rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get(0), &Value::Long(5));
+    }
+
+    /// Every kernel, over the values where evaluators disagree if they
+    /// are going to — integer extremes, zero divisors (`/` and `%` by
+    /// zero are NULL), NULLs in three-valued logic — agrees
+    /// with the interpreter lane by lane. Integral arithmetic wraps at the
+    /// declared width: INT results at 32 bits, BIGINT at 64.
+    #[test]
+    fn every_kernel_matches_the_interpreter_lane_by_lane() {
+        let ints = [i32::MAX, i32::MIN, -1, 0, 7, 2, 46_341];
+        let ints2 = [1, -1, i32::MIN, 3, -7, 0, 46_341];
+        let longs = [
+            i64::MAX,
+            i64::MIN,
+            -1,
+            0,
+            2_000_000_000_000,
+            5,
+            3_037_000_500,
+        ];
+        let longs2 = [1, -1, -1, i64::MAX, 9, 0, 3_037_000_500];
+        let doubles = [1.5, -2.25, 0.0, 3e9, -3e9, 7.0, 0.5];
+        let strs = ["ab", "b", "", "ab", "zz", "a", "b"];
+        let mut columns: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Int, ints.iter().map(|v| Value::Int(*v)).collect()),
+            (
+                DataType::Int,
+                ints2.iter().map(|v| Value::Int(*v)).collect(),
+            ),
+            (
+                DataType::Long,
+                longs.iter().map(|v| Value::Long(*v)).collect(),
+            ),
+            (
+                DataType::Long,
+                longs2.iter().map(|v| Value::Long(*v)).collect(),
+            ),
+            (
+                DataType::Double,
+                doubles.iter().map(|v| Value::Double(*v)).collect(),
+            ),
+            (
+                DataType::String,
+                strs.iter().map(|v| Value::str(*v)).collect(),
+            ),
+            (
+                DataType::Boolean,
+                (0..7).map(|i| Value::Boolean(i % 3 == 0)).collect(),
+            ),
+            // Beside column 6: (T,F), (F,NULL), (NULL,NULL), (T,NULL) —
+            // the three-valued AND/OR cases.
+            (
+                DataType::Boolean,
+                [Some(false), None, None, None, Some(true), Some(false), None]
+                    .map(|b| b.map_or(Value::Null, Value::Boolean))
+                    .to_vec(),
+            ),
+        ];
+        // One NULL lane per column, at a different lane each.
+        for (c, (_, values)) in columns.iter_mut().enumerate() {
+            values[(c + 3) % 7] = Value::Null;
+        }
+        let n = columns[0].1.len();
+        let batch = RowBatch::new(
+            columns
+                .iter()
+                .map(|(t, v)| Arc::new(ColumnVector::from_values(t, v.clone())))
+                .collect(),
+            n,
+        );
+        let col = |i: usize| bound(i, columns[i].0.clone());
+        use BinaryOperator::*;
+        let numeric_pairs = [(0, 1), (2, 3), (0, 2), (0, 4), (4, 2)];
+        let mut exprs = Vec::new();
+        for (l, r) in numeric_pairs {
+            for op in [Add, Sub, Mul, Div, Mod, Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                exprs.push(bin(col(l), op, col(r)));
             }
         }
+        for op in [Add, Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+            exprs.push(bin(col(5), op, col(5)));
+        }
+        // Literals broadcast at their own width.
+        exprs.push(bin(col(0), Add, Expr::Literal(Value::Int(1))));
+        exprs.push(bin(col(2), Mul, Expr::Literal(Value::Int(2))));
+        // Nested INT arithmetic wraps at every step, so a comparison above
+        // it sees the wrapped value.
+        exprs.push(bin(
+            bin(col(0), Add, col(1)),
+            Gt,
+            Expr::Literal(Value::Int(0)),
+        ));
+        for c in [0, 2, 4] {
+            exprs.push(Expr::Negate(Box::new(col(c))));
+            for t in [DataType::Int, DataType::Long, DataType::Double] {
+                exprs.push(Expr::Cast {
+                    expr: Box::new(col(c)),
+                    dtype: t,
+                });
+            }
+        }
+        exprs.push(Expr::Not(Box::new(col(6))));
+        exprs.push(bin(col(6), And, col(7)));
+        exprs.push(bin(col(6), Or, col(7)));
+        for c in 0..columns.len() {
+            exprs.push(Expr::IsNull(Box::new(col(c))));
+            exprs.push(Expr::IsNotNull(Box::new(col(c))));
+        }
+        for e in &exprs {
+            assert_kernel_matches_interpreter(e, &batch);
+            // And on a selection, where unselected lanes are skipped.
+            assert_kernel_matches_interpreter(e, &batch.clone().with_selection(vec![1, 4, 6]));
+        }
+        // The INT results wrapped: i32::MAX + 1 is i32::MIN, not 2^31.
+        let sum = eval_batch(&bin(col(0), Add, col(1)), &batch).unwrap();
+        assert_eq!(sum.get(0), Value::Int(i32::MIN));
+        let square = eval_batch(&bin(col(0), Mul, col(1)), &batch).unwrap();
+        assert_eq!(square.get(6), Value::Int(46_341i32.wrapping_mul(46_341)));
     }
 
     #[test]
@@ -518,16 +619,16 @@ mod tests {
         let case = Expr::Case {
             operand: None,
             branches: vec![(
-                Expr::BinaryOp {
-                    left: Box::new(bound(0, DataType::Long)),
-                    op: BinaryOperator::Gt,
-                    right: Box::new(Expr::Literal(Value::Long(1))),
-                },
+                bin(
+                    bound(0, DataType::Long),
+                    BinaryOperator::Gt,
+                    Expr::Literal(Value::Long(1)),
+                ),
                 Expr::Literal(Value::str("big")),
             )],
             else_expr: Some(Box::new(Expr::Literal(Value::str("small")))),
         };
-        let v = eval_batch(&case, &batch, true).unwrap();
+        let v = eval_batch(&case, &batch).unwrap();
         assert_eq!(v.get(1), Value::str("big"));
         assert_eq!(v.get(0), Value::Null, "unselected lane untouched");
     }
@@ -540,12 +641,12 @@ mod tests {
             2,
         );
         // Int + Int declares Int via tightest_common_type.
-        let e = Expr::BinaryOp {
-            left: Box::new(bound(0, DataType::Int)),
-            op: BinaryOperator::Add,
-            right: Box::new(bound(0, DataType::Int)),
-        };
-        let out = eval_projection_batch(std::slice::from_ref(&e), &batch, true).unwrap();
+        let e = bin(
+            bound(0, DataType::Int),
+            BinaryOperator::Add,
+            bound(0, DataType::Int),
+        );
+        let out = eval_projection_batch(std::slice::from_ref(&e), &batch).unwrap();
         assert_eq!(out.column(0).get(0), Value::Int(6));
     }
 }

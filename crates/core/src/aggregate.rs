@@ -4,11 +4,12 @@
 //! [`spill::merge_agg_partition`] → final projection.
 //!
 //! The map side is the **batch kernel** ([`batch_partial_agg`], columnar
-//! group keys and typed [`vectorized::AccLane`]s) when vectorization is on
-//! and every call has a lane, else the **row kernel**
+//! group keys and typed [`vectorized::AccLane`]s) in production when
+//! every call has a lane, else the **row kernel**
 //! ([`partial_agg_partition`], one [`AggCall`] per call folding
-//! [`Acc::update`]). The row kernel is the only home of DISTINCT and the
-//! reference the differential suites compare the batch kernel against.
+//! [`Acc::update`]). The row kernel is the only home of DISTINCT and what
+//! the reference configuration runs, so the differential suites compare
+//! the batch kernel against it.
 //! Both emit `(key, Vec<Acc>)` under the execution's memory pool — an
 //! unbounded pool never denies, so they never flush early and the reduce
 //! side never spills — and everything after the map side is shared.
@@ -47,8 +48,8 @@ pub(crate) struct AggCall {
 }
 
 impl AggCall {
-    /// Bind `arg` to `input` and build its evaluator, compiled or
-    /// interpreted per config.
+    /// Bind `arg` to `input` and build its evaluator: compiled, or
+    /// interpreted in the reference.
     pub(crate) fn plan(
         func: AggFunc,
         distinct: bool,
@@ -166,7 +167,6 @@ pub(crate) fn execute_aggregate(
         )
     };
 
-    let codegen_on = ctx.conf.codegen_enabled;
     if groupings.is_empty() {
         // Global aggregate: partials per partition, merged on the driver —
         // correct even over an empty input (COUNT(*) = 0).
@@ -195,23 +195,17 @@ pub(crate) fn execute_aggregate(
     let bound_groupings = bind_all(groupings, &input_attrs)?;
     let sctx = ctx.spill_ctx(id);
     let map_sctx = sctx.clone();
-    let lanes = if ctx.conf.vectorize_enabled {
-        plan_lanes(&agg_exprs, &input_attrs)
-    } else {
+    let lanes = if ctx.conf.reference {
         None
+    } else {
+        plan_lanes(&agg_exprs, &input_attrs)
     };
     let partials: RddRef<(Row, Vec<Acc>)> = match lanes {
         Some(specs) => {
             let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
             execute_batches(input, id + 1, ctx)?.map_partitions(move |it| {
-                let partials = batch_partial_agg(
-                    it,
-                    codegen_on,
-                    &bound_groupings,
-                    &specs,
-                    &map_sctx,
-                    node.as_ref(),
-                );
+                let partials =
+                    batch_partial_agg(it, &bound_groupings, &specs, &map_sctx, node.as_ref());
                 Box::new(partials.into_iter())
             })
         }
@@ -357,7 +351,6 @@ fn drain_batch_groups(
 /// restarts empty.
 fn batch_partial_agg(
     it: engine::BoxIter<RowBatch>,
-    kernels: bool,
     groupings: &[Expr],
     specs: &[LaneSpec],
     sctx: &SpillCtx,
@@ -371,7 +364,7 @@ fn batch_partial_agg(
     let (mut batches, mut interned) = (0u64, 0u64);
     for batch in it {
         batches += 1;
-        let key_batch = vectorized::eval_projection_batch(groupings, &batch, kernels)
+        let key_batch = vectorized::eval_projection_batch(groupings, &batch)
             .expect("group key evaluation failed");
         let prev = groups.len();
         groups.assign(&key_batch, &mut asg);
@@ -380,7 +373,7 @@ fn batch_partial_agg(
         for (spec, lane) in specs.iter().zip(lanes.iter_mut()) {
             match &spec.1 {
                 Some((arg, _)) => {
-                    let col = vectorized::eval_batch(arg, &batch, kernels)
+                    let col = vectorized::eval_batch(arg, &batch)
                         .expect("aggregate argument evaluation failed");
                     lane.update(Some(&col), &asg, num);
                 }

@@ -4,17 +4,18 @@
 //! Every tunable has one source of truth — its field on [`SqlConf`] — and
 //! three ways to reach it, in precedence order:
 //!
-//! 1. explicit sets (`ctx.set("spark.sql.vectorize.enabled", "false")`,
-//!    `SET spark.sql.vectorize.enabled=false`, or a `set_conf` closure),
+//! 1. explicit sets (`ctx.set("spark.sql.shuffle.partitions", "4")`,
+//!    `SET spark.sql.shuffle.partitions=4`, or a `set_conf` closure),
 //! 2. environment variables, applied once through the same registry when
-//!    the first default configuration is built (legacy names like
-//!    `CATALYST_VECTORIZE` are routed here instead of being checked
+//!    the first default configuration is built (names like
+//!    `SPARK_SQL_MEMORY_BUDGET` are routed here instead of being checked
 //!    ad hoc at their point of use),
 //! 3. built-in defaults.
 //!
 //! Unknown keys fail with an error that lists every valid key; values are
 //! parsed per key kind (booleans, byte sizes with `k`/`m`/`g` suffixes,
-//! counts, floats, strings).
+//! counts, floats, strings). The reference engine
+//! ([`SqlConf::reference()`]) has no key and no environment variable.
 
 use catalyst::error::{CatalystError, Result};
 use std::sync::OnceLock;
@@ -22,9 +23,16 @@ use std::sync::OnceLock;
 /// Tunable knobs of a [`crate::SQLContext`].
 #[derive(Debug, Clone)]
 pub struct SqlConf {
-    /// Compile expressions to fused closures (§4.3.4) instead of
-    /// interpreting them per row. Off ≈ the Shark baseline.
-    pub codegen_enabled: bool,
+    /// Run the reference engine instead of production: the tree-walking
+    /// interpreter instead of compiled closures (§4.3.4) and batch
+    /// kernels, row-at-a-time execution, static plans (no adaptive
+    /// re-planning), and only the standard optimizer batches (no
+    /// constraint or cost-based phase; shuffled joins build the right
+    /// side). Slow and obviously correct: the oracle every differential
+    /// suite compares production against, and the Shark baseline of
+    /// Figure 8. Set through [`SqlConf::reference()`] or
+    /// [`SqlConf::shark_like`]; it has no registry key or env var.
+    pub reference: bool,
     /// Cache DataFrames as compressed columnar batches (§3.6) instead of
     /// row objects.
     pub columnar_cache_enabled: bool,
@@ -38,20 +46,8 @@ pub struct SqlConf {
     pub shuffle_partitions: usize,
     /// Rows per columnar cache batch.
     pub cache_batch_size: usize,
-    /// Execute Scan/Filter/Project over columnar `RowBatch`es with
-    /// vectorized expression kernels, falling back to rows for the rest
-    /// of the plan. `CATALYST_VECTORIZE=0` in the environment flips the
-    /// default off (the pure row path, for differential testing).
-    pub vectorize_enabled: bool,
     /// Rows per execution batch on the vectorized path.
     pub vectorize_batch_size: usize,
-    /// Re-plan shuffled joins at stage boundaries from *measured*
-    /// map-output sizes: coalesce small post-shuffle
-    /// partitions, demote shuffled hash joins to broadcast when the built
-    /// side turns out small, and split skewed reduce partitions.
-    /// `CATALYST_ADAPTIVE=0` in the environment flips the default off
-    /// (static plans only, for differential testing).
-    pub adaptive_enabled: bool,
     /// Target bytes per post-shuffle partition when coalescing; also the
     /// absolute floor below which a partition is never considered skewed.
     pub adaptive_target_partition_bytes: u64,
@@ -79,18 +75,6 @@ pub struct SqlConf {
     pub chaos_seed: Option<u64>,
     /// Override for both chaos fault probabilities (`ENGINE_CHAOS_PROB`).
     pub chaos_prob: Option<f64>,
-    /// Run the constraint-propagation optimizer phase (nullability +
-    /// value-domain abstract interpretation feeding predicate pruning,
-    /// `IS NOT NULL` inference, and empty-relation propagation).
-    /// `CATALYST_CONSTRAINTS=0` in the environment flips the default off
-    /// (for differential testing of the constraint rules).
-    pub constraints_enabled: bool,
-    /// Run the cost-based optimizer phase (statistics-driven join
-    /// reordering, aggregates answered from source stats,
-    /// common-subexpression elimination, and build-side selection for
-    /// shuffled hash joins). `CATALYST_CBO=0` in the environment flips
-    /// the default off (for differential testing of the CBO rules).
-    pub cbo_enabled: bool,
     /// Minimum severity the lint pass reports: `off`, `info`, `warn`, or
     /// `error`. `SPARK_SQL_LINT_LEVEL` sets the default.
     pub lint_level: String,
@@ -127,16 +111,14 @@ impl SqlConf {
     /// Built-in defaults with no environment applied.
     fn base() -> Self {
         SqlConf {
-            codegen_enabled: true,
+            reference: false,
             columnar_cache_enabled: true,
             pushdown_enabled: true,
             column_pruning_enabled: true,
             broadcast_threshold: 10 * 1024 * 1024,
             shuffle_partitions: 8,
             cache_batch_size: columnar::DEFAULT_BATCH_SIZE,
-            vectorize_enabled: true,
             vectorize_batch_size: columnar::DEFAULT_BATCH_SIZE,
-            adaptive_enabled: true,
             adaptive_target_partition_bytes: 1 << 20,
             adaptive_skew_factor: 4.0,
             memory_budget_bytes: 0,
@@ -144,8 +126,6 @@ impl SqlConf {
             plan_validation: None,
             chaos_seed: None,
             chaos_prob: None,
-            constraints_enabled: true,
-            cbo_enabled: true,
             lint_level: "warn".to_string(),
             cache_budget_bytes: 0,
             cache_eviction_policy: "lru".to_string(),
@@ -167,40 +147,34 @@ impl SqlConf {
         for e in entries() {
             let Some(var) = e.env else { continue };
             let Some(raw) = lookup(var) else { continue };
-            // Legacy boolean env vars use a lenient grammar (anything
-            // outside the off-list enables); normalize before the strict
-            // registry parse. Other kinds ignore unparsable values, like
-            // `ChaosConf::from_env` always has.
-            let value = if e.kind == Kind::Bool {
-                let off = matches!(
-                    raw.trim().to_ascii_lowercase().as_str(),
-                    "" | "0" | "false" | "off" | "no"
-                );
-                if off {
-                    "false".to_string()
-                } else {
-                    "true".to_string()
-                }
-            } else {
-                raw
-            };
-            let _ = (e.set)(&mut conf, value.trim());
+            // Unparsable values are ignored, like `ChaosConf::from_env`
+            // always has. (`CATALYST_VALIDATE` outside the strict boolean
+            // grammar leaves the override unset, and
+            // `catalyst::validation::enabled` reads it leniently.)
+            let _ = (e.set)(&mut conf, raw.trim());
         }
         conf
     }
 
-    /// A configuration approximating Shark (§6.1 baseline): no expression
-    /// compilation, no columnar cache, no source pushdown, row-at-a-time
-    /// execution.
+    /// The reference configuration: defaults, environment applied, with
+    /// the `reference` engine in place of production.
+    pub fn reference() -> Self {
+        SqlConf {
+            reference: true,
+            ..Default::default()
+        }
+    }
+
+    /// A configuration approximating Shark (§6.1 baseline): the reference
+    /// engine — interpreted, row at a time, no constraint or cost-based
+    /// phase, both of which Shark lacked — plus no columnar cache and no
+    /// source pushdown or pruning.
     pub fn shark_like() -> Self {
         SqlConf {
-            codegen_enabled: false,
             columnar_cache_enabled: false,
             pushdown_enabled: false,
             column_pruning_enabled: false,
-            vectorize_enabled: false,
-            adaptive_enabled: false,
-            ..Default::default()
+            ..SqlConf::reference()
         }
     }
 
@@ -270,20 +244,10 @@ fn unknown_key(key: &str) -> CatalystError {
 
 // ---- registry table ----
 
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Kind {
-    Bool,
-    Bytes,
-    Count,
-    Float,
-    Str,
-}
-
 struct ConfEntry {
     key: &'static str,
     /// Environment variable routed through this entry at startup.
     env: Option<&'static str>,
-    kind: Kind,
     get: fn(&SqlConf) -> String,
     set: fn(&mut SqlConf, &str) -> Result<()>,
 }
@@ -335,15 +299,40 @@ fn parse_float(key: &str, v: &str) -> Result<f64> {
         .map_err(|_| CatalystError::analysis(format!("invalid number '{v}' for {key}")))
 }
 
-macro_rules! bool_entry {
-    ($key:literal, $env:expr, $field:ident) => {
+fn parse_str(_key: &str, v: &str) -> Result<String> {
+    Ok(v.to_string())
+}
+
+/// A count or byte size that must be at least 1.
+fn at_least_one<T: PartialEq + From<u8>>(key: &str, n: T) -> Result<T> {
+    if n == T::from(0) {
+        return Err(CatalystError::analysis(format!("{key} must be at least 1")));
+    }
+    Ok(n)
+}
+
+/// One of `choices`, case-insensitively, stored lowercase.
+fn parse_choice(key: &str, v: &str, choices: &[&str]) -> Result<String> {
+    let lv = v.to_ascii_lowercase();
+    if !choices.contains(&lv.as_str()) {
+        return Err(CatalystError::analysis(format!(
+            "invalid value '{v}' for {key} (use {})",
+            choices.join("/")
+        )));
+    }
+    Ok(lv)
+}
+
+/// An entry whose field is set by `$parse(key, value)` and read back
+/// through `Display`.
+macro_rules! entry {
+    ($key:literal, $env:expr, $parse:expr, $field:ident) => {
         ConfEntry {
             key: $key,
             env: $env,
-            kind: Kind::Bool,
             get: |c| c.$field.to_string(),
             set: |c, v| {
-                c.$field = parse_bool($key, v)?;
+                c.$field = $parse($key, v)?;
                 Ok(())
             },
         }
@@ -354,142 +343,81 @@ fn entries() -> &'static [ConfEntry] {
     static ENTRIES: OnceLock<Vec<ConfEntry>> = OnceLock::new();
     ENTRIES.get_or_init(|| {
         vec![
-            bool_entry!("spark.sql.codegen.enabled", None, codegen_enabled),
-            bool_entry!(
+            entry!(
                 "spark.sql.cache.columnar.enabled",
                 None,
+                parse_bool,
                 columnar_cache_enabled
             ),
-            bool_entry!("spark.sql.pushdown.enabled", None, pushdown_enabled),
-            bool_entry!(
+            entry!(
+                "spark.sql.pushdown.enabled",
+                None,
+                parse_bool,
+                pushdown_enabled
+            ),
+            entry!(
                 "spark.sql.columnPruning.enabled",
                 None,
+                parse_bool,
                 column_pruning_enabled
             ),
-            bool_entry!(
-                "spark.sql.vectorize.enabled",
-                Some("CATALYST_VECTORIZE"),
-                vectorize_enabled
+            entry!(
+                "spark.sql.lint.level",
+                Some("SPARK_SQL_LINT_LEVEL"),
+                |k, v| parse_choice(k, v, &["off", "info", "warn", "error"]),
+                lint_level
             ),
-            bool_entry!(
-                "spark.sql.adaptive.enabled",
-                Some("CATALYST_ADAPTIVE"),
-                adaptive_enabled
+            entry!(
+                "spark.sql.autoBroadcastJoinThreshold",
+                None,
+                parse_bytes,
+                broadcast_threshold
             ),
-            bool_entry!(
-                "spark.sql.constraints.enabled",
-                Some("CATALYST_CONSTRAINTS"),
-                constraints_enabled
+            entry!(
+                "spark.sql.shuffle.partitions",
+                None,
+                |k, v| at_least_one(k, parse_count(k, v)?),
+                shuffle_partitions
             ),
-            bool_entry!("spark.sql.cbo.enabled", Some("CATALYST_CBO"), cbo_enabled),
-            ConfEntry {
-                key: "spark.sql.lint.level",
-                env: Some("SPARK_SQL_LINT_LEVEL"),
-                kind: Kind::Str,
-                get: |c| c.lint_level.clone(),
-                set: |c, v| {
-                    let lv = v.to_ascii_lowercase();
-                    if !matches!(lv.as_str(), "off" | "info" | "warn" | "error") {
-                        return Err(CatalystError::analysis(format!(
-                            "invalid level '{v}' for spark.sql.lint.level \
-                             (use off/info/warn/error)"
-                        )));
-                    }
-                    c.lint_level = lv;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.autoBroadcastJoinThreshold",
-                env: None,
-                kind: Kind::Bytes,
-                get: |c| c.broadcast_threshold.to_string(),
-                set: |c, v| {
-                    c.broadcast_threshold = parse_bytes("spark.sql.autoBroadcastJoinThreshold", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.shuffle.partitions",
-                env: None,
-                kind: Kind::Count,
-                get: |c| c.shuffle_partitions.to_string(),
-                set: |c, v| {
-                    let n = parse_count("spark.sql.shuffle.partitions", v)?;
-                    if n == 0 {
-                        return Err(CatalystError::analysis(
-                            "spark.sql.shuffle.partitions must be at least 1",
-                        ));
-                    }
-                    c.shuffle_partitions = n;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.cache.batchSize",
-                env: None,
-                kind: Kind::Count,
-                get: |c| c.cache_batch_size.to_string(),
-                set: |c, v| {
-                    c.cache_batch_size = parse_count("spark.sql.cache.batchSize", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.vectorize.batchSize",
-                env: None,
-                kind: Kind::Count,
-                get: |c| c.vectorize_batch_size.to_string(),
-                set: |c, v| {
-                    c.vectorize_batch_size = parse_count("spark.sql.vectorize.batchSize", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.adaptive.targetPartitionBytes",
-                env: None,
-                kind: Kind::Bytes,
-                get: |c| c.adaptive_target_partition_bytes.to_string(),
-                set: |c, v| {
-                    c.adaptive_target_partition_bytes =
-                        parse_bytes("spark.sql.adaptive.targetPartitionBytes", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.adaptive.skewFactor",
-                env: None,
-                kind: Kind::Float,
-                get: |c| c.adaptive_skew_factor.to_string(),
-                set: |c, v| {
-                    c.adaptive_skew_factor = parse_float("spark.sql.adaptive.skewFactor", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.memory.budgetBytes",
-                env: Some("SPARK_SQL_MEMORY_BUDGET"),
-                kind: Kind::Bytes,
-                get: |c| c.memory_budget_bytes.to_string(),
-                set: |c, v| {
-                    c.memory_budget_bytes = parse_bytes("spark.sql.memory.budgetBytes", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.memory.spillDir",
-                env: Some("SPARK_SQL_SPILL_DIR"),
-                kind: Kind::Str,
-                get: |c| c.spill_dir.clone(),
-                set: |c, v| {
-                    c.spill_dir = v.to_string();
-                    Ok(())
-                },
-            },
+            entry!(
+                "spark.sql.cache.batchSize",
+                None,
+                parse_count,
+                cache_batch_size
+            ),
+            entry!(
+                "spark.sql.vectorize.batchSize",
+                None,
+                parse_count,
+                vectorize_batch_size
+            ),
+            entry!(
+                "spark.sql.adaptive.targetPartitionBytes",
+                None,
+                parse_bytes,
+                adaptive_target_partition_bytes
+            ),
+            entry!(
+                "spark.sql.adaptive.skewFactor",
+                None,
+                parse_float,
+                adaptive_skew_factor
+            ),
+            entry!(
+                "spark.sql.memory.budgetBytes",
+                Some("SPARK_SQL_MEMORY_BUDGET"),
+                parse_bytes,
+                memory_budget_bytes
+            ),
+            entry!(
+                "spark.sql.memory.spillDir",
+                Some("SPARK_SQL_SPILL_DIR"),
+                parse_str,
+                spill_dir
+            ),
             ConfEntry {
                 key: "spark.sql.planValidation.enabled",
                 env: Some("CATALYST_VALIDATE"),
-                kind: Kind::Bool,
                 get: |c| {
                     c.plan_validation
                         .unwrap_or_else(catalyst::validation::enabled)
@@ -500,117 +428,57 @@ fn entries() -> &'static [ConfEntry] {
                     Ok(())
                 },
             },
-            ConfEntry {
-                key: "spark.sql.cache.budgetBytes",
-                env: Some("SPARK_SQL_CACHE_BUDGET"),
-                kind: Kind::Bytes,
-                get: |c| c.cache_budget_bytes.to_string(),
-                set: |c, v| {
-                    c.cache_budget_bytes = parse_bytes("spark.sql.cache.budgetBytes", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.cache.evictionPolicy",
-                env: Some("SPARK_SQL_CACHE_POLICY"),
-                kind: Kind::Str,
-                get: |c| c.cache_eviction_policy.clone(),
-                set: |c, v| {
-                    let lv = v.to_ascii_lowercase();
-                    if !matches!(lv.as_str(), "lru" | "cost") {
-                        return Err(CatalystError::analysis(format!(
-                            "invalid policy '{v}' for spark.sql.cache.evictionPolicy \
-                             (use lru/cost)"
-                        )));
-                    }
-                    c.cache_eviction_policy = lv;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.workers",
-                env: Some("SPARK_SQL_SERVICE_WORKERS"),
-                kind: Kind::Count,
-                get: |c| c.service_workers.to_string(),
-                set: |c, v| {
-                    let n = parse_count("spark.sql.service.workers", v)?;
-                    if n == 0 {
-                        return Err(CatalystError::analysis(
-                            "spark.sql.service.workers must be at least 1",
-                        ));
-                    }
-                    c.service_workers = n;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.sessionInFlight",
-                env: Some("SPARK_SQL_SERVICE_SESSION_INFLIGHT"),
-                kind: Kind::Count,
-                get: |c| c.service_session_in_flight.to_string(),
-                set: |c, v| {
-                    let n = parse_count("spark.sql.service.sessionInFlight", v)?;
-                    if n == 0 {
-                        return Err(CatalystError::analysis(
-                            "spark.sql.service.sessionInFlight must be at least 1",
-                        ));
-                    }
-                    c.service_session_in_flight = n;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.admission.budgetBytes",
-                env: Some("SPARK_SQL_SERVICE_ADMISSION_BUDGET"),
-                kind: Kind::Bytes,
-                get: |c| c.service_admission_budget.to_string(),
-                set: |c, v| {
-                    c.service_admission_budget =
-                        parse_bytes("spark.sql.service.admission.budgetBytes", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.admission.queryBytes",
-                env: None,
-                kind: Kind::Bytes,
-                get: |c| c.service_admission_query_bytes.to_string(),
-                set: |c, v| {
-                    let n = parse_bytes("spark.sql.service.admission.queryBytes", v)?;
-                    if n == 0 {
-                        return Err(CatalystError::analysis(
-                            "spark.sql.service.admission.queryBytes must be at least 1",
-                        ));
-                    }
-                    c.service_admission_query_bytes = n;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.maxQueued",
-                env: None,
-                kind: Kind::Count,
-                get: |c| c.service_max_queued.to_string(),
-                set: |c, v| {
-                    c.service_max_queued = parse_count("spark.sql.service.maxQueued", v)?;
-                    Ok(())
-                },
-            },
-            ConfEntry {
-                key: "spark.sql.service.queryTimeoutMs",
-                env: None,
-                kind: Kind::Count,
-                get: |c| c.service_query_timeout_ms.to_string(),
-                set: |c, v| {
-                    c.service_query_timeout_ms =
-                        parse_count("spark.sql.service.queryTimeoutMs", v)?;
-                    Ok(())
-                },
-            },
+            entry!(
+                "spark.sql.cache.budgetBytes",
+                Some("SPARK_SQL_CACHE_BUDGET"),
+                parse_bytes,
+                cache_budget_bytes
+            ),
+            entry!(
+                "spark.sql.cache.evictionPolicy",
+                Some("SPARK_SQL_CACHE_POLICY"),
+                |k, v| parse_choice(k, v, &["lru", "cost"]),
+                cache_eviction_policy
+            ),
+            entry!(
+                "spark.sql.service.workers",
+                Some("SPARK_SQL_SERVICE_WORKERS"),
+                |k, v| at_least_one(k, parse_count(k, v)?),
+                service_workers
+            ),
+            entry!(
+                "spark.sql.service.sessionInFlight",
+                Some("SPARK_SQL_SERVICE_SESSION_INFLIGHT"),
+                |k, v| at_least_one(k, parse_count(k, v)?),
+                service_session_in_flight
+            ),
+            entry!(
+                "spark.sql.service.admission.budgetBytes",
+                Some("SPARK_SQL_SERVICE_ADMISSION_BUDGET"),
+                parse_bytes,
+                service_admission_budget
+            ),
+            entry!(
+                "spark.sql.service.admission.queryBytes",
+                None,
+                |k, v| at_least_one(k, parse_bytes(k, v)?),
+                service_admission_query_bytes
+            ),
+            entry!(
+                "spark.sql.service.maxQueued",
+                None,
+                parse_count,
+                service_max_queued
+            ),
+            entry!(
+                "spark.sql.service.queryTimeoutMs",
+                None,
+                parse_count,
+                service_query_timeout_ms
+            ),
             ConfEntry {
                 key: "spark.sql.chaos.seed",
                 env: Some("ENGINE_CHAOS_SEED"),
-                kind: Kind::Str,
                 get: |c| c.chaos_seed.map(|s| s.to_string()).unwrap_or_default(),
                 set: |c, v| {
                     if v.is_empty() {
@@ -628,7 +496,6 @@ fn entries() -> &'static [ConfEntry] {
             ConfEntry {
                 key: "spark.sql.chaos.prob",
                 env: Some("ENGINE_CHAOS_PROB"),
-                kind: Kind::Str,
                 get: |c| c.chaos_prob.map(|p| p.to_string()).unwrap_or_default(),
                 set: |c, v| {
                     if v.is_empty() {
@@ -650,9 +517,9 @@ mod tests {
     #[test]
     fn registry_set_get_roundtrip() {
         let mut c = SqlConf::base();
-        c.set("spark.sql.vectorize.enabled", "false").unwrap();
-        assert!(!c.vectorize_enabled);
-        assert_eq!(c.get("spark.sql.vectorize.enabled").unwrap(), "false");
+        c.set("spark.sql.pushdown.enabled", "false").unwrap();
+        assert!(!c.pushdown_enabled);
+        assert_eq!(c.get("spark.sql.pushdown.enabled").unwrap(), "false");
         c.set("spark.sql.memory.budgetBytes", "64k").unwrap();
         assert_eq!(c.memory_budget_bytes, 64 * 1024);
         c.set("spark.sql.autoBroadcastJoinThreshold", "16m")
@@ -663,19 +530,19 @@ mod tests {
         c.set("spark.sql.adaptive.skewFactor", "2.5").unwrap();
         assert_eq!(c.adaptive_skew_factor, 2.5);
         // Keys are case-insensitive.
-        c.set("SPARK.SQL.CODEGEN.ENABLED", "off").unwrap();
-        assert!(!c.codegen_enabled);
+        c.set("SPARK.SQL.COLUMNPRUNING.ENABLED", "off").unwrap();
+        assert!(!c.column_pruning_enabled);
     }
 
     #[test]
     fn unknown_key_lists_valid_keys() {
         let mut c = SqlConf::base();
         let err = c
-            .set("spark.sql.vectorise.enabled", "true")
+            .set("spark.sql.pushdwn.enabled", "true")
             .unwrap_err()
             .to_string();
         assert!(err.contains("unknown config key"), "{err}");
-        assert!(err.contains("spark.sql.vectorize.enabled"), "{err}");
+        assert!(err.contains("spark.sql.pushdown.enabled"), "{err}");
         let err = c.get("nope").unwrap_err().to_string();
         assert!(err.contains("spark.sql.memory.budgetBytes"), "{err}");
     }
@@ -683,7 +550,7 @@ mod tests {
     #[test]
     fn invalid_values_error() {
         let mut c = SqlConf::base();
-        assert!(c.set("spark.sql.vectorize.enabled", "maybe").is_err());
+        assert!(c.set("spark.sql.pushdown.enabled", "maybe").is_err());
         assert!(c.set("spark.sql.memory.budgetBytes", "lots").is_err());
         assert!(c.set("spark.sql.shuffle.partitions", "0").is_err());
         assert!(c.set("spark.sql.chaos.seed", "x").is_err());
@@ -692,30 +559,30 @@ mod tests {
     #[test]
     fn env_routes_through_registry_and_explicit_set_wins() {
         let env = |var: &str| match var {
-            "CATALYST_VECTORIZE" => Some("0".to_string()),
-            "CATALYST_ADAPTIVE" => Some("weird-but-truthy".to_string()),
             "SPARK_SQL_MEMORY_BUDGET" => Some("1m".to_string()),
             "ENGINE_CHAOS_SEED" => Some("42".to_string()),
             "CATALYST_VALIDATE" => Some("1".to_string()),
             _ => None,
         };
         let mut c = SqlConf::from_env_lookup(&env);
-        // Env beat the defaults (lenient legacy bool grammar).
-        assert!(!c.vectorize_enabled);
-        assert!(c.adaptive_enabled);
+        // Env beat the defaults.
         assert_eq!(c.memory_budget_bytes, 1 << 20);
         assert_eq!(c.chaos_seed, Some(42));
         assert_eq!(c.plan_validation, Some(true));
         // Explicit set beats env.
-        c.set("spark.sql.vectorize.enabled", "true").unwrap();
-        assert!(c.vectorize_enabled);
+        c.set("spark.sql.planValidation.enabled", "false").unwrap();
+        assert_eq!(c.plan_validation, Some(false));
         c.set("spark.sql.memory.budgetBytes", "0").unwrap();
         assert_eq!(c.memory_budget_bytes, 0);
-        // Unparsable env values for non-bool kinds are ignored.
-        let c = SqlConf::from_env_lookup(&|v| {
-            (v == "SPARK_SQL_MEMORY_BUDGET").then(|| "garbage".to_string())
+        // Unparsable env values are ignored; a `CATALYST_VALIDATE` outside
+        // the strict grammar leaves the override to `validation::enabled`.
+        let c = SqlConf::from_env_lookup(&|v| match v {
+            "SPARK_SQL_MEMORY_BUDGET" => Some("garbage".to_string()),
+            "CATALYST_VALIDATE" => Some("weird-but-truthy".to_string()),
+            _ => None,
         });
         assert_eq!(c.memory_budget_bytes, 0);
+        assert_eq!(c.plan_validation, None);
     }
 
     #[test]
@@ -768,5 +635,39 @@ mod tests {
             .to_string();
         assert!(err.contains("unknown config key"), "{err}");
         assert!(err.contains("spark.sql.memory.budgetBytes"), "{err}");
+    }
+
+    #[test]
+    fn the_engine_switches_are_gone() {
+        // One production configuration and one reference, which no key
+        // and no env var reaches.
+        assert_eq!(SqlConf::valid_keys().len(), 23);
+        let routed = entries().iter().filter(|e| e.env.is_some()).count();
+        assert_eq!(routed, 11);
+        let mut c = SqlConf::base();
+        for key in [
+            "spark.sql.codegen.enabled",
+            "spark.sql.vectorize.enabled",
+            "spark.sql.adaptive.enabled",
+            "spark.sql.constraints.enabled",
+            "spark.sql.cbo.enabled",
+        ] {
+            let err = c.set(key, "false").unwrap_err().to_string();
+            assert!(err.contains("unknown config key"), "{key}: {err}");
+            assert!(c.get(key).is_err(), "{key}");
+        }
+        let c = SqlConf::from_env_lookup(&|var| {
+            matches!(
+                var,
+                "CATALYST_VECTORIZE"
+                    | "CATALYST_ADAPTIVE"
+                    | "CATALYST_CONSTRAINTS"
+                    | "CATALYST_CBO"
+            )
+            .then(|| "0".to_string())
+        });
+        assert!(!c.reference);
+        assert!(SqlConf::reference().reference);
+        assert!(SqlConf::shark_like().reference);
     }
 }

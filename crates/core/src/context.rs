@@ -222,7 +222,7 @@ impl SQLContext {
     }
 
     /// Set a runtime config by registry key, e.g.
-    /// `ctx.set("spark.sql.vectorize.enabled", "false")`. Unknown keys
+    /// `ctx.set("spark.sql.shuffle.partitions", "4")`. Unknown keys
     /// error with the list of valid keys. The same registry backs `SET`
     /// statements and startup environment variables.
     pub fn set(&self, key: &str, value: &str) -> Result<()> {
@@ -330,22 +330,18 @@ impl SQLContext {
             .optimizer
             .lock()
             .optimize_with(analyzed.clone(), &mut monitor);
-        // Constraint-driven phase (nullability + value-domain abstract
-        // interpretation): runs after the standard batches so it sees the
-        // settled plan, under the same monitor so its rewrites are
-        // validated and traced like any other rule's.
-        let optimized = if conf.constraints_enabled {
-            Optimizer::constraint_phase().optimize_with(optimized, &mut monitor)
-        } else {
+        // Production then runs the constraint-driven phase (nullability +
+        // value-domain abstract interpretation) so it sees the settled
+        // plan, and the cost-based phase (statistics-driven join
+        // reordering, aggregates answered from source stats, CSE) last so
+        // its estimates see the settled plan — both under the same
+        // monitor, so their rewrites are validated and traced like any
+        // other rule's. The reference runs the standard batches only.
+        let optimized = if conf.reference {
             optimized
-        };
-        // Cost-based phase (statistics-driven join reordering, aggregates
-        // answered from source stats, CSE): runs last so its cardinality
-        // estimates see the settled plan, under the same monitor.
-        let optimized = if conf.cbo_enabled {
-            Optimizer::cbo_phase().optimize_with(optimized, &mut monitor)
         } else {
-            optimized
+            let constrained = Optimizer::constraint_phase().optimize_with(optimized, &mut monitor);
+            Optimizer::cbo_phase().optimize_with(constrained, &mut monitor)
         };
         if !monitor.violations.is_empty() {
             let mut msg = String::from("optimizer rule broke a plan invariant:\n");
@@ -359,7 +355,7 @@ impl SQLContext {
             pushdown_enabled: conf.pushdown_enabled,
             column_pruning_enabled: conf.column_pruning_enabled,
             broadcast_threshold: conf.broadcast_threshold,
-            cbo_enabled: conf.cbo_enabled,
+            cost_based_build_side: !conf.reference,
         });
         for s in self.inner.strategies.read().iter() {
             planner.add_strategy(s.clone());

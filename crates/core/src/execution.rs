@@ -9,10 +9,11 @@
 //! `aggregate.rs`, `sort.rs`, `join.rs`, `window.rs`; what they share to
 //! cross the disk boundary is `spill.rs`.
 //!
-//! Expression evaluation honors `SqlConf::codegen_enabled`: on, operators
-//! use compiled fused closures (§4.3.4); off, they fall back to the
-//! tree-walking interpreter — which is exactly the Shark-baseline
-//! configuration of the Figure 8 experiment.
+//! Production evaluates expressions with compiled fused closures (§4.3.4)
+//! on rows and columnar kernels on batches. The reference configuration
+//! (`SqlConf::reference`) runs the tree-walking interpreter row at a time
+//! instead — the oracle the differential suites compare against, and the
+//! Shark baseline of the Figure 8 experiment.
 
 use crate::conf::SqlConf;
 use crate::rdd_table::RddTable;
@@ -235,15 +236,10 @@ pub(crate) fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>>
         .collect()
 }
 
-/// Build a row→row projector, compiled or interpreted per config.
+/// Build a row→row projector: compiled, or interpreted in the reference.
 fn projector(exprs: &[Expr], input: &[ColumnRef], ctx: &ExecContext) -> Result<RowFn> {
     let bound = bind_all(exprs, input)?;
-    if ctx.conf.codegen_enabled {
-        let compiled = codegen::compile_projection(&bound);
-        Ok(Arc::new(move |row| {
-            compiled(row).expect("projection failed")
-        }))
-    } else {
+    if ctx.conf.reference {
         Ok(Arc::new(move |row| {
             Row::new(
                 bound
@@ -252,31 +248,37 @@ fn projector(exprs: &[Expr], input: &[ColumnRef], ctx: &ExecContext) -> Result<R
                     .collect(),
             )
         }))
+    } else {
+        let compiled = codegen::compile_projection(&bound);
+        Ok(Arc::new(move |row| {
+            compiled(row).expect("projection failed")
+        }))
     }
 }
 
-/// Build a row predicate, compiled or interpreted per config.
+/// Build a row predicate: compiled, or interpreted in the reference.
 pub(crate) fn predicate(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Result<PredFn> {
     let bound = bind_references(expr.clone(), input)?;
-    if ctx.conf.codegen_enabled {
-        Ok(codegen::compile_predicate(&bound))
-    } else {
+    if ctx.conf.reference {
         Ok(Arc::new(move |row| {
             interpreter::eval_predicate(&bound, row).expect("predicate failed")
         }))
+    } else {
+        Ok(codegen::compile_predicate(&bound))
     }
 }
 
 pub(crate) type ValueFn = Arc<dyn Fn(&Row) -> Value + Send + Sync>;
 
-/// Build a single-value evaluator, compiled or interpreted per config.
+/// Build a single-value evaluator: compiled, or interpreted in the
+/// reference.
 pub(crate) fn value_fn(bound: Expr, ctx: &ExecContext) -> ValueFn {
-    if ctx.conf.codegen_enabled {
+    if ctx.conf.reference {
+        Arc::new(move |row| interpreter::eval(&bound, row).expect("expression failed"))
+    } else {
         let dtype = bound.data_type().unwrap_or(DataType::String);
         let compiled = codegen::compile(&bound);
         Arc::new(move |row| compiled.eval_value(row, &dtype).expect("expression failed"))
-    } else {
-        Arc::new(move |row| interpreter::eval(&bound, row).expect("expression failed"))
     }
 }
 
@@ -296,7 +298,7 @@ pub(crate) fn execute_node(
     id: usize,
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
-    if ctx.conf.vectorize_enabled {
+    if !ctx.conf.reference {
         if let Some(batched) = try_execute_batched(plan, id, ctx) {
             // Batch→row adapter: compact selected lanes into rows only at
             // the boundary where a row operator (or the driver) consumes
@@ -486,7 +488,7 @@ fn try_lower_batched(
                 }
             });
             Some(match residual {
-                Some(r) => batch_filter(rdd, r, output, ctx),
+                Some(r) => batch_filter(rdd, r, output),
                 None => Ok(rdd),
             })
         }
@@ -512,17 +514,15 @@ fn try_lower_batched(
 
         PhysicalPlan::Filter { input, predicate } => {
             let child = try_execute_batched(input, id + 1, ctx)?;
-            Some(child.and_then(|rdd| batch_filter(rdd, predicate, &input.output(), ctx)))
+            Some(child.and_then(|rdd| batch_filter(rdd, predicate, &input.output())))
         }
 
         PhysicalPlan::Project { input, exprs } => {
             let child = try_execute_batched(input, id + 1, ctx)?;
             Some(child.and_then(|rdd| {
                 let bound = bind_all(exprs, &input.output())?;
-                let kernels = ctx.conf.codegen_enabled;
                 Ok(rdd.map(move |b| {
-                    vectorized::eval_projection_batch(&bound, &b, kernels)
-                        .expect("projection failed")
+                    vectorized::eval_projection_batch(&bound, &b).expect("projection failed")
                 }))
             }))
         }
@@ -536,11 +536,9 @@ fn batch_filter(
     rdd: RddRef<RowBatch>,
     predicate: &Expr,
     input: &[ColumnRef],
-    ctx: &ExecContext,
 ) -> Result<RddRef<RowBatch>> {
     let bound = bind_references(predicate.clone(), input)?;
-    let kernels = ctx.conf.codegen_enabled;
-    Ok(rdd.map(move |b| vectorized::filter_batch(&bound, &b, kernels).expect("predicate failed")))
+    Ok(rdd.map(move |b| vectorized::filter_batch(&bound, &b).expect("predicate failed")))
 }
 
 fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {

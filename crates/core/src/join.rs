@@ -290,19 +290,14 @@ fn broadcast_probe(
 }
 
 /// Lower a `ShuffledHashJoin`: co-partition both sides on the join key —
-/// stage by stage from measured sizes when adaptive execution is on, which
-/// may answer with a demoted broadcast join instead — and hash-join each
-/// pair of partitions.
+/// in production stage by stage from measured sizes (adaptive execution),
+/// which may answer with a demoted broadcast join instead; statically in
+/// the reference — and hash-join each pair of partitions.
 fn execute_shuffled_join(site: &JoinSite, ctx: &ExecContext) -> Result<RddRef<Row>> {
     let partitions = ctx.conf.shuffle_partitions.max(1);
     let lchild = execute_node(site.left.plan, site.left.id, ctx)?;
     let rchild = execute_node(site.right.plan, site.right.id, ctx)?;
-    let (lread, rread) = if ctx.conf.adaptive_enabled {
-        match adaptive_reads(site, &lchild, &rchild, partitions, ctx)? {
-            Adapted::Broadcast(joined) => return Ok(joined),
-            Adapted::Reads(lread, rread) => (lread, rread),
-        }
-    } else {
+    let (lread, rread) = if ctx.conf.reference {
         // The static plan: what the adaptive one is differentially
         // tested against.
         let partitioner = || Arc::new(HashPartitioner::new(partitions));
@@ -310,6 +305,11 @@ fn execute_shuffled_join(site: &JoinSite, ctx: &ExecContext) -> Result<RddRef<Ro
             keyed(&lchild, &site.left.keys).partition_by(partitioner()),
             keyed(&rchild, &site.right.keys).partition_by(partitioner()),
         )
+    } else {
+        match adaptive_reads(site, &lchild, &rchild, partitions, ctx)? {
+            Adapted::Broadcast(joined) => return Ok(joined),
+            Adapted::Reads(lread, rread) => (lread, rread),
+        }
     };
     let (spec, build_side) = (site.spec.clone(), site.build_side);
     let sctx = ctx.spill_ctx(site.id);

@@ -105,11 +105,20 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Resu
                     ))
                 })?,
             };
+            // The default takes the call's declared type (the argument's),
+            // as every other output lane does: `lag(bigint_col, 1, -1)`
+            // emits a BIGINT -1.
+            let dtype = arg0.data_type()?;
             let default = match args.get(2) {
                 None => Value::Null,
-                Some(d) => fold_const(d).ok_or_else(|| {
-                    CatalystError::Internal(format!("{}() default must be a constant", func.name()))
-                })?,
+                Some(d) => fold_const(d)
+                    .and_then(|v| v.cast_to(&dtype).ok())
+                    .ok_or_else(|| {
+                        CatalystError::Internal(format!(
+                            "{}() default must be a constant of the argument's type",
+                            func.name()
+                        ))
+                    })?,
             };
             Ok(WindowCall::Shift {
                 arg: value_fn(bound, ctx),

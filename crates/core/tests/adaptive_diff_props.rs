@@ -1,16 +1,16 @@
 //! Differential property tests for adaptive query execution: randomly
 //! generated join/aggregate plans over skewed key distributions must
-//! produce *identical* results whether they run statically planned or
-//! stage-by-stage with runtime re-planning (partition coalescing, dynamic
-//! broadcast demotion, skew splitting) — and in combination with the
-//! vectorized path.
+//! produce *identical* results in production — stage by stage with
+//! runtime re-planning (partition coalescing, dynamic broadcast demotion,
+//! skew splitting) over the vectorized path — and in the reference,
+//! which plans statically and runs row at a time.
 //!
 //! Same deterministic seeded-sweep style as `vectorized_diff_props.rs`
 //! (the build environment vendors only a minimal rand shim). Each
-//! iteration runs the same plan under adaptive × vectorize on/off — four
-//! configurations — and asserts the sorted result multisets match.
-//! Meaningfulness floors assert the sweep actually triggers adaptive
-//! decisions instead of vacuously comparing static runs.
+//! iteration runs the same plan in both configurations and asserts the
+//! sorted result multisets match. Meaningfulness floors assert the sweep
+//! actually triggers adaptive decisions instead of vacuously comparing
+//! static runs.
 
 use catalyst::adaptive::AdaptiveRule;
 use rand::rngs::StdRng;
@@ -110,17 +110,15 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
     }
 }
 
-/// Execute under one configuration; return the sorted result multiset and
-/// the adaptive changes the run recorded.
+/// Execute in production or in the reference; return the sorted result
+/// multiset and the adaptive changes the run recorded.
 fn run(
     q: &GenQuery,
-    adaptive: bool,
-    vectorize: bool,
+    reference: bool,
 ) -> (Vec<String>, Vec<catalyst::adaptive::AdaptivePlanChange>) {
     let ctx = SQLContext::new_local(2);
     ctx.set_conf(|c| {
-        c.adaptive_enabled = adaptive;
-        c.vectorize_enabled = vectorize;
+        c.reference = reference;
         c.broadcast_threshold = q.broadcast_threshold;
         c.adaptive_target_partition_bytes = q.target_partition_bytes;
     });
@@ -169,26 +167,17 @@ fn adaptive_and_static_plans_agree_on_random_joins() {
     for seed in 0..ITERS {
         let mut rng = StdRng::seed_from_u64(0xADA9 ^ (seed * 0x9E37_79B9));
         let q = arb_query(&mut rng);
-        let (baseline, static_changes) = run(&q, false, false);
+        let (baseline, static_changes) = run(&q, true);
         assert!(
             static_changes.is_empty(),
             "seed {seed}: static run recorded changes"
         );
-        let (adaptive_rows, changes) = run(&q, true, false);
+        let (adaptive_rows, changes) = run(&q, false);
         assert_eq!(
             adaptive_rows, baseline,
             "seed {seed}: adaptive diverged (join={:?}, agg={}, thresh={}, target={})",
             q.join_type, q.aggregate, q.broadcast_threshold, q.target_partition_bytes
         );
-        for vectorize in [true, false] {
-            let (got, _) = run(&q, true, vectorize);
-            assert_eq!(
-                got, baseline,
-                "seed {seed}: adaptive+vectorize={vectorize} diverged"
-            );
-        }
-        let (got, _) = run(&q, false, true);
-        assert_eq!(got, baseline, "seed {seed}: static+vectorized diverged");
 
         if !baseline.is_empty() {
             nonempty += 1;
@@ -228,7 +217,7 @@ fn adaptive_and_static_plans_agree_on_random_joins() {
     // Every adaptive change event renders with its marker string.
     let mut rng = StdRng::seed_from_u64(0xADA9);
     let q = arb_query(&mut rng);
-    let (_, changes) = run(&q, true, false);
+    let (_, changes) = run(&q, false);
     for c in &changes {
         assert!(format!("{c}").starts_with("AdaptivePlanChange["), "{c}");
     }
@@ -257,8 +246,8 @@ fn skewed_join_splits_and_matches_static_results() {
         broadcast_threshold: 0,     // never demote: stay on the shuffled path
         target_partition_bytes: 64, // tiny target: the hot partition is "skewed"
     };
-    let (baseline, _) = run(&q, false, false);
-    let (got, changes) = run(&q, true, false);
+    let (baseline, _) = run(&q, true);
+    let (got, changes) = run(&q, false);
     assert_eq!(got, baseline, "skew-split results diverged");
     assert!(
         changes.iter().any(|c| c.rule == AdaptiveRule::SkewSplit),
@@ -272,8 +261,6 @@ fn skewed_join_splits_and_matches_static_results() {
 #[test]
 fn explain_analyze_shows_initial_and_final_plans() {
     let ctx = SQLContext::new_local(2);
-    // Explicit, so the test also passes under CATALYST_ADAPTIVE=0.
-    ctx.set_conf(|c| c.adaptive_enabled = true);
     let fact_rows: Vec<Row> = (0..2000)
         .map(|i| {
             let k = if i % 10 < 8 { 0 } else { i % 16 };
@@ -321,10 +308,10 @@ fn explain_analyze_shows_initial_and_final_plans() {
     // The plan accessor agrees with the rendering.
     assert!(format!("{}", qe.final_physical()).contains("BroadcastHashJoin"));
 
-    // With adaptive off, the same query reproduces today's static plan
-    // and identical results.
+    // The reference plans the same query statically, with identical
+    // results.
     let ctx2 = SQLContext::new_local(2);
-    ctx2.set_conf(|c| c.adaptive_enabled = false);
+    ctx2.set_conf(|c| c.reference = true);
     let fact2 = ctx2
         .dataframe_from_rdd(
             "fact",

@@ -1,14 +1,15 @@
 //! Chaos differential tests: randomly generated SQL plans (joins,
-//! aggregates, cached tables, adaptive × vectorized on/off) executed
-//! under deterministic seeded fault injection must produce results
-//! byte-identical to a fault-free run of the same plan.
+//! aggregates, cached tables) executed under deterministic seeded fault
+//! injection must produce results byte-identical to a fault-free run of
+//! the same plan in the other configuration — production against the
+//! reference.
 //!
 //! Each iteration builds one query, runs it on a clean context with
-//! chaos disabled (the baseline), then re-runs it on a fresh context
-//! with a seeded [`engine::ChaosPlan`] injecting task panics, shuffle
-//! fetch failures, and executor deaths — plus, for cached-table plans,
-//! an explicit executor loss between cache warmup and the main query.
-//! Sorted result multisets must match exactly.
+//! chaos disabled (the baseline), then re-runs it in the other
+//! configuration on a fresh context with a seeded [`engine::ChaosPlan`]
+//! injecting task panics, shuffle fetch failures, and executor deaths —
+//! plus, for cached-table plans, an explicit executor loss between cache
+//! warmup and the main query. Sorted result multisets must match exactly.
 //!
 //! Meaningfulness floors at the end prove the sweep exercised every
 //! fault kind (panic, fetch failure, executor death) and every recovery
@@ -76,8 +77,9 @@ struct GenQuery {
     dim_rows: Vec<Row>,
     join_type: JoinType,
     aggregate: bool,
-    adaptive: bool,
-    vectorize: bool,
+    /// Run the chaotic side in the reference; the baseline then runs in
+    /// production.
+    reference: bool,
     /// Route the dim through `CACHE TABLE` (blocks in the engine cache).
     cache_dim: bool,
     /// With `cache_dim`: lose this executor slot between cache warmup
@@ -99,8 +101,7 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
         dim_rows: arb_dim_rows(rng),
         join_type,
         aggregate: rng.random_bool(0.4),
-        adaptive: rng.random_bool(0.5),
-        vectorize: rng.random_bool(0.5),
+        reference: rng.random_bool(0.5),
         cache_dim,
         kill_slot: (cache_dim && rng.random_bool(0.6)).then(|| rng.random_range(0usize..2)),
         broadcast_threshold: if rng.random_bool(0.5) {
@@ -119,17 +120,17 @@ struct Outcome {
     recovery_logged: bool,
 }
 
-/// Execute `q` on a fresh context. `chaos: None` pins chaos off (the
-/// baseline stays fault-free even under `ENGINE_CHAOS_SEED`); `Some`
-/// installs the seeded plan before anything runs.
-fn run(q: &GenQuery, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
+/// Execute `q` on a fresh context, in production or in the reference.
+/// `chaos: None` pins chaos off (the baseline stays fault-free even under
+/// `ENGINE_CHAOS_SEED`); `Some` installs the seeded plan before anything
+/// runs.
+fn run(q: &GenQuery, reference: bool, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
     let with_chaos = chaos.is_some();
     let ctx = SQLContext::new_local(2);
     let sc = ctx.spark_context().clone();
     sc.set_chaos(chaos);
     ctx.set_conf(|c| {
-        c.adaptive_enabled = q.adaptive;
-        c.vectorize_enabled = q.vectorize;
+        c.reference = reference;
         c.broadcast_threshold = q.broadcast_threshold;
     });
     // Fact over a bare RDD: unknown statistics force shuffled joins, so
@@ -202,7 +203,7 @@ fn chaotic_runs_match_fault_free_results() {
     for seed in 0..ITERS {
         let mut rng = StdRng::seed_from_u64(0xC4A0 ^ seed.wrapping_mul(0x9E37_79B9));
         let q = arb_query(&mut rng);
-        let baseline = run(&q, None);
+        let baseline = run(&q, !q.reference, None);
         assert_eq!(
             baseline.metrics.task_failures + baseline.metrics.fetch_failures,
             0,
@@ -217,12 +218,12 @@ fn chaotic_runs_match_fault_free_results() {
             max_fetch_failures: 2,
             ..ChaosConf::seeded(0xFA17 ^ seed.wrapping_mul(0x85EB_CA6B))
         }));
-        let chaotic = run(&q, Some(plan.clone()));
+        let chaotic = run(&q, q.reference, Some(plan.clone()));
         assert_eq!(
             chaotic.rows, baseline.rows,
-            "seed {seed}: chaos run diverged (join={:?}, agg={}, adaptive={}, vectorize={}, \
-             cache_dim={}, kill={:?})",
-            q.join_type, q.aggregate, q.adaptive, q.vectorize, q.cache_dim, q.kill_slot
+            "seed {seed}: chaos run diverged (join={:?}, agg={}, reference={}, cache_dim={}, \
+             kill={:?})",
+            q.join_type, q.aggregate, q.reference, q.cache_dim, q.kill_slot
         );
 
         let stats = plan.stats();

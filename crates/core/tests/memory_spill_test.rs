@@ -132,18 +132,19 @@ fn join_aggregate_sort_spills_and_matches_unbounded() {
 }
 
 /// A budgeted join builds the side its plan says it builds. Dim (known,
-/// small) joins fact (an RDD of unknown size), so the CBO plans
+/// small) joins fact (an RDD of unknown size), so production plans
 /// `build=Left`; each dim partition is far under a task's share of the
 /// budget and each fact partition far over it. Building the planned side
 /// never spills; building the right side regardless — what the grace join
-/// used to do under any budget — would.
+/// used to do under any budget — would. The rows match the unbounded
+/// reference, which builds the right side.
 #[test]
 fn a_budgeted_join_builds_the_planned_side() {
-    let run = |budget: u64, adaptive: bool| {
+    let run = |budget: u64, reference: bool| {
         let ctx = SQLContext::new_local(2);
         ctx.set_conf(|c| {
             c.memory_budget_bytes = budget;
-            c.adaptive_enabled = adaptive;
+            c.reference = reference;
             c.broadcast_threshold = 0;
             c.shuffle_partitions = 4;
         });
@@ -157,8 +158,13 @@ fn a_budgeted_join_builds_the_planned_side() {
             .unwrap();
         let qe = df.query_execution().unwrap();
         let plan = qe.physical().to_string();
+        let planned = if reference {
+            "build=Right"
+        } else {
+            "build=Left"
+        };
         assert!(
-            plan.contains("ShuffledHashJoin") && plan.contains("build=Left"),
+            plan.contains("ShuffledHashJoin") && plan.contains(planned),
             "{plan}"
         );
         let mut rows: Vec<String> = qe
@@ -181,20 +187,18 @@ fn a_budgeted_join_builds_the_planned_side() {
             .sum();
         (rows, join_spills, qe.memory_stats())
     };
-    for adaptive in [true, false] {
-        let (expect, _, none) = run(0, adaptive);
-        assert!(none.is_none());
-        assert!(expect.len() > 3000);
-        let (got, join_spills, stats) = run(64 << 10, adaptive);
-        assert_eq!(got, expect, "adaptive={adaptive}: bounded join diverged");
-        assert_eq!(
-            join_spills, 0,
-            "adaptive={adaptive}: the join spilled — it built the big right side"
-        );
-        let stats = stats.expect("bounded run must expose pool stats");
-        assert!(stats.peak > 0, "adaptive={adaptive}: nothing was reserved");
-        assert!(stats.peak <= stats.budget);
-    }
+    let (expect, _, none) = run(0, true);
+    assert!(none.is_none());
+    assert!(expect.len() > 3000);
+    let (got, join_spills, stats) = run(64 << 10, false);
+    assert_eq!(got, expect, "bounded join diverged");
+    assert_eq!(
+        join_spills, 0,
+        "the join spilled — it built the big right side"
+    );
+    let stats = stats.expect("bounded run must expose pool stats");
+    assert!(stats.peak > 0, "nothing was reserved");
+    assert!(stats.peak <= stats.budget);
 }
 
 #[test]

@@ -296,9 +296,6 @@ fn query_execution_exposes_rule_health() {
 #[test]
 fn explain_analyze_counts_batches_on_the_vectorized_path() {
     let ctx = SQLContext::new_local(2);
-    if !ctx.conf().vectorize_enabled {
-        return; // CATALYST_VECTORIZE=0: the row path has no batch counters
-    }
     // Scan→Filter→Project over a cached (columnar) relation runs fully
     // batched: every one of those operators reports batches and physical
     // lanes scanned, and the filter's selectivity is readable as
@@ -344,9 +341,6 @@ fn explain_analyze_counts_batches_on_the_vectorized_path() {
 #[test]
 fn explain_analyze_counts_groups_and_frames_on_the_batch_back_half() {
     let ctx = SQLContext::new_local(2);
-    if !ctx.conf().vectorize_enabled {
-        return; // CATALYST_VECTORIZE=0: the row path has no batch counters
-    }
     users(&ctx).register_temp_table("users");
 
     // Batch-native hash aggregation reports the batches it consumed and

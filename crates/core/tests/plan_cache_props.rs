@@ -122,12 +122,10 @@ fn run_uncached(ctx: &SQLContext, text: &str) -> Vec<String> {
     sorted(uncached_frame(ctx, text).collect().unwrap())
 }
 
-fn configured(vectorize: bool, adaptive: bool, cbo: bool, bounded: bool) -> SQLContext {
+fn configured(reference: bool, bounded: bool) -> SQLContext {
     let ctx = SQLContext::new_local(2);
     ctx.set_conf(|c| {
-        c.vectorize_enabled = vectorize;
-        c.adaptive_enabled = adaptive;
-        c.cbo_enabled = cbo;
+        c.reference = reference;
         c.memory_budget_bytes = if bounded { 16 * 1024 } else { 0 };
         c.shuffle_partitions = 3;
     });
@@ -175,15 +173,18 @@ fn a_hit_returns_the_rows_of_a_fresh_plan_in_every_configuration() {
     for seed in 0..4u64 {
         let tables = random_tables(seed);
         let statements = random_statements(&mut StdRng::seed_from_u64(0xCACE + seed));
-        for config in 0..16u32 {
-            let flag = |bit: u32| config & (1 << bit) != 0;
-            let make = || configured(flag(0), flag(1), flag(2), flag(3));
+        // What the unbounded reference answers, per statement.
+        let mut oracle: Vec<Vec<String>> = Vec::new();
+        for (reference, bounded) in [(true, false), (false, false), (true, true), (false, true)] {
+            let make = || configured(reference, bounded);
             let ctx = make();
             register(&ctx, &tables);
             let fresh = make();
             register(&fresh, &tables);
-            for sql in &statements {
-                let at = |what: &str| format!("seed {seed} config {config:04b} {what}: {sql}");
+            for (i, sql) in statements.iter().enumerate() {
+                let at = |what: &str| {
+                    format!("seed {seed} reference={reference} bounded={bounded} {what}: {sql}")
+                };
                 let before = ctx.plan_cache_stats();
                 let first = run(&ctx, sql);
                 let second = run(&ctx, sql);
@@ -195,6 +196,10 @@ fn a_hit_returns_the_rows_of_a_fresh_plan_in_every_configuration() {
                 assert_eq!(third, first, "{}", at("second hit"));
                 assert_eq!(run(&fresh, sql), first, "{}", at("fresh session"));
                 assert_eq!(run_uncached(&ctx, sql), first, "{}", at("uncached path"));
+                match oracle.get(i) {
+                    Some(want) => assert_eq!(&first, want, "{}", at("vs the reference")),
+                    None => oracle.push(first),
+                }
             }
             assert_eq!(ctx.plan_cache_stats().invalidations, 0);
         }
@@ -382,7 +387,6 @@ fn cache_table_round_trip_keeps_plans_made_before_and_drops_those_made_inside() 
 #[test]
 fn a_statement_planned_over_a_cold_cache_is_planned_again_once_it_is_filled() {
     let ctx = SQLContext::new_local(2);
-    ctx.set_conf(|c| c.cbo_enabled = true);
     ctx.register_rows("t", schema(), rows_of(0..50)).unwrap();
     ctx.sql("CACHE TABLE t").unwrap();
     let sql = "SELECT count(*), min(v), max(v) FROM t";

@@ -1,10 +1,12 @@
 //! Differential property tests for memory-governed execution: randomly
 //! generated join/aggregate/sort plans executed under a byte budget small
-//! enough to force spilling must produce results byte-identical to the
-//! unbounded all-in-memory path — across vectorize × adaptive on/off —
-//! while the pool's high-water mark never exceeds the budget and every
-//! spill file written is deleted by the end of the run, including runs
-//! with chaos-injected task failures.
+//! enough to force spilling must produce results byte-identical to an
+//! unbounded all-in-memory run of the other configuration — a bounded
+//! production run against the unbounded reference, and a bounded
+//! reference run against unbounded production — while the pool's
+//! high-water mark never exceeds the budget and every spill file written
+//! is deleted by the end of the run, including runs with chaos-injected
+//! task failures.
 //!
 //! Same deterministic seeded-sweep style as `adaptive_diff_props.rs` and
 //! `chaos_props.rs` (the build vendors only a minimal rand shim).
@@ -78,14 +80,16 @@ struct GenQuery {
     fact_rows: Vec<Row>,
     dim_rows: Vec<Row>,
     /// Which side of the join the dim table is on. Its size is known and
-    /// the fact RDD's is not, so the planner builds the dim side: this is
+    /// the fact RDD's is not, so production builds the dim side: this is
     /// the plan's `build=` side, and the join under test must build it.
+    /// (The reference always builds the right side.)
     dim_left: bool,
     join: Option<JoinType>,
     aggregate: bool,
     sort: bool,
-    vectorize: bool,
-    adaptive: bool,
+    /// Run the budgeted (or chaotic) side in the reference; its unbounded
+    /// baseline then runs in production.
+    reference: bool,
     budget: u64,
 }
 
@@ -105,8 +109,6 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
     let fact_rows = arb_fact_rows(rng);
     let small = rng.random_range(1usize..48);
     let mut dim_rows = arb_dim_rows(rng, small);
-    let vectorize = rng.random_bool(0.5);
-    let adaptive = rng.random_bool(0.5);
     let budget = [4u64 << 10, 8 << 10, 16 << 10][rng.random_range(0usize..3)];
     // Half the build sides outgrow any of the budgets, so the join goes
     // grace with either side built; the rest fit and must not spill.
@@ -121,8 +123,7 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
         join,
         aggregate,
         sort,
-        vectorize,
-        adaptive,
+        reference: rng.random_bool(0.25),
         budget,
     }
 }
@@ -136,13 +137,13 @@ struct Outcome {
     spilled_ops: Vec<String>,
 }
 
-/// Execute `q` on a fresh context under `budget` bytes (0 = unbounded).
-fn run(q: &GenQuery, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
+/// Execute `q` on a fresh context under `budget` bytes (0 = unbounded),
+/// in production or in the reference.
+fn run(q: &GenQuery, reference: bool, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
     let ctx = SQLContext::new_local(2);
     ctx.spark_context().set_chaos(chaos);
     ctx.set_conf(|c| {
-        c.vectorize_enabled = q.vectorize;
-        c.adaptive_enabled = q.adaptive;
+        c.reference = reference;
         // Broadcast joins are bounded by the planner's threshold, not the
         // pool; pin the shuffled (governed) path so the sweep means something.
         c.broadcast_threshold = 0;
@@ -231,7 +232,7 @@ fn spilling_plans_match_unbounded_results() {
         let mut rng = StdRng::seed_from_u64(0x5B11 ^ seed.wrapping_mul(0x9E37_79B9));
         let q = arb_query(&mut rng);
 
-        let baseline = run(&q, 0, None);
+        let baseline = run(&q, !q.reference, 0, None);
         assert!(
             baseline.stats.is_none(),
             "seed {seed}: unbounded run reported pool stats"
@@ -241,12 +242,12 @@ fn spilling_plans_match_unbounded_results() {
             "seed {seed}: unbounded run spilled"
         );
 
-        let bounded = run(&q, q.budget, None);
+        let bounded = run(&q, q.reference, q.budget, None);
         assert_eq!(
             bounded.rows, baseline.rows,
-            "seed {seed}: bounded run diverged (join={:?}, agg={}, sort={}, vec={}, \
-             adaptive={}, budget={})",
-            q.join, q.aggregate, q.sort, q.vectorize, q.adaptive, q.budget
+            "seed {seed}: bounded run diverged (join={:?}, agg={}, sort={}, reference={}, \
+             budget={})",
+            q.join, q.aggregate, q.sort, q.reference, q.budget
         );
         let stats = bounded.stats.expect("bounded run must report pool stats");
         assert_eq!(stats.budget, q.budget, "seed {seed}");
@@ -272,7 +273,12 @@ fn spilling_plans_match_unbounded_results() {
         total_spill_count += stats.spill_count;
         if let Some(jt) = q.join {
             let planned_left = bounded.plan.contains("build=Left");
-            assert_eq!(planned_left, q.dim_left, "seed {seed}: {}", bounded.plan);
+            assert_eq!(
+                planned_left,
+                q.dim_left && !q.reference,
+                "seed {seed}: {}",
+                bounded.plan
+            );
             let side = if planned_left {
                 if !build_left_types.contains(&jt) {
                     build_left_types.push(jt);
@@ -369,15 +375,14 @@ fn external_sort_reproduces_in_memory_order_exactly() {
         join: None,
         aggregate: false,
         sort: false, // ordered below, un-sorted comparison
-        vectorize: false,
-        adaptive: false,
+        reference: true,
         budget: 4 << 10,
     };
     let order = |budget: u64| {
         let ctx = SQLContext::new_local(2);
         ctx.set_conf(|c| {
             c.memory_budget_bytes = budget;
-            c.vectorize_enabled = false;
+            c.reference = true;
         });
         let rdd = ctx.spark_context().parallelize(q.fact_rows.clone(), 3);
         let df = ctx
@@ -407,7 +412,8 @@ fn external_sort_reproduces_in_memory_order_exactly() {
 /// ORDER BY is one operator whatever the budget: over keys with heavy
 /// ties, NULLs and mixed directions, the row *sequence* — equal keys in
 /// arrival order — is the same unbounded, under a budget that spills every
-/// few dozen rows, and under one that rarely denies, vectorized or not.
+/// few dozen rows, and under one that rarely denies, in production and in
+/// the reference.
 #[test]
 fn order_by_sequence_is_the_same_at_every_budget() {
     let mut spilled = 0u32;
@@ -447,11 +453,11 @@ fn order_by_sequence_is_the_same_at_every_budget() {
         if orders.is_empty() {
             orders.push(col("s").desc());
         }
-        let sequence = |budget: u64, vectorize: bool| {
+        let sequence = |budget: u64, reference: bool| {
             let ctx = SQLContext::new_local(2);
             ctx.set_conf(|c| {
                 c.memory_budget_bytes = budget;
-                c.vectorize_enabled = vectorize;
+                c.reference = reference;
                 c.shuffle_partitions = 3;
             });
             let rdd = ctx.spark_context().parallelize(rows.clone(), 3);
@@ -470,14 +476,14 @@ fn order_by_sequence_is_the_same_at_every_budget() {
                 .collect();
             (rows, qe.memory_stats().map_or(0, |s| s.spill_count))
         };
-        let (expect, _) = sequence(0, false);
+        let (expect, _) = sequence(0, true);
         assert_eq!(expect.len(), rows.len());
         for budget in [0u64, 4 << 10, 64 << 10] {
-            for vectorize in [false, true] {
-                let (got, spills) = sequence(budget, vectorize);
+            for reference in [true, false] {
+                let (got, spills) = sequence(budget, reference);
                 assert_eq!(
                     got, expect,
-                    "seed {seed}: budget={budget} vectorize={vectorize} reordered rows \
+                    "seed {seed}: budget={budget} reference={reference} reordered rows \
                      (ORDER BY {orders:?})"
                 );
                 spilled += (spills > 0) as u32;
@@ -488,9 +494,11 @@ fn order_by_sequence_is_the_same_at_every_budget() {
 }
 
 /// Spilling under chaos-injected task panics, fetch failures, and
-/// executor deaths: results still match a fault-free unbounded run, and
-/// no spill file outlives the query even when tasks die mid-spill (the
-/// files are dropped during unwind and re-created by the retry).
+/// executor deaths: results still match a fault-free unbounded run of the
+/// other configuration, and no spill file outlives the query even when
+/// tasks die mid-spill (the files are dropped during unwind and
+/// re-created by the retry). Static plans run only in the sweep's
+/// reference rows.
 #[test]
 fn chaotic_spilling_runs_leak_nothing_and_match() {
     const CHAOS_ITERS: u64 = 24;
@@ -500,7 +508,7 @@ fn chaotic_spilling_runs_leak_nothing_and_match() {
         let mut rng = StdRng::seed_from_u64(0xC506 ^ seed.wrapping_mul(0x85EB_CA6B));
         let mut q = arb_query(&mut rng);
         q.budget = 6 << 10;
-        let baseline = run(&q, 0, None);
+        let baseline = run(&q, !q.reference, 0, None);
 
         let plan = Arc::new(ChaosPlan::new(ChaosConf {
             task_fault_prob: 0.08,
@@ -510,11 +518,12 @@ fn chaotic_spilling_runs_leak_nothing_and_match() {
             max_fetch_failures: 2,
             ..ChaosConf::seeded(0xFA11 ^ seed.wrapping_mul(0x9E37_79B9))
         }));
-        let chaotic = run(&q, q.budget, Some(plan.clone()));
+        let chaotic = run(&q, q.reference, q.budget, Some(plan.clone()));
         assert_eq!(
             chaotic.rows, baseline.rows,
-            "seed {seed}: chaotic spilling run diverged (join={:?}, agg={}, sort={})",
-            q.join, q.aggregate, q.sort
+            "seed {seed}: chaotic spilling run diverged (join={:?}, agg={}, sort={}, \
+             reference={})",
+            q.join, q.aggregate, q.sort, q.reference
         );
         let stats = chaotic.stats.expect("bounded run must report pool stats");
         assert!(stats.peak <= stats.budget, "seed {seed}: peak above budget");

@@ -557,8 +557,8 @@ fn create_temp_table_using_json() {
 
 #[test]
 fn shark_like_config_produces_same_results() {
-    // Ablation sanity: with codegen/columnar/pushdown all off, answers
-    // must be identical (only slower).
+    // Ablation sanity: the reference engine with the columnar cache and
+    // pushdown off answers identically (only slower).
     let ctx = ctx_with_tables();
     let q = "SELECT deptId, count(*), avg(salary) FROM employees \
              WHERE name LIKE '%a%' GROUP BY deptId ORDER BY deptId";

@@ -1,13 +1,13 @@
 //! Differential property tests for vectorized execution: randomly
 //! generated tables and operator chains must produce *identical* results
-//! whether they run through the columnar batch path (`RowBatch` +
-//! vectorized kernels) or the row-at-a-time interpreter/codegen path.
+//! in production — the columnar batch path (`RowBatch` + vectorized
+//! kernels) beside compiled row closures — and in the reference, which
+//! interprets every expression row at a time.
 //!
 //! Same deterministic seeded-sweep style as
 //! `catalyst/tests/plan_validator_props.rs` (the build environment
 //! vendors only a minimal rand shim). Each iteration runs the same plan
-//! under vectorize × codegen on/off — four configurations — and asserts
-//! the sorted result multisets match.
+//! in both configurations and asserts the sorted result multisets match.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -137,11 +137,12 @@ fn arb_projection(
     if rng.random_bool(0.7) {
         let c = &cols[rng.random_range(0..cols.len() as u32) as usize];
         let (e, dtype) = match &c.dtype {
-            DataType::Long | DataType::Int => match rng.random_range(0u32..4) {
+            DataType::Long | DataType::Int => match rng.random_range(0u32..5) {
                 0 => (col(&c.name).add(lit(3i64)), DataType::Long),
                 1 => (col(&c.name).mul(lit(-2i64)), DataType::Long),
+                2 => (col(&c.name).sub(lit(5i64)), DataType::Long),
                 // Divisor sweeps through 0 ⇒ NULL lanes on both paths.
-                2 => (
+                3 => (
                     col(&c.name).div(lit(rng.random_range(0i64..3))),
                     DataType::Double,
                 ),
@@ -208,14 +209,12 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
     }
 }
 
-/// Execute the query under one configuration and return the result as a
-/// sorted multiset of row debug strings (Debug is exact for doubles).
-fn run(q: &GenQuery, vectorize: bool, codegen: bool) -> Vec<String> {
+/// Execute the query in production or in the reference and return the
+/// result as a sorted multiset of row debug strings (Debug is exact for
+/// doubles).
+fn run(q: &GenQuery, reference: bool) -> Vec<String> {
     let ctx = SQLContext::new_local(2);
-    ctx.set_conf(|c| {
-        c.vectorize_enabled = vectorize;
-        c.codegen_enabled = codegen;
-    });
+    ctx.set_conf(|c| c.reference = reference);
     let mut df = ctx
         .create_dataframe(q.schema.clone(), q.rows.clone())
         .expect("create_dataframe");
@@ -252,19 +251,16 @@ fn vectorized_and_row_paths_agree_on_random_plans() {
     for seed in 0..ITERS {
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ (seed * 0x9E37_79B9));
         let q = arb_query(&mut rng);
-        let baseline = run(&q, false, true);
-        for (vectorize, codegen) in [(true, true), (true, false), (false, false)] {
-            let got = run(&q, vectorize, codegen);
-            assert_eq!(
-                got,
-                baseline,
-                "seed {seed}: vectorize={vectorize} codegen={codegen} diverged \
-                 (cache={}, ops={}, agg={})",
-                q.cache,
-                q.ops.len(),
-                q.aggregate
-            );
-        }
+        let baseline = run(&q, true);
+        assert_eq!(
+            run(&q, false),
+            baseline,
+            "seed {seed}: production diverged from the reference \
+             (cache={}, ops={}, agg={})",
+            q.cache,
+            q.ops.len(),
+            q.aggregate
+        );
         if !baseline.is_empty() {
             nonempty += 1;
         }
@@ -296,9 +292,9 @@ fn vectorized_count_and_bare_scan_agree() {
         let mut rng = StdRng::seed_from_u64(0xC0DE ^ (seed * 0x85EB_CA6B));
         let (schema, rows) = arb_table(&mut rng);
         let mut counts = Vec::new();
-        for vectorize in [true, false] {
+        for reference in [false, true] {
             let ctx = SQLContext::new_local(2);
-            ctx.set_conf(|c| c.vectorize_enabled = vectorize);
+            ctx.set_conf(|c| c.reference = reference);
             let df = ctx
                 .create_dataframe(schema.clone(), rows.clone())
                 .unwrap()
@@ -313,7 +309,7 @@ fn vectorized_count_and_bare_scan_agree() {
             got.sort();
             let mut expect: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
             expect.sort();
-            assert_eq!(got, expect, "seed {seed}: bare scan, vectorize={vectorize}");
+            assert_eq!(got, expect, "seed {seed}: bare scan, reference={reference}");
             counts.push(df.count().unwrap());
         }
         assert_eq!(counts[0], counts[1], "seed {seed}: count diverged");
@@ -322,8 +318,8 @@ fn vectorized_count_and_bare_scan_agree() {
 
 /// Values no lossy accumulator survives: BIGINTs that differ only below
 /// f64's 53-bit mantissa, and an INT sum that widens to BIGINT in one
-/// group and stays INT in the other. Every configuration must return the
-/// same values *and* the same `Value` tags.
+/// group and stays INT in the other. Production and the reference, at
+/// every budget, must return the same values *and* the same `Value` tags.
 #[test]
 fn grouped_aggregates_are_exact_and_identically_tagged_in_every_config() {
     const BIG: i64 = 9_007_199_254_740_993; // 2^53 + 1
@@ -359,32 +355,26 @@ fn grouped_aggregates_are_exact_and_identically_tagged_in_every_config() {
             ])
         ),
     ];
-    for vectorize in [true, false] {
-        for codegen in [true, false] {
-            for budget in [0u64, 64 * 1024] {
-                let ctx = SQLContext::new_local(2);
-                ctx.set_conf(|c| {
-                    c.vectorize_enabled = vectorize;
-                    c.codegen_enabled = codegen;
-                    c.memory_budget_bytes = budget;
-                });
-                ctx.create_dataframe(schema.clone(), rows.clone())
-                    .unwrap()
-                    .register_temp_table("t");
-                let mut got: Vec<String> = ctx
-                    .sql("SELECT k, MAX(v), MIN(v), SUM(i), AVG(v) FROM t GROUP BY k")
-                    .unwrap()
-                    .collect()
-                    .unwrap()
-                    .iter()
-                    .map(|r| format!("{r:?}"))
-                    .collect();
-                got.sort();
-                assert_eq!(
-                    got, expect,
-                    "vectorize={vectorize} codegen={codegen} budget={budget}"
-                );
-            }
+    for reference in [false, true] {
+        for budget in [0u64, 64 * 1024] {
+            let ctx = SQLContext::new_local(2);
+            ctx.set_conf(|c| {
+                c.reference = reference;
+                c.memory_budget_bytes = budget;
+            });
+            ctx.create_dataframe(schema.clone(), rows.clone())
+                .unwrap()
+                .register_temp_table("t");
+            let mut got: Vec<String> = ctx
+                .sql("SELECT k, MAX(v), MIN(v), SUM(i), AVG(v) FROM t GROUP BY k")
+                .unwrap()
+                .collect()
+                .unwrap()
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            got.sort();
+            assert_eq!(got, expect, "reference={reference} budget={budget}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Differential property tests for the vectorized back half of the
 //! pipeline: batch-native hash aggregation, vectorized sort, and the
 //! window-function operator must produce results byte-identical to the
-//! row-at-a-time path — across vectorize × adaptive × bounded-memory
-//! configurations and under chaos-injected task faults — including
-//! null-heavy and all-NULL partition keys.
+//! reference's row-at-a-time path — unbounded, under a memory budget,
+//! and under chaos-injected task faults — including null-heavy and
+//! all-NULL partition keys.
 //!
 //! Same deterministic seeded-sweep style as `vectorized_diff_props.rs`
 //! and `spill_props.rs` (the build vendors only a minimal rand shim).
@@ -155,20 +155,14 @@ struct Outcome {
     spilled: bool,
 }
 
-/// Execute `q` on a fresh context. `budget` of 0 keeps the pool
-/// unbounded; `chaos: Some` installs a seeded fault plan before the run.
-fn run(
-    q: &GenQuery,
-    vectorize: bool,
-    adaptive: bool,
-    budget: u64,
-    chaos: Option<Arc<ChaosPlan>>,
-) -> Outcome {
+/// Execute `q` on a fresh context, in production or in the reference.
+/// `budget` of 0 keeps the pool unbounded; `chaos: Some` installs a
+/// seeded fault plan before the run.
+fn run(q: &GenQuery, reference: bool, budget: u64, chaos: Option<Arc<ChaosPlan>>) -> Outcome {
     let ctx = SQLContext::new_local(2);
     ctx.spark_context().set_chaos(chaos);
     ctx.set_conf(|c| {
-        c.vectorize_enabled = vectorize;
-        c.adaptive_enabled = adaptive;
+        c.reference = reference;
         c.memory_budget_bytes = budget;
         c.shuffle_partitions = 4;
     });
@@ -215,26 +209,23 @@ fn batch_agg_sort_and_window_paths_agree() {
     for seed in 0..ITERS {
         let mut rng = StdRng::seed_from_u64(0x11D0 ^ (seed.wrapping_mul(0x9E37_79B9)));
         let q = arb_query(&mut rng);
-        let baseline = run(&q, false, false, 0, None);
+        let baseline = run(&q, true, 0, None);
 
-        // Vectorize and adaptive toggles, unbounded memory.
-        for (vectorize, adaptive) in [(true, false), (true, true)] {
-            let got = run(&q, vectorize, adaptive, 0, None);
+        // Production, unbounded memory.
+        let got = run(&q, false, 0, None);
+        assert_eq!(
+            got.rows, baseline.rows,
+            "seed {seed}: production diverged from the reference (shape={:?}, mode={:?})",
+            q.shape, q.mode
+        );
+
+        // Bounded pool: spill-safe paths must stay byte-identical in
+        // production and in the reference.
+        for reference in [false, true] {
+            let got = run(&q, reference, q.budget, None);
             assert_eq!(
                 got.rows, baseline.rows,
-                "seed {seed}: vectorize={vectorize} adaptive={adaptive} diverged \
-                 (shape={:?}, mode={:?})",
-                q.shape, q.mode
-            );
-        }
-
-        // Bounded pool: spill-safe paths must stay byte-identical on
-        // both the batch and the row path.
-        for vectorize in [true, false] {
-            let got = run(&q, vectorize, false, q.budget, None);
-            assert_eq!(
-                got.rows, baseline.rows,
-                "seed {seed}: bounded budget={} vectorize={vectorize} diverged \
+                "seed {seed}: bounded budget={} reference={reference} diverged \
                  (shape={:?}, mode={:?})",
                 q.budget, q.shape, q.mode
             );
@@ -243,7 +234,7 @@ fn batch_agg_sort_and_window_paths_agree() {
             }
         }
 
-        // Chaos: seeded task faults during a vectorized run must recover
+        // Chaos: seeded task faults during a production run must recover
         // to the exact baseline.
         if seed % 3 == 0 {
             let plan = Arc::new(ChaosPlan::new(ChaosConf {
@@ -251,7 +242,7 @@ fn batch_agg_sort_and_window_paths_agree() {
                 fetch_fault_prob: 0.08,
                 ..ChaosConf::seeded(0x5EED ^ seed.wrapping_mul(0x85EB_CA6B))
             }));
-            let got = run(&q, true, true, 0, Some(plan));
+            let got = run(&q, false, 0, Some(plan));
             assert_eq!(
                 got.rows, baseline.rows,
                 "seed {seed}: chaos run diverged (shape={:?}, mode={:?})",

@@ -3,8 +3,8 @@
 //! * the SQL engine agrees with a naive in-memory reference evaluator;
 //! * compiled ("code-generated") and interpreted expression evaluation
 //!   agree on random expressions and rows;
-//! * every ablation configuration (codegen off, shuffled joins forced,
-//!   pushdown off) produces identical answers;
+//! * every ablation configuration (the reference engine, shuffled joins
+//!   forced, the Shark baseline) produces identical answers;
 //! * the columnar file format round-trips arbitrary values.
 //!
 //! Formerly proptest; rewritten as seeded sweeps because the build
@@ -159,70 +159,77 @@ fn ablations_preserve_semantics() {
             ctx.sql(q).unwrap().collect().unwrap()
         };
         let baseline = run(spark_sql::SqlConf::default());
-        let no_codegen = run(spark_sql::SqlConf {
-            codegen_enabled: false,
-            ..Default::default()
-        });
+        let reference = run(spark_sql::SqlConf::reference());
         let shuffled = run(spark_sql::SqlConf {
             broadcast_threshold: 0,
             ..Default::default()
         });
         let shark = run(spark_sql::SqlConf::shark_like());
-        assert_eq!(&baseline, &no_codegen);
+        assert_eq!(&baseline, &reference);
         assert_eq!(&baseline, &shuffled);
         assert_eq!(&baseline, &shark);
     }
 }
 
 /// Compiled and interpreted evaluation agree on random arithmetic /
-/// comparison expressions over random rows (NULLs included).
+/// comparison expressions over random rows (NULLs included), over BIGINT
+/// and over INT references, with the extremes where integral `+ - *` and
+/// unary `-` wrap at the declared width.
 #[test]
 fn codegen_agrees_with_interpreter() {
     let mut rng = StdRng::seed_from_u64(0x5EED_4005);
-    let x = Expr::BoundRef {
-        index: 0,
-        dtype: DataType::Long,
-        nullable: true,
-        name: "x".into(),
-    };
-    let y = Expr::BoundRef {
-        index: 1,
-        dtype: DataType::Long,
-        nullable: true,
-        name: "y".into(),
-    };
-    for _ in 0..256 {
-        let a = if rng.random_bool(0.2) {
-            None
-        } else {
-            Some(rng.random_range(-1000i64..1000))
+    for dtype in [DataType::Long, DataType::Int] {
+        let int = dtype == DataType::Int;
+        let bound = |index: usize, name: &str| Expr::BoundRef {
+            index,
+            dtype: dtype.clone(),
+            nullable: true,
+            name: name.into(),
         };
-        let b = if rng.random_bool(0.2) {
-            None
-        } else {
-            Some(rng.random_range(-1000i64..1000))
+        let (x, y) = (bound(0, "x"), bound(1, "y"));
+        let value = |v: i64| {
+            if int {
+                Value::Int(v as i32)
+            } else {
+                Value::Long(v)
+            }
         };
-        let c = rng.random_range(-10i64..10);
-        let op = rng.random_range(0usize..8);
-        let exprs = [
-            x.clone().add(y.clone()).mul(lit(c)),
-            x.clone().sub(y.clone()),
-            x.clone().rem(lit(c)),
-            x.clone().div(y.clone()),
-            x.clone().lt(y.clone()),
-            x.clone().eq(y.clone()).and(x.clone().gt(lit(c))),
-            x.clone().is_null().or(y.clone().is_not_null()),
-            x.clone().add(lit(c)).gt_eq(y.clone()),
-        ];
-        let e = &exprs[op];
-        let row = Row::new(vec![
-            a.map(Value::Long).unwrap_or(Value::Null),
-            b.map(Value::Long).unwrap_or(Value::Null),
-        ]);
-        let interpreted = interpreter::eval(e, &row).unwrap();
-        let dtype = e.data_type().unwrap();
-        let compiled = codegen::compile(e).eval_value(&row, &dtype).unwrap();
-        assert_eq!(interpreted, compiled, "expr #{op} on {row:?}");
+        let extremes = if int {
+            [i32::MAX as i64, i32::MIN as i64, i32::MAX as i64 - 1, -1]
+        } else {
+            [i64::MAX, i64::MIN, i64::MAX - 1, -1]
+        };
+        let arb = |rng: &mut StdRng| {
+            if rng.random_bool(0.2) {
+                Value::Null
+            } else if rng.random_bool(0.3) {
+                value(extremes[rng.random_range(0..extremes.len())])
+            } else {
+                value(rng.random_range(-1000i64..1000))
+            }
+        };
+        for _ in 0..256 {
+            let row = Row::new(vec![arb(&mut rng), arb(&mut rng)]);
+            let c = Expr::Literal(value(rng.random_range(-10i64..10)));
+            let op = rng.random_range(0usize..10);
+            let exprs = [
+                x.clone().add(y.clone()).mul(c.clone()),
+                x.clone().sub(y.clone()),
+                x.clone().rem(c.clone()),
+                x.clone().div(y.clone()),
+                x.clone().lt(y.clone()),
+                x.clone().eq(y.clone()).and(x.clone().gt(c.clone())),
+                x.clone().is_null().or(y.clone().is_not_null()),
+                x.clone().add(c.clone()).gt_eq(y.clone()),
+                Expr::Negate(Box::new(x.clone())),
+                x.clone().mul(y.clone()).sub(c.clone()).lt(x.clone()),
+            ];
+            let e = &exprs[op];
+            let interpreted = interpreter::eval(e, &row).unwrap();
+            let dtype = e.data_type().unwrap();
+            let compiled = codegen::compile(e).eval_value(&row, &dtype).unwrap();
+            assert_eq!(interpreted, compiled, "{e} on {row:?}");
+        }
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! Every `.slt` file is a sequence of records over a fixed set of seed
 //! tables. Each `query` record carries its expected output inline; the
-//! runner executes the whole corpus under the full configuration matrix
-//! (vectorize × adaptive × cbo × bounded-memory = 16 configs) and
-//! requires byte-identical results in every cell of the matrix — twice
-//! on each context, the second pass served from the session plan cache
-//! and byte-identical to the first. The
-//! recorded goldens double as a cross-config differential oracle: an
+//! runner executes the whole corpus in four cells — production and the
+//! reference (`SqlConf::reference`), each unbounded and under a 64 KiB
+//! memory budget — and requires byte-identical results in every cell,
+//! twice on each context, the second pass served from the session plan
+//! cache and byte-identical to the first. The recorded goldens double as
+//! a differential oracle between production and the reference: an
 //! optimization that changes any answer fails with the file, query, SQL,
-//! and config that diverged.
+//! and cell that diverged.
 //!
 //! File format (simplified sqllogictest):
 //!
@@ -32,64 +32,28 @@
 //! and cells join with `|`.
 //!
 //! Re-record goldens after an intended behavior change with
-//! `SQLLOGIC_RECORD=1 cargo test --test sqllogic` (records under the
-//! default configuration, then verifies the rest of the matrix).
+//! `SQLLOGIC_RECORD=1 cargo test --test sqllogic` (records in unbounded
+//! production, then verifies every cell).
 
 use catalyst::row::Row;
 use catalyst::schema::Schema;
 use catalyst::types::{DataType, StructField};
 use catalyst::value::Value;
 use spark_sql_repro::spark_sql::SQLContext;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-// ---- configuration matrix ----
+// ---- the four cells ----
 
-#[derive(Clone, Copy)]
-struct Config {
-    vectorize: bool,
-    adaptive: bool,
-    cbo: bool,
-    bounded: bool,
-}
+/// `(reference, bounded)`: production or the reference, each unbounded
+/// and under a 64 KiB memory budget.
+const CELLS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
-impl fmt::Display for Config {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vectorize={} adaptive={} cbo={} bounded={}",
-            self.vectorize, self.adaptive, self.cbo, self.bounded
-        )
-    }
-}
-
-fn matrix() -> Vec<Config> {
-    let mut out = Vec::new();
-    for &vectorize in &[true, false] {
-        for &adaptive in &[true, false] {
-            for &cbo in &[true, false] {
-                for &bounded in &[true, false] {
-                    out.push(Config {
-                        vectorize,
-                        adaptive,
-                        cbo,
-                        bounded,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-fn context_for(config: Config) -> SQLContext {
+fn context_for(reference: bool, bounded: bool) -> SQLContext {
     let ctx = SQLContext::new_local(2);
     ctx.set_conf(|c| {
-        c.vectorize_enabled = config.vectorize;
-        c.adaptive_enabled = config.adaptive;
-        c.cbo_enabled = config.cbo;
-        if config.bounded {
+        c.reference = reference;
+        if bounded {
             // Small enough that hash joins and aggregates over the seed
             // tables actually exercise the spill machinery.
             c.memory_budget_bytes = 64 * 1024;
@@ -347,14 +311,9 @@ fn run_file(name: &str) {
     let mut records = parse_slt(&path);
 
     if std::env::var("SQLLOGIC_RECORD").is_ok() {
-        // Record under the default configuration, then verify the matrix
-        // below — a nondeterministic query fails immediately.
-        let ctx = context_for(Config {
-            vectorize: true,
-            adaptive: true,
-            cbo: true,
-            bounded: false,
-        });
+        // Record in unbounded production, then verify every cell below
+        // — a nondeterministic query fails immediately.
+        let ctx = context_for(false, false);
         for r in &mut records {
             let got = run_record(&ctx, r)
                 .unwrap_or_else(|e| panic!("{}:{}: {e}\nSQL: {}", path.display(), r.line, r.sql));
@@ -369,8 +328,9 @@ fn run_file(name: &str) {
     let has_statements = records
         .iter()
         .any(|r| matches!(r.directive, Directive::StatementOk));
-    for config in matrix() {
-        let ctx = context_for(config);
+    for (reference, bounded) in CELLS {
+        let ctx = context_for(reference, bounded);
+        let cell = format!("reference={reference} bounded={bounded}");
         // The corpus runs twice on one context. The first pass plans every
         // statement; the second re-sends the same texts and — in a file
         // that never touches the catalog — must be answered from the
@@ -382,7 +342,7 @@ fn run_file(name: &str) {
             for r in &records {
                 let got = run_record(&ctx, r).unwrap_or_else(|e| {
                     panic!(
-                        "{}:{}: {e}\nSQL: {}\nconfig: {config} pass: {pass}",
+                        "{}:{}: {e}\nSQL: {}\ncell: {cell} pass: {pass}",
                         path.display(),
                         r.line,
                         r.sql
@@ -395,7 +355,7 @@ fn run_file(name: &str) {
                 queries += 1;
                 if got != r.expected {
                     panic!(
-                        "{}:{}: result mismatch\nSQL: {}\nconfig: {config} pass: {pass}\n\
+                        "{}:{}: result mismatch\nSQL: {}\ncell: {cell} pass: {pass}\n\
                          expected:\n{}\ngot:\n{}",
                         path.display(),
                         r.line,
@@ -410,7 +370,7 @@ fn run_file(name: &str) {
                 assert_eq!(
                     (after.hits - before.hits, after.misses - before.misses),
                     (sent, 0),
-                    "{}: second pass was not served from the plan cache\nconfig: {config}",
+                    "{}: second pass was not served from the plan cache\ncell: {cell}",
                     path.display()
                 );
             }
