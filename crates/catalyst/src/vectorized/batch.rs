@@ -42,6 +42,38 @@ impl VectorData {
             VectorData::Values(v) => v.len(),
         }
     }
+
+    /// Append `other`'s lanes; `false` (and nothing appended) when the
+    /// two storages differ.
+    fn extend_from(&mut self, other: &VectorData) -> bool {
+        match (self, other) {
+            (VectorData::Long(a), VectorData::Long(b)) => a.extend_from_slice(b),
+            (VectorData::Double(a), VectorData::Double(b)) => a.extend_from_slice(b),
+            (VectorData::Bool(a), VectorData::Bool(b)) => a.extend_from_slice(b),
+            (VectorData::Str(a), VectorData::Str(b)) => a.extend_from_slice(b),
+            (VectorData::Values(a), VectorData::Values(b)) => a.extend_from_slice(b),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// A [`ColumnVector::gather`] index that yields a NULL lane (the
+/// null-extended side of an outer join).
+pub const NULL_LANE: u32 = u32::MAX;
+
+/// `indices` picked out of `lanes`, with `filler` at [`NULL_LANE`]s.
+fn pick<T: Clone>(lanes: &[T], indices: &[u32], filler: T) -> Vec<T> {
+    indices
+        .iter()
+        .map(|&i| {
+            if i == NULL_LANE {
+                filler.clone()
+            } else {
+                lanes[i as usize].clone()
+            }
+        })
+        .collect()
 }
 
 /// A typed column of lanes plus an optional null mask.
@@ -242,6 +274,63 @@ impl ColumnVector {
         }
     }
 
+    /// The lanes at `indices`, in that order, as a vector of the same type
+    /// and storage; a [`NULL_LANE`] index yields a NULL lane.
+    pub fn gather(&self, indices: &[u32]) -> ColumnVector {
+        let data = match &self.data {
+            VectorData::Long(v) => VectorData::Long(pick(v, indices, 0)),
+            VectorData::Double(v) => VectorData::Double(pick(v, indices, 0.0)),
+            VectorData::Bool(v) => VectorData::Bool(pick(v, indices, false)),
+            VectorData::Str(v) => VectorData::Str(pick(v, indices, Arc::from(""))),
+            VectorData::Values(v) => VectorData::Values(pick(v, indices, Value::Null)),
+        };
+        let nulls = match &self.nulls {
+            Some(mask) => Some(pick(mask, indices, true)),
+            None if indices.contains(&NULL_LANE) => {
+                Some(indices.iter().map(|&i| i == NULL_LANE).collect())
+            }
+            None => None,
+        };
+        ColumnVector::new(self.dtype.clone(), data, nulls)
+    }
+
+    /// `parts` end to end as one vector of `dtype`. Parts sharing one
+    /// declared type and storage concatenate lane for lane; anything else
+    /// is rebuilt from its values.
+    pub fn concat(dtype: &DataType, parts: &[Arc<ColumnVector>]) -> ColumnVector {
+        let Some((first, rest)) = parts.split_first() else {
+            return ColumnVector::from_values(dtype, Vec::new());
+        };
+        let mut out = (**first).clone();
+        for p in rest {
+            let before = out.len();
+            if p.dtype != out.dtype || !out.data.extend_from(&p.data) {
+                let values = parts.iter().flat_map(|p| (0..p.len()).map(|i| p.get(i)));
+                return ColumnVector::from_values(dtype, values.collect());
+            }
+            if out.nulls.is_some() || p.nulls.is_some() {
+                let mask = out.nulls.get_or_insert_with(|| vec![false; before]);
+                match &p.nulls {
+                    Some(m) => mask.extend_from_slice(m),
+                    None => mask.resize(before + p.len(), false),
+                }
+            }
+        }
+        out
+    }
+
+    /// Approximate heap bytes of the lanes and the null mask.
+    pub fn approx_bytes(&self) -> u64 {
+        let lanes: u64 = match &self.data {
+            VectorData::Long(v) => 8 * v.len() as u64,
+            VectorData::Double(v) => 8 * v.len() as u64,
+            VectorData::Bool(v) => v.len() as u64,
+            VectorData::Str(v) => v.iter().map(|s| 32 + s.len() as u64).sum(),
+            VectorData::Values(v) => v.iter().map(Value::approx_bytes).sum(),
+        };
+        lanes + self.nulls.as_ref().map_or(0, |n| n.len() as u64)
+    }
+
     /// Integer lanes, only for Int/Long columns (Date/Timestamp lanes are
     /// hidden from numeric kernels, like in the code generator).
     pub(super) fn long_lanes(&self) -> Option<&[i64]> {
@@ -425,6 +514,113 @@ mod tests {
         for (i, expect) in vals.iter().enumerate() {
             assert_eq!(&v.get(i), expect);
         }
+    }
+
+    fn values(v: &ColumnVector) -> Vec<Value> {
+        (0..v.len()).map(|i| v.get(i)).collect()
+    }
+
+    #[test]
+    fn gather_keeps_storage_and_picks_lanes_in_order() {
+        let cases = [
+            (
+                DataType::Int,
+                vec![Value::Int(1), Value::Null, Value::Int(-3)],
+            ),
+            (
+                DataType::Date,
+                vec![Value::Date(7), Value::Date(8), Value::Null],
+            ),
+            (
+                DataType::Double,
+                vec![Value::Double(0.5), Value::Null, Value::Double(-2.0)],
+            ),
+            (
+                DataType::Boolean,
+                vec![Value::Boolean(true), Value::Boolean(false), Value::Null],
+            ),
+            (
+                DataType::String,
+                vec![Value::str("a"), Value::Null, Value::str("c")],
+            ),
+        ];
+        for (dtype, vals) in cases {
+            let v = ColumnVector::from_values(&dtype, vals.clone());
+            let g = v.gather(&[2, 0, 1, 2]);
+            assert_eq!(
+                std::mem::discriminant(g.data()),
+                std::mem::discriminant(v.data()),
+                "{dtype:?} changed storage"
+            );
+            assert_eq!(g.dtype(), &dtype);
+            let expect: Vec<Value> = [2, 0, 1, 2].iter().map(|&i| vals[i].clone()).collect();
+            assert_eq!(values(&g), expect, "{dtype:?}");
+            assert!(v.gather(&[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn gather_null_lane_extends_with_nulls() {
+        // No mask yet: the null lane creates one.
+        let v = ColumnVector::from_values(&DataType::Long, vec![Value::Long(4), Value::Long(5)]);
+        assert!(v.nulls().is_none());
+        let g = v.gather(&[1, NULL_LANE, 0]);
+        assert_eq!(g.nulls(), Some(&[false, true, false][..]));
+        assert_eq!(
+            values(&g),
+            vec![Value::Long(5), Value::Null, Value::Long(4)]
+        );
+        // No null lane and no mask: none is made.
+        assert!(v.gather(&[0, 1]).nulls().is_none());
+    }
+
+    #[test]
+    fn gather_boxed_values_lanes() {
+        let vals = vec![Value::Int(1), Value::str("x"), Value::Null];
+        let v = ColumnVector::from_values(&DataType::Int, vals.clone());
+        assert!(matches!(v.data(), VectorData::Values(_)));
+        let g = v.gather(&[1, 2, NULL_LANE, 0]);
+        assert!(matches!(g.data(), VectorData::Values(_)));
+        assert_eq!(
+            values(&g),
+            vec![Value::str("x"), Value::Null, Value::Null, Value::Int(1)]
+        );
+        assert!(g.is_null(1) && g.is_null(2) && !g.is_null(0));
+    }
+
+    #[test]
+    fn concat_joins_typed_parts_and_boxes_mixed_ones() {
+        let a = Arc::new(ColumnVector::from_values(
+            &DataType::Long,
+            vec![Value::Long(1), Value::Long(2)],
+        ));
+        let b = Arc::new(ColumnVector::from_values(
+            &DataType::Long,
+            vec![Value::Null, Value::Long(3)],
+        ));
+        let c = ColumnVector::concat(&DataType::Long, &[a.clone(), b.clone()]);
+        assert!(matches!(c.data(), VectorData::Long(_)));
+        assert_eq!(c.nulls(), Some(&[false, false, true, false][..]));
+        assert_eq!(
+            values(&c),
+            vec![Value::Long(1), Value::Long(2), Value::Null, Value::Long(3)]
+        );
+        let boxed = Arc::new(ColumnVector::from_boxed(
+            DataType::Long,
+            vec![Value::Long(9)],
+        ));
+        let m = ColumnVector::concat(&DataType::Long, &[b, boxed, a]);
+        assert_eq!(
+            values(&m),
+            vec![
+                Value::Null,
+                Value::Long(3),
+                Value::Long(9),
+                Value::Long(1),
+                Value::Long(2)
+            ]
+        );
+        assert!(ColumnVector::concat(&DataType::String, &[]).is_empty());
     }
 
     #[test]

@@ -1,109 +1,161 @@
-//! Columnar group-key hashing for batch-native hash aggregation.
+//! Columnar key hashing for batch-native hash aggregation and joins.
 //!
-//! [`BatchGroups`] interns each distinct grouping key and hands back
-//! dense group ids, one `(lane, group)` pair per selected lane, in
-//! arrival order. The truth table is a `HashMap<Row, u32>` — the exact
-//! key equality the row path's hash aggregation uses ([`Value`] hashing
-//! canonicalizes numerics, so `Int(1)`/`Long(1)` land in one group on
-//! both paths) — with typed caches layered on top so the hot loop never
-//! boxes a row: single-column keys hash a raw `i64` or `Arc<str>`
-//! directly, and multi-column keys (up to four columns) intern each
-//! column's value to a dense per-column id and probe a packed id
-//! *signature*, only materializing a boxed key row the first time a
-//! combination is seen.
+//! [`BatchGroups`] interns each distinct key and hands back dense group
+//! ids, one `(lane, group)` pair per selected lane, in arrival order. Key
+//! equality is the row path's: [`Value`] equality, which canonicalizes
+//! numerics, so `Int(1)`/`Long(1)` are one key. Typed caches keep the hot
+//! loop from boxing: each key column (up to four) interns its values to
+//! dense ids through raw `i64`/`Arc<str>` caches, a single-column key's
+//! group is its value's id, and a multi-column key's group is found by its
+//! packed id *signature*. [`BatchGroups::find`] looks keys up without
+//! interning them, so a hash join probes the groups its build side
+//! assigned with GROUP BY's key equality.
 
 use super::batch::{ColumnVector, RowBatch, VectorData};
 use crate::row::Row;
+use crate::types::DataType;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// How many key columns the packed-signature fast path covers; wider
 /// keys fall back to boxed row interning per lane.
 const MAX_SIG_COLS: usize = 4;
 
-/// Per-column value interner backing the multi-column fast path.
-///
-/// Maps each distinct column value to a dense per-column id. Raw typed
-/// caches (`i64` lanes, `Arc<str>` lanes) front a canonical
-/// `HashMap<Value, u32>` so typed lanes in one batch and boxed lanes in
-/// another agree on ids — [`Value`] hashing canonicalizes numerics, so
-/// the id equivalence is exactly row-path key equality, column by
-/// column. Equal values get equal ids and distinct values get distinct
-/// ids, hence two key rows are equal iff their id signatures are equal.
+/// An unkeyed word-at-a-time multiply hasher (the FxHash family). The
+/// tables below hold engine data, and SipHash was a third of a lookup.
+#[derive(Default)]
+struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = self.0.wrapping_add(i).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// The raw-cache key of an integer lane of `dtype`: `Int` and `Long`
+/// share a class, as in [`Value`] equality; a `Date` lane never equals a
+/// `Long` one.
+fn long_key(dtype: &DataType, raw: i64) -> (u8, i64) {
+    let class = match dtype {
+        DataType::Date => 1,
+        DataType::Timestamp => 2,
+        _ => 0,
+    };
+    (class, raw)
+}
+
+/// Per-column value interner: a dense id per distinct value, in
+/// first-seen order. Integer and string lanes hash their raw lanes. Until
+/// some lane needs it (a boxed, float or other lane), no canonical
+/// `Value → id` map is kept: every value came through a raw cache, which
+/// then decides alone whether a value is new. Equal values get equal ids,
+/// so two key rows are equal iff their id signatures are.
 #[derive(Debug, Default)]
 struct ColumnInterner {
-    /// Raw cache for integer-lane columns.
-    by_long: HashMap<i64, u32>,
-    /// Raw cache for string-lane columns.
-    by_str: HashMap<Arc<str>, u32>,
-    /// Canonical value → id map; the per-column source of truth.
-    by_value: HashMap<Value, u32>,
-    /// Cached id of NULL in this column.
+    /// Distinct values by id.
+    values: Vec<Value>,
+    by_long: FastMap<(u8, i64), u32>,
+    by_str: FastMap<Arc<str>, u32>,
     null_id: Option<u32>,
+    /// Canonical value → id over all of `values`, once built.
+    by_value: Option<FastMap<Value, u32>>,
 }
 
 impl ColumnInterner {
-    fn canonical(&mut self, v: Value) -> u32 {
-        let next = self.by_value.len() as u32;
-        *self.by_value.entry(v).or_insert(next)
+    /// The id of lane `i` of `col`, if its value has one.
+    fn find(&self, col: &ColumnVector, i: usize) -> Option<u32> {
+        if col.is_null(i) {
+            return self.null_id;
+        }
+        let raw = match col.data() {
+            VectorData::Long(lanes) => self.by_long.get(&long_key(col.dtype(), lanes[i])),
+            VectorData::Str(lanes) => self.by_str.get(&lanes[i]),
+            _ => return self.find_value(&col.get(i)),
+        };
+        match (raw, &self.by_value) {
+            (Some(&id), _) => Some(id),
+            (None, Some(by_value)) => by_value.get(&col.get(i)).copied(),
+            (None, None) => None,
+        }
     }
 
-    /// Dense id of lane `i` of `col`.
+    /// The id of the non-NULL value `v`, if it has one.
+    fn find_value(&self, v: &Value) -> Option<u32> {
+        if let Some(by_value) = &self.by_value {
+            return by_value.get(v).copied();
+        }
+        // Every value came through a raw cache: `v` can only equal a
+        // string or an integer of its own class.
+        let raw = match v {
+            Value::Str(s) => return self.by_str.get(s).copied(),
+            Value::Int(x) | Value::Date(x) => *x as i64,
+            Value::Long(x) | Value::Timestamp(x) => *x,
+            // A float equal to an integer: rare enough to scan for.
+            _ => return self.values.iter().position(|u| u == v).map(|id| id as u32),
+        };
+        self.by_long.get(&long_key(&v.dtype(), raw)).copied()
+    }
+
+    /// The id of lane `i` of `col`, interning its value if new.
     fn id(&mut self, col: &ColumnVector, i: usize) -> u32 {
-        if col.is_null(i) {
-            return match self.null_id {
-                Some(id) => id,
-                None => {
-                    let id = self.canonical(Value::Null);
-                    self.null_id = Some(id);
-                    id
-                }
-            };
+        if let Some(id) = self.find(col, i) {
+            return id;
         }
+        let id = self.values.len() as u32;
+        let v = col.get(i);
         match col.data() {
-            VectorData::Long(lanes) => {
-                let raw = lanes[i];
-                if let Some(&id) = self.by_long.get(&raw) {
-                    return id;
-                }
-                let id = self.canonical(col.get(i));
-                self.by_long.insert(raw, id);
-                id
+            _ if v.is_null() => self.null_id = Some(id),
+            VectorData::Long(lanes) => _ = self.by_long.insert(long_key(col.dtype(), lanes[i]), id),
+            VectorData::Str(lanes) => _ = self.by_str.insert(lanes[i].clone(), id),
+            // The first lane no raw cache covers builds the canonical map.
+            _ if self.by_value.is_none() => {
+                self.by_value = Some(self.values.iter().cloned().zip(0..).collect())
             }
-            VectorData::Str(lanes) => {
-                let raw = &lanes[i];
-                if let Some(&id) = self.by_str.get(raw) {
-                    return id;
-                }
-                let raw = raw.clone();
-                let id = self.canonical(col.get(i));
-                self.by_str.insert(raw, id);
-                id
-            }
-            _ => self.canonical(col.get(i)),
+            _ => {}
         }
+        if let Some(by_value) = &mut self.by_value {
+            by_value.insert(v.clone(), id);
+        }
+        self.values.push(v);
+        id
     }
 }
 
-/// Incremental group-key interner over batches of key columns.
+/// Incremental key interner over batches of key columns.
 #[derive(Debug, Default)]
 pub struct BatchGroups {
-    /// Key row → dense group id; the source of truth.
-    truth: HashMap<Row, u32>,
     /// Distinct key rows in first-seen order, indexed by group id.
     keys: Vec<Row>,
-    /// Fast path: single integer-lane key column.
-    long_cache: HashMap<i64, u32>,
-    /// Fast path: single string-lane key column.
-    str_cache: HashMap<Arc<str>, u32>,
-    /// Cached group id of the all-NULL single-column key.
-    null_group: Option<u32>,
-    /// Fast path: per-column interners for multi-column keys.
-    col_interners: Vec<ColumnInterner>,
-    /// Packed per-column id signature → group id (≤ [`MAX_SIG_COLS`]
-    /// columns, 32 bits of id space per column).
-    sig_cache: HashMap<u128, u32>,
+    /// One interner per key column, for keys of 1..=[`MAX_SIG_COLS`]
+    /// columns.
+    columns: Vec<ColumnInterner>,
+    /// Packed per-column id signature → group id (multi-column keys, 32
+    /// bits of id space per column).
+    sig_cache: FastMap<u128, u32>,
+    /// Key row → group id, for keys too wide for a signature.
+    truth: FastMap<Row, u32>,
 }
 
 impl BatchGroups {
@@ -132,104 +184,91 @@ impl BatchGroups {
         self.keys
     }
 
-    fn intern(&mut self, key: Row) -> u32 {
-        if let Some(&g) = self.truth.get(&key) {
-            return g;
-        }
-        let g = self.keys.len() as u32;
-        self.keys.push(key.clone());
-        self.truth.insert(key, g);
-        g
-    }
-
-    fn intern_null(&mut self) -> u32 {
-        match self.null_group {
-            Some(g) => g,
-            None => {
-                let g = self.intern(Row::new(vec![Value::Null]));
-                self.null_group = Some(g);
-                g
-            }
-        }
-    }
-
     /// Assign a group id to every selected lane of `key_batch` (the
-    /// evaluated grouping columns), appending `(lane, group)` pairs to
-    /// `out` in arrival order.
+    /// evaluated key columns), appending `(lane, group)` pairs to `out`
+    /// in arrival order.
     pub fn assign(&mut self, key_batch: &RowBatch, out: &mut Vec<(u32, u32)>) {
+        let n = key_batch.selected_count();
         out.clear();
-        out.reserve(key_batch.selected_count());
-        if key_batch.num_columns() == 1 {
-            let col = key_batch.column(0).clone();
-            match col.data() {
-                VectorData::Long(lanes) => {
-                    key_batch.for_each_selected(|i| {
-                        let g = if col.is_null(i) {
-                            self.intern_null()
-                        } else {
-                            let raw = lanes[i];
-                            match self.long_cache.get(&raw) {
-                                Some(&g) => g,
-                                None => {
-                                    let g = self.intern(Row::new(vec![col.get(i)]));
-                                    self.long_cache.insert(raw, g);
-                                    g
-                                }
-                            }
-                        };
-                        out.push((i as u32, g));
-                    });
-                    return;
-                }
-                VectorData::Str(lanes) => {
-                    key_batch.for_each_selected(|i| {
-                        let g = if col.is_null(i) {
-                            self.intern_null()
-                        } else {
-                            let raw = &lanes[i];
-                            match self.str_cache.get(raw) {
-                                Some(&g) => g,
-                                None => {
-                                    let g = self.intern(Row::new(vec![col.get(i)]));
-                                    self.str_cache.insert(raw.clone(), g);
-                                    g
-                                }
-                            }
-                        };
-                        out.push((i as u32, g));
-                    });
-                    return;
-                }
-                _ => {}
-            }
-        }
-        let cols: Vec<&Arc<ColumnVector>> = key_batch.columns().iter().collect();
-        if (2..=MAX_SIG_COLS).contains(&cols.len()) {
-            if self.col_interners.len() != cols.len() {
-                self.col_interners = (0..cols.len()).map(|_| ColumnInterner::default()).collect();
-            }
+        out.reserve(n);
+        self.keys.reserve(n);
+        let cols = key_batch.columns();
+        let row = |i: usize| Row::new(cols.iter().map(|c| c.get(i)).collect());
+        if !(1..=MAX_SIG_COLS).contains(&cols.len()) {
             key_batch.for_each_selected(|i| {
-                let mut sig = 0u128;
-                for (j, c) in cols.iter().enumerate() {
-                    sig |= (self.col_interners[j].id(c, i) as u128) << (32 * j);
-                }
-                let g = match self.sig_cache.get(&sig) {
-                    Some(&g) => g,
-                    None => {
-                        let key = Row::new(cols.iter().map(|c| c.get(i)).collect());
-                        let g = self.intern(key);
-                        self.sig_cache.insert(sig, g);
-                        g
+                let next = self.keys.len() as u32;
+                let g = match self.truth.entry(row(i)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        self.keys.push(e.key().clone());
+                        *e.insert(next)
                     }
                 };
                 out.push((i as u32, g));
             });
             return;
         }
+        if self.columns.len() != cols.len() {
+            self.columns = cols.iter().map(|_| ColumnInterner::default()).collect();
+        }
+        for (ci, c) in self.columns.iter_mut().zip(cols) {
+            ci.values.reserve(n);
+            match c.data() {
+                VectorData::Long(_) => ci.by_long.reserve(n),
+                VectorData::Str(_) => ci.by_str.reserve(n),
+                _ => {}
+            }
+        }
         key_batch.for_each_selected(|i| {
-            let key = Row::new(cols.iter().map(|c| c.get(i)).collect());
-            let g = self.intern(key);
+            let next = self.keys.len() as u32;
+            let g = if let [col] = cols {
+                // A single column's value ids are its group ids.
+                self.columns[0].id(col, i)
+            } else {
+                let mut sig = 0u128;
+                for (j, c) in cols.iter().enumerate() {
+                    sig |= (self.columns[j].id(c, i) as u128) << (32 * j);
+                }
+                *self.sig_cache.entry(sig).or_insert(next)
+            };
+            if g == next {
+                self.keys.push(row(i));
+            }
             out.push((i as u32, g));
+        });
+    }
+
+    /// Lookup-only [`assign`](Self::assign): append `(lane, group)` for
+    /// every selected lane of `key_batch` whose key has been assigned,
+    /// in arrival order, and skip the rest.
+    pub fn find(&self, key_batch: &RowBatch, out: &mut Vec<(u32, u32)>) {
+        out.clear();
+        let cols = key_batch.columns();
+        if !(1..=MAX_SIG_COLS).contains(&cols.len()) {
+            key_batch.for_each_selected(|i| {
+                let key = Row::new(cols.iter().map(|c| c.get(i)).collect());
+                if let Some(&g) = self.truth.get(&key) {
+                    out.push((i as u32, g));
+                }
+            });
+            return;
+        }
+        if self.columns.len() != cols.len() {
+            return; // no key of this width was ever assigned
+        }
+        key_batch.for_each_selected(|i| {
+            let mut sig = Some(0u128);
+            for (j, c) in cols.iter().enumerate() {
+                let id = self.columns[j].find(c, i);
+                sig = sig.zip(id).map(|(s, id)| s | (id as u128) << (32 * j));
+            }
+            let g = match cols.len() {
+                1 => sig.map(|id| id as u32),
+                _ => sig.and_then(|s| self.sig_cache.get(&s).copied()),
+            };
+            if let Some(g) = g {
+                out.push((i as u32, g));
+            }
         });
     }
 }
@@ -341,6 +380,123 @@ mod tests {
         assert_eq!(out, vec![(0, 0), (1, 2), (2, 3)]);
         assert_eq!(groups.len(), 4);
         assert_eq!(groups.key(3), &Row::new(vec![Value::Long(3), Value::Null]));
+    }
+
+    /// `find` over `probe` must report exactly the lanes whose key row
+    /// equals an assigned key (row equality is what `assign` interns
+    /// by), with that key's group.
+    fn assert_find_agrees(groups: &BatchGroups, probe: &RowBatch) -> Vec<(u32, u32)> {
+        let mut found = Vec::new();
+        groups.find(probe, &mut found);
+        let mut expect = Vec::new();
+        probe.for_each_selected(|i| {
+            let key = probe.row(i);
+            if let Some(g) = groups.keys.iter().position(|k| *k == key) {
+                expect.push((i as u32, g as u32));
+            }
+        });
+        assert_eq!(found, expect);
+        found
+    }
+
+    #[test]
+    fn find_agrees_with_assign_on_seen_unseen_and_null_keys() {
+        let build = batch_of(
+            DataType::Long,
+            vec![Value::Long(7), Value::Long(3), Value::Long(7)],
+        );
+        let mut groups = BatchGroups::new();
+        let mut out = Vec::new();
+        groups.assign(&build, &mut out);
+        let probe = batch_of(
+            DataType::Long,
+            vec![Value::Long(3), Value::Null, Value::Long(5), Value::Long(7)],
+        );
+        // NULL was never assigned: it finds nothing, like an unseen key.
+        assert_eq!(assert_find_agrees(&groups, &probe), vec![(0, 1), (3, 0)]);
+        // Once NULL is a group, it is found.
+        groups.assign(&batch_of(DataType::Long, vec![Value::Null]), &mut out);
+        assert_eq!(
+            assert_find_agrees(&groups, &probe),
+            vec![(0, 1), (1, 2), (3, 0)]
+        );
+        // Int lanes find Long keys (one class); Date lanes never do.
+        let ints = batch_of(DataType::Int, vec![Value::Int(7), Value::Int(8)]);
+        assert_eq!(assert_find_agrees(&groups, &ints), vec![(0, 0)]);
+        let dates = batch_of(DataType::Date, vec![Value::Date(7), Value::Date(3)]);
+        assert_eq!(assert_find_agrees(&groups, &dates), vec![]);
+        // Selection limits the lookup; nothing is interned by `find`.
+        let sel = probe.clone().with_selection(vec![2, 3]);
+        assert_eq!(assert_find_agrees(&groups, &sel), vec![(3, 0)]);
+        assert_eq!(groups.len(), 3);
+    }
+
+    #[test]
+    fn find_agrees_with_assign_across_typed_and_boxed_batches() {
+        // Single string column: typed lanes assigned, boxed lanes probed,
+        // and the other way round.
+        let typed = batch_of(DataType::String, vec![Value::str("a"), Value::str("b")]);
+        let boxed = RowBatch::new(
+            vec![Arc::new(ColumnVector::from_boxed(
+                DataType::String,
+                vec![Value::str("b"), Value::Null, Value::str("z")],
+            ))],
+            3,
+        );
+        let mut groups = BatchGroups::new();
+        let mut out = Vec::new();
+        groups.assign(&typed, &mut out);
+        assert_eq!(assert_find_agrees(&groups, &boxed), vec![(0, 1)]);
+        // `assign` gives a found lane the group `find` did.
+        groups.assign(&boxed, &mut out);
+        assert_eq!(out[0], (0, 1));
+        assert_eq!(assert_find_agrees(&groups, &typed), vec![(0, 0), (1, 1)]);
+        let z = batch_of(DataType::String, vec![Value::str("z"), Value::str("q")]);
+        assert_eq!(assert_find_agrees(&groups, &z), vec![(0, 3)]);
+
+        // Two columns: a typed batch then a boxed one, as in
+        // `multi_column_signature_cache_is_stable_across_batches`.
+        let two = |a: Vec<Value>, b: Vec<Value>, typed: bool| {
+            let n = a.len();
+            let col = |dt: DataType, v: Vec<Value>| {
+                Arc::new(if typed {
+                    ColumnVector::from_values(&dt, v)
+                } else {
+                    ColumnVector::from_boxed(dt, v)
+                })
+            };
+            RowBatch::new(vec![col(DataType::Long, a), col(DataType::String, b)], n)
+        };
+        let mut groups = BatchGroups::new();
+        groups.assign(
+            &two(
+                vec![Value::Long(1), Value::Long(2)],
+                vec![Value::str("a"), Value::str("a")],
+                true,
+            ),
+            &mut out,
+        );
+        let probe = two(
+            vec![Value::Int(1), Value::Long(2), Value::Long(1), Value::Null],
+            vec![
+                Value::str("a"),
+                Value::str("b"),
+                Value::Null,
+                Value::str("a"),
+            ],
+            false,
+        );
+        assert_eq!(assert_find_agrees(&groups, &probe), vec![(0, 0)]);
+        groups.assign(&probe, &mut out);
+        let typed_probe = two(
+            vec![Value::Long(2), Value::Long(1), Value::Long(9)],
+            vec![Value::str("b"), Value::str("a"), Value::str("a")],
+            true,
+        );
+        assert_eq!(
+            assert_find_agrees(&groups, &typed_probe),
+            vec![(0, 2), (1, 0)]
+        );
     }
 
     #[test]

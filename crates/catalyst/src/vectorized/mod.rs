@@ -45,6 +45,6 @@ pub mod hash;
 pub mod kernels;
 
 pub use accumulators::{Acc, AccLane, LaneAgg};
-pub use batch::{ColumnVector, RowBatch, VectorData};
+pub use batch::{ColumnVector, RowBatch, VectorData, NULL_LANE};
 pub use hash::BatchGroups;
 pub use kernels::{eval_batch, eval_projection_batch, filter_batch};

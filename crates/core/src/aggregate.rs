@@ -18,8 +18,7 @@
 //! per-partition row-kernel partials merge on the driver.
 
 use crate::execution::{
-    bind_all, engine_err, execute_batches, execute_node, note_eager_ns, value_fn, ExecContext,
-    ValueFn,
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, value_fn, ExecContext, ValueFn,
 };
 use crate::spill::{self, SpillCtx};
 use catalyst::error::Result;
@@ -203,11 +202,13 @@ pub(crate) fn execute_aggregate(
     let partials: RddRef<(Row, Vec<Acc>)> = match lanes {
         Some(specs) => {
             let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
-            execute_batches(input, id + 1, ctx)?.map_partitions(move |it| {
-                let partials =
-                    batch_partial_agg(it, &bound_groupings, &specs, &map_sctx, node.as_ref());
-                Box::new(partials.into_iter())
-            })
+            lower_node(input, id + 1, ctx)?
+                .batches(input, ctx)
+                .map_partitions(move |it| {
+                    let partials =
+                        batch_partial_agg(it, &bound_groupings, &specs, &map_sctx, node.as_ref());
+                    Box::new(partials.into_iter())
+                })
         }
         None => {
             let calls = plan_row_calls(&agg_exprs, &input_attrs, ctx)?;

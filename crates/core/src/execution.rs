@@ -287,26 +287,72 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<RddRef<Row>> {
     execute_node(plan, 0, ctx)
 }
 
-/// Lower one node (pre-order id `id`), then — when instrumented — claim
-/// the shuffles its lowering allocated and wrap its output with metering.
-///
-/// Children claim their shuffle ids before the parent inspects the
-/// enclosing window, so each shuffle lands on the operator that induced
-/// the exchange (sort, aggregate, shuffled join, distinct).
+/// A subtree lowered once: as batches when production has a batch form,
+/// else as rows. Each consumer adapts it to the form it takes.
+pub(crate) enum Lowered {
+    Batches(RddRef<RowBatch>),
+    Rows(RddRef<Row>),
+}
+
+impl Lowered {
+    /// As rows: the batch→row adapter compacts selected lanes only where
+    /// a row operator (or the driver) consumes them. A batch subtree
+    /// metered itself, so the adapter is deliberately unmetered.
+    pub(crate) fn rows(&self) -> RddRef<Row> {
+        match self {
+            Lowered::Batches(b) => b.flat_map(RowBatch::into_selected_rows),
+            Lowered::Rows(r) => r.clone(),
+        }
+    }
+
+    /// As batches of `plan`'s output: row subtrees chunk through the
+    /// generic row→batch adapter.
+    pub(crate) fn batches(&self, plan: &PhysicalPlan, ctx: &ExecContext) -> RddRef<RowBatch> {
+        let rows = match self {
+            Lowered::Batches(b) => return b.clone(),
+            Lowered::Rows(r) => r,
+        };
+        let dtypes: Arc<Vec<DataType>> =
+            Arc::new(plan.output().iter().map(|c| c.dtype.clone()).collect());
+        let batch_size = ctx.conf.vectorize_batch_size.max(1);
+        rows.map_partitions(move |it| {
+            Box::new(IterChunks {
+                inner: it,
+                dtypes: dtypes.clone(),
+                batch_size,
+            })
+        })
+    }
+}
+
+/// Lower one node (pre-order id `id`) in its batch form when production
+/// has one, else as rows.
+pub(crate) fn lower_node(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<Lowered> {
+    if !ctx.conf.reference {
+        if let Some(batched) = try_execute_batched(plan, id, ctx) {
+            return Ok(Lowered::Batches(batched?));
+        }
+    }
+    Ok(Lowered::Rows(lower_rows(plan, id, ctx)?))
+}
+
+/// Lower one node (pre-order id `id`) for a row consumer.
 pub(crate) fn execute_node(
     plan: &PhysicalPlan,
     id: usize,
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
-    if !ctx.conf.reference {
-        if let Some(batched) = try_execute_batched(plan, id, ctx) {
-            // Batch→row adapter: compact selected lanes into rows only at
-            // the boundary where a row operator (or the driver) consumes
-            // them. The batch subtree already metered itself, so the
-            // adapter is deliberately unmetered.
-            return Ok(batched?.flat_map(RowBatch::into_selected_rows));
-        }
-    }
+    Ok(lower_node(plan, id, ctx)?.rows())
+}
+
+/// Lower one node (pre-order id `id`) as rows, then — when instrumented —
+/// claim the shuffles its lowering allocated and wrap its output with
+/// metering.
+///
+/// Children claim their shuffle ids before the parent inspects the
+/// enclosing window, so each shuffle lands on the operator that induced
+/// the exchange (sort, aggregate, shuffled join, distinct).
+fn lower_rows(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
     let shuffles_before = ctx.sc.current_shuffle_id();
     let rdd = lower(plan, id, ctx)?;
     let rdd = match &ctx.metrics {
@@ -409,7 +455,8 @@ fn metered_batches(rdd: &RddRef<RowBatch>, node: Arc<OperatorMetrics>) -> RddRef
 /// (or, for Filter/Project, its child chain down to a leaf) has no batch
 /// form — the caller then takes the row path for the whole subtree.
 /// Batch subtrees grow from batchable leaves (Scan, LocalData) upward
-/// through Filter and Project only; everything else adapts at the
+/// through Filter and Project, and through every `BroadcastHashJoin`
+/// (whose inputs adapt to batches); everything else adapts at the
 /// boundary via [`RowBatch::into_selected_rows`].
 fn try_execute_batched(
     plan: &PhysicalPlan,
@@ -426,30 +473,6 @@ fn try_execute_batched(
             Some(token) => cancel_checked_batches(&rdd, token.clone()),
             None => rdd,
         }
-    }))
-}
-
-/// Lower a plan subtree as a batch stream for a batch-native consumer:
-/// natively when it has a batch form, else its row lowering chunked
-/// through the generic row→batch adapter.
-pub(crate) fn execute_batches(
-    plan: &PhysicalPlan,
-    id: usize,
-    ctx: &ExecContext,
-) -> Result<RddRef<RowBatch>> {
-    if let Some(batched) = try_execute_batched(plan, id, ctx) {
-        return batched;
-    }
-    let rows = execute_node(plan, id, ctx)?;
-    let dtypes: Arc<Vec<DataType>> =
-        Arc::new(plan.output().iter().map(|c| c.dtype.clone()).collect());
-    let batch_size = ctx.conf.vectorize_batch_size.max(1);
-    Ok(rows.map_partitions(move |it| {
-        Box::new(IterChunks {
-            inner: it,
-            dtypes: dtypes.clone(),
-            batch_size,
-        })
     }))
 }
 
@@ -526,6 +549,8 @@ fn try_lower_batched(
                 }))
             }))
         }
+
+        PhysicalPlan::BroadcastHashJoin { .. } => Some(join::execute_broadcast_join(plan, id, ctx)),
 
         _ => None,
     }

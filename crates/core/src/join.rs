@@ -1,29 +1,36 @@
 //! Joins: broadcast hash, shuffled hash (static or adaptive reads), and
 //! nested loop.
 //!
-//! Every equi-join binds its site once ([`JoinSite::bind`]). The two
-//! shuffled forms differ only in how each side's shuffle is read — plain
-//! `partition_by`, or materialized stages re-planned from measured sizes —
-//! and share one tail: [`hash_join_partition`], which builds the side the
-//! planner chose under a memory reservation and goes grace (both sides
-//! re-partitioned to disk, sub-partitions joined recursively) only when a
-//! grow is denied.
+//! Every equi-join binds its site once ([`JoinSite::bind`]). In
+//! production a broadcast join — planned, or demoted by stage-by-stage
+//! execution — runs over batches: a [`BuildTable`] of the build side's
+//! lanes and chains, keyed by the [`BatchGroups`] interner GROUP BY uses,
+//! probed a key column at a time by [`Probe`]. The two shuffled forms
+//! differ only in how each side's shuffle is read — plain
+//! `partition_by`, or materialized stages re-planned from measured sizes
+//! — and share one tail with the reference's broadcast join:
+//! [`hash_join_partition`], which builds the side the planner chose
+//! under a memory reservation and goes grace (both sides re-partitioned
+//! to disk, sub-partitions joined recursively) only when a grow is
+//! denied.
 
 use crate::execution::{
-    bind_all, engine_err, execute_node, note_eager_ns, predicate, value_fn, ExecContext, PredFn,
-    ValueFn,
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, predicate, value_fn,
+    ExecContext, Lowered, PredFn, ValueFn,
 };
 use crate::spill::{SideLayout, SpillBuckets, SpillCtx, MAX_DEPTH};
 use catalyst::adaptive::{rules as adaptive_rules, AdaptivePlanChange, AdaptiveRule};
 use catalyst::error::Result;
 use catalyst::expr::Expr;
-use catalyst::physical::metrics::subtree_size;
+use catalyst::interpreter::bind_references;
+use catalyst::physical::metrics::{subtree_size, OperatorMetrics};
 use catalyst::physical::{BuildSide, PhysicalPlan};
 use catalyst::plan::JoinType;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
 use catalyst::value::Value;
+use catalyst::vectorized::{self, BatchGroups, ColumnVector, RowBatch, NULL_LANE};
 use engine::shuffle::SizeFn;
 use engine::{BoxIter, HashPartitioner, MaterializedShuffle, PairRdd, RddRef, ShuffleReadSpec};
 use std::collections::HashMap;
@@ -47,8 +54,8 @@ fn join_key(fns: &[ValueFn], row: &Row) -> Option<Row> {
     Some(Row::new(values))
 }
 
-/// Key a join side for its shuffle. NULL keys keep a sentinel so outer
-/// rows survive it (they can never match — `Option<Row>` keys, None = NULL).
+/// Key a join side's rows. NULL keys keep a sentinel so outer rows
+/// survive it (they can never match — `Option<Row>` keys, None = NULL).
 fn keyed(child: &RddRef<Row>, keys: &[ValueFn]) -> RddRef<Keyed> {
     let keys = keys.to_vec();
     child.map(move |row| (join_key(&keys, &row), row))
@@ -66,8 +73,8 @@ struct SideSpec {
     width: usize,
 }
 
-/// What every partition of one join node shares: join semantics, the
-/// residual filter, and the shape of each side.
+/// What every partition of one row-at-a-time join shares: join
+/// semantics, the residual filter, and the shape of each side.
 struct JoinSpec {
     join_type: JoinType,
     /// Non-equi residual predicate over the joined row, if any.
@@ -107,11 +114,18 @@ fn join_rows(build_left: bool, brow: &Row, prow: &Row) -> Row {
 }
 
 /// One input of an equi-join: its subtree, pre-order id, and key
-/// evaluators.
+/// expressions bound to its output.
 struct JoinSide<'a> {
     plan: &'a Arc<PhysicalPlan>,
     id: usize,
-    keys: Vec<ValueFn>,
+    keys: Vec<Expr>,
+}
+
+impl JoinSide<'_> {
+    /// Row-at-a-time key evaluators.
+    fn key_fns(&self, ctx: &ExecContext) -> Vec<ValueFn> {
+        self.keys.iter().map(|e| value_fn(e.clone(), ctx)).collect()
+    }
 }
 
 /// One equi-join node bound for execution, whichever lowering it takes.
@@ -119,15 +133,17 @@ struct JoinSite<'a> {
     /// The join node itself, and its pre-order id for metric attribution.
     plan: &'a PhysicalPlan,
     id: usize,
+    join_type: JoinType,
     build_side: BuildSide,
     left: JoinSide<'a>,
     right: JoinSide<'a>,
-    spec: Arc<JoinSpec>,
+    /// Non-equi residual predicate over `left ++ right`, unbound.
+    residual: &'a Option<Expr>,
 }
 
 impl<'a> JoinSite<'a> {
-    /// Bind keys and residual and lay out both sides, once.
-    fn bind(plan: &'a PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<JoinSite<'a>> {
+    /// Bind both sides' keys, once.
+    fn bind(plan: &'a PhysicalPlan, id: usize) -> Result<JoinSite<'a>> {
         let (PhysicalPlan::BroadcastHashJoin {
             left,
             right,
@@ -149,173 +165,369 @@ impl<'a> JoinSite<'a> {
         else {
             unreachable!("only hash joins bind a JoinSite");
         };
-        let side = |plan: &'a Arc<PhysicalPlan>, id, keys: &[Expr]| {
-            let attrs = plan.output();
-            let key_dtypes = keys
-                .iter()
-                .map(|e| e.data_type().unwrap_or(DataType::String))
-                .collect();
-            let layout =
-                SideLayout::new(key_dtypes, attrs.iter().map(|c| c.dtype.clone()).collect());
-            let keys = bind_all(keys, &attrs)?
-                .into_iter()
-                .map(|e| value_fn(e, ctx))
-                .collect();
-            let width = attrs.len();
-            Ok((JoinSide { plan, id, keys }, SideSpec { layout, width }))
-        };
-        let (left, left_spec) = side(left, id + 1, left_keys)?;
-        let (right, right_spec) = side(right, id + 1 + subtree_size(left.plan), right_keys)?;
-        // Residual predicates bind against the join node's own output.
-        let residual_pred = match residual {
-            Some(r) => Some(predicate(r, &plan.output(), ctx)?),
-            None => None,
+        let side = |plan: &'a Arc<PhysicalPlan>, id, keys: &[Expr]| -> Result<JoinSide<'a>> {
+            let keys = bind_all(keys, &plan.output())?;
+            Ok(JoinSide { plan, id, keys })
         };
         Ok(JoinSite {
             plan,
             id,
+            join_type: *join_type,
             build_side: *build_side,
-            left,
-            right,
-            spec: Arc::new(JoinSpec {
-                join_type: *join_type,
-                residual_pred,
-                left: left_spec,
-                right: right_spec,
-            }),
+            left: side(left, id + 1, left_keys)?,
+            right: side(right, id + 1 + subtree_size(left), right_keys)?,
+            residual,
         })
+    }
+
+    /// `(build, stream)` when the left side (`true`) or the right builds.
+    fn sides(&self, build_left: bool) -> (&JoinSide<'a>, &JoinSide<'a>) {
+        if build_left {
+            (&self.left, &self.right)
+        } else {
+            (&self.right, &self.left)
+        }
+    }
+
+    /// What a row-at-a-time join of this node shares across partitions.
+    fn row_spec(&self, ctx: &ExecContext) -> Result<Arc<JoinSpec>> {
+        // Residual predicates bind against the join node's own output.
+        let residual_pred = match self.residual {
+            Some(r) => Some(predicate(r, &self.plan.output(), ctx)?),
+            None => None,
+        };
+        let side = |s: &JoinSide| {
+            let attrs = s.plan.output();
+            let keys = (s.keys.iter()).map(|e| e.data_type().unwrap_or(DataType::String));
+            let layout = SideLayout::new(
+                keys.collect(),
+                attrs.iter().map(|c| c.dtype.clone()).collect(),
+            );
+            SideSpec {
+                layout,
+                width: attrs.len(),
+            }
+        };
+        Ok(Arc::new(JoinSpec {
+            join_type: self.join_type,
+            residual_pred,
+            left: side(&self.left),
+            right: side(&self.right),
+        }))
+    }
+
+    /// Build and broadcast the table of the build side's `batches`.
+    fn broadcast(
+        &self,
+        build_left: bool,
+        batches: &[RowBatch],
+        ctx: &ExecContext,
+    ) -> Result<Arc<BuildTable>> {
+        let (build, probe) = self.sides(build_left);
+        let n: usize = batches.iter().map(RowBatch::selected_count).sum();
+        let columns: Vec<Arc<ColumnVector>> = (build.plan.output().iter().enumerate())
+            .map(|(j, attr)| {
+                let parts: Vec<Arc<ColumnVector>> = (batches.iter())
+                    .map(|b| match b.selection() {
+                        Some(sel) => Arc::new(b.column(j).gather(sel)),
+                        None => b.column(j).clone(),
+                    })
+                    .collect();
+                Arc::new(ColumnVector::concat(&attr.dtype, &parts))
+            })
+            .collect();
+        // Rows with a NULL in any key column join nothing: no chain.
+        let keys = RowBatch::new(columns.clone(), n);
+        let keys = vectorized::eval_projection_batch(&build.keys, &keys)
+            .expect("join key evaluation failed");
+        let non_null = (0..n as u32)
+            .filter(|&i| keys.columns().iter().all(|c| !c.is_null(i as usize)))
+            .collect();
+        let (mut groups, mut assigned) = (BatchGroups::new(), Vec::new());
+        groups.assign(&keys.with_selection(non_null), &mut assigned);
+        let (mut first, mut next) = (vec![NONE; groups.len()], vec![NONE; n]);
+        for &(row, g) in assigned.iter().rev() {
+            next[row as usize] = first[g as usize];
+            first[g as usize] = row;
+        }
+        let bytes = columns.iter().map(|c| c.approx_bytes()).sum();
+        ctx.mem.note_broadcast(bytes);
+        let node = ctx.metrics.as_ref().map(|pm| pm.node(self.id));
+        if let Some(node) = &node {
+            node.add_extra("build_rows", n as u64);
+            node.add_extra("build_bytes", bytes);
+        }
+        let residual = match self.residual {
+            Some(r) => Some(bind_references(r.clone(), &self.plan.output())?),
+            None => None,
+        };
+        let table = BuildTable {
+            columns,
+            groups,
+            first,
+            next,
+            stream_keys: probe.keys.clone(),
+            residual,
+            build_left,
+            // The planner streams the outer-preserved side.
+            preserve: matches!(
+                (self.join_type, build_left),
+                (JoinType::Left, false) | (JoinType::Right, true)
+            ),
+            batch_size: ctx.conf.vectorize_batch_size.max(1),
+            node,
+        };
+        Ok(ctx.sc.broadcast(table, bytes as usize).value_arc())
     }
 }
 
-/// Lower a `BroadcastHashJoin` or `ShuffledHashJoin` node (pre-order id
-/// `id`).
+/// Probe every stream batch against a broadcast `table`.
+fn probe(stream: RddRef<RowBatch>, table: Arc<BuildTable>) -> RddRef<RowBatch> {
+    stream.map_partitions(move |input| {
+        Box::new(Probe {
+            input,
+            table: table.clone(),
+            batch: RowBatch::new(Vec::new(), 0),
+            heads: Vec::new(),
+            pos: 0,
+            matched: false,
+            pairs: 0,
+        })
+    })
+}
+
+/// Lower a `BroadcastHashJoin` in production (pre-order id `id`): collect
+/// and broadcast the build side's batches (a separate job, like Spark's
+/// broadcast exchange), then probe the stream side batch by batch.
+pub(crate) fn execute_broadcast_join(
+    plan: &PhysicalPlan,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    let site = JoinSite::bind(plan, id)?;
+    let build_left = site.build_side == BuildSide::Left;
+    let (build, stream) = site.sides(build_left);
+    let build_rdd = lower_node(build.plan, build.id, ctx)?.batches(build.plan, ctx);
+    let eager_start = Instant::now();
+    let batches = build_rdd.try_collect().map_err(engine_err)?;
+    let table = site.broadcast(build_left, &batches, ctx)?;
+    note_eager_ns(ctx, id, eager_start);
+    let stream_rdd = lower_node(stream.plan, stream.id, ctx)?.batches(stream.plan, ctx);
+    Ok(probe(stream_rdd, table))
+}
+
+/// "No build row": the end of a chain, or a null-extended lane.
+const NONE: u32 = NULL_LANE;
+
+/// What every probe task of one broadcast join shares: the build side's
+/// selected lanes as one set of column vectors, its non-NULL keys
+/// interned, per key a chain of build rows in arrival order, and how to
+/// probe.
+struct BuildTable {
+    columns: Vec<Arc<ColumnVector>>,
+    groups: BatchGroups,
+    /// First build row of each key group.
+    first: Vec<u32>,
+    /// Next build row with the same key, per build row.
+    next: Vec<u32>,
+    /// Stream-side keys, bound to the stream side.
+    stream_keys: Vec<Expr>,
+    /// Residual predicate, bound to `left ++ right`.
+    residual: Option<Expr>,
+    build_left: bool,
+    /// Whether a stream lane with no surviving match is null-extended.
+    preserve: bool,
+    /// Most key-matched pairs per output batch.
+    batch_size: usize,
+    node: Option<Arc<OperatorMetrics>>,
+}
+
+/// One stream partition probing a [`BuildTable`]: each stream batch
+/// yields batches of at most `batch_size` key-matched pairs, resuming
+/// mid-chain when one key matches more.
+struct Probe {
+    input: BoxIter<RowBatch>,
+    table: Arc<BuildTable>,
+    /// The stream batch being probed.
+    batch: RowBatch,
+    /// `(stream lane, next build row of its chain)` per selected lane.
+    heads: Vec<(u32, u32)>,
+    /// Next entry of `heads` to emit.
+    pos: usize,
+    /// Whether `heads[pos]` kept a match in an earlier output batch.
+    matched: bool,
+    pairs: u64,
+}
+
+impl Probe {
+    /// Look up the keys of the next stream batch.
+    fn start(&mut self, batch: RowBatch) {
+        let keys = vectorized::eval_projection_batch(&self.table.stream_keys, &batch)
+            .expect("join key evaluation failed");
+        let mut found = Vec::new();
+        self.table.groups.find(&keys, &mut found);
+        let (mut found, first) = (found.into_iter().peekable(), &self.table.first);
+        self.heads.clear();
+        batch.for_each_selected(|i| {
+            let group = found.next_if(|(lane, _)| *lane as usize == i);
+            let head = group.map_or(NONE, |(_, g)| first[g as usize]);
+            self.heads.push((i as u32, head));
+        });
+        (self.batch, self.pos, self.matched) = (batch, 0, false);
+    }
+
+    /// The `left ++ right` lanes of `(stream lane, build row)` pairs.
+    fn gather(&self, stream: &[u32], build: &[u32]) -> RowBatch {
+        let pick = |cols: &[Arc<ColumnVector>], idx: &[u32]| -> Vec<Arc<ColumnVector>> {
+            cols.iter().map(|c| Arc::new(c.gather(idx))).collect()
+        };
+        let s = pick(self.batch.columns(), stream);
+        let b = pick(&self.table.columns, build);
+        let columns = if self.table.build_left {
+            [b, s].concat()
+        } else {
+            [s, b].concat()
+        };
+        RowBatch::new(columns, stream.len())
+    }
+
+    /// The next output batch of the current stream batch. A preserved
+    /// lane's chain ends in a null-extended lane, selected only when none
+    /// of the lane's pairs passed the residual.
+    fn chunk(&mut self) -> RowBatch {
+        let table = self.table.clone();
+        let (mut stream, mut build) = (Vec::new(), Vec::new());
+        while self.pos < self.heads.len() && stream.len() < table.batch_size {
+            let (lane, mut row) = self.heads[self.pos];
+            while row != NONE && stream.len() < table.batch_size {
+                stream.push(lane);
+                build.push(row);
+                row = table.next[row as usize];
+                self.pairs += 1;
+            }
+            if row != NONE {
+                self.heads[self.pos].1 = row; // resume here
+                break;
+            }
+            if table.preserve {
+                stream.push(lane);
+                build.push(NONE);
+            }
+            self.pos += 1;
+        }
+        let candidates = self.gather(&stream, &build);
+        let kept = match &table.residual {
+            Some(r) => vectorized::filter_batch(r, &candidates).expect("predicate failed"),
+            None => candidates,
+        };
+        if !table.preserve {
+            return kept;
+        }
+        let mut passed = vec![kept.selection().is_none(); build.len()];
+        for &c in kept.selection().unwrap_or_default() {
+            passed[c as usize] = true;
+        }
+        let selection = (0..build.len() as u32).filter(|&c| match build[c as usize] {
+            NONE => !std::mem::take(&mut self.matched),
+            _ => {
+                self.matched |= passed[c as usize];
+                passed[c as usize]
+            }
+        });
+        let selection = selection.collect();
+        kept.with_selection(selection)
+    }
+}
+
+impl Iterator for Probe {
+    type Item = RowBatch;
+
+    fn next(&mut self) -> Option<RowBatch> {
+        loop {
+            while self.pos == self.heads.len() {
+                let batch = self.input.next()?;
+                self.start(batch);
+            }
+            let out = self.chunk();
+            if out.selected_count() > 0 {
+                return Some(out);
+            }
+        }
+    }
+}
+
+impl Drop for Probe {
+    fn drop(&mut self) {
+        if let Some(node) = &self.table.node {
+            node.add_extra("pairs", self.pairs);
+        }
+    }
+}
+
+/// Lower a `ShuffledHashJoin`, or the reference's `BroadcastHashJoin`
+/// (pre-order id `id`), to rows: pair up keyed partitions of both sides
+/// and hash-join each pair. A shuffled join co-partitions both sides on
+/// the join key — in production stage by stage from measured sizes
+/// (adaptive execution), which may answer with a demoted broadcast join
+/// instead; statically in the reference.
 pub(crate) fn execute_equi_join(
     plan: &PhysicalPlan,
     id: usize,
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
-    let site = JoinSite::bind(plan, id, ctx)?;
-    if matches!(plan, PhysicalPlan::BroadcastHashJoin { .. }) {
-        execute_broadcast_join(&site, ctx)
+    let site = JoinSite::bind(plan, id)?;
+    let (lread, rread) = if matches!(plan, PhysicalPlan::BroadcastHashJoin { .. }) {
+        broadcast_reads(&site, ctx)?
     } else {
-        execute_shuffled_join(&site, ctx)
-    }
-}
-
-fn execute_broadcast_join(site: &JoinSite, ctx: &ExecContext) -> Result<RddRef<Row>> {
-    let build_is_left = site.build_side == BuildSide::Left;
-    let (build, stream) = if build_is_left {
-        (&site.left, &site.right)
-    } else {
-        (&site.right, &site.left)
-    };
-
-    // Build and broadcast the hash table (a separate job, like Spark's
-    // broadcast exchange).
-    let build_rdd = execute_node(build.plan, build.id, ctx)?;
-    let eager_start = Instant::now();
-    let build_rows = build_rdd.try_collect().map_err(engine_err)?;
-    let pairs = build_rows
-        .into_iter()
-        .map(|row| (join_key(&build.keys, &row), row))
-        .collect();
-    let table = broadcast_build_table(pairs, site.id, ctx);
-    note_eager_ns(ctx, site.id, eager_start);
-
-    // Stream-side probe. The stream side is the outer-preserved side (the
-    // planner guarantees this).
-    let stream_rdd = execute_node(stream.plan, stream.id, ctx)?;
-    Ok(broadcast_probe(
-        stream_rdd,
-        table,
-        stream.keys.clone(),
-        site.spec.clone(),
-        build_is_left,
-    ))
-}
-
-/// Build, broadcast, and meter a join hash table from keyed build rows
-/// (NULL keys join nothing and are dropped).
-fn broadcast_build_table(
-    pairs: Vec<(Option<Row>, Row)>,
-    id: usize,
-    ctx: &ExecContext,
-) -> Arc<HashMap<Row, Vec<Row>>> {
-    let mut table: HashMap<Row, Vec<Row>> = HashMap::new();
-    let mut bytes = 0u64;
-    let mut build_count = 0u64;
-    for (k, row) in pairs {
-        if let Some(k) = k {
-            bytes += row.approx_bytes();
-            build_count += 1;
-            table.entry(k).or_default().push(row);
-        }
-    }
-    let broadcast = ctx.sc.broadcast(table, bytes as usize);
-    let table = broadcast.value_arc();
-    if let Some(pm) = &ctx.metrics {
-        let node = pm.node(id);
-        node.add_extra("build_rows", build_count);
-        node.add_extra("build_bytes", bytes);
-    }
-    table
-}
-
-/// Probe a broadcast hash table with the stream side.
-fn broadcast_probe(
-    stream: RddRef<Row>,
-    table: Arc<HashMap<Row, Vec<Row>>>,
-    stream_keys: Vec<ValueFn>,
-    spec: Arc<JoinSpec>,
-    build_is_left: bool,
-) -> RddRef<Row> {
-    let preserve_unmatched = matches!(
-        (spec.join_type, build_is_left),
-        (JoinType::Left, false) | (JoinType::Right, true)
-    );
-    stream.flat_map(move |srow| {
-        let mut out = Vec::new();
-        let matches = join_key(&stream_keys, &srow).and_then(|key| table.get(&key));
-        for brow in matches.into_iter().flatten() {
-            let joined = join_rows(build_is_left, brow, &srow);
-            if spec.keeps(&joined) {
-                out.push(joined);
+        let partitions = ctx.conf.shuffle_partitions.max(1);
+        let lchild = lower_node(site.left.plan, site.left.id, ctx)?;
+        let rchild = lower_node(site.right.plan, site.right.id, ctx)?;
+        if ctx.conf.reference {
+            // The static plan: what the adaptive one is differentially
+            // tested against.
+            let partitioner = || Arc::new(HashPartitioner::new(partitions));
+            (
+                keyed(&lchild.rows(), &site.left.key_fns(ctx)).partition_by(partitioner()),
+                keyed(&rchild.rows(), &site.right.key_fns(ctx)).partition_by(partitioner()),
+            )
+        } else {
+            match adaptive_reads(&site, &lchild, &rchild, partitions, ctx)? {
+                Adapted::Broadcast(joined) => return Ok(joined),
+                Adapted::Reads(lread, rread) => (lread, rread),
             }
         }
-        if out.is_empty() && preserve_unmatched {
-            out.push(join_rows(build_is_left, &spec.nulls(build_is_left), &srow));
-        }
-        out
-    })
-}
-
-/// Lower a `ShuffledHashJoin`: co-partition both sides on the join key —
-/// in production stage by stage from measured sizes (adaptive execution),
-/// which may answer with a demoted broadcast join instead; statically in
-/// the reference — and hash-join each pair of partitions.
-fn execute_shuffled_join(site: &JoinSite, ctx: &ExecContext) -> Result<RddRef<Row>> {
-    let partitions = ctx.conf.shuffle_partitions.max(1);
-    let lchild = execute_node(site.left.plan, site.left.id, ctx)?;
-    let rchild = execute_node(site.right.plan, site.right.id, ctx)?;
-    let (lread, rread) = if ctx.conf.reference {
-        // The static plan: what the adaptive one is differentially
-        // tested against.
-        let partitioner = || Arc::new(HashPartitioner::new(partitions));
-        (
-            keyed(&lchild, &site.left.keys).partition_by(partitioner()),
-            keyed(&rchild, &site.right.keys).partition_by(partitioner()),
-        )
-    } else {
-        match adaptive_reads(site, &lchild, &rchild, partitions, ctx)? {
-            Adapted::Broadcast(joined) => return Ok(joined),
-            Adapted::Reads(lread, rread) => (lread, rread),
-        }
     };
-    let (spec, build_side) = (site.spec.clone(), site.build_side);
+    let (spec, build_side) = (site.row_spec(ctx)?, site.build_side);
     let sctx = ctx.spill_ctx(site.id);
     Ok(lread.zip_partitions(&rread, move |lit, rit| {
         Box::new(hash_join_partition(lit, rit, &spec, build_side, &sctx, 0).into_iter())
     }))
+}
+
+/// The reference's broadcast join, row at a time: every stream partition
+/// meets all of the keyed build rows, collected once.
+fn broadcast_reads(site: &JoinSite, ctx: &ExecContext) -> Result<(RddRef<Keyed>, RddRef<Keyed>)> {
+    let build_left = site.build_side == BuildSide::Left;
+    let (build, stream) = site.sides(build_left);
+    let build_rdd = execute_node(build.plan, build.id, ctx)?;
+    let eager_start = Instant::now();
+    let keyed_build = keyed(&build_rdd, &build.key_fns(ctx));
+    let rows = Arc::new(keyed_build.try_collect().map_err(engine_err)?);
+    note_eager_ns(ctx, site.id, eager_start);
+    let stream = keyed(
+        &execute_node(stream.plan, stream.id, ctx)?,
+        &stream.key_fns(ctx),
+    );
+    let copies = ctx
+        .sc
+        .generate(stream.num_partitions(), move |_| -> BoxIter<Keyed> {
+            Box::new(rows.as_ref().clone().into_iter())
+        });
+    Ok(if build_left {
+        (copies, stream)
+    } else {
+        (stream, copies)
+    })
 }
 
 /// Hash-join one co-partitioned pair of keyed row streams under the
@@ -476,12 +688,13 @@ enum Adapted {
 ///    bucket against each.
 fn adaptive_reads(
     site: &JoinSite,
-    lchild: &RddRef<Row>,
-    rchild: &RddRef<Row>,
+    lchild: &Lowered,
+    rchild: &Lowered,
     partitions: usize,
     ctx: &ExecContext,
 ) -> Result<Adapted> {
-    let (id, join_type) = (site.id, site.spec.join_type);
+    let (id, join_type) = (site.id, site.join_type);
+    let (lkeys, rkeys) = (site.left.key_fns(ctx), site.right.key_fns(ctx));
     let threshold = ctx.conf.broadcast_threshold;
     let target = ctx.conf.adaptive_target_partition_bytes.max(1);
     let factor = ctx.conf.adaptive_skew_factor;
@@ -497,11 +710,11 @@ fn adaptive_reads(
             continue;
         }
         let (mat_slot, child, keys) = match build {
-            BuildSide::Right => (&mut rmat, rchild, &site.right.keys),
-            BuildSide::Left => (&mut lmat, lchild, &site.left.keys),
+            BuildSide::Right => (&mut rmat, rchild, &rkeys),
+            BuildSide::Left => (&mut lmat, lchild, &lkeys),
         };
         if mat_slot.is_none() {
-            *mat_slot = Some(materialize_join_side(child, keys, partitions)?);
+            *mat_slot = Some(materialize_join_side(&child.rows(), keys, partitions)?);
         }
         let mat = mat_slot.as_ref().unwrap();
         let measured = mat.total_bytes();
@@ -526,34 +739,33 @@ fn adaptive_reads(
             ),
             replacement: Some(candidate),
         });
+        // The same batch build and probe as a planned broadcast join.
         let eager_start = Instant::now();
         let pairs = mat.read_all().try_collect().map_err(engine_err)?;
-        let table = broadcast_build_table(pairs, id, ctx);
+        let rows: Vec<Row> = pairs.into_iter().map(|(_, row)| row).collect();
+        let build_left = build == BuildSide::Left;
+        let (build_side, stream_side) = site.sides(build_left);
+        let dtypes: Vec<DataType> = (build_side.plan.output().iter())
+            .map(|c| c.dtype.clone())
+            .collect();
+        let table = site.broadcast(build_left, &[RowBatch::from_rows(&dtypes, &rows)], ctx)?;
         note_eager_ns(ctx, id, eager_start);
-        let build_is_left = build == BuildSide::Left;
-        let (stream, stream_keys) = if build_is_left {
-            (rchild, &site.right.keys)
-        } else {
-            (lchild, &site.left.keys)
-        };
-        return Ok(Adapted::Broadcast(broadcast_probe(
-            stream.clone(),
-            table,
-            stream_keys.clone(),
-            site.spec.clone(),
-            build_is_left,
-        )));
+        let stream = if build_left { rchild } else { lchild };
+        let joined = probe(stream.batches(stream_side.plan, ctx), table);
+        return Ok(Adapted::Broadcast(
+            joined.flat_map(RowBatch::into_selected_rows),
+        ));
     }
 
     // Shuffled fallback: materialize whichever sides the demotion probe
     // did not, then plan the reduce reads from the measured sizes.
     let lmat = match lmat {
         Some(m) => m,
-        None => materialize_join_side(lchild, &site.left.keys, partitions)?,
+        None => materialize_join_side(&lchild.rows(), &lkeys, partitions)?,
     };
     let rmat = match rmat {
         Some(m) => m,
-        None => materialize_join_side(rchild, &site.right.keys, partitions)?,
+        None => materialize_join_side(&rchild.rows(), &rkeys, partitions)?,
     };
     let lsizes = lmat.reduce_sizes();
     let rsizes = rmat.reduce_sizes();

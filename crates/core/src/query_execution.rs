@@ -357,10 +357,12 @@ impl QueryExecution {
 fn render_memory(m: &MemoryStats) -> String {
     format!(
         "budget: {} B, peak reserved: {} B\n\
+         broadcast tables (outside the budget): {} B\n\
          spilled buffers: {}, spill bytes: {}\n\
          spill files created/deleted: {}/{}\n",
         m.budget,
         m.peak,
+        m.broadcast_bytes,
         m.spill_count,
         m.spill_bytes,
         m.spill_files_created,

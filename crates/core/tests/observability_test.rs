@@ -391,3 +391,41 @@ fn cache_table_scans_count_hits_and_misses() {
     assert!(hits > warm_hits, "a warm cached scan counted no hit");
     assert_eq!(misses, cold_misses, "a warm cached scan counted a miss");
 }
+
+#[test]
+fn explain_analyze_shows_the_broadcast_build_and_probe() {
+    let ctx = SQLContext::new_local(2);
+    // A budget smaller than the build table: the table is held outside it.
+    ctx.set_conf(|c| c.memory_budget_bytes = 64);
+    let df = users(&ctx)
+        .join_on(&depts(&ctx), col("dept_id").eq(col("id")))
+        .unwrap();
+    let text = df.explain_analyze().unwrap();
+    let join = text
+        .lines()
+        .find(|l| l.contains("BroadcastHashJoin"))
+        .unwrap_or_else(|| panic!("no broadcast join in:\n{text}"));
+    assert!(join.contains("build=Right"), "{text}");
+    // Build bytes are lane bytes: four INT lanes (8 B each) and four
+    // strings (32 B each plus "eng", "sales", "hr", "ops").
+    let build_bytes = 4 * 8 + 4 * 32 + (3 + 5 + 2 + 3);
+    for want in [
+        "(rows=40,".to_string(),
+        "[build_rows=4]".to_string(),
+        format!("[build_bytes={build_bytes}]"),
+        "[pairs=40]".to_string(),
+        "[batches=".to_string(),
+    ] {
+        assert!(join.contains(&want), "missing {want} in: {join}\n{text}");
+    }
+    let memory = text
+        .split("== Memory ==\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no memory section:\n{text}"));
+    assert!(
+        memory.contains(&format!(
+            "broadcast tables (outside the budget): {build_bytes} B"
+        )),
+        "{text}"
+    );
+}

@@ -14,7 +14,7 @@ use rand::{RngExt, SeedableRng};
 use spark_sql::prelude::*;
 use std::sync::Arc;
 
-use catalyst::expr::builders::{count_star, sum as sum_agg};
+use catalyst::expr::builders::{count_star, length, sum as sum_agg};
 
 const ITERS: u64 = 120;
 
@@ -376,5 +376,185 @@ fn grouped_aggregates_are_exact_and_identically_tagged_in_every_config() {
             got.sort();
             assert_eq!(got, expect, "reference={reference} budget={budget}");
         }
+    }
+}
+
+// ---- broadcast joins ----
+
+/// One randomly generated broadcast equi-join: two tables joined on one
+/// to three key columns, each side's keys drawn from a small domain with
+/// NULLs (duplicate build keys everywhere), plus an optional residual.
+struct JoinQuery {
+    left: (SchemaRef, Vec<Row>),
+    right: (SchemaRef, Vec<Row>),
+    join_type: JoinType,
+    keys: usize,
+    residual: bool,
+    batch_size: usize,
+    /// Filter the left (`true`) or right side down to no rows, with a
+    /// predicate planning cannot prove empty.
+    empty: Option<bool>,
+}
+
+/// A join side `p` (`l` or `r`): key columns `{p}k0..`, then `{p}v`
+/// (nullable Long) and `{p}s` (nullable String). Key 0 is Long on the
+/// left and Int or Long on the right; further keys are String then Long.
+/// `hot` rows all carry key 1 in every key column, so one key's matches
+/// outnumber a batch.
+fn arb_join_side(
+    rng: &mut StdRng,
+    p: &str,
+    keys: usize,
+    int_key: bool,
+    rows: usize,
+    hot: usize,
+) -> (SchemaRef, Vec<Row>) {
+    let key_dtype = |j: usize| match j {
+        0 if int_key => DataType::Int,
+        0 | 2 => DataType::Long,
+        _ => DataType::String,
+    };
+    let mut fields: Vec<StructField> = (0..keys)
+        .map(|j| StructField::new(format!("{p}k{j}"), key_dtype(j), true))
+        .collect();
+    fields.push(StructField::new(format!("{p}v"), DataType::Long, true));
+    fields.push(StructField::new(format!("{p}s"), DataType::String, true));
+    let key = |rng: &mut StdRng, j: usize, hot: bool| -> Value {
+        let k = if hot { 1 } else { rng.random_range(0i64..6) };
+        if !hot && rng.random_bool(0.15) {
+            return Value::Null;
+        }
+        match key_dtype(j) {
+            DataType::Int => Value::Int(k as i32),
+            DataType::Long => Value::Long(k),
+            _ => Value::str(STR_POOL[k as usize % STR_POOL.len()]),
+        }
+    };
+    let rows = (0..rows + hot)
+        .map(|i| {
+            let mut values: Vec<Value> = (0..keys).map(|j| key(rng, j, i >= rows)).collect();
+            values.push(arb_value(rng, &DataType::Long, true));
+            values.push(arb_value(rng, &DataType::String, true));
+            Row::new(values)
+        })
+        .collect();
+    (Arc::new(Schema::new(fields)), rows)
+}
+
+fn arb_join(rng: &mut StdRng) -> JoinQuery {
+    let join_type = match rng.random_range(0u32..4) {
+        0 | 1 => JoinType::Inner,
+        2 => JoinType::Left,
+        _ => JoinType::Right,
+    };
+    let keys = rng.random_range(1usize..4);
+    let int_key = rng.random_bool(0.5);
+    // Inner joins build the smaller side, so size decides the build
+    // side; outer joins build the side that is not preserved.
+    // No side is empty at planning (a provably empty side plans away
+    // the join); `empty` empties one at run time instead.
+    let (mut lrows, rrows) = (rng.random_range(1usize..60), rng.random_range(1usize..60));
+    if rng.random_bool(0.5) {
+        lrows = lrows.div_ceil(4);
+    }
+    let hot = if rng.random_bool(0.3) { 40 } else { 0 };
+    let (lhot, rhot) = if rng.random_bool(0.5) {
+        (hot, 2)
+    } else {
+        (2, hot)
+    };
+    JoinQuery {
+        left: arb_join_side(rng, "l", keys, false, lrows, lhot),
+        right: arb_join_side(rng, "r", keys, int_key, rrows, rhot),
+        join_type,
+        keys,
+        residual: rng.random_bool(0.4),
+        batch_size: [4usize, 16, 1024][rng.random_range(0..3)],
+        empty: rng.random_bool(0.2).then(|| rng.random_bool(0.5)),
+    }
+}
+
+/// Run the join in production or in the reference: the sorted result
+/// multiset and the executed physical plan.
+fn run_join(q: &JoinQuery, reference: bool) -> (Vec<String>, String) {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| {
+        c.reference = reference;
+        c.vectorize_batch_size = q.batch_size;
+    });
+    let side = |p: &str, (schema, rows): &(SchemaRef, Vec<Row>), empty: bool| {
+        let df = ctx.create_dataframe(schema.clone(), rows.clone()).unwrap();
+        if !empty {
+            return df;
+        }
+        df.where_(length(col(format!("{p}s"))).gt(lit(100)))
+            .unwrap()
+    };
+    let left = side("l", &q.left, q.empty == Some(true));
+    let right = side("r", &q.right, q.empty == Some(false));
+    let mut on = col("lk0").eq(col("rk0"));
+    for j in 1..q.keys {
+        on = on.and(col(format!("lk{j}")).eq(col(format!("rk{j}"))));
+    }
+    if q.residual {
+        on = on.and(col("lv").lt(col("rv")).or(col("ls").eq(col("rs"))));
+    }
+    let df = left.join(&right, q.join_type, Some(on)).unwrap();
+    let plan = format!("{}", df.query_execution().unwrap().physical());
+    let mut out: Vec<String> = df
+        .collect()
+        .unwrap()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    out.sort();
+    (out, plan)
+}
+
+#[test]
+fn broadcast_joins_agree_with_the_reference() {
+    let (mut build_left, mut build_right, mut outer, mut residual) = (0, 0, 0, 0);
+    let (mut empty_build, mut multi_key, mut int_long, mut over_batch) = (0, 0, 0, 0);
+    for seed in 0..ITERS {
+        let mut rng = StdRng::seed_from_u64(0x701 ^ (seed * 0x9E37_79B9));
+        let q = arb_join(&mut rng);
+        let (expect, _) = run_join(&q, true);
+        let (got, plan) = run_join(&q, false);
+        let what = format!(
+            "seed {seed}: {:?} keys={} residual={} batch={}\n{plan}",
+            q.join_type, q.keys, q.residual, q.batch_size
+        );
+        assert_eq!(got, expect, "{what}");
+        assert!(plan.contains("BroadcastHashJoin"), "{what}");
+        let left_builds = plan.contains("build=Left");
+        let build = if left_builds { &q.left.1 } else { &q.right.1 };
+        let build_empty = q.empty == Some(left_builds) || build.is_empty();
+        build_left += left_builds as u32;
+        build_right += !left_builds as u32;
+        outer += (q.join_type != JoinType::Inner) as u32;
+        residual += q.residual as u32;
+        empty_build += build_empty as u32;
+        multi_key += (q.keys > 1) as u32;
+        int_long += (q.right.0.field(0).dtype == DataType::Int) as u32;
+        // More key-1 matches for one stream lane than a batch holds.
+        let hot = build
+            .iter()
+            .filter(|r| r.values()[0].as_i64() == Some(1))
+            .count();
+        over_batch += (hot > q.batch_size && !build_empty && !got.is_empty()) as u32;
+    }
+    // Meaningfulness floors: every shape the probe handles shows up.
+    let counts = [
+        ("build=Left", build_left),
+        ("build=Right", build_right),
+        ("outer", outer),
+        ("residual", residual),
+        ("empty build side", empty_build),
+        ("multi-column key", multi_key),
+        ("Int-vs-Long key", int_long),
+        ("matches over a batch", over_batch),
+    ];
+    for (what, n) in counts {
+        assert!(n >= 5, "only {n} joins with {what}: {counts:?}");
     }
 }

@@ -43,6 +43,7 @@ pub struct MemoryPool {
     files_created: AtomicU64,
     files_deleted: AtomicU64,
     file_seq: AtomicU64,
+    broadcast_bytes: AtomicU64,
 }
 
 #[derive(Default)]
@@ -68,6 +69,8 @@ pub struct MemoryStats {
     pub spill_files_created: u64,
     /// Spill files deleted (on drop; equals created when nothing leaked).
     pub spill_files_deleted: u64,
+    /// Bytes of broadcast values built, which are held outside the budget.
+    pub broadcast_bytes: u64,
 }
 
 impl MemoryPool {
@@ -83,6 +86,7 @@ impl MemoryPool {
             files_created: AtomicU64::new(0),
             files_deleted: AtomicU64::new(0),
             file_seq: AtomicU64::new(0),
+            broadcast_bytes: AtomicU64::new(0),
         })
     }
 
@@ -151,6 +155,12 @@ impl MemoryPool {
         self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Record a broadcast value of `bytes`: it is shared by every task and
+    /// held outside the budget, so it is counted, never reserved.
+    pub fn note_broadcast(&self, bytes: u64) {
+        self.broadcast_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Create an empty spill file in the pool's spill directory. The file
     /// removes itself from disk when dropped.
     pub fn spill_file(self: &Arc<MemoryPool>) -> std::io::Result<SpillFile> {
@@ -183,6 +193,7 @@ impl MemoryPool {
             spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
             spill_files_created: self.files_created.load(Ordering::Relaxed),
             spill_files_deleted: self.files_deleted.load(Ordering::Relaxed),
+            broadcast_bytes: self.broadcast_bytes.load(Ordering::Relaxed),
         }
     }
 }
