@@ -1,17 +1,16 @@
 //! Benchmark harness reproducing every figure in the evaluation section
 //! (§6) of *Spark SQL: Relational Data Processing in Spark*:
 //!
-//! * **Figure 4** (`fig4` bin / `fig4_codegen` bench): evaluating
-//!   `x+x+x` — interpreted vs compiled ("code-generated") vs hand-written.
-//! * **Figure 8** (`fig8` bin / `fig8_bigdata` bench): the AMPLab big
-//!   data benchmark, Shark-like vs Spark SQL vs a hand-written native
-//!   ("Impala-like") baseline.
-//! * **Figure 9** (`fig9` bin / `fig9_aggregation` bench): a distributed
-//!   aggregation via dynamically-typed RDD code ("Python"), typed RDD
-//!   code ("Scala"), and the DataFrame API.
-//! * **Figure 10** (`fig10` bin / `fig10_pipeline` bench): filter + word
-//!   count as two separate jobs with a disk handoff vs one integrated
-//!   DataFrame pipeline.
+//! * **Figure 4** (`fig4` bin): evaluating `x+x+x` — interpreted per
+//!   row vs a vectorized kernel (this engine's code generation) vs a
+//!   hand-written loop.
+//! * **Figure 8** (`fig8` bin): the AMPLab big data benchmark, Shark-like
+//!   vs Spark SQL vs a hand-written native ("Impala-like") baseline.
+//! * **Figure 9** (`fig9` bin): a distributed aggregation via
+//!   dynamically-typed RDD code ("Python"), typed RDD code ("Scala"), and
+//!   the DataFrame API.
+//! * **Figure 10** (`fig10` bin): filter + word count as two separate jobs
+//!   with a disk handoff vs one integrated DataFrame pipeline.
 //!
 //! Plus `mem_footprint` (the §3.6 columnar-cache claim), `range_join`
 //! (§7.2) and `ablations` (per-feature on/off switches).

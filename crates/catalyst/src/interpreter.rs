@@ -3,8 +3,10 @@
 //! Evaluates a bound expression against a row by recursively matching on
 //! node types — exactly the "large amounts of branches and virtual
 //! function calls" evaluation mode that §4.3.4 of the paper contrasts
-//! with code generation. The compiled evaluator in [`crate::codegen`]
-//! removes that overhead; Figure 4 measures the difference.
+//! with code generation. It is the one definition of expression
+//! semantics: the columnar kernels in [`crate::vectorized`] remove the
+//! overhead and are tested against it lane by lane; Figure 4 measures
+//! the difference.
 
 use crate::error::{CatalystError, Result};
 use crate::expr::{BinaryOperator, ColumnRef, Expr, ScalarFunc};
@@ -292,8 +294,7 @@ fn eval_binary(left: &Expr, op: BinaryOperator, right: &Expr, row: &Row) -> Resu
     }
 }
 
-/// Apply a built-in scalar function to already-evaluated arguments (shared
-/// with the compiled evaluator's fallback path).
+/// Apply a built-in scalar function to already-evaluated arguments.
 pub fn apply_scalar_fn(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
     use ScalarFunc::*;
     match func {

@@ -16,10 +16,12 @@
 //!    operators, choosing join algorithms with a cost model (broadcast vs
 //!    shuffled hash join) and pushing projections/filters into data
 //!    sources ([`source`]).
-//! 4. **Code generation** ([`codegen`]): compile expression trees into
-//!    fused, monomorphically typed closures — the Rust analogue of the
-//!    paper's quasiquote-based bytecode generation — with the
-//!    tree-walking [`interpreter`] as the fallback.
+//! 4. **Expression evaluation**: columnar kernels over batches
+//!    ([`vectorized`]) — this crate's substitute for the paper's
+//!    quasiquote-based code generation, since both remove per-row
+//!    interpretation overhead — with the tree-walking [`interpreter`]
+//!    as the definition of the semantics, the fallback where no kernel
+//!    exists, and the row-at-a-time evaluator.
 //!
 //! Extension points mirror the paper's: user rule batches, planning
 //! strategies, data sources, UDFs and user-defined types.
@@ -32,7 +34,6 @@ pub mod row;
 
 pub mod adaptive;
 pub mod analysis;
-pub mod codegen;
 pub mod cost;
 pub mod error;
 pub mod expr;

@@ -1,12 +1,11 @@
 //! Columnar expression kernels over [`RowBatch`] columns.
 //!
-//! A kernel exists exactly where the row-path code generator compiles a
-//! closure; anything else falls back to the tree-walking interpreter on
-//! the selected lanes only (see the module docs in
-//! [`vectorized`](crate::vectorized)).
+//! A kernel where one exists, else the tree-walking interpreter on the
+//! selected lanes only (see the module docs in
+//! [`vectorized`](crate::vectorized)). The interpreter defines the
+//! semantics; every kernel is tested against it lane by lane.
 
 use super::batch::{ColumnVector, NumLanes, RowBatch, VectorData};
-use crate::codegen::wrap;
 use crate::error::Result;
 use crate::expr::{BinaryOperator, Expr};
 use crate::interpreter;
@@ -80,8 +79,8 @@ fn fallback_eval(expr: &Expr, batch: &RowBatch) -> Result<Arc<ColumnVector>> {
 }
 
 /// Try to evaluate `expr` with columnar kernels; `Ok(None)` means some
-/// node in the subtree has no kernel and the caller must fall back (the
-/// same whole-subtree fallback rule `codegen::try_compile` uses).
+/// node in the subtree has no kernel and the caller must fall back for
+/// the whole subtree.
 fn eval_kernel(expr: &Expr, batch: &RowBatch) -> Result<Option<Arc<ColumnVector>>> {
     match expr {
         Expr::Literal(v) => Ok(broadcast(v, batch.num_rows)),
@@ -163,9 +162,8 @@ fn broadcast(v: &Value, n: usize) -> Option<Arc<ColumnVector>> {
     Some(Arc::new(ColumnVector::new(dtype, data, None)))
 }
 
-/// Numeric casts, mirroring the codegen `Cast` cases and
-/// [`Value::cast_to`]: a BIGINT narrows to INT by wrapping, a float
-/// saturates; everything else falls back.
+/// Numeric casts, as [`Value::cast_to`] does them: a BIGINT narrows to
+/// INT by wrapping, a float saturates; everything else falls back.
 fn cast_kernel(c: &Arc<ColumnVector>, target: &DataType) -> Option<Arc<ColumnVector>> {
     let narrow = *target == DataType::Int;
     match target {
@@ -215,7 +213,9 @@ fn int_vector(
     nulls: Option<Vec<bool>>,
 ) -> Arc<ColumnVector> {
     let dtype = if int { DataType::Int } else { DataType::Long };
-    let lanes = lanes.map(|x| wrap(x, int)).collect();
+    let lanes = lanes
+        .map(|x| if int { x as i32 as i64 } else { x })
+        .collect();
     Arc::new(ColumnVector::new(dtype, VectorData::Long(lanes), nulls))
 }
 
@@ -227,11 +227,11 @@ fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<b
     }
 }
 
-/// Binary kernels with the exact semantics of `codegen::compile_binary`:
+/// Binary kernels with the interpreter's semantics:
 /// three-valued AND/OR, an integer fast path wrapping at the declared
 /// width (Hive `/` always fractional, `%`/`/` by zero ⇒ NULL), a widening
-/// float path, and string comparison/concatenation. Type combinations the
-/// code generator would not compile return `None`.
+/// float path, and string comparison/concatenation. Other type
+/// combinations return `None` and fall back.
 fn binary_kernel(
     l: &Arc<ColumnVector>,
     op: BinaryOperator,
@@ -582,6 +582,25 @@ mod tests {
             bin(col(0), Add, col(1)),
             Gt,
             Expr::Literal(Value::Int(0)),
+        ));
+        // Literal divisors (zero included), and arithmetic under
+        // comparisons under AND/OR.
+        exprs.push(bin(col(0), Mod, Expr::Literal(Value::Int(0))));
+        exprs.push(bin(col(2), Mod, Expr::Literal(Value::Long(-7))));
+        exprs.push(bin(
+            bin(bin(col(0), Mul, col(1)), Sub, Expr::Literal(Value::Int(3))),
+            Lt,
+            col(0),
+        ));
+        exprs.push(bin(
+            bin(col(2), Eq, col(3)),
+            And,
+            bin(col(2), Gt, Expr::Literal(Value::Long(5))),
+        ));
+        exprs.push(bin(
+            Expr::IsNull(Box::new(col(0))),
+            Or,
+            Expr::IsNotNull(Box::new(col(1))),
         ));
         for c in [0, 2, 4] {
             exprs.push(Expr::Negate(Box::new(col(c))));

@@ -24,17 +24,17 @@
 //!
 //! Design rules (documented in DESIGN.md):
 //!
-//! * **Kernels mirror `codegen.rs`.** A kernel exists exactly where the
-//!   row-path code generator compiles a closure (Long/Double arithmetic
-//!   with Hive division semantics, three-valued AND/OR, string
-//!   comparison/concat, numeric casts, null tests). Division or modulo by
-//!   zero yields NULL in both paths.
-//! * **Anything else falls back per row.** Unsupported nodes (CASE, LIKE,
-//!   UDFs, decimals, dates, …) are evaluated with the tree-walking
-//!   [`interpreter`](crate::interpreter) on the *selected* rows only,
-//!   producing a boxed [`VectorData::Values`] column. Unselected lanes
-//!   are never evaluated, matching the row path where filtered-out rows
-//!   never reach the expression.
+//! * **A kernel where one exists, else the interpreter on the selected
+//!   lanes.** Kernels cover Long/Double arithmetic with Hive division
+//!   semantics, three-valued AND/OR, string comparison/concat, numeric
+//!   casts and null tests, each tested lane by lane against the
+//!   [`interpreter`](crate::interpreter), which defines the semantics
+//!   (division or modulo by zero yields NULL in both). Any other node
+//!   (CASE, LIKE, UDFs, decimals, dates, …) makes its whole subtree fall
+//!   back: the interpreter evaluates the *selected* rows only, producing
+//!   a boxed [`VectorData::Values`] column. Unselected lanes are never
+//!   evaluated, matching the row path where filtered-out rows never
+//!   reach the expression.
 //! * **Filters select, they don't copy.** A predicate refines the
 //!   selection vector; rows are compacted only at the batch→row adapter
 //!   boundary ([`RowBatch::into_selected_rows`]).

@@ -47,17 +47,15 @@ pub(crate) struct AggCall {
 }
 
 impl AggCall {
-    /// Bind `arg` to `input` and build its evaluator: compiled, or
-    /// interpreted in the reference.
+    /// Bind `arg` to `input` and build its evaluator.
     pub(crate) fn plan(
         func: AggFunc,
         distinct: bool,
         arg: Option<&Expr>,
         input: &[ColumnRef],
-        ctx: &ExecContext,
     ) -> Result<AggCall> {
         let arg = match arg {
-            Some(a) => Some(value_fn(bind_references(a.clone(), input)?, ctx)),
+            Some(a) => Some(value_fn(bind_references(a.clone(), input)?)),
             None => None,
         };
         Ok(AggCall {
@@ -89,11 +87,7 @@ fn update_all(calls: &[AggCall], accs: &mut [Acc], row: &Row) {
     }
 }
 
-fn plan_row_calls(
-    agg_exprs: &[Expr],
-    input: &[ColumnRef],
-    ctx: &ExecContext,
-) -> Result<Vec<AggCall>> {
+fn plan_row_calls(agg_exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<AggCall>> {
     agg_exprs
         .iter()
         .map(|e| match e {
@@ -101,7 +95,7 @@ fn plan_row_calls(
                 func,
                 arg,
                 distinct,
-            } => AggCall::plan(*func, *distinct, arg.as_deref(), input, ctx),
+            } => AggCall::plan(*func, *distinct, arg.as_deref(), input),
             _ => unreachable!("aggregate list holds only Expr::Agg"),
         })
         .collect()
@@ -169,7 +163,7 @@ pub(crate) fn execute_aggregate(
     if groupings.is_empty() {
         // Global aggregate: partials per partition, merged on the driver —
         // correct even over an empty input (COUNT(*) = 0).
-        let calls = plan_row_calls(&agg_exprs, &input_attrs, ctx)?;
+        let calls = plan_row_calls(&agg_exprs, &input_attrs)?;
         let child = execute_node(input, id + 1, ctx)?;
         let eager_start = Instant::now();
         let calls_for_job = calls.clone();
@@ -211,11 +205,8 @@ pub(crate) fn execute_aggregate(
                 })
         }
         None => {
-            let calls = plan_row_calls(&agg_exprs, &input_attrs, ctx)?;
-            let key_fns: Vec<ValueFn> = bound_groupings
-                .into_iter()
-                .map(|e| value_fn(e, ctx))
-                .collect();
+            let calls = plan_row_calls(&agg_exprs, &input_attrs)?;
+            let key_fns: Vec<ValueFn> = bound_groupings.into_iter().map(value_fn).collect();
             execute_node(input, id + 1, ctx)?.map_partitions(move |it| {
                 Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
             })

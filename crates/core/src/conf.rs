@@ -23,9 +23,9 @@ use std::sync::OnceLock;
 /// Tunable knobs of a [`crate::SQLContext`].
 #[derive(Debug, Clone)]
 pub struct SqlConf {
-    /// Run the reference engine instead of production: the tree-walking
-    /// interpreter instead of compiled closures (§4.3.4) and batch
-    /// kernels, row-at-a-time execution, static plans (no adaptive
+    /// Run the reference engine instead of production: row-at-a-time
+    /// execution with the tree-walking interpreter and no batch kernels
+    /// (§4.3.4's interpreted baseline), static plans (no adaptive
     /// re-planning), and only the standard optimizer batches (no
     /// constraint or cost-based phase; shuffled joins build the right
     /// side). Slow and obviously correct: the oracle every differential

@@ -9,18 +9,20 @@
 //! `aggregate.rs`, `sort.rs`, `join.rs`, `window.rs`; what they share to
 //! cross the disk boundary is `spill.rs`.
 //!
-//! Production evaluates expressions with compiled fused closures (§4.3.4)
-//! on rows and columnar kernels on batches. The reference configuration
-//! (`SqlConf::reference`) runs the tree-walking interpreter row at a time
-//! instead — the oracle the differential suites compare against, and the
-//! Shark baseline of the Figure 8 experiment.
+//! Expressions evaluate two ways: columnar kernels on batches (the
+//! §4.3.4 substitute, falling back to the interpreter on selected lanes
+//! where no kernel exists), and the tree-walking interpreter on rows —
+//! the row operators' projections, predicates and keys in every
+//! configuration. The reference configuration (`SqlConf::reference`)
+//! takes no batch path at all: row at a time, the oracle the
+//! differential suites compare against and the Shark baseline of the
+//! Figure 8 experiment.
 
 use crate::conf::SqlConf;
 use crate::rdd_table::RddTable;
 use crate::spill::SpillCtx;
 use crate::{aggregate, join, sort, window};
 use catalyst::adaptive::AdaptivePlanChange;
-use catalyst::codegen;
 use catalyst::error::{CatalystError, Result};
 use catalyst::expr::{ColumnRef, Expr};
 use catalyst::interpreter::{self, bind_references};
@@ -236,50 +238,33 @@ pub(crate) fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>>
         .collect()
 }
 
-/// Build a row→row projector: compiled, or interpreted in the reference.
-fn projector(exprs: &[Expr], input: &[ColumnRef], ctx: &ExecContext) -> Result<RowFn> {
+/// Build a row→row projector.
+fn projector(exprs: &[Expr], input: &[ColumnRef]) -> Result<RowFn> {
     let bound = bind_all(exprs, input)?;
-    if ctx.conf.reference {
-        Ok(Arc::new(move |row| {
-            Row::new(
-                bound
-                    .iter()
-                    .map(|e| interpreter::eval(e, row).expect("projection failed"))
-                    .collect(),
-            )
-        }))
-    } else {
-        let compiled = codegen::compile_projection(&bound);
-        Ok(Arc::new(move |row| {
-            compiled(row).expect("projection failed")
-        }))
-    }
+    Ok(Arc::new(move |row| {
+        Row::new(
+            bound
+                .iter()
+                .map(|e| interpreter::eval(e, row).expect("projection failed"))
+                .collect(),
+        )
+    }))
 }
 
-/// Build a row predicate: compiled, or interpreted in the reference.
-pub(crate) fn predicate(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Result<PredFn> {
+/// Build a row predicate (NULL ⇒ false; an evaluation error fails the
+/// task).
+pub(crate) fn predicate(expr: &Expr, input: &[ColumnRef]) -> Result<PredFn> {
     let bound = bind_references(expr.clone(), input)?;
-    if ctx.conf.reference {
-        Ok(Arc::new(move |row| {
-            interpreter::eval_predicate(&bound, row).expect("predicate failed")
-        }))
-    } else {
-        Ok(codegen::compile_predicate(&bound))
-    }
+    Ok(Arc::new(move |row| {
+        interpreter::eval_predicate(&bound, row).expect("predicate failed")
+    }))
 }
 
 pub(crate) type ValueFn = Arc<dyn Fn(&Row) -> Value + Send + Sync>;
 
-/// Build a single-value evaluator: compiled, or interpreted in the
-/// reference.
-pub(crate) fn value_fn(bound: Expr, ctx: &ExecContext) -> ValueFn {
-    if ctx.conf.reference {
-        Arc::new(move |row| interpreter::eval(&bound, row).expect("expression failed"))
-    } else {
-        let dtype = bound.data_type().unwrap_or(DataType::String);
-        let compiled = codegen::compile(&bound);
-        Arc::new(move |row| compiled.eval_value(row, &dtype).expect("expression failed"))
-    }
+/// Build a single-value evaluator over a bound expression.
+pub(crate) fn value_fn(bound: Expr) -> ValueFn {
+    Arc::new(move |row| interpreter::eval(&bound, row).expect("expression failed"))
 }
 
 /// Execute a physical plan into an RDD of rows.
@@ -587,7 +572,7 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             });
             match residual {
                 Some(r) => {
-                    let pred = predicate(r, output, ctx)?;
+                    let pred = predicate(r, output)?;
                     Ok(rdd.filter(move |row| pred(row)))
                 }
                 None => Ok(rdd),
@@ -606,7 +591,7 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
 
         PhysicalPlan::Project { input, exprs } => {
             let child = execute_node(input, id + 1, ctx)?;
-            let f = projector(exprs, &input.output(), ctx)?;
+            let f = projector(exprs, &input.output())?;
             Ok(child.map(move |row| f(&row)))
         }
 
@@ -615,7 +600,7 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             predicate: pred_expr,
         } => {
             let child = execute_node(input, id + 1, ctx)?;
-            let pred = predicate(pred_expr, &input.output(), ctx)?;
+            let pred = predicate(pred_expr, &input.output())?;
             Ok(child.filter(move |row| pred(row)))
         }
 

@@ -123,8 +123,8 @@ struct JoinSide<'a> {
 
 impl JoinSide<'_> {
     /// Row-at-a-time key evaluators.
-    fn key_fns(&self, ctx: &ExecContext) -> Vec<ValueFn> {
-        self.keys.iter().map(|e| value_fn(e.clone(), ctx)).collect()
+    fn key_fns(&self) -> Vec<ValueFn> {
+        self.keys.iter().cloned().map(value_fn).collect()
     }
 }
 
@@ -190,10 +190,10 @@ impl<'a> JoinSite<'a> {
     }
 
     /// What a row-at-a-time join of this node shares across partitions.
-    fn row_spec(&self, ctx: &ExecContext) -> Result<Arc<JoinSpec>> {
+    fn row_spec(&self) -> Result<Arc<JoinSpec>> {
         // Residual predicates bind against the join node's own output.
         let residual_pred = match self.residual {
-            Some(r) => Some(predicate(r, &self.plan.output(), ctx)?),
+            Some(r) => Some(predicate(r, &self.plan.output())?),
             None => None,
         };
         let side = |s: &JoinSide| {
@@ -487,8 +487,8 @@ pub(crate) fn execute_equi_join(
             // tested against.
             let partitioner = || Arc::new(HashPartitioner::new(partitions));
             (
-                keyed(&lchild.rows(), &site.left.key_fns(ctx)).partition_by(partitioner()),
-                keyed(&rchild.rows(), &site.right.key_fns(ctx)).partition_by(partitioner()),
+                keyed(&lchild.rows(), &site.left.key_fns()).partition_by(partitioner()),
+                keyed(&rchild.rows(), &site.right.key_fns()).partition_by(partitioner()),
             )
         } else {
             match adaptive_reads(&site, &lchild, &rchild, partitions, ctx)? {
@@ -497,7 +497,7 @@ pub(crate) fn execute_equi_join(
             }
         }
     };
-    let (spec, build_side) = (site.row_spec(ctx)?, site.build_side);
+    let (spec, build_side) = (site.row_spec()?, site.build_side);
     let sctx = ctx.spill_ctx(site.id);
     Ok(lread.zip_partitions(&rread, move |lit, rit| {
         Box::new(hash_join_partition(lit, rit, &spec, build_side, &sctx, 0).into_iter())
@@ -511,12 +511,12 @@ fn broadcast_reads(site: &JoinSite, ctx: &ExecContext) -> Result<(RddRef<Keyed>,
     let (build, stream) = site.sides(build_left);
     let build_rdd = execute_node(build.plan, build.id, ctx)?;
     let eager_start = Instant::now();
-    let keyed_build = keyed(&build_rdd, &build.key_fns(ctx));
+    let keyed_build = keyed(&build_rdd, &build.key_fns());
     let rows = Arc::new(keyed_build.try_collect().map_err(engine_err)?);
     note_eager_ns(ctx, site.id, eager_start);
     let stream = keyed(
         &execute_node(stream.plan, stream.id, ctx)?,
-        &stream.key_fns(ctx),
+        &stream.key_fns(),
     );
     let copies = ctx
         .sc
@@ -694,7 +694,7 @@ fn adaptive_reads(
     ctx: &ExecContext,
 ) -> Result<Adapted> {
     let (id, join_type) = (site.id, site.join_type);
-    let (lkeys, rkeys) = (site.left.key_fns(ctx), site.right.key_fns(ctx));
+    let (lkeys, rkeys) = (site.left.key_fns(), site.right.key_fns());
     let threshold = ctx.conf.broadcast_threshold;
     let target = ctx.conf.adaptive_target_partition_bytes.max(1);
     let factor = ctx.conf.adaptive_skew_factor;
@@ -867,7 +867,7 @@ pub(crate) fn execute_nested_loop_join(
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
     let cond: Option<PredFn> = match condition {
-        Some(c) => Some(predicate(c, &join_plan.output(), ctx)?),
+        Some(c) => Some(predicate(c, &join_plan.output())?),
         None => None,
     };
     let left_id = id + 1;

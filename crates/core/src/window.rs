@@ -60,7 +60,7 @@ fn fold_const(e: &Expr) -> Option<Value> {
 }
 
 /// Plan one window output expression into an executable [`WindowCall`].
-fn plan_window_call(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Result<WindowCall> {
+fn plan_window_call(expr: &Expr, input: &[ColumnRef]) -> Result<WindowCall> {
     let mut e = expr;
     while let Expr::Alias { child, .. } = e {
         e = child;
@@ -121,7 +121,7 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Resu
                     })?,
             };
             Ok(WindowCall::Shift {
-                arg: value_fn(bound, ctx),
+                arg: value_fn(bound),
                 offset,
                 default,
                 lead: *func == WindowFunc::Lead,
@@ -136,7 +136,7 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef], ctx: &ExecContext) -> Resu
                 )));
             }
             Ok(WindowCall::Agg {
-                call: AggCall::plan(*f, false, arg, input, ctx)?,
+                call: AggCall::plan(*f, false, arg, input)?,
                 frame: *frame,
             })
         }
@@ -402,7 +402,7 @@ pub(crate) fn execute_window(
     let calls: Arc<Vec<WindowCall>> = Arc::new(
         window_exprs
             .iter()
-            .map(|e| plan_window_call(e, &input_attrs, ctx))
+            .map(|e| plan_window_call(e, &input_attrs))
             .collect::<Result<Vec<_>>>()?,
     );
 
@@ -411,7 +411,7 @@ pub(crate) fn execute_window(
     let key_fns: Vec<ValueFn> = bind_all(partition_by, &input_attrs)?
         .into_iter()
         .chain(bind_all(&okey_exprs, &input_attrs)?)
-        .map(|e| value_fn(e, ctx))
+        .map(value_fn)
         .collect();
     // Partition keys order ascending; order keys as the query says.
     let mask = descending_mask(order_by) << np;

@@ -185,3 +185,39 @@ fn a_failing_sort_key_is_an_error_not_a_dead_task() {
     assert!(message.contains("seven is right out"), "{message}");
     assert!(!message.contains("task failed"), "{message}");
 }
+
+/// A predicate whose evaluation fails is an error on every path, not a
+/// row silently filtered out: the filter above this aggregate runs row at
+/// a time in production as in the reference.
+#[test]
+fn a_failing_predicate_is_an_error_on_every_path() {
+    for reference in [false, true] {
+        let ctx = SQLContext::new_local(2);
+        ctx.set_conf(|c| c.reference = reference);
+        let rows = (0..10).map(|i| Row::new(vec![Value::Long(i)])).collect();
+        let schema = Arc::new(Schema::new(vec![StructField::new(
+            "id",
+            DataType::Long,
+            false,
+        )]));
+        ctx.register_rows("t", schema, rows).unwrap();
+        ctx.register_udf("brittle", DataType::Long, |args| match args[0].as_i64() {
+            Some(4) => Err(catalyst::CatalystError::Internal("four is unlucky".into())),
+            other => Ok(Value::Long(other.unwrap_or(0))),
+        });
+        // Group 0 counts ids 0, 3, 6, 9: its predicate fails.
+        let e = ctx
+            .sql(
+                "SELECT k FROM (SELECT id % 3 AS k, count(*) AS c FROM t GROUP BY id % 3) s \
+                 WHERE brittle(c) > 0",
+            )
+            .unwrap()
+            .collect()
+            .expect_err("the predicate of group 0 cannot be evaluated");
+        let message = e.to_string();
+        assert!(
+            message.contains("four is unlucky"),
+            "reference = {reference}: {message}"
+        );
+    }
+}
