@@ -90,7 +90,12 @@ impl Row {
 
     /// Approximate in-memory footprint (for the §3.6 cache comparison).
     pub fn approx_bytes(&self) -> u64 {
-        24 + self.values.iter().map(Value::approx_bytes).sum::<u64>()
+        Row::approx_bytes_of(&self.values)
+    }
+
+    /// [`Row::approx_bytes`] of a row holding `values`, without building it.
+    pub fn approx_bytes_of<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+        24 + values.into_iter().map(Value::approx_bytes).sum::<u64>()
     }
 }
 

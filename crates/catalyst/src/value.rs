@@ -137,12 +137,17 @@ impl Value {
             Value::Int(_) | Value::Float(_) | Value::Date(_) => 8,
             Value::Long(_) | Value::Double(_) | Value::Timestamp(_) => 8,
             Value::Decimal(_, _, _) => 24,
-            // Arc<str>: pointer + refcounts + payload.
-            Value::Str(s) => 16 + s.len() as u64 + 16,
+            Value::Str(s) => Value::str_bytes(s),
             Value::Binary(b) => 16 + b.len() as u64 + 16,
             Value::Array(items) => 24 + items.iter().map(Value::approx_bytes).sum::<u64>(),
             Value::Struct(items) => 24 + items.iter().map(Value::approx_bytes).sum::<u64>(),
         }
+    }
+
+    /// [`Value::approx_bytes`] of a `Value::Str` holding `s`.
+    pub fn str_bytes(s: &str) -> u64 {
+        // Arc<str>: pointer + refcounts + payload.
+        16 + s.len() as u64 + 16
     }
 
     // ---- arithmetic (assumes type coercion already unified operand

@@ -1,13 +1,19 @@
 //! Aggregate accumulators: the one partial-state definition ([`Acc`])
 //! and the typed lanes ([`AccLane`]) the batch kernel fills it from.
 //!
-//! [`Acc`] is the per-group, per-call partial state every stage of the
-//! GROUP BY pipeline exchanges: the row kernel folds argument values
-//! into it directly ([`Acc::update`]), the batch kernel emits it from its
-//! lanes ([`AccLane::partial`]), the shuffle carries it, the reduce side
-//! merges it ([`Acc::merge`]) and spills it ([`Acc::to_value`]), and the
-//! final projection reads [`Acc::finish`]. NULL skipping, Int→Long
-//! widening and tie-breaking are therefore defined here once.
+//! [`Acc`] is the per-group, per-call partial state of the GROUP BY
+//! pipeline: the row kernel folds argument values into it directly
+//! ([`Acc::update`]), its shuffle carries it, the reduce side merges it
+//! ([`Acc::merge`]) and spills it ([`Acc::to_value`]), and the final
+//! projection reads [`Acc::finish`]. NULL skipping, Int→Long widening and
+//! tie-breaking are therefore defined here once.
+//!
+//! The batch pipeline keeps the same states in lanes end to end: a map
+//! task ships lanes ([`AccLane::gather`] splits them by reducer), the
+//! reducer folds them with [`AccLane::merge`] — [`Acc::merge`] lane by
+//! lane — and finishes them as columns ([`AccLane::finish_column`],
+//! [`Acc::finish`] lane by lane). Only a reduce side denied memory turns
+//! its lanes into [`Acc`]s ([`AccLane::partial`]) for the spill path.
 //!
 //! One [`AccLane`] holds the accumulator state of one aggregate call for
 //! *every* group, as primitive lanes indexed by group id. Updates run in
@@ -515,11 +521,7 @@ impl AccLane {
             } => {
                 let col = arg.expect("MIN/MAX needs its argument column");
                 let lanes = long_lane_view(col);
-                let want = if *is_min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+                let want = replacing(*is_min);
                 for &(i, g) in assignments {
                     let (i, g) = (i as usize, g as usize);
                     if col.is_null(i) {
@@ -535,11 +537,7 @@ impl AccLane {
             AccLane::ExtremeDouble { vals, seen, is_min } => {
                 let col = arg.expect("MIN/MAX needs its argument column");
                 let lanes = double_lane_view(col);
-                let want = if *is_min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+                let want = replacing(*is_min);
                 for &(i, g) in assignments {
                     let (i, g) = (i as usize, g as usize);
                     if col.is_null(i) {
@@ -554,11 +552,7 @@ impl AccLane {
             }
             AccLane::ExtremeStr { vals, is_min } => {
                 let col = arg.expect("MIN/MAX needs its argument column");
-                let want = if *is_min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+                let want = replacing(*is_min);
                 for &(i, g) in assignments {
                     let (i, g) = (i as usize, g as usize);
                     if col.is_null(i) {
@@ -575,6 +569,275 @@ impl AccLane {
                 }
             }
         }
+    }
+
+    /// Fold the partial states of `other` (a lane of the same call,
+    /// indexed by its own rows) into this lane's groups: each
+    /// `(row, group)` assignment merges `other`'s row into `group`
+    /// exactly as [`Acc::merge`] merges the two partials, this lane's
+    /// state first. Counts add; sums add with the sticky Int→Long
+    /// widening of [`Value::add`]; MIN/MAX keep the earlier state on ties.
+    pub fn merge(&mut self, other: &AccLane, assignments: &[(u32, u32)], num_groups: usize) {
+        self.ensure_groups(num_groups);
+        match (self, other) {
+            (AccLane::Count { counts, .. }, AccLane::Count { counts: theirs, .. }) => {
+                for &(i, g) in assignments {
+                    counts[g as usize] += theirs[i as usize];
+                }
+            }
+            (
+                AccLane::SumLong {
+                    sums,
+                    seen,
+                    wide,
+                    int_input,
+                    avg_counts,
+                },
+                AccLane::SumLong {
+                    sums: their_sums,
+                    seen: their_seen,
+                    wide: their_wide,
+                    avg_counts: their_counts,
+                    ..
+                },
+            ) => {
+                for &(i, g) in assignments {
+                    let (i, g) = (i as usize, g as usize);
+                    if let (Some(c), Some(t)) = (avg_counts.as_mut(), their_counts) {
+                        c[g] += t[i];
+                    }
+                    if !their_seen[i] {
+                        continue;
+                    }
+                    if seen[g] {
+                        let s = sums[g].checked_add(their_sums[i]).expect("sum failed");
+                        // Int + Int stays Int while it fits; a Long on
+                        // either side makes a Long.
+                        wide[g] |= their_wide[i] || (*int_input && i32::try_from(s).is_err());
+                        sums[g] = s;
+                    } else {
+                        (sums[g], seen[g], wide[g]) = (their_sums[i], true, their_wide[i]);
+                    }
+                }
+            }
+            (
+                AccLane::SumDouble {
+                    sums,
+                    seen,
+                    avg_counts,
+                },
+                AccLane::SumDouble {
+                    sums: their_sums,
+                    seen: their_seen,
+                    avg_counts: their_counts,
+                },
+            ) => {
+                for &(i, g) in assignments {
+                    let (i, g) = (i as usize, g as usize);
+                    if let (Some(c), Some(t)) = (avg_counts.as_mut(), their_counts) {
+                        c[g] += t[i];
+                    }
+                    if !their_seen[i] {
+                        continue;
+                    }
+                    if seen[g] {
+                        sums[g] += their_sums[i];
+                    } else {
+                        (sums[g], seen[g]) = (their_sums[i], true);
+                    }
+                }
+            }
+            (
+                AccLane::ExtremeLong {
+                    vals, seen, is_min, ..
+                },
+                AccLane::ExtremeLong {
+                    vals: theirs,
+                    seen: their_seen,
+                    ..
+                },
+            ) => {
+                let want = replacing(*is_min);
+                for &(i, g) in assignments {
+                    let (i, g) = (i as usize, g as usize);
+                    if their_seen[i] && (!seen[g] || theirs[i].cmp(&vals[g]) == want) {
+                        (vals[g], seen[g]) = (theirs[i], true);
+                    }
+                }
+            }
+            (
+                AccLane::ExtremeDouble { vals, seen, is_min },
+                AccLane::ExtremeDouble {
+                    vals: theirs,
+                    seen: their_seen,
+                    ..
+                },
+            ) => {
+                let want = replacing(*is_min);
+                for &(i, g) in assignments {
+                    let (i, g) = (i as usize, g as usize);
+                    if their_seen[i] && (!seen[g] || theirs[i].total_cmp(&vals[g]) == want) {
+                        (vals[g], seen[g]) = (theirs[i], true);
+                    }
+                }
+            }
+            (AccLane::ExtremeStr { vals, is_min }, AccLane::ExtremeStr { vals: theirs, .. }) => {
+                let want = replacing(*is_min);
+                for &(i, g) in assignments {
+                    let (i, g) = (i as usize, g as usize);
+                    let Some(s) = &theirs[i] else { continue };
+                    match &vals[g] {
+                        Some(cur) if s.as_ref().cmp(cur.as_ref()) != want => {}
+                        _ => vals[g] = Some(s.clone()),
+                    }
+                }
+            }
+            (this, other) => unreachable!("merging {other:?} into {this:?}"),
+        }
+    }
+
+    /// The states of `groups`, in that order, as a lane of their own.
+    pub fn gather(&self, groups: &[u32]) -> AccLane {
+        fn pick<T: Clone>(v: &[T], groups: &[u32]) -> Vec<T> {
+            groups.iter().map(|&g| v[g as usize].clone()).collect()
+        }
+        match self {
+            AccLane::Count { counts, all_rows } => AccLane::Count {
+                counts: pick(counts, groups),
+                all_rows: *all_rows,
+            },
+            AccLane::SumLong {
+                sums,
+                seen,
+                wide,
+                int_input,
+                avg_counts,
+            } => AccLane::SumLong {
+                sums: pick(sums, groups),
+                seen: pick(seen, groups),
+                wide: pick(wide, groups),
+                int_input: *int_input,
+                avg_counts: avg_counts.as_deref().map(|c| pick(c, groups)),
+            },
+            AccLane::SumDouble {
+                sums,
+                seen,
+                avg_counts,
+            } => AccLane::SumDouble {
+                sums: pick(sums, groups),
+                seen: pick(seen, groups),
+                avg_counts: avg_counts.as_deref().map(|c| pick(c, groups)),
+            },
+            AccLane::ExtremeLong {
+                vals,
+                seen,
+                is_min,
+                dtype,
+            } => AccLane::ExtremeLong {
+                vals: pick(vals, groups),
+                seen: pick(seen, groups),
+                is_min: *is_min,
+                dtype: dtype.clone(),
+            },
+            AccLane::ExtremeDouble { vals, seen, is_min } => AccLane::ExtremeDouble {
+                vals: pick(vals, groups),
+                seen: pick(seen, groups),
+                is_min: *is_min,
+            },
+            AccLane::ExtremeStr { vals, is_min } => AccLane::ExtremeStr {
+                vals: pick(vals, groups),
+                is_min: *is_min,
+            },
+        }
+    }
+
+    /// The finished values of groups `0..n` as one column — lane by lane
+    /// what [`partial`](Self::partial)`(g).`[`finish`](Acc::finish)`()`
+    /// returns. The column is typed when every value has the `declared`
+    /// type; otherwise (an INT sum, whose groups finish INT or BIGINT) it
+    /// is boxed, so every value keeps its own tag.
+    pub fn finish_column(&self, n: usize, declared: &DataType) -> ColumnVector {
+        let unseen = |seen: &[bool]| {
+            let nulls: Vec<bool> = seen[..n].iter().map(|s| !s).collect();
+            nulls.contains(&true).then_some(nulls)
+        };
+        let typed = match self {
+            AccLane::Count { counts, .. } => {
+                ColumnVector::new(DataType::Long, VectorData::Long(counts[..n].to_vec()), None)
+            }
+            AccLane::SumLong {
+                sums,
+                seen,
+                avg_counts: Some(c),
+                ..
+            } => avg_column(n, |g| {
+                (seen[g] && c[g] > 0).then(|| sums[g] as f64 / c[g] as f64)
+            }),
+            AccLane::SumDouble {
+                sums,
+                seen,
+                avg_counts: Some(c),
+            } => avg_column(n, |g| (seen[g] && c[g] > 0).then(|| sums[g] / c[g] as f64)),
+            AccLane::SumLong {
+                sums,
+                seen,
+                wide,
+                int_input,
+                ..
+            } => {
+                // An INT sum finishes INT in every group it never widened.
+                if *int_input && (0..n).any(|g| seen[g] && !wide[g]) {
+                    return self.boxed_finish(n, declared);
+                }
+                ColumnVector::new(
+                    DataType::Long,
+                    VectorData::Long(sums[..n].to_vec()),
+                    unseen(seen),
+                )
+            }
+            AccLane::SumDouble { sums, seen, .. } => ColumnVector::new(
+                DataType::Double,
+                VectorData::Double(sums[..n].to_vec()),
+                unseen(seen),
+            ),
+            AccLane::ExtremeLong {
+                vals, seen, dtype, ..
+            } => ColumnVector::new(
+                dtype.clone(),
+                VectorData::Long(vals[..n].to_vec()),
+                unseen(seen),
+            ),
+            AccLane::ExtremeDouble { vals, seen, .. } => ColumnVector::new(
+                DataType::Double,
+                VectorData::Double(vals[..n].to_vec()),
+                unseen(seen),
+            ),
+            AccLane::ExtremeStr { vals, .. } => {
+                let empty: Arc<str> = Arc::from("");
+                let nulls: Vec<bool> = vals[..n].iter().map(Option::is_none).collect();
+                let lanes = vals[..n]
+                    .iter()
+                    .map(|v| v.clone().unwrap_or_else(|| empty.clone()));
+                ColumnVector::new(
+                    DataType::String,
+                    VectorData::Str(lanes.collect()),
+                    nulls.contains(&true).then_some(nulls),
+                )
+            }
+        };
+        if typed.dtype() == declared {
+            typed
+        } else {
+            self.boxed_finish(n, declared)
+        }
+    }
+
+    /// [`finish_column`](Self::finish_column) as boxed values.
+    fn boxed_finish(&self, n: usize, declared: &DataType) -> ColumnVector {
+        ColumnVector::from_boxed(
+            declared.clone(),
+            (0..n).map(|g| self.partial(g).finish()).collect(),
+        )
     }
 
     /// The finished partial for group `g`.
@@ -659,6 +922,59 @@ impl AccLane {
             }
         }
     }
+
+    /// `self.partial(g).approx_bytes()`, without building the [`Acc`].
+    pub fn approx_bytes(&self, g: usize) -> u64 {
+        let seen = |flags: &[bool]| flags.get(g).copied().unwrap_or(false);
+        // A present fixed-width value costs what `Value::approx_bytes` says.
+        let scalar = |present: bool| if present { 8 } else { 0 };
+        match self {
+            AccLane::Count { .. } => 16,
+            AccLane::SumLong {
+                seen: s,
+                avg_counts,
+                ..
+            }
+            | AccLane::SumDouble {
+                seen: s,
+                avg_counts,
+                ..
+            } => match avg_counts {
+                Some(_) => 24 + scalar(seen(s)),
+                None => 16 + scalar(seen(s)),
+            },
+            AccLane::ExtremeLong { seen: s, .. } | AccLane::ExtremeDouble { seen: s, .. } => {
+                16 + scalar(seen(s))
+            }
+            AccLane::ExtremeStr { vals, .. } => {
+                16 + vals
+                    .get(g)
+                    .and_then(Option::as_ref)
+                    .map_or(0, |s| Value::str_bytes(s))
+            }
+        }
+    }
+}
+
+/// How a value must compare with a MIN (`is_min`) or MAX state to
+/// replace it: strictly, so ties keep the earlier value.
+fn replacing(is_min: bool) -> Ordering {
+    if is_min {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    }
+}
+
+/// A Double column of AVG results, NULL where `avg` is `None`.
+fn avg_column(n: usize, avg: impl Fn(usize) -> Option<f64>) -> ColumnVector {
+    let values: Vec<Option<f64>> = (0..n).map(avg).collect();
+    let nulls: Vec<bool> = values.iter().map(Option::is_none).collect();
+    ColumnVector::new(
+        DataType::Double,
+        VectorData::Double(values.iter().map(|v| v.unwrap_or(0.0)).collect()),
+        nulls.contains(&true).then_some(nulls),
+    )
 }
 
 /// Typed integer lanes when the column stores them natively; `None`
@@ -751,6 +1067,176 @@ mod tests {
             Acc::Min(Some(Value::Double(d))) => assert!(d.is_sign_negative()),
             other => panic!("expected Min(-0.0), got {other:?}"),
         }
+    }
+
+    /// `AccLane::merge` is `Acc::merge` on every partial, and
+    /// `finish_column` is `Acc::finish` on every merged group, for every
+    /// lane kind and input type: Int sums that widen only once two
+    /// partials merge, NULL-only partials on either side, MIN/MAX ties,
+    /// AVG, two partials merged into one group in one call, and a group
+    /// nothing merges into.
+    #[test]
+    fn lane_merge_matches_acc_merge() {
+        let ints = |v: &[Option<i64>], f: fn(i64) -> Value| -> Vec<Value> {
+            v.iter().map(|x| x.map_or(Value::Null, f)).collect()
+        };
+        let (a, b) = (
+            [Some(0), Some(5), None, Some(-7), Some(3), Some(2)],
+            [Some(4), Some(4), Some(9), None, Some(5), Some(5), None],
+        );
+        let shift = |v: [Option<i64>; 6], base: i64| v.map(|x| x.map(|x| x + base));
+        let strs = |v: &[Option<&str>]| -> Vec<Value> {
+            v.iter()
+                .map(|x| x.map_or(Value::Null, Value::str))
+                .collect()
+        };
+        let cases: Vec<(DataType, Vec<Value>, Vec<Value>)> = vec![
+            // A's group 0 sums to i32::MAX - 7 and B's group 0 to 8: both
+            // partials are INT, their merge is not.
+            (
+                DataType::Int,
+                ints(&shift(a, i32::MAX as i64 - 10)[..1], |x| {
+                    Value::Int(x as i32)
+                })
+                .into_iter()
+                .chain(ints(&a[1..], |x| Value::Int(x as i32)))
+                .collect(),
+                ints(&b, |x| Value::Int(x as i32)),
+            ),
+            (
+                DataType::Long,
+                ints(&shift(a, 1 << 40), Value::Long),
+                ints(&b, Value::Long),
+            ),
+            (
+                DataType::Double,
+                [
+                    Some(0.0),
+                    Some(1.5),
+                    None,
+                    Some(-2.25),
+                    Some(-0.0),
+                    Some(1.5),
+                ]
+                .map(|x| x.map_or(Value::Null, Value::Double))
+                .to_vec(),
+                [
+                    Some(-0.0),
+                    Some(0.5),
+                    Some(1.5),
+                    None,
+                    Some(1.5),
+                    Some(2.0),
+                    None,
+                ]
+                .map(|x| x.map_or(Value::Null, Value::Double))
+                .to_vec(),
+            ),
+            (
+                DataType::String,
+                strs(&[Some("b"), Some("a"), None, Some("c"), Some("b"), Some("a")]),
+                strs(&[
+                    Some("a"),
+                    Some("b"),
+                    Some("a"),
+                    None,
+                    Some("c"),
+                    Some("a"),
+                    None,
+                ]),
+            ),
+            (
+                DataType::Date,
+                ints(&a, |x| Value::Date(x as i32)),
+                ints(&b, |x| Value::Date(x as i32)),
+            ),
+            (
+                DataType::Timestamp,
+                ints(&a, Value::Timestamp),
+                ints(&b, Value::Timestamp),
+            ),
+        ];
+        let a_groups = [0u32, 1, 2, 3, 0, 1];
+        let b_groups = [0u32, 0, 1, 2, 3, 3, 4];
+        // B's group i merges into A's group into[i]: 5 and 4 are new to
+        // A, two of B's groups land on A's group 1, A's group 3 gets
+        // nothing, and B's group 4 (NULL only) lands on A's group 4.
+        let into = [0u32, 1, 5, 1, 4];
+        let aggs = [
+            LaneAgg::CountStar,
+            LaneAgg::Count,
+            LaneAgg::Sum,
+            LaneAgg::Avg,
+            LaneAgg::Min,
+            LaneAgg::Max,
+        ];
+        let mut checked = 0;
+        for (dtype, va, vb) in &cases {
+            for agg in aggs {
+                let Some(mut lane) = AccLane::for_input(agg, dtype) else {
+                    continue;
+                };
+                let mut other = AccLane::for_input(agg, dtype).unwrap();
+                let ca = ColumnVector::from_values(dtype, va.clone());
+                let cb = ColumnVector::from_values(dtype, vb.clone());
+                let asg = |groups: &[u32]| -> Vec<(u32, u32)> {
+                    (0..).zip(groups.iter().copied()).collect()
+                };
+                let arg = |c| (agg != LaneAgg::CountStar).then_some(c);
+                lane.update(arg(&ca), &asg(&a_groups), 4);
+                other.update(arg(&cb), &asg(&b_groups), 5);
+                let mut expect: Vec<Acc> = (0..6).map(|g| lane.partial(g)).collect();
+                for (i, &g) in into.iter().enumerate() {
+                    let merged = expect[g as usize].clone().merge(other.partial(i));
+                    expect[g as usize] = merged;
+                }
+                lane.merge(&other, &asg(&into), 6);
+                let what = format!("{agg:?} over {dtype:?}");
+                for (g, want) in expect.iter().enumerate() {
+                    assert_eq!(
+                        format!("{:?}", lane.partial(g)),
+                        format!("{want:?}"),
+                        "{what}, group {g}"
+                    );
+                    assert_eq!(
+                        lane.approx_bytes(g),
+                        want.approx_bytes(),
+                        "{what}, group {g}"
+                    );
+                }
+                let declared = match (agg, dtype) {
+                    (LaneAgg::CountStar | LaneAgg::Count, _) => DataType::Long,
+                    (LaneAgg::Avg, _) => DataType::Double,
+                    (LaneAgg::Sum, DataType::Int) => DataType::Long,
+                    _ => dtype.clone(),
+                };
+                let finished = lane.finish_column(6, &declared);
+                assert_eq!(finished.dtype(), &declared, "{what}");
+                for (g, want) in expect.into_iter().enumerate() {
+                    assert_eq!(
+                        format!("{:?}", finished.get(g)),
+                        format!("{:?}", want.finish()),
+                        "{what}, group {g}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3 * 6 + 3 * 4, "every lane kind × input type");
+        // The widening happened in the merge, not before it.
+        let mut sum = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
+        let mut other = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
+        let col = |v| ColumnVector::from_values(&DataType::Int, vec![Value::Int(v)]);
+        sum.update(Some(&col(i32::MAX)), &[(0, 0)], 1);
+        other.update(Some(&col(1)), &[(0, 0)], 1);
+        assert!(matches!(
+            sum.partial(0),
+            Acc::Sum(Some(Value::Int(i32::MAX)))
+        ));
+        sum.merge(&other, &[(0, 0)], 1);
+        assert!(
+            matches!(sum.partial(0), Acc::Sum(Some(Value::Long(x))) if x == i32::MAX as i64 + 1)
+        );
     }
 
     #[test]

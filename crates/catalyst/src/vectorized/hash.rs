@@ -7,9 +7,13 @@
 //! loop from boxing: each key column (up to four) interns its values to
 //! dense ids through raw `i64`/`Arc<str>` caches, a single-column key's
 //! group is its value's id, and a multi-column key's group is found by its
-//! packed id *signature*. [`BatchGroups::find`] looks keys up without
-//! interning them, so a hash join probes the groups its build side
-//! assigned with GROUP BY's key equality.
+//! packed id *signature*. Keys stay in those columns: a new group costs
+//! its ids, not a [`Row`], and [`BatchGroups::key_columns`] hands every
+//! key back as column vectors; [`BatchGroups::group_hashes`] routes groups
+//! to reducers by a hash that agrees with key equality.
+//! [`BatchGroups::find`] looks keys up without interning them, so a hash
+//! join probes the groups its build side assigned with GROUP BY's key
+//! equality.
 
 use super::batch::{ColumnVector, RowBatch, VectorData};
 use crate::row::Row;
@@ -17,7 +21,7 @@ use crate::types::DataType;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// How many key columns the packed-signature fast path covers; wider
@@ -143,17 +147,35 @@ impl ColumnInterner {
     }
 }
 
+/// The routing hash of a value or key row: equal [`Value`]s (`Int(1)`,
+/// `Long(1)`) hash alike, and every process hashes them the same way.
+fn route_hash(v: &impl Hash) -> u64 {
+    let mut h = FastHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
 /// Incremental key interner over batches of key columns.
+///
+/// A key of one to four columns is kept as columns: each column's
+/// interner holds its distinct values, and a group is its per-column value
+/// ids (a single column's group *is* its value id), so interning a new
+/// group allocates no [`Row`]. Wider keys keep one row per group.
 #[derive(Debug, Default)]
 pub struct BatchGroups {
-    /// Distinct key rows in first-seen order, indexed by group id.
-    keys: Vec<Row>,
+    /// Number of distinct groups.
+    len: usize,
     /// One interner per key column, for keys of 1..=[`MAX_SIG_COLS`]
     /// columns.
     columns: Vec<ColumnInterner>,
+    /// Per-column value ids of every group, `columns.len()` per group, in
+    /// group order (multi-column keys only).
+    ids: Vec<u32>,
     /// Packed per-column id signature → group id (multi-column keys, 32
     /// bits of id space per column).
     sig_cache: FastMap<u128, u32>,
+    /// Key rows in group order, for keys too wide for a signature.
+    wide: Vec<Row>,
     /// Key row → group id, for keys too wide for a signature.
     truth: FastMap<Row, u32>,
 }
@@ -166,22 +188,82 @@ impl BatchGroups {
 
     /// Number of distinct groups seen so far.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// True before any key has been interned.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
-    /// The key row of group `g`.
-    pub fn key(&self, g: usize) -> &Row {
-        &self.keys[g]
+    /// Column `j` of group `g`'s key (signature path only).
+    fn value(&self, g: usize, j: usize) -> &Value {
+        let id = match self.columns.len() {
+            1 => g,
+            w => self.ids[g * w + j] as usize,
+        };
+        &self.columns[j].values[id]
     }
 
-    /// All distinct key rows, in first-seen order.
-    pub fn into_keys(self) -> Vec<Row> {
-        self.keys
+    /// The key row of group `g`, built on demand.
+    pub fn key(&self, g: usize) -> Row {
+        if self.columns.is_empty() {
+            return self.wide[g].clone();
+        }
+        Row::new(
+            (0..self.columns.len())
+                .map(|j| self.value(g, j).clone())
+                .collect(),
+        )
+    }
+
+    /// `self.key(g).approx_bytes()`, without building the row.
+    pub fn key_bytes(&self, g: usize) -> u64 {
+        if self.columns.is_empty() {
+            return self.wide[g].approx_bytes();
+        }
+        Row::approx_bytes_of((0..self.columns.len()).map(|j| self.value(g, j)))
+    }
+
+    /// The keys of every group as columns of `dtypes`, in group order:
+    /// typed where every value conforms to its column's type, boxed (and
+    /// so exact) where one does not.
+    pub fn key_columns(&self, dtypes: &[DataType]) -> Vec<Arc<ColumnVector>> {
+        (dtypes.iter().enumerate())
+            .map(|(j, dtype)| {
+                let values = (0..self.len).map(|g| match self.columns.is_empty() {
+                    true => self.wide[g].values()[j].clone(),
+                    false => self.value(g, j).clone(),
+                });
+                Arc::new(ColumnVector::from_values(dtype, values.collect()))
+            })
+            .collect()
+    }
+
+    /// One hash per group, in group order, that agrees with key
+    /// equality: keys equal as [`Value`]s (`Int(1)` and `Long(1)`) hash
+    /// alike in every interner and every process — what routes a group
+    /// to its reducer.
+    pub fn group_hashes(&self) -> Vec<u64> {
+        if self.columns.is_empty() {
+            return self.wide.iter().map(route_hash).collect();
+        }
+        let mut per_value: Vec<Vec<u64>> = (self.columns.iter())
+            .map(|c| c.values.iter().map(route_hash).collect())
+            .collect();
+        if per_value.len() == 1 {
+            return per_value.pop().expect("one column");
+        }
+        let w = per_value.len();
+        (0..self.len)
+            .map(|g| {
+                let mut h = FastHasher::default();
+                for (j, hashes) in per_value.iter().enumerate() {
+                    h.write_u64(hashes[self.ids[g * w + j] as usize]);
+                }
+                h.finish()
+            })
+            .collect()
     }
 
     /// Assign a group id to every selected lane of `key_batch` (the
@@ -191,16 +273,16 @@ impl BatchGroups {
         let n = key_batch.selected_count();
         out.clear();
         out.reserve(n);
-        self.keys.reserve(n);
         let cols = key_batch.columns();
-        let row = |i: usize| Row::new(cols.iter().map(|c| c.get(i)).collect());
         if !(1..=MAX_SIG_COLS).contains(&cols.len()) {
             key_batch.for_each_selected(|i| {
-                let next = self.keys.len() as u32;
-                let g = match self.truth.entry(row(i)) {
+                let next = self.len as u32;
+                let key = Row::new(cols.iter().map(|c| c.get(i)).collect());
+                let g = match self.truth.entry(key) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
-                        self.keys.push(e.key().clone());
+                        self.wide.push(e.key().clone());
+                        self.len += 1;
                         *e.insert(next)
                     }
                 };
@@ -219,20 +301,25 @@ impl BatchGroups {
                 _ => {}
             }
         }
+        if let [col] = cols {
+            // A single column's value ids are its group ids.
+            let interner = &mut self.columns[0];
+            key_batch.for_each_selected(|i| out.push((i as u32, interner.id(col, i))));
+            self.len = interner.values.len();
+            return;
+        }
         key_batch.for_each_selected(|i| {
-            let next = self.keys.len() as u32;
-            let g = if let [col] = cols {
-                // A single column's value ids are its group ids.
-                self.columns[0].id(col, i)
-            } else {
-                let mut sig = 0u128;
-                for (j, c) in cols.iter().enumerate() {
-                    sig |= (self.columns[j].id(c, i) as u128) << (32 * j);
-                }
-                *self.sig_cache.entry(sig).or_insert(next)
-            };
+            let next = self.len as u32;
+            let mut ids = [0u32; MAX_SIG_COLS];
+            let mut sig = 0u128;
+            for (j, c) in cols.iter().enumerate() {
+                ids[j] = self.columns[j].id(c, i);
+                sig |= (ids[j] as u128) << (32 * j);
+            }
+            let g = *self.sig_cache.entry(sig).or_insert(next);
             if g == next {
-                self.keys.push(row(i));
+                self.ids.extend_from_slice(&ids[..cols.len()]);
+                self.len += 1;
             }
             out.push((i as u32, g));
         });
@@ -300,7 +387,7 @@ mod tests {
         groups.assign(&b, &mut out);
         assert_eq!(out, vec![(0, 0), (1, 1), (2, 2), (3, 0), (4, 2)]);
         assert_eq!(groups.len(), 3);
-        assert_eq!(groups.key(2), &Row::new(vec![Value::Null]));
+        assert_eq!(groups.key(2), Row::new(vec![Value::Null]));
     }
 
     #[test]
@@ -379,7 +466,7 @@ mod tests {
         // Int(1) canonicalizes to Long(1): lane 0 rejoins group 0.
         assert_eq!(out, vec![(0, 0), (1, 2), (2, 3)]);
         assert_eq!(groups.len(), 4);
-        assert_eq!(groups.key(3), &Row::new(vec![Value::Long(3), Value::Null]));
+        assert_eq!(groups.key(3), Row::new(vec![Value::Long(3), Value::Null]));
     }
 
     /// `find` over `probe` must report exactly the lanes whose key row
@@ -391,7 +478,7 @@ mod tests {
         let mut expect = Vec::new();
         probe.for_each_selected(|i| {
             let key = probe.row(i);
-            if let Some(g) = groups.keys.iter().position(|k| *k == key) {
+            if let Some(g) = (0..groups.len()).position(|g| groups.key(g) == key) {
                 expect.push((i as u32, g as u32));
             }
         });
@@ -497,6 +584,76 @@ mod tests {
             assert_find_agrees(&groups, &typed_probe),
             vec![(0, 2), (1, 0)]
         );
+    }
+
+    #[test]
+    fn keys_come_back_as_columns_and_hash_by_value_equality() {
+        // One Long column against one Int column: Int(1) and Long(1) are
+        // one key, so they must route alike across interners.
+        let mut longs = BatchGroups::new();
+        let mut ints = BatchGroups::new();
+        let mut out = Vec::new();
+        longs.assign(
+            &batch_of(
+                DataType::Long,
+                vec![Value::Long(1), Value::Null, Value::Long(9)],
+            ),
+            &mut out,
+        );
+        ints.assign(
+            &batch_of(DataType::Int, vec![Value::Int(9), Value::Int(1)]),
+            &mut out,
+        );
+        let (lh, ih) = (longs.group_hashes(), ints.group_hashes());
+        assert_eq!((lh[0], lh[2]), (ih[1], ih[0]));
+        let cols = longs.key_columns(&[DataType::Long]);
+        assert!(matches!(cols[0].data(), VectorData::Long(_)));
+        let got: Vec<Value> = (0..cols[0].len()).map(|i| cols[0].get(i)).collect();
+        assert_eq!(got, vec![Value::Long(1), Value::Null, Value::Long(9)]);
+        // A value not of the column's type keeps its tag in a boxed column.
+        assert!(matches!(
+            ints.key_columns(&[DataType::Long])[0].data(),
+            VectorData::Values(_)
+        ));
+
+        // Two, four and five columns (the last past the signature path):
+        // key_columns rebuilds every key row, key_bytes sizes it, and
+        // equal keys from differently typed batches hash alike.
+        for width in [2usize, 4, 5] {
+            let batch = |int: bool| {
+                let columns = (0..width)
+                    .map(|j| {
+                        let v = |x: i64| match (j, int) {
+                            (0, true) => Value::Int(x as i32),
+                            (0, false) => Value::Long(x),
+                            (1, _) => Value::str(["a", "b"][x as usize % 2]),
+                            _ => Value::Date(x as i32),
+                        };
+                        let dtype = v(0).dtype();
+                        Arc::new(ColumnVector::from_values(
+                            &dtype,
+                            vec![v(1), v(2), v(1), v(3)],
+                        ))
+                    })
+                    .collect();
+                RowBatch::new(columns, 4)
+            };
+            let (mut a, mut b) = (BatchGroups::new(), BatchGroups::new());
+            a.assign(&batch(false), &mut out);
+            assert_eq!(out, vec![(0, 0), (1, 1), (2, 0), (3, 2)], "width {width}");
+            b.assign(&batch(true).with_selection(vec![3, 1]), &mut out);
+            let rows = batch(false);
+            let dtypes: Vec<DataType> = rows.columns().iter().map(|c| c.dtype().clone()).collect();
+            let cols = a.key_columns(&dtypes);
+            for (g, lane) in [0usize, 1, 3].into_iter().enumerate() {
+                let row = Row::new(cols.iter().map(|c| c.get(g)).collect());
+                assert_eq!(row, rows.row(lane), "width {width}");
+                assert_eq!(a.key(g), rows.row(lane), "width {width}");
+                assert_eq!(a.key_bytes(g), a.key(g).approx_bytes(), "width {width}");
+            }
+            let (ah, bh) = (a.group_hashes(), b.group_hashes());
+            assert_eq!((ah[2], ah[1]), (bh[0], bh[1]), "width {width}");
+        }
     }
 
     #[test]

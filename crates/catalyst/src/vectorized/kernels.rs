@@ -7,7 +7,7 @@
 
 use super::batch::{ColumnVector, NumLanes, RowBatch, VectorData};
 use crate::error::Result;
-use crate::expr::{BinaryOperator, Expr};
+use crate::expr::{BinaryOperator, Expr, ScalarFunc};
 use crate::interpreter;
 use crate::types::DataType;
 use crate::value::Value;
@@ -143,8 +143,112 @@ fn eval_kernel(expr: &Expr, batch: &RowBatch) -> Result<Option<Arc<ColumnVector>
             };
             Ok(binary_kernel(&l, *op, &r))
         }
+        Expr::ScalarFn {
+            func: ScalarFunc::Substr,
+            args,
+        } => substr_kernel(args, batch),
         _ => Ok(None),
     }
+}
+
+/// An integer argument of a string kernel: one value for every lane, or
+/// Int/Long lanes.
+enum IntArg {
+    Const(i64),
+    Lanes(Arc<ColumnVector>),
+}
+
+impl IntArg {
+    /// The argument as a kernel takes it, or `None` (fall back): a NULL
+    /// or non-integer literal, or a subtree without integer lanes.
+    fn eval(e: &Expr, batch: &RowBatch) -> Result<Option<IntArg>> {
+        if let Expr::Literal(v) = e {
+            return Ok(match v {
+                Value::Int(x) => Some(IntArg::Const(*x as i64)),
+                Value::Long(x) => Some(IntArg::Const(*x)),
+                _ => None,
+            });
+        }
+        let Some(c) = eval_kernel(e, batch)? else {
+            return Ok(None);
+        };
+        Ok(c.long_lanes().is_some().then_some(IntArg::Lanes(c)))
+    }
+
+    fn at(&self, i: usize) -> i64 {
+        match self {
+            IntArg::Const(x) => *x,
+            IntArg::Lanes(c) => c.long_lanes().expect("checked in eval")[i],
+        }
+    }
+
+    fn nulls(&self) -> Option<&[bool]> {
+        match self {
+            IntArg::Const(_) => None,
+            IntArg::Lanes(c) => c.nulls(),
+        }
+    }
+}
+
+/// `SUBSTR(s, pos[, len])` over String lanes with the interpreter's char
+/// semantics — 1-based, a `pos` below 1 starts at the first char, a
+/// negative `len` takes nothing — slicing bytes where a lane is ASCII.
+/// Only selected lanes are computed; a NULL in any argument is NULL.
+fn substr_kernel(args: &[Expr], batch: &RowBatch) -> Result<Option<Arc<ColumnVector>>> {
+    let [s, pos, len @ ..] = args else {
+        return Ok(None);
+    };
+    if len.len() > 1 {
+        return Ok(None);
+    }
+    let Some(s) = eval_kernel(s, batch)? else {
+        return Ok(None);
+    };
+    let Some(strs) = s.str_lanes() else {
+        return Ok(None);
+    };
+    let Some(pos) = IntArg::eval(pos, batch)? else {
+        return Ok(None);
+    };
+    let len = match len.first() {
+        Some(e) => match IntArg::eval(e, batch)? {
+            Some(arg) => Some(arg),
+            None => return Ok(None),
+        },
+        None => None,
+    };
+    let n = batch.num_rows;
+    let mut nulls = union_nulls(s.nulls(), pos.nulls(), n);
+    if let Some(len) = &len {
+        nulls = union_nulls(nulls.as_deref(), len.nulls(), n);
+    }
+    let empty: Arc<str> = Arc::from("");
+    let mut lanes = vec![empty.clone(); n];
+    batch.for_each_selected(|i| {
+        if nulls.as_ref().is_some_and(|m| m[i]) {
+            return;
+        }
+        let start = (pos.at(i).max(1) - 1) as usize;
+        let take = len.as_ref().map_or(usize::MAX, |l| l.at(i).max(0) as usize);
+        let s = &strs[i];
+        lanes[i] = if start == 0 && take >= s.len() {
+            s.clone() // the whole string: no char has fewer than one byte
+        } else if s.is_ascii() {
+            let from = start.min(s.len());
+            let to = from.saturating_add(take).min(s.len());
+            match from < to {
+                true => Arc::from(&s[from..to]),
+                false => empty.clone(),
+            }
+        } else {
+            Arc::from(s.chars().skip(start).take(take).collect::<String>())
+        };
+    });
+    Ok(Some(Arc::new(ColumnVector::new(
+        DataType::String,
+        VectorData::Str(lanes),
+        nulls,
+    ))))
 }
 
 /// Broadcast a literal into a full vector; non-primitive literals have no
@@ -548,6 +652,13 @@ mod tests {
                     .map(|b| b.map_or(Value::Null, Value::Boolean))
                     .to_vec(),
             ),
+            // Strings whose chars are wider than a byte, beside ASCII.
+            (
+                DataType::String,
+                ["héllo", "日本語テキスト", "", "abcdef", "naïve", "€", "x"]
+                    .map(Value::str)
+                    .to_vec(),
+            ),
         ];
         // One NULL lane per column, at a different lane each.
         for (c, (_, values)) in columns.iter_mut().enumerate() {
@@ -611,6 +722,27 @@ mod tests {
                 });
             }
         }
+        // SUBSTR: ASCII and wider chars; `pos` 0, negative and past the
+        // end; `len` 0, negative and absent; pos/len as Int and Long lanes
+        // (extremes and NULLs included) and as literals.
+        let substr = |args: Vec<Expr>| Expr::ScalarFn {
+            func: ScalarFunc::Substr,
+            args,
+        };
+        let int = |v: i64| Expr::Literal(Value::Long(v));
+        for s in [5, 8] {
+            for pos in [-3, 0, 1, 2, 4, 100] {
+                exprs.push(substr(vec![col(s), int(pos)]));
+                for len in [-1, 0, 1, 3, 100] {
+                    exprs.push(substr(vec![col(s), int(pos), int(len)]));
+                }
+                exprs.push(substr(vec![col(s), int(pos), col(1)]));
+            }
+            exprs.push(substr(vec![col(s), Expr::Literal(Value::Int(2)), col(3)]));
+            for (p, l) in [(0, 1), (2, 3), (3, 2), (1, 0)] {
+                exprs.push(substr(vec![col(s), col(p), col(l)]));
+            }
+        }
         exprs.push(Expr::Not(Box::new(col(6))));
         exprs.push(bin(col(6), And, col(7)));
         exprs.push(bin(col(6), Or, col(7)));
@@ -622,6 +754,23 @@ mod tests {
             assert_kernel_matches_interpreter(e, &batch);
             // And on a selection, where unselected lanes are skipped.
             assert_kernel_matches_interpreter(e, &batch.clone().with_selection(vec![1, 4, 6]));
+        }
+        // SUBSTR keeps String lanes typed; a NULL literal argument or a
+        // non-string input falls back to the interpreter.
+        let prefix = substr(vec![col(8), int(1), int(2)]);
+        let out = eval_kernel(&prefix, &batch).unwrap().unwrap();
+        assert!(matches!(out.data(), VectorData::Str(_)));
+        assert_eq!(out.get(1), Value::str("日本"));
+        for fallback in [
+            substr(vec![col(5), Expr::Literal(Value::Null)]),
+            substr(vec![col(5), int(1), Expr::Literal(Value::Null)]),
+            substr(vec![col(0), int(1), int(2)]),
+            substr(vec![col(5), col(4)]),
+        ] {
+            assert!(
+                eval_kernel(&fallback, &batch).unwrap().is_none(),
+                "{fallback}"
+            );
         }
         // The INT results wrapped: i32::MAX + 1 is i32::MIN, not 2^31.
         let sum = eval_batch(&bin(col(0), Add, col(1)), &batch).unwrap();

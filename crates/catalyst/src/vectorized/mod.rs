@@ -16,18 +16,18 @@
 //!   ([`RowBatch::into_selected_rows`]).
 //! * [`kernels`] — columnar expression kernels ([`eval_batch`],
 //!   [`eval_projection_batch`], [`filter_batch`]).
-//! * [`hash`] — columnar group-key hashing for batch-native hash
-//!   aggregation ([`BatchGroups`]).
+//! * [`hash`] — columnar group-key interning for batch-native hash
+//!   aggregation and joins ([`BatchGroups`]), keys kept as columns.
 //! * [`accumulators`] — the aggregate partial state ([`Acc`]) and the
-//!   typed lanes the batch kernel updates per batch
+//!   typed lanes the batch pipeline updates, ships, merges and finishes
 //!   ([`AccLane`], [`LaneAgg`]).
 //!
 //! Design rules (documented in DESIGN.md):
 //!
 //! * **A kernel where one exists, else the interpreter on the selected
 //!   lanes.** Kernels cover Long/Double arithmetic with Hive division
-//!   semantics, three-valued AND/OR, string comparison/concat, numeric
-//!   casts and null tests, each tested lane by lane against the
+//!   semantics, three-valued AND/OR, string comparison/concat, SUBSTR,
+//!   numeric casts and null tests, each tested lane by lane against the
 //!   [`interpreter`](crate::interpreter), which defines the semantics
 //!   (division or modulo by zero yields NULL in both). Any other node
 //!   (CASE, LIKE, UDFs, decimals, dates, …) makes its whole subtree fall

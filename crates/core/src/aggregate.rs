@@ -1,18 +1,38 @@
-//! Hash aggregation: one pipeline with two map-side kernels.
+//! Hash aggregation: a batch pipeline, and the row kernel beside it.
 //!
-//! plan the calls → map-side partials → `partition_by` →
-//! [`spill::merge_agg_partition`] → final projection.
+//! **Batch pipeline** (production, whenever every call has a typed
+//! [`vectorized::AccLane`]):
 //!
-//! The map side is the **batch kernel** ([`batch_partial_agg`], columnar
-//! group keys and typed [`vectorized::AccLane`]s) in production when
-//! every call has a lane, else the **row kernel**
-//! ([`partial_agg_partition`], one [`AggCall`] per call folding
-//! [`Acc::update`]). The row kernel is the only home of DISTINCT and what
-//! the reference configuration runs, so the differential suites compare
-//! the batch kernel against it.
-//! Both emit `(key, Vec<Acc>)` under the execution's memory pool — an
-//! unbounded pool never denies, so they never flush early and the reduce
-//! side never spills — and everything after the map side is shared.
+//! 1. *Map blocks.* [`batch_partial_agg`] interns each input batch's group
+//!    keys in columns ([`vectorized::BatchGroups`]) and folds every call
+//!    into its lane. It then splits its groups by reducer — by a per-group
+//!    hash that agrees with `Value` equality, so `Int 1` and `Long 1`
+//!    meet — and emits one [`AggBlock`] (key columns, lane states, row
+//!    count) per non-empty reducer.
+//! 2. *Index exchange.* Blocks travel keyed by their reducer through
+//!    `partition_by` with an index partitioner: a map task ships at most
+//!    `shuffle_partitions` records, not one per group.
+//! 3. *Lane merge.* [`merge_blocks`] interns each block's key columns and
+//!    folds its states with [`vectorized::AccLane::merge`] (exactly
+//!    [`Acc::merge`]), blocks in map-id order.
+//! 4. *Batch finish.* One batch of the interner's key columns and the
+//!    lanes' finish columns runs the output list through
+//!    [`vectorized::eval_projection_batch`], so a `Filter`, `Project` or
+//!    top-N above reads batches.
+//!
+//! `(key, Vec<Acc>)` pairs exist on this path in two places only, both
+//! under a bounded pool: a denied map-side reservation ships blocks early
+//! and restarts (no pairs), and a denied reduce-side reservation drains
+//! the lane table, still reserved, through
+//! [`vectorized::AccLane::partial`], followed by the blocks still unread,
+//! into the grace path [`spill::merge_agg_partition`].
+//!
+//! **Row kernel** ([`partial_agg_partition`]): one [`AggCall`] per call
+//! folding [`Acc::update`] into `(key, Vec<Acc>)` pairs, a
+//! `HashPartitioner<Row>` exchange, [`spill::merge_agg_partition`] and a
+//! row-at-a-time finish. It is the only home of DISTINCT and of types
+//! with no lane, and what the reference configuration runs, so the
+//! differential suites compare the batch pipeline against it.
 //!
 //! A global aggregate (no GROUP BY) has one group and nothing to shuffle:
 //! per-partition row-kernel partials merge on the driver.
@@ -30,8 +50,8 @@ use catalyst::row::Row;
 use catalyst::tree::{Transformed, TreeNode};
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use catalyst::vectorized::{self, Acc, RowBatch};
-use engine::{HashPartitioner, PairRdd, RddRef};
+use catalyst::vectorized::{self, Acc, AccLane, BatchGroups, ColumnVector, RowBatch};
+use engine::{BoxIter, HashPartitioner, MemoryReservation, PairRdd, Partitioner, RddRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,7 +121,100 @@ fn plan_row_calls(agg_exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<AggCall
         .collect()
 }
 
-/// Lower a `HashAggregate` operator (pre-order id `id`).
+/// One `HashAggregate`'s unique aggregate calls, and its output list
+/// rewritten over `[group keys ++ aggregate results]`.
+struct AggPlan {
+    agg_exprs: Vec<Expr>,
+    final_exprs: Vec<Expr>,
+    /// Declared types of the group keys and then of the aggregate
+    /// results: the columns `final_exprs` reads.
+    key_dtypes: Vec<DataType>,
+    agg_dtypes: Vec<DataType>,
+}
+
+impl AggPlan {
+    fn new(groupings: &[Expr], output_exprs: &[Expr]) -> AggPlan {
+        // Unique aggregate calls appearing anywhere in the output list.
+        let mut agg_exprs: Vec<Expr> = Vec::new();
+        for e in output_exprs {
+            e.for_each_node(&mut |n| {
+                if matches!(n, Expr::Agg { .. }) && !agg_exprs.contains(n) {
+                    agg_exprs.push(n.clone());
+                }
+            });
+        }
+        let dtype = |e: &Expr| e.data_type().unwrap_or(DataType::String);
+        let key_dtypes: Vec<DataType> = groupings.iter().map(dtype).collect();
+        let agg_dtypes: Vec<DataType> = agg_exprs.iter().map(dtype).collect();
+        let ngroups = groupings.len();
+        let final_exprs = output_exprs
+            .iter()
+            .map(|e| {
+                let bound_ref = |index: usize, n: &Expr, nullable: bool| Expr::BoundRef {
+                    index,
+                    dtype: dtype(n),
+                    nullable,
+                    name: Arc::from(n.auto_name().as_str()),
+                };
+                e.clone()
+                    .transform_down(&mut |n| {
+                        if let Some(i) = groupings.iter().position(|g| g == &n) {
+                            return Transformed::yes(bound_ref(i, &n, n.nullable()));
+                        }
+                        if let Some(j) = agg_exprs.iter().position(|a| a == &n) {
+                            return Transformed::yes(bound_ref(ngroups + j, &n, true));
+                        }
+                        Transformed::no(n)
+                    })
+                    .data
+            })
+            .collect();
+        AggPlan {
+            agg_exprs,
+            final_exprs,
+            key_dtypes,
+            agg_dtypes,
+        }
+    }
+
+    /// One group's `key ++ results` row, what `final_exprs` reads.
+    fn internal_row(key: Row, accs: Vec<Acc>) -> Row {
+        let mut values = key.into_values();
+        values.extend(accs.into_iter().map(Acc::finish));
+        Row::new(values)
+    }
+
+    /// The output row of one group (the row kernel's finish).
+    fn finish_row(&self, key: Row, accs: Vec<Acc>) -> Row {
+        let internal = AggPlan::internal_row(key, accs);
+        Row::new(
+            self.final_exprs
+                .iter()
+                .map(|e| interpreter::eval(e, &internal).expect("final aggregate failed"))
+                .collect(),
+        )
+    }
+
+    /// The output batch of `internal`, a batch of `[keys ++ results]`
+    /// columns (the batch pipeline's finish).
+    fn finish_batch(&self, internal: &RowBatch) -> RowBatch {
+        vectorized::eval_projection_batch(&self.final_exprs, internal)
+            .expect("final aggregate failed")
+    }
+
+    /// Finish `(key, accumulators)` pairs as one batch.
+    fn finish_pairs(&self, pairs: Vec<(Row, Vec<Acc>)>) -> RowBatch {
+        let rows: Vec<Row> = (pairs.into_iter())
+            .map(|(key, accs)| AggPlan::internal_row(key, accs))
+            .collect();
+        let dtypes = [self.key_dtypes.clone(), self.agg_dtypes.clone()].concat();
+        self.finish_batch(&RowBatch::from_rows(&dtypes, &rows))
+    }
+}
+
+/// Lower a `HashAggregate` operator (pre-order id `id`) as rows: global
+/// aggregates, and grouped ones the batch pipeline does not take
+/// ([`execute_batch_aggregate`] returned `None`).
 pub(crate) fn execute_aggregate(
     input: &Arc<PhysicalPlan>,
     groupings: &[Expr],
@@ -110,60 +223,12 @@ pub(crate) fn execute_aggregate(
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
     let input_attrs = input.output();
-
-    // Unique aggregate calls appearing anywhere in the output list.
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    for e in output_exprs {
-        e.for_each_node(&mut |n| {
-            if matches!(n, Expr::Agg { .. }) && !agg_exprs.contains(n) {
-                agg_exprs.push(n.clone());
-            }
-        });
-    }
-
-    // Rewrite output expressions over [group values ++ agg results].
-    let ngroups = groupings.len();
-    let mut final_exprs: Vec<Expr> = Vec::with_capacity(output_exprs.len());
-    for e in output_exprs {
-        let rewritten = e.clone().transform_down(&mut |n| {
-            if let Some(i) = groupings.iter().position(|g| g == &n) {
-                let dtype = n.data_type().unwrap_or(DataType::String);
-                return Transformed::yes(Expr::BoundRef {
-                    index: i,
-                    dtype,
-                    nullable: n.nullable(),
-                    name: Arc::from(n.auto_name().as_str()),
-                });
-            }
-            if let Some(j) = agg_exprs.iter().position(|a| a == &n) {
-                let dtype = n.data_type().unwrap_or(DataType::String);
-                return Transformed::yes(Expr::BoundRef {
-                    index: ngroups + j,
-                    dtype,
-                    nullable: true,
-                    name: Arc::from(n.auto_name().as_str()),
-                });
-            }
-            Transformed::no(n)
-        });
-        final_exprs.push(rewritten.data);
-    }
-    let finish_rows = move |key: Row, accs: Vec<Acc>| -> Row {
-        let mut values = key.into_values();
-        values.extend(accs.into_iter().map(Acc::finish));
-        let internal = Row::new(values);
-        Row::new(
-            final_exprs
-                .iter()
-                .map(|e| interpreter::eval(e, &internal).expect("final aggregate failed"))
-                .collect(),
-        )
-    };
+    let plan = Arc::new(AggPlan::new(groupings, output_exprs));
+    let calls = plan_row_calls(&plan.agg_exprs, &input_attrs)?;
 
     if groupings.is_empty() {
         // Global aggregate: partials per partition, merged on the driver —
         // correct even over an empty input (COUNT(*) = 0).
-        let calls = plan_row_calls(&agg_exprs, &input_attrs)?;
         let child = execute_node(input, id + 1, ctx)?;
         let eager_start = Instant::now();
         let calls_for_job = calls.clone();
@@ -180,51 +245,29 @@ pub(crate) fn execute_aggregate(
             .into_iter()
             .reduce(|a, b| a.into_iter().zip(b).map(|(x, y)| x.merge(y)).collect())
             .unwrap_or_else(|| init_all(&calls));
-        let row = finish_rows(Row::empty(), merged);
+        let row = plan.finish_row(Row::empty(), merged);
         note_eager_ns(ctx, id, eager_start);
         return Ok(ctx.sc.parallelize(vec![row], 1));
     }
 
-    let bound_groupings = bind_all(groupings, &input_attrs)?;
+    let key_fns: Vec<ValueFn> = bind_all(groupings, &input_attrs)?
+        .into_iter()
+        .map(value_fn)
+        .collect();
     let sctx = ctx.spill_ctx(id);
     let map_sctx = sctx.clone();
-    let lanes = if ctx.conf.reference {
-        None
-    } else {
-        plan_lanes(&agg_exprs, &input_attrs)
-    };
-    let partials: RddRef<(Row, Vec<Acc>)> = match lanes {
-        Some(specs) => {
-            let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
-            lower_node(input, id + 1, ctx)?
-                .batches(input, ctx)
-                .map_partitions(move |it| {
-                    let partials =
-                        batch_partial_agg(it, &bound_groupings, &specs, &map_sctx, node.as_ref());
-                    Box::new(partials.into_iter())
-                })
-        }
-        None => {
-            let calls = plan_row_calls(&agg_exprs, &input_attrs)?;
-            let key_fns: Vec<ValueFn> = bound_groupings.into_iter().map(value_fn).collect();
-            execute_node(input, id + 1, ctx)?.map_partitions(move |it| {
-                Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
-            })
-        }
-    };
-
+    let partials: RddRef<(Row, Vec<Acc>)> =
+        execute_node(input, id + 1, ctx)?.map_partitions(move |it| {
+            Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
+        });
     let shuffled = partials.partition_by(Arc::new(HashPartitioner::new(
         ctx.conf.shuffle_partitions.max(1),
     )));
-    let key_dtypes: Vec<DataType> = groupings
-        .iter()
-        .map(|g| g.data_type().unwrap_or(DataType::String))
-        .collect();
-    let layout = spill::AggLayout::new(key_dtypes);
+    let layout = spill::AggLayout::new(plan.key_dtypes.clone());
     let merged = shuffled.map_partitions(move |it| {
         Box::new(spill::merge_agg_partition(it, &layout, &sctx, 0).into_iter())
     });
-    Ok(merged.map(move |(key, accs)| finish_rows(key, accs)))
+    Ok(merged.map(move |(key, accs)| plan.finish_row(key, accs)))
 }
 
 // ---- row kernel ----
@@ -262,7 +305,7 @@ fn partial_agg_partition(
     out
 }
 
-// ---- batch kernel ----
+// ---- batch pipeline ----
 
 /// One aggregate call planned onto a typed accumulator lane: the lane
 /// kind plus the bound argument expression and its type (`None` for
@@ -295,7 +338,7 @@ fn plan_lanes(agg_exprs: &[Expr], input_attrs: &[ColumnRef]) -> Option<Vec<LaneS
                     AggFunc::Min => vectorized::LaneAgg::Min,
                     AggFunc::Max => vectorized::LaneAgg::Max,
                 };
-                vectorized::AccLane::for_input(lane, &dtype)?;
+                AccLane::for_input(lane, &dtype)?;
                 (lane, Some((bound, dtype)))
             }
             _ => return None,
@@ -306,62 +349,169 @@ fn plan_lanes(agg_exprs: &[Expr], input_attrs: &[ColumnRef]) -> Option<Vec<LaneS
 }
 
 /// Fresh lane for a spec (support was proven at plan time).
-fn new_lane(spec: &LaneSpec) -> vectorized::AccLane {
+fn new_lane(spec: &LaneSpec) -> AccLane {
     let dtype = spec
         .1
         .as_ref()
         .map(|(_, d)| d.clone())
         .unwrap_or(DataType::Long);
-    vectorized::AccLane::for_input(spec.0, &dtype).expect("lane support checked at plan time")
+    AccLane::for_input(spec.0, &dtype).expect("lane support checked at plan time")
 }
 
-/// Flush every interned group as `(key, Vec<Acc>)` partials and reset
-/// the table and lanes for continued accumulation.
-fn drain_batch_groups(
-    groups: &mut vectorized::BatchGroups,
-    lanes: &mut [vectorized::AccLane],
-    specs: &[LaneSpec],
-    out: &mut Vec<(Row, Vec<Acc>)>,
+/// Lower a grouped `HashAggregate` (pre-order id `id`) to the batch
+/// pipeline, or `None` when it is not the production batch kernel's: the
+/// reference configuration, a global aggregate, or a call with no lane.
+pub(crate) fn execute_batch_aggregate(
+    input: &Arc<PhysicalPlan>,
+    groupings: &[Expr],
+    output_exprs: &[Expr],
+    id: usize,
+    ctx: &ExecContext,
+) -> Option<Result<RddRef<RowBatch>>> {
+    if ctx.conf.reference || groupings.is_empty() {
+        return None;
+    }
+    let plan = AggPlan::new(groupings, output_exprs);
+    let specs = plan_lanes(&plan.agg_exprs, &input.output())?;
+    Some(batch_aggregate(input, groupings, plan, specs, id, ctx))
+}
+
+fn batch_aggregate(
+    input: &Arc<PhysicalPlan>,
+    groupings: &[Expr],
+    plan: AggPlan,
+    specs: Vec<LaneSpec>,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    let bound_groupings = bind_all(groupings, &input.output())?;
+    let (plan, specs) = (Arc::new(plan), Arc::new(specs));
+    let reducers = ctx.conf.shuffle_partitions.max(1);
+    let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
+    let sctx = ctx.spill_ctx(id);
+    let map = (plan.clone(), specs.clone(), sctx.clone(), node.clone());
+    let blocks = lower_node(input, id + 1, ctx)?
+        .batches(input, ctx)
+        .map_partitions(move |it| {
+            let (plan, specs, sctx, node) = &map;
+            let out = batch_partial_agg(
+                it,
+                &bound_groupings,
+                &plan.key_dtypes,
+                specs,
+                reducers,
+                sctx,
+                node.as_ref(),
+            );
+            Box::new(out.into_iter())
+        });
+    Ok(blocks
+        .partition_by(Arc::new(IndexPartitioner(reducers)))
+        .map_partitions(move |it| {
+            let blocks = Box::new(it.map(|(_, block)| block));
+            let out = merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref());
+            Box::new(out.into_iter())
+        }))
+}
+
+/// Routes a record keyed by its reduce partition to that partition.
+struct IndexPartitioner(usize);
+
+impl Partitioner<usize> for IndexPartitioner {
+    fn num_partitions(&self) -> usize {
+        self.0
+    }
+
+    fn partition(&self, reducer: &usize) -> usize {
+        *reducer
+    }
+}
+
+/// One map task's partial aggregate for one reducer: the group keys as
+/// columns and one accumulator lane per call, both indexed by block row.
+/// Cloning shares both (the shuffle hands out clones).
+#[derive(Clone)]
+struct AggBlock {
+    keys: Vec<Arc<ColumnVector>>,
+    lanes: Arc<[AccLane]>,
+    rows: usize,
+}
+
+impl AggBlock {
+    /// The block's groups as `(key, accumulators)` pairs — only for the
+    /// reduce side's spill fallback.
+    fn into_pairs(self) -> impl Iterator<Item = (Row, Vec<Acc>)> {
+        (0..self.rows).map(move |i| {
+            let key = Row::new(self.keys.iter().map(|c| c.get(i)).collect());
+            (key, self.lanes.iter().map(|l| l.partial(i)).collect())
+        })
+    }
+}
+
+/// Ship a map task's `groups` and their `lanes` as one block per
+/// non-empty reducer, its groups in first-seen order.
+fn ship(
+    groups: BatchGroups,
+    lanes: Vec<AccLane>,
+    key_dtypes: &[DataType],
+    reducers: usize,
+    out: &mut Vec<(usize, AggBlock)>,
 ) {
     if groups.is_empty() {
         return;
     }
-    let taken = std::mem::take(groups);
-    for (g, key) in taken.into_keys().into_iter().enumerate() {
-        out.push((key, lanes.iter().map(|l| l.partial(g)).collect()));
+    let keys = groups.key_columns(key_dtypes);
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); reducers];
+    for (g, hash) in groups.group_hashes().into_iter().enumerate() {
+        members[(hash % reducers as u64) as usize].push(g as u32);
     }
-    for (lane, spec) in lanes.iter_mut().zip(specs) {
-        *lane = new_lane(spec);
+    for (reducer, rows) in members.iter().enumerate() {
+        if rows.is_empty() {
+            continue;
+        }
+        let block = AggBlock {
+            keys: keys.iter().map(|c| Arc::new(c.gather(rows))).collect(),
+            lanes: lanes.iter().map(|l| l.gather(rows)).collect(),
+            rows: rows.len(),
+        };
+        out.push((reducer, block));
     }
 }
 
+/// Map-side reservation size of the groups `from..` of a table of
+/// `lanes` calls (the row kernel's per-entry estimate).
+fn new_group_bytes(groups: &BatchGroups, from: usize, lanes: usize) -> u64 {
+    (from..groups.len())
+        .map(|g| groups.key_bytes(g) + 16 + 24 * lanes as u64)
+        .sum()
+}
+
 /// Batch-native partial aggregation of one input partition: group keys
-/// are evaluated and interned columnar ([`vectorized::BatchGroups`]),
-/// and each aggregate updates a typed accumulator lane over the batch's
-/// `(lane, group)` assignments. A denied reservation flushes all partials
-/// downstream, exactly as in [`partial_agg_partition`], and accumulation
-/// restarts empty.
+/// are evaluated and interned columnar ([`BatchGroups`]), and each
+/// aggregate updates a typed accumulator lane over the batch's
+/// `(lane, group)` assignments. The groups leave as one [`AggBlock`] per
+/// reducer; a denied reservation ships them early, as
+/// [`partial_agg_partition`] flushes, and accumulation restarts empty.
 fn batch_partial_agg(
-    it: engine::BoxIter<RowBatch>,
+    it: BoxIter<RowBatch>,
     groupings: &[Expr],
+    key_dtypes: &[DataType],
     specs: &[LaneSpec],
+    reducers: usize,
     sctx: &SpillCtx,
     node: Option<&Arc<OperatorMetrics>>,
-) -> Vec<(Row, Vec<Acc>)> {
+) -> Vec<(usize, AggBlock)> {
     let mut reservation = sctx.pool.register();
-    let mut groups = vectorized::BatchGroups::new();
-    let mut lanes: Vec<vectorized::AccLane> = specs.iter().map(new_lane).collect();
-    let mut out: Vec<(Row, Vec<Acc>)> = Vec::new();
+    let fresh_lanes = || -> Vec<AccLane> { specs.iter().map(new_lane).collect() };
+    let (mut groups, mut lanes) = (BatchGroups::new(), fresh_lanes());
+    let mut out: Vec<(usize, AggBlock)> = Vec::new();
     let mut asg: Vec<(u32, u32)> = Vec::new();
-    let (mut batches, mut interned) = (0u64, 0u64);
     for batch in it {
-        batches += 1;
         let key_batch = vectorized::eval_projection_batch(groupings, &batch)
             .expect("group key evaluation failed");
         let prev = groups.len();
         groups.assign(&key_batch, &mut asg);
         let num = groups.len();
-        interned += (num - prev) as u64;
         for (spec, lane) in specs.iter().zip(lanes.iter_mut()) {
             match &spec.1 {
                 Some((arg, _)) => {
@@ -372,19 +522,119 @@ fn batch_partial_agg(
                 None => lane.update(None, &asg, num),
             }
         }
-        let new_bytes: u64 = (prev..num)
-            .map(|g| groups.key(g).approx_bytes() + 16 + 24 * lanes.len() as u64)
-            .sum();
+        let new_bytes = new_group_bytes(&groups, prev, lanes.len());
         if new_bytes > 0 && !reservation.try_grow(new_bytes) && prev > 0 {
-            drain_batch_groups(&mut groups, &mut lanes, specs, &mut out);
+            let table = std::mem::take(&mut groups);
+            ship(
+                table,
+                std::mem::replace(&mut lanes, fresh_lanes()),
+                key_dtypes,
+                reducers,
+                &mut out,
+            );
             reservation.free();
             reservation.try_grow(new_bytes);
         }
     }
-    drain_batch_groups(&mut groups, &mut lanes, specs, &mut out);
+    ship(groups, lanes, key_dtypes, reducers, &mut out);
     if let Some(n) = node {
-        n.add_extra("batches", batches);
-        n.add_extra("groups", interned);
+        let shipped = out.iter().map(|(_, b)| b.rows as u64).sum();
+        n.add_extra("partial_groups", shipped);
     }
     out
+}
+
+/// A denied reduce-side table as `(key, partials)` pairs. The table keeps
+/// its `reservation` until it is dropped, which a `chain` does once the
+/// last pair is read, so the grace path reading these pairs counts the
+/// table's bytes as taken and spills earlier.
+fn drain_table(
+    groups: BatchGroups,
+    lanes: Vec<AccLane>,
+    reservation: MemoryReservation,
+) -> impl Iterator<Item = (Row, Vec<Acc>)> {
+    (0..groups.len()).map(move |g| {
+        let _held = &reservation;
+        (groups.key(g), lanes.iter().map(|l| l.partial(g)).collect())
+    })
+}
+
+/// Merge one reducer's blocks (in map-id order) lane by lane and finish
+/// them as one batch. A denied reservation hands the table, as partials,
+/// and the blocks still unread to [`spill::merge_agg_partition`].
+fn merge_blocks(
+    mut blocks: BoxIter<AggBlock>,
+    plan: &AggPlan,
+    specs: &[LaneSpec],
+    sctx: &SpillCtx,
+    node: Option<&Arc<OperatorMetrics>>,
+) -> Option<RowBatch> {
+    let mut reservation = sctx.pool.register();
+    let mut groups = BatchGroups::new();
+    let mut lanes: Vec<AccLane> = specs.iter().map(new_lane).collect();
+    let mut asg: Vec<(u32, u32)> = Vec::new();
+    while let Some(block) = blocks.next() {
+        let prev = groups.len();
+        groups.assign(&RowBatch::new(block.keys.clone(), block.rows), &mut asg);
+        for (lane, theirs) in lanes.iter_mut().zip(block.lanes.iter()) {
+            lane.merge(theirs, &asg, groups.len());
+        }
+        // A merged group costs what the grace path charges for its entry,
+        // so a table is denied at the size the fallback's would be.
+        let new_bytes: u64 = (prev..groups.len())
+            .map(|g| {
+                groups.key_bytes(g) + 16 + lanes.iter().map(|l| l.approx_bytes(g)).sum::<u64>()
+            })
+            .sum();
+        if new_bytes > 0 && !reservation.try_grow(new_bytes) {
+            let table = drain_table(groups, lanes, reservation);
+            let pairs: BoxIter<(Row, Vec<Acc>)> =
+                Box::new(table.chain(blocks.flat_map(AggBlock::into_pairs)));
+            let layout = spill::AggLayout::new(plan.key_dtypes.clone());
+            let merged = spill::merge_agg_partition(pairs, &layout, sctx, 0);
+            if let Some(node) = node {
+                node.add_extra("groups", merged.len() as u64);
+            }
+            return Some(plan.finish_pairs(merged));
+        }
+    }
+    let n = groups.len();
+    if n == 0 {
+        return None;
+    }
+    if let Some(node) = node {
+        node.add_extra("groups", n as u64);
+    }
+    let mut columns = groups.key_columns(&plan.key_dtypes);
+    columns.extend(
+        (lanes.iter().zip(&plan.agg_dtypes))
+            .map(|(lane, dtype)| Arc::new(lane.finish_column(n, dtype))),
+    );
+    Some(plan.finish_batch(&RowBatch::new(columns, n)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engine::MemoryPool;
+
+    #[test]
+    fn a_drained_table_keeps_its_reservation_until_its_last_pair() {
+        let pool = MemoryPool::bounded(1000, std::env::temp_dir());
+        let mut reservation = pool.register();
+        assert!(reservation.try_grow(600));
+        let keys: Vec<Row> = (0..3).map(|k| Row::new(vec![Value::Long(k)])).collect();
+        let (mut groups, mut asg) = (BatchGroups::new(), Vec::new());
+        groups.assign(&RowBatch::from_rows(&[DataType::Long], &keys), &mut asg);
+        let mut count =
+            AccLane::for_input(vectorized::LaneAgg::CountStar, &DataType::Long).unwrap();
+        count.update(None, &asg, groups.len());
+        // Read the pool while the pairs are pulled, and once more after
+        // the table is exhausted, as the grace path's chain does.
+        let used: Vec<u64> = drain_table(groups, vec![count], reservation)
+            .map(|_| pool.stats().used)
+            .chain(std::iter::once_with(|| pool.stats().used))
+            .collect();
+        assert_eq!(used, vec![600, 600, 600, 0]);
+    }
 }

@@ -340,20 +340,29 @@ pub(crate) fn execute_node(
 fn lower_rows(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
     let shuffles_before = ctx.sc.current_shuffle_id();
     let rdd = lower(plan, id, ctx)?;
-    let rdd = match &ctx.metrics {
-        Some(pm) => {
-            let node = pm.node(id);
-            for sid in pm.claim_shuffles(shuffles_before..ctx.sc.current_shuffle_id()) {
-                node.add_shuffle_id(sid);
-            }
-            metered(&rdd, node)
-        }
+    let rdd = match claim_shuffles(ctx, id, shuffles_before) {
+        Some(node) => metered(&rdd, node),
         None => rdd,
     };
     Ok(match &ctx.cancel {
         Some(token) => cancel_checked(&rdd, token.clone()),
         None => rdd,
     })
+}
+
+/// When instrumented, the metrics node of operator `id`, holding the
+/// shuffles allocated since `shuffles_before` (its lowering's).
+fn claim_shuffles(
+    ctx: &ExecContext,
+    id: usize,
+    shuffles_before: usize,
+) -> Option<Arc<OperatorMetrics>> {
+    let pm = ctx.metrics.as_ref()?;
+    let node = pm.node(id);
+    for sid in pm.claim_shuffles(shuffles_before..ctx.sc.current_shuffle_id()) {
+        node.add_shuffle_id(sid);
+    }
+    Some(node)
 }
 
 // ---- vectorized (batch) execution path ----
@@ -440,18 +449,20 @@ fn metered_batches(rdd: &RddRef<RowBatch>, node: Arc<OperatorMetrics>) -> RddRef
 /// (or, for Filter/Project, its child chain down to a leaf) has no batch
 /// form — the caller then takes the row path for the whole subtree.
 /// Batch subtrees grow from batchable leaves (Scan, LocalData) upward
-/// through Filter and Project, and through every `BroadcastHashJoin`
-/// (whose inputs adapt to batches); everything else adapts at the
-/// boundary via [`RowBatch::into_selected_rows`].
+/// through Filter and Project, and through every `BroadcastHashJoin` and
+/// every grouped `HashAggregate` the batch pipeline takes (whose inputs
+/// adapt to batches); everything else adapts at the boundary via
+/// [`RowBatch::into_selected_rows`].
 fn try_execute_batched(
     plan: &PhysicalPlan,
     id: usize,
     ctx: &ExecContext,
 ) -> Option<Result<RddRef<RowBatch>>> {
+    let shuffles_before = ctx.sc.current_shuffle_id();
     let lowered = try_lower_batched(plan, id, ctx)?;
     Some(lowered.map(|rdd| {
-        let rdd = match &ctx.metrics {
-            Some(pm) => metered_batches(&rdd, pm.node(id)),
+        let rdd = match claim_shuffles(ctx, id, shuffles_before) {
+            Some(node) => metered_batches(&rdd, node),
             None => rdd,
         };
         match &ctx.cancel {
@@ -536,6 +547,12 @@ fn try_lower_batched(
         }
 
         PhysicalPlan::BroadcastHashJoin { .. } => Some(join::execute_broadcast_join(plan, id, ctx)),
+
+        PhysicalPlan::HashAggregate {
+            input,
+            groupings,
+            output_exprs,
+        } => aggregate::execute_batch_aggregate(input, groupings, output_exprs, id, ctx),
 
         _ => None,
     }

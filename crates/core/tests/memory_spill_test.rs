@@ -371,3 +371,83 @@ fn distinct_aggregates_spill_and_match_unbounded() {
         "spill files leaked past query completion"
     );
 }
+
+/// The batch pipeline's reduce side under a budget its lane table
+/// outgrows: the denied table drains into the grace path with the blocks
+/// still unread, spills, and answers what the unbounded lane merge does
+/// — INT sums widened in the merge, MIN strings, AVG and NULL keys
+/// included.
+#[test]
+fn batch_aggregate_reduce_side_spills_and_matches_unbounded() {
+    let run = |budget: u64| {
+        let ctx = SQLContext::new_local(2);
+        ctx.set_conf(|c| {
+            c.memory_budget_bytes = budget;
+            c.shuffle_partitions = 2;
+        });
+        let schema = Arc::new(Schema::new(vec![
+            StructField::new("k", DataType::Long, true),
+            StructField::new("i", DataType::Int, true),
+            StructField::new("s", DataType::String, true),
+        ]));
+        let rows = (0..12_000i64)
+            .map(|n| {
+                Row::new(vec![
+                    if n % 101 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Long(n % 3000)
+                    },
+                    Value::Int(if n % 3000 < 5 { i32::MAX / 2 } else { n as i32 }),
+                    Value::str(format!("s{:05}", (n * 7919) % 12_000)),
+                ])
+            })
+            .collect();
+        let rdd = ctx.spark_context().parallelize(rows, 3);
+        ctx.dataframe_from_rdd("fact", schema, rdd)
+            .unwrap()
+            .register_temp_table("fact");
+        let df = ctx
+            .sql("SELECT k, count(*), sum(i), min(s), avg(i) FROM fact GROUP BY k")
+            .unwrap();
+        let qe = df.query_execution().unwrap();
+        let mut rows: Vec<String> = qe
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        let metrics = qe.metrics();
+        let blocks = (0..metrics.len()).any(|id| {
+            let extras = metrics.node(id).extras();
+            extras.contains_key("partial_groups") && extras.contains_key("groups")
+        });
+        assert!(blocks, "the batch pipeline did not run");
+        (rows, qe.memory_stats())
+    };
+    let (expect, none) = run(0);
+    assert!(none.is_none());
+    assert_eq!(expect.len(), 3001);
+    assert!(
+        expect.iter().any(|r| r.contains("Long(4294967292)")),
+        "no INT sum widened: {:?}",
+        &expect[..3]
+    );
+    let (got, stats) = run(64 << 10);
+    assert_eq!(got, expect, "spilled lane merge diverged");
+    let stats = stats.expect("bounded run must expose pool stats");
+    assert!(stats.spill_count > 0, "the reduce side was never denied");
+    assert!(stats.spill_files_created > 0);
+    // The denied lane table stays reserved while the grace path drains it.
+    assert!(
+        stats.peak <= stats.budget,
+        "peak reservation {} exceeded the {}-byte budget",
+        stats.peak,
+        stats.budget
+    );
+    assert_eq!(
+        stats.spill_files_created, stats.spill_files_deleted,
+        "spill files leaked past query completion"
+    );
+}

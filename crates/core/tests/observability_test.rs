@@ -343,8 +343,8 @@ fn explain_analyze_counts_groups_and_frames_on_the_batch_back_half() {
     let ctx = SQLContext::new_local(2);
     users(&ctx).register_temp_table("users");
 
-    // Batch-native hash aggregation reports the batches it consumed and
-    // the distinct group keys it interned map-side.
+    // Batch-native hash aggregation reports the batches it produced and
+    // the distinct groups it finished.
     let agg = ctx
         .sql("SELECT dept_id, count(*), sum(age) FROM users GROUP BY dept_id")
         .unwrap();
@@ -358,6 +358,41 @@ fn explain_analyze_counts_groups_and_frames_on_the_batch_back_half() {
         .unwrap();
     let text = win.explain_analyze().unwrap();
     assert!(text.contains("frames="), "missing frames= in:\n{text}");
+}
+
+/// The batch GROUP BY ships one block per map task and reducer: its
+/// HashAggregate line shows the groups the map side shipped
+/// (`partial_groups`), the groups it finished (`groups`) and the blocks
+/// that carried them (`shuffle_records_written`) — the pre-aggregation
+/// ratio at a glance.
+#[test]
+fn explain_analyze_shows_the_aggregate_exchange() {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| c.shuffle_partitions = 1);
+    // 40 users over two map partitions, every department in each.
+    let rows = users(&ctx).collect().unwrap();
+    let rdd = ctx.spark_context().parallelize(rows, 2);
+    let schema = users(&ctx).schema();
+    ctx.dataframe_from_rdd("users", schema, rdd)
+        .unwrap()
+        .register_temp_table("users");
+    let df = ctx
+        .sql("SELECT dept_id, count(*), sum(age) FROM users GROUP BY dept_id")
+        .unwrap();
+    let text = df.explain_analyze().unwrap();
+    let agg = text
+        .lines()
+        .rfind(|l| l.contains("HashAggregate"))
+        .unwrap_or_else(|| panic!("no aggregate in:\n{text}"));
+    for want in [
+        "(rows=4,",
+        "[groups=4]",
+        "[partial_groups=8]",
+        "[shuffle_records_written=2]",
+        "[shuffle_records_read=2]",
+    ] {
+        assert!(agg.contains(want), "missing {want} in: {agg}\n{text}");
+    }
 }
 
 #[test]

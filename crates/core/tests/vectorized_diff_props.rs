@@ -558,3 +558,228 @@ fn broadcast_joins_agree_with_the_reference() {
         assert!(n >= 5, "only {n} joins with {what}: {counts:?}");
     }
 }
+
+// ---- grouped aggregates over blocks ----
+
+/// One randomly generated GROUP BY: its SQL over table `t`, the table,
+/// and the engine settings it runs under.
+struct GroupQuery {
+    sql: String,
+    rows: Vec<Row>,
+    int_key: bool,
+    keys: usize,
+    having: bool,
+    reducers: usize,
+    batch_size: usize,
+}
+
+/// `t`: key columns `k0` (Int or Long), `k1` (String), `k2` (Date), `k3`
+/// (Long), `k4` (String), each NULL in about one row in eight, over small
+/// domains; then `v` (Long), `i` (Int, some rows near `i32::MAX`, so a
+/// sum widens once partials merge), `x` (Double, exact quarters), `t`
+/// (String).
+fn group_schema(int_key: bool) -> SchemaRef {
+    let k0 = if int_key {
+        DataType::Int
+    } else {
+        DataType::Long
+    };
+    Arc::new(Schema::new(vec![
+        StructField::new("k0", k0, true),
+        StructField::new("k1", DataType::String, true),
+        StructField::new("k2", DataType::Date, true),
+        StructField::new("k3", DataType::Long, true),
+        StructField::new("k4", DataType::String, true),
+        StructField::new("v", DataType::Long, true),
+        StructField::new("i", DataType::Int, true),
+        StructField::new("x", DataType::Double, true),
+        StructField::new("t", DataType::String, true),
+    ]))
+}
+
+fn arb_group_rows(rng: &mut StdRng, int_key: bool, n: usize) -> Vec<Row> {
+    (0..n)
+        .map(|_| {
+            let key = |rng: &mut StdRng, f: &dyn Fn(i64) -> Value| {
+                if rng.random_bool(0.125) {
+                    Value::Null
+                } else {
+                    f(rng.random_range(0i64..5))
+                }
+            };
+            let k0 = key(rng, &|k| match int_key {
+                true => Value::Int(k as i32),
+                false => Value::Long(k),
+            });
+            let k1 = key(rng, &|k| Value::str(STR_POOL[k as usize]));
+            let k2 = key(rng, &|k| Value::Date(18_000 + k as i32));
+            let k3 = key(rng, &|k| Value::Long(k * 1000));
+            let k4 = key(rng, &|k| Value::str(["é", "ü", "ab"][k as usize % 3]));
+            let i = if rng.random_bool(0.1) {
+                Value::Int(i32::MAX - rng.random_range(0i64..3) as i32)
+            } else {
+                arb_value(rng, &DataType::Int, true)
+            };
+            Row::new(vec![
+                k0,
+                k1,
+                k2,
+                k3,
+                k4,
+                arb_value(rng, &DataType::Long, true),
+                i,
+                arb_value(rng, &DataType::Double, true),
+                arb_value(rng, &DataType::String, true),
+            ])
+        })
+        .collect()
+}
+
+fn arb_group_query(rng: &mut StdRng) -> GroupQuery {
+    let int_key = rng.random_bool(0.5);
+    let n = rng.random_range(0usize..300);
+    let rows = arb_group_rows(rng, int_key, n);
+    let keys = [1usize, 2, 3, 5][rng.random_range(0..4)];
+    let mut pool: Vec<&str> = vec!["k0", "k1", "k2", "k3", "k4"];
+    let mut key_exprs = Vec::new();
+    while key_exprs.len() < keys {
+        let k = pool.remove(rng.random_range(0..pool.len()));
+        key_exprs.push(match (k, rng.random_bool(0.3)) {
+            ("k1", true) => "substr(k1, 1, 2)".to_string(),
+            ("k3", true) => "k3 % 3000".to_string(),
+            _ => k.to_string(),
+        });
+    }
+    const AGGS: &[&str] = &[
+        "count(*)",
+        "count(t)",
+        "sum(v)",
+        "sum(i)",
+        "avg(x)",
+        "avg(i)",
+        "min(t)",
+        "max(t)",
+        "min(x)",
+        "max(v)",
+        "min(k2)",
+        "sum(x)",
+        // Expressions over aggregates.
+        "sum(v) + count(*)",
+        "max(v) - min(i)",
+        "sum(x) / count(*)",
+    ];
+    let mut select = key_exprs.clone();
+    for _ in 0..rng.random_range(1usize..5) {
+        select.push(AGGS[rng.random_range(0..AGGS.len())].to_string());
+    }
+    let select: Vec<String> = (select.iter().enumerate())
+        .map(|(j, e)| format!("{e} AS c{j}"))
+        .collect();
+    let having = rng.random_bool(0.4);
+    let mut sql = format!(
+        "SELECT {} FROM t GROUP BY {}",
+        select.join(", "),
+        key_exprs.join(", ")
+    );
+    if having {
+        sql += [
+            " HAVING count(*) > 1",
+            " HAVING sum(v) IS NOT NULL",
+            " HAVING min(t) < 'b' OR max(i) > 0",
+        ][rng.random_range(0..3)];
+    }
+    GroupQuery {
+        sql,
+        rows,
+        int_key,
+        keys,
+        having,
+        reducers: [1usize, 3, 8][rng.random_range(0..3)],
+        batch_size: [4usize, 16, 1024][rng.random_range(0..3)],
+    }
+}
+
+/// Run the GROUP BY in production or in the reference over three map
+/// partitions: the sorted result multiset, and whether the batch
+/// pipeline ran (its HashAggregate reports `partial_groups`).
+fn run_group(q: &GroupQuery, reference: bool) -> (Vec<String>, bool) {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| {
+        c.reference = reference;
+        c.shuffle_partitions = q.reducers;
+        c.vectorize_batch_size = q.batch_size;
+    });
+    let rdd = ctx.spark_context().parallelize(q.rows.clone(), 3);
+    ctx.dataframe_from_rdd("t", group_schema(q.int_key), rdd)
+        .unwrap()
+        .register_temp_table("t");
+    let qe = ctx.sql(&q.sql).unwrap().query_execution().unwrap();
+    let mut out: Vec<String> = qe
+        .collect()
+        .unwrap()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    out.sort();
+    let metrics = qe.metrics();
+    let blocks =
+        (0..metrics.len()).any(|id| metrics.node(id).extras().contains_key("partial_groups"));
+    (out, blocks)
+}
+
+#[test]
+fn grouped_blocks_agree_with_the_reference() {
+    let mut seen: std::collections::BTreeMap<String, u32> = Default::default();
+    for seed in 0..ITERS {
+        let mut rng = StdRng::seed_from_u64(0xA66 ^ (seed * 0x9E37_79B9));
+        let q = arb_group_query(&mut rng);
+        let (expect, reference_blocks) = run_group(&q, true);
+        let (got, blocks) = run_group(&q, false);
+        let what = format!(
+            "seed {seed}: {} (reducers={}, batch={}, rows={})",
+            q.sql,
+            q.reducers,
+            q.batch_size,
+            q.rows.len()
+        );
+        assert_eq!(got, expect, "{what}");
+        assert!(blocks, "production skipped the batch pipeline: {what}");
+        assert!(
+            !reference_blocks,
+            "the reference ran the batch pipeline: {what}"
+        );
+        let mut count = |what: String| *seen.entry(what).or_default() += 1;
+        count(format!("reducers={}", q.reducers));
+        count(format!("batch={}", q.batch_size));
+        count(format!("keys={}", q.keys));
+        count(format!("int_key={}", q.int_key));
+        count(format!("having={}", q.having));
+        if expect.iter().any(|r| r.contains("Null")) {
+            count("NULL in a result row".into());
+        }
+        if expect.len() > 1 {
+            count("several groups".into());
+        }
+    }
+    // Meaningfulness floors: every shape shows up.
+    for want in [
+        "reducers=1",
+        "reducers=3",
+        "reducers=8",
+        "batch=4",
+        "batch=16",
+        "batch=1024",
+        "keys=1",
+        "keys=2",
+        "keys=3",
+        "keys=5",
+        "int_key=true",
+        "int_key=false",
+        "having=true",
+        "NULL in a result row",
+        "several groups",
+    ] {
+        let n = seen.get(want).copied().unwrap_or(0);
+        assert!(n >= 5, "only {n} queries with {want}: {seen:?}");
+    }
+}

@@ -426,12 +426,16 @@ where
                 }
             }
             (None, _) => {
-                // Raw repartition: C == V by construction; route through
-                // Any to convert V -> C without an (unavailable) cast.
+                // Raw repartition: C == V by construction. An `Option<V>`
+                // on the stack, viewed as `Option<C>`, converts without a
+                // cast or an allocation.
                 for (k, v) in input {
                     let b = self.partitioner.partition(&k);
-                    let any: Box<dyn Any> = Box::new(v);
-                    let c = *any.downcast::<C>().expect("raw shuffle requires C == V");
+                    let mut v = Some(v);
+                    let c = (&mut v as &mut dyn Any)
+                        .downcast_mut::<Option<C>>()
+                        .and_then(Option::take)
+                        .expect("raw shuffle requires C == V");
                     buckets[b].push((k, c));
                 }
             }
