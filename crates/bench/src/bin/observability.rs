@@ -1,7 +1,7 @@
 //! Observability demo: runs a multi-stage query under instrumentation,
 //! prints its `EXPLAIN ANALYZE` tree (actual rows, per-operator times,
-//! shuffle volume attributed to the operators that induced each
-//! exchange), then dumps the session query log as JSON — the
+//! and on each `Exchange` line the volume of the shuffle it minted),
+//! then dumps the session query log as JSON — the
 //! machine-readable record a harness would archive next to Figure 8/9
 //! style wall-clock numbers.
 //!

@@ -7,7 +7,7 @@
 //! loop the way Spark's Adaptive Query Execution later did: execution
 //! proceeds stage by stage — each exchange's map output is materialized
 //! first, its real per-bucket byte sizes observed, and the remainder of
-//! the plan decided against those *measured* [`RuntimeStatistics`].
+//! the plan decided against those *measured* sizes.
 //!
 //! Three adaptive rules ship here (see [`rules`]):
 //! - **partition coalescing** — merge small post-shuffle partitions up to
@@ -20,9 +20,10 @@
 //!
 //! The module is pure: it computes decisions ([`AdaptivePlanChange`]) and
 //! plan rewrites from observed sizes but performs no execution itself.
-//! The stage driver lives in core's `execution.rs`, which materializes
-//! exchanges through the engine's `MaterializedShuffle` and consults
-//! these rules before lowering the rest of the plan. Every adopted
+//! The stage driver is core's `exchange.rs`: it materializes the pair of
+//! `Exchange` nodes under a shuffled join through the engine's
+//! `MaterializedShuffle` and consults these rules before the join reads
+//! them. Every adopted
 //! rewrite must first pass [`crate::validation::PlanValidator`]; a
 //! rejected rewrite falls back to the original plan and the query still
 //! runs.
@@ -33,50 +34,6 @@ use crate::physical::metrics::{child_ids, subtree_size};
 use crate::physical::PhysicalPlan;
 use std::fmt;
 use std::sync::Arc;
-
-/// Tuning knobs for the adaptive rules, mirrored from core's `SqlConf`.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Desired bytes per post-shuffle partition when coalescing.
-    pub target_partition_bytes: u64,
-    /// A reduce partition is skewed when it exceeds this factor times the
-    /// median partition size (and the coalescing target).
-    pub skew_factor: f64,
-    /// Measured build-side bytes at or under this demote a shuffled hash
-    /// join to a broadcast join.
-    pub broadcast_threshold: u64,
-}
-
-/// Observed statistics of one materialized exchange.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeStatistics {
-    /// Measured bytes per reduce partition (summed over map outputs).
-    pub reduce_bytes: Vec<u64>,
-    /// Records written per reduce partition are not tracked per bucket;
-    /// total rows across the exchange.
-    pub total_rows: u64,
-}
-
-impl RuntimeStatistics {
-    /// Fold `[map][reduce]` byte sizes into per-reducer totals.
-    pub fn from_map_output_sizes(sizes: &[Vec<u64>], num_reduce: usize) -> Self {
-        let mut reduce_bytes = vec![0u64; num_reduce];
-        for per_map in sizes {
-            for (r, b) in per_map.iter().enumerate() {
-                reduce_bytes[r] += b;
-            }
-        }
-        RuntimeStatistics {
-            reduce_bytes,
-            total_rows: 0,
-        }
-    }
-
-    /// Total measured bytes across the exchange.
-    pub fn total_bytes(&self) -> u64 {
-        self.reduce_bytes.iter().sum()
-    }
-}
 
 /// Which adaptive rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,146 +94,12 @@ impl fmt::Debug for AdaptivePlanChange {
     }
 }
 
-/// Pre-order node ids of the operators that induce an exchange — the
-/// stage boundaries adaptive execution breaks the plan at. Sort and
-/// aggregate exchanges are listed too even though only joins re-plan
-/// today.
-pub fn exchange_operators(plan: &PhysicalPlan) -> Vec<(usize, String)> {
-    fn walk(plan: &PhysicalPlan, id: usize, out: &mut Vec<(usize, String)>) {
-        match plan {
-            PhysicalPlan::ShuffledHashJoin { .. } | PhysicalPlan::Sort { .. } => {
-                out.push((id, plan.node_description()));
-            }
-            PhysicalPlan::HashAggregate { groupings, .. } if !groupings.is_empty() => {
-                out.push((id, plan.node_description()));
-            }
-            _ => {}
-        }
-        for (child, cid) in plan.children().iter().zip(child_ids(plan, id)) {
-            walk(child, cid, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, 0, &mut out);
-    out
-}
-
-/// Rebuild `plan` with `children` substituted in order. Panics if the
-/// arity does not match — callers only pass children obtained from
-/// [`PhysicalPlan::children`] on the same node.
-fn with_children(plan: &PhysicalPlan, mut children: Vec<Arc<PhysicalPlan>>) -> PhysicalPlan {
-    assert_eq!(
-        children.len(),
-        plan.children().len(),
-        "with_children arity mismatch"
-    );
-    let mut next = || children.remove(0);
-    match plan {
-        PhysicalPlan::Scan { .. }
-        | PhysicalPlan::ExternalScan { .. }
-        | PhysicalPlan::LocalData { .. } => plan.clone(),
-        PhysicalPlan::Project { exprs, .. } => PhysicalPlan::Project {
-            input: next(),
-            exprs: exprs.clone(),
-        },
-        PhysicalPlan::Filter { predicate, .. } => PhysicalPlan::Filter {
-            input: next(),
-            predicate: predicate.clone(),
-        },
-        PhysicalPlan::HashAggregate {
-            groupings,
-            output_exprs,
-            ..
-        } => PhysicalPlan::HashAggregate {
-            input: next(),
-            groupings: groupings.clone(),
-            output_exprs: output_exprs.clone(),
-        },
-        PhysicalPlan::Sort { orders, .. } => PhysicalPlan::Sort {
-            input: next(),
-            orders: orders.clone(),
-        },
-        PhysicalPlan::Window {
-            window_exprs,
-            partition_by,
-            order_by,
-            ..
-        } => PhysicalPlan::Window {
-            input: next(),
-            window_exprs: window_exprs.clone(),
-            partition_by: partition_by.clone(),
-            order_by: order_by.clone(),
-        },
-        PhysicalPlan::TakeOrdered { orders, n, .. } => PhysicalPlan::TakeOrdered {
-            input: next(),
-            orders: orders.clone(),
-            n: *n,
-        },
-        PhysicalPlan::Limit { n, .. } => PhysicalPlan::Limit {
-            input: next(),
-            n: *n,
-        },
-        PhysicalPlan::BroadcastHashJoin {
-            left_keys,
-            right_keys,
-            join_type,
-            build_side,
-            residual,
-            ..
-        } => PhysicalPlan::BroadcastHashJoin {
-            left: next(),
-            right: next(),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            join_type: *join_type,
-            build_side: *build_side,
-            residual: residual.clone(),
-        },
-        PhysicalPlan::ShuffledHashJoin {
-            left_keys,
-            right_keys,
-            join_type,
-            build_side,
-            residual,
-            ..
-        } => PhysicalPlan::ShuffledHashJoin {
-            left: next(),
-            right: next(),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            join_type: *join_type,
-            build_side: *build_side,
-            residual: residual.clone(),
-        },
-        PhysicalPlan::NestedLoopJoin {
-            condition,
-            join_type,
-            ..
-        } => PhysicalPlan::NestedLoopJoin {
-            left: next(),
-            right: next(),
-            condition: condition.clone(),
-            join_type: *join_type,
-        },
-        PhysicalPlan::Union { .. } => PhysicalPlan::Union {
-            inputs: std::mem::take(&mut children),
-        },
-        PhysicalPlan::Sample { fraction, seed, .. } => PhysicalPlan::Sample {
-            input: next(),
-            fraction: *fraction,
-            seed: *seed,
-        },
-        PhysicalPlan::Extension { exec, .. } => PhysicalPlan::Extension {
-            exec: exec.clone(),
-            children: std::mem::take(&mut children),
-        },
-    }
-}
-
 /// Substitute the node at pre-order id `target` with `replacement`,
 /// returning the rebuilt tree. Ids are the same pre-order numbering used
 /// by [`crate::physical::PlanMetrics`], so a demoted join keeps its
-/// metrics slot (the replacement has the same subtree shape).
+/// metrics slot; its subtree loses the two exchanges the broadcast join
+/// no longer reads through, which
+/// [`crate::physical::metrics::render_executed`] steps over.
 pub fn substitute_node(
     plan: &PhysicalPlan,
     target: usize,
@@ -302,7 +125,7 @@ pub fn substitute_node(
             .zip(ids)
             .map(|(c, cid)| Arc::new(walk(c, cid, target, replacement)))
             .collect();
-        with_children(plan, rebuilt)
+        plan.with_children(rebuilt)
     }
     walk(plan, 0, target, replacement)
 }
@@ -310,12 +133,17 @@ pub fn substitute_node(
 /// The executed plan: the initial plan with every tree-changing adaptive
 /// rewrite applied. Coalescing and skew splitting do not alter the tree
 /// (they rewire exchange reads), so they appear only as change events.
+///
+/// A replacement drops nodes from its subtree, which renumbers every node
+/// after it, so rewrites apply from the last pre-order id to the first.
 pub fn final_plan(initial: &PhysicalPlan, changes: &[AdaptivePlanChange]) -> PhysicalPlan {
+    let mut rewrites: Vec<(usize, &PhysicalPlan)> = (changes.iter())
+        .filter_map(|c| Some((c.node_id, c.replacement.as_ref()?)))
+        .collect();
+    rewrites.sort_by_key(|&(id, _)| std::cmp::Reverse(id));
     let mut plan = initial.clone();
-    for change in changes {
-        if let Some(replacement) = &change.replacement {
-            plan = substitute_node(&plan, change.node_id, replacement);
-        }
+    for (id, replacement) in rewrites {
+        plan = substitute_node(&plan, id, replacement);
     }
     plan
 }
@@ -325,7 +153,7 @@ mod tests {
     use super::*;
     use crate::expr::builders::{col, lit};
     use crate::expr::{ColumnRef, Expr};
-    use crate::physical::BuildSide;
+    use crate::physical::{ensure_requirements, BuildSide};
     use crate::plan::JoinType;
     use crate::row::Row;
     use crate::types::DataType;
@@ -343,7 +171,7 @@ mod tests {
         let right = local("b");
         let lk = vec![Expr::Column(left.output()[0].clone())];
         let rk = vec![Expr::Column(right.output()[0].clone())];
-        PhysicalPlan::ShuffledHashJoin {
+        let join = PhysicalPlan::ShuffledHashJoin {
             left: Arc::new(left),
             right: Arc::new(right),
             left_keys: lk,
@@ -351,7 +179,8 @@ mod tests {
             join_type: JoinType::Inner,
             build_side: BuildSide::Right,
             residual: None,
-        }
+        };
+        ensure_requirements(&join, 4)
     }
 
     #[test]
@@ -361,7 +190,8 @@ mod tests {
             input: Arc::new(join.clone()),
             predicate: col("a").gt(lit(0i64)),
         };
-        // Pre-order: 0=Filter, 1=SHJ, 2=left, 3=right.
+        // Pre-order: 0=Filter, 1=SHJ, 2=Exchange, 3=left, 4=Exchange,
+        // 5=right.
         let demoted = rules::broadcast_candidate(&join, BuildSide::Right).expect("candidate");
         let rebuilt = substitute_node(&filter, 1, &demoted);
         match &rebuilt {
@@ -370,10 +200,10 @@ mod tests {
             }
             other => panic!("unexpected shape: {other}"),
         }
-        // Subtree shape (and thus metric ids) unchanged.
-        assert_eq!(subtree_size(&filter), subtree_size(&rebuilt));
+        // The broadcast join reads its inputs without the two exchanges.
+        assert_eq!(subtree_size(&rebuilt), subtree_size(&filter) - 2);
         // Untouched target: identical tree back.
-        let same = substitute_node(&filter, 2, &local("a"));
+        let same = substitute_node(&filter, 3, &local("a"));
         assert_eq!(subtree_size(&same), subtree_size(&filter));
     }
 
@@ -400,19 +230,26 @@ mod tests {
     }
 
     #[test]
-    fn exchange_operators_lists_stage_boundaries() {
-        let join = shj();
-        let ops = exchange_operators(&join);
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].0, 0);
-        assert!(ops[0].1.contains("ShuffledHashJoin"));
-    }
-
-    #[test]
-    fn runtime_statistics_fold_map_outputs() {
-        let sizes = vec![vec![10, 0, 5], vec![2, 8, 5]];
-        let rs = RuntimeStatistics::from_map_output_sizes(&sizes, 3);
-        assert_eq!(rs.reduce_bytes, vec![12, 8, 10]);
-        assert_eq!(rs.total_bytes(), 30);
+    fn final_plan_demotes_sibling_joins_in_either_decision_order() {
+        // Pre-order: 0=Union, 1=SHJ (ids 1..=5), 6=SHJ (ids 6..=10).
+        let union = PhysicalPlan::Union {
+            inputs: vec![Arc::new(shj()), Arc::new(shj())],
+        };
+        let demoted = rules::broadcast_candidate(&shj(), BuildSide::Right).expect("candidate");
+        let change = |node_id| AdaptivePlanChange {
+            node_id,
+            rule: AdaptiveRule::BroadcastDemotion,
+            description: "demoted".into(),
+            replacement: Some(demoted.clone()),
+        };
+        for changes in [vec![change(1), change(6)], vec![change(6), change(1)]] {
+            let fin = final_plan(&union, &changes);
+            let joins = fin.children();
+            assert!(
+                (joins.iter()).all(|j| matches!(**j, PhysicalPlan::BroadcastHashJoin { .. })),
+                "{fin}"
+            );
+            assert_eq!(subtree_size(&fin), subtree_size(&union) - 4);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each function computes a *decision* — which reduce buckets to merge,
 //! which to split, whether a join may be demoted — from observed byte
-//! sizes. The stage driver in core's `execution.rs` turns those decisions
+//! sizes. The stage driver in core's `exchange.rs` turns those decisions
 //! into engine `ShuffleReadSpec` windows and (for demotion) a candidate
 //! plan that must clear [`crate::validation::PlanValidator`] before it is
 //! adopted.
@@ -10,6 +10,7 @@
 use crate::physical::{BuildSide, PhysicalPlan};
 use crate::plan::JoinType;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Greedily merge contiguous reduce partitions until adding the next one
 /// would push a group past `target` bytes. Every partition lands in
@@ -48,17 +49,6 @@ pub fn median(sizes: &[u64]) -> u64 {
 /// shuffles are never "skewed").
 pub fn is_skewed(size: u64, median_size: u64, factor: f64, target: u64) -> bool {
     size > target && (size as f64) > factor * median_size as f64
-}
-
-/// Indices of skewed reduce partitions.
-pub fn skewed_partitions(sizes: &[u64], factor: f64, target: u64) -> Vec<usize> {
-    let med = median(sizes);
-    sizes
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| is_skewed(s, med, factor, target))
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Split one skewed reduce partition by its per-map contributions:
@@ -102,8 +92,9 @@ pub fn can_split_side(join_type: JoinType, side: BuildSide) -> bool {
 }
 
 /// The candidate plan for demoting `shj` (a `ShuffledHashJoin`) to a
-/// broadcast join building `build`. `None` when the node is not a
-/// shuffled hash join or the demotion is illegal for its join type.
+/// broadcast join building `build`, reading the inputs of the join's two
+/// exchanges directly. `None` when the node is not a shuffled hash join
+/// or the demotion is illegal for its join type.
 pub fn broadcast_candidate(shj: &PhysicalPlan, build: BuildSide) -> Option<PhysicalPlan> {
     match shj {
         PhysicalPlan::ShuffledHashJoin {
@@ -115,8 +106,8 @@ pub fn broadcast_candidate(shj: &PhysicalPlan, build: BuildSide) -> Option<Physi
             residual,
             ..
         } if can_demote(*join_type, build) => Some(PhysicalPlan::BroadcastHashJoin {
-            left: left.clone(),
-            right: right.clone(),
+            left: below_exchange(left),
+            right: below_exchange(right),
             left_keys: left_keys.clone(),
             right_keys: right_keys.clone(),
             join_type: *join_type,
@@ -124,6 +115,14 @@ pub fn broadcast_candidate(shj: &PhysicalPlan, build: BuildSide) -> Option<Physi
             residual: residual.clone(),
         }),
         _ => None,
+    }
+}
+
+/// The input of `plan` when it is an exchange, else `plan` itself.
+fn below_exchange(plan: &Arc<PhysicalPlan>) -> Arc<PhysicalPlan> {
+    match &**plan {
+        PhysicalPlan::Exchange { input, .. } => input.clone(),
+        _ => plan.clone(),
     }
 }
 
@@ -160,13 +159,22 @@ mod tests {
 
     #[test]
     fn skew_needs_both_median_factor_and_target() {
+        let skewed = |sizes: &[u64], factor, target| -> Vec<usize> {
+            let med = median(sizes);
+            (0..sizes.len())
+                .filter(|&i| is_skewed(sizes[i], med, factor, target))
+                .collect()
+        };
         let sizes = [10, 10, 10, 10, 400];
-        assert_eq!(skewed_partitions(&sizes, 4.0, 50), vec![4]);
+        assert_eq!(median(&sizes), 10);
+        assert_eq!(skewed(&sizes, 4.0, 50), vec![4]);
         // Below the absolute floor: not skewed even at 40x the median.
-        assert!(skewed_partitions(&sizes, 4.0, 1000).is_empty());
+        assert!(skewed(&sizes, 4.0, 1000).is_empty());
         // Uniform: nothing exceeds factor x median.
-        assert!(skewed_partitions(&[100, 100, 100], 4.0, 50).is_empty());
-        assert!(skewed_partitions(&[], 4.0, 50).is_empty());
+        assert_eq!(median(&[100, 100, 100]), 100);
+        assert!(skewed(&[100, 100, 100], 4.0, 50).is_empty());
+        assert_eq!(median(&[]), 0);
+        assert!(skewed(&[], 4.0, 50).is_empty());
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! `EXPLAIN ANALYZE` renders the tree back with actuals attached.
 
 use crate::physical::PhysicalPlan;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -32,8 +31,7 @@ pub struct OperatorMetrics {
     elapsed_ns: AtomicU64,
     /// Named side metrics (build sizes, shuffle volume, …).
     extras: Mutex<BTreeMap<String, u64>>,
-    /// Engine shuffle ids allocated while lowering this operator — the
-    /// shuffles ("exchanges") this operator induced.
+    /// Engine shuffle ids an `Exchange` node minted.
     shuffle_ids: Mutex<Vec<usize>>,
 }
 
@@ -80,12 +78,12 @@ impl OperatorMetrics {
         self.extras.lock().unwrap().clone()
     }
 
-    /// Record that this operator induced engine shuffle `id`.
+    /// Record that this exchange minted engine shuffle `id`.
     pub fn add_shuffle_id(&self, id: usize) {
         self.shuffle_ids.lock().unwrap().push(id);
     }
 
-    /// Shuffle ids this operator induced.
+    /// Shuffle ids this exchange minted.
     pub fn shuffle_ids(&self) -> Vec<usize> {
         self.shuffle_ids.lock().unwrap().clone()
     }
@@ -96,9 +94,6 @@ impl OperatorMetrics {
 #[derive(Debug)]
 pub struct PlanMetrics {
     nodes: Vec<Arc<OperatorMetrics>>,
-    /// Shuffle ids already attributed to some operator (children claim
-    /// theirs before their parent inspects its allocation window).
-    claimed_shuffles: Mutex<HashSet<usize>>,
 }
 
 impl PlanMetrics {
@@ -109,7 +104,6 @@ impl PlanMetrics {
             nodes: (0..n)
                 .map(|_| Arc::new(OperatorMetrics::default()))
                 .collect(),
-            claimed_shuffles: Mutex::new(HashSet::new()),
         })
     }
 
@@ -129,16 +123,6 @@ impl PlanMetrics {
     /// If `id` is out of range for the plan this registry was built from.
     pub fn node(&self, id: usize) -> Arc<OperatorMetrics> {
         self.nodes[id].clone()
-    }
-
-    /// Claim the not-yet-claimed shuffle ids in `range`, returning them.
-    ///
-    /// Lowering calls this bottom-up: a child claims the shuffles it
-    /// allocated before its parent looks at the enclosing window, so the
-    /// parent receives only the shuffles it induced itself.
-    pub fn claim_shuffles(&self, range: Range<usize>) -> Vec<usize> {
-        let mut claimed = self.claimed_shuffles.lock().unwrap();
-        range.filter(|id| claimed.insert(*id)).collect()
     }
 }
 
@@ -167,13 +151,27 @@ pub fn child_ids(plan: &PhysicalPlan, id: usize) -> Vec<usize> {
 /// Render `plan` with actual row counts, times, and side metrics from
 /// `metrics` attached to every node — the body of `EXPLAIN ANALYZE`.
 pub fn render_annotated(plan: &PhysicalPlan, metrics: &PlanMetrics) -> String {
+    render_executed(plan, plan, metrics)
+}
+
+/// Render `executed`, the plan adaptive execution ran in place of
+/// `initial` (whose pre-order ids `metrics` is shaped after), with each
+/// line carrying the metrics of the node it shows. A demoted join reads
+/// its inputs without the exchanges `initial` has under it; those
+/// exchanges are stepped over.
+pub fn render_executed(
+    initial: &PhysicalPlan,
+    executed: &PhysicalPlan,
+    metrics: &PlanMetrics,
+) -> String {
     let mut out = String::new();
-    render_node(plan, 0, 0, metrics, &mut out);
+    render_node(executed, initial, 0, 0, metrics, &mut out);
     out
 }
 
 fn render_node(
     plan: &PhysicalPlan,
+    initial: &PhysicalPlan,
     id: usize,
     indent: usize,
     metrics: &PlanMetrics,
@@ -194,8 +192,14 @@ fn render_node(
         let _ = write!(out, " [{k}={v}]");
     }
     out.push('\n');
-    for (child, cid) in plan.children().iter().zip(child_ids(plan, id)) {
-        render_node(child, cid, indent + 1, metrics, out);
+    let initial_children = initial.children().into_iter().zip(child_ids(initial, id));
+    for (child, (mut ichild, mut cid)) in plan.children().iter().zip(initial_children) {
+        if let (PhysicalPlan::Exchange { input, .. }, false) =
+            (&*ichild, matches!(**child, PhysicalPlan::Exchange { .. }))
+        {
+            (ichild, cid) = (input.clone(), cid + 1);
+        }
+        render_node(child, &ichild, cid, indent + 1, metrics, out);
     }
 }
 
@@ -257,17 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_shuffles_is_exclusive() {
-        let plan = PhysicalPlan::Union {
-            inputs: vec![leaf("a")],
-        };
-        let pm = PlanMetrics::for_plan(&plan);
-        assert_eq!(pm.claim_shuffles(0..3), vec![0, 1, 2]);
-        // Overlapping window only yields the fresh ids.
-        assert_eq!(pm.claim_shuffles(2..5), vec![3, 4]);
-    }
-
-    #[test]
     fn annotated_render_includes_actuals() {
         let plan = PhysicalPlan::Limit {
             input: leaf("a"),
@@ -283,6 +276,40 @@ mod tests {
         assert!(text.contains("rows=100"), "{text}");
         assert!(text.contains("time=2.000ms"), "{text}");
         assert!(text.contains("[shuffle_bytes_written=64]"), "{text}");
+    }
+
+    #[test]
+    fn executed_render_steps_over_the_exchanges_a_demotion_dropped() {
+        use crate::adaptive::rules::broadcast_candidate;
+        use crate::expr::Expr;
+        use crate::physical::{ensure_requirements, BuildSide};
+        use crate::plan::JoinType;
+        let (a, b) = (leaf("a"), leaf("b"));
+        let keys = |p: &PhysicalPlan| vec![Expr::Column(p.output()[0].clone())];
+        let join = PhysicalPlan::ShuffledHashJoin {
+            left_keys: keys(&a),
+            right_keys: keys(&b),
+            left: a,
+            right: b,
+            join_type: JoinType::Inner,
+            build_side: BuildSide::Right,
+            residual: None,
+        };
+        // Pre-order: 0=SHJ, 1=Exchange, 2=a, 3=Exchange, 4=b.
+        let initial = ensure_requirements(&join, 2);
+        let executed = broadcast_candidate(&initial, BuildSide::Right).unwrap();
+        let pm = PlanMetrics::for_plan(&initial);
+        for (id, rows) in [(0, 10), (2, 20), (4, 40)] {
+            pm.node(id).add_rows(rows);
+        }
+        let text = render_executed(&initial, &executed, &pm);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].starts_with("BroadcastHashJoin") && lines[0].contains("rows=10"));
+        assert!(
+            lines[1].contains("rows=20") && lines[2].contains("rows=40"),
+            "{text}"
+        );
     }
 
     #[test]

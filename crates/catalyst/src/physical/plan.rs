@@ -23,6 +23,43 @@ pub enum BuildSide {
     Right,
 }
 
+/// How an [`PhysicalPlan::Exchange`] distributes its input's records over
+/// reducers.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Partitioning {
+    /// Records with equal keys meet in one of `partitions` reducers.
+    Hash {
+        /// Keys, bound to the exchange's input.
+        keys: Vec<Expr>,
+        /// Reducer count.
+        partitions: usize,
+    },
+    /// Reducer `i` holds only keys ordered before reducer `i + 1`'s, on
+    /// boundaries sampled from the input.
+    Range {
+        /// The ordering.
+        orders: Vec<SortOrder>,
+        /// Reducer count.
+        partitions: usize,
+    },
+    /// Everything in one partition.
+    Single,
+}
+
+impl fmt::Display for Partitioning {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Partitioning::Hash { keys, partitions } => {
+                write!(f, "hashpartitioning({}, {partitions})", fmt_exprs(keys))
+            }
+            Partitioning::Range { orders, partitions } => {
+                write!(f, "rangepartitioning({}, {partitions})", fmt_orders(orders))
+            }
+            Partitioning::Single => f.write_str("singlepartition"),
+        }
+    }
+}
+
 /// A user-defined physical operator (extension point; used by the
 /// genomics interval join of §7.2).
 pub trait ExtensionExec: Send + Sync {
@@ -181,6 +218,16 @@ pub enum PhysicalPlan {
         /// Children.
         inputs: Vec<Arc<PhysicalPlan>>,
     },
+    /// Redistribute the input's records by `partitioning`: a shuffle, or
+    /// for [`Partitioning::Single`] a coalesce into one partition. The
+    /// planner's `ensure_requirements` pass puts one under every operator
+    /// that needs its input co-located, and nowhere else.
+    Exchange {
+        /// Child.
+        input: Arc<PhysicalPlan>,
+        /// Where each record goes.
+        partitioning: Partitioning,
+    },
     /// Bernoulli sample.
     Sample {
         /// Child.
@@ -213,6 +260,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TakeOrdered { input, .. }
             | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Exchange { input, .. }
             | PhysicalPlan::Sample { input, .. } => input.output(),
             PhysicalPlan::HashAggregate { output_exprs, .. } => output_exprs
                 .iter()
@@ -275,6 +323,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TakeOrdered { input, .. }
             | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Exchange { input, .. }
             | PhysicalPlan::Sample { input, .. } => vec![input.clone()],
             PhysicalPlan::BroadcastHashJoin { left, right, .. }
             | PhysicalPlan::ShuffledHashJoin { left, right, .. }
@@ -382,8 +431,125 @@ impl PhysicalPlan {
                 None => format!("CartesianProduct {}", join_type.keyword()),
             },
             PhysicalPlan::Union { inputs } => format!("Union ({} inputs)", inputs.len()),
+            PhysicalPlan::Exchange { partitioning, .. } => format!("Exchange {partitioning}"),
             PhysicalPlan::Sample { fraction, .. } => format!("Sample {fraction}"),
             PhysicalPlan::Extension { exec, .. } => exec.name(),
+        }
+    }
+
+    /// This node with `children` substituted in order. Panics if the
+    /// arity does not match — callers only pass as many children as
+    /// [`PhysicalPlan::children`] returns for the same node.
+    pub fn with_children(&self, mut children: Vec<Arc<PhysicalPlan>>) -> PhysicalPlan {
+        assert_eq!(
+            children.len(),
+            self.children().len(),
+            "with_children arity mismatch"
+        );
+        let mut next = || children.remove(0);
+        match self {
+            PhysicalPlan::Scan { .. }
+            | PhysicalPlan::ExternalScan { .. }
+            | PhysicalPlan::LocalData { .. } => self.clone(),
+            PhysicalPlan::Project { exprs, .. } => PhysicalPlan::Project {
+                input: next(),
+                exprs: exprs.clone(),
+            },
+            PhysicalPlan::Filter { predicate, .. } => PhysicalPlan::Filter {
+                input: next(),
+                predicate: predicate.clone(),
+            },
+            PhysicalPlan::HashAggregate {
+                groupings,
+                output_exprs,
+                ..
+            } => PhysicalPlan::HashAggregate {
+                input: next(),
+                groupings: groupings.clone(),
+                output_exprs: output_exprs.clone(),
+            },
+            PhysicalPlan::Sort { orders, .. } => PhysicalPlan::Sort {
+                input: next(),
+                orders: orders.clone(),
+            },
+            PhysicalPlan::Window {
+                window_exprs,
+                partition_by,
+                order_by,
+                ..
+            } => PhysicalPlan::Window {
+                input: next(),
+                window_exprs: window_exprs.clone(),
+                partition_by: partition_by.clone(),
+                order_by: order_by.clone(),
+            },
+            PhysicalPlan::TakeOrdered { orders, n, .. } => PhysicalPlan::TakeOrdered {
+                input: next(),
+                orders: orders.clone(),
+                n: *n,
+            },
+            PhysicalPlan::Limit { n, .. } => PhysicalPlan::Limit {
+                input: next(),
+                n: *n,
+            },
+            PhysicalPlan::BroadcastHashJoin {
+                left_keys,
+                right_keys,
+                join_type,
+                build_side,
+                residual,
+                ..
+            } => PhysicalPlan::BroadcastHashJoin {
+                left: next(),
+                right: next(),
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
+                join_type: *join_type,
+                build_side: *build_side,
+                residual: residual.clone(),
+            },
+            PhysicalPlan::ShuffledHashJoin {
+                left_keys,
+                right_keys,
+                join_type,
+                build_side,
+                residual,
+                ..
+            } => PhysicalPlan::ShuffledHashJoin {
+                left: next(),
+                right: next(),
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
+                join_type: *join_type,
+                build_side: *build_side,
+                residual: residual.clone(),
+            },
+            PhysicalPlan::NestedLoopJoin {
+                condition,
+                join_type,
+                ..
+            } => PhysicalPlan::NestedLoopJoin {
+                left: next(),
+                right: next(),
+                condition: condition.clone(),
+                join_type: *join_type,
+            },
+            PhysicalPlan::Union { .. } => PhysicalPlan::Union {
+                inputs: std::mem::take(&mut children),
+            },
+            PhysicalPlan::Exchange { partitioning, .. } => PhysicalPlan::Exchange {
+                input: next(),
+                partitioning: partitioning.clone(),
+            },
+            PhysicalPlan::Sample { fraction, seed, .. } => PhysicalPlan::Sample {
+                input: next(),
+                fraction: *fraction,
+                seed: *seed,
+            },
+            PhysicalPlan::Extension { exec, .. } => PhysicalPlan::Extension {
+                exec: exec.clone(),
+                children: std::mem::take(&mut children),
+            },
         }
     }
 

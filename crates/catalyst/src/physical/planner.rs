@@ -2,7 +2,7 @@
 //! into physical operators, using the cost model to select join
 //! algorithms and pushing projections/filters into data sources.
 
-use super::plan::{BuildSide, PhysicalPlan};
+use super::plan::{BuildSide, Partitioning, PhysicalPlan};
 use super::stats;
 use crate::error::{CatalystError, Result};
 use crate::expr::{BinaryOperator, ColumnRef, Expr, ScalarFunc};
@@ -25,6 +25,8 @@ pub struct PlannerConfig {
     /// smaller estimated side. When off (the reference configuration),
     /// shuffled joins always build the right side.
     pub cost_based_build_side: bool,
+    /// Reducers per exchange (`spark.sql.shuffle.partitions`).
+    pub shuffle_partitions: usize,
 }
 
 impl Default for PlannerConfig {
@@ -34,6 +36,7 @@ impl Default for PlannerConfig {
             column_pruning_enabled: true,
             broadcast_threshold: 10 * 1024 * 1024,
             cost_based_build_side: true,
+            shuffle_partitions: 8,
         }
     }
 }
@@ -44,6 +47,8 @@ impl Default for PlannerConfig {
 /// This is the extension point the §7.2 genomics range join uses: a user
 /// strategy registered ahead of the defaults can claim `Join` nodes whose
 /// shape it recognizes and emit a custom [`super::plan::ExtensionExec`].
+/// A strategy plans its children with [`Planner::plan_child`]; exchanges
+/// are the planner's business, added once over the whole tree.
 pub trait Strategy: Send + Sync {
     /// Strategy name.
     fn name(&self) -> &str;
@@ -77,8 +82,19 @@ impl Planner {
         self.strategies.insert(0, strategy);
     }
 
-    /// Plan a logical subtree.
+    /// Plan a query: the strategies pick operators, then
+    /// [`ensure_requirements`] puts the exchanges they need under them.
     pub fn plan(&self, logical: &LogicalPlan) -> Result<PhysicalPlan> {
+        let operators = self.plan_child(logical)?;
+        Ok(ensure_requirements(
+            &operators,
+            self.config.shuffle_partitions,
+        ))
+    }
+
+    /// Plan a logical subtree into operators, with no exchanges: what a
+    /// strategy calls for its children.
+    pub fn plan_child(&self, logical: &LogicalPlan) -> Result<PhysicalPlan> {
         for s in &self.strategies {
             if let Some(p) = s.apply(logical, self)? {
                 return Ok(p);
@@ -95,6 +111,61 @@ impl Default for Planner {
     fn default() -> Self {
         Planner::new(PlannerConfig::default())
     }
+}
+
+/// Put an [`PhysicalPlan::Exchange`] under every operator that needs its
+/// input co-located, with `partitions` reducers: a `Hash` exchange under
+/// each side of a shuffled hash join (on that side's keys) and under a
+/// grouped aggregate (on its groupings), `Hash` on the partition keys
+/// under a window (`Single` when it has none), and `Range` on the sort
+/// keys under a sort. Broadcast and nested-loop joins, global aggregates,
+/// top-N, limits and unions need none.
+///
+/// Every requirement is satisfied by an exchange of its own: the
+/// operators route records with different hash functions, so no child's
+/// distribution can stand in for another's.
+pub fn ensure_requirements(plan: &PhysicalPlan, partitions: usize) -> PhysicalPlan {
+    let children = plan.children();
+    if children.is_empty() {
+        return plan.clone();
+    }
+    let partitions = partitions.max(1);
+    let hash = |keys: &[Expr]| Partitioning::Hash {
+        keys: keys.to_vec(),
+        partitions,
+    };
+    let required = match plan {
+        PhysicalPlan::ShuffledHashJoin {
+            left_keys,
+            right_keys,
+            ..
+        } => vec![Some(hash(left_keys)), Some(hash(right_keys))],
+        PhysicalPlan::HashAggregate { groupings, .. } if !groupings.is_empty() => {
+            vec![Some(hash(groupings))]
+        }
+        PhysicalPlan::Window { partition_by, .. } if partition_by.is_empty() => {
+            vec![Some(Partitioning::Single)]
+        }
+        PhysicalPlan::Window { partition_by, .. } => vec![Some(hash(partition_by))],
+        PhysicalPlan::Sort { orders, .. } => vec![Some(Partitioning::Range {
+            orders: orders.clone(),
+            partitions,
+        })],
+        _ => vec![None; children.len()],
+    };
+    let children = (children.iter().zip(required))
+        .map(|(child, partitioning)| {
+            let input = Arc::new(ensure_requirements(child, partitions));
+            match partitioning {
+                Some(partitioning) => Arc::new(PhysicalPlan::Exchange {
+                    input,
+                    partitioning,
+                }),
+                None => input,
+            }
+        })
+        .collect();
+    plan.with_children(children)
 }
 
 /// `Limit(Sort(x))` → `TakeOrdered` (top-k without a global sort); also
@@ -115,7 +186,7 @@ impl Strategy for SpecialLimits {
                 input: sorted,
                 orders,
             } => Ok(Some(PhysicalPlan::TakeOrdered {
-                input: Arc::new(planner.plan(sorted)?),
+                input: Arc::new(planner.plan_child(sorted)?),
                 orders: orders.clone(),
                 n: *n,
             })),
@@ -128,7 +199,7 @@ impl Strategy for SpecialLimits {
                     orders,
                 } => Ok(Some(PhysicalPlan::Project {
                     input: Arc::new(PhysicalPlan::TakeOrdered {
-                        input: Arc::new(planner.plan(sorted)?),
+                        input: Arc::new(planner.plan_child(sorted)?),
                         orders: orders.clone(),
                         n: *n,
                     }),
@@ -157,14 +228,14 @@ impl Strategy for Aggregation {
                 groupings,
                 aggregates,
             } => Ok(Some(PhysicalPlan::HashAggregate {
-                input: Arc::new(planner.plan(input)?),
+                input: Arc::new(planner.plan_child(input)?),
                 groupings: groupings.clone(),
                 output_exprs: aggregates.clone(),
             })),
             LogicalPlan::Distinct { input } => {
                 let cols: Vec<Expr> = input.output().into_iter().map(Expr::Column).collect();
                 Ok(Some(PhysicalPlan::HashAggregate {
-                    input: Arc::new(planner.plan(input)?),
+                    input: Arc::new(planner.plan_child(input)?),
                     groupings: cols.clone(),
                     output_exprs: cols,
                 }))
@@ -239,8 +310,8 @@ impl Strategy for JoinSelection {
         else {
             return Ok(None);
         };
-        let left_phys = Arc::new(planner.plan(left)?);
-        let right_phys = Arc::new(planner.plan(right)?);
+        let left_phys = Arc::new(planner.plan_child(left)?);
+        let right_phys = Arc::new(planner.plan_child(right)?);
 
         let (keys, residual) = match condition {
             Some(c) => extract_equi_keys(c, &left.output(), &right.output()),
@@ -367,7 +438,7 @@ impl Strategy for BasicOperators {
                     relation, output, ..
                 } => plan_scan(planner, relation, output, None, Some(predicate))?,
                 _ => PhysicalPlan::Filter {
-                    input: Arc::new(planner.plan(input)?),
+                    input: Arc::new(planner.plan_child(input)?),
                     predicate: predicate.clone(),
                 },
             },
@@ -383,12 +454,12 @@ impl Strategy for BasicOperators {
                         relation, output, ..
                     } => plan_scan(planner, relation, output, Some(exprs), Some(predicate))?,
                     _ => PhysicalPlan::Project {
-                        input: Arc::new(planner.plan(input)?),
+                        input: Arc::new(planner.plan_child(input)?),
                         exprs: exprs.clone(),
                     },
                 },
                 _ => PhysicalPlan::Project {
-                    input: Arc::new(planner.plan(input)?),
+                    input: Arc::new(planner.plan_child(input)?),
                     exprs: exprs.clone(),
                 },
             },
@@ -401,7 +472,7 @@ impl Strategy for BasicOperators {
                 output: output.clone(),
             },
             LogicalPlan::Sort { input, orders } => PhysicalPlan::Sort {
-                input: Arc::new(planner.plan(input)?),
+                input: Arc::new(planner.plan_child(input)?),
                 orders: orders.clone(),
             },
             LogicalPlan::Window {
@@ -410,29 +481,29 @@ impl Strategy for BasicOperators {
                 partition_by,
                 order_by,
             } => PhysicalPlan::Window {
-                input: Arc::new(planner.plan(input)?),
+                input: Arc::new(planner.plan_child(input)?),
                 window_exprs: window_exprs.clone(),
                 partition_by: partition_by.clone(),
                 order_by: order_by.clone(),
             },
             LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-                input: Arc::new(planner.plan(input)?),
+                input: Arc::new(planner.plan_child(input)?),
                 n: *n,
             },
             LogicalPlan::Union { inputs } => {
                 let mut phys = Vec::with_capacity(inputs.len());
                 for i in inputs {
-                    phys.push(Arc::new(planner.plan(i)?));
+                    phys.push(Arc::new(planner.plan_child(i)?));
                 }
                 PhysicalPlan::Union { inputs: phys }
             }
-            LogicalPlan::SubqueryAlias { input, .. } => planner.plan(input)?,
+            LogicalPlan::SubqueryAlias { input, .. } => planner.plan_child(input)?,
             LogicalPlan::Sample {
                 input,
                 fraction,
                 seed,
             } => PhysicalPlan::Sample {
-                input: Arc::new(planner.plan(input)?),
+                input: Arc::new(planner.plan_child(input)?),
                 fraction: *fraction,
                 seed: *seed,
             },

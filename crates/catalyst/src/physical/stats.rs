@@ -222,9 +222,9 @@ pub fn estimate_physical_rows(plan: &PhysicalPlan) -> Option<u64> {
         PhysicalPlan::Filter { input, .. } => {
             scaled(estimate_physical_rows(input), FILTER_SELECTIVITY)
         }
-        PhysicalPlan::Project { input, .. } | PhysicalPlan::Sort { input, .. } => {
-            estimate_physical_rows(input)
-        }
+        PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Exchange { input, .. } => estimate_physical_rows(input),
         PhysicalPlan::Window { input, .. } => estimate_physical_rows(input),
         PhysicalPlan::HashAggregate {
             input, groupings, ..
@@ -272,10 +272,14 @@ pub fn estimate_physical_rows(plan: &PhysicalPlan) -> Option<u64> {
 /// Stamp every operator's estimated output rows into its metrics slot as
 /// an `est_rows` extra, so `EXPLAIN ANALYZE` renders estimated next to
 /// actual rows per operator. Nodes with no derivable estimate are left
-/// unstamped.
+/// unstamped, and so are exchanges, whose lines show shuffle records.
 pub fn annotate_row_estimates(plan: &PhysicalPlan, metrics: &PlanMetrics) {
     fn walk(plan: &PhysicalPlan, id: usize, metrics: &PlanMetrics) -> usize {
-        if let Some(rows) = estimate_physical_rows(plan) {
+        let estimate = match plan {
+            PhysicalPlan::Exchange { .. } => None,
+            _ => estimate_physical_rows(plan),
+        };
+        if let Some(rows) = estimate {
             metrics.node(id).set_extra("est_rows", rows);
         }
         let mut next = id + 1;

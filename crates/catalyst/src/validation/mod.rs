@@ -20,8 +20,9 @@
 //!   on the rule that happened to fire next.
 //! - [`PlanValidator::check_physical`] validates a physical plan:
 //!   references bound to the right child, shuffle-boundary expectations
-//!   (hash-join keys present, aligned, and comparable), broadcast
-//!   build-side legality, and union shape.
+//!   (hash-join keys present, aligned, and comparable; each co-location
+//!   point over the exchange it needs, and exchanges nowhere else),
+//!   broadcast build-side legality, and union shape.
 //!
 //! The validator plugs into [`crate::rules::RuleExecutor`] through the
 //! [`crate::rules::RuleValidator`] trait: under monitored execution every
@@ -88,6 +89,13 @@ pub enum Invariant {
     /// Physical: a broadcast hash join never builds (broadcasts) the
     /// null-producing side of an outer join.
     BuildSideLegal,
+    /// Physical: every operator that needs its input co-located reads it
+    /// through the exchange that co-locates it — a shuffled hash join a
+    /// `Hash` exchange per side on that side's keys, with equal partition
+    /// counts; a grouped aggregate `Hash` on its groupings; a window
+    /// `Hash` on its partition keys (or `Single`); a sort `Range` on its
+    /// orders — and no other node reads an exchange.
+    ExchangeRequirements,
 }
 
 impl Invariant {
@@ -107,6 +115,7 @@ impl Invariant {
             Invariant::PhysicalReferences => "physical-references",
             Invariant::JoinKeysAligned => "join-keys-aligned",
             Invariant::BuildSideLegal => "build-side-legal",
+            Invariant::ExchangeRequirements => "exchange-requirements",
         }
     }
 }

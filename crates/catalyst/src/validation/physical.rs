@@ -1,25 +1,116 @@
 //! Physical-plan invariant checks (the `check_physical` half of
 //! [`super::PlanValidator`]): reference binding against the right child,
-//! shuffle-boundary expectations at hash joins, broadcast build-side
-//! legality, and union shape.
+//! shuffle-boundary expectations at hash joins and every other exchange,
+//! broadcast build-side legality, and union shape.
 
 use super::{hash_compatible, Invariant, Violation};
 use crate::expr::{ColumnRef, Expr};
-use crate::physical::{BuildSide, PhysicalPlan};
+use crate::physical::{BuildSide, Partitioning, PhysicalPlan};
 use crate::plan::JoinType;
 use crate::types::DataType;
 
 /// Run every physical invariant over the plan tree.
 pub(super) fn check_plan(plan: &PhysicalPlan) -> Vec<Violation> {
     let mut v = Vec::new();
+    if matches!(plan, PhysicalPlan::Exchange { .. }) {
+        v.push(misplaced_exchange("the plan root"));
+    }
     walk(plan, &mut v);
     v
 }
 
 fn walk(plan: &PhysicalPlan, v: &mut Vec<Violation>) {
     check_node(plan, v);
+    check_exchanges(plan, v);
     for c in plan.children() {
         walk(&c, v);
+    }
+}
+
+fn misplaced_exchange(what: &str) -> Violation {
+    Violation::new(
+        Invariant::ExchangeRequirements,
+        format!("{what} is an Exchange no operator requires"),
+    )
+}
+
+/// The partitioning of `plan` when it is an exchange.
+fn exchange_of(plan: &PhysicalPlan) -> Option<&Partitioning> {
+    match plan {
+        PhysicalPlan::Exchange { partitioning, .. } => Some(partitioning),
+        _ => None,
+    }
+}
+
+fn hashes_on(p: &Partitioning, keys: &[Expr]) -> bool {
+    matches!(p, Partitioning::Hash { keys: k, .. } if k == keys)
+}
+
+/// Each co-location point reads the exchange it requires, and no other
+/// node reads one.
+fn check_exchanges(plan: &PhysicalPlan, v: &mut Vec<Violation>) {
+    let children = plan.children();
+    let mut expect = |child: usize, what: String, ok: &dyn Fn(&Partitioning) -> bool| {
+        let found = exchange_of(&children[child]);
+        if !found.is_some_and(ok) {
+            let found = found.map_or("no exchange".to_string(), |p| p.to_string());
+            v.push(Violation::new(
+                Invariant::ExchangeRequirements,
+                format!("{what}; found {found}"),
+            ));
+        }
+    };
+    match plan {
+        PhysicalPlan::ShuffledHashJoin {
+            left_keys,
+            right_keys,
+            ..
+        } => {
+            let need = |side| {
+                format!("ShuffledHashJoin {side} input must be hash-partitioned on the {side} keys")
+            };
+            expect(0, need("left"), &|p| hashes_on(p, left_keys));
+            expect(1, need("right"), &|p| hashes_on(p, right_keys));
+            if let (
+                Some(Partitioning::Hash { partitions: l, .. }),
+                Some(Partitioning::Hash { partitions: r, .. }),
+            ) = (exchange_of(&children[0]), exchange_of(&children[1]))
+            {
+                if l != r {
+                    v.push(Violation::new(
+                        Invariant::ExchangeRequirements,
+                        format!(
+                            "ShuffledHashJoin sides are hash-partitioned into {l} and {r} \
+                             partitions — rows cannot co-partition"
+                        ),
+                    ));
+                }
+            }
+        }
+        PhysicalPlan::HashAggregate { groupings, .. } if !groupings.is_empty() => expect(
+            0,
+            "grouped HashAggregate input must be hash-partitioned on its groupings".into(),
+            &|p| hashes_on(p, groupings),
+        ),
+        PhysicalPlan::Window { partition_by, .. } => expect(
+            0,
+            "Window input must be hash-partitioned on its partition keys, or one partition".into(),
+            &|p| match p {
+                Partitioning::Single => partition_by.is_empty(),
+                _ => hashes_on(p, partition_by),
+            },
+        ),
+        PhysicalPlan::Sort { orders, .. } => expect(
+            0,
+            "Sort input must be range-partitioned on its orders".into(),
+            &|p| matches!(p, Partitioning::Range { orders: o, .. } if o == orders),
+        ),
+        _ => {
+            for _ in children.iter().filter(|c| exchange_of(c).is_some()) {
+                let what = format!("an input of {}", plan.node_description());
+                v.push(misplaced_exchange(&what));
+            }
+        }
     }
 }
 
@@ -49,14 +140,19 @@ fn well_typed(e: &Expr, what: &str, v: &mut Vec<Violation>) {
     }
 }
 
-fn check_hash_join_keys(
-    op: &str,
-    left: &PhysicalPlan,
-    right: &PhysicalPlan,
-    left_keys: &[Expr],
-    right_keys: &[Expr],
-    v: &mut Vec<Violation>,
-) {
+/// Every key references `input` and type-checks.
+fn check_keys(keys: &[Expr], input: &PhysicalPlan, what: &str, v: &mut Vec<Violation>) {
+    let avail = input.output();
+    for (i, k) in keys.iter().enumerate() {
+        refs_within(k, &avail, &format!("{what} {i}"), v);
+        well_typed(k, &format!("{what} {i}"), v);
+    }
+}
+
+/// Both key lists are present, equal in length and pairwise comparable.
+/// (Each key's binding to its side is checked where the side is read: by
+/// a broadcast join itself, by a shuffled join's exchanges.)
+fn check_hash_join_keys(op: &str, left_keys: &[Expr], right_keys: &[Expr], v: &mut Vec<Violation>) {
     if left_keys.is_empty() || right_keys.is_empty() {
         v.push(Violation::new(
             Invariant::JoinKeysAligned,
@@ -75,13 +171,7 @@ fn check_hash_join_keys(
         ));
         return;
     }
-    let lout = left.output();
-    let rout = right.output();
     for (i, (lk, rk)) in left_keys.iter().zip(right_keys.iter()).enumerate() {
-        refs_within(lk, &lout, &format!("{op} left key {i}"), v);
-        refs_within(rk, &rout, &format!("{op} right key {i}"), v);
-        well_typed(lk, &format!("{op} left key {i}"), v);
-        well_typed(rk, &format!("{op} right key {i}"), v);
         if let (Ok(lt), Ok(rt)) = (lk.data_type(), rk.data_type()) {
             if !hash_compatible(&lt, &rt) {
                 v.push(Violation::new(
@@ -194,7 +284,9 @@ fn check_node(plan: &PhysicalPlan, v: &mut Vec<Violation>) {
             build_side,
             residual,
         } => {
-            check_hash_join_keys("BroadcastHashJoin", left, right, left_keys, right_keys, v);
+            check_hash_join_keys("BroadcastHashJoin", left_keys, right_keys, v);
+            check_keys(left_keys, left, "BroadcastHashJoin left key", v);
+            check_keys(right_keys, right, "BroadcastHashJoin right key", v);
             // Broadcasting the build side replicates it to every stream
             // partition; if the build side is the null-producing side of
             // an outer join, unmatched build rows cannot be emitted
@@ -228,7 +320,7 @@ fn check_node(plan: &PhysicalPlan, v: &mut Vec<Violation>) {
             residual,
             ..
         } => {
-            check_hash_join_keys("ShuffledHashJoin", left, right, left_keys, right_keys, v);
+            check_hash_join_keys("ShuffledHashJoin", left_keys, right_keys, v);
             if let Some(r) = residual {
                 let mut avail = left.output();
                 avail.extend(right.output());
@@ -279,6 +371,17 @@ fn check_node(plan: &PhysicalPlan, v: &mut Vec<Violation>) {
                 }
             }
         }
+        PhysicalPlan::Exchange {
+            input,
+            partitioning,
+        } => match partitioning {
+            Partitioning::Hash { keys, .. } => check_keys(keys, input, "Exchange hash key", v),
+            Partitioning::Range { orders, .. } => {
+                let keys: Vec<Expr> = orders.iter().map(|o| o.expr.clone()).collect();
+                check_keys(&keys, input, "Exchange range key", v);
+            }
+            Partitioning::Single => {}
+        },
         PhysicalPlan::ExternalScan { .. }
         | PhysicalPlan::LocalData { .. }
         | PhysicalPlan::Limit { .. }
@@ -410,5 +513,130 @@ mod tests {
             v.iter().any(|x| x.invariant == Invariant::JoinKeysAligned),
             "{v:?}"
         );
+    }
+
+    fn exchange(input: PhysicalPlan, keys: Vec<Expr>, partitions: usize) -> Arc<PhysicalPlan> {
+        Arc::new(PhysicalPlan::Exchange {
+            input: Arc::new(input),
+            partitioning: Partitioning::Hash { keys, partitions },
+        })
+    }
+
+    /// `a = b` shuffled, each side hash-partitioned on `(lk, lp)` and
+    /// `(rk, rp)`.
+    fn shuffled_join(
+        [a, b]: &[ColumnRef; 2],
+        (lk, lp): (&ColumnRef, usize),
+        (rk, rp): (&ColumnRef, usize),
+    ) -> PhysicalPlan {
+        PhysicalPlan::ShuffledHashJoin {
+            left: exchange(local(vec![a.clone()]), vec![Expr::Column(lk.clone())], lp),
+            right: exchange(local(vec![b.clone()]), vec![Expr::Column(rk.clone())], rp),
+            left_keys: vec![Expr::Column(a.clone())],
+            right_keys: vec![Expr::Column(b.clone())],
+            join_type: JoinType::Inner,
+            build_side: BuildSide::Right,
+            residual: None,
+        }
+    }
+
+    fn exchange_violations(p: &PhysicalPlan) -> Vec<Violation> {
+        (check_plan(p).into_iter())
+            .filter(|x| x.invariant == Invariant::ExchangeRequirements)
+            .collect()
+    }
+
+    #[test]
+    fn planned_exchanges_pass_and_the_demotion_candidate_too() {
+        let ab = [attr("a", DataType::Long), attr("b", DataType::Long)];
+        let join = shuffled_join(&ab, (&ab[0], 4), (&ab[1], 4));
+        let [a, _] = ab;
+        assert!(check_plan(&join).is_empty(), "{:?}", check_plan(&join));
+        let demoted = crate::adaptive::rules::broadcast_candidate(&join, BuildSide::Right).unwrap();
+        assert!(
+            check_plan(&demoted).is_empty(),
+            "{:?}",
+            check_plan(&demoted)
+        );
+        let planned = crate::physical::ensure_requirements(
+            &PhysicalPlan::Sort {
+                input: Arc::new(local(vec![a.clone()])),
+                orders: vec![crate::expr::SortOrder {
+                    expr: Expr::Column(a),
+                    ascending: false,
+                }],
+            },
+            3,
+        );
+        assert!(
+            check_plan(&planned).is_empty(),
+            "{:?}",
+            check_plan(&planned)
+        );
+    }
+
+    #[test]
+    fn a_missing_exchange_is_flagged() {
+        let a = attr("a", DataType::Long);
+        let aggregate = PhysicalPlan::HashAggregate {
+            input: Arc::new(local(vec![a.clone()])),
+            groupings: vec![Expr::Column(a.clone())],
+            output_exprs: vec![Expr::Column(a.clone())],
+        };
+        assert_eq!(exchange_violations(&aggregate).len(), 1);
+        let sort = PhysicalPlan::Sort {
+            input: Arc::new(local(vec![a.clone()])),
+            orders: vec![],
+        };
+        assert_eq!(exchange_violations(&sort).len(), 1);
+        // A shuffled join over bare inputs misses one per side.
+        let b = attr("b", DataType::Long);
+        let bare = PhysicalPlan::ShuffledHashJoin {
+            left: Arc::new(local(vec![a.clone()])),
+            right: Arc::new(local(vec![b.clone()])),
+            left_keys: vec![Expr::Column(a)],
+            right_keys: vec![Expr::Column(b)],
+            join_type: JoinType::Inner,
+            build_side: BuildSide::Right,
+            residual: None,
+        };
+        assert_eq!(exchange_violations(&bare).len(), 2);
+    }
+
+    #[test]
+    fn an_exchange_on_other_keys_is_flagged() {
+        let ab = [attr("a", DataType::Long), attr("b", DataType::Long)];
+        // The right side is partitioned on a column of the left.
+        let v = exchange_violations(&shuffled_join(&ab, (&ab[0], 4), (&ab[0], 4)));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("right"), "{v:?}");
+        // A grouped aggregate over an exchange on something else.
+        let [a, b] = ab;
+        let aggregate = PhysicalPlan::HashAggregate {
+            input: exchange(local(vec![a.clone(), b.clone()]), vec![Expr::Column(b)], 4),
+            groupings: vec![Expr::Column(a.clone())],
+            output_exprs: vec![Expr::Column(a)],
+        };
+        assert_eq!(exchange_violations(&aggregate).len(), 1);
+    }
+
+    #[test]
+    fn mismatched_partition_counts_are_flagged() {
+        let ab = [attr("a", DataType::Long), attr("b", DataType::Long)];
+        let v = exchange_violations(&shuffled_join(&ab, (&ab[0], 4), (&ab[1], 8)));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("4 and 8"), "{v:?}");
+    }
+
+    #[test]
+    fn an_exchange_nothing_requires_is_flagged() {
+        let a = attr("a", DataType::Long);
+        let limit = PhysicalPlan::Limit {
+            input: exchange(local(vec![a.clone()]), vec![Expr::Column(a.clone())], 2),
+            n: 1,
+        };
+        assert_eq!(exchange_violations(&limit).len(), 1);
+        let root = exchange(local(vec![a.clone()]), vec![Expr::Column(a)], 2);
+        assert_eq!(exchange_violations(&root).len(), 1);
     }
 }

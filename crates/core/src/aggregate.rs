@@ -9,9 +9,9 @@
 //!    hash that agrees with `Value` equality, so `Int 1` and `Long 1`
 //!    meet — and emits one [`AggBlock`] (key columns, lane states, row
 //!    count) per non-empty reducer.
-//! 2. *Index exchange.* Blocks travel keyed by their reducer through
-//!    `partition_by` with an index partitioner: a map task ships at most
-//!    `shuffle_partitions` records, not one per group.
+//! 2. *Index exchange.* Blocks travel keyed by their reducer through the
+//!    `Exchange` under the aggregate, routed by index: a map task ships at
+//!    most one record per reducer, not one per group.
 //! 3. *Lane merge.* [`merge_blocks`] interns each block's key columns and
 //!    folds its states with [`vectorized::AccLane::merge`] (exactly
 //!    [`Acc::merge`]), blocks in map-id order.
@@ -28,8 +28,8 @@
 //! into the grace path [`spill::merge_agg_partition`].
 //!
 //! **Row kernel** ([`partial_agg_partition`]): one [`AggCall`] per call
-//! folding [`Acc::update`] into `(key, Vec<Acc>)` pairs, a
-//! `HashPartitioner<Row>` exchange, [`spill::merge_agg_partition`] and a
+//! folding [`Acc::update`] into `(key, Vec<Acc>)` pairs, routed by a hash
+//! of the key, [`spill::merge_agg_partition`] and a
 //! row-at-a-time finish. It is the only home of DISTINCT and of types
 //! with no lane, and what the reference configuration runs, so the
 //! differential suites compare the batch pipeline against it.
@@ -37,6 +37,7 @@
 //! A global aggregate (no GROUP BY) has one group and nothing to shuffle:
 //! per-partition row-kernel partials merge on the driver.
 
+use crate::exchange::Exchange;
 use crate::execution::{
     bind_all, engine_err, execute_node, lower_node, note_eager_ns, value_fn, ExecContext, ValueFn,
 };
@@ -51,7 +52,7 @@ use catalyst::tree::{Transformed, TreeNode};
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, Acc, AccLane, BatchGroups, ColumnVector, RowBatch};
-use engine::{BoxIter, HashPartitioner, MemoryReservation, PairRdd, Partitioner, RddRef};
+use engine::{BoxIter, MemoryReservation, RddRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -256,13 +257,12 @@ pub(crate) fn execute_aggregate(
         .collect();
     let sctx = ctx.spill_ctx(id);
     let map_sctx = sctx.clone();
-    let partials: RddRef<(Row, Vec<Acc>)> =
-        execute_node(input, id + 1, ctx)?.map_partitions(move |it| {
+    let exchange = Exchange::at(input, id + 1)?;
+    let partials: RddRef<(Row, Vec<Acc>)> = execute_node(exchange.input, exchange.input_id, ctx)?
+        .map_partitions(move |it| {
             Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
         });
-    let shuffled = partials.partition_by(Arc::new(HashPartitioner::new(
-        ctx.conf.shuffle_partitions.max(1),
-    )));
+    let shuffled = exchange.hash(&partials, ctx);
     let layout = spill::AggLayout::new(plan.key_dtypes.clone());
     let merged = shuffled.map_partitions(move |it| {
         Box::new(spill::merge_agg_partition(it, &layout, &sctx, 0).into_iter())
@@ -386,12 +386,13 @@ fn batch_aggregate(
 ) -> Result<RddRef<RowBatch>> {
     let bound_groupings = bind_all(groupings, &input.output())?;
     let (plan, specs) = (Arc::new(plan), Arc::new(specs));
-    let reducers = ctx.conf.shuffle_partitions.max(1);
+    let exchange = Exchange::at(input, id + 1)?;
+    let reducers = exchange.partitions();
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
     let sctx = ctx.spill_ctx(id);
     let map = (plan.clone(), specs.clone(), sctx.clone(), node.clone());
-    let blocks = lower_node(input, id + 1, ctx)?
-        .batches(input, ctx)
+    let blocks = lower_node(exchange.input, exchange.input_id, ctx)?
+        .batches(exchange.input, ctx)
         .map_partitions(move |it| {
             let (plan, specs, sctx, node) = &map;
             let out = batch_partial_agg(
@@ -405,26 +406,11 @@ fn batch_aggregate(
             );
             Box::new(out.into_iter())
         });
-    Ok(blocks
-        .partition_by(Arc::new(IndexPartitioner(reducers)))
-        .map_partitions(move |it| {
-            let blocks = Box::new(it.map(|(_, block)| block));
-            let out = merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref());
-            Box::new(out.into_iter())
-        }))
-}
-
-/// Routes a record keyed by its reduce partition to that partition.
-struct IndexPartitioner(usize);
-
-impl Partitioner<usize> for IndexPartitioner {
-    fn num_partitions(&self) -> usize {
-        self.0
-    }
-
-    fn partition(&self, reducer: &usize) -> usize {
-        *reducer
-    }
+    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+        let blocks = Box::new(it.map(|(_, block)| block));
+        let out = merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref());
+        Box::new(out.into_iter())
+    }))
 }
 
 /// One map task's partial aggregate for one reducer: the group keys as

@@ -356,6 +356,7 @@ impl SQLContext {
             column_pruning_enabled: conf.column_pruning_enabled,
             broadcast_threshold: conf.broadcast_threshold,
             cost_based_build_side: !conf.reference,
+            shuffle_partitions: conf.shuffle_partitions,
         });
         for s in self.inner.strategies.read().iter() {
             planner.add_strategy(s.clone());

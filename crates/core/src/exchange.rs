@@ -1,0 +1,333 @@
+//! Exchanges: the one place a shuffle is minted, read, adapted and
+//! metered.
+//!
+//! The planner puts a [`PhysicalPlan::Exchange`] under every operator
+//! that needs its input co-located. It lowers with the operator above
+//! it: the operator lowers the exchange's input and builds its map-side
+//! records, and the exchange routes them to reducers by the function
+//! that operator's records have always been routed by — a hash of the
+//! key, the reducer index a batch GROUP BY block carries, the hash of a
+//! window key's PARTITION BY prefix, or sampled sort-key ranges. A
+//! shuffled join's two exchanges are read as a [`HashPair`], stage by
+//! stage from measured sizes.
+//!
+//! Each exchange records the id of the shuffle it minted on its own
+//! metrics node, where `QueryExecution` attributes the engine's
+//! per-shuffle counters, and its read checks the cancel token.
+
+use crate::execution::{cancel_checked, engine_err, ExecContext};
+use crate::join::{pair_bytes, Keyed};
+use crate::sort::{KeyedRow, SortKey};
+use catalyst::adaptive::{rules, AdaptivePlanChange, AdaptiveRule};
+use catalyst::error::{CatalystError, Result};
+use catalyst::physical::{BuildSide, Partitioning, PhysicalPlan};
+use catalyst::plan::JoinType;
+use catalyst::row::Row;
+use engine::pair::SortedPairRdd;
+use engine::rdd::Dependency;
+use engine::shuffle::SizeFn;
+use engine::{
+    Data, HashPartitioner, MaterializedShuffle, PairRdd, Partitioner, RddRef, ShuffleReadSpec,
+};
+use std::hash::Hash;
+use std::sync::Arc;
+
+/// An `Exchange` node bound for lowering by the operator above it.
+pub(crate) struct Exchange<'a> {
+    /// The exchange's own pre-order id: its metrics node.
+    id: usize,
+    partitioning: &'a Partitioning,
+    /// What the exchange redistributes, and its pre-order id.
+    pub(crate) input: &'a Arc<PhysicalPlan>,
+    pub(crate) input_id: usize,
+}
+
+impl<'a> Exchange<'a> {
+    /// The exchange `plan` (pre-order id `id`), an operator's child.
+    pub(crate) fn at(plan: &'a PhysicalPlan, id: usize) -> Result<Exchange<'a>> {
+        let PhysicalPlan::Exchange {
+            input,
+            partitioning,
+        } = plan
+        else {
+            return Err(CatalystError::Internal(format!(
+                "expected an Exchange, found {}",
+                plan.node_description()
+            )));
+        };
+        Ok(Exchange {
+            id,
+            partitioning,
+            input,
+            input_id: id + 1,
+        })
+    }
+
+    /// Reducer count.
+    pub(crate) fn partitions(&self) -> usize {
+        match self.partitioning {
+            Partitioning::Hash { partitions, .. } | Partitioning::Range { partitions, .. } => {
+                *partitions
+            }
+            Partitioning::Single => 1,
+        }
+    }
+
+    /// Record that this exchange minted engine shuffle `sid`.
+    fn minted(&self, sid: usize, ctx: &ExecContext) {
+        if let Some(pm) = &ctx.metrics {
+            pm.node(self.id).add_shuffle_id(sid);
+        }
+    }
+
+    /// The reduce side of `shuffled`: its shuffle recorded, its read
+    /// cancellable.
+    fn read<T: Data>(&self, shuffled: RddRef<T>, ctx: &ExecContext) -> RddRef<T> {
+        for dep in shuffled.as_inner().dependencies() {
+            if let Dependency::Shuffle(dep) = dep {
+                self.minted(dep.shuffle_id(), ctx);
+            }
+        }
+        cancel_checked(&shuffled, ctx)
+    }
+
+    /// Route records by a hash of their key: join sides, and the row
+    /// GROUP BY kernel's `(key, accumulators)` pairs.
+    pub(crate) fn hash<K, V>(&self, records: &RddRef<(K, V)>, ctx: &ExecContext) -> RddRef<(K, V)>
+    where
+        K: Data + Hash + Eq,
+        V: Data,
+    {
+        let partitioner = HashPartitioner::new(self.partitions());
+        self.read(records.partition_by(Arc::new(partitioner)), ctx)
+    }
+
+    /// Route records to the reducer index they are keyed by: the batch
+    /// GROUP BY's one block per reducer.
+    pub(crate) fn by_index<V: Data>(
+        &self,
+        records: &RddRef<(usize, V)>,
+        ctx: &ExecContext,
+    ) -> RddRef<(usize, V)> {
+        let partitioner = IndexPartitioner(self.partitions());
+        self.read(records.partition_by(Arc::new(partitioner)), ctx)
+    }
+
+    /// Co-locate window rows by their key's PARTITION BY prefix (the
+    /// exchange's keys), or all of them in one partition.
+    pub(crate) fn window(&self, records: &RddRef<KeyedRow>, ctx: &ExecContext) -> RddRef<KeyedRow> {
+        let prefix = match self.partitioning {
+            Partitioning::Hash { keys, .. } => keys.len(),
+            _ => return self.read(records.coalesce(1), ctx),
+        };
+        let partitions = self.partitions();
+        let partitioner = PrefixPartitioner { prefix, partitions };
+        self.read(records.partition_by(Arc::new(partitioner)), ctx)
+    }
+
+    /// Range-partition sort rows on boundaries sampled from them (the
+    /// sampling jobs run now).
+    pub(crate) fn range(
+        &self,
+        records: &RddRef<KeyedRow>,
+        ctx: &ExecContext,
+    ) -> Result<RddRef<KeyedRow>> {
+        let shuffled = records.try_range_partition(true, self.partitions());
+        Ok(self.read(shuffled.map_err(engine_err)?, ctx))
+    }
+}
+
+/// Routes a record keyed by its reduce partition to that partition.
+struct IndexPartitioner(usize);
+
+impl Partitioner<usize> for IndexPartitioner {
+    fn num_partitions(&self) -> usize {
+        self.0
+    }
+
+    fn partition(&self, reducer: &usize) -> usize {
+        *reducer
+    }
+}
+
+/// Sends a window key where a [`HashPartitioner`] sends its PARTITION BY
+/// prefix, so the shuffle needs no copy of that prefix to key on.
+struct PrefixPartitioner {
+    prefix: usize,
+    partitions: usize,
+}
+
+impl Partitioner<SortKey> for PrefixPartitioner {
+    fn num_partitions(&self) -> usize {
+        self.partitions
+    }
+
+    fn partition(&self, key: &SortKey) -> usize {
+        HashPartitioner::new(self.partitions).partition(&&key.values()[..self.prefix])
+    }
+}
+
+type JoinShuffle = MaterializedShuffle<Option<Row>, Row, Row>;
+
+/// One of a [`HashPair`]'s exchanges: its keyed rows, and their shuffle
+/// once its map stage ran.
+struct PairSide<'a> {
+    exchange: Exchange<'a>,
+    records: RddRef<Keyed>,
+    shuffle: Option<JoinShuffle>,
+}
+
+impl PairSide<'_> {
+    /// Run this side's map stage (once), measuring its output.
+    fn materialize(&mut self, ctx: &ExecContext) -> Result<&JoinShuffle> {
+        if self.shuffle.is_none() {
+            let size_fn: SizeFn<Option<Row>, Row> = Arc::new(pair_bytes);
+            let partitioner = Arc::new(HashPartitioner::new(self.exchange.partitions()));
+            let shuffle =
+                MaterializedShuffle::create(&self.records, partitioner, None, false, Some(size_fn))
+                    .map_err(engine_err)?;
+            self.exchange.minted(shuffle.shuffle_id(), ctx);
+            self.shuffle = Some(shuffle);
+        }
+        Ok(self.shuffle.as_ref().expect("materialized above"))
+    }
+}
+
+/// A shuffled join's two co-partitioned `Hash` exchanges, executed stage
+/// by stage: each side's map output is materialized and measured before
+/// the join decides how to read it.
+pub(crate) struct HashPair<'a>([PairSide<'a>; 2]);
+
+impl<'a> HashPair<'a> {
+    /// The left and right exchanges, each over its keyed rows.
+    pub(crate) fn new(sides: [(Exchange<'a>, RddRef<Keyed>); 2]) -> HashPair<'a> {
+        HashPair(sides.map(|(exchange, records)| PairSide {
+            exchange,
+            records,
+            shuffle: None,
+        }))
+    }
+
+    fn side(&mut self, side: BuildSide) -> &mut PairSide<'a> {
+        &mut self.0[usize::from(side == BuildSide::Right)]
+    }
+
+    /// Measured bytes of `side`'s map output, materializing it first.
+    pub(crate) fn measure(&mut self, side: BuildSide, ctx: &ExecContext) -> Result<u64> {
+        Ok(self.side(side).materialize(ctx)?.total_bytes())
+    }
+
+    /// Every row of `side`, read back from its shuffle in reducer order.
+    pub(crate) fn collect(&mut self, side: BuildSide, ctx: &ExecContext) -> Result<Vec<Row>> {
+        let read = self.side(side).materialize(ctx)?.read_all();
+        let pairs = cancel_checked(&read, ctx).try_collect();
+        Ok(pairs
+            .map_err(engine_err)?
+            .into_iter()
+            .map(|(_, row)| row)
+            .collect())
+    }
+
+    /// Both sides as co-partitioned streams, re-planned from their
+    /// measured sizes for the `join_type` join with pre-order id `join`:
+    ///
+    /// 1. **Partition coalescing** — small neighboring reduce partitions
+    ///    merge up to `adaptive_target_partition_bytes` per task.
+    /// 2. **Skew splitting** — an un-coalesced reduce partition exceeding
+    ///    `adaptive_skew_factor` × the median splits into map-range
+    ///    sub-partitions on the side legal to split, replicating the other
+    ///    side's bucket against each.
+    pub(crate) fn read(
+        mut self,
+        join_type: JoinType,
+        join: usize,
+        ctx: &ExecContext,
+    ) -> Result<(RddRef<Keyed>, RddRef<Keyed>)> {
+        let target = ctx.conf.adaptive_target_partition_bytes.max(1);
+        let factor = ctx.conf.adaptive_skew_factor;
+        let partitions = self.0[0].exchange.partitions();
+        let [left, right] = &mut self.0;
+        let (lmat, rmat) = (left.materialize(ctx)?, right.materialize(ctx)?);
+        let lsizes = lmat.reduce_sizes();
+        let rsizes = rmat.reduce_sizes();
+        let totals: Vec<u64> = lsizes.iter().zip(&rsizes).map(|(a, b)| a + b).collect();
+        let ranges = rules::coalesce_partitions(&totals, target);
+        let lmed = rules::median(&lsizes);
+        let rmed = rules::median(&rsizes);
+        let whole =
+            |mat: &JoinShuffle, start, end| ShuffleReadSpec::reducers(start, end, mat.num_maps());
+
+        let mut lspecs: Vec<ShuffleReadSpec> = Vec::new();
+        let mut rspecs: Vec<ShuffleReadSpec> = Vec::new();
+        let mut skew_splits = 0usize;
+        for range in &ranges {
+            // Only a partition too big to coalesce with a neighbor can be
+            // skewed; multi-reducer ranges are by construction under target.
+            if range.len() == 1 {
+                let r = range.start;
+                // Split the side that is both skewed and legal to split (its
+                // rows land in exactly one sub-partition; the other side's
+                // bucket is replicated, so it must not drive unmatched rows).
+                let split_left = rules::can_split_side(join_type, BuildSide::Left)
+                    && rules::is_skewed(lsizes[r], lmed, factor, target);
+                let split_right = !split_left
+                    && rules::can_split_side(join_type, BuildSide::Right)
+                    && rules::is_skewed(rsizes[r], rmed, factor, target);
+                let map_ranges = if split_left {
+                    rules::split_map_ranges(&lmat.map_sizes_for(r), target)
+                } else if split_right {
+                    rules::split_map_ranges(&rmat.map_sizes_for(r), target)
+                } else {
+                    vec![]
+                };
+                if map_ranges.len() > 1 {
+                    skew_splits += map_ranges.len();
+                    for mr in map_ranges {
+                        let split = ShuffleReadSpec::map_range(r, mr.start, mr.end);
+                        if split_left {
+                            lspecs.push(split);
+                            rspecs.push(whole(rmat, r, r + 1));
+                        } else {
+                            lspecs.push(whole(lmat, r, r + 1));
+                            rspecs.push(split);
+                        }
+                    }
+                    continue;
+                }
+            }
+            lspecs.push(whole(lmat, range.start, range.end));
+            rspecs.push(whole(rmat, range.start, range.end));
+        }
+
+        if ranges.len() != partitions {
+            ctx.adaptive.record(AdaptivePlanChange {
+                node_id: join,
+                rule: AdaptiveRule::CoalescePartitions,
+                description: format!(
+                    "{partitions} -> {} post-shuffle partitions (target {target} B, measured {} B)",
+                    ranges.len(),
+                    totals.iter().sum::<u64>(),
+                ),
+                replacement: None,
+            });
+        }
+        if skew_splits > 0 {
+            ctx.adaptive.record(AdaptivePlanChange {
+                node_id: join,
+                rule: AdaptiveRule::SkewSplit,
+                description: format!(
+                    "split skewed reduce partition(s) into {skew_splits} map-range sub-partitions \
+                     (factor {factor}, median {lmed}/{rmed} B)",
+                ),
+                replacement: None,
+            });
+        }
+        if let Some(pm) = &ctx.metrics {
+            let node = pm.node(join);
+            node.set_extra("adaptive_partitions", lspecs.len() as u64);
+            node.set_extra("adaptive_skew_splits", skew_splits as u64);
+        }
+        let (lread, rread) = (lmat.read(lspecs), rmat.read(rspecs));
+        Ok((cancel_checked(&lread, ctx), cancel_checked(&rread, ctx)))
+    }
+}

@@ -7,7 +7,8 @@
 //! path, and the `lower` dispatch. Each buffering operator lowers in a
 //! module of its own behind `execute_x(…, id, ctx) -> Result<RddRef<Row>>`:
 //! `aggregate.rs`, `sort.rs`, `join.rs`, `window.rs`; what they share to
-//! cross the disk boundary is `spill.rs`.
+//! cross the disk boundary is `spill.rs`, and every shuffle they read
+//! goes through the `Exchange` under them, lowered by `exchange.rs`.
 //!
 //! Expressions evaluate two ways: columnar kernels on batches (the
 //! §4.3.4 substitute, falling back to the interpreter on selected lanes
@@ -33,7 +34,7 @@ use catalyst::source::RowIter;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, RowBatch};
-use engine::{MemoryPool, RddRef, SparkContext};
+use engine::{Data, MemoryPool, RddRef, SparkContext};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -178,18 +179,18 @@ fn metered(rdd: &RddRef<Row>, node: Arc<OperatorMetrics>) -> RddRef<Row> {
     })
 }
 
-/// Cooperative cancellation point in a row pipeline: checks the token
-/// when the partition opens and every 256 rows after.
-struct CancelCheckIter {
-    inner: engine::BoxIter<Row>,
+/// Cooperative cancellation point in a row or record pipeline: checks
+/// the token when the partition opens and every 256 items after.
+struct CancelCheckIter<T> {
+    inner: engine::BoxIter<T>,
     token: engine::CancelToken,
     count: u32,
 }
 
-impl Iterator for CancelCheckIter {
-    type Item = Row;
+impl<T> Iterator for CancelCheckIter<T> {
+    type Item = T;
 
-    fn next(&mut self) -> Option<Row> {
+    fn next(&mut self) -> Option<T> {
         self.count = self.count.wrapping_add(1);
         if self.count & 0xFF == 0 {
             engine::cancel::check(&self.token);
@@ -198,8 +199,12 @@ impl Iterator for CancelCheckIter {
     }
 }
 
-/// Wrap an operator's output so its partitions observe `token`.
-fn cancel_checked(rdd: &RddRef<Row>, token: engine::CancelToken) -> RddRef<Row> {
+/// Wrap an operator's output (or an exchange's read) so its partitions
+/// observe the execution's cancel token, if it has one.
+pub(crate) fn cancel_checked<T: Data>(rdd: &RddRef<T>, ctx: &ExecContext) -> RddRef<T> {
+    let Some(token) = ctx.cancel.clone() else {
+        return rdd.clone();
+    };
     rdd.map_partitions(move |it| {
         engine::cancel::check(&token);
         Box::new(CancelCheckIter {
@@ -330,39 +335,15 @@ pub(crate) fn execute_node(
     Ok(lower_node(plan, id, ctx)?.rows())
 }
 
-/// Lower one node (pre-order id `id`) as rows, then — when instrumented —
-/// claim the shuffles its lowering allocated and wrap its output with
-/// metering.
-///
-/// Children claim their shuffle ids before the parent inspects the
-/// enclosing window, so each shuffle lands on the operator that induced
-/// the exchange (sort, aggregate, shuffled join, distinct).
+/// Lower one node (pre-order id `id`) as rows, metered when
+/// instrumented and cancellable.
 fn lower_rows(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
-    let shuffles_before = ctx.sc.current_shuffle_id();
     let rdd = lower(plan, id, ctx)?;
-    let rdd = match claim_shuffles(ctx, id, shuffles_before) {
-        Some(node) => metered(&rdd, node),
+    let rdd = match &ctx.metrics {
+        Some(pm) => metered(&rdd, pm.node(id)),
         None => rdd,
     };
-    Ok(match &ctx.cancel {
-        Some(token) => cancel_checked(&rdd, token.clone()),
-        None => rdd,
-    })
-}
-
-/// When instrumented, the metrics node of operator `id`, holding the
-/// shuffles allocated since `shuffles_before` (its lowering's).
-fn claim_shuffles(
-    ctx: &ExecContext,
-    id: usize,
-    shuffles_before: usize,
-) -> Option<Arc<OperatorMetrics>> {
-    let pm = ctx.metrics.as_ref()?;
-    let node = pm.node(id);
-    for sid in pm.claim_shuffles(shuffles_before..ctx.sc.current_shuffle_id()) {
-        node.add_shuffle_id(sid);
-    }
-    Some(node)
+    Ok(cancel_checked(&rdd, ctx))
 }
 
 // ---- vectorized (batch) execution path ----
@@ -458,11 +439,10 @@ fn try_execute_batched(
     id: usize,
     ctx: &ExecContext,
 ) -> Option<Result<RddRef<RowBatch>>> {
-    let shuffles_before = ctx.sc.current_shuffle_id();
     let lowered = try_lower_batched(plan, id, ctx)?;
     Some(lowered.map(|rdd| {
-        let rdd = match claim_shuffles(ctx, id, shuffles_before) {
-            Some(node) => metered_batches(&rdd, node),
+        let rdd = match &ctx.metrics {
+            Some(pm) => metered_batches(&rdd, pm.node(id)),
             None => rdd,
         };
         match &ctx.cancel {
@@ -679,6 +659,12 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             fraction,
             seed,
         } => Ok(execute_node(input, id + 1, ctx)?.sample(*fraction, *seed)),
+
+        // The operator above an exchange lowers it, with its own records.
+        PhysicalPlan::Exchange { .. } => Err(CatalystError::Internal(format!(
+            "{} has no operator above it to lower it",
+            plan.node_description()
+        ))),
 
         PhysicalPlan::Extension { exec, children } => {
             let mut child_data = Vec::with_capacity(children.len());

@@ -6,14 +6,15 @@
 //! execution — runs over batches: a [`BuildTable`] of the build side's
 //! lanes and chains, keyed by the [`BatchGroups`] interner GROUP BY uses,
 //! probed a key column at a time by [`Probe`]. The two shuffled forms
-//! differ only in how each side's shuffle is read — plain
-//! `partition_by`, or materialized stages re-planned from measured sizes
+//! differ only in how their two exchanges are read (`exchange.rs`) —
+//! statically, or as materialized stages re-planned from measured sizes
 //! — and share one tail with the reference's broadcast join:
 //! [`hash_join_partition`], which builds the side the planner chose
 //! under a memory reservation and goes grace (both sides re-partitioned
 //! to disk, sub-partitions joined recursively) only when a grow is
 //! denied.
 
+use crate::exchange::{Exchange, HashPair};
 use crate::execution::{
     bind_all, engine_err, execute_node, lower_node, note_eager_ns, predicate, value_fn,
     ExecContext, Lowered, PredFn, ValueFn,
@@ -31,14 +32,13 @@ use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, BatchGroups, ColumnVector, RowBatch, NULL_LANE};
-use engine::shuffle::SizeFn;
-use engine::{BoxIter, HashPartitioner, MaterializedShuffle, PairRdd, RddRef, ShuffleReadSpec};
+use engine::{BoxIter, RddRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A shuffled join input: rows keyed by their join key, `None` = NULL key.
-type Keyed = (Option<Row>, Row);
+pub(crate) type Keyed = (Option<Row>, Row);
 
 /// Null-safe key evaluation: returns None when any key is NULL (SQL
 /// equi-join semantics: NULL joins nothing).
@@ -63,7 +63,7 @@ fn keyed(child: &RddRef<Row>, keys: &[ValueFn]) -> RddRef<Keyed> {
 
 /// Approximate bytes of a keyed pair: what a shuffle measures and a build
 /// table reserves.
-fn pair_bytes(k: &Option<Row>, row: &Row) -> u64 {
+pub(crate) fn pair_bytes(k: &Option<Row>, row: &Row) -> u64 {
     row.approx_bytes() + k.as_ref().map_or(8, Row::approx_bytes)
 }
 
@@ -121,10 +121,15 @@ struct JoinSide<'a> {
     keys: Vec<Expr>,
 }
 
-impl JoinSide<'_> {
+impl<'a> JoinSide<'a> {
     /// Row-at-a-time key evaluators.
     fn key_fns(&self) -> Vec<ValueFn> {
         self.keys.iter().cloned().map(value_fn).collect()
+    }
+
+    /// The exchange a shuffled join reads this side through.
+    fn exchange(&self) -> Result<Exchange<'a>> {
+        Exchange::at(self.plan, self.id)
     }
 }
 
@@ -466,10 +471,10 @@ impl Drop for Probe {
 
 /// Lower a `ShuffledHashJoin`, or the reference's `BroadcastHashJoin`
 /// (pre-order id `id`), to rows: pair up keyed partitions of both sides
-/// and hash-join each pair. A shuffled join co-partitions both sides on
-/// the join key — in production stage by stage from measured sizes
-/// (adaptive execution), which may answer with a demoted broadcast join
-/// instead; statically in the reference.
+/// and hash-join each pair. A shuffled join reads its two exchanges — in
+/// production stage by stage from measured sizes (adaptive execution),
+/// which may answer with a demoted broadcast join instead; statically in
+/// the reference.
 pub(crate) fn execute_equi_join(
     plan: &PhysicalPlan,
     id: usize,
@@ -479,22 +484,21 @@ pub(crate) fn execute_equi_join(
     let (lread, rread) = if matches!(plan, PhysicalPlan::BroadcastHashJoin { .. }) {
         broadcast_reads(&site, ctx)?
     } else {
-        let partitions = ctx.conf.shuffle_partitions.max(1);
-        let lchild = lower_node(site.left.plan, site.left.id, ctx)?;
-        let rchild = lower_node(site.right.plan, site.right.id, ctx)?;
+        let (lex, rex) = (site.left.exchange()?, site.right.exchange()?);
+        let lchild = lower_node(lex.input, lex.input_id, ctx)?;
+        let rchild = lower_node(rex.input, rex.input_id, ctx)?;
+        let lkeyed = keyed(&lchild.rows(), &site.left.key_fns());
+        let rkeyed = keyed(&rchild.rows(), &site.right.key_fns());
         if ctx.conf.reference {
             // The static plan: what the adaptive one is differentially
             // tested against.
-            let partitioner = || Arc::new(HashPartitioner::new(partitions));
-            (
-                keyed(&lchild.rows(), &site.left.key_fns()).partition_by(partitioner()),
-                keyed(&rchild.rows(), &site.right.key_fns()).partition_by(partitioner()),
-            )
+            (lex.hash(&lkeyed, ctx), rex.hash(&rkeyed, ctx))
         } else {
-            match adaptive_reads(&site, &lchild, &rchild, partitions, ctx)? {
-                Adapted::Broadcast(joined) => return Ok(joined),
-                Adapted::Reads(lread, rread) => (lread, rread),
+            let mut pair = HashPair::new([(lex, lkeyed), (rex, rkeyed)]);
+            if let Some(joined) = demote(&site, &mut pair, [&lchild, &rchild], ctx)? {
+                return Ok(joined);
             }
+            pair.read(site.join_type, id, ctx)?
         }
     };
     let (spec, build_side) = (site.row_spec()?, site.build_side);
@@ -502,6 +506,59 @@ pub(crate) fn execute_equi_join(
     Ok(lread.zip_partitions(&rread, move |lit, rit| {
         Box::new(hash_join_partition(lit, rit, &spec, build_side, &sctx, 0).into_iter())
     }))
+}
+
+/// Dynamic demotion, the adaptive step of a shuffled join: materialize a
+/// legal build side's exchange and, when its *measured* bytes land at or
+/// under `broadcast_threshold`, re-plan the join as a broadcast join —
+/// the same batch build and probe as a planned one, streaming the other
+/// side's `children` input unshuffled. Building right is tried first (it
+/// streams the usual outer-preserved left side). The candidate plan must
+/// pass [`PlanValidator`]; a rejected rewrite keeps the shuffled plan.
+fn demote(
+    site: &JoinSite,
+    pair: &mut HashPair,
+    children: [&Lowered; 2],
+    ctx: &ExecContext,
+) -> Result<Option<RddRef<Row>>> {
+    let threshold = ctx.conf.broadcast_threshold;
+    for build in [BuildSide::Right, BuildSide::Left] {
+        if !adaptive_rules::can_demote(site.join_type, build) {
+            continue;
+        }
+        let measured = pair.measure(build, ctx)?;
+        if measured > threshold {
+            continue;
+        }
+        let Some(candidate) = adaptive_rules::broadcast_candidate(site.plan, build) else {
+            continue;
+        };
+        if !PlanValidator::new().check_physical(&candidate).is_empty() {
+            continue;
+        }
+        ctx.adaptive.record(AdaptivePlanChange {
+            node_id: site.id,
+            rule: AdaptiveRule::BroadcastDemotion,
+            description: format!(
+                "build {build:?} measured {measured} B <= broadcast threshold {threshold} B; \
+                 ShuffledHashJoin -> BroadcastHashJoin"
+            ),
+            replacement: Some(candidate),
+        });
+        let eager_start = Instant::now();
+        let rows = pair.collect(build, ctx)?;
+        let build_left = build == BuildSide::Left;
+        let (build_side, stream_side) = site.sides(build_left);
+        let dtypes: Vec<DataType> = (build_side.plan.output().iter())
+            .map(|c| c.dtype.clone())
+            .collect();
+        let table = site.broadcast(build_left, &[RowBatch::from_rows(&dtypes, &rows)], ctx)?;
+        note_eager_ns(ctx, site.id, eager_start);
+        let stream = children[usize::from(build_left)];
+        let joined = probe(stream.batches(stream_side.plan, ctx), table);
+        return Ok(Some(joined.flat_map(RowBatch::into_selected_rows)));
+    }
+    Ok(None)
 }
 
 /// The reference's broadcast join, row at a time: every stream partition
@@ -638,221 +695,6 @@ fn hash_join_partition(
         }
     }
     out
-}
-
-// ---- adaptive (stage-by-stage) execution ----
-
-/// Materialize one join side's shuffle map stage: key the lowered child,
-/// hash-partition it, run the map tasks, measure the output.
-fn materialize_join_side(
-    child: &RddRef<Row>,
-    keys: &[ValueFn],
-    partitions: usize,
-) -> Result<MaterializedShuffle<Option<Row>, Row, Row>> {
-    let size_fn: SizeFn<Option<Row>, Row> = Arc::new(pair_bytes);
-    MaterializedShuffle::create(
-        &keyed(child, keys),
-        Arc::new(HashPartitioner::new(partitions)),
-        None,
-        false,
-        Some(size_fn),
-    )
-    .map_err(engine_err)
-}
-
-/// What stage-by-stage execution made of a shuffled join.
-enum Adapted {
-    /// A legal build side measured under the broadcast threshold: the
-    /// whole join, re-planned as a broadcast join.
-    Broadcast(RddRef<Row>),
-    /// Both sides' materialized shuffles, read as co-partitioned streams
-    /// (coalesced and skew-split).
-    Reads(RddRef<Keyed>, RddRef<Keyed>),
-}
-
-/// The adaptive step of a shuffled join: materialize the candidate build
-/// side's shuffle first, and decide the rest of the plan from its
-/// *measured* size.
-///
-/// 1. **Dynamic demotion** — when a legal build side's measured bytes land
-///    at or under `broadcast_threshold`, re-plan as a broadcast join (the
-///    other side is then never shuffled at all). The candidate plan must
-///    pass [`PlanValidator`]; a rejected rewrite falls back to the
-///    shuffled plan instead of failing the query.
-/// 2. **Partition coalescing** — otherwise both sides materialize and
-///    small neighboring reduce partitions merge up to
-///    `adaptive_target_partition_bytes` per task.
-/// 3. **Skew splitting** — an un-coalesced reduce partition exceeding
-///    `adaptive_skew_factor` × the median splits into map-range
-///    sub-partitions on the legal side, replicating the other side's
-///    bucket against each.
-fn adaptive_reads(
-    site: &JoinSite,
-    lchild: &Lowered,
-    rchild: &Lowered,
-    partitions: usize,
-    ctx: &ExecContext,
-) -> Result<Adapted> {
-    let (id, join_type) = (site.id, site.join_type);
-    let (lkeys, rkeys) = (site.left.key_fns(), site.right.key_fns());
-    let threshold = ctx.conf.broadcast_threshold;
-    let target = ctx.conf.adaptive_target_partition_bytes.max(1);
-    let factor = ctx.conf.adaptive_skew_factor;
-
-    let mut lmat: Option<MaterializedShuffle<Option<Row>, Row, Row>> = None;
-    let mut rmat: Option<MaterializedShuffle<Option<Row>, Row, Row>> = None;
-
-    // Try demotion: materialize a legal build side and compare its
-    // measured bytes with the broadcast threshold. Building right is
-    // preferred (it streams the usual outer-preserved left side).
-    for build in [BuildSide::Right, BuildSide::Left] {
-        if !adaptive_rules::can_demote(join_type, build) {
-            continue;
-        }
-        let (mat_slot, child, keys) = match build {
-            BuildSide::Right => (&mut rmat, rchild, &rkeys),
-            BuildSide::Left => (&mut lmat, lchild, &lkeys),
-        };
-        if mat_slot.is_none() {
-            *mat_slot = Some(materialize_join_side(&child.rows(), keys, partitions)?);
-        }
-        let mat = mat_slot.as_ref().unwrap();
-        let measured = mat.total_bytes();
-        if measured > threshold {
-            continue;
-        }
-        let Some(candidate) = adaptive_rules::broadcast_candidate(site.plan, build) else {
-            continue;
-        };
-        // The rewrite must uphold the same invariants the static planner's
-        // output does; a rejected candidate falls back to the shuffled plan.
-        if !PlanValidator::new().check_physical(&candidate).is_empty() {
-            continue;
-        }
-        ctx.adaptive.record(AdaptivePlanChange {
-            node_id: id,
-            rule: AdaptiveRule::BroadcastDemotion,
-            description: format!(
-                "build {:?} measured {measured} B <= broadcast threshold {threshold} B; \
-                 ShuffledHashJoin -> BroadcastHashJoin",
-                build
-            ),
-            replacement: Some(candidate),
-        });
-        // The same batch build and probe as a planned broadcast join.
-        let eager_start = Instant::now();
-        let pairs = mat.read_all().try_collect().map_err(engine_err)?;
-        let rows: Vec<Row> = pairs.into_iter().map(|(_, row)| row).collect();
-        let build_left = build == BuildSide::Left;
-        let (build_side, stream_side) = site.sides(build_left);
-        let dtypes: Vec<DataType> = (build_side.plan.output().iter())
-            .map(|c| c.dtype.clone())
-            .collect();
-        let table = site.broadcast(build_left, &[RowBatch::from_rows(&dtypes, &rows)], ctx)?;
-        note_eager_ns(ctx, id, eager_start);
-        let stream = if build_left { rchild } else { lchild };
-        let joined = probe(stream.batches(stream_side.plan, ctx), table);
-        return Ok(Adapted::Broadcast(
-            joined.flat_map(RowBatch::into_selected_rows),
-        ));
-    }
-
-    // Shuffled fallback: materialize whichever sides the demotion probe
-    // did not, then plan the reduce reads from the measured sizes.
-    let lmat = match lmat {
-        Some(m) => m,
-        None => materialize_join_side(&lchild.rows(), &lkeys, partitions)?,
-    };
-    let rmat = match rmat {
-        Some(m) => m,
-        None => materialize_join_side(&rchild.rows(), &rkeys, partitions)?,
-    };
-    let lsizes = lmat.reduce_sizes();
-    let rsizes = rmat.reduce_sizes();
-    let totals: Vec<u64> = lsizes.iter().zip(&rsizes).map(|(a, b)| a + b).collect();
-    let ranges = adaptive_rules::coalesce_partitions(&totals, target);
-    let lmed = adaptive_rules::median(&lsizes);
-    let rmed = adaptive_rules::median(&rsizes);
-
-    let mut lspecs: Vec<ShuffleReadSpec> = Vec::new();
-    let mut rspecs: Vec<ShuffleReadSpec> = Vec::new();
-    let mut skew_splits = 0usize;
-    for range in &ranges {
-        // Only a partition too big to coalesce with a neighbor can be
-        // skewed; multi-reducer ranges are by construction under target.
-        if range.len() == 1 {
-            let r = range.start;
-            // Split the side that is both skewed and legal to split (its
-            // rows land in exactly one sub-partition; the other side's
-            // bucket is replicated, so it must not drive unmatched rows).
-            let split_left = adaptive_rules::can_split_side(join_type, BuildSide::Left)
-                && adaptive_rules::is_skewed(lsizes[r], lmed, factor, target);
-            let split_right = !split_left
-                && adaptive_rules::can_split_side(join_type, BuildSide::Right)
-                && adaptive_rules::is_skewed(rsizes[r], rmed, factor, target);
-            let map_ranges = if split_left {
-                adaptive_rules::split_map_ranges(&lmat.map_sizes_for(r), target)
-            } else if split_right {
-                adaptive_rules::split_map_ranges(&rmat.map_sizes_for(r), target)
-            } else {
-                vec![]
-            };
-            if map_ranges.len() > 1 {
-                skew_splits += map_ranges.len();
-                for mr in map_ranges {
-                    if split_left {
-                        lspecs.push(ShuffleReadSpec::map_range(r, mr.start, mr.end));
-                        rspecs.push(ShuffleReadSpec::reducers(r, r + 1, rmat.num_maps()));
-                    } else {
-                        lspecs.push(ShuffleReadSpec::reducers(r, r + 1, lmat.num_maps()));
-                        rspecs.push(ShuffleReadSpec::map_range(r, mr.start, mr.end));
-                    }
-                }
-                continue;
-            }
-        }
-        lspecs.push(ShuffleReadSpec::reducers(
-            range.start,
-            range.end,
-            lmat.num_maps(),
-        ));
-        rspecs.push(ShuffleReadSpec::reducers(
-            range.start,
-            range.end,
-            rmat.num_maps(),
-        ));
-    }
-
-    if ranges.len() != partitions {
-        ctx.adaptive.record(AdaptivePlanChange {
-            node_id: id,
-            rule: AdaptiveRule::CoalescePartitions,
-            description: format!(
-                "{partitions} -> {} post-shuffle partitions (target {target} B, measured {} B)",
-                ranges.len(),
-                totals.iter().sum::<u64>(),
-            ),
-            replacement: None,
-        });
-    }
-    if skew_splits > 0 {
-        ctx.adaptive.record(AdaptivePlanChange {
-            node_id: id,
-            rule: AdaptiveRule::SkewSplit,
-            description: format!(
-                "split skewed reduce partition(s) into {skew_splits} map-range sub-partitions \
-                 (factor {factor}, median {lmed}/{rmed} B)",
-            ),
-            replacement: None,
-        });
-    }
-    if let Some(pm) = &ctx.metrics {
-        let node = pm.node(id);
-        node.set_extra("adaptive_partitions", lspecs.len() as u64);
-        node.set_extra("adaptive_skew_splits", skew_splits as u64);
-    }
-
-    Ok(Adapted::Reads(lmat.read(lspecs), rmat.read(rspecs)))
 }
 
 /// Lower a `NestedLoopJoin` (inner, cross, or left outer — the planner

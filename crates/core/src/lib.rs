@@ -40,6 +40,7 @@ pub mod cache;
 pub mod conf;
 pub mod context;
 pub mod dataframe;
+mod exchange;
 pub mod execution;
 pub mod io;
 mod join;

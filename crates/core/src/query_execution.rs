@@ -14,7 +14,7 @@ use crate::execution::{execute, AdaptiveLog, ExecContext};
 use crate::plan_cache::{PlanMemo, Planned};
 use catalyst::adaptive::{self, AdaptivePlanChange};
 use catalyst::error::Result;
-use catalyst::physical::metrics::{format_ns, render_annotated, PlanMetrics};
+use catalyst::physical::metrics::{format_ns, render_annotated, render_executed, PlanMetrics};
 use catalyst::physical::PhysicalPlan;
 use catalyst::plan::LogicalPlan;
 use catalyst::row::Row;
@@ -191,8 +191,8 @@ impl QueryExecution {
     }
 
     /// Execute, gather all rows, and record the run: operator metrics
-    /// fill in, engine shuffle volume is attributed to the operators
-    /// that induced each exchange, fault-recovery activity is captured
+    /// fill in, engine shuffle volume is attributed to the Exchange node
+    /// that minted each shuffle, fault-recovery activity is captured
     /// as engine-counter deltas, and a [`QueryLogEntry`] is appended to
     /// the session query log.
     pub fn collect(&self) -> Result<Vec<Row>> {
@@ -241,9 +241,8 @@ impl QueryExecution {
             out.push_str(&render_annotated(self.physical(), &self.metrics));
         } else {
             // Adaptive execution re-planned mid-run: show what the static
-            // planner chose, each runtime decision, and what actually ran.
-            // Demotions keep the subtree shape, so the metrics registry's
-            // pre-order ids line up with the final plan.
+            // planner chose, each runtime decision, and what actually ran,
+            // each line with the metrics of the node it shows.
             out.push_str("== Initial Physical Plan ==\n");
             out.push_str(&self.physical().to_string());
             out.push_str("== Adaptive Plan Changes ==\n");
@@ -251,7 +250,8 @@ impl QueryExecution {
                 out.push_str(&format!("{c}\n"));
             }
             out.push_str("== Final Physical Plan (executed) ==\n");
-            out.push_str(&render_annotated(
+            out.push_str(&render_executed(
+                self.physical(),
                 &adaptive::final_plan(self.physical(), &changes),
                 &self.metrics,
             ));
@@ -291,8 +291,8 @@ impl QueryExecution {
         Ok(out)
     }
 
-    /// Copy engine-side per-shuffle I/O counters onto the operators that
-    /// allocated each shuffle during lowering, as `shuffle_*` extras.
+    /// Copy engine-side per-shuffle I/O counters onto the Exchange nodes
+    /// that minted each shuffle, as `shuffle_*` extras.
     fn attribute_shuffle_stats(&self) {
         let em = self.ctx.spark_context().metrics();
         for id in 0..self.metrics.len() {

@@ -1,12 +1,12 @@
 //! ORDER BY: the sort key and its one order, `Sort`, and `TakeOrdered`.
 //!
 //! `Sort` is one pipeline for every memory budget: evaluate each row's
-//! key → range-partition on sampled boundaries (the engine's
-//! [`SortedPairRdd::try_range_partition`], the same count + sample +
-//! shuffle its own `sort_by_key` runs) → [`spill::external_sort`] per
-//! partition. The budget only decides whether a partition's sort writes
+//! key → range-partition on sampled boundaries (the `Exchange` under the
+//! sort: the engine's count + sample + shuffle, as its own `sort_by_key`
+//! runs) → [`spill::external_sort`] per partition. The budget only decides whether a partition's sort writes
 //! runs to disk on the way; the rows and their order are the same.
 
+use crate::exchange::Exchange;
 use crate::execution::{bind_all, engine_err, execute_node, note_eager_ns, ExecContext};
 use crate::spill;
 use catalyst::error::Result;
@@ -16,7 +16,6 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use engine::pair::SortedPairRdd;
 use engine::RddRef;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -174,7 +173,8 @@ pub(crate) fn execute_sort(
     id: usize,
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
-    let child = execute_node(input, id + 1, ctx)?;
+    let exchange = Exchange::at(input, id + 1)?;
+    let child = execute_node(exchange.input, exchange.input_id, ctx)?;
     let keys = KeyEval::bind(orders, &input.output())?;
     let key_dtypes: Vec<DataType> = keys
         .bound
@@ -192,9 +192,7 @@ pub(crate) fn execute_sort(
         Ok(key) => (key, row),
         Err(e) => panic!("sort key failed: {e}"),
     });
-    let partitioned = keyed
-        .try_range_partition(true, ctx.conf.shuffle_partitions.max(1))
-        .map_err(engine_err)?;
+    let partitioned = exchange.range(&keyed, ctx)?;
     let sctx = ctx.spill_ctx(id);
     Ok(partitioned
         .map_partitions(move |it| Box::new(spill::external_sort(it, &layout, &sctx).map(|p| p.1))))

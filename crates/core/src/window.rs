@@ -5,6 +5,7 @@
 //! ranking, offset, and framed-aggregate calls.
 
 use crate::aggregate::AggCall;
+use crate::exchange::Exchange;
 use crate::execution::{bind_all, execute_node, value_fn, ExecContext, ValueFn};
 use crate::sort::{descending_mask, KeyedRow, SortKey};
 use crate::spill;
@@ -18,7 +19,7 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use engine::{HashPartitioner, PairRdd, Partitioner, RddRef};
+use engine::RddRef;
 use std::sync::Arc;
 
 /// One executable window call, planned from an aliased
@@ -368,23 +369,6 @@ impl Drop for WindowPartitionIter {
     }
 }
 
-/// Sends a window key where a [`HashPartitioner`] sends its PARTITION BY
-/// prefix, so the shuffle needs no copy of that prefix to key on.
-struct PrefixPartitioner {
-    prefix: usize,
-    partitions: usize,
-}
-
-impl Partitioner<SortKey> for PrefixPartitioner {
-    fn num_partitions(&self) -> usize {
-        self.partitions
-    }
-
-    fn partition(&self, key: &SortKey) -> usize {
-        HashPartitioner::new(self.partitions).partition(&&key.values()[..self.prefix])
-    }
-}
-
 /// Lower a `Window` operator: shuffle rows so each window partition is
 /// co-located, sort every engine partition by (partition keys, order
 /// keys), then walk each window partition evaluating ranking, offset, and
@@ -398,7 +382,8 @@ pub(crate) fn execute_window(
     ctx: &ExecContext,
 ) -> Result<RddRef<Row>> {
     let input_attrs = input.output();
-    let child = execute_node(input, id + 1, ctx)?;
+    let exchange = Exchange::at(input, id + 1)?;
+    let child = execute_node(exchange.input, exchange.input_id, ctx)?;
     let calls: Arc<Vec<WindowCall>> = Arc::new(
         window_exprs
             .iter()
@@ -424,14 +409,7 @@ pub(crate) fn execute_window(
 
     // Co-locate each window partition: hash shuffle on the partition
     // key, or a single engine partition when there is none.
-    let partitioned = if np == 0 {
-        keyed.coalesce(1)
-    } else {
-        keyed.partition_by(Arc::new(PrefixPartitioner {
-            prefix: np,
-            partitions: ctx.conf.shuffle_partitions.max(1),
-        }))
-    };
+    let partitioned = exchange.window(&keyed, ctx);
 
     let key_dtypes: Vec<DataType> = partition_by
         .iter()

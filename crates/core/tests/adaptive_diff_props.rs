@@ -12,6 +12,8 @@
 //! actually triggers adaptive decisions instead of vacuously comparing
 //! static runs.
 
+mod common;
+
 use catalyst::adaptive::AdaptiveRule;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -147,9 +149,7 @@ fn run(
             .expect("aggregate");
     }
     let qe = df.query_execution().expect("query_execution");
-    let mut out: Vec<String> = qe
-        .collect()
-        .expect("collect")
+    let mut out: Vec<String> = common::collect_attributed(&ctx, &qe)
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
@@ -304,6 +304,11 @@ fn explain_analyze_shows_initial_and_final_plans() {
     assert!(!fin.contains("ShuffledHashJoin"), "{text}");
     // The demoted build side's measured size is metered on the join node.
     assert!(fin.contains("build_rows="), "{text}");
+    // The broadcast join reads no exchange, and every line carries the
+    // metrics of the node it shows.
+    assert!(!fin.contains("Exchange"), "{text}");
+    assert!(fin.contains("ExternalScan rdd:fact (rows=2000,"), "{text}");
+    assert!(fin.contains("ExternalScan rdd:dim (rows=16,"), "{text}");
 
     // The plan accessor agrees with the rendering.
     assert!(format!("{}", qe.final_physical()).contains("BroadcastHashJoin"));

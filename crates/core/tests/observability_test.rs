@@ -3,6 +3,7 @@
 //! reader/writer builders.
 
 use catalyst::physical::metrics::subtree_size;
+use catalyst::physical::PhysicalPlan;
 use catalyst::value::Value;
 use catalyst::Row;
 use spark_sql::prelude::*;
@@ -75,12 +76,26 @@ fn query_execution_metrics_match_collect() {
     assert_eq!(rows.len(), expected);
     // The root operator's metered row count matches what collect saw.
     assert_eq!(qe.metrics().node(0).output_rows(), rows.len() as u64);
-    // Every operator produced rows (nothing in this plan filters to zero).
-    for id in 0..qe.metrics().len() {
-        assert!(
-            qe.metrics().node(id).output_rows() > 0,
-            "operator {id} reported no rows"
-        );
+    // Every operator produced rows (nothing in this plan filters to zero);
+    // an exchange reports the records its shuffle carried instead.
+    let mut exchange = vec![];
+    preorder_exchanges(qe.physical(), &mut exchange);
+    for (id, is_exchange) in exchange.into_iter().enumerate() {
+        let node = qe.metrics().node(id);
+        if is_exchange {
+            let read = node.extras().get("shuffle_records_read").copied();
+            assert!(read > Some(0), "exchange {id} read no records");
+        } else {
+            assert!(node.output_rows() > 0, "operator {id} reported no rows");
+        }
+    }
+}
+
+/// Whether each node of `plan`, in pre-order, is an exchange.
+fn preorder_exchanges(plan: &PhysicalPlan, out: &mut Vec<bool>) {
+    out.push(matches!(plan, PhysicalPlan::Exchange { .. }));
+    for child in plan.children() {
+        preorder_exchanges(&child, out);
     }
 }
 
@@ -362,9 +377,9 @@ fn explain_analyze_counts_groups_and_frames_on_the_batch_back_half() {
 
 /// The batch GROUP BY ships one block per map task and reducer: its
 /// HashAggregate line shows the groups the map side shipped
-/// (`partial_groups`), the groups it finished (`groups`) and the blocks
-/// that carried them (`shuffle_records_written`) — the pre-aggregation
-/// ratio at a glance.
+/// (`partial_groups`) and the groups it finished (`groups`), and the
+/// Exchange line under it the blocks that carried them
+/// (`shuffle_records_written`) — the pre-aggregation ratio at a glance.
 #[test]
 fn explain_analyze_shows_the_aggregate_exchange() {
     let ctx = SQLContext::new_local(2);
@@ -380,18 +395,69 @@ fn explain_analyze_shows_the_aggregate_exchange() {
         .sql("SELECT dept_id, count(*), sum(age) FROM users GROUP BY dept_id")
         .unwrap();
     let text = df.explain_analyze().unwrap();
-    let agg = text
-        .lines()
-        .rfind(|l| l.contains("HashAggregate"))
+    let mut lines = text.lines().skip_while(|l| !l.contains("HashAggregate"));
+    let agg = lines
+        .next()
         .unwrap_or_else(|| panic!("no aggregate in:\n{text}"));
-    for want in [
-        "(rows=4,",
-        "[groups=4]",
-        "[partial_groups=8]",
-        "[shuffle_records_written=2]",
-        "[shuffle_records_read=2]",
-    ] {
+    for want in ["(rows=4,", "[groups=4]", "[partial_groups=8]"] {
         assert!(agg.contains(want), "missing {want} in: {agg}\n{text}");
+    }
+    assert!(!agg.contains("shuffle_"), "{text}");
+    let exchange = lines.next().unwrap_or_default();
+    assert!(
+        exchange
+            .trim_start()
+            .starts_with("Exchange hashpartitioning("),
+        "{text}"
+    );
+    for want in ["[shuffle_records_written=2]", "[shuffle_records_read=2]"] {
+        assert!(
+            exchange.contains(want),
+            "missing {want} in: {exchange}\n{text}"
+        );
+    }
+}
+
+/// A shuffled join reads each side through an Exchange of its own, and
+/// each Exchange line shows that side's shuffle volume; the join line
+/// shows none.
+#[test]
+fn explain_analyze_shows_each_join_exchange() {
+    let ctx = SQLContext::new_local(2);
+    // Neither planned nor demoted to a broadcast join.
+    ctx.set_conf(|c| c.broadcast_threshold = 0);
+    for (table, column, n) in [("t", "k", 42), ("u", "k2", 30)] {
+        let schema = Arc::new(Schema::new(vec![StructField::new(
+            column,
+            DataType::Long,
+            false,
+        )]));
+        let rows = (0..n).map(|i| Row::new(vec![Value::Long(i)])).collect();
+        let rdd = ctx.spark_context().parallelize(rows, 2);
+        ctx.dataframe_from_rdd(table, schema, rdd)
+            .unwrap()
+            .register_temp_table(table);
+    }
+    let text = ctx
+        .sql("SELECT * FROM t JOIN u ON k = k2")
+        .unwrap()
+        .explain_analyze()
+        .unwrap();
+    let executed = text.split("Physical Plan (executed) ==\n").nth(1).unwrap();
+    let join = executed.lines().next().unwrap();
+    assert!(join.starts_with("ShuffledHashJoin"), "{text}");
+    assert!(!join.contains("shuffle_"), "{text}");
+    let exchanges: Vec<&str> = (executed.lines())
+        .filter(|l| l.trim_start().starts_with("Exchange hashpartitioning("))
+        .collect();
+    assert_eq!(exchanges.len(), 2, "{text}");
+    for (line, n) in exchanges.iter().zip([42, 30]) {
+        for want in [
+            format!("[shuffle_records_written={n}]"),
+            format!("[shuffle_records_read={n}]"),
+        ] {
+            assert!(line.contains(&want), "missing {want} in: {line}\n{text}");
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! order is decided by the tiebreak: partition order, then arrival order.
 
 use catalyst::expr::SortOrder;
-use catalyst::physical::PhysicalPlan;
+use catalyst::physical::{ensure_requirements, PhysicalPlan};
 use catalyst::source::{BaseRelation, MemoryTable};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -153,6 +153,8 @@ fn heap_top_n_matches_sort_then_truncate_rows_and_order() {
             }),
             n,
         };
+        let sort_under_limit =
+            ensure_requirements(&sort_under_limit, ctx.conf().shuffle_partitions);
         let exec = ExecContext::new(ctx.spark_context().clone(), ctx.conf());
         let run = |plan: &PhysicalPlan| execute(plan, &exec).unwrap().try_collect().unwrap();
         assert_eq!(run(&take_ordered), expected, "TakeOrdered, {case}");

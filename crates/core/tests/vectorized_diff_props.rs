@@ -9,6 +9,8 @@
 //! vendors only a minimal rand shim). Each iteration runs the same plan
 //! in both configurations and asserts the sorted result multisets match.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spark_sql::prelude::*;
@@ -233,9 +235,8 @@ fn run(q: &GenQuery, reference: bool) -> Vec<String> {
             .agg(vec![count_star().alias("n"), sum_agg(col("k")).alias("s")])
             .expect("aggregate");
     }
-    let mut out: Vec<String> = df
-        .collect()
-        .expect("collect")
+    let qe = df.query_execution().expect("query_execution");
+    let mut out: Vec<String> = common::collect_attributed(&ctx, &qe)
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
@@ -500,10 +501,9 @@ fn run_join(q: &JoinQuery, reference: bool) -> (Vec<String>, String) {
         on = on.and(col("lv").lt(col("rv")).or(col("ls").eq(col("rs"))));
     }
     let df = left.join(&right, q.join_type, Some(on)).unwrap();
-    let plan = format!("{}", df.query_execution().unwrap().physical());
-    let mut out: Vec<String> = df
-        .collect()
-        .unwrap()
+    let qe = df.query_execution().unwrap();
+    let plan = format!("{}", qe.physical());
+    let mut out: Vec<String> = common::collect_attributed(&ctx, &qe)
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
@@ -714,9 +714,7 @@ fn run_group(q: &GroupQuery, reference: bool) -> (Vec<String>, bool) {
         .unwrap()
         .register_temp_table("t");
     let qe = ctx.sql(&q.sql).unwrap().query_execution().unwrap();
-    let mut out: Vec<String> = qe
-        .collect()
-        .unwrap()
+    let mut out: Vec<String> = common::collect_attributed(&ctx, &qe)
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();

@@ -203,9 +203,8 @@ impl SparkContext {
     }
 
     /// Peek at the next shuffle id without allocating it. Shuffle ids are
-    /// allocated eagerly when a shuffle dependency is constructed, so the
-    /// SQL layer can snapshot this before and after lowering one operator
-    /// to learn which shuffles that operator induced.
+    /// allocated eagerly when a shuffle dependency is constructed, so a
+    /// snapshot before and after a job bounds the shuffles it minted.
     pub fn current_shuffle_id(&self) -> usize {
         self.inner.next_shuffle_id.load(Ordering::Relaxed)
     }

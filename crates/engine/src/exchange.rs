@@ -124,11 +124,6 @@ where
         self.num_maps
     }
 
-    /// Number of reduce buckets per map output.
-    pub fn num_reduce(&self) -> usize {
-        self.num_reduce
-    }
-
     /// Measured bytes per bucket, indexed `[map][reduce]`.
     pub fn map_output_sizes(&self) -> Vec<Vec<u64>> {
         self.ctx

@@ -360,8 +360,8 @@ impl Strategy for IntervalJoinStrategy {
                 return Ok(Some(PhysicalPlan::Extension {
                     exec: Arc::new(exec),
                     children: vec![
-                        Arc::new(planner.plan(left)?),
-                        Arc::new(planner.plan(right)?),
+                        Arc::new(planner.plan_child(left)?),
+                        Arc::new(planner.plan_child(right)?),
                     ],
                 }));
             }
