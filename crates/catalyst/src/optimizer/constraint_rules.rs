@@ -1,10 +1,11 @@
 //! Constraint-driven optimizations: rules that consume the bottom-up
 //! abstract interpretation in [`crate::analysis::constraints`].
 //!
-//! These run as a separate optimizer phase *after* the standard batches
-//! (production runs it, the reference does not), because they want to see
-//! the plan in its settled shape — filters combined and pushed, casts
-//! simplified — before reasoning about nullability and value domains.
+//! Their batch runs *after* the operator batch (production runs it, the
+//! reference does not), because they want to see the plan in its settled
+//! shape — constants folded, filters combined and pushed — before
+//! reasoning about nullability and value domains. They are the only rules
+//! that prune filters.
 //!
 //! Soundness notes that every rule here leans on:
 //!
@@ -20,7 +21,7 @@
 //!   prune it.
 
 use crate::analysis::constraints::{
-    self, determine, lossless_cast, null_rejected_columns, Determination, NodeFacts,
+    self, determine, null_rejected_columns, Determination, NodeFacts,
 };
 use crate::expr::{BinaryOperator, ColumnRef, Expr};
 use crate::plan::{JoinType, LogicalPlan};
@@ -311,90 +312,6 @@ impl Rule<LogicalPlan> for SimplifyDomainComparisons {
     }
 }
 
-// ---------------------------------------------------------------------------
-// UnwrapLosslessCasts
-// ---------------------------------------------------------------------------
-
-/// Rewrite `CAST(e AS wider) <op> literal` to `e <op> literal'` when the
-/// cast is lossless (`Int→Long`, `Int→Double`, `Float→Double`) and the
-/// literal round-trips exactly through the narrower type. This exposes
-/// the raw column to domain refinement and lets comparison filters push
-/// down to scans in the column's native type.
-pub struct UnwrapLosslessCasts;
-
-/// Cast `v` to `narrow` if casting it back yields exactly `v`.
-fn round_trip(
-    v: &Value,
-    narrow: &crate::types::DataType,
-    wide: &crate::types::DataType,
-) -> Option<Value> {
-    let narrowed = v.cast_to(narrow).ok()?;
-    if narrowed.is_null() {
-        return None;
-    }
-    let back = narrowed.cast_to(wide).ok()?;
-    if &back == v {
-        Some(narrowed)
-    } else {
-        None
-    }
-}
-
-fn unwrap_side(cast_side: &Expr, lit_side: &Expr) -> Option<(Expr, Expr)> {
-    let Expr::Cast { expr, dtype } = cast_side else {
-        return None;
-    };
-    let Expr::Literal(v) = lit_side else {
-        return None;
-    };
-    let src = expr.data_type().ok()?;
-    if !lossless_cast(&src, dtype) || src == *dtype {
-        return None;
-    }
-    let narrowed = round_trip(v, &src, dtype)?;
-    Some(((**expr).clone(), Expr::Literal(narrowed)))
-}
-
-impl Rule<LogicalPlan> for UnwrapLosslessCasts {
-    fn name(&self) -> &str {
-        "UnwrapLosslessCasts"
-    }
-
-    fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_all_expressions(&mut |e| {
-            let Expr::BinaryOp { left, op, right } = &e else {
-                return Transformed::no(e);
-            };
-            if !matches!(
-                op,
-                BinaryOperator::Eq
-                    | BinaryOperator::NotEq
-                    | BinaryOperator::Lt
-                    | BinaryOperator::LtEq
-                    | BinaryOperator::Gt
-                    | BinaryOperator::GtEq
-            ) {
-                return Transformed::no(e);
-            }
-            if let Some((col, l)) = unwrap_side(left, right) {
-                return Transformed::yes(Expr::BinaryOp {
-                    left: Box::new(col),
-                    op: *op,
-                    right: Box::new(l),
-                });
-            }
-            if let Some((col, l)) = unwrap_side(right, left) {
-                return Transformed::yes(Expr::BinaryOp {
-                    left: Box::new(l),
-                    op: *op,
-                    right: Box::new(col),
-                });
-            }
-            Transformed::no(e)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,33 +468,5 @@ mod tests {
             panic!("expected alias: {:?}", exprs[0]);
         };
         assert_eq!(**expr, Expr::Literal(Value::Boolean(true)), "{rewritten:?}");
-    }
-
-    #[test]
-    fn lossless_cast_comparison_unwraps() {
-        let (p, out) = leaf(&[("i", DataType::Int, true)], vec![]);
-        let i = out[0].clone();
-        let cast = Expr::Cast {
-            expr: Box::new(Expr::Column(i.clone())),
-            dtype: DataType::Long,
-        };
-        let plan = p.clone().filter(cast.gt(lit(5i64)));
-        let rewritten = UnwrapLosslessCasts.apply(plan).data;
-        let LogicalPlan::Filter { predicate, .. } = &rewritten else {
-            panic!("expected filter: {rewritten:?}");
-        };
-        assert_eq!(
-            *predicate,
-            Expr::Column(i.clone()).gt(Expr::Literal(Value::Int(5)))
-        );
-
-        // A literal that does not round-trip is left alone.
-        let cast = Expr::Cast {
-            expr: Box::new(Expr::Column(i)),
-            dtype: DataType::Double,
-        };
-        let plan = p.filter(cast.clone().gt(Expr::Literal(Value::Double(5.5))));
-        let kept = UnwrapLosslessCasts.apply(plan);
-        assert!(!kept.changed, "{:?}", kept.data);
     }
 }

@@ -2,15 +2,16 @@
 //! reordering by estimated cardinality, aggregates answered from source
 //! statistics, and common-subexpression elimination.
 //!
-//! All three run in [`super::Optimizer::cbo_phase`], after the standard
-//! and constraint batches, under the same [`crate::validation`] monitor
-//! — a rewrite that breaks a plan invariant is rolled back. Estimates
+//! All three sit after the constraint batch in [`super::Optimizer`]'s one
+//! rule list, under the same [`crate::validation`] monitor — a rewrite
+//! that breaks a plan invariant is rolled back. Estimates
 //! come from [`crate::cost`]; they pick *plans*, never results, so a bad
 //! estimate costs performance (and adaptive execution claws some of it
 //! back at runtime) but never correctness.
 
 use crate::cost::{self, StatsIndex};
 use crate::expr::{AggFunc, ColumnRef, Expr, ExprId};
+use crate::optimizer::expr_rules::is_null_literal;
 use crate::optimizer::plan_rules::{conjunction, split_conjuncts};
 use crate::plan::{JoinType, LogicalPlan};
 use crate::row::Row;
@@ -399,17 +400,18 @@ impl Rule<LogicalPlan> for AggregateFromStats {
 /// evaluated once per row instead of once per occurrence.
 ///
 /// Only deterministic, side-effect-free expressions are hoisted (no
-/// UDFs, aggregates, or window functions). The CBO cleanup batch
-/// deliberately omits `CollapseProjects` and `PushDownPredicate`, which
-/// would inline the hoisted expressions right back.
+/// UDFs, aggregates, or window functions). It runs last, after the
+/// operator batch, whose `CollapseProjects` and `PushDownPredicate` would
+/// inline the hoisted expressions right back.
 pub struct CommonSubexprElimination;
 
-/// Cheap leaf expressions that are never worth hoisting.
+/// Cheap leaf expressions that are never worth hoisting; a typed NULL
+/// counts as a literal.
 fn trivial(e: &Expr) -> bool {
     matches!(
         e,
         Expr::Literal(_) | Expr::Column(_) | Expr::BoundRef { .. } | Expr::Wildcard { .. }
-    )
+    ) || is_null_literal(e)
 }
 
 /// Expressions that may not be duplicated-or-hoisted safely.

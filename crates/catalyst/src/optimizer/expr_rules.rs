@@ -1,6 +1,6 @@
 //! Expression-level optimization rules (§4.3.2): constant folding, null
-//! propagation, Boolean simplification, cast simplification, LIKE
-//! simplification, and the paper's `DecimalAggregates` showcase rule.
+//! propagation, Boolean simplification, LIKE simplification, and the
+//! paper's `DecimalAggregates` showcase rule.
 
 use crate::expr::{BinaryOperator, Expr};
 use crate::interpreter;
@@ -10,6 +10,29 @@ use crate::rules::Rule;
 use crate::tree::Transformed;
 use crate::types::DataType;
 use crate::value::Value;
+
+/// A NULL of type `dtype`. A bare NULL literal types as `Null`, so a
+/// rewrite that turns a typed expression into NULL keeps a cast around
+/// it, and the output keeps its type.
+fn typed_null(dtype: DataType) -> Expr {
+    let null = Expr::Literal(Value::Null);
+    if dtype == DataType::Null {
+        null
+    } else {
+        Expr::Cast {
+            expr: Box::new(null),
+            dtype,
+        }
+    }
+}
+
+/// A NULL literal, bare or typed by [`typed_null`].
+pub(crate) fn is_null_literal(e: &Expr) -> bool {
+    match e {
+        Expr::Cast { expr, .. } => matches!(**expr, Expr::Literal(Value::Null)),
+        e => matches!(e, Expr::Literal(Value::Null)),
+    }
+}
 
 /// Evaluate subexpressions with no attribute references at plan time.
 pub struct ConstantFolding;
@@ -26,21 +49,23 @@ impl Rule<LogicalPlan> for ConstantFolding {
             // literal silently drops the column from `output()`. The
             // alias's child has already been folded by the bottom-up
             // traversal.
-            if matches!(e, Expr::Literal(_) | Expr::Alias { .. })
-                || !e.is_resolved()
-                || !e.foldable()
-            {
+            // A typed NULL is as folded as it gets.
+            let folded = matches!(e, Expr::Literal(_) | Expr::Alias { .. }) || is_null_literal(&e);
+            if folded || !e.is_resolved() || !e.foldable() {
                 return Transformed::no(e);
             }
-            match interpreter::eval(&e, &Row::empty()) {
-                Ok(v) => Transformed::yes(Expr::Literal(v)),
-                Err(_) => Transformed::no(e), // leave runtime errors to runtime
+            match (interpreter::eval(&e, &Row::empty()), e.data_type()) {
+                (Ok(Value::Null), Ok(dtype)) => Transformed::yes(typed_null(dtype)),
+                (Ok(v), _) => Transformed::yes(Expr::Literal(v)),
+                // Leave runtime errors to runtime.
+                (Err(_), _) => Transformed::no(e),
             }
         })
     }
 }
 
-/// `x + NULL → NULL`, `IS NULL(non-nullable) → false`, etc.
+/// `x + NULL → NULL` (of the sum's type), `IS NULL(non-nullable) →
+/// false`, etc.
 pub struct NullPropagation;
 
 impl Rule<LogicalPlan> for NullPropagation {
@@ -50,13 +75,17 @@ impl Rule<LogicalPlan> for NullPropagation {
 
     fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
         plan.transform_all_expressions(&mut |e| match e {
-            // Arithmetic/comparison with a NULL literal operand is NULL.
-            Expr::BinaryOp { left, op, right }
-                if !op.is_boolean()
-                    && (matches!(*left, Expr::Literal(Value::Null))
-                        || matches!(*right, Expr::Literal(Value::Null))) =>
-            {
-                Transformed::yes(Expr::Literal(Value::Null))
+            // Arithmetic/comparison with a NULL literal operand (bare or
+            // typed) is NULL, so `(x + NULL) + y` folds all the way.
+            Expr::BinaryOp {
+                ref left,
+                op,
+                ref right,
+            } if !op.is_boolean() && (is_null_literal(left) || is_null_literal(right)) => {
+                match e.data_type() {
+                    Ok(dtype) => Transformed::yes(typed_null(dtype)),
+                    Err(_) => Transformed::no(e),
+                }
             }
             Expr::IsNull(inner) => match &*inner {
                 Expr::Literal(v) => Transformed::yes(Expr::Literal(Value::Boolean(v.is_null()))),
@@ -144,25 +173,6 @@ impl Rule<LogicalPlan> for BooleanSimplification {
                     op: BinaryOperator::Eq,
                     right,
                 }),
-            },
-            other => Transformed::no(other),
-        })
-    }
-}
-
-/// Remove casts to the expression's own type.
-pub struct SimplifyCasts;
-
-impl Rule<LogicalPlan> for SimplifyCasts {
-    fn name(&self) -> &str {
-        "SimplifyCasts"
-    }
-
-    fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_all_expressions(&mut |e| match e {
-            Expr::Cast { expr, dtype } => match expr.data_type() {
-                Ok(t) if t == dtype => Transformed::yes(*expr),
-                _ => Transformed::no(Expr::Cast { expr, dtype }),
             },
             other => Transformed::no(other),
         })

@@ -1,5 +1,26 @@
 //! Logical optimization (§4.3.2): rule-based rewrites over resolved
 //! plans, executed in fixed-point batches.
+//!
+//! The optimizer is one list of batches, run by one executor loop:
+//!
+//! 1. `Finish Analysis`, once: drop subquery aliases.
+//! 2. `Operator Optimizations`, to a fixed point: the expression and
+//!    operator rewrites.
+//! 3. User batches ([`Optimizer::add_batch`]). **The reference stops
+//!    here.**
+//! 4. `Constraint Optimizations`, to a fixed point: rules that read the
+//!    [`crate::analysis::constraints`] abstract interpretation, once the
+//!    plan has settled.
+//! 5. `Operator Optimizations` again — the same batch, no copy — if a
+//!    rewrite was kept since it last ran (step 4, or a user batch), to
+//!    fold, push and prune what that exposed. Join reordering needs the
+//!    inferred `IS NOT NULL` filters pushed first.
+//! 6. `Statistics`, once: aggregates answered from source statistics,
+//!    then join reordering, so estimates see the settled plan.
+//! 7. `Operator Optimizations` again if step 6 changed the plan: it
+//!    collapses and narrows the projections around reordered joins.
+//! 8. `Subexpression Elimination`, once and last: `CollapseProjects` and
+//!    `PushDownPredicate` would inline what it hoists.
 
 pub mod constraint_rules;
 pub mod cost_rules;
@@ -9,29 +30,33 @@ pub mod window_rules;
 
 pub use constraint_rules::{
     InferIsNotNullFilters, PropagateEmptyRelations, PruneConstrainedFilters,
-    SimplifyDomainComparisons, UnwrapLosslessCasts,
+    SimplifyDomainComparisons,
 };
 pub use cost_rules::{AggregateFromStats, CommonSubexprElimination, ReorderJoins};
 pub use expr_rules::{
-    BooleanSimplification, ConstantFolding, DecimalAggregates, NullPropagation, SimplifyCasts,
-    SimplifyLike,
+    BooleanSimplification, ConstantFolding, DecimalAggregates, NullPropagation, SimplifyLike,
 };
 pub use plan_rules::{
     conjunction, split_conjuncts, CollapseProjects, ColumnPruning, CombineFilters, CombineLimits,
-    EliminateSubqueryAliases, PruneFilters, PushDownLimit, PushDownPredicate,
+    EliminateSubqueryAliases, PushDownLimit, PushDownPredicate,
 };
 pub use window_rules::NarrowWindowFrames;
 
 use crate::plan::LogicalPlan;
 use crate::rules::{
-    Batch, ExecutionMonitor, InvariantViolation, RuleExecutor, RuleHealthReport, TraceEvent,
+    Batch, ExecutionMonitor, InvariantViolation, Rule, RuleExecutor, RuleHealthReport, TraceEvent,
 };
 use crate::validation::PlanValidator;
 
-/// The logical optimizer: a rule executor with the standard batches plus
-/// any user-registered extension batches (§4.4).
+const OPERATOR_OPTIMIZATIONS: &str = "Operator Optimizations";
+
+/// The logical optimizer: one rule list, plus any user-registered
+/// extension batches (§4.4) in the middle of it.
 pub struct Optimizer {
     executor: RuleExecutor<LogicalPlan>,
+    /// How many batches the reference runs: `Finish Analysis`,
+    /// `Operator Optimizations` and the user batches.
+    reference_batches: usize,
 }
 
 impl Default for Optimizer {
@@ -41,21 +66,19 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Standard rule batches.
+    /// The rule list, in the order of the module documentation.
     pub fn new() -> Self {
         let executor = RuleExecutor::new(vec![
             Batch::once("Finish Analysis", vec![Box::new(EliminateSubqueryAliases)]),
             Batch::fixed_point(
-                "Operator Optimizations",
+                OPERATOR_OPTIMIZATIONS,
                 vec![
                     Box::new(ConstantFolding),
                     Box::new(NullPropagation),
                     Box::new(BooleanSimplification),
-                    Box::new(SimplifyCasts),
                     Box::new(SimplifyLike),
                     Box::new(CombineFilters),
                     Box::new(PushDownPredicate),
-                    Box::new(PruneFilters),
                     Box::new(CollapseProjects),
                     Box::new(ColumnPruning),
                     Box::new(CombineLimits),
@@ -64,81 +87,50 @@ impl Optimizer {
                     Box::new(NarrowWindowFrames),
                 ],
             ),
-        ]);
-        Optimizer { executor }
-    }
-
-    /// The constraint-driven phase (production only, not the reference):
-    /// rules consuming the [`crate::analysis::constraints`] abstract
-    /// interpretation, followed by a cleanup pass of the standard rules
-    /// to fold the literals and collapse the filters the constraint
-    /// rules expose. Runs as a separate executor *after* [`Optimizer::new`]
-    /// so it sees the settled plan shape.
-    pub fn constraint_phase() -> Self {
-        let executor = RuleExecutor::new(vec![
             Batch::fixed_point(
                 "Constraint Optimizations",
                 vec![
-                    Box::new(UnwrapLosslessCasts),
                     Box::new(SimplifyDomainComparisons),
                     Box::new(InferIsNotNullFilters),
                     Box::new(PruneConstrainedFilters),
                     Box::new(PropagateEmptyRelations),
                 ],
             ),
-            Batch::fixed_point(
-                "Constraint Cleanup",
-                vec![
-                    Box::new(ConstantFolding),
-                    Box::new(BooleanSimplification),
-                    Box::new(CombineFilters),
-                    Box::new(PushDownPredicate),
-                    Box::new(PruneFilters),
-                    Box::new(CollapseProjects),
-                    Box::new(ColumnPruning),
-                ],
-            ),
-        ]);
-        Optimizer { executor }
-    }
-
-    /// The cost-based phase (production only): statistics-driven
-    /// join reordering, aggregates answered from source statistics, and
-    /// common-subexpression elimination, followed by a cleanup pass.
-    /// Runs after [`Optimizer::constraint_phase`] so estimates see the
-    /// settled plan. The cleanup batch deliberately omits
-    /// `CollapseProjects` and `PushDownPredicate`: both would inline the
-    /// subexpressions CSE just hoisted.
-    pub fn cbo_phase() -> Self {
-        let executor = RuleExecutor::new(vec![
+            Batch::rerun(OPERATOR_OPTIMIZATIONS),
             Batch::once(
-                "CBO Statistics Aggregates",
-                vec![Box::new(AggregateFromStats)],
+                "Statistics",
+                vec![Box::new(AggregateFromStats), Box::new(ReorderJoins)],
             ),
-            Batch::once("CBO Join Reordering", vec![Box::new(ReorderJoins)]),
+            Batch::rerun(OPERATOR_OPTIMIZATIONS),
             Batch::once(
-                "CBO Subexpression Elimination",
+                "Subexpression Elimination",
                 vec![Box::new(CommonSubexprElimination)],
             ),
-            Batch::fixed_point(
-                "CBO Cleanup",
-                vec![
-                    Box::new(ConstantFolding),
-                    Box::new(BooleanSimplification),
-                    Box::new(PruneFilters),
-                    Box::new(ColumnPruning),
-                ],
-            ),
         ]);
-        Optimizer { executor }
+        Optimizer {
+            executor,
+            reference_batches: 2,
+        }
     }
 
-    /// Append a user batch (extension point).
+    /// Add a user batch (extension point). It runs after the earlier user
+    /// batches, in the reference too.
     pub fn add_batch(&mut self, batch: Batch<LogicalPlan>) {
-        self.executor.add_batch(batch);
+        self.executor.insert_batch(self.reference_batches, batch);
+        self.reference_batches += 1;
     }
 
-    /// Optimize a resolved plan.
+    /// Every rule in the list, in order, user batches included. A batch
+    /// that reruns another holds no rules, so each rule appears once.
+    pub fn rules(&self) -> impl Iterator<Item = &dyn Rule<LogicalPlan>> + '_ {
+        self.executor
+            .batches()
+            .iter()
+            .flat_map(|b| b.rules.iter().map(|r| r.as_ref()))
+    }
+
+    /// Optimize a resolved plan: the whole list, or with `reference` the
+    /// prefix the reference runs.
     ///
     /// When plan validation is enabled ([`crate::validation::enabled`] —
     /// default in debug builds, `CATALYST_VALIDATE=1` in release), every
@@ -146,52 +138,44 @@ impl Optimizer {
     /// a full report (batch, rule, iteration, invariant, plan diff) if
     /// any rule breaks a plan invariant. Use [`Optimizer::optimize_monitored`]
     /// for a non-panicking variant that returns the violations.
-    pub fn optimize(&self, plan: LogicalPlan) -> LogicalPlan {
-        if crate::validation::enabled() {
-            let out = self.optimize_monitored(plan);
-            if !out.violations.is_empty() {
-                let mut report = String::from("optimizer rule broke a plan invariant:\n");
-                for v in &out.violations {
-                    report.push_str(&v.to_string());
-                    report.push('\n');
-                }
-                panic!("{report}");
-            }
-            out.plan
+    pub fn optimize(&self, plan: LogicalPlan, reference: bool) -> LogicalPlan {
+        let validator = PlanValidator::new();
+        let monitor = if crate::validation::enabled() {
+            ExecutionMonitor::with_validator(&validator)
         } else {
-            self.executor.execute(plan, None)
+            ExecutionMonitor::silent()
+        };
+        let out = self.optimize_monitored(plan, reference, monitor);
+        if !out.violations.is_empty() {
+            let mut report = String::from("optimizer rule broke a plan invariant:\n");
+            for v in &out.violations {
+                report.push_str(&v.to_string());
+                report.push('\n');
+            }
+            panic!("{report}");
         }
+        out.plan
     }
 
-    /// Optimize while recording which rules fired (for EXPLAIN-style
-    /// tracing).
-    pub fn optimize_traced(&self, plan: LogicalPlan) -> (LogicalPlan, Vec<TraceEvent>) {
-        let mut trace = Vec::new();
-        let out = self.executor.execute(plan, Some(&mut trace));
-        (out, trace)
-    }
-
-    /// Optimize under a caller-supplied [`ExecutionMonitor`] — the
-    /// building block behind [`Optimizer::optimize_monitored`] for
-    /// callers that want health counters without validation (pass
-    /// `ExecutionMonitor::new()`) or want to keep the monitor around.
-    pub fn optimize_with(
-        &self,
-        plan: LogicalPlan,
-        monitor: &mut ExecutionMonitor<'_, LogicalPlan>,
-    ) -> LogicalPlan {
-        self.executor.execute_monitored(plan, monitor)
-    }
-
-    /// Optimize under full monitoring: per-rule health counters, a
-    /// plan-change log, and invariant validation with rollback. A rewrite
+    /// Optimize under `monitor`, which decides what is recorded: nothing
+    /// ([`ExecutionMonitor::silent`]), per-rule health and the trace
+    /// ([`ExecutionMonitor::new`]), or all that plus invariant validation
+    /// with rollback ([`ExecutionMonitor::with_validator`]). A rewrite
     /// that violates an invariant is discarded (the plan keeps its
     /// pre-rule shape) and reported in [`OptimizeOutcome::violations`];
     /// this never panics.
-    pub fn optimize_monitored(&self, plan: LogicalPlan) -> OptimizeOutcome {
-        let validator = PlanValidator::new();
-        let mut monitor = ExecutionMonitor::with_validator(&validator);
-        let plan = self.executor.execute_monitored(plan, &mut monitor);
+    pub fn optimize_monitored(
+        &self,
+        plan: LogicalPlan,
+        reference: bool,
+        mut monitor: ExecutionMonitor<'_, LogicalPlan>,
+    ) -> OptimizeOutcome {
+        let batches = if reference {
+            self.reference_batches
+        } else {
+            self.executor.batches().len()
+        };
+        let plan = self.executor.execute_monitored(batches, plan, &mut monitor);
         OptimizeOutcome {
             plan,
             trace: monitor.trace,
@@ -266,7 +250,7 @@ mod tests {
                 .project(vec![col("x").add(lit(1i64).add(lit(2i64))).alias("y")]),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut saw_three = false;
         opt.for_each(&mut |p| {
             for e in p.expressions() {
@@ -280,32 +264,51 @@ mod tests {
         assert!(saw_three, "{opt}");
     }
 
+    /// `t(x)` with two rows, so the constraint rules see a real domain.
+    fn table_with_rows() -> LogicalPlan {
+        LogicalPlan::LocalRelation {
+            output: vec![ColumnRef::new("x", DataType::Long, false)],
+            rows: Arc::new(vec![
+                Row::new(vec![Value::Long(1)]),
+                Row::new(vec![Value::Long(9)]),
+            ]),
+        }
+    }
+
     #[test]
     fn filter_true_is_removed_filter_false_becomes_empty() {
-        let t = table(&[("x", DataType::Long)]);
-        let plan = analyze(
-            LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(lit(1i64).lt(lit(2i64))),
-            vec![("t", t.clone())],
-        );
-        let opt = Optimizer::new().optimize(plan);
-        assert_eq!(
-            count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
-            0
-        );
-
-        let plan = analyze(
-            LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(lit(1i64).gt(lit(2i64))),
-            vec![("t", t)],
-        );
-        let opt = Optimizer::new().optimize(plan);
-        assert_eq!(
+        // The operator batch folds each predicate to a literal, which the
+        // reference evaluates row by row; production then drops the
+        // `true` filter and empties the plan under the `false` one.
+        let predicates = |p: &LogicalPlan| {
+            let mut out = Vec::new();
+            p.for_each(&mut |p| {
+                if let LogicalPlan::Filter { predicate, .. } = p {
+                    out.push(predicate.clone());
+                }
+            });
+            out
+        };
+        let empty = |p: &LogicalPlan| {
             count_nodes(
-                &opt,
-                |p| matches!(p, LogicalPlan::LocalRelation { rows, .. } if rows.is_empty())
-            ),
-            1,
-            "{opt}"
-        );
+                p,
+                |p| matches!(p, LogicalPlan::LocalRelation { rows, .. } if rows.is_empty()),
+            )
+        };
+        for (predicate, folded) in [
+            (lit(1i64).lt(lit(2i64)), true),
+            (lit(1i64).gt(lit(2i64)), false),
+        ] {
+            let plan = analyze(
+                LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(predicate),
+                vec![("t", table_with_rows())],
+            );
+            let opt = Optimizer::new().optimize(plan.clone(), true);
+            assert_eq!(predicates(&opt), vec![lit(folded)], "{opt}");
+            let opt = Optimizer::new().optimize(plan, false);
+            assert!(predicates(&opt).is_empty(), "{opt}");
+            assert_eq!(empty(&opt), usize::from(!folded), "{opt}");
+        }
     }
 
     #[test]
@@ -315,7 +318,7 @@ mod tests {
             LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(col("s").like(lit("abc%"))),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut saw = false;
         opt.for_each(&mut |p| {
             for e in p.expressions() {
@@ -343,7 +346,7 @@ mod tests {
                 .filter(col("s").like(lit("%mid%")).and(col("s").like(lit("exact")))),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let (mut contains, mut eq) = (false, false);
         opt.for_each(&mut |p| {
             for e in p.expressions() {
@@ -384,7 +387,7 @@ mod tests {
                 .filter(col("x").gt(lit(5i64))),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let proj_depth = depth_of(&opt, &|p| matches!(p, LogicalPlan::Project { .. }), 0);
         let filter_depth = depth_of(&opt, &|p| matches!(p, LogicalPlan::Filter { .. }), 0);
         match (proj_depth, filter_depth) {
@@ -411,7 +414,7 @@ mod tests {
             join.filter(col("a").gt(lit(1i64)).and(col("b").lt(lit(10i64)))),
             vec![("l", l), ("r", r)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         fn top_filter(p: &LogicalPlan) -> bool {
             match p {
                 LogicalPlan::Filter { input, .. } => matches!(&**input, LogicalPlan::Join { .. }),
@@ -440,7 +443,7 @@ mod tests {
                 .project(vec![col("a")]),
             vec![("l", l), ("r", r)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut join_input_widths = vec![];
         opt.for_each(&mut |p| {
             if let LogicalPlan::Join { left, right, .. } = p {
@@ -509,7 +512,7 @@ mod tests {
                 .aggregate(vec![], vec![sum(col("d")).alias("s")]),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut saw_make_decimal = false;
         let mut saw_unscaled = false;
         opt.for_each(&mut |p| {
@@ -536,7 +539,7 @@ mod tests {
                 .aggregate(vec![], vec![sum(col("d")).alias("s")]),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut saw_make_decimal = false;
         opt.for_each(&mut |p| {
             for e in p.expressions() {
@@ -560,7 +563,7 @@ mod tests {
                 .limit(10),
             vec![("t", t)],
         );
-        let opt = Optimizer::new().optimize(plan);
+        let opt = Optimizer::new().optimize(plan, true);
         let mut limits = vec![];
         opt.for_each(&mut |p| {
             if let LogicalPlan::Limit { n, .. } = p {
@@ -590,7 +593,7 @@ mod tests {
                 })
             }))],
         ));
-        let out = opt.optimize(plan);
+        let out = opt.optimize(plan, true);
         let mut limits = vec![];
         out.for_each(&mut |p| {
             if let LogicalPlan::Limit { n, .. } = p {
@@ -602,13 +605,60 @@ mod tests {
 
     #[test]
     fn trace_reports_fired_rules() {
-        let t = table(&[("x", DataType::Long)]);
         let plan = analyze(
             LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(lit(1i64).lt(lit(2i64))),
-            vec![("t", t)],
+            vec![("t", table_with_rows())],
         );
-        let (_, trace) = Optimizer::new().optimize_traced(plan);
-        assert!(trace.iter().any(|e| e.rule == "ConstantFolding"));
-        assert!(trace.iter().any(|e| e.rule == "PruneFilters"));
+        let out = Optimizer::new().optimize_monitored(plan, false, ExecutionMonitor::new());
+        assert!(out.trace.iter().any(|e| e.rule == "ConstantFolding"));
+        assert!(out
+            .trace
+            .iter()
+            .any(|e| e.rule == "PruneConstrainedFilters"));
+    }
+
+    #[test]
+    fn one_list_of_twenty_rules_each_in_one_slot() {
+        let opt = Optimizer::new();
+        let mut names: Vec<&str> = opt.rules().map(|r| r.name()).collect();
+        assert_eq!(names.len(), 20, "{names:?}");
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 20, "a rule sits in two batches");
+    }
+
+    #[test]
+    fn the_reference_runs_a_prefix_that_ends_with_the_user_batches() {
+        use crate::rules::FnRule;
+        let plan = analyze(
+            LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(col("x").gt(lit(5i64))),
+            vec![("t", table_with_rows())],
+        );
+        let mut opt = Optimizer::new();
+        opt.add_batch(Batch::once(
+            "user",
+            vec![Box::new(FnRule::new("Noop", Transformed::no))],
+        ));
+        let batches = |reference: bool| {
+            let out = opt.optimize_monitored(plan.clone(), reference, ExecutionMonitor::new());
+            let mut names: Vec<String> = out.health.rules.iter().map(|h| h.batch.clone()).collect();
+            names.dedup();
+            names
+        };
+        assert_eq!(
+            batches(true),
+            ["Finish Analysis", "Operator Optimizations", "user"]
+        );
+        assert_eq!(
+            batches(false),
+            [
+                "Finish Analysis",
+                "Operator Optimizations",
+                "user",
+                "Constraint Optimizations",
+                "Statistics",
+                "Subexpression Elimination",
+            ]
+        );
     }
 }

@@ -5,7 +5,6 @@ use crate::expr::{BinaryOperator, ColumnRef, Expr, ExprId};
 use crate::plan::{JoinType, LogicalPlan};
 use crate::rules::Rule;
 use crate::tree::{Transformed, TreeNode};
-use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -110,29 +109,6 @@ impl Rule<LogicalPlan> for CombineFilters {
                     input: inner.clone(),
                     predicate: inner_pred.clone().and(predicate),
                 }),
-                _ => Transformed::no(LogicalPlan::Filter { input, predicate }),
-            },
-            other => Transformed::no(other),
-        })
-    }
-}
-
-/// Remove always-true filters; replace always-false/null filters with an
-/// empty relation.
-pub struct PruneFilters;
-
-impl Rule<LogicalPlan> for PruneFilters {
-    fn name(&self) -> &str {
-        "PruneFilters"
-    }
-
-    fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_up(&mut |p| match p {
-            LogicalPlan::Filter { input, predicate } => match &predicate {
-                Expr::Literal(Value::Boolean(true)) => Transformed::yes((*input).clone()),
-                Expr::Literal(Value::Boolean(false)) | Expr::Literal(Value::Null) => {
-                    Transformed::yes(LogicalPlan::empty(input.output()))
-                }
                 _ => Transformed::no(LogicalPlan::Filter { input, predicate }),
             },
             other => Transformed::no(other),

@@ -7,14 +7,16 @@
 //! its rules changes nothing, or when the iteration cap is hit (a safety
 //! valve against non-converging rule sets).
 //!
-//! Beyond plain execution, the executor supports *monitored* execution
-//! ([`RuleExecutor::execute_monitored`]): every rule application is
-//! counted into a [`RuleHealthReport`], each change can be checked by a
-//! [`RuleValidator`] as a per-rule post-condition (a rewrite that breaks a
-//! plan invariant is rolled back and reported as an
-//! [`InvariantViolation`] with a structural before/after diff), rules are
-//! probed for idempotence, and batches that exhaust `max_iterations`
-//! without converging are recorded instead of silently truncated.
+//! There is one loop, [`RuleExecutor::execute_monitored`], and an
+//! [`ExecutionMonitor`] decides what it observes. A silent monitor
+//! records nothing, so the walk costs only the rules. A recording one
+//! counts every rule application into a [`RuleHealthReport`] and logs
+//! every fire. A validating one also checks each change as a per-rule
+//! post-condition (a rewrite that breaks a plan invariant is rolled back
+//! and reported as an [`InvariantViolation`] with a structural
+//! before/after diff) and probes rules for idempotence. Batches that
+//! exhaust `max_iterations` without converging are recorded instead of
+//! silently truncated.
 
 use crate::tree::Transformed;
 
@@ -64,6 +66,11 @@ pub enum Strategy {
         /// Iteration cap.
         max_iterations: usize,
     },
+    /// Run the first batch of the same name again — its rules, not a
+    /// copy of them — if the tree changed since that batch last ran.
+    /// A batch at its fixed point would change nothing on the same tree,
+    /// so the rerun is skipped then.
+    Rerun,
 }
 
 /// A named group of rules with an execution strategy.
@@ -94,6 +101,16 @@ impl<T> Batch<T> {
             name: name.into(),
             strategy: Strategy::Once,
             rules,
+        }
+    }
+
+    /// Run the earlier batch `name` again if the tree changed since it
+    /// last ran ([`Strategy::Rerun`]). Holds no rules of its own.
+    pub fn rerun(name: impl Into<String>) -> Self {
+        Batch {
+            name: name.into(),
+            strategy: Strategy::Rerun,
+            rules: Vec::new(),
         }
     }
 }
@@ -366,13 +383,13 @@ impl RuleHealthReport {
     }
 }
 
-/// Collects everything monitored execution observes: the plan-change
-/// trace, per-rule health counters, and validator violations. Create one
-/// per [`RuleExecutor::execute_monitored`] run.
+/// Decides what [`RuleExecutor::execute_monitored`] observes and collects
+/// it: the plan-change trace, per-rule health counters, and validator
+/// violations. Create one per run.
 pub struct ExecutionMonitor<'a, T> {
     validator: Option<&'a dyn RuleValidator<T>>,
-    log_changes: bool,
-    check_idempotence: bool,
+    /// Count applications and fires and log the trace.
+    record: bool,
     /// Plan-change log: one event per fired rule plus non-convergence
     /// markers.
     pub trace: Vec<TraceEvent>,
@@ -383,17 +400,15 @@ pub struct ExecutionMonitor<'a, T> {
 }
 
 impl<T> ExecutionMonitor<'static, T> {
-    /// Monitor health and trace only — no validation, no cloning of the
-    /// tree beyond what idempotence probing needs (none here).
+    /// Record health and trace, without validation and without cloning
+    /// the tree.
     pub fn new() -> Self {
-        ExecutionMonitor {
-            validator: None,
-            log_changes: false,
-            check_idempotence: false,
-            trace: Vec::new(),
-            health: RuleHealthReport::default(),
-            violations: Vec::new(),
-        }
+        Self::build(None, true)
+    }
+
+    /// Record nothing: the run costs the rules and nothing else.
+    pub fn silent() -> Self {
+        Self::build(None, false)
     }
 }
 
@@ -404,29 +419,21 @@ impl<T> Default for ExecutionMonitor<'static, T> {
 }
 
 impl<'a, T> ExecutionMonitor<'a, T> {
-    /// Monitor with a validator: every changed rewrite is checked as a
-    /// post-condition, rendered into the plan-change log, and probed for
-    /// idempotence.
+    /// Record, and check every changed rewrite with `validator` as a
+    /// post-condition: render it into the plan-change log and probe it
+    /// for idempotence.
     pub fn with_validator(validator: &'a dyn RuleValidator<T>) -> Self {
+        Self::build(Some(validator), true)
+    }
+
+    fn build(validator: Option<&'a dyn RuleValidator<T>>, record: bool) -> Self {
         ExecutionMonitor {
-            validator: Some(validator),
-            log_changes: true,
-            check_idempotence: true,
+            validator,
+            record,
             trace: Vec::new(),
             health: RuleHealthReport::default(),
             violations: Vec::new(),
         }
-    }
-
-    /// Disable the per-change before/after rendering (cheaper when only
-    /// violations matter).
-    pub fn without_change_log(mut self) -> Self {
-        self.log_changes = false;
-        self
-    }
-
-    fn needs_before(&self) -> bool {
-        self.validator.is_some() || self.log_changes
     }
 }
 
@@ -441,134 +448,115 @@ impl<T> RuleExecutor<T> {
         RuleExecutor { batches }
     }
 
-    /// Append a batch (the extension point: "developers can add batches of
-    /// rules to each phase of query optimization at runtime", §4.4).
-    pub fn add_batch(&mut self, batch: Batch<T>) {
-        self.batches.push(batch);
+    /// Insert a batch at `index` (the extension point: "developers can
+    /// add batches of rules to each phase of query optimization at
+    /// runtime", §4.4).
+    pub fn insert_batch(&mut self, index: usize, batch: Batch<T>) {
+        self.batches.insert(index, batch);
     }
 
-    /// Insert a batch before the others (for rules that must see the raw
-    /// tree first).
-    pub fn prepend_batch(&mut self, batch: Batch<T>) {
-        self.batches.insert(0, batch);
-    }
-
-    /// Run every batch; optionally record which rules fired into `trace`.
-    /// A `FixedPoint` batch that exhausts its cap while still changing
-    /// emits a [`TraceKind::NonConvergence`] event rather than failing
-    /// silently.
-    pub fn execute(&self, mut tree: T, mut trace: Option<&mut Vec<TraceEvent>>) -> T {
-        for batch in &self.batches {
-            let max = match batch.strategy {
-                Strategy::Once => 1,
-                Strategy::FixedPoint { max_iterations } => max_iterations,
-            };
-            let mut converged = false;
-            for iteration in 0..max {
-                let mut any_change = false;
-                for rule in &batch.rules {
-                    let out = rule.apply(tree);
-                    if out.changed {
-                        any_change = true;
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.push(TraceEvent::fired(&batch.name, rule.name(), iteration, None));
-                        }
-                    }
-                    tree = out.data;
-                }
-                if !any_change {
-                    converged = true;
-                    break; // fixed point
-                }
-            }
-            if !converged && matches!(batch.strategy, Strategy::FixedPoint { .. }) {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(TraceEvent::non_convergence(&batch.name, max));
-                }
-            }
-        }
-        tree
+    /// The batches, in the order they run.
+    pub fn batches(&self) -> &[Batch<T>] {
+        &self.batches
     }
 }
 
 impl<T: Clone> RuleExecutor<T> {
-    /// Run every batch under a monitor: count applications and fires per
-    /// rule, probe idempotence, record the plan-change log, and — when the
-    /// monitor carries a [`RuleValidator`] — check every changed rewrite
-    /// as a post-condition. A rewrite that violates an invariant is
-    /// **rolled back** (the rule's output is discarded) and reported in
-    /// [`ExecutionMonitor::violations`], so a buggy rule cannot corrupt
-    /// the tree it hands downstream.
-    pub fn execute_monitored(&self, mut tree: T, monitor: &mut ExecutionMonitor<'_, T>) -> T {
-        for batch in &self.batches {
+    /// Run the first `n` batches under `monitor` (all of them when `n` is
+    /// `batches().len()`): count applications and
+    /// fires per rule and record the plan-change log when it records, and
+    /// — when it carries a [`RuleValidator`] — probe idempotence and check
+    /// every changed rewrite as a post-condition. A rewrite that violates
+    /// an invariant is **rolled back** (the rule's output is discarded)
+    /// and reported in [`ExecutionMonitor::violations`], so a buggy rule
+    /// cannot corrupt the tree it hands downstream. A `FixedPoint` batch
+    /// that exhausts its cap while still changing is recorded as a
+    /// [`NonConvergence`] and a [`TraceKind::NonConvergence`] event.
+    pub fn execute_monitored(
+        &self,
+        n: usize,
+        mut tree: T,
+        monitor: &mut ExecutionMonitor<'_, T>,
+    ) -> T {
+        // Rewrites kept so far, and how many there were when each batch
+        // last finished: a `Rerun` only runs if the count moved since.
+        let mut kept = 0usize;
+        let mut finished_at = vec![None; self.batches.len()];
+        for (i, step) in self.batches[..n].iter().enumerate() {
+            let index = match step.strategy {
+                Strategy::Rerun => {
+                    let j = self.batches[..i]
+                        .iter()
+                        .position(|b| b.name == step.name && b.strategy != Strategy::Rerun)
+                        .unwrap_or_else(|| panic!("no batch '{}' to run again", step.name));
+                    if finished_at[j] == Some(kept) {
+                        continue;
+                    }
+                    j
+                }
+                _ => i,
+            };
+            let batch = &self.batches[index];
             let max = match batch.strategy {
-                Strategy::Once => 1,
                 Strategy::FixedPoint { max_iterations } => max_iterations,
+                _ => 1,
             };
             let mut converged = false;
             for iteration in 0..max {
                 let mut any_change = false;
                 for rule in &batch.rules {
-                    let before = if monitor.needs_before() {
-                        Some(tree.clone())
-                    } else {
-                        None
-                    };
+                    let before = monitor.validator.map(|_| tree.clone());
                     let out = rule.apply(tree);
-                    monitor.health.entry(&batch.name, rule.name()).applications += 1;
+                    if monitor.record {
+                        monitor.health.entry(&batch.name, rule.name()).applications += 1;
+                    }
                     if !out.changed {
                         tree = out.data;
                         continue;
                     }
-                    if monitor.check_idempotence && rule.apply(out.data.clone()).changed {
-                        monitor
-                            .health
-                            .entry(&batch.name, rule.name())
-                            .reapply_changes += 1;
-                    }
-                    let rejected = match (monitor.validator, before.as_ref()) {
-                        (Some(v), Some(b)) => {
-                            let viols = v.validate(b, &out.data);
-                            if viols.is_empty() {
-                                false
-                            } else {
-                                let diff = v.diff(b, &out.data);
-                                for viol in viols {
-                                    monitor.violations.push(InvariantViolation {
-                                        batch: batch.name.clone(),
-                                        rule: rule.name().to_string(),
-                                        iteration,
-                                        invariant: viol.invariant,
-                                        message: viol.message,
-                                        diff: diff.clone(),
-                                    });
-                                }
-                                true
-                            }
+                    if let (Some(v), Some(b)) = (monitor.validator, &before) {
+                        let entry = monitor.health.entry(&batch.name, rule.name());
+                        if rule.apply(out.data.clone()).changed {
+                            entry.reapply_changes += 1;
                         }
-                        _ => false,
-                    };
-                    if rejected {
-                        monitor.health.entry(&batch.name, rule.name()).rejected += 1;
-                        tree = before.expect("validator implies before snapshot");
-                        continue;
+                        let violations = v.validate(b, &out.data);
+                        if !violations.is_empty() {
+                            entry.rejected += 1;
+                            let diff = v.diff(b, &out.data);
+                            for viol in violations {
+                                monitor.violations.push(InvariantViolation {
+                                    batch: batch.name.clone(),
+                                    rule: rule.name().to_string(),
+                                    iteration,
+                                    invariant: viol.invariant,
+                                    message: viol.message,
+                                    diff: diff.clone(),
+                                });
+                            }
+                            tree = before.expect("validator implies before snapshot");
+                            continue;
+                        }
                     }
                     any_change = true;
-                    monitor.health.entry(&batch.name, rule.name()).fires += 1;
-                    let change = match (&before, monitor.log_changes, monitor.validator) {
-                        (Some(b), true, Some(v)) => Some(PlanChange {
-                            before: v.render(b),
-                            after: v.render(&out.data),
-                            diff: v.diff(b, &out.data),
-                        }),
-                        _ => None,
-                    };
-                    monitor.trace.push(TraceEvent::fired(
-                        &batch.name,
-                        rule.name(),
-                        iteration,
-                        change,
-                    ));
+                    kept += 1;
+                    if monitor.record {
+                        monitor.health.entry(&batch.name, rule.name()).fires += 1;
+                        let change =
+                            monitor
+                                .validator
+                                .zip(before.as_ref())
+                                .map(|(v, b)| PlanChange {
+                                    before: v.render(b),
+                                    after: v.render(&out.data),
+                                    diff: v.diff(b, &out.data),
+                                });
+                        monitor.trace.push(TraceEvent::fired(
+                            &batch.name,
+                            rule.name(),
+                            iteration,
+                            change,
+                        ));
+                    }
                     tree = out.data;
                 }
                 if !any_change {
@@ -576,7 +564,9 @@ impl<T: Clone> RuleExecutor<T> {
                     break;
                 }
             }
-            if !converged && matches!(batch.strategy, Strategy::FixedPoint { .. }) {
+            finished_at[index] = Some(kept);
+            let fixed_point = matches!(batch.strategy, Strategy::FixedPoint { .. });
+            if !converged && fixed_point && monitor.record {
                 monitor.health.non_converged.push(NonConvergence {
                     batch: batch.name.clone(),
                     max_iterations: max,
@@ -615,19 +605,23 @@ mod tests {
         }))
     }
 
+    fn run(exec: &RuleExecutor<i64>, n: i64) -> i64 {
+        exec.execute_monitored(exec.batches().len(), n, &mut ExecutionMonitor::silent())
+    }
+
     #[test]
     fn fixed_point_composes_simple_rules_into_global_effect() {
         // Collatz-ish: repeatedly halving/decrementing reaches 1 — each
         // rule is tiny but the batch has a large cumulative effect (§4.2).
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve(), dec_odd()])]);
-        assert_eq!(exec.execute(1000, None), 1);
-        assert_eq!(exec.execute(77, None), 1);
+        assert_eq!(run(&exec, 1000), 1);
+        assert_eq!(run(&exec, 77), 1);
     }
 
     #[test]
     fn once_strategy_runs_single_pass() {
         let exec = RuleExecutor::new(vec![Batch::once("shrink", vec![halve()])]);
-        assert_eq!(exec.execute(8, None), 4);
+        assert_eq!(run(&exec, 8), 4);
     }
 
     #[test]
@@ -639,29 +633,112 @@ mod tests {
             rules: vec![flip],
         }]);
         // 7 iterations of negation: odd count -> negated.
-        assert_eq!(exec.execute(5, None), -5);
+        assert_eq!(run(&exec, 5), -5);
     }
 
     #[test]
     fn trace_records_fired_rules() {
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve()])]);
-        let mut trace = Vec::new();
-        exec.execute(8, Some(&mut trace));
+        let mut monitor = ExecutionMonitor::new();
+        exec.execute_monitored(exec.batches().len(), 8, &mut monitor);
+        let trace = monitor.trace;
         assert_eq!(trace.len(), 3); // 8 -> 4 -> 2 -> 1
         assert!(trace.iter().all(|e| e.rule == "halve"));
         assert!(trace.iter().all(|e| e.kind == TraceKind::RuleFired));
     }
 
     #[test]
-    fn added_batches_run_after_existing_ones() {
-        let mut exec = RuleExecutor::new(vec![Batch::once("noop", vec![])]);
-        exec.add_batch(Batch::once(
-            "user",
-            vec![Box::new(FnRule::new("plus-one", |n: i64| {
-                Transformed::yes(n + 1)
-            }))],
-        ));
-        assert_eq!(exec.execute(1, None), 2);
+    fn inserted_batches_run_at_their_position() {
+        let double = || -> Box<dyn Rule<i64>> {
+            Box::new(FnRule::new("double", |n: i64| Transformed::yes(n * 2)))
+        };
+        let mut exec = RuleExecutor::new(vec![Batch::once("double", vec![double()])]);
+        exec.insert_batch(
+            0,
+            Batch::once(
+                "user",
+                vec![Box::new(FnRule::new("plus-one", |n: i64| {
+                    Transformed::yes(n + 1)
+                }))],
+            ),
+        );
+        assert_eq!(run(&exec, 1), 4);
+        assert_eq!(exec.batches()[0].name, "user");
+    }
+
+    #[test]
+    fn silent_monitor_records_nothing() {
+        let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve(), dec_odd()])]);
+        let mut monitor = ExecutionMonitor::silent();
+        assert_eq!(
+            exec.execute_monitored(exec.batches().len(), 1000, &mut monitor),
+            1
+        );
+        assert!(monitor.trace.is_empty());
+        assert!(monitor.health.rules.is_empty());
+    }
+
+    #[test]
+    fn rerun_runs_the_named_batch_again_only_after_a_change() {
+        let to_ten = Box::new(FnRule::new("to-ten", |n: i64| {
+            if n == 5 {
+                Transformed::yes(10)
+            } else {
+                Transformed::no(n)
+            }
+        }));
+        let exec = RuleExecutor::new(vec![
+            Batch::fixed_point("shrink", vec![halve(), dec_odd()]),
+            Batch::once(
+                "bump",
+                vec![Box::new(FnRule::new("to-five", |n: i64| {
+                    if n == 1 {
+                        Transformed::yes(5)
+                    } else {
+                        Transformed::no(n)
+                    }
+                }))],
+            ),
+            Batch::once("spike", vec![to_ten]),
+            Batch::rerun("shrink"),
+        ]);
+        // 8 shrinks to 1, "bump" makes it 5 and "spike" 10: the tree
+        // changed since "shrink" ran, so it runs again — the same rules,
+        // counted under the same batch.
+        let mut monitor = ExecutionMonitor::new();
+        assert_eq!(
+            exec.execute_monitored(exec.batches().len(), 8, &mut monitor),
+            1
+        );
+        let h = monitor.health.health_for("shrink", "halve").unwrap();
+        assert_eq!(h.fires, 3 + 3);
+        assert_eq!(monitor.health.rules.len(), 4);
+
+        // The first three batches alone stop at 10.
+        assert_eq!(
+            exec.execute_monitored(3, 8, &mut ExecutionMonitor::silent()),
+            10
+        );
+
+        // Nothing changed after "shrink": no rerun, no second round of
+        // applications.
+        let quiet = RuleExecutor::new(vec![
+            Batch::fixed_point("shrink", vec![halve()]),
+            Batch::rerun("shrink"),
+        ]);
+        let mut monitor = ExecutionMonitor::new();
+        assert_eq!(
+            quiet.execute_monitored(quiet.batches().len(), 3, &mut monitor),
+            3
+        );
+        assert_eq!(
+            monitor
+                .health
+                .health_for("shrink", "halve")
+                .unwrap()
+                .applications,
+            1
+        );
     }
 
     #[test]
@@ -675,18 +752,19 @@ mod tests {
             rules: vec![flip],
         }]);
 
-        let mut trace = Vec::new();
-        assert_eq!(exec.execute(5, Some(&mut trace)), -5);
-        let nc: Vec<_> = trace
+        let mut monitor = ExecutionMonitor::new();
+        assert_eq!(
+            exec.execute_monitored(exec.batches().len(), 5, &mut monitor),
+            -5
+        );
+        let nc: Vec<_> = monitor
+            .trace
             .iter()
             .filter(|e| e.kind == TraceKind::NonConvergence)
             .collect();
         assert_eq!(nc.len(), 1);
         assert_eq!(nc[0].batch, "osc");
         assert_eq!(nc[0].iteration, 7);
-
-        let mut monitor = ExecutionMonitor::new();
-        assert_eq!(exec.execute_monitored(5, &mut monitor), -5);
         assert_eq!(monitor.health.non_converged.len(), 1);
         assert_eq!(monitor.health.non_converged[0].batch, "osc");
         assert_eq!(monitor.health.non_converged[0].max_iterations, 7);
@@ -697,16 +775,20 @@ mod tests {
     #[test]
     fn converging_batches_report_no_non_convergence() {
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve(), dec_odd()])]);
-        let mut trace = Vec::new();
-        exec.execute(1000, Some(&mut trace));
-        assert!(trace.iter().all(|e| e.kind == TraceKind::RuleFired));
+        let mut monitor = ExecutionMonitor::new();
+        exec.execute_monitored(exec.batches().len(), 1000, &mut monitor);
+        assert!(monitor.health.non_converged.is_empty());
+        assert!(monitor.trace.iter().all(|e| e.kind == TraceKind::RuleFired));
     }
 
     #[test]
     fn monitor_counts_applications_fires_and_effectiveness() {
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve(), dec_odd()])]);
         let mut monitor = ExecutionMonitor::new();
-        assert_eq!(exec.execute_monitored(8, &mut monitor), 1);
+        assert_eq!(
+            exec.execute_monitored(exec.batches().len(), 8, &mut monitor),
+            1
+        );
         // 8 -> 4 -> 2 -> 1, then one clean pass: halve applied 4x, fired 3x.
         let h = monitor.health.health_for("shrink", "halve").unwrap();
         assert_eq!(h.applications, 4);
@@ -715,7 +797,7 @@ mod tests {
         let d = monitor.health.health_for("shrink", "dec-odd").unwrap();
         assert_eq!(d.fires, 0);
         assert_eq!(d.effectiveness(), 0.0);
-        // Trace matches plain execution.
+        // One trace event per fire.
         assert_eq!(monitor.trace.len(), 3);
     }
 
@@ -750,7 +832,10 @@ mod tests {
         let exec = RuleExecutor::new(vec![Batch::fixed_point("mix", vec![negate, halve()])]);
         let validator = NegativeForbidden;
         let mut monitor = ExecutionMonitor::with_validator(&validator);
-        assert_eq!(exec.execute_monitored(8, &mut monitor), 1);
+        assert_eq!(
+            exec.execute_monitored(exec.batches().len(), 8, &mut monitor),
+            1
+        );
         assert!(!monitor.violations.is_empty());
         let v = &monitor.violations[0];
         assert_eq!(v.batch, "mix");
@@ -788,7 +873,7 @@ mod tests {
         let validator = NegativeForbidden;
         let exec = RuleExecutor::new(vec![Batch::fixed_point("probe", vec![inc, snap])]);
         let mut monitor = ExecutionMonitor::with_validator(&validator);
-        exec.execute_monitored(5, &mut monitor);
+        exec.execute_monitored(exec.batches().len(), 5, &mut monitor);
         assert!(
             monitor
                 .health
@@ -812,7 +897,7 @@ mod tests {
         let validator = NegativeForbidden;
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve()])]);
         let mut monitor = ExecutionMonitor::with_validator(&validator);
-        exec.execute_monitored(4, &mut monitor);
+        exec.execute_monitored(exec.batches().len(), 4, &mut monitor);
         let change = monitor.trace[0]
             .change
             .as_ref()
@@ -825,7 +910,7 @@ mod tests {
     fn health_report_renders_table() {
         let exec = RuleExecutor::new(vec![Batch::fixed_point("shrink", vec![halve()])]);
         let mut monitor = ExecutionMonitor::new();
-        exec.execute_monitored(8, &mut monitor);
+        exec.execute_monitored(exec.batches().len(), 8, &mut monitor);
         let report = monitor.health.render();
         assert!(report.contains("halve"), "{report}");
         assert!(report.contains("non-converged batches: none"), "{report}");

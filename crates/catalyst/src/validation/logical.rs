@@ -533,7 +533,7 @@ mod tests {
 
     #[test]
     fn literal_null_predicate_is_tolerated() {
-        // PruneFilters handles NULL-literal predicates; they type as Null.
+        // Constraint pruning empties NULL-literal predicates; they type as Null.
         let p = rel().filter(Expr::Literal(Value::Null));
         let v = check_plan(&p);
         assert!(

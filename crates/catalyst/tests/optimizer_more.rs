@@ -1,6 +1,10 @@
 //! Additional optimizer tests: alias elimination, join-condition
 //! absorption, null propagation, boolean simplification, the unique-id
-//! `col = col` rewrite, and rule tracing.
+//! `col = col` rewrite, and rule tracing. They check the operator batch,
+//! so they run the reference's prefix of the rule list, where a folded
+//! filter keeps its literal predicate; the tests that also expect that
+//! filter to disappear check it separately on the whole list, where the
+//! constraint rules prune it.
 
 use catalyst::analysis::{Analyzer, FunctionRegistry, SimpleCatalog};
 use catalyst::expr::builders::{col, lit};
@@ -8,18 +12,31 @@ use catalyst::expr::{BinaryOperator, ColumnRef, Expr};
 use catalyst::optimizer::Optimizer;
 use catalyst::plan::{JoinType, LogicalPlan};
 use catalyst::row::Row;
+use catalyst::rules::ExecutionMonitor;
 use catalyst::tree::TreeNode;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use std::sync::Arc;
 
+/// A table with two rows: 1 and 9 in `Long` columns, `true` and `false`
+/// in `Boolean` ones.
 fn table(cols: &[(&str, DataType, bool)]) -> LogicalPlan {
+    let row = |first: bool| {
+        Row::new(
+            cols.iter()
+                .map(|(_, t, _)| match t {
+                    DataType::Boolean => Value::Boolean(first),
+                    _ => Value::Long(if first { 1 } else { 9 }),
+                })
+                .collect(),
+        )
+    };
     LogicalPlan::LocalRelation {
         output: cols
             .iter()
             .map(|(n, t, nullable)| ColumnRef::new(*n, t.clone(), *nullable))
             .collect(),
-        rows: Arc::new(vec![Row::new(vec![])]),
+        rows: Arc::new(vec![row(true), row(false)]),
     }
 }
 
@@ -31,6 +48,48 @@ fn analyze(plan: LogicalPlan, tables: Vec<(&str, LogicalPlan)>) -> LogicalPlan {
     Analyzer::new(catalog, Arc::new(FunctionRegistry::default()))
         .analyze(plan)
         .unwrap()
+}
+
+/// The predicate of the plan's one Filter.
+fn filter_predicate(plan: &LogicalPlan) -> Expr {
+    let mut predicates = Vec::new();
+    plan.for_each(&mut |p| {
+        if let LogicalPlan::Filter { predicate, .. } = p {
+            predicates.push(predicate.clone());
+        }
+    });
+    match <[Expr; 1]>::try_from(predicates) {
+        Ok([p]) => p,
+        Err(_) => panic!("expected one filter:\n{plan}"),
+    }
+}
+
+/// The operator batch folds the plan's one filter to `TRUE` or `FALSE`;
+/// the whole list then drops that filter (`TRUE`) or empties the plan
+/// (`FALSE`).
+fn assert_filter_folds_to(plan: LogicalPlan, expected: bool) {
+    let opt = Optimizer::new().optimize(plan.clone(), true);
+    assert_eq!(
+        filter_predicate(&opt),
+        Expr::Literal(Value::Boolean(expected)),
+        "{opt}"
+    );
+    let opt = Optimizer::new().optimize(plan, false);
+    assert_eq!(
+        count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
+        0,
+        "{opt}"
+    );
+    if !expected {
+        assert_eq!(
+            count_nodes(
+                &opt,
+                |p| matches!(p, LogicalPlan::LocalRelation { rows, .. } if rows.is_empty())
+            ),
+            1,
+            "{opt}"
+        );
+    }
 }
 
 fn count_nodes(plan: &LogicalPlan, pred: impl Fn(&LogicalPlan) -> bool) -> usize {
@@ -52,7 +111,7 @@ fn subquery_aliases_are_eliminated() {
             .subquery_alias("b"),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
+    let opt = Optimizer::new().optimize(plan, true);
     assert_eq!(
         count_nodes(&opt, |p| matches!(p, LogicalPlan::SubqueryAlias { .. })),
         0,
@@ -77,7 +136,7 @@ fn cross_side_equality_moves_into_join_condition() {
             .filter(col("x").eq(col("y")).and(col("x").gt(lit(1i64)))),
         vec![("a", a), ("b", b)],
     );
-    let opt = Optimizer::new().optimize(plan);
+    let opt = Optimizer::new().optimize(plan, true);
     let mut join_conditions = 0;
     let mut join_type = None;
     opt.for_each(&mut |p| {
@@ -113,13 +172,7 @@ fn col_eq_col_on_nonnullable_folds_to_true() {
     // Build x = x with the *same* resolved attribute (same unique id).
     let x = resolved.output()[0].clone();
     let plan = resolved.filter(Expr::Column(x.clone()).eq(Expr::Column(x)));
-    let opt = Optimizer::new().optimize(plan);
-    // Filter(true) pruned entirely.
-    assert_eq!(
-        count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
-        0,
-        "{opt}"
-    );
+    assert_filter_folds_to(plan, true);
 }
 
 #[test]
@@ -132,7 +185,7 @@ fn col_eq_col_on_nullable_is_kept() {
     );
     let x = resolved.output()[0].clone();
     let plan = resolved.filter(Expr::Column(x.clone()).eq(Expr::Column(x)));
-    let opt = Optimizer::new().optimize(plan);
+    let opt = Optimizer::new().optimize(plan, true);
     assert_eq!(
         count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
         1,
@@ -156,12 +209,7 @@ fn null_propagation_and_boolean_simplification() {
         ),
         vec![("t", t.clone())],
     );
-    let opt = Optimizer::new().optimize(plan);
-    assert_eq!(
-        count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
-        0,
-        "{opt}"
-    );
+    assert_filter_folds_to(plan, true);
 
     // NOT(NOT(b)) AND true → b.
     let plan = analyze(
@@ -169,15 +217,9 @@ fn null_propagation_and_boolean_simplification() {
             .filter(col("b").not().not().and(lit(true))),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
-    let mut predicate = None;
-    opt.for_each(&mut |p| {
-        if let LogicalPlan::Filter { predicate: pr, .. } = p {
-            predicate = Some(pr.clone());
-        }
-    });
-    match predicate {
-        Some(Expr::Column(c)) => assert_eq!(c.name.as_ref(), "b"),
+    let opt = Optimizer::new().optimize(plan, true);
+    match filter_predicate(&opt) {
+        Expr::Column(c) => assert_eq!(c.name.as_ref(), "b"),
         other => panic!("expected bare column, got {other:?}"),
     }
 }
@@ -189,16 +231,8 @@ fn is_null_on_nonnullable_column_folds() {
         LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(col("x").is_null()),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
     // IS NULL(non-nullable) → false → empty relation.
-    assert_eq!(
-        count_nodes(
-            &opt,
-            |p| matches!(p, LogicalPlan::LocalRelation { rows, .. } if rows.is_empty())
-        ),
-        1,
-        "{opt}"
-    );
+    assert_filter_folds_to(plan, false);
 }
 
 #[test]
@@ -210,12 +244,7 @@ fn between_sugar_folds_with_constants() {
             .filter(lit(5i64).between(lit(1i64), lit(10i64))),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
-    assert_eq!(
-        count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
-        0,
-        "{opt}"
-    );
+    assert_filter_folds_to(plan, true);
 }
 
 #[test]
@@ -236,8 +265,8 @@ fn trace_names_every_fired_rule() {
             ),
         vec![("a", a), ("b", b)],
     );
-    let (_, trace) = Optimizer::new().optimize_traced(plan);
-    let rules: Vec<&str> = trace.iter().map(|e| e.rule.as_str()).collect();
+    let out = Optimizer::new().optimize_monitored(plan, true, ExecutionMonitor::new());
+    let rules: Vec<&str> = out.trace.iter().map(|e| e.rule.as_str()).collect();
     assert!(rules.contains(&"EliminateSubqueryAliases"), "{rules:?}");
     assert!(rules.contains(&"PushDownPredicate"), "{rules:?}");
     assert!(rules.contains(&"BooleanSimplification"), "{rules:?}");
@@ -251,7 +280,7 @@ fn not_comparisons_fold_via_constant_folding() {
             .project(vec![lit(3i64).lt(lit(5i64)).not().alias("f")]),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
+    let opt = Optimizer::new().optimize(plan, true);
     let mut found = false;
     opt.for_each(&mut |p| {
         for e in p.expressions() {
@@ -281,7 +310,7 @@ fn pushdown_respects_outer_join_null_side() {
             .filter(col("y").gt(lit(0i64))),
         vec![("a", a), ("b", b)],
     );
-    let opt = Optimizer::new().optimize(plan);
+    let opt = Optimizer::new().optimize(plan, true);
     // The filter must sit above the Join, not below it.
     let mut filter_above_join = false;
     opt.for_each(&mut |p| {
@@ -305,12 +334,7 @@ fn in_list_with_literals_folds() {
         ])),
         vec![("t", t)],
     );
-    let opt = Optimizer::new().optimize(plan);
-    assert_eq!(
-        count_nodes(&opt, |p| matches!(p, LogicalPlan::Filter { .. })),
-        0,
-        "{opt}"
-    );
+    assert_filter_folds_to(plan, true);
 }
 
 #[test]
@@ -321,4 +345,67 @@ fn equality_operator_symbol_roundtrip() {
     assert!(BinaryOperator::And.is_boolean());
     assert!(BinaryOperator::Lt.is_comparison());
     assert!(BinaryOperator::Mul.is_arithmetic());
+}
+
+/// Folding to NULL keeps the type: `x + NULL` becomes a BIGINT NULL and
+/// `CAST(NULL AS INT) + 1` an INT one, not an untyped NULL that would
+/// change the output schema. A typed NULL still propagates, so
+/// `(x + NULL) + y` folds to NULL too. A NULL filter still empties the
+/// plan.
+#[test]
+fn nulls_folded_from_typed_expressions_keep_their_type() {
+    let t = table(&[("x", DataType::Long, false), ("y", DataType::Long, false)]);
+    let plan = analyze(
+        LogicalPlan::UnresolvedRelation { name: "t".into() }.project(vec![
+            col("x").add(Expr::Literal(Value::Null)).alias("s"),
+            Expr::Literal(Value::Null)
+                .cast(DataType::Int)
+                .add(lit(1i32))
+                .alias("z"),
+            col("x")
+                .add(Expr::Literal(Value::Null))
+                .add(col("y"))
+                .alias("w"),
+        ]),
+        vec![("t", t.clone())],
+    );
+    let before = plan.output();
+    for reference in [true, false] {
+        let opt = Optimizer::new().optimize(plan.clone(), reference);
+        assert_eq!(opt.output(), before, "{opt}");
+        let LogicalPlan::Project { exprs, .. } = &opt else {
+            panic!("expected a projection:\n{opt}");
+        };
+        assert_eq!(exprs.len(), 3, "{opt}");
+        for (e, dtype) in exprs
+            .iter()
+            .zip([DataType::Long, DataType::Int, DataType::Long])
+        {
+            let Expr::Alias { child, .. } = e else {
+                panic!("expected an alias: {e}");
+            };
+            assert!(
+                matches!(&**child, Expr::Cast { expr, dtype: t }
+                    if *t == dtype && matches!(**expr, Expr::Literal(Value::Null))),
+                "{opt}"
+            );
+        }
+    }
+
+    let plan = analyze(
+        LogicalPlan::UnresolvedRelation { name: "t".into() }
+            .filter(col("x").gt(Expr::Literal(Value::Null))),
+        vec![("t", t)],
+    );
+    let opt = Optimizer::new().optimize(plan.clone(), true);
+    assert_eq!(
+        filter_predicate(&opt),
+        Expr::Literal(Value::Null).cast(DataType::Boolean),
+        "{opt}"
+    );
+    let opt = Optimizer::new().optimize(plan, false);
+    assert!(
+        matches!(&opt, LogicalPlan::LocalRelation { rows, .. } if rows.is_empty()),
+        "{opt}"
+    );
 }

@@ -110,7 +110,7 @@ fn prepare(plan: LogicalPlan) -> LogicalPlan {
         Arc::new(SimpleCatalog::default()),
         Arc::new(FunctionRegistry::default()),
     );
-    Optimizer::new().optimize(analyzer.analyze(plan).unwrap())
+    Optimizer::new().optimize(analyzer.analyze(plan).unwrap(), true)
 }
 
 fn local(name: &str, n: i64) -> (LogicalPlan, ColumnRef) {

@@ -1,6 +1,6 @@
-//! Property tests for the plan-integrity checker: every logical
-//! optimizer rule, applied to randomly generated analyzed plans, must
-//! preserve the output schema and keep the plan fully resolved — the
+//! Property tests for the plan-integrity checker: every rule the logical
+//! optimizer registers, applied to randomly generated analyzed plans,
+//! must preserve the output schema and keep the plan fully resolved — the
 //! §4.3 contract that makes rule composition safe.
 //!
 //! Deterministic seeded sweeps in the style of `value_props.rs` (the
@@ -9,16 +9,13 @@
 use catalyst::analysis::{Analyzer, FunctionRegistry, SimpleCatalog};
 use catalyst::expr::builders::{col, count, lit, max, min, sum};
 use catalyst::expr::{ColumnRef, Expr};
-use catalyst::optimizer::{
-    BooleanSimplification, CollapseProjects, ColumnPruning, CombineFilters, CombineLimits,
-    ConstantFolding, DecimalAggregates, EliminateSubqueryAliases, NullPropagation, Optimizer,
-    PruneFilters, PushDownLimit, PushDownPredicate, SimplifyCasts, SimplifyLike,
-};
+use catalyst::optimizer::Optimizer;
 use catalyst::plan::{JoinType, LogicalPlan};
 use catalyst::row::Row;
-use catalyst::rules::Rule;
+use catalyst::rules::ExecutionMonitor;
 use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
+use catalyst::value::Value;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
@@ -41,6 +38,37 @@ fn arb_dtype(rng: &mut StdRng) -> DataType {
     }
 }
 
+/// A value of `dtype`, or NULL when the column allows it.
+fn arb_value(rng: &mut StdRng, dtype: &DataType, nullable: bool) -> Value {
+    if nullable && rng.random_bool(0.2) {
+        return Value::Null;
+    }
+    let n = rng.random_range(0i64..100);
+    match dtype {
+        DataType::Long => Value::Long(n),
+        DataType::Int => Value::Int(n as i32),
+        DataType::Double => Value::Double(n as f64 / 4.0),
+        DataType::String => Value::str(["ab", "abc", "xyz", ""][n as usize % 4]),
+        _ => Value::Boolean(n % 2 == 0),
+    }
+}
+
+/// 0..=5 rows that match `output`: typed values, NULLs only where the
+/// column is nullable. The constraint rules read them as value domains.
+fn arb_rows(rng: &mut StdRng, output: &[ColumnRef]) -> Arc<Vec<Row>> {
+    let rows = (0..rng.random_range(0usize..6))
+        .map(|_| {
+            Row::new(
+                output
+                    .iter()
+                    .map(|c| arb_value(rng, &c.dtype, c.nullable))
+                    .collect(),
+            )
+        })
+        .collect();
+    Arc::new(rows)
+}
+
 /// A base table: a guaranteed Long key column (so joins always have a
 /// usable equi-key) plus 1..4 random columns.
 fn arb_table(rng: &mut StdRng, prefix: &str) -> (Vec<GenCol>, LogicalPlan) {
@@ -54,15 +82,12 @@ fn arb_table(rng: &mut StdRng, prefix: &str) -> (Vec<GenCol>, LogicalPlan) {
             dtype: arb_dtype(rng),
         });
     }
-    let output = cols
+    let output: Vec<ColumnRef> = cols
         .iter()
         .map(|c| ColumnRef::new(c.name.as_str(), c.dtype.clone(), rng.random_bool(0.5)))
         .collect();
-    let plan = LogicalPlan::LocalRelation {
-        output,
-        rows: Arc::new(vec![Row::new(vec![])]),
-    };
-    (cols, plan)
+    let rows = arb_rows(rng, &output);
+    (cols, LogicalPlan::LocalRelation { output, rows })
 }
 
 /// A well-typed boolean predicate over one of the visible columns.
@@ -207,13 +232,12 @@ fn arb_analyzed_plan(rng: &mut StdRng) -> LogicalPlan {
         // Union of two tables with identical shapes.
         1 => {
             let (cols, t1) = arb_table(rng, "u");
-            let t2 = LogicalPlan::LocalRelation {
-                output: cols
-                    .iter()
-                    .map(|c| ColumnRef::new(format!("v_{}", c.name), c.dtype.clone(), true))
-                    .collect(),
-                rows: Arc::new(vec![Row::new(vec![])]),
-            };
+            let output: Vec<ColumnRef> = cols
+                .iter()
+                .map(|c| ColumnRef::new(format!("v_{}", c.name), c.dtype.clone(), true))
+                .collect();
+            let rows = arb_rows(rng, &output);
+            let t2 = LogicalPlan::LocalRelation { output, rows };
             catalog.register("u1", t1);
             catalog.register("u2", t2);
             let union = LogicalPlan::UnresolvedRelation { name: "u1".into() }
@@ -233,25 +257,6 @@ fn arb_analyzed_plan(rng: &mut StdRng) -> LogicalPlan {
         .expect("generated plan failed analysis")
 }
 
-fn all_rules() -> Vec<Box<dyn Rule<LogicalPlan>>> {
-    vec![
-        Box::new(EliminateSubqueryAliases),
-        Box::new(ConstantFolding),
-        Box::new(NullPropagation),
-        Box::new(BooleanSimplification),
-        Box::new(SimplifyCasts),
-        Box::new(SimplifyLike),
-        Box::new(CombineFilters),
-        Box::new(PushDownPredicate),
-        Box::new(PruneFilters),
-        Box::new(CollapseProjects),
-        Box::new(ColumnPruning),
-        Box::new(CombineLimits),
-        Box::new(PushDownLimit),
-        Box::new(DecimalAggregates),
-    ]
-}
-
 /// Generated plans are themselves valid: analysis output passes every
 /// logical invariant (the generator is sound, so failures below mean a
 /// rule is at fault, not the input).
@@ -269,22 +274,24 @@ fn generated_analyzed_plans_pass_all_invariants() {
     }
 }
 
-/// Every optimizer rule, applied on its own, preserves the output schema
-/// (names, types, attribute ids) and keeps the plan resolved.
+/// Every rule the optimizer registers, applied on its own, preserves the
+/// output schema (names, types, attribute ids) and keeps the plan
+/// resolved.
 #[test]
 fn every_rule_preserves_schema_and_resolution() {
     let validator = PlanValidator::new();
-    let rules = all_rules();
+    let optimizer = Optimizer::new();
+    let rules: Vec<_> = optimizer.rules().collect();
     let mut rng = StdRng::seed_from_u64(0x5EED_CA71);
-    let mut rewrites = 0usize;
+    let mut rewrites = vec![0usize; rules.len()];
     for i in 0..256 {
         let before = arb_analyzed_plan(&mut rng);
-        for rule in &rules {
+        for (rule, n) in rules.iter().zip(&mut rewrites) {
             let out = rule.apply(before.clone());
             if !out.changed {
                 continue;
             }
-            rewrites += 1;
+            *n += 1;
             let after = out.data;
             let violations = validator.check_rewrite(&before, &after);
             assert!(
@@ -299,16 +306,33 @@ fn every_rule_preserves_schema_and_resolution() {
             );
         }
     }
+    for (rule, n) in rules.iter().zip(&rewrites) {
+        eprintln!("{:<28} {n:>4}", rule.name());
+    }
     // The sweep is only meaningful if rules actually rewrote plans.
+    let total: usize = rewrites.iter().sum();
     assert!(
-        rewrites > 100,
-        "sweep barely exercised the rules: {rewrites} rewrites"
+        total > 100,
+        "sweep barely exercised the rules: {total} rewrites"
     );
+    // The generated rows give the constraint rules domains to read.
+    for (rule, n) in rules.iter().zip(&rewrites) {
+        if [
+            "SimplifyDomainComparisons",
+            "InferIsNotNullFilters",
+            "PruneConstrainedFilters",
+            "PropagateEmptyRelations",
+        ]
+        .contains(&rule.name())
+        {
+            assert!(*n >= 10, "{} rewrote only {n} plans", rule.name());
+        }
+    }
 }
 
-/// The full optimizer pipeline, monitored end to end: zero invariant
-/// violations, no non-converged batches, and the final plan exposes the
-/// exact schema the analyzed plan promised.
+/// The whole rule list production runs, monitored end to end: zero
+/// invariant violations, no non-converged batches, and the final plan
+/// exposes the exact schema the analyzed plan promised.
 #[test]
 fn full_pipeline_is_violation_free_on_random_plans() {
     let optimizer = Optimizer::new();
@@ -318,7 +342,11 @@ fn full_pipeline_is_violation_free_on_random_plans() {
     for i in 0..256 {
         let analyzed = arb_analyzed_plan(&mut rng);
         let schema = analyzed.output();
-        let out = optimizer.optimize_monitored(analyzed);
+        let out = optimizer.optimize_monitored(
+            analyzed,
+            false,
+            ExecutionMonitor::with_validator(&validator),
+        );
         assert!(
             out.violations.is_empty(),
             "iteration {i}: {:?}\n{}",

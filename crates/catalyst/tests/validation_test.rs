@@ -8,23 +8,35 @@
 use catalyst::analysis::{Analyzer, FunctionRegistry, SimpleCatalog};
 use catalyst::expr::builders::{col, lit};
 use catalyst::expr::{ColumnRef, Expr};
-use catalyst::optimizer::Optimizer;
+use catalyst::optimizer::{OptimizeOutcome, Optimizer};
 use catalyst::plan::LogicalPlan;
 use catalyst::row::Row;
-use catalyst::rules::{Batch, FnRule, TraceKind};
+use catalyst::rules::{Batch, ExecutionMonitor, FnRule, TraceKind};
 use catalyst::tree::Transformed;
 use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
+use catalyst::value::Value;
 use std::sync::Arc;
 
+/// A table of `Long` columns with two rows, 1 and 9 in every column.
 fn table(cols: &[(&str, DataType)]) -> LogicalPlan {
+    let row = |v: i64| Row::new(vec![Value::Long(v); cols.len()]);
     LogicalPlan::LocalRelation {
         output: cols
             .iter()
             .map(|(n, t)| ColumnRef::new(*n, t.clone(), false))
             .collect(),
-        rows: Arc::new(vec![Row::new(vec![])]),
+        rows: Arc::new(vec![row(1), row(9)]),
     }
+}
+
+/// The whole rule list under a validating monitor.
+fn optimize_monitored(opt: &Optimizer, plan: LogicalPlan) -> OptimizeOutcome {
+    opt.optimize_monitored(
+        plan,
+        false,
+        ExecutionMonitor::with_validator(&PlanValidator::new()),
+    )
 }
 
 fn analyze(plan: LogicalPlan, tables: Vec<(&str, LogicalPlan)>) -> LogicalPlan {
@@ -72,7 +84,7 @@ fn constant_folding_keeps_aliased_literal_outputs() {
         vec![("t", t)],
     );
     let before = plan.output();
-    let out = Optimizer::new().optimize_monitored(plan);
+    let out = optimize_monitored(&Optimizer::new(), plan);
     assert!(out.violations.is_empty(), "{:?}", out.violations);
     let after = out.plan.output();
     assert_eq!(
@@ -99,7 +111,7 @@ fn schema_breaking_rule_is_rejected_with_full_report() {
 
     let mut opt = Optimizer::new();
     opt.add_batch(Batch::once("user-bad", vec![drop_first_column_rule()]));
-    let out = opt.optimize_monitored(plan);
+    let out = optimize_monitored(&opt, plan);
 
     // The report names the batch, rule, iteration, and invariant.
     let v = out
@@ -155,7 +167,7 @@ fn optimize_panics_on_schema_breaking_rule() {
     let plan = two_column_projection();
     let mut opt = Optimizer::new();
     opt.add_batch(Batch::once("user-bad", vec![drop_first_column_rule()]));
-    let _ = opt.optimize(plan);
+    let _ = opt.optimize(plan, false);
 }
 
 #[test]
@@ -182,7 +194,7 @@ fn oscillating_user_batch_is_reported_non_converged() {
             },
         ))],
     ));
-    let out = opt.optimize_monitored(plan);
+    let out = optimize_monitored(&opt, plan);
     assert!(out.violations.is_empty(), "{:?}", out.violations);
     assert!(
         out.health
@@ -209,7 +221,7 @@ fn rule_health_counts_fires_and_renders() {
         LogicalPlan::UnresolvedRelation { name: "t".into() }.filter(lit(1i64).lt(lit(2i64))),
         vec![("t", t)],
     );
-    let out = Optimizer::new().optimize_monitored(plan);
+    let out = optimize_monitored(&Optimizer::new(), plan);
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 
     let cf = out
@@ -222,15 +234,15 @@ fn rule_health_counts_fires_and_renders() {
 
     let pf = out
         .health
-        .health_for("Operator Optimizations", "PruneFilters")
-        .expect("PruneFilters ran");
+        .health_for("Constraint Optimizations", "PruneConstrainedFilters")
+        .expect("PruneConstrainedFilters ran");
     assert!(pf.fires >= 1, "{pf:?}");
 
     let rendered = out.health.render();
     for needle in [
         "== Rule Health ==",
         "ConstantFolding",
-        "PruneFilters",
+        "PruneConstrainedFilters",
         "non-converged",
     ] {
         assert!(

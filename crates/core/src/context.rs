@@ -293,64 +293,51 @@ impl SQLContext {
         Ok(DataFrame::new(self.clone(), self.analyze(plan)?))
     }
 
-    /// Which optimizer rules fired for a plan (observability for the
-    /// §4.2 fixed-point machinery).
-    pub fn optimizer_trace(&self, analyzed: &LogicalPlan) -> Vec<catalyst::rules::TraceEvent> {
-        self.inner
-            .optimizer
-            .lock()
-            .optimize_traced(analyzed.clone())
-            .1
-    }
-
-    /// Optimize + physically plan a query.
+    /// Optimize + physically plan a query, recording nothing beyond what
+    /// validation needs.
     pub fn plan_query(&self, analyzed: &LogicalPlan) -> Result<(LogicalPlan, PhysicalPlan)> {
-        let planned = self.plan_query_monitored(analyzed)?;
+        let planned = self.plan_with(analyzed, false)?;
         Ok((planned.optimized, planned.physical))
     }
 
     /// Optimize + physically plan a query under monitoring: rule-health
-    /// counters are always collected, and — when plan validation is on
-    /// ([`catalyst::validation::enabled`]) — every optimizer rewrite is
-    /// checked as a post-condition and the physical plan is checked at
-    /// shuffle boundaries. A rule that breaks an invariant has its
-    /// rewrite rolled back and fails the query with a report naming the
-    /// batch, rule, iteration, invariant, and plan diff.
+    /// counters and the trace are always collected, and — when plan
+    /// validation is on ([`catalyst::validation::enabled`]) — every
+    /// optimizer rewrite is checked as a post-condition and the physical
+    /// plan is checked at shuffle boundaries. A rule that breaks an
+    /// invariant has its rewrite rolled back and fails the query with a
+    /// report naming the batch, rule, iteration, invariant, and plan diff.
     pub fn plan_query_monitored(&self, analyzed: &LogicalPlan) -> Result<PlannedQuery> {
+        self.plan_with(analyzed, true)
+    }
+
+    fn plan_with(&self, analyzed: &LogicalPlan, record: bool) -> Result<PlannedQuery> {
         let conf = self.conf();
         let validate = conf.plan_validation.unwrap_or_else(validation::enabled);
         let validator = validation::PlanValidator::new();
-        let mut monitor = if validate {
+        let monitor = if validate {
             ExecutionMonitor::with_validator(&validator)
-        } else {
+        } else if record {
             ExecutionMonitor::new()
-        };
-        let optimized = self
-            .inner
-            .optimizer
-            .lock()
-            .optimize_with(analyzed.clone(), &mut monitor);
-        // Production then runs the constraint-driven phase (nullability +
-        // value-domain abstract interpretation) so it sees the settled
-        // plan, and the cost-based phase (statistics-driven join
-        // reordering, aggregates answered from source stats, CSE) last so
-        // its estimates see the settled plan — both under the same
-        // monitor, so their rewrites are validated and traced like any
-        // other rule's. The reference runs the standard batches only.
-        let optimized = if conf.reference {
-            optimized
         } else {
-            let constrained = Optimizer::constraint_phase().optimize_with(optimized, &mut monitor);
-            Optimizer::cbo_phase().optimize_with(constrained, &mut monitor)
+            ExecutionMonitor::silent()
         };
-        if !monitor.violations.is_empty() {
+        // One rule list; the reference runs its prefix, through the user
+        // batches.
+        let out = self.inner.optimizer.lock().optimize_monitored(
+            analyzed.clone(),
+            conf.reference,
+            monitor,
+        );
+        if !out.violations.is_empty() {
             let mut msg = String::from("optimizer rule broke a plan invariant:\n");
-            for v in &monitor.violations {
+            for v in &out.violations {
                 msg.push_str(&v.to_string());
                 msg.push('\n');
             }
             return Err(CatalystError::Internal(msg));
         }
+        let optimized = out.plan;
         let mut planner = Planner::new(PlannerConfig {
             pushdown_enabled: conf.pushdown_enabled,
             column_pruning_enabled: conf.column_pruning_enabled,
@@ -374,13 +361,13 @@ impl SQLContext {
         Ok(PlannedQuery {
             optimized,
             physical,
-            rule_health: monitor.health,
-            trace: monitor.trace,
+            rule_health: out.health,
+            trace: out.trace,
         })
     }
 
     /// What planning depends on besides the analyzed plan, as of now.
-    fn plan_stamp(&self) -> PlanStamp {
+    pub(crate) fn plan_stamp(&self) -> PlanStamp {
         PlanStamp {
             conf_version: self.inner.conf_version.load(Ordering::SeqCst),
             generation: self.inner.plan_generation.load(Ordering::SeqCst),
@@ -405,11 +392,7 @@ impl SQLContext {
             return Ok((planned, true));
         }
         let statistics = statistics_epochs(analyzed);
-        let PlannedQuery {
-            optimized,
-            physical,
-            ..
-        } = self.plan_query_monitored(analyzed)?;
+        let (optimized, physical) = self.plan_query(analyzed)?;
         let planned = Arc::new(Planned {
             optimized,
             physical,
@@ -821,8 +804,9 @@ impl SQLContext {
         self.bump_plan_generation();
     }
 
-    /// Append a batch of logical optimizer rules (§4.4: "developers can
-    /// add batches of rules … at runtime").
+    /// Add a batch of logical optimizer rules (§4.4: "developers can add
+    /// batches of rules … at runtime"). It runs after the operator batch
+    /// and the batches added before it, in production and the reference.
     pub fn add_optimizer_batch(&self, batch: Batch<LogicalPlan>) {
         self.inner.optimizer.lock().add_batch(batch);
         self.bump_plan_generation();

@@ -319,15 +319,6 @@ impl DataFrame {
         Ok(self.query_execution()?.rule_health_report())
     }
 
-    /// Names of the optimizer rules that fired for this plan, in order.
-    pub fn optimizer_trace(&self) -> Vec<String> {
-        self.ctx
-            .optimizer_trace(&self.plan)
-            .into_iter()
-            .map(|e| e.rule)
-            .collect()
-    }
-
     /// Start a builder-style write:
     /// `df.write().format("csv").mode(SaveMode::Overwrite).save(path)`.
     pub fn write(&self) -> crate::io::DataFrameWriter {

@@ -65,7 +65,7 @@ pub(crate) struct Planned {
 }
 
 impl Planned {
-    fn is_current(&self, stamp: PlanStamp) -> bool {
+    pub fn is_current(&self, stamp: PlanStamp) -> bool {
         self.stamp == stamp
             && self
                 .statistics

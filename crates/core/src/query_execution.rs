@@ -107,11 +107,15 @@ impl QueryExecution {
     ///
     /// The report is not kept with the plan (a cached plan would carry
     /// 7 KB of it for nobody): the first request re-runs the optimizer
-    /// over the analyzed plan under a monitor and keeps what it saw. If
-    /// that run fails — the session changed under the handle — the report
-    /// is empty.
+    /// over the analyzed plan under a monitor and keeps what it saw. That
+    /// only describes this handle's plan while the session still plans
+    /// the way it did; once its configuration, extensions or statistics
+    /// have changed under the handle, the report is empty.
     pub fn rule_health(&self) -> &RuleHealthReport {
         self.rule_health.get_or_init(|| {
+            if !self.planned.is_current(self.ctx.plan_stamp()) {
+                return RuleHealthReport::default();
+            }
             self.ctx
                 .plan_query_monitored(&self.analyzed)
                 .map(|p| p.rule_health)

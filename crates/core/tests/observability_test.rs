@@ -308,6 +308,34 @@ fn query_execution_exposes_rule_health() {
     assert!(!rows.is_empty());
 }
 
+/// The report describes the plan the handle ran. Once the session plans
+/// differently — here it switched to the reference, which stops before
+/// the constraint batch — re-planning would describe another plan, so
+/// the report is empty.
+#[test]
+fn rule_health_is_empty_once_the_session_changed_under_the_handle() {
+    let ctx = SQLContext::new_local(2);
+    let qe = multi_stage(&ctx).query_execution().unwrap();
+    assert!(!qe.collect().unwrap().is_empty());
+    ctx.set_conf(|c| c.reference = true);
+    let health = qe.rule_health();
+    assert!(health.rules.is_empty(), "{}", health.render());
+
+    // A handle planned now reports the reference's batches.
+    let fresh = multi_stage(&ctx).query_execution().unwrap();
+    let batches: Vec<&str> = fresh
+        .rule_health()
+        .rules
+        .iter()
+        .map(|h| h.batch.as_str())
+        .collect();
+    assert!(batches.contains(&"Operator Optimizations"), "{batches:?}");
+    assert!(
+        !batches.contains(&"Constraint Optimizations"),
+        "{batches:?}"
+    );
+}
+
 #[test]
 fn explain_analyze_counts_batches_on_the_vectorized_path() {
     let ctx = SQLContext::new_local(2);

@@ -33,13 +33,22 @@
 //!
 //! Re-record goldens after an intended behavior change with
 //! `SQLLOGIC_RECORD=1 cargo test --test sqllogic` (records in unbounded
-//! production, then verifies every cell).
+//! production, then verifies every cell). Records added to make an
+//! optimizer rule fire carry expected rows worked out by hand instead:
+//! the reference runs most rules too, so only a hand-derived golden can
+//! catch a wrong rewrite.
+//!
+//! `sqllogic_every_rule_fires` is the coverage gate: over the whole
+//! corpus in unbounded production, every rule the optimizer registers
+//! must fire on at least one query. It prints the per-rule table.
 
+use catalyst::optimizer::Optimizer;
 use catalyst::row::Row;
 use catalyst::schema::Schema;
 use catalyst::types::{DataType, StructField};
 use catalyst::value::Value;
 use spark_sql_repro::spark_sql::SQLContext;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -304,10 +313,14 @@ fn run_record(ctx: &SQLContext, r: &Record) -> Result<Vec<String>, String> {
     Ok(lines)
 }
 
-fn run_file(name: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+fn slt_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/sqllogic")
-        .join(name);
+        .join(name)
+}
+
+fn run_file(name: &str) {
+    let path = slt_path(name);
     let mut records = parse_slt(&path);
 
     if std::env::var("SQLLOGIC_RECORD").is_ok() {
@@ -407,4 +420,56 @@ fn sqllogic_scalar() {
 #[test]
 fn sqllogic_stats() {
     run_file("stats.slt");
+}
+
+/// Every rule the optimizer registers fires on at least one golden query
+/// in unbounded production (the one cell that runs the whole rule list).
+#[test]
+fn sqllogic_every_rule_fires() {
+    let mut queries: BTreeMap<String, usize> = Optimizer::new()
+        .rules()
+        .map(|r| (r.name().to_string(), 0))
+        .collect();
+    let ctx = context_for(false, false);
+    for name in [
+        "joins.slt",
+        "aggregates.slt",
+        "windows.slt",
+        "setops.slt",
+        "scalar.slt",
+        "stats.slt",
+    ] {
+        let path = slt_path(name);
+        for r in parse_slt(&path) {
+            let fail =
+                |e: String| -> ! { panic!("{}:{}: {e}\nSQL: {}", path.display(), r.line, r.sql) };
+            let df = ctx.sql(&r.sql).unwrap_or_else(|e| fail(e.to_string()));
+            if matches!(r.directive, Directive::StatementOk) {
+                df.collect().unwrap_or_else(|e| fail(e.to_string()));
+                continue;
+            }
+            let qe = df.query_execution().unwrap_or_else(|e| fail(e.to_string()));
+            // Read the health before running: a run may fill a cached
+            // table, after which the plan is no longer current.
+            for h in &qe.rule_health().rules {
+                if h.fires > 0 {
+                    *queries.entry(h.rule.clone()).or_default() += 1;
+                }
+            }
+            qe.collect().unwrap_or_else(|e| fail(e.to_string()));
+        }
+    }
+    println!("golden queries each optimizer rule fires on:");
+    for (rule, n) in &queries {
+        println!("  {rule:<28} {n:>3}");
+    }
+    let silent: Vec<&str> = queries
+        .iter()
+        .filter(|(_, n)| **n == 0)
+        .map(|(rule, _)| rule.as_str())
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "optimizer rules that fire on no golden query: {silent:?}"
+    );
 }
