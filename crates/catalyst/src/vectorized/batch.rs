@@ -294,6 +294,21 @@ impl ColumnVector {
         ColumnVector::new(self.dtype.clone(), data, nulls)
     }
 
+    /// [`gather`](Self::gather) with `fill` in place of NULL at
+    /// [`NULL_LANE`]s: a `lag`/`lead` default outside its partition.
+    pub fn gather_or(&self, indices: &[u32], fill: &Value) -> ColumnVector {
+        if fill.is_null() || !indices.contains(&NULL_LANE) {
+            return self.gather(indices);
+        }
+        let values = (indices.iter())
+            .map(|&i| match i {
+                NULL_LANE => fill.clone(),
+                i => self.get(i as usize),
+            })
+            .collect();
+        ColumnVector::from_values(&self.dtype, values)
+    }
+
     /// `parts` end to end as one vector of `dtype`. Parts sharing one
     /// declared type and storage concatenate lane for lane; anything else
     /// is rebuilt from its values.

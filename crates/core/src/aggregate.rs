@@ -57,10 +57,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A planned aggregate call for the row kernel (and for window frames):
-/// the bound argument evaluator plus which accumulator it feeds.
+/// A planned aggregate call for the row kernel: the bound argument
+/// evaluator plus which accumulator it feeds.
 #[derive(Clone)]
-pub(crate) struct AggCall {
+struct AggCall {
     func: AggFunc,
     distinct: bool,
     /// Bound argument evaluator (None = COUNT(*)).
@@ -69,7 +69,7 @@ pub(crate) struct AggCall {
 
 impl AggCall {
     /// Bind `arg` to `input` and build its evaluator.
-    pub(crate) fn plan(
+    fn plan(
         func: AggFunc,
         distinct: bool,
         arg: Option<&Expr>,
@@ -86,11 +86,11 @@ impl AggCall {
         })
     }
 
-    pub(crate) fn init(&self) -> Acc {
+    fn init(&self) -> Acc {
         Acc::new(self.func, self.distinct)
     }
 
-    pub(crate) fn update(&self, acc: &mut Acc, row: &Row) {
+    fn update(&self, acc: &mut Acc, row: &Row) {
         acc.update(match &self.arg {
             None => Value::Long(1), // COUNT(*): every row counts
             Some(f) => f(row),

@@ -6,8 +6,10 @@
 //! it: the operator lowers the exchange's input and builds its map-side
 //! records, and the exchange routes them to reducers by the function
 //! that operator's records have always been routed by — a hash of the
-//! key, the reducer index a batch GROUP BY block carries, the hash of a
-//! window key's PARTITION BY prefix, or sampled sort-key ranges. A
+//! key, the reducer index a batch block carries, the hash of a window
+//! key's PARTITION BY prefix, or sampled sort-key ranges. Batch sorts and
+//! windows route lanes, not records: a [`Route`] picks each lane's
+//! reducer on the map side, and the blocks travel by reducer index. A
 //! shuffled join's two exchanges are read as a [`HashPair`], stage by
 //! stage from measured sizes.
 //!
@@ -17,18 +19,23 @@
 
 use crate::execution::{cancel_checked, engine_err, ExecContext};
 use crate::join::{pair_bytes, Keyed};
-use crate::sort::{KeyedRow, SortKey};
+use crate::sort::{lane_order, KeyLanes, KeyedRow, SortKey};
 use catalyst::adaptive::{rules, AdaptivePlanChange, AdaptiveRule};
 use catalyst::error::{CatalystError, Result};
 use catalyst::physical::{BuildSide, Partitioning, PhysicalPlan};
 use catalyst::plan::JoinType;
 use catalyst::row::Row;
+use catalyst::types::DataType;
+use catalyst::value::Value;
+use catalyst::vectorized::{ColumnVector, RowBatch};
 use engine::pair::SortedPairRdd;
 use engine::rdd::Dependency;
 use engine::shuffle::SizeFn;
 use engine::{
-    Data, HashPartitioner, MaterializedShuffle, PairRdd, Partitioner, RddRef, ShuffleReadSpec,
+    Data, HashPartitioner, MaterializedShuffle, PairRdd, Partitioner, RangePartitioner, RddRef,
+    Reservoir, ShuffleReadSpec,
 };
+use std::cmp::Ordering;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -103,19 +110,28 @@ impl<'a> Exchange<'a> {
     }
 
     /// Route records to the reducer index they are keyed by: the batch
-    /// GROUP BY's one block per reducer.
+    /// pipelines' one block per map task and reducer. A `Single`
+    /// exchange coalesces them into one partition instead, with no
+    /// shuffle.
     pub(crate) fn by_index<V: Data>(
         &self,
         records: &RddRef<(usize, V)>,
         ctx: &ExecContext,
     ) -> RddRef<(usize, V)> {
+        if let Partitioning::Single = self.partitioning {
+            return self.read(records.coalesce(1), ctx);
+        }
         let partitioner = IndexPartitioner(self.partitions());
         self.read(records.partition_by(Arc::new(partitioner)), ctx)
     }
 
     /// Co-locate window rows by their key's PARTITION BY prefix (the
     /// exchange's keys), or all of them in one partition.
-    pub(crate) fn window(&self, records: &RddRef<KeyedRow>, ctx: &ExecContext) -> RddRef<KeyedRow> {
+    pub(crate) fn window_rows(
+        &self,
+        records: &RddRef<KeyedRow>,
+        ctx: &ExecContext,
+    ) -> RddRef<KeyedRow> {
         let prefix = match self.partitioning {
             Partitioning::Hash { keys, .. } => keys.len(),
             _ => return self.read(records.coalesce(1), ctx),
@@ -126,14 +142,134 @@ impl<'a> Exchange<'a> {
     }
 
     /// Range-partition sort rows on boundaries sampled from them (the
-    /// sampling jobs run now).
-    pub(crate) fn range(
+    /// sketch job runs now).
+    pub(crate) fn range_rows(
         &self,
         records: &RddRef<KeyedRow>,
         ctx: &ExecContext,
     ) -> Result<RddRef<KeyedRow>> {
         let shuffled = records.try_range_partition(true, self.partitions());
         Ok(self.read(shuffled.map_err(engine_err)?, ctx))
+    }
+
+    /// The route of a window's key lanes (PARTITION BY, then ORDER BY):
+    /// where [`Exchange::window_rows`] sends their rows.
+    pub(crate) fn window_route(&self) -> Route {
+        match self.partitioning {
+            Partitioning::Hash { keys, partitions } => Route::Hash {
+                prefix: keys.len(),
+                partitions: *partitions,
+            },
+            _ => Route::Single,
+        }
+    }
+
+    /// The route of sort-key lanes to this exchange's ranges, on bounds
+    /// from one sketch job over `keys` (batches of key columns of types
+    /// `dtypes`, ordered per `descending_mask`): each input partition's
+    /// row count and a fixed-size sample of its keys, weighed into
+    /// quantiles by [`RangePartitioner::bounds_from_weighted_sample`].
+    /// `None` when the input is empty; a single range needs no sketch.
+    pub(crate) fn range(
+        &self,
+        keys: &RddRef<RowBatch>,
+        dtypes: &[DataType],
+        descending_mask: u64,
+        ctx: &ExecContext,
+    ) -> Result<Option<Route>> {
+        let partitions = self.partitions();
+        if partitions <= 1 {
+            return Ok(Some(Route::Single));
+        }
+        let size = RangePartitioner::<SortKey>::sample_size(partitions, keys.num_partitions());
+        let sketches = cancel_checked(keys, ctx)
+            .run_job(move |p, batches| {
+                let mut sample = Reservoir::new(size, 0xC0FFEE ^ p as u64);
+                for batch in batches {
+                    batch.for_each_selected(|i| {
+                        sample.offer(|| {
+                            let key = batch.columns().iter().map(|c| c.get(i)).collect();
+                            SortKey::new(key, descending_mask)
+                        })
+                    });
+                }
+                sample
+            })
+            .map_err(engine_err)?;
+        if sketches.iter().all(|s| s.seen() == 0) {
+            return Ok(None);
+        }
+        let sample = sketches.into_iter().flat_map(Reservoir::weighted).collect();
+        let bounds = RangePartitioner::bounds_from_weighted_sample(sample, partitions);
+        let columns = (dtypes.iter().enumerate())
+            .map(|(k, dtype)| {
+                let values = bounds.iter().map(|b| b.values()[k].clone()).collect();
+                Arc::new(ColumnVector::from_values(dtype, values))
+            })
+            .collect();
+        Ok(Some(Route::Range {
+            bounds: columns,
+            count: bounds.len(),
+            descending_mask,
+        }))
+    }
+}
+
+/// Where a batch pipeline's lanes go: the map side of a batch sort or
+/// window picks each selected lane's reducer by its key lanes.
+pub(crate) enum Route {
+    /// Reducer `r` takes the keys from bound `r - 1` (inclusive) to bound
+    /// `r`: a binary search under the sort's key order.
+    Range {
+        /// The bounds, one lane each, as key columns.
+        bounds: Vec<Arc<ColumnVector>>,
+        count: usize,
+        descending_mask: u64,
+    },
+    /// The reducer a [`PrefixPartitioner`] sends the key's first
+    /// `prefix` columns (its PARTITION BY values) to.
+    Hash { prefix: usize, partitions: usize },
+    /// Everything to reducer 0.
+    Single,
+}
+
+impl Route {
+    /// Append each selected lane of `keys` (a batch of key columns) to
+    /// its reducer's list in `members`.
+    pub(crate) fn split(&self, keys: &RowBatch, members: &mut [Vec<u32>]) {
+        match self {
+            Route::Single => keys.for_each_selected(|i| members[0].push(i as u32)),
+            Route::Range {
+                bounds,
+                count,
+                descending_mask,
+            } => {
+                let (bounds, lanes) = (KeyLanes::all(bounds), KeyLanes::all(keys.columns()));
+                keys.for_each_selected(|i| {
+                    // How many bounds are at or below the key.
+                    let (mut lo, mut hi) = (0, *count);
+                    while lo < hi {
+                        let mid = (lo + hi) / 2;
+                        match lane_order(&bounds, mid, &lanes, i, *descending_mask) {
+                            Ordering::Greater => hi = mid,
+                            _ => lo = mid + 1,
+                        }
+                    }
+                    members[lo].push(i as u32);
+                });
+            }
+            Route::Hash { prefix, partitions } => {
+                // A `Vec` hashes as the slice a `PrefixPartitioner` hashes.
+                let partitioner = HashPartitioner::<Vec<Value>>::new(*partitions);
+                let columns = &keys.columns()[..*prefix];
+                let mut values = Vec::with_capacity(*prefix);
+                keys.for_each_selected(|i| {
+                    values.clear();
+                    values.extend(columns.iter().map(|c| c.get(i)));
+                    members[partitioner.partition(&values)].push(i as u32);
+                });
+            }
+        }
     }
 }
 

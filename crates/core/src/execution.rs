@@ -305,13 +305,7 @@ impl Lowered {
         let dtypes: Arc<Vec<DataType>> =
             Arc::new(plan.output().iter().map(|c| c.dtype.clone()).collect());
         let batch_size = ctx.conf.vectorize_batch_size.max(1);
-        rows.map_partitions(move |it| {
-            Box::new(IterChunks {
-                inner: it,
-                dtypes: dtypes.clone(),
-                batch_size,
-            })
-        })
+        rows.map_partitions(move |it| Box::new(IterChunks::new(it, dtypes.clone(), batch_size)))
     }
 }
 
@@ -348,12 +342,24 @@ fn lower_rows(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRe
 
 // ---- vectorized (batch) execution path ----
 
-/// Partition iterator chunking a row scan into [`RowBatch`]es — the
-/// generic row→batch adapter for sources without a native vector scan.
-struct IterChunks {
+/// Partition iterator chunking rows into [`RowBatch`]es — the generic
+/// row→batch adapter for sources without a native vector scan, for row
+/// subtrees under a batch operator, and for a spilled sort's rows.
+pub(crate) struct IterChunks {
     inner: RowIter,
     dtypes: Arc<Vec<DataType>>,
     batch_size: usize,
+}
+
+impl IterChunks {
+    /// Batches of at most `batch_size` of `inner`'s rows, of `dtypes`.
+    pub(crate) fn new(inner: RowIter, dtypes: Arc<Vec<DataType>>, batch_size: usize) -> Self {
+        IterChunks {
+            inner,
+            dtypes,
+            batch_size,
+        }
+    }
 }
 
 impl Iterator for IterChunks {
@@ -430,9 +436,10 @@ fn metered_batches(rdd: &RddRef<RowBatch>, node: Arc<OperatorMetrics>) -> RddRef
 /// (or, for Filter/Project, its child chain down to a leaf) has no batch
 /// form — the caller then takes the row path for the whole subtree.
 /// Batch subtrees grow from batchable leaves (Scan, LocalData) upward
-/// through Filter and Project, and through every `BroadcastHashJoin` and
-/// every grouped `HashAggregate` the batch pipeline takes (whose inputs
-/// adapt to batches); everything else adapts at the boundary via
+/// through Filter and Project, and through every `BroadcastHashJoin`,
+/// every grouped `HashAggregate` the batch pipeline takes, every `Sort`
+/// and every `Window` (whose inputs adapt to batches); everything else
+/// adapts at the boundary via
 /// [`RowBatch::into_selected_rows`].
 fn try_execute_batched(
     plan: &PhysicalPlan,
@@ -476,11 +483,7 @@ fn try_lower_batched(
                 match relation.scan_partition_vectors(p, proj.as_deref(), &filters) {
                     Ok(Some(batches)) => batches,
                     Ok(None) => match relation.scan_partition(p, proj.as_deref(), &filters) {
-                        Ok(it) => Box::new(IterChunks {
-                            inner: it,
-                            dtypes: dtypes.clone(),
-                            batch_size,
-                        }),
+                        Ok(it) => Box::new(IterChunks::new(it, dtypes.clone(), batch_size)),
                         Err(e) => panic!("scan failed: {e}"),
                     },
                     Err(e) => panic!("scan failed: {e}"),
@@ -502,11 +505,7 @@ fn try_lower_batched(
                 move |_| -> engine::BoxIter<RowBatch> {
                     let rows = rows.clone();
                     let it: RowIter = Box::new((0..rows.len()).map(move |i| rows[i].clone()));
-                    Box::new(IterChunks {
-                        inner: it,
-                        dtypes: dtypes.clone(),
-                        batch_size,
-                    })
+                    Box::new(IterChunks::new(it, dtypes.clone(), batch_size))
                 },
             )))
         }
@@ -533,6 +532,15 @@ fn try_lower_batched(
             groupings,
             output_exprs,
         } => aggregate::execute_batch_aggregate(input, groupings, output_exprs, id, ctx),
+
+        PhysicalPlan::Sort { input, orders } => sort::execute_batch_sort(input, orders, id, ctx),
+
+        PhysicalPlan::Window {
+            input,
+            window_exprs,
+            partition_by,
+            order_by,
+        } => window::execute_batch_window(input, window_exprs, partition_by, order_by, id, ctx),
 
         _ => None,
     }

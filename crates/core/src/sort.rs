@@ -1,14 +1,34 @@
-//! ORDER BY: the sort key and its one order, `Sort`, and `TakeOrdered`.
+//! ORDER BY: the one definition of key order, `Sort`, `TakeOrdered`,
+//! and the block pipeline `Sort` and `Window` share.
 //!
-//! `Sort` is one pipeline for every memory budget: evaluate each row's
-//! key → range-partition on sampled boundaries (the `Exchange` under the
-//! sort: the engine's count + sample + shuffle, as its own `sort_by_key`
-//! runs) → [`spill::external_sort`] per partition. The budget only decides whether a partition's sort writes
-//! runs to disk on the way; the rows and their order are the same.
+//! **Block pipeline** (production):
+//!
+//! 1. *Keys by kernels.* [`BlockKeys`] evaluates the sort keys of each
+//!    input batch with [`vectorized::eval_projection_batch`]; a key that
+//!    is a bare input column is that column, not a copy.
+//! 2. *Routing.* The `Exchange` under the operator routes every selected
+//!    lane to a reducer — a range sort by bounds from one sketch job
+//!    over the key batches, a window by the hash of its PARTITION BY
+//!    prefix — and each map task ships one [`SortBlock`] (input and key
+//!    columns) per non-empty reducer.
+//! 3. *Permutation sort.* A reducer concatenates its blocks in map-id
+//!    order and stable-sorts a `u32` permutation under [`lane_order`],
+//!    so equal keys keep map id, then arrival, as a stable sort of rows
+//!    would. `Sort` gathers the permutation into batches of
+//!    `vectorize_batch_size`; `Window` walks it.
+//!
+//! `(key, row)` pairs ([`KeyedRow`]) exist in two places only: the
+//! reference configuration's row path (key → range shuffle →
+//! [`spill::external_sort`]), and the block pipeline's spill fallback.
+//! A reducer reserves its blocks as they arrive; on the first denial it
+//! hands them, still reserved until read, and the blocks not yet read to
+//! [`spill::external_sort`] as pairs — the one external sort.
 
-use crate::exchange::Exchange;
-use crate::execution::{bind_all, engine_err, execute_node, note_eager_ns, ExecContext};
-use crate::spill;
+use crate::exchange::{Exchange, Route};
+use crate::execution::{
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, ExecContext, IterChunks,
+};
+use crate::spill::{self, SpillCtx};
 use catalyst::error::Result;
 use catalyst::expr::{ColumnRef, Expr, SortOrder};
 use catalyst::interpreter;
@@ -16,7 +36,8 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use engine::RddRef;
+use catalyst::vectorized::{self, ColumnVector, RowBatch, VectorData};
+use engine::{BoxIter, MemoryReservation, RddRef};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -104,10 +125,111 @@ impl Ord for SortKey {
     }
 }
 
+/// One key column's lanes, typed as [`ColumnVector::get`] would tag
+/// them, so comparing lanes is comparing the values they stand for.
+enum Lanes<'a> {
+    /// Int and Date lanes: `get` narrows them to `i32`.
+    Narrow(&'a [i64]),
+    /// Long and Timestamp lanes.
+    Wide(&'a [i64]),
+    /// Float lanes: `get` narrows them to `f32`.
+    Float(&'a [f64]),
+    /// Double lanes.
+    Double(&'a [f64]),
+    Bool(&'a [bool]),
+    Str(&'a [Arc<str>]),
+    /// Boxed values, compared as values.
+    Boxed,
+}
+
+/// A key column viewed for [`lane_order`].
+pub(crate) struct KeyLanes<'a> {
+    column: &'a ColumnVector,
+    lanes: Lanes<'a>,
+    nulls: Option<&'a [bool]>,
+}
+
+impl<'a> KeyLanes<'a> {
+    pub(crate) fn new(column: &'a ColumnVector) -> KeyLanes<'a> {
+        let lanes = match (column.data(), column.dtype()) {
+            (VectorData::Long(v), DataType::Int | DataType::Date) => Lanes::Narrow(v),
+            (VectorData::Long(v), _) => Lanes::Wide(v),
+            (VectorData::Double(v), DataType::Float) => Lanes::Float(v),
+            (VectorData::Double(v), _) => Lanes::Double(v),
+            (VectorData::Bool(v), _) => Lanes::Bool(v),
+            (VectorData::Str(v), _) => Lanes::Str(v),
+            (VectorData::Values(_), _) => Lanes::Boxed,
+        };
+        KeyLanes {
+            column,
+            lanes,
+            nulls: column.nulls(),
+        }
+    }
+
+    /// Views of every column in `columns`.
+    pub(crate) fn all(columns: &'a [Arc<ColumnVector>]) -> Vec<KeyLanes<'a>> {
+        columns.iter().map(|c| KeyLanes::new(c)).collect()
+    }
+
+    fn is_null(&self, i: usize) -> bool {
+        self.nulls.is_some_and(|n| n[i])
+    }
+}
+
+/// How lane `i` of `a` compares with lane `j` of `b`, ascending: exactly
+/// [`Value::total_cmp`] of the values [`ColumnVector::get`] returns for
+/// them — NULL first, `i64` order for integer and date lanes,
+/// `f64::total_cmp` for floating lanes (−0.0 before 0.0, NaN last),
+/// byte order for strings — without boxing either.
+fn lane_cmp(a: &KeyLanes, i: usize, b: &KeyLanes, j: usize) -> Ordering {
+    let o = match (&a.lanes, &b.lanes) {
+        (Lanes::Narrow(x), Lanes::Narrow(y)) => (x[i] as i32).cmp(&(y[j] as i32)),
+        (Lanes::Wide(x), Lanes::Wide(y)) => x[i].cmp(&y[j]),
+        (Lanes::Float(x), Lanes::Float(y)) => {
+            f64::from(x[i] as f32).total_cmp(&f64::from(y[j] as f32))
+        }
+        (Lanes::Double(x), Lanes::Double(y)) => x[i].total_cmp(&y[j]),
+        (Lanes::Bool(x), Lanes::Bool(y)) => x[i].cmp(&y[j]),
+        (Lanes::Str(x), Lanes::Str(y)) => x[i].as_bytes().cmp(y[j].as_bytes()),
+        _ => return a.column.get(i).total_cmp(&b.column.get(j)),
+    };
+    match (a.is_null(i), b.is_null(j)) {
+        (false, false) => o,
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+    }
+}
+
+/// [`key_order`] over lanes: how the key at lane `i` of `a` compares
+/// with the key at lane `j` of `b`, column by column, reversed where the
+/// column's bit of `descending_mask` is set.
+pub(crate) fn lane_order(
+    a: &[KeyLanes],
+    i: usize,
+    b: &[KeyLanes],
+    j: usize,
+    descending_mask: u64,
+) -> Ordering {
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        let o = lane_cmp(x, i, y, j);
+        if o != Ordering::Equal {
+            return if descending_mask & (1 << k) != 0 {
+                o.reverse()
+            } else {
+                o
+            };
+        }
+    }
+    Ordering::Equal
+}
+
 /// A sort's unit of work: a row under its key.
 pub(crate) type KeyedRow = (SortKey, Row);
 
-/// ORDER BY expressions bound to an input: the one evaluator of sort keys.
+/// ORDER BY expressions bound to an input, evaluated a row at a time: the
+/// row sort's and the top-N's keys.
 struct KeyEval {
     bound: Vec<Expr>,
     descending_mask: u64,
@@ -166,7 +288,8 @@ fn top_n(rows: impl Iterator<Item = Row>, n: usize, keys: &KeyEval) -> Result<Ve
     Ok(ranked.into_iter().map(|(key, _, row)| (key, row)).collect())
 }
 
-/// Lower a `Sort` operator (pre-order id `id`).
+/// Lower a `Sort` operator (pre-order id `id`) as rows: the reference
+/// configuration's path.
 pub(crate) fn execute_sort(
     input: &Arc<PhysicalPlan>,
     orders: &[SortOrder],
@@ -192,10 +315,335 @@ pub(crate) fn execute_sort(
         Ok(key) => (key, row),
         Err(e) => panic!("sort key failed: {e}"),
     });
-    let partitioned = exchange.range(&keyed, ctx)?;
+    let partitioned = exchange.range_rows(&keyed, ctx)?;
     let sctx = ctx.spill_ctx(id);
     Ok(partitioned
         .map_partitions(move |it| Box::new(spill::external_sort(it, &layout, &sctx).map(|p| p.1))))
+}
+
+// ---- block pipeline ----
+
+/// How a block pipeline's sort keys sit among its columns: a block holds
+/// the input's columns, then the keys that are not bare input columns,
+/// evaluated by kernels.
+pub(crate) struct BlockKeys {
+    /// Keys that are not bare input columns, bound to the input.
+    computed: Vec<Expr>,
+    /// Each key's column in a block.
+    key_cols: Vec<usize>,
+    /// Input column count: a block's first `width` columns.
+    width: usize,
+    /// Declared types of a block's columns.
+    dtypes: Vec<DataType>,
+    /// Declared types of the keys.
+    key_dtypes: Vec<DataType>,
+    descending_mask: u64,
+}
+
+impl BlockKeys {
+    /// Keys `keys` over `input`, ordered per `descending_mask`.
+    pub(crate) fn new(keys: &[Expr], descending_mask: u64, input: &[ColumnRef]) -> Result<Self> {
+        let width = input.len();
+        let mut dtypes: Vec<DataType> = input.iter().map(|c| c.dtype.clone()).collect();
+        let (mut computed, mut key_cols, mut key_dtypes) = (Vec::new(), Vec::new(), Vec::new());
+        for key in bind_all(keys, input)? {
+            let dtype = key.data_type().unwrap_or(DataType::String);
+            match key {
+                Expr::BoundRef { index, .. } => key_cols.push(index),
+                key => {
+                    key_cols.push(dtypes.len());
+                    dtypes.push(dtype.clone());
+                    computed.push(key);
+                }
+            }
+            key_dtypes.push(dtype);
+        }
+        Ok(BlockKeys {
+            computed,
+            key_cols,
+            width,
+            dtypes,
+            key_dtypes,
+            descending_mask,
+        })
+    }
+
+    /// `batch`'s block columns: its own, then the computed keys.
+    fn columns(&self, batch: &RowBatch) -> Vec<Arc<ColumnVector>> {
+        let mut columns = batch.columns().to_vec();
+        if !self.computed.is_empty() {
+            let keys = vectorized::eval_projection_batch(&self.computed, batch)
+                .expect("sort key evaluation failed");
+            columns.extend_from_slice(keys.columns());
+        }
+        columns
+    }
+
+    /// The key columns of `columns`, over `batch`'s selection.
+    fn keys_of(&self, columns: &[Arc<ColumnVector>], batch: &RowBatch) -> RowBatch {
+        let keys = self.key_cols.iter().map(|&c| columns[c].clone()).collect();
+        let keys = RowBatch::new(keys, batch.num_rows());
+        match batch.selection() {
+            Some(selection) => keys.with_selection(selection.to_vec()),
+            None => keys,
+        }
+    }
+
+    /// `batch`'s keys, evaluated by kernels, over its selection.
+    pub(crate) fn key_batch(&self, batch: &RowBatch) -> RowBatch {
+        self.keys_of(&self.columns(batch), batch)
+    }
+
+    /// One map task's blocks: every selected lane of `batches` routed by
+    /// `route`, one [`SortBlock`] per non-empty reducer, lanes in
+    /// arrival order.
+    pub(crate) fn ship(
+        &self,
+        batches: BoxIter<RowBatch>,
+        route: &Route,
+        reducers: usize,
+    ) -> Vec<(usize, SortBlock)> {
+        let mut parts: Vec<Vec<Vec<Arc<ColumnVector>>>> =
+            vec![vec![Vec::new(); self.dtypes.len()]; reducers];
+        let mut rows = vec![0usize; reducers];
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); reducers];
+        for batch in batches {
+            let columns = self.columns(&batch);
+            members.iter_mut().for_each(Vec::clear);
+            route.split(&self.keys_of(&columns, &batch), &mut members);
+            for (r, lanes) in members.iter().enumerate() {
+                if lanes.is_empty() {
+                    continue;
+                }
+                rows[r] += lanes.len();
+                for (part, column) in parts[r].iter_mut().zip(&columns) {
+                    // All of an unfiltered batch's lanes, in order: share them.
+                    part.push(if lanes.len() == batch.num_rows() {
+                        column.clone()
+                    } else {
+                        Arc::new(column.gather(lanes))
+                    });
+                }
+            }
+        }
+        (parts.into_iter().zip(rows).enumerate())
+            .filter(|(_, (_, rows))| *rows > 0)
+            .map(|(r, (parts, rows))| {
+                let columns = (self.dtypes.iter().zip(&parts))
+                    .map(|(dtype, parts)| concat(dtype, parts))
+                    .collect();
+                (r, SortBlock { columns, rows })
+            })
+            .collect()
+    }
+
+    /// Sort one reducer's blocks (in map-id order). The blocks are
+    /// reserved as they arrive; a denied reservation hands them, as
+    /// pairs, with the blocks not yet read to [`spill::external_sort`].
+    pub(crate) fn sort(
+        self: &Arc<Self>,
+        mut blocks: BoxIter<SortBlock>,
+        sctx: &SpillCtx,
+    ) -> Sorted {
+        let mut reservation = sctx.pool.register();
+        let mut held: Vec<SortBlock> = Vec::new();
+        while let Some(block) = blocks.next() {
+            if !reservation.try_grow(block.approx_bytes()) {
+                let keys = self.clone();
+                // The held blocks keep their reservation until their last
+                // pair is read, as a drained GROUP BY table does.
+                let reserved = held.into_iter().flat_map(move |b| {
+                    let _held = &reservation;
+                    b.into_pairs(&keys)
+                });
+                let keys = self.clone();
+                let unread = std::iter::once(block)
+                    .chain(blocks)
+                    .flat_map(move |b| b.into_pairs(&keys));
+                let layout = spill::SortLayout::new(
+                    self.key_dtypes.clone(),
+                    self.dtypes[..self.width].iter().cloned(),
+                    self.descending_mask,
+                );
+                let pairs = Box::new(reserved.chain(unread));
+                return Sorted::Spilled(spill::external_sort(pairs, &layout, sctx));
+            }
+            held.push(block);
+        }
+        let rows: usize = held.iter().map(|b| b.rows).sum();
+        let columns: Vec<Arc<ColumnVector>> = (self.dtypes.iter().enumerate())
+            .map(|(j, dtype)| {
+                let parts: Vec<Arc<ColumnVector>> =
+                    held.iter().map(|b| b.columns[j].clone()).collect();
+                concat(dtype, &parts)
+            })
+            .collect();
+        drop(held);
+        let keys: Vec<KeyLanes> = self
+            .key_cols
+            .iter()
+            .map(|&c| KeyLanes::new(&columns[c]))
+            .collect();
+        let mut perm: Vec<u32> = (0..rows as u32).collect();
+        perm.sort_by(|&a, &b| {
+            lane_order(&keys, a as usize, &keys, b as usize, self.descending_mask)
+        });
+        drop(keys);
+        Sorted::Lanes(SortedLanes {
+            columns,
+            perm,
+            key_cols: self.key_cols.clone(),
+            width: self.width,
+            _reservation: reservation,
+        })
+    }
+}
+
+/// `parts` end to end; a single part is shared, not copied.
+fn concat(dtype: &DataType, parts: &[Arc<ColumnVector>]) -> Arc<ColumnVector> {
+    match parts {
+        [one] => one.clone(),
+        parts => Arc::new(ColumnVector::concat(dtype, parts)),
+    }
+}
+
+/// One map task's lanes for one reducer: the input's columns, then the
+/// computed keys ([`BlockKeys`]). Cloning shares the columns (the
+/// shuffle hands out clones).
+#[derive(Clone)]
+pub(crate) struct SortBlock {
+    columns: Vec<Arc<ColumnVector>>,
+    rows: usize,
+}
+
+impl SortBlock {
+    fn approx_bytes(&self) -> u64 {
+        self.columns.iter().map(|c| c.approx_bytes()).sum()
+    }
+
+    /// The block's lanes as `(key, row)` pairs — only for the spill
+    /// fallback.
+    fn into_pairs(self, keys: &BlockKeys) -> impl Iterator<Item = KeyedRow> {
+        let (key_cols, width, mask) = (keys.key_cols.clone(), keys.width, keys.descending_mask);
+        (0..self.rows).map(move |i| {
+            let key = key_cols.iter().map(|&c| self.columns[c].get(i)).collect();
+            let row = self.columns[..width].iter().map(|c| c.get(i)).collect();
+            (SortKey::new(key, mask), Row::new(row))
+        })
+    }
+}
+
+/// One reducer's lanes in key order.
+pub(crate) enum Sorted {
+    /// In memory: the lanes and their sorting permutation.
+    Lanes(SortedLanes),
+    /// Past the budget: sorted pairs from [`spill::external_sort`].
+    Spilled(BoxIter<KeyedRow>),
+}
+
+/// A reducer's concatenated block columns and the permutation that
+/// sorts them; it keeps the blocks' reservation until it is dropped.
+pub(crate) struct SortedLanes {
+    columns: Vec<Arc<ColumnVector>>,
+    /// Lane indices in key order.
+    pub(crate) perm: Vec<u32>,
+    key_cols: Vec<usize>,
+    width: usize,
+    _reservation: MemoryReservation,
+}
+
+impl SortedLanes {
+    /// The input's columns (not the computed keys).
+    pub(crate) fn input(&self) -> &[Arc<ColumnVector>] {
+        &self.columns[..self.width]
+    }
+
+    /// Views of the key columns, in key order.
+    pub(crate) fn keys(&self) -> Vec<KeyLanes<'_>> {
+        self.key_cols
+            .iter()
+            .map(|&c| KeyLanes::new(&self.columns[c]))
+            .collect()
+    }
+
+    /// The input's columns gathered at sorted positions `range`.
+    pub(crate) fn gather(&self, range: std::ops::Range<usize>) -> Vec<Arc<ColumnVector>> {
+        let lanes = &self.perm[range];
+        self.input()
+            .iter()
+            .map(|c| Arc::new(c.gather(lanes)))
+            .collect()
+    }
+}
+
+/// Positions `0..len` in runs of at most `batch_size`.
+pub(crate) fn chunks(
+    len: usize,
+    batch_size: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let batch_size = batch_size.max(1);
+    (0..len)
+        .step_by(batch_size)
+        .map(move |start| start..(start + batch_size).min(len))
+}
+
+/// Lower a `Sort` (pre-order id `id`) to the block pipeline, or `None`
+/// in the reference configuration.
+pub(crate) fn execute_batch_sort(
+    input: &Arc<PhysicalPlan>,
+    orders: &[SortOrder],
+    id: usize,
+    ctx: &ExecContext,
+) -> Option<Result<RddRef<RowBatch>>> {
+    if ctx.conf.reference {
+        return None;
+    }
+    Some(batch_sort(input, orders, id, ctx))
+}
+
+fn batch_sort(
+    input: &Arc<PhysicalPlan>,
+    orders: &[SortOrder],
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    let exchange = Exchange::at(input, id + 1)?;
+    let exprs: Vec<Expr> = orders.iter().map(|o| o.expr.clone()).collect();
+    let keys = Arc::new(BlockKeys::new(
+        &exprs,
+        descending_mask(orders),
+        &input.output(),
+    )?);
+    let child = lower_node(exchange.input, exchange.input_id, ctx)?.batches(exchange.input, ctx);
+    let sketch_start = Instant::now();
+    let for_sketch = keys.clone();
+    let key_batches = child.map(move |b| for_sketch.key_batch(&b));
+    let route = exchange.range(&key_batches, &keys.key_dtypes, keys.descending_mask, ctx)?;
+    note_eager_ns(ctx, id, sketch_start);
+    let Some(route) = route else {
+        return Ok(ctx.sc.parallelize(Vec::new(), 1));
+    };
+    let reducers = exchange.partitions();
+    let map_keys = keys.clone();
+    let blocks =
+        child.map_partitions(move |it| Box::new(map_keys.ship(it, &route, reducers).into_iter()));
+    let dtypes: Arc<Vec<DataType>> =
+        Arc::new(input.output().into_iter().map(|c| c.dtype).collect());
+    let batch_size = ctx.conf.vectorize_batch_size.max(1);
+    let sctx = ctx.spill_ctx(id);
+    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+        match keys.sort(Box::new(it.map(|(_, block)| block)), &sctx) {
+            Sorted::Lanes(sorted) => Box::new(
+                chunks(sorted.perm.len(), batch_size)
+                    .map(move |range| RowBatch::new(sorted.gather(range.clone()), range.len())),
+            ),
+            Sorted::Spilled(pairs) => Box::new(IterChunks::new(
+                Box::new(pairs.map(|(_, row)| row)),
+                dtypes.clone(),
+                batch_size,
+            )),
+        }
+    }))
 }
 
 /// Lower a `TakeOrdered` operator: per-partition top-`n`, then a
@@ -222,4 +670,107 @@ pub(crate) fn execute_take_ordered(
     Ok(ctx
         .sc
         .parallelize(all.into_iter().map(|(_, r)| r).collect(), 1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Edge values of one declared type.
+    fn edge_values(dtype: &DataType) -> Vec<Value> {
+        let mut values = vec![Value::Null];
+        values.extend(match dtype {
+            DataType::Int => [i32::MIN, -1, 0, 1, i32::MAX].map(Value::Int).to_vec(),
+            DataType::Long => [i64::MIN, -1, 0, 1, i64::MAX].map(Value::Long).to_vec(),
+            DataType::Date => [-1, 0, 19_000].map(Value::Date).to_vec(),
+            DataType::Timestamp => [-1, 0, 1 << 40].map(Value::Timestamp).to_vec(),
+            DataType::Float => [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0, 0.1, f32::MAX]
+                .map(Value::Float)
+                .to_vec(),
+            DataType::Double => [
+                f64::NAN,
+                -f64::NAN,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+                0.1,
+                1e300,
+            ]
+            .map(Value::Double)
+            .to_vec(),
+            DataType::Boolean => [false, true].map(Value::Boolean).to_vec(),
+            _ => ["", "a", "ab", "b", "é", "человек", "Z"]
+                .map(Value::str)
+                .to_vec(),
+        });
+        values
+    }
+
+    const DTYPES: &[DataType] = &[
+        DataType::Int,
+        DataType::Long,
+        DataType::Date,
+        DataType::Timestamp,
+        DataType::Float,
+        DataType::Double,
+        DataType::Boolean,
+        DataType::String,
+    ];
+
+    /// A column of `n` random edge values of `dtype`, typed or boxed.
+    fn arb_column(rng: &mut StdRng, dtype: &DataType, n: usize) -> Arc<ColumnVector> {
+        let edges = edge_values(dtype);
+        let values: Vec<Value> = (0..n)
+            .map(|_| edges[rng.random_range(0..edges.len())].clone())
+            .collect();
+        Arc::new(match rng.random_bool(0.25) {
+            true => ColumnVector::from_boxed(dtype.clone(), values),
+            false => ColumnVector::from_values(dtype, values),
+        })
+    }
+
+    #[test]
+    fn lane_order_is_sort_key_order() {
+        let mut rng = StdRng::seed_from_u64(0x1A4E);
+        for _ in 0..400 {
+            let width = rng.random_range(1usize..4);
+            // Each key column has one declared type per side, sometimes
+            // Int on one side and Long on the other.
+            let dtypes: Vec<(DataType, DataType)> = (0..width)
+                .map(|_| {
+                    let dtype = DTYPES[rng.random_range(0..DTYPES.len())].clone();
+                    match (dtype.clone(), rng.random_bool(0.2)) {
+                        (DataType::Int, true) => (DataType::Int, DataType::Long),
+                        _ => (dtype.clone(), dtype),
+                    }
+                })
+                .collect();
+            let a: Vec<_> = dtypes
+                .iter()
+                .map(|(d, _)| arb_column(&mut rng, d, 8))
+                .collect();
+            let b: Vec<_> = dtypes
+                .iter()
+                .map(|(_, d)| arb_column(&mut rng, d, 8))
+                .collect();
+            let mask = rng.random_range(0u64..1 << width);
+            let (la, lb) = (KeyLanes::all(&a), KeyLanes::all(&b));
+            let key = |columns: &[Arc<ColumnVector>], i: usize| {
+                SortKey::new(columns.iter().map(|c| c.get(i)).collect(), mask)
+            };
+            for i in 0..8 {
+                for j in 0..8 {
+                    assert_eq!(
+                        lane_order(&la, i, &lb, j, mask),
+                        key(&a, i).cmp(&key(&b, j)),
+                        "{:?} vs {:?} (mask {mask:b})",
+                        key(&a, i),
+                        key(&b, j)
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,13 +1,26 @@
-//! Window functions: co-locate each window partition with a hash shuffle,
-//! sort every engine partition by (partition keys, order keys) with
-//! [`spill::external_sort`] — the sort of every ORDER BY, under every
-//! memory budget — then walk one window partition at a time evaluating
-//! ranking, offset, and framed-aggregate calls.
+//! Window functions over the block pipeline of `sort.rs`.
+//!
+//! Production keys every input lane by its PARTITION BY values, then its
+//! ORDER BY values, evaluated by kernels; routes the lanes to reducers by
+//! the hash of the PARTITION BY prefix (or all to one when there is
+//! none); and sorts each reducer's blocks by a lane permutation. Walking
+//! the permutation, runs of equal PARTITION BY lanes are window
+//! partitions and runs of equal ORDER BY lanes within them are peer
+//! groups. `row_number`, `rank` and `dense_rank` build Long lanes,
+//! `lag`/`lead` gather the argument lane at shifted positions (the typed
+//! default outside the partition), and framed aggregates fold [`Acc`]
+//! over the argument lane with the frame machine the row path uses. The
+//! output batch is the input lanes plus one lane per call.
+//!
+//! The row path — key each row, shuffle, [`spill::external_sort`] the
+//! pairs, walk one window partition at a time — is the reference
+//! configuration's, and the block pipeline's spill fallback.
 
-use crate::aggregate::AggCall;
 use crate::exchange::Exchange;
-use crate::execution::{bind_all, execute_node, value_fn, ExecContext, ValueFn};
-use crate::sort::{descending_mask, KeyedRow, SortKey};
+use crate::execution::{bind_all, execute_node, lower_node, ExecContext, IterChunks};
+use crate::sort::{
+    chunks, descending_mask, lane_order, BlockKeys, KeyedRow, SortKey, Sorted, SortedLanes,
+};
 use crate::spill;
 use catalyst::error::{CatalystError, Result};
 use catalyst::expr::{
@@ -19,7 +32,9 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
+use catalyst::vectorized::{self, Acc, ColumnVector, RowBatch, VectorData, NULL_LANE};
 use engine::RddRef;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One executable window call, planned from an aliased
@@ -34,8 +49,8 @@ enum WindowCall {
     /// `lag`/`lead`: the argument evaluated at a fixed row offset within
     /// the partition, the default value outside it.
     Shift {
-        /// Bound argument evaluator.
-        arg: ValueFn,
+        /// The argument, bound to the input.
+        arg: Expr,
         /// Constant offset (rows).
         offset: i64,
         /// Value when the shifted position falls outside the partition.
@@ -45,11 +60,23 @@ enum WindowCall {
     },
     /// An aggregate evaluated per row over its window frame.
     Agg {
-        /// The aggregate call.
-        call: AggCall,
+        func: AggFunc,
+        /// The argument, bound to the input (`None` for `COUNT(*)`).
+        arg: Option<Expr>,
         /// Frame bounds.
         frame: WindowFrame,
     },
+}
+
+impl WindowCall {
+    /// The bound argument the call reads, if any.
+    fn arg(&self) -> Option<&Expr> {
+        match self {
+            WindowCall::Shift { arg, .. } => Some(arg),
+            WindowCall::Agg { arg, .. } => arg.as_ref(),
+            _ => None,
+        }
+    }
 }
 
 /// Fold a constant (column-free) expression to its value.
@@ -122,7 +149,7 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef]) -> Result<WindowCall> {
                     })?,
             };
             Ok(WindowCall::Shift {
-                arg: value_fn(bound),
+                arg: bound,
                 offset,
                 default,
                 lead: *func == WindowFunc::Lead,
@@ -137,7 +164,8 @@ fn plan_window_call(expr: &Expr, input: &[ColumnRef]) -> Result<WindowCall> {
                 )));
             }
             Ok(WindowCall::Agg {
-                call: AggCall::plan(*f, false, arg, input)?,
+                func: *f,
+                arg: arg.map(|a| bind_references(a.clone(), input)).transpose()?,
                 frame: *frame,
             })
         }
@@ -168,6 +196,90 @@ fn frame_hi(frame: &WindowFrame, i: usize, n: usize, peer_end: &[usize]) -> Opti
         (FrameUnits::Range, _) => peer_end[i],
     };
     Some(hi)
+}
+
+/// Peer groups of `n` frame-ordered rows: each row's first and last
+/// peer, where `same(i, i - 1)` says row `i` ties with the row before.
+fn peer_groups(n: usize, same: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<usize>) {
+    let mut peer_start = vec![0usize; n];
+    let mut peer_end = vec![0usize; n];
+    for i in 1..n {
+        peer_start[i] = if same(i, i - 1) { peer_start[i - 1] } else { i };
+    }
+    if n > 0 {
+        peer_end[n - 1] = n - 1;
+        for i in (0..n - 1).rev() {
+            peer_end[i] = if same(i + 1, i) { peer_end[i + 1] } else { i };
+        }
+    }
+    (peer_start, peer_end)
+}
+
+/// A framed aggregate over one window partition of `n` rows, one value
+/// per row; `update(acc, k)` folds row `k` into `acc`. `frames` counts
+/// evaluated frames (the `frames=` metric).
+fn framed_agg(
+    func: AggFunc,
+    frame: &WindowFrame,
+    n: usize,
+    update: impl Fn(&mut Acc, usize),
+    peer_start: &[usize],
+    peer_end: &[usize],
+    frames: &mut u64,
+) -> Vec<Value> {
+    let init = || Acc::new(func, false);
+    if frame.is_whole_partition() {
+        let mut acc = init();
+        for k in 0..n {
+            update(&mut acc, k);
+        }
+        *frames += 1;
+        vec![acc.finish(); n]
+    } else if frame.start == FrameBound::UnboundedPreceding {
+        // Growing frame: the end bound is nondecreasing in `i`, so one
+        // running accumulator serves every row.
+        let mut acc = init();
+        let mut consumed = 0usize;
+        (0..n)
+            .map(|i| {
+                let target = frame_hi(frame, i, n, peer_end).map_or(0, |h| h + 1);
+                while consumed < target {
+                    update(&mut acc, consumed);
+                    consumed += 1;
+                }
+                *frames += 1;
+                if target == 0 {
+                    init().finish()
+                } else {
+                    acc.clone().finish()
+                }
+            })
+            .collect()
+    } else {
+        // Sliding frame: recompute over the bounded window.
+        (0..n)
+            .map(|i| {
+                let mut acc = init();
+                if let (Some(lo), Some(hi)) = (
+                    frame_lo(frame, i, n, peer_start),
+                    frame_hi(frame, i, n, peer_end),
+                ) {
+                    for k in lo..=hi {
+                        update(&mut acc, k);
+                    }
+                }
+                *frames += 1;
+                acc.finish()
+            })
+            .collect()
+    }
+}
+
+// ---- rows: the reference, and the spill fallback ----
+
+/// `arg` of one row: a failure fails the task.
+fn arg_value(arg: &Expr, row: &Row) -> Value {
+    interpreter::eval(arg, row).expect("expression failed")
 }
 
 /// Evaluate one window call over a full partition, producing one value
@@ -203,69 +315,31 @@ fn eval_window_call(
             default,
             lead,
         } => (0..n)
-            .map(|i| {
-                let j = if *lead {
-                    i as i64 + offset
-                } else {
-                    i as i64 - offset
-                };
-                if (0..n as i64).contains(&j) {
-                    arg(&inputs[j as usize])
-                } else {
-                    default.clone()
-                }
+            .map(|i| match shifted(i, n, *offset, *lead) {
+                Some(j) => arg_value(arg, &inputs[j]),
+                None => default.clone(),
             })
             .collect(),
-        WindowCall::Agg { call, frame } => {
-            if frame.is_whole_partition() {
-                let mut acc = call.init();
-                for row in inputs {
-                    call.update(&mut acc, row);
-                }
-                *frames += 1;
-                vec![acc.finish(); n]
-            } else if frame.start == FrameBound::UnboundedPreceding {
-                // Growing frame: the end bound is nondecreasing in `i`,
-                // so one running accumulator serves every row.
-                let mut acc = call.init();
-                let mut consumed = 0usize;
-                (0..n)
-                    .map(|i| {
-                        let target = frame_hi(frame, i, n, peer_end).map_or(0, |h| h + 1);
-                        while consumed < target {
-                            call.update(&mut acc, &inputs[consumed]);
-                            consumed += 1;
-                        }
-                        *frames += 1;
-                        if target == 0 {
-                            call.init().finish()
-                        } else {
-                            acc.clone().finish()
-                        }
-                    })
-                    .collect()
-            } else {
-                // Sliding frame: recompute over the bounded window.
-                (0..n)
-                    .map(|i| {
-                        let mut acc = call.init();
-                        if let (Some(lo), Some(hi)) = (
-                            frame_lo(frame, i, n, peer_start),
-                            frame_hi(frame, i, n, peer_end),
-                        ) {
-                            if lo <= hi {
-                                for row in &inputs[lo..=hi] {
-                                    call.update(&mut acc, row);
-                                }
-                            }
-                        }
-                        *frames += 1;
-                        acc.finish()
-                    })
-                    .collect()
-            }
+        WindowCall::Agg { func, arg, frame } => {
+            let update = |acc: &mut Acc, k: usize| {
+                acc.update(match arg {
+                    None => Value::Long(1), // COUNT(*): every row counts
+                    Some(a) => arg_value(a, &inputs[k]),
+                })
+            };
+            framed_agg(*func, frame, n, update, peer_start, peer_end, frames)
         }
     }
+}
+
+/// Row `i`'s `lag`/`lead` row in a partition of `n`, if inside it.
+fn shifted(i: usize, n: usize, offset: i64, lead: bool) -> Option<usize> {
+    let j = if lead {
+        i as i64 + offset
+    } else {
+        i as i64 - offset
+    };
+    (0..n as i64).contains(&j).then_some(j as usize)
 }
 
 /// Evaluate all window calls for one window partition of `(key, input)`
@@ -277,29 +351,10 @@ fn eval_window_partition(
     calls: &[WindowCall],
     frames: &mut u64,
 ) -> Vec<Row> {
-    let n = group.len();
     let (keys, inputs): (Vec<SortKey>, Vec<Row>) = group.into_iter().unzip();
     let oks: Vec<&[Value]> = keys.iter().map(|k| &k.values()[np..]).collect();
     // Peer groups: maximal runs of equal ORDER BY keys.
-    let mut peer_start = vec![0usize; n];
-    let mut peer_end = vec![0usize; n];
-    for i in 1..n {
-        peer_start[i] = if oks[i] == oks[i - 1] {
-            peer_start[i - 1]
-        } else {
-            i
-        };
-    }
-    if n > 0 {
-        peer_end[n - 1] = n - 1;
-        for i in (0..n - 1).rev() {
-            peer_end[i] = if oks[i] == oks[i + 1] {
-                peer_end[i + 1]
-            } else {
-                i
-            };
-        }
-    }
+    let (peer_start, peer_end) = peer_groups(inputs.len(), |a, b| oks[a] == oks[b]);
     let cols: Vec<Vec<Value>> = calls
         .iter()
         .map(|c| eval_window_call(c, &inputs, &peer_start, &peer_end, frames))
@@ -369,10 +424,16 @@ impl Drop for WindowPartitionIter {
     }
 }
 
-/// Lower a `Window` operator: shuffle rows so each window partition is
-/// co-located, sort every engine partition by (partition keys, order
-/// keys), then walk each window partition evaluating ranking, offset, and
-/// framed-aggregate calls.
+/// Plan every window call of `window_exprs` over `input`.
+fn plan_calls(window_exprs: &[Expr], input: &[ColumnRef]) -> Result<Arc<Vec<WindowCall>>> {
+    let calls = window_exprs.iter().map(|e| plan_window_call(e, input));
+    Ok(Arc::new(calls.collect::<Result<Vec<_>>>()?))
+}
+
+/// Lower a `Window` operator as rows (the reference configuration):
+/// shuffle rows so each window partition is co-located, sort every engine
+/// partition by (partition keys, order keys), then walk each window
+/// partition evaluating ranking, offset, and framed-aggregate calls.
 pub(crate) fn execute_window(
     input: &Arc<PhysicalPlan>,
     window_exprs: &[Expr],
@@ -384,32 +445,26 @@ pub(crate) fn execute_window(
     let input_attrs = input.output();
     let exchange = Exchange::at(input, id + 1)?;
     let child = execute_node(exchange.input, exchange.input_id, ctx)?;
-    let calls: Arc<Vec<WindowCall>> = Arc::new(
-        window_exprs
-            .iter()
-            .map(|e| plan_window_call(e, &input_attrs))
-            .collect::<Result<Vec<_>>>()?,
-    );
+    let calls = plan_calls(window_exprs, &input_attrs)?;
 
     let np = partition_by.len();
     let okey_exprs: Vec<Expr> = order_by.iter().map(|o| o.expr.clone()).collect();
-    let key_fns: Vec<ValueFn> = bind_all(partition_by, &input_attrs)?
+    let key_exprs: Vec<Expr> = bind_all(partition_by, &input_attrs)?
         .into_iter()
         .chain(bind_all(&okey_exprs, &input_attrs)?)
-        .map(value_fn)
         .collect();
     // Partition keys order ascending; order keys as the query says.
     let mask = descending_mask(order_by) << np;
 
     // Key every row once: (pkeys ++ okeys, input).
     let keyed = child.map(move |row| {
-        let key = key_fns.iter().map(|f| f(&row)).collect();
+        let key = key_exprs.iter().map(|e| arg_value(e, &row)).collect();
         (SortKey::new(key, mask), row)
     });
 
     // Co-locate each window partition: hash shuffle on the partition
     // key, or a single engine partition when there is none.
-    let partitioned = exchange.window(&keyed, ctx);
+    let partitioned = exchange.window_rows(&keyed, ctx);
 
     let key_dtypes: Vec<DataType> = partition_by
         .iter()
@@ -431,4 +486,241 @@ pub(crate) fn execute_window(
             node: node.clone(),
         })
     }))
+}
+
+// ---- lanes: production ----
+
+/// Lower a `Window` (pre-order id `id`) to the block pipeline, or `None`
+/// in the reference configuration.
+pub(crate) fn execute_batch_window(
+    input: &Arc<PhysicalPlan>,
+    window_exprs: &[Expr],
+    partition_by: &[Expr],
+    order_by: &[SortOrder],
+    id: usize,
+    ctx: &ExecContext,
+) -> Option<Result<RddRef<RowBatch>>> {
+    if ctx.conf.reference {
+        return None;
+    }
+    Some(batch_window(
+        input,
+        window_exprs,
+        partition_by,
+        order_by,
+        id,
+        ctx,
+    ))
+}
+
+fn batch_window(
+    input: &Arc<PhysicalPlan>,
+    window_exprs: &[Expr],
+    partition_by: &[Expr],
+    order_by: &[SortOrder],
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    let input_attrs = input.output();
+    let exchange = Exchange::at(input, id + 1)?;
+    let calls = plan_calls(window_exprs, &input_attrs)?;
+    let np = partition_by.len();
+    let exprs: Vec<Expr> = (partition_by.iter().cloned())
+        .chain(order_by.iter().map(|o| o.expr.clone()))
+        .collect();
+    // Partition keys order ascending; order keys as the query says.
+    let mask = descending_mask(order_by) << np;
+    let keys = Arc::new(BlockKeys::new(&exprs, mask, &input_attrs)?);
+    let (route, reducers) = (exchange.window_route(), exchange.partitions());
+    let map_keys = keys.clone();
+    let blocks = lower_node(exchange.input, exchange.input_id, ctx)?
+        .batches(exchange.input, ctx)
+        .map_partitions(move |it| Box::new(map_keys.ship(it, &route, reducers).into_iter()));
+
+    let call_dtypes: Arc<Vec<DataType>> = Arc::new(
+        (window_exprs.iter())
+            .map(|e| e.data_type().unwrap_or(DataType::String))
+            .collect(),
+    );
+    let out_dtypes: Arc<Vec<DataType>> = Arc::new(
+        (input_attrs.into_iter().map(|c| c.dtype))
+            .chain(call_dtypes.iter().cloned())
+            .collect(),
+    );
+    let sctx = ctx.spill_ctx(id);
+    let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
+    let batch_size = ctx.conf.vectorize_batch_size.max(1);
+    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+        match keys.sort(Box::new(it.map(|(_, block)| block)), &sctx) {
+            Sorted::Lanes(sorted) => {
+                let mut frames = 0;
+                let outputs = eval_lanes(&sorted, &calls, &call_dtypes, np, &mut frames);
+                if let Some(node) = &node {
+                    node.add_extra("frames", frames);
+                }
+                Box::new(chunks(sorted.perm.len(), batch_size).map(move |range| {
+                    let mut columns = sorted.gather(range.clone());
+                    columns.extend(outputs.iter().map(|c| slice(c, range.clone())));
+                    RowBatch::new(columns, range.len())
+                }))
+            }
+            Sorted::Spilled(pairs) => {
+                let rows = WindowPartitionIter {
+                    sorted: pairs,
+                    pending: None,
+                    np,
+                    calls: calls.clone(),
+                    out: Vec::new().into_iter(),
+                    frames: 0,
+                    node: node.clone(),
+                };
+                Box::new(IterChunks::new(
+                    Box::new(rows),
+                    out_dtypes.clone(),
+                    batch_size,
+                ))
+            }
+        }
+    }))
+}
+
+/// Lanes `range` of `column`; all of them are shared, not copied.
+fn slice(column: &Arc<ColumnVector>, range: std::ops::Range<usize>) -> Arc<ColumnVector> {
+    if range.len() == column.len() {
+        return column.clone();
+    }
+    let lanes: Vec<u32> = (range.start as u32..range.end as u32).collect();
+    Arc::new(column.gather(&lanes))
+}
+
+/// One call's output lanes, in sorted order, as they are built.
+enum LaneOut {
+    /// Ranking: Long lanes.
+    Long(Vec<i64>),
+    /// `lag`/`lead`: argument lanes to gather ([`NULL_LANE`] outside the
+    /// partition).
+    Shifted(Vec<u32>),
+    /// Framed aggregates: the accumulators' results.
+    Values(Vec<Value>),
+}
+
+impl LaneOut {
+    fn for_call(call: &WindowCall) -> LaneOut {
+        match call {
+            WindowCall::RowNumber | WindowCall::Rank | WindowCall::DenseRank => {
+                LaneOut::Long(Vec::new())
+            }
+            WindowCall::Shift { .. } => LaneOut::Shifted(Vec::new()),
+            WindowCall::Agg { .. } => LaneOut::Values(Vec::new()),
+        }
+    }
+
+    /// Append `call` over one window partition: `rows` are its argument
+    /// lanes in frame order, `peer_start`/`peer_end` its peer groups.
+    fn extend(
+        &mut self,
+        call: &WindowCall,
+        arg: Option<&ColumnVector>,
+        rows: &[u32],
+        (peer_start, peer_end): (&[usize], &[usize]),
+        frames: &mut u64,
+    ) {
+        let n = rows.len();
+        match (self, call) {
+            (LaneOut::Long(out), WindowCall::RowNumber) => out.extend(1..=n as i64),
+            (LaneOut::Long(out), WindowCall::Rank) => {
+                out.extend(peer_start.iter().map(|&p| p as i64 + 1))
+            }
+            (LaneOut::Long(out), WindowCall::DenseRank) => {
+                let mut dense = 0i64;
+                out.extend((0..n).map(|i| {
+                    if i == peer_start[i] {
+                        dense += 1;
+                    }
+                    dense
+                }))
+            }
+            (LaneOut::Shifted(out), WindowCall::Shift { offset, lead, .. }) => out.extend(
+                (0..n).map(|i| shifted(i, n, *offset, *lead).map_or(NULL_LANE, |j| rows[j])),
+            ),
+            (LaneOut::Values(out), WindowCall::Agg { func, frame, .. }) => {
+                let update = |acc: &mut Acc, k: usize| {
+                    acc.update(match arg {
+                        None => Value::Long(1), // COUNT(*): every row counts
+                        Some(a) => a.get(rows[k] as usize),
+                    })
+                };
+                out.extend(framed_agg(
+                    *func, frame, n, update, peer_start, peer_end, frames,
+                ))
+            }
+            _ => unreachable!("a call's output was built for another call"),
+        }
+    }
+
+    /// The finished lanes of a call declared `dtype`.
+    fn finish(
+        self,
+        call: &WindowCall,
+        arg: Option<&ColumnVector>,
+        dtype: &DataType,
+    ) -> ColumnVector {
+        match (self, call) {
+            (LaneOut::Long(lanes), _) => {
+                ColumnVector::new(DataType::Long, VectorData::Long(lanes), None)
+            }
+            (LaneOut::Shifted(lanes), WindowCall::Shift { default, .. }) => arg
+                .expect("lag/lead reads its argument")
+                .gather_or(&lanes, default),
+            (LaneOut::Values(values), _) => ColumnVector::from_values(dtype, values),
+            (LaneOut::Shifted(_), _) => unreachable!("shifted lanes belong to lag/lead"),
+        }
+    }
+}
+
+/// Every call's output lanes over one reducer's sorted lanes, in sorted
+/// order. Arguments are evaluated by kernels over the unsorted lanes and
+/// read through the permutation.
+fn eval_lanes(
+    sorted: &SortedLanes,
+    calls: &[WindowCall],
+    dtypes: &[DataType],
+    np: usize,
+    frames: &mut u64,
+) -> Vec<Arc<ColumnVector>> {
+    let n = sorted.perm.len();
+    let input = RowBatch::new(sorted.input().to_vec(), n);
+    let args: Vec<Option<Arc<ColumnVector>>> = (calls.iter())
+        .map(|call| {
+            call.arg().map(|arg| {
+                let out = vectorized::eval_projection_batch(std::slice::from_ref(arg), &input)
+                    .expect("window argument evaluation failed");
+                out.column(0).clone()
+            })
+        })
+        .collect();
+    let keys = sorted.keys();
+    let (pkeys, okeys) = keys.split_at(np);
+    let mut outs: Vec<LaneOut> = calls.iter().map(LaneOut::for_call).collect();
+    let perm = &sorted.perm;
+    let mut start = 0;
+    while start < n {
+        let first = perm[start] as usize;
+        let end = (start + 1..n)
+            .find(|&e| lane_order(pkeys, first, pkeys, perm[e] as usize, 0) != Ordering::Equal)
+            .unwrap_or(n);
+        let rows = &perm[start..end];
+        let same = |a: usize, b: usize| {
+            lane_order(okeys, rows[a] as usize, okeys, rows[b] as usize, 0) == Ordering::Equal
+        };
+        let (peer_start, peer_end) = peer_groups(rows.len(), same);
+        for ((call, arg), out) in calls.iter().zip(&args).zip(&mut outs) {
+            let peers = (&peer_start[..], &peer_end[..]);
+            out.extend(call, arg.as_deref(), rows, peers, frames);
+        }
+        start = end;
+    }
+    (outs.into_iter().zip(calls).zip(args.iter().zip(dtypes)))
+        .map(|((out, call), (arg, dtype))| Arc::new(out.finish(call, arg.as_deref(), dtype)))
+        .collect()
 }

@@ -558,3 +558,129 @@ fn explain_analyze_shows_the_broadcast_build_and_probe() {
         "{text}"
     );
 }
+
+/// Pre-order ids of the nodes of `plan` that `pick` accepts.
+fn ids_where(plan: &PhysicalPlan, pick: &dyn Fn(&PhysicalPlan) -> bool) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut stack = vec![(0usize, Arc::new(plan.clone()))];
+    while let Some((id, node)) = stack.pop() {
+        if pick(&node) {
+            out.push(id);
+        }
+        let mut child_id = id + 1;
+        for child in node.children() {
+            stack.push((child_id, child.clone()));
+            child_id += subtree_size(&child);
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Registers `big`: 10 000 rows (`k`, a group `g`, a string `s`) over
+/// `maps` partitions, each read starting after `pause`.
+fn big_table(ctx: &SQLContext, maps: usize, pause: std::time::Duration) {
+    let schema = Arc::new(Schema::new(vec![
+        StructField::new("k", DataType::Long, false),
+        StructField::new("g", DataType::Long, false),
+        StructField::new("s", DataType::String, false),
+    ]));
+    let rows: Vec<Row> = (0..10_000i64)
+        .map(|k| {
+            let s = format!("row-{:05}", (k * 7919) % 10_000);
+            Row::new(vec![Value::Long(k), Value::Long(k % 7), Value::str(s)])
+        })
+        .collect();
+    let rdd = ctx
+        .spark_context()
+        .parallelize(rows, maps)
+        .map_partitions(move |it| {
+            std::thread::sleep(pause);
+            it
+        });
+    ctx.dataframe_from_rdd("big", schema, rdd)
+        .unwrap()
+        .register_temp_table("big");
+}
+
+const BIG_SORT: &str = "SELECT k, s FROM big ORDER BY s DESC, k";
+const BIG_WINDOW: &str = "SELECT k, rank() OVER (PARTITION BY g ORDER BY s) AS r FROM big";
+
+fn is_sort_or_window(p: &PhysicalPlan) -> bool {
+    matches!(p, PhysicalPlan::Sort { .. } | PhysicalPlan::Window { .. })
+}
+
+/// A batch Sort or Window ships one block per map task and reducer:
+/// its Exchange writes at most maps × reducers records for 10 000 rows.
+#[test]
+fn batch_sort_and_window_ship_blocks_not_rows() {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| c.shuffle_partitions = 4);
+    big_table(&ctx, 3, std::time::Duration::ZERO);
+    for sql in [BIG_SORT, BIG_WINDOW] {
+        let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+        assert_eq!(qe.collect().unwrap().len(), 10_000);
+        let exchanges = ids_where(qe.physical(), &|p| {
+            matches!(p, PhysicalPlan::Exchange { .. })
+        });
+        assert_eq!(exchanges.len(), 1, "{}", qe.physical());
+        let written = qe.metrics().node(exchanges[0]).extras()["shuffle_records_written"];
+        assert!(
+            (1..=3 * 4).contains(&written),
+            "{sql}: {written} shuffle records for 10 000 rows"
+        );
+    }
+}
+
+/// The sketch job that picks a sort's range bounds runs while the Sort
+/// is lowered; its time is the Sort's.
+#[test]
+fn the_sort_line_includes_its_sketch_job() {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| c.shuffle_partitions = 4);
+    let pause = std::time::Duration::from_millis(300);
+    big_table(&ctx, 2, pause);
+    let qe = ctx.sql(BIG_SORT).unwrap().query_execution().unwrap();
+    qe.collect().unwrap();
+    let sort = ids_where(qe.physical(), &|p| matches!(p, PhysicalPlan::Sort { .. }))[0];
+    // The sketch job reads every partition once, each after `pause`.
+    let elapsed = qe.metrics().node(sort).elapsed_ns();
+    assert!(
+        elapsed >= pause.as_nanos() as u64,
+        "the Sort took {elapsed} ns, less than its sketch job's reads:\n{}",
+        qe.explain_analyze().unwrap()
+    );
+}
+
+/// Under 64 KiB the batch Sort and Window reducers are denied, spill
+/// through the external sort, and return what an unbounded run does.
+#[test]
+fn batch_sort_and_window_spill_under_64k_and_match_unbounded() {
+    for sql in [BIG_SORT, BIG_WINDOW] {
+        let run = |budget: u64| {
+            let ctx = SQLContext::new_local(2);
+            ctx.set_conf(|c| {
+                c.shuffle_partitions = 4;
+                c.memory_budget_bytes = budget;
+            });
+            big_table(&ctx, 3, std::time::Duration::ZERO);
+            let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+            let rows: Vec<Row> = qe.collect().unwrap();
+            let ids = ids_where(qe.physical(), &is_sort_or_window);
+            let spills: Vec<u64> = (ids.iter())
+                .map(|&id| {
+                    let extras = qe.metrics().node(id).extras();
+                    extras.get("spill_count").copied().unwrap_or(0)
+                })
+                .collect();
+            (rows, spills)
+        };
+        let (expect, _) = run(0);
+        let (got, spills) = run(64 << 10);
+        assert_eq!(got, expect, "{sql}");
+        assert!(
+            !spills.is_empty() && spills.iter().all(|&n| n > 0),
+            "{sql}: spill counts {spills:?}"
+        );
+    }
+}

@@ -74,5 +74,5 @@ pub use error::{EngineError, Result};
 pub use exchange::{MaterializedShuffle, ShuffleReadSpec};
 pub use memory::{MemoryPool, MemoryReservation, MemoryStats, SpillFile};
 pub use pair::PairRdd;
-pub use partitioner::{HashPartitioner, Partitioner, RangePartitioner};
+pub use partitioner::{HashPartitioner, Partitioner, RangePartitioner, Reservoir};
 pub use rdd::{BoxIter, Data, Rdd, RddBase, RddRef};

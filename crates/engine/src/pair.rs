@@ -1,6 +1,6 @@
 //! Operations on RDDs of key-value pairs: shuffles, joins, sorting.
 
-use crate::partitioner::{HashPartitioner, Partitioner, RangePartitioner};
+use crate::partitioner::{HashPartitioner, Partitioner, RangePartitioner, Reservoir};
 use crate::rdd::{BoxIter, Data, Dependency, Rdd, RddBase, RddId, RddRef, TaskContext};
 use crate::shuffle::{Aggregator, ShuffleDependency, ShuffleDependencyBase};
 use crate::SparkContext;
@@ -408,8 +408,8 @@ impl<K: Data + Hash + Eq, V: Data> PairRdd<K, V> for RddRef<(K, V)> {
 /// Sorting for pair RDDs with ordered keys.
 pub trait SortedPairRdd<K: Data + Hash + Eq + Ord, V: Data> {
     /// Globally sort by key via sampled range partitioning followed by a
-    /// per-partition sort (Spark's `sortByKey`). Panics if the sampling
-    /// jobs fail; fallible callers (e.g. services running queries on
+    /// per-partition sort (Spark's `sortByKey`). Panics if the sketch
+    /// job fails; fallible callers (e.g. services running queries on
     /// worker threads) should use [`SortedPairRdd::try_sort_by_key`].
     fn sort_by_key(&self, ascending: bool, num_partitions: usize) -> RddRef<(K, V)> {
         self.try_sort_by_key(ascending, num_partitions)
@@ -417,7 +417,7 @@ pub trait SortedPairRdd<K: Data + Hash + Eq + Ord, V: Data> {
     }
 
     /// Like [`SortedPairRdd::sort_by_key`], but surfaces failures (task
-    /// errors, cancellation) from the driver-side sampling jobs instead
+    /// errors, cancellation) from the driver-side sketch job instead
     /// of panicking.
     fn try_sort_by_key(
         &self,
@@ -425,9 +425,10 @@ pub trait SortedPairRdd<K: Data + Hash + Eq + Ord, V: Data> {
         num_partitions: usize,
     ) -> crate::Result<RddRef<(K, V)>>;
 
-    /// The shuffle half of a global sort: count, sample ~20 keys per
-    /// output partition, and range-partition on the sampled boundaries,
-    /// so partition `i` holds only keys ordered before partition `i + 1`'s.
+    /// The shuffle half of a global sort: one sketch job counts each
+    /// input partition and keeps a fixed-size sample of its keys, bounds
+    /// are the sample's weighted quantiles, and the range shuffle puts
+    /// in partition `i` only keys ordered before partition `i + 1`'s.
     /// Partitions come back unsorted — callers that sort them under a
     /// memory budget (the SQL layer's external sort) start from here. An
     /// empty input comes back as it is.
@@ -444,17 +445,19 @@ impl<K: Data + Hash + Eq + Ord, V: Data> SortedPairRdd<K, V> for RddRef<(K, V)> 
         ascending: bool,
         num_partitions: usize,
     ) -> crate::Result<RddRef<(K, V)>> {
-        let total = (num_partitions * 20).max(20);
-        let sample: Vec<K> = {
-            let keys = self.keys();
-            let approx: u64 = keys.run_job(|_, it| it.count() as u64)?.into_iter().sum();
-            if approx == 0 {
-                return Ok(self.clone());
+        let size = RangePartitioner::<K>::sample_size(num_partitions, self.num_partitions());
+        let sketches = self.run_job(move |p, it| {
+            let mut sample = Reservoir::new(size, 0xC0FFEE ^ p as u64);
+            for (k, _) in it {
+                sample.offer(|| k);
             }
-            let fraction = (total as f64 / approx as f64).min(1.0);
-            keys.sample(fraction, 0xC0FFEE).try_collect()?
-        };
-        let bounds = RangePartitioner::bounds_from_sample(sample, num_partitions);
+            sample
+        })?;
+        if sketches.iter().all(|s| s.seen() == 0) {
+            return Ok(self.clone());
+        }
+        let sample = sketches.into_iter().flat_map(Reservoir::weighted).collect();
+        let bounds = RangePartitioner::bounds_from_weighted_sample(sample, num_partitions);
         let partitioner: Arc<dyn Partitioner<K>> =
             Arc::new(RangePartitioner::new(bounds, ascending));
         Ok(self.partition_by(partitioner))

@@ -1,5 +1,6 @@
 //! Key partitioners used on the map side of a shuffle.
 
+use crate::ops::SplitMix64;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -42,8 +43,8 @@ impl<K: Hash + Send + Sync> Partitioner<K> for HashPartitioner<K> {
 
 /// Range partitioner for global sorts: keys `< bounds[0]` go to partition
 /// 0, keys in `[bounds[i-1], bounds[i])` to partition `i`, the rest to the
-/// last partition. Bounds are computed by sampling (see
-/// `PairRdd::sort_by_key`).
+/// last partition. Bounds come from one sketch job over the input (see
+/// `SortedPairRdd::try_range_partition`).
 pub struct RangePartitioner<K: Ord> {
     bounds: Vec<K>,
     ascending: bool,
@@ -55,20 +56,89 @@ impl<K: Ord + Clone + Send + Sync> RangePartitioner<K> {
         RangePartitioner { bounds, ascending }
     }
 
-    /// Compute `partitions - 1` boundary keys from a sample of the data.
-    pub fn bounds_from_sample(mut sample: Vec<K>, partitions: usize) -> Vec<K> {
+    /// Sample size per input partition for `partitions` ranges over
+    /// `inputs` input partitions: about 20 keys per range in all, drawn
+    /// three times over so a partition holding more than its share of
+    /// the input is still represented (Spark's `RangePartitioner`).
+    pub fn sample_size(partitions: usize, inputs: usize) -> usize {
+        let total = (20 * partitions).clamp(20, 1_000_000);
+        (3 * total).div_ceil(inputs.max(1))
+    }
+
+    /// Compute up to `partitions - 1` boundary keys from a weighted
+    /// sample: each key stands for `weight` input keys (see
+    /// [`Reservoir::weighted`]). A key becomes a bound once the keys
+    /// before it weigh a range's share, so range `i` holds about
+    /// `1 / partitions` of the input; a key weighing several shares
+    /// gets a range of its own.
+    pub fn bounds_from_weighted_sample(mut sample: Vec<(K, f64)>, partitions: usize) -> Vec<K> {
         if partitions <= 1 || sample.is_empty() {
             return vec![];
         }
-        sample.sort();
-        let n = sample.len();
-        let mut bounds = Vec::with_capacity(partitions - 1);
-        for i in 1..partitions {
-            let idx = (i * n / partitions).min(n - 1);
-            bounds.push(sample[idx].clone());
+        sample.sort_by(|a, b| a.0.cmp(&b.0));
+        let step = sample.iter().map(|(_, w)| w).sum::<f64>() / partitions as f64;
+        let mut bounds: Vec<K> = Vec::with_capacity(partitions - 1);
+        let (mut before, mut target) = (0.0, step);
+        for (key, weight) in sample {
+            if bounds.len() == partitions - 1 {
+                break;
+            }
+            if before >= target && bounds.last().is_none_or(|b| *b < key) {
+                bounds.push(key);
+                target += step;
+            }
+            before += weight;
         }
-        bounds.dedup();
         bounds
+    }
+}
+
+/// A uniform sample of at most `size` items of a stream, and the
+/// stream's length: one input partition's sketch for range bounds. An
+/// item is built only when it is kept, so sampling a partition builds
+/// about `size · ln(len / size)` items, not `len`.
+pub struct Reservoir<K> {
+    size: usize,
+    seen: u64,
+    items: Vec<K>,
+    rng: SplitMix64,
+}
+
+impl<K> Reservoir<K> {
+    /// An empty reservoir keeping up to `size` items, its choices
+    /// drawn from `seed`.
+    pub fn new(size: usize, seed: u64) -> Self {
+        Reservoir {
+            size: size.max(1),
+            seen: 0,
+            items: Vec::new(),
+            rng: SplitMix64(seed),
+        }
+    }
+
+    /// Offer the stream's next item, built by `item` if it is kept.
+    pub fn offer(&mut self, item: impl FnOnce() -> K) {
+        self.seen += 1;
+        if self.items.len() < self.size {
+            self.items.push(item());
+            return;
+        }
+        let slot = (self.rng.next_u64() % self.seen) as usize;
+        if slot < self.size {
+            self.items[slot] = item();
+        }
+    }
+
+    /// Items offered so far.
+    pub fn seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// The kept items, each weighted by how many offered items it
+    /// stands for.
+    pub fn weighted(self) -> Vec<(K, f64)> {
+        let weight = self.seen as f64 / self.items.len().max(1) as f64;
+        self.items.into_iter().map(|k| (k, weight)).collect()
     }
 }
 
@@ -129,16 +199,52 @@ mod tests {
         assert_eq!(p.partition(&99), 0);
     }
 
+    fn weighted(keys: impl IntoIterator<Item = i64>, weight: f64) -> Vec<(i64, f64)> {
+        keys.into_iter().map(|k| (k, weight)).collect()
+    }
+
     #[test]
-    fn bounds_from_sample_splits_evenly() {
-        let sample: Vec<i64> = (0..100).collect();
-        let bounds = RangePartitioner::bounds_from_sample(sample, 4);
+    fn weighted_bounds_split_evenly() {
+        let bounds = RangePartitioner::bounds_from_weighted_sample(weighted(0..100, 1.0), 4);
         assert_eq!(bounds, vec![25, 50, 75]);
     }
 
     #[test]
-    fn bounds_from_empty_sample() {
-        let bounds = RangePartitioner::<i64>::bounds_from_sample(vec![], 4);
-        assert!(bounds.is_empty());
+    fn weighted_bounds_follow_the_weights() {
+        // Keys 0..10 stand for 9 input keys each, keys 10..100 for one:
+        // half the input sits below 10.
+        let mut sample = weighted(0..10, 9.0);
+        sample.extend(weighted(10..100, 1.0));
+        let bounds = RangePartitioner::bounds_from_weighted_sample(sample, 2);
+        assert_eq!(bounds, vec![10]);
+    }
+
+    #[test]
+    fn weighted_bounds_skip_repeated_keys() {
+        let bounds = RangePartitioner::bounds_from_weighted_sample(weighted([7; 50], 1.0), 4);
+        assert!(bounds.len() <= 1, "{bounds:?}");
+        assert!(RangePartitioner::<i64>::bounds_from_weighted_sample(vec![], 4).is_empty());
+    }
+
+    #[test]
+    fn reservoir_keeps_a_bounded_uniform_sample() {
+        let mut r = Reservoir::new(100, 7);
+        let mut built = 0;
+        for k in 0..10_000i64 {
+            r.offer(|| {
+                built += 1;
+                k
+            });
+        }
+        assert_eq!(r.seen(), 10_000);
+        assert!(built < 1_000, "built {built} items for a 100-item sample");
+        let sample = r.weighted();
+        assert_eq!(sample.len(), 100);
+        assert!(sample.iter().all(|&(_, w)| w == 100.0));
+        let low = sample.iter().filter(|&&(k, _)| k < 5_000).count();
+        assert!(
+            (30..=70).contains(&low),
+            "{low} of 100 kept keys in the lower half"
+        );
     }
 }

@@ -130,6 +130,83 @@ fn sort_by_key_descending() {
     assert_eq!(keys, vec![3, 2, 1]);
 }
 
+/// Rows per reduce partition of `keys` range-partitioned into `parts`
+/// ranges, and the rows of each partition's most repeated key.
+fn range_loads(keys: Vec<i64>, parts: usize) -> Vec<(usize, usize)> {
+    let sc = SparkContext::new(2);
+    let rdd = sc.parallelize(keys.into_iter().map(|k| (k, ())).collect(), 4);
+    let partitioned = rdd.try_range_partition(true, parts).unwrap();
+    partitioned
+        .run_job(|_, it| {
+            let mut counts = std::collections::HashMap::new();
+            for (k, _) in it {
+                *counts.entry(k).or_insert(0usize) += 1;
+            }
+            let rows = counts.values().sum();
+            (rows, counts.into_values().max().unwrap_or(0))
+        })
+        .unwrap()
+}
+
+#[test]
+fn range_bounds_balance_uniform_and_skewed_input() {
+    let n = 20_000i64;
+    let uniform: Vec<i64> = (0..n).map(|i| (i * 7919) % n).collect();
+    // Most keys crowd near zero but stay distinct.
+    let skewed: Vec<i64> = (0..n).map(|i| ((i * 7919) % n).pow(4) / n.pow(3)).collect();
+    let skewed: Vec<i64> = skewed
+        .iter()
+        .enumerate()
+        .map(|(i, k)| k * n + i as i64)
+        .collect();
+    // 40 % of the rows share one key.
+    let hot: Vec<i64> = (0..n).map(|i| if i % 5 < 2 { 42 } else { i }).collect();
+    for (what, keys) in [("uniform", uniform), ("skewed", skewed), ("hot", hot)] {
+        let parts = 8;
+        let fair = n as usize / parts;
+        let loads = range_loads(keys, parts);
+        assert_eq!(loads.iter().map(|l| l.0).sum::<usize>(), n as usize);
+        for (rows, repeated) in loads {
+            assert!(
+                rows - repeated.max(1) < 2 * fair,
+                "{what}: a reducer holds {rows} rows, {repeated} of one key (fair share {fair})"
+            );
+        }
+    }
+}
+
+#[test]
+fn sort_by_key_is_a_stable_sort_of_the_input() {
+    let sc = SparkContext::new(2);
+    let data: Vec<(i64, usize)> = (0..3000).map(|i| (((i * 31) % 97) as i64, i)).collect();
+    let rdd = sc.parallelize(data.clone(), 5);
+    for ascending in [true, false] {
+        // A stable sort: equal keys keep their input order.
+        let mut want = data.clone();
+        if ascending {
+            want.sort_by_key(|row| row.0);
+        } else {
+            want.sort_by_key(|row| std::cmp::Reverse(row.0));
+        }
+        assert_eq!(rdd.sort_by_key(ascending, 4).collect(), want);
+    }
+}
+
+#[test]
+fn sort_by_key_samples_in_one_job() {
+    let sc = SparkContext::new(2);
+    sc.set_chaos(None);
+    let rdd = sc.parallelize((0..1000i64).rev().map(|k| (k, ())).collect(), 4);
+    let sorted = rdd.sort_by_key(true, 4);
+    // The sketch job: one stage.
+    assert_eq!(Metrics::get(&sc.metrics().jobs_run), 1);
+    assert_eq!(Metrics::get(&sc.metrics().stages_run), 1);
+    assert_eq!(sorted.count(), 1000);
+    // Then the sort itself: its map stage and its result stage.
+    assert_eq!(Metrics::get(&sc.metrics().jobs_run), 2);
+    assert_eq!(Metrics::get(&sc.metrics().stages_run), 3);
+}
+
 #[test]
 fn distinct_removes_duplicates() {
     let sc = SparkContext::new(2);
