@@ -52,5 +52,12 @@ impl fmt::Display for CatalystError {
 
 impl std::error::Error for CatalystError {}
 
+/// Local disk I/O (spill files) fails the query as an internal error.
+impl From<std::io::Error> for CatalystError {
+    fn from(e: std::io::Error) -> Self {
+        CatalystError::Internal(format!("i/o error: {e}"))
+    }
+}
+
 /// Result alias used across the optimizer.
 pub type Result<T> = std::result::Result<T, CatalystError>;

@@ -26,7 +26,8 @@
 //!   arguments.
 //! * SUM/AVG over Int/Long lanes are exact 64-bit sums with
 //!   [`Value::add`]'s sticky Int→Long widening (an Int sum that ever
-//!   leaves i32 range stays Long), and panic on 64-bit overflow like it.
+//!   leaves i32 range stays Long), and fail on 64-bit overflow with its
+//!   error.
 //! * MIN/MAX compare with [`Value::total_cmp`] semantics (`i64::cmp`,
 //!   [`f64::total_cmp`], byte-wise string compare) and keep the
 //!   first-seen extreme on ties.
@@ -36,6 +37,7 @@
 //! row kernel.
 
 use super::batch::{ColumnVector, VectorData};
+use crate::error::{CatalystError, Result};
 use crate::expr::AggFunc;
 use crate::types::DataType;
 use crate::value::Value;
@@ -76,14 +78,14 @@ impl Acc {
     }
 
     /// Fold one argument value in. NULLs are skipped; COUNT(\*) passes a
-    /// non-NULL constant for every row.
-    pub fn update(&mut self, v: Value) {
+    /// non-NULL constant for every row. Fails as [`Value::add`] does.
+    pub fn update(&mut self, v: Value) -> Result<()> {
         if v.is_null() {
-            return;
+            return Ok(());
         }
         match self {
             Acc::Count(n) => *n += 1,
-            Acc::Sum(s) => *s = merge_opt_add(s.take(), Some(v)),
+            Acc::Sum(s) => *s = merge_opt_add(s.take(), Some(v))?,
             Acc::Min(m) => {
                 if m.as_ref().is_none_or(|cur| v < *cur) {
                     *m = Some(v);
@@ -95,30 +97,31 @@ impl Acc {
                 }
             }
             Acc::Avg(s, n) => {
-                *s = merge_opt_add(s.take(), Some(v));
+                *s = merge_opt_add(s.take(), Some(v))?;
                 *n += 1;
             }
             Acc::Distinct(set, _) => {
                 set.insert(v);
             }
         }
+        Ok(())
     }
 
     /// Combine two partials of the same call (`self` arrived first, so it
-    /// wins MIN/MAX ties).
-    pub fn merge(self, other: Acc) -> Acc {
-        match (self, other) {
+    /// wins MIN/MAX ties). Fails as [`Value::add`] does.
+    pub fn merge(self, other: Acc) -> Result<Acc> {
+        Ok(match (self, other) {
             (Acc::Count(x), Acc::Count(y)) => Acc::Count(x + y),
-            (Acc::Sum(x), Acc::Sum(y)) => Acc::Sum(merge_opt_add(x, y)),
+            (Acc::Sum(x), Acc::Sum(y)) => Acc::Sum(merge_opt_add(x, y)?),
             (Acc::Min(x), Acc::Min(y)) => Acc::Min(merge_opt_by(x, y, |a, b| a <= b)),
             (Acc::Max(x), Acc::Max(y)) => Acc::Max(merge_opt_by(x, y, |a, b| a >= b)),
-            (Acc::Avg(xs, xn), Acc::Avg(ys, yn)) => Acc::Avg(merge_opt_add(xs, ys), xn + yn),
+            (Acc::Avg(xs, xn), Acc::Avg(ys, yn)) => Acc::Avg(merge_opt_add(xs, ys)?, xn + yn),
             (Acc::Distinct(mut xa, f), Acc::Distinct(yb, _)) => {
                 xa.extend(yb);
                 Acc::Distinct(xa, f)
             }
             _ => unreachable!("mismatched accumulators"),
-        }
+        })
     }
 
     /// The aggregate's result value.
@@ -238,12 +241,18 @@ fn agg_func_from_tag(t: i64) -> AggFunc {
     }
 }
 
-fn merge_opt_add(a: Option<Value>, b: Option<Value>) -> Option<Value> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.add(&y).expect("sum failed")),
+fn merge_opt_add(a: Option<Value>, b: Option<Value>) -> Result<Option<Value>> {
+    Ok(match (a, b) {
+        (Some(x), Some(y)) => Some(x.add(&y)?),
         (x, None) => x,
         (None, y) => y,
-    }
+    })
+}
+
+/// A 64-bit lane sum, failing with [`Value::add`]'s overflow error.
+fn lane_add(a: i64, b: i64) -> Result<i64> {
+    a.checked_add(b)
+        .ok_or_else(|| CatalystError::eval("integer overflow in '+'"))
 }
 
 fn merge_opt_by(
@@ -438,12 +447,13 @@ impl AccLane {
     /// Apply one batch worth of `(lane, group)` assignments (in arrival
     /// order). `arg` is the evaluated argument column; `None` only for
     /// COUNT(*). `num_groups` is the group count after assignment.
+    /// Fails as [`Acc::update`] does.
     pub fn update(
         &mut self,
         arg: Option<&ColumnVector>,
         assignments: &[(u32, u32)],
         num_groups: usize,
-    ) {
+    ) -> Result<()> {
         self.ensure_groups(num_groups);
         match self {
             AccLane::Count { counts, all_rows } => {
@@ -476,7 +486,7 @@ impl AccLane {
                     }
                     let v = lane_i64(col, lanes, i);
                     if seen[g] {
-                        let s = sums[g].checked_add(v).expect("sum failed");
+                        let s = lane_add(sums[g], v)?;
                         // Value::add widens Int sums to Long once — and
                         // only once — a running value leaves i32 range.
                         if *int_input && !wide[g] && i32::try_from(s).is_err() {
@@ -569,6 +579,7 @@ impl AccLane {
                 }
             }
         }
+        Ok(())
     }
 
     /// Fold the partial states of `other` (a lane of the same call,
@@ -577,7 +588,13 @@ impl AccLane {
     /// exactly as [`Acc::merge`] merges the two partials, this lane's
     /// state first. Counts add; sums add with the sticky Int→Long
     /// widening of [`Value::add`]; MIN/MAX keep the earlier state on ties.
-    pub fn merge(&mut self, other: &AccLane, assignments: &[(u32, u32)], num_groups: usize) {
+    /// Fails as [`Acc::merge`] does.
+    pub fn merge(
+        &mut self,
+        other: &AccLane,
+        assignments: &[(u32, u32)],
+        num_groups: usize,
+    ) -> Result<()> {
         self.ensure_groups(num_groups);
         match (self, other) {
             (AccLane::Count { counts, .. }, AccLane::Count { counts: theirs, .. }) => {
@@ -610,7 +627,7 @@ impl AccLane {
                         continue;
                     }
                     if seen[g] {
-                        let s = sums[g].checked_add(their_sums[i]).expect("sum failed");
+                        let s = lane_add(sums[g], their_sums[i])?;
                         // Int + Int stays Int while it fits; a Long on
                         // either side makes a Long.
                         wide[g] |= their_wide[i] || (*int_input && i32::try_from(s).is_err());
@@ -694,6 +711,7 @@ impl AccLane {
             }
             (this, other) => unreachable!("merging {other:?} into {this:?}"),
         }
+        Ok(())
     }
 
     /// The states of `groups`, in that order, as a lane of their own.
@@ -1032,9 +1050,9 @@ mod tests {
         let col = long_col(&[Some(1), None, Some(3)]);
         let asg = [(0u32, 0u32), (1, 0), (2, 1)];
         let mut star = AccLane::for_input(LaneAgg::CountStar, &DataType::Long).unwrap();
-        star.update(None, &asg, 2);
+        star.update(None, &asg, 2).unwrap();
         let mut cnt = AccLane::for_input(LaneAgg::Count, &DataType::Long).unwrap();
-        cnt.update(Some(&col), &asg, 2);
+        cnt.update(Some(&col), &asg, 2).unwrap();
         assert!(matches!(star.partial(0), Acc::Count(2)));
         assert!(matches!(cnt.partial(0), Acc::Count(1)));
         assert!(matches!(cnt.partial(1), Acc::Count(1)));
@@ -1046,7 +1064,7 @@ mod tests {
         let col = ColumnVector::from_values(&DataType::Int, values);
         let asg = [(0u32, 0u32), (1, 0), (2, 0)];
         let mut sum = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
-        sum.update(Some(&col), &asg, 1);
+        sum.update(Some(&col), &asg, 1).unwrap();
         // The running sum left i32 range at step 2, so it stays Long even
         // though the final value (1) fits an Int again.
         match sum.partial(0) {
@@ -1061,7 +1079,7 @@ mod tests {
         let col = ColumnVector::from_values(&DataType::Double, values);
         let asg = [(0u32, 0u32), (1, 0)];
         let mut min = AccLane::for_input(LaneAgg::Min, &DataType::Double).unwrap();
-        min.update(Some(&col), &asg, 1);
+        min.update(Some(&col), &asg, 1).unwrap();
         // total_cmp orders -0.0 below 0.0, so -0.0 replaces the first.
         match min.partial(0) {
             Acc::Min(Some(Value::Double(d))) => assert!(d.is_sign_negative()),
@@ -1183,14 +1201,14 @@ mod tests {
                     (0..).zip(groups.iter().copied()).collect()
                 };
                 let arg = |c| (agg != LaneAgg::CountStar).then_some(c);
-                lane.update(arg(&ca), &asg(&a_groups), 4);
-                other.update(arg(&cb), &asg(&b_groups), 5);
+                lane.update(arg(&ca), &asg(&a_groups), 4).unwrap();
+                other.update(arg(&cb), &asg(&b_groups), 5).unwrap();
                 let mut expect: Vec<Acc> = (0..6).map(|g| lane.partial(g)).collect();
                 for (i, &g) in into.iter().enumerate() {
-                    let merged = expect[g as usize].clone().merge(other.partial(i));
+                    let merged = expect[g as usize].clone().merge(other.partial(i)).unwrap();
                     expect[g as usize] = merged;
                 }
-                lane.merge(&other, &asg(&into), 6);
+                lane.merge(&other, &asg(&into), 6).unwrap();
                 let what = format!("{agg:?} over {dtype:?}");
                 for (g, want) in expect.iter().enumerate() {
                     assert_eq!(
@@ -1227,13 +1245,13 @@ mod tests {
         let mut sum = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
         let mut other = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
         let col = |v| ColumnVector::from_values(&DataType::Int, vec![Value::Int(v)]);
-        sum.update(Some(&col(i32::MAX)), &[(0, 0)], 1);
-        other.update(Some(&col(1)), &[(0, 0)], 1);
+        sum.update(Some(&col(i32::MAX)), &[(0, 0)], 1).unwrap();
+        other.update(Some(&col(1)), &[(0, 0)], 1).unwrap();
         assert!(matches!(
             sum.partial(0),
             Acc::Sum(Some(Value::Int(i32::MAX)))
         ));
-        sum.merge(&other, &[(0, 0)], 1);
+        sum.merge(&other, &[(0, 0)], 1).unwrap();
         assert!(
             matches!(sum.partial(0), Acc::Sum(Some(Value::Long(x))) if x == i32::MAX as i64 + 1)
         );
@@ -1245,12 +1263,27 @@ mod tests {
         let asg = [(0u32, 0u32), (1, 0)];
         for agg in [LaneAgg::Sum, LaneAgg::Avg, LaneAgg::Min, LaneAgg::Max] {
             let mut lane = AccLane::for_input(agg, &DataType::Long).unwrap();
-            lane.update(Some(&col), &asg, 1);
+            lane.update(Some(&col), &asg, 1).unwrap();
             match lane.partial(0) {
                 Acc::Sum(None) | Acc::Min(None) | Acc::Max(None) => {}
                 Acc::Avg(None, 0) => {}
                 other => panic!("expected empty partial, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_lane_sum_overflows_with_value_adds_error() {
+        let add_err = Value::Long(i64::MAX).add(&Value::Long(1)).unwrap_err();
+        let col =
+            ColumnVector::from_values(&DataType::Long, vec![Value::Long(i64::MAX), Value::Long(1)]);
+        let mut lane = AccLane::for_input(LaneAgg::Sum, &DataType::Long).unwrap();
+        assert_eq!(
+            lane.update(Some(&col), &[(0, 0), (1, 0)], 1),
+            Err(add_err.clone())
+        );
+        let mut acc = Acc::new(AggFunc::Sum, false);
+        acc.update(Value::Long(i64::MAX)).unwrap();
+        assert_eq!(acc.update(Value::Long(1)), Err(add_err));
     }
 }

@@ -39,7 +39,8 @@
 
 use crate::exchange::Exchange;
 use crate::execution::{
-    bind_all, engine_err, execute_node, lower_node, note_eager_ns, value_fn, ExecContext, ValueFn,
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, task_iter, try_map, value_fn,
+    ExecContext, ValueFn,
 };
 use crate::spill::{self, SpillCtx};
 use catalyst::error::Result;
@@ -90,11 +91,11 @@ impl AggCall {
         Acc::new(self.func, self.distinct)
     }
 
-    fn update(&self, acc: &mut Acc, row: &Row) {
+    fn update(&self, acc: &mut Acc, row: &Row) -> Result<()> {
         acc.update(match &self.arg {
             None => Value::Long(1), // COUNT(*): every row counts
-            Some(f) => f(row),
-        });
+            Some(f) => f(row)?,
+        })
     }
 }
 
@@ -102,10 +103,11 @@ fn init_all(calls: &[AggCall]) -> Vec<Acc> {
     calls.iter().map(AggCall::init).collect()
 }
 
-fn update_all(calls: &[AggCall], accs: &mut [Acc], row: &Row) {
+fn update_all(calls: &[AggCall], accs: &mut [Acc], row: &Row) -> Result<()> {
     for (call, acc) in calls.iter().zip(accs) {
-        call.update(acc, row);
+        call.update(acc, row)?;
     }
+    Ok(())
 }
 
 fn plan_row_calls(agg_exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<AggCall>> {
@@ -186,25 +188,23 @@ impl AggPlan {
     }
 
     /// The output row of one group (the row kernel's finish).
-    fn finish_row(&self, key: Row, accs: Vec<Acc>) -> Row {
+    fn finish_row(&self, key: Row, accs: Vec<Acc>) -> Result<Row> {
         let internal = AggPlan::internal_row(key, accs);
-        Row::new(
-            self.final_exprs
-                .iter()
-                .map(|e| interpreter::eval(e, &internal).expect("final aggregate failed"))
-                .collect(),
-        )
+        let values = self
+            .final_exprs
+            .iter()
+            .map(|e| interpreter::eval(e, &internal));
+        Ok(Row::new(values.collect::<Result<_>>()?))
     }
 
     /// The output batch of `internal`, a batch of `[keys ++ results]`
     /// columns (the batch pipeline's finish).
-    fn finish_batch(&self, internal: &RowBatch) -> RowBatch {
+    fn finish_batch(&self, internal: &RowBatch) -> Result<RowBatch> {
         vectorized::eval_projection_batch(&self.final_exprs, internal)
-            .expect("final aggregate failed")
     }
 
     /// Finish `(key, accumulators)` pairs as one batch.
-    fn finish_pairs(&self, pairs: Vec<(Row, Vec<Acc>)>) -> RowBatch {
+    fn finish_pairs(&self, pairs: Vec<(Row, Vec<Acc>)>) -> Result<RowBatch> {
         let rows: Vec<Row> = (pairs.into_iter())
             .map(|(key, accs)| AggPlan::internal_row(key, accs))
             .collect();
@@ -234,19 +234,20 @@ pub(crate) fn execute_aggregate(
         let eager_start = Instant::now();
         let calls_for_job = calls.clone();
         let partials = child
-            .run_job(move |_, it| {
+            .run_job(move |_, it| -> Result<Vec<Acc>> {
                 let mut accs = init_all(&calls_for_job);
                 for row in it {
-                    update_all(&calls_for_job, &mut accs, &row);
+                    update_all(&calls_for_job, &mut accs, &row)?;
                 }
-                accs
+                Ok(accs)
             })
             .map_err(engine_err)?;
-        let merged = partials
-            .into_iter()
-            .reduce(|a, b| a.into_iter().zip(b).map(|(x, y)| x.merge(y)).collect())
-            .unwrap_or_else(|| init_all(&calls));
-        let row = plan.finish_row(Row::empty(), merged);
+        let mut partials = partials.into_iter();
+        let mut merged = partials.next().unwrap_or_else(|| Ok(init_all(&calls)))?;
+        for partial in partials {
+            merged = spill::merge_accs(merged, partial?)?;
+        }
+        let row = plan.finish_row(Row::empty(), merged)?;
         note_eager_ns(ctx, id, eager_start);
         return Ok(ctx.sc.parallelize(vec![row], 1));
     }
@@ -260,14 +261,15 @@ pub(crate) fn execute_aggregate(
     let exchange = Exchange::at(input, id + 1)?;
     let partials: RddRef<(Row, Vec<Acc>)> = execute_node(exchange.input, exchange.input_id, ctx)?
         .map_partitions(move |it| {
-            Box::new(partial_agg_partition(it, &key_fns, &calls, &map_sctx).into_iter())
+            task_iter(partial_agg_partition(it, &key_fns, &calls, &map_sctx))
         });
     let shuffled = exchange.hash(&partials, ctx);
     let layout = spill::AggLayout::new(plan.key_dtypes.clone());
-    let merged = shuffled.map_partitions(move |it| {
-        Box::new(spill::merge_agg_partition(it, &layout, &sctx, 0).into_iter())
-    });
-    Ok(merged.map(move |(key, accs)| plan.finish_row(key, accs)))
+    let merged = shuffled
+        .map_partitions(move |it| task_iter(spill::merge_agg_partition(it, &layout, &sctx, 0)));
+    Ok(try_map(&merged, move |(key, accs)| {
+        plan.finish_row(key, accs)
+    }))
 }
 
 // ---- row kernel ----
@@ -281,18 +283,18 @@ fn partial_agg_partition(
     key_fns: &[ValueFn],
     calls: &[AggCall],
     sctx: &SpillCtx,
-) -> Vec<(Row, Vec<Acc>)> {
+) -> Result<Vec<(Row, Vec<Acc>)>> {
     let mut reservation = sctx.pool.register();
     let mut table: HashMap<Row, Vec<Acc>> = HashMap::new();
     let mut out: Vec<(Row, Vec<Acc>)> = Vec::new();
     for row in it {
-        let key = Row::new(key_fns.iter().map(|f| f(&row)).collect());
+        let key = Row::new(key_fns.iter().map(|f| f(&row)).collect::<Result<_>>()?);
         if let Some(accs) = table.get_mut(&key) {
-            update_all(calls, accs, &row);
+            update_all(calls, accs, &row)?;
             continue;
         }
         let mut accs = init_all(calls);
-        update_all(calls, &mut accs, &row);
+        update_all(calls, &mut accs, &row)?;
         let bytes = key.approx_bytes() + 16 + 24 * accs.len() as u64;
         if !reservation.try_grow(bytes) && !table.is_empty() {
             out.extend(table.drain());
@@ -302,7 +304,7 @@ fn partial_agg_partition(
         table.insert(key, accs);
     }
     out.extend(table.drain());
-    out
+    Ok(out)
 }
 
 // ---- batch pipeline ----
@@ -395,7 +397,7 @@ fn batch_aggregate(
         .batches(exchange.input, ctx)
         .map_partitions(move |it| {
             let (plan, specs, sctx, node) = &map;
-            let out = batch_partial_agg(
+            task_iter(batch_partial_agg(
                 it,
                 &bound_groupings,
                 &plan.key_dtypes,
@@ -403,13 +405,11 @@ fn batch_aggregate(
                 reducers,
                 sctx,
                 node.as_ref(),
-            );
-            Box::new(out.into_iter())
+            ))
         });
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
         let blocks = Box::new(it.map(|(_, block)| block));
-        let out = merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref());
-        Box::new(out.into_iter())
+        task_iter(merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref()))
     }))
 }
 
@@ -486,26 +486,24 @@ fn batch_partial_agg(
     reducers: usize,
     sctx: &SpillCtx,
     node: Option<&Arc<OperatorMetrics>>,
-) -> Vec<(usize, AggBlock)> {
+) -> Result<Vec<(usize, AggBlock)>> {
     let mut reservation = sctx.pool.register();
     let fresh_lanes = || -> Vec<AccLane> { specs.iter().map(new_lane).collect() };
     let (mut groups, mut lanes) = (BatchGroups::new(), fresh_lanes());
     let mut out: Vec<(usize, AggBlock)> = Vec::new();
     let mut asg: Vec<(u32, u32)> = Vec::new();
     for batch in it {
-        let key_batch = vectorized::eval_projection_batch(groupings, &batch)
-            .expect("group key evaluation failed");
+        let key_batch = vectorized::eval_projection_batch(groupings, &batch)?;
         let prev = groups.len();
         groups.assign(&key_batch, &mut asg);
         let num = groups.len();
         for (spec, lane) in specs.iter().zip(lanes.iter_mut()) {
             match &spec.1 {
                 Some((arg, _)) => {
-                    let col = vectorized::eval_batch(arg, &batch)
-                        .expect("aggregate argument evaluation failed");
-                    lane.update(Some(&col), &asg, num);
+                    let col = vectorized::eval_batch(arg, &batch)?;
+                    lane.update(Some(&col), &asg, num)?
                 }
-                None => lane.update(None, &asg, num),
+                None => lane.update(None, &asg, num)?,
             }
         }
         let new_bytes = new_group_bytes(&groups, prev, lanes.len());
@@ -527,7 +525,7 @@ fn batch_partial_agg(
         let shipped = out.iter().map(|(_, b)| b.rows as u64).sum();
         n.add_extra("partial_groups", shipped);
     }
-    out
+    Ok(out)
 }
 
 /// A denied reduce-side table as `(key, partials)` pairs. The table keeps
@@ -554,7 +552,7 @@ fn merge_blocks(
     specs: &[LaneSpec],
     sctx: &SpillCtx,
     node: Option<&Arc<OperatorMetrics>>,
-) -> Option<RowBatch> {
+) -> Result<Option<RowBatch>> {
     let mut reservation = sctx.pool.register();
     let mut groups = BatchGroups::new();
     let mut lanes: Vec<AccLane> = specs.iter().map(new_lane).collect();
@@ -563,7 +561,7 @@ fn merge_blocks(
         let prev = groups.len();
         groups.assign(&RowBatch::new(block.keys.clone(), block.rows), &mut asg);
         for (lane, theirs) in lanes.iter_mut().zip(block.lanes.iter()) {
-            lane.merge(theirs, &asg, groups.len());
+            lane.merge(theirs, &asg, groups.len())?;
         }
         // A merged group costs what the grace path charges for its entry,
         // so a table is denied at the size the fallback's would be.
@@ -577,16 +575,16 @@ fn merge_blocks(
             let pairs: BoxIter<(Row, Vec<Acc>)> =
                 Box::new(table.chain(blocks.flat_map(AggBlock::into_pairs)));
             let layout = spill::AggLayout::new(plan.key_dtypes.clone());
-            let merged = spill::merge_agg_partition(pairs, &layout, sctx, 0);
+            let merged = spill::merge_agg_partition(pairs, &layout, sctx, 0)?;
             if let Some(node) = node {
                 node.add_extra("groups", merged.len() as u64);
             }
-            return Some(plan.finish_pairs(merged));
+            return plan.finish_pairs(merged).map(Some);
         }
     }
     let n = groups.len();
     if n == 0 {
-        return None;
+        return Ok(None);
     }
     if let Some(node) = node {
         node.add_extra("groups", n as u64);
@@ -596,7 +594,7 @@ fn merge_blocks(
         (lanes.iter().zip(&plan.agg_dtypes))
             .map(|(lane, dtype)| Arc::new(lane.finish_column(n, dtype))),
     );
-    Some(plan.finish_batch(&RowBatch::new(columns, n)))
+    plan.finish_batch(&RowBatch::new(columns, n)).map(Some)
 }
 
 #[cfg(test)]
@@ -614,7 +612,7 @@ mod tests {
         groups.assign(&RowBatch::from_rows(&[DataType::Long], &keys), &mut asg);
         let mut count =
             AccLane::for_input(vectorized::LaneAgg::CountStar, &DataType::Long).unwrap();
-        count.update(None, &asg, groups.len());
+        count.update(None, &asg, groups.len()).unwrap();
         // Read the pool while the pairs are pulled, and once more after
         // the table is exhausted, as the grace path's chain does.
         let used: Vec<u64> = drain_table(groups, vec![count], reservation)

@@ -4,6 +4,7 @@
 //! line of code that caused them (§3.4).
 
 use crate::context::SQLContext;
+use crate::execution::engine_err;
 use crate::plan_cache::PlanMemo;
 use catalyst::error::Result;
 use catalyst::expr::builders;
@@ -324,10 +325,6 @@ impl DataFrame {
     pub fn write(&self) -> crate::io::DataFrameWriter {
         crate::io::DataFrameWriter::new(self.clone())
     }
-}
-
-fn engine_err(e: engine::EngineError) -> catalyst::CatalystError {
-    catalyst::CatalystError::Internal(format!("execution failed: {e}"))
 }
 
 /// A DataFrame with pending grouping keys (result of

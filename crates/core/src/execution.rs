@@ -34,12 +34,54 @@ use catalyst::source::RowIter;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, RowBatch};
-use engine::{Data, MemoryPool, RddRef, SparkContext};
+use engine::{task, Data, MemoryPool, RddRef, SparkContext};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// An engine error as the SQL layer reports it: a task's own error is
+/// returned unchanged, anything else is an execution failure.
 pub(crate) fn engine_err(e: engine::EngineError) -> CatalystError {
+    if let engine::EngineError::Task(inner) = &e {
+        if let Some(err) = inner.downcast_ref::<CatalystError>() {
+            return err.clone();
+        }
+    }
     CatalystError::Internal(format!("execution failed: {e}"))
+}
+
+/// `f` over each partition's items, flattened, up to the first error:
+/// the task records it in its error slot ([`task::ok`]) and its stream
+/// ends there.
+pub(crate) fn try_flat_map<T: Data, U: Data, I>(
+    rdd: &RddRef<T>,
+    f: impl Fn(T) -> Result<I> + Send + Sync + 'static,
+) -> RddRef<U>
+where
+    I: IntoIterator<Item = U>,
+    I::IntoIter: Send + 'static,
+{
+    let f = Arc::new(f);
+    rdd.map_partitions(move |it| {
+        let f = f.clone();
+        Box::new(it.map_while(move |x| task::ok(f(x))).flatten())
+    })
+}
+
+/// `f` over each item, up to the first error (see [`try_flat_map`]).
+pub(crate) fn try_map<T: Data, U: Data>(
+    rdd: &RddRef<T>,
+    f: impl Fn(T) -> Result<U> + Send + Sync + 'static,
+) -> RddRef<U> {
+    try_flat_map(rdd, move |x| f(x).map(Some))
+}
+
+/// A partition's items, or none once the task recorded `result`'s error.
+pub(crate) fn task_iter<T: 'static, I>(result: Result<I>) -> engine::BoxIter<T>
+where
+    I: IntoIterator<Item = T> + Send + 'static,
+    I::IntoIter: Send + 'static,
+{
+    Box::new(task::ok(result).into_iter().flatten())
 }
 
 /// Shared recorder of adaptive plan changes for one execution. Cloned
@@ -83,9 +125,10 @@ pub struct ExecContext {
     pub mem: Arc<MemoryPool>,
     /// Cooperative cancellation token. When set, every operator's
     /// partition iterator checks it at the partition boundary and every
-    /// 256 rows (per batch on the vectorized path); a fired token unwinds
-    /// the task with [`engine::CancelSignal`], releasing reservations and
-    /// spill files on the way out.
+    /// 256 rows (per batch on the vectorized path); a fired token ends
+    /// the stream and records [`engine::EngineError::Cancelled`] in the
+    /// task's error slot, and dropping the stream releases reservations
+    /// and spill files.
     pub cancel: Option<engine::CancelToken>,
 }
 
@@ -187,13 +230,13 @@ struct CancelCheckIter<T> {
     count: u32,
 }
 
-impl<T> Iterator for CancelCheckIter<T> {
+impl<T: 'static> Iterator for CancelCheckIter<T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
         self.count = self.count.wrapping_add(1);
-        if self.count & 0xFF == 0 {
-            engine::cancel::check(&self.token);
+        if self.count & 0xFF == 0 && task::ok(engine::cancel::check(&self.token)).is_none() {
+            self.inner = Box::new(std::iter::empty());
         }
         self.inner.next()
     }
@@ -206,7 +249,9 @@ pub(crate) fn cancel_checked<T: Data>(rdd: &RddRef<T>, ctx: &ExecContext) -> Rdd
         return rdd.clone();
     };
     rdd.map_partitions(move |it| {
-        engine::cancel::check(&token);
+        if task::ok(engine::cancel::check(&token)).is_none() {
+            return Box::new(std::iter::empty());
+        }
         Box::new(CancelCheckIter {
             inner: it,
             token: token.clone(),
@@ -219,9 +264,11 @@ pub(crate) fn cancel_checked<T: Data>(rdd: &RddRef<T>, ctx: &ExecContext) -> Rdd
 /// "every few hundred rows" in one step).
 fn cancel_checked_batches(rdd: &RddRef<RowBatch>, token: engine::CancelToken) -> RddRef<RowBatch> {
     rdd.map_partitions(move |it| {
-        engine::cancel::check(&token);
+        if task::ok(engine::cancel::check(&token)).is_none() {
+            return Box::new(std::iter::empty());
+        }
         let token = token.clone();
-        Box::new(it.inspect(move |_| engine::cancel::check(&token)))
+        Box::new(it.map_while(move |b| task::ok(engine::cancel::check(&token)).map(|()| b)))
     })
 }
 
@@ -233,8 +280,8 @@ pub(crate) fn note_eager_ns(ctx: &ExecContext, id: usize, start: Instant) {
     }
 }
 
-type RowFn = Arc<dyn Fn(&Row) -> Row + Send + Sync>;
-pub(crate) type PredFn = Arc<dyn Fn(&Row) -> bool + Send + Sync>;
+type RowFn = Arc<dyn Fn(&Row) -> Result<Row> + Send + Sync>;
+pub(crate) type PredFn = Arc<dyn Fn(&Row) -> Result<bool> + Send + Sync>;
 
 pub(crate) fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>> {
     exprs
@@ -247,29 +294,24 @@ pub(crate) fn bind_all(exprs: &[Expr], input: &[ColumnRef]) -> Result<Vec<Expr>>
 fn projector(exprs: &[Expr], input: &[ColumnRef]) -> Result<RowFn> {
     let bound = bind_all(exprs, input)?;
     Ok(Arc::new(move |row| {
-        Row::new(
-            bound
-                .iter()
-                .map(|e| interpreter::eval(e, row).expect("projection failed"))
-                .collect(),
-        )
+        let values = bound.iter().map(|e| interpreter::eval(e, row));
+        Ok(Row::new(values.collect::<Result<_>>()?))
     }))
 }
 
-/// Build a row predicate (NULL ⇒ false; an evaluation error fails the
-/// task).
+/// Build a row predicate (NULL ⇒ false).
 pub(crate) fn predicate(expr: &Expr, input: &[ColumnRef]) -> Result<PredFn> {
     let bound = bind_references(expr.clone(), input)?;
     Ok(Arc::new(move |row| {
-        interpreter::eval_predicate(&bound, row).expect("predicate failed")
+        interpreter::eval_predicate(&bound, row)
     }))
 }
 
-pub(crate) type ValueFn = Arc<dyn Fn(&Row) -> Value + Send + Sync>;
+pub(crate) type ValueFn = Arc<dyn Fn(&Row) -> Result<Value> + Send + Sync>;
 
 /// Build a single-value evaluator over a bound expression.
 pub(crate) fn value_fn(bound: Expr) -> ValueFn {
-    Arc::new(move |row| interpreter::eval(&bound, row).expect("expression failed"))
+    Arc::new(move |row| interpreter::eval(&bound, row))
 }
 
 /// Execute a physical plan into an RDD of rows.
@@ -480,14 +522,11 @@ fn try_lower_batched(
                 Arc::new(output.iter().map(|c| c.dtype.clone()).collect());
             let batch_size = ctx.conf.vectorize_batch_size.max(1);
             let rdd = ctx.sc.generate(n, move |p| -> engine::BoxIter<RowBatch> {
-                match relation.scan_partition_vectors(p, proj.as_deref(), &filters) {
-                    Ok(Some(batches)) => batches,
-                    Ok(None) => match relation.scan_partition(p, proj.as_deref(), &filters) {
-                        Ok(it) => Box::new(IterChunks::new(it, dtypes.clone(), batch_size)),
-                        Err(e) => panic!("scan failed: {e}"),
-                    },
-                    Err(e) => panic!("scan failed: {e}"),
-                }
+                let vectors = relation.scan_partition_vectors(p, proj.as_deref(), &filters);
+                task_iter(vectors.transpose().unwrap_or_else(|| {
+                    let rows = relation.scan_partition(p, proj.as_deref(), &filters)?;
+                    Ok(Box::new(IterChunks::new(rows, dtypes.clone(), batch_size)))
+                }))
             });
             Some(match residual {
                 Some(r) => batch_filter(rdd, r, output),
@@ -519,8 +558,8 @@ fn try_lower_batched(
             let child = try_execute_batched(input, id + 1, ctx)?;
             Some(child.and_then(|rdd| {
                 let bound = bind_all(exprs, &input.output())?;
-                Ok(rdd.map(move |b| {
-                    vectorized::eval_projection_batch(&bound, &b).expect("projection failed")
+                Ok(try_map(&rdd, move |b| {
+                    vectorized::eval_projection_batch(&bound, &b)
                 }))
             }))
         }
@@ -553,7 +592,7 @@ fn batch_filter(
     input: &[ColumnRef],
 ) -> Result<RddRef<RowBatch>> {
     let bound = bind_references(predicate.clone(), input)?;
-    Ok(rdd.map(move |b| vectorized::filter_batch(&bound, &b).expect("predicate failed")))
+    Ok(try_map(&rdd, move |b| vectorized::filter_batch(&bound, &b)))
 }
 
 fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
@@ -570,15 +609,15 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
             let proj = projection.clone();
             let filters = pushed_filters.clone();
             let rdd = ctx.sc.generate(n, move |p| {
-                match relation.scan_partition(p, proj.as_deref(), &filters) {
-                    Ok(it) => it,
-                    Err(e) => panic!("scan failed: {e}"),
-                }
+                task_iter(relation.scan_partition(p, proj.as_deref(), &filters))
             });
             match residual {
                 Some(r) => {
                     let pred = predicate(r, output)?;
-                    Ok(rdd.filter(move |row| pred(row)))
+                    Ok(try_flat_map(
+                        &rdd,
+                        move |row| Ok(pred(&row)?.then_some(row)),
+                    ))
                 }
                 None => Ok(rdd),
             }
@@ -597,7 +636,7 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
         PhysicalPlan::Project { input, exprs } => {
             let child = execute_node(input, id + 1, ctx)?;
             let f = projector(exprs, &input.output())?;
-            Ok(child.map(move |row| f(&row)))
+            Ok(try_map(&child, move |row| f(&row)))
         }
 
         PhysicalPlan::Filter {
@@ -606,7 +645,9 @@ fn lower(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row
         } => {
             let child = execute_node(input, id + 1, ctx)?;
             let pred = predicate(pred_expr, &input.output())?;
-            Ok(child.filter(move |row| pred(row)))
+            Ok(try_flat_map(&child, move |row| {
+                Ok(pred(&row)?.then_some(row))
+            }))
         }
 
         PhysicalPlan::HashAggregate {

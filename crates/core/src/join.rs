@@ -16,8 +16,8 @@
 
 use crate::exchange::{Exchange, HashPair};
 use crate::execution::{
-    bind_all, engine_err, execute_node, lower_node, note_eager_ns, predicate, value_fn,
-    ExecContext, Lowered, PredFn, ValueFn,
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, predicate, task_iter,
+    try_flat_map, try_map, value_fn, ExecContext, Lowered, PredFn, ValueFn,
 };
 use crate::spill::{SideLayout, SpillBuckets, SpillCtx, MAX_DEPTH};
 use catalyst::adaptive::{rules as adaptive_rules, AdaptivePlanChange, AdaptiveRule};
@@ -32,7 +32,7 @@ use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, BatchGroups, ColumnVector, RowBatch, NULL_LANE};
-use engine::{BoxIter, RddRef};
+use engine::{task, BoxIter, RddRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,23 +42,23 @@ pub(crate) type Keyed = (Option<Row>, Row);
 
 /// Null-safe key evaluation: returns None when any key is NULL (SQL
 /// equi-join semantics: NULL joins nothing).
-fn join_key(fns: &[ValueFn], row: &Row) -> Option<Row> {
+fn join_key(fns: &[ValueFn], row: &Row) -> Result<Option<Row>> {
     let mut values = Vec::with_capacity(fns.len());
     for f in fns {
-        let v = f(row);
+        let v = f(row)?;
         if v.is_null() {
-            return None;
+            return Ok(None);
         }
         values.push(v);
     }
-    Some(Row::new(values))
+    Ok(Some(Row::new(values)))
 }
 
 /// Key a join side's rows. NULL keys keep a sentinel so outer rows
 /// survive it (they can never match — `Option<Row>` keys, None = NULL).
 fn keyed(child: &RddRef<Row>, keys: &[ValueFn]) -> RddRef<Keyed> {
     let keys = keys.to_vec();
-    child.map(move |row| (join_key(&keys, &row), row))
+    try_map(child, move |row| Ok((join_key(&keys, &row)?, row)))
 }
 
 /// Approximate bytes of a keyed pair: what a shuffle measures and a build
@@ -99,8 +99,8 @@ impl JoinSpec {
     }
 
     /// Does `joined` pass the residual predicate (if there is one)?
-    fn keeps(&self, joined: &Row) -> bool {
-        self.residual_pred.as_ref().is_none_or(|p| p(joined))
+    fn keeps(&self, joined: &Row) -> Result<bool> {
+        self.residual_pred.as_ref().map_or(Ok(true), |p| p(joined))
     }
 }
 
@@ -243,8 +243,7 @@ impl<'a> JoinSite<'a> {
             .collect();
         // Rows with a NULL in any key column join nothing: no chain.
         let keys = RowBatch::new(columns.clone(), n);
-        let keys = vectorized::eval_projection_batch(&build.keys, &keys)
-            .expect("join key evaluation failed");
+        let keys = vectorized::eval_projection_batch(&build.keys, &keys)?;
         let non_null = (0..n as u32)
             .filter(|&i| keys.columns().iter().all(|c| !c.is_null(i as usize)))
             .collect();
@@ -366,9 +365,8 @@ struct Probe {
 
 impl Probe {
     /// Look up the keys of the next stream batch.
-    fn start(&mut self, batch: RowBatch) {
-        let keys = vectorized::eval_projection_batch(&self.table.stream_keys, &batch)
-            .expect("join key evaluation failed");
+    fn start(&mut self, batch: RowBatch) -> Result<()> {
+        let keys = vectorized::eval_projection_batch(&self.table.stream_keys, &batch)?;
         let mut found = Vec::new();
         self.table.groups.find(&keys, &mut found);
         let (mut found, first) = (found.into_iter().peekable(), &self.table.first);
@@ -379,6 +377,7 @@ impl Probe {
             self.heads.push((i as u32, head));
         });
         (self.batch, self.pos, self.matched) = (batch, 0, false);
+        Ok(())
     }
 
     /// The `left ++ right` lanes of `(stream lane, build row)` pairs.
@@ -399,7 +398,7 @@ impl Probe {
     /// The next output batch of the current stream batch. A preserved
     /// lane's chain ends in a null-extended lane, selected only when none
     /// of the lane's pairs passed the residual.
-    fn chunk(&mut self) -> RowBatch {
+    fn chunk(&mut self) -> Result<RowBatch> {
         let table = self.table.clone();
         let (mut stream, mut build) = (Vec::new(), Vec::new());
         while self.pos < self.heads.len() && stream.len() < table.batch_size {
@@ -422,11 +421,11 @@ impl Probe {
         }
         let candidates = self.gather(&stream, &build);
         let kept = match &table.residual {
-            Some(r) => vectorized::filter_batch(r, &candidates).expect("predicate failed"),
+            Some(r) => vectorized::filter_batch(r, &candidates)?,
             None => candidates,
         };
         if !table.preserve {
-            return kept;
+            return Ok(kept);
         }
         let mut passed = vec![kept.selection().is_none(); build.len()];
         for &c in kept.selection().unwrap_or_default() {
@@ -440,7 +439,7 @@ impl Probe {
             }
         });
         let selection = selection.collect();
-        kept.with_selection(selection)
+        Ok(kept.with_selection(selection))
     }
 }
 
@@ -451,9 +450,9 @@ impl Iterator for Probe {
         loop {
             while self.pos == self.heads.len() {
                 let batch = self.input.next()?;
-                self.start(batch);
+                task::ok(self.start(batch))?;
             }
-            let out = self.chunk();
+            let out = task::ok(self.chunk())?;
             if out.selected_count() > 0 {
                 return Some(out);
             }
@@ -504,7 +503,7 @@ pub(crate) fn execute_equi_join(
     let (spec, build_side) = (site.row_spec()?, site.build_side);
     let sctx = ctx.spill_ctx(site.id);
     Ok(lread.zip_partitions(&rread, move |lit, rit| {
-        Box::new(hash_join_partition(lit, rit, &spec, build_side, &sctx, 0).into_iter())
+        task_iter(hash_join_partition(lit, rit, &spec, build_side, &sctx, 0))
     }))
 }
 
@@ -605,7 +604,7 @@ fn hash_join_partition(
     build_side: BuildSide,
     ctx: &SpillCtx,
     depth: usize,
-) -> Vec<Row> {
+) -> Result<Vec<Row>> {
     let build_left = build_side == BuildSide::Left;
     let (mut bit, pit) = if build_left { (lit, rit) } else { (rit, lit) };
     let mut reservation = ctx.pool.register();
@@ -632,22 +631,22 @@ fn hash_join_partition(
         let mut bbuckets = SpillBuckets::new(spec.side(build_left).layout.clone(), depth);
         for (k, rows) in table.drain() {
             for (row, _) in rows {
-                bbuckets.push(ctx, &Some(k.clone()), &row);
+                bbuckets.push(ctx, &Some(k.clone()), &row)?;
             }
         }
         for row in null_key_build.drain(..) {
-            bbuckets.push(ctx, &None, &row);
+            bbuckets.push(ctx, &None, &row)?;
         }
         reservation.free();
         for (k, row) in std::iter::once(first).chain(bit) {
-            bbuckets.push(ctx, &k, &row);
+            bbuckets.push(ctx, &k, &row)?;
         }
         let mut pbuckets = SpillBuckets::new(spec.side(!build_left).layout.clone(), depth);
         for (k, row) in pit {
-            pbuckets.push(ctx, &k, &row);
+            pbuckets.push(ctx, &k, &row)?;
         }
         let mut out = Vec::new();
-        for (bsub, psub) in bbuckets.finish(ctx).into_iter().zip(pbuckets.finish(ctx)) {
+        for (bsub, psub) in bbuckets.finish(ctx)?.into_iter().zip(pbuckets.finish(ctx)?) {
             let (lsub, rsub) = if build_left {
                 (bsub, psub)
             } else {
@@ -660,9 +659,9 @@ fn hash_join_partition(
                 build_side,
                 ctx,
                 depth + 1,
-            ));
+            )?);
         }
-        return out;
+        return Ok(out);
     }
 
     let left_preserved = matches!(spec.join_type, JoinType::Left | JoinType::Full);
@@ -677,7 +676,7 @@ fn hash_join_partition(
         let mut matched = false;
         for (brow, bmatched) in k.and_then(|k| table.get_mut(&k)).into_iter().flatten() {
             let joined = join_rows(build_left, brow, &prow);
-            if spec.keeps(&joined) {
+            if spec.keeps(&joined)? {
                 *bmatched = true;
                 matched = true;
                 out.push(joined);
@@ -694,7 +693,7 @@ fn hash_join_partition(
             out.push(join_rows(build_left, brow, &nulls));
         }
     }
-    out
+    Ok(out)
 }
 
 /// Lower a `NestedLoopJoin` (inner, cross, or left outer — the planner
@@ -723,17 +722,17 @@ pub(crate) fn execute_nested_loop_join(
     );
     note_eager_ns(ctx, id, eager_start);
     let stream = execute_node(left, left_id, ctx)?;
-    Ok(stream.flat_map(move |lrow| {
+    Ok(try_flat_map(&stream, move |lrow| {
         let mut out = Vec::new();
         for rrow in right_rows.iter() {
             let joined = lrow.concat(rrow);
-            if cond.as_ref().is_none_or(|p| p(&joined)) {
+            if cond.as_ref().map_or(Ok(true), |p| p(&joined))? {
                 out.push(joined);
             }
         }
         if out.is_empty() && join_type == JoinType::Left {
             out.push(lrow.concat(&Row::new(vec![Value::Null; right_width])));
         }
-        out
+        Ok(out)
     }))
 }

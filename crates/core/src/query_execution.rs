@@ -10,7 +10,7 @@
 //! to individual operators instead of whole queries.
 
 use crate::context::SQLContext;
-use crate::execution::{execute, AdaptiveLog, ExecContext};
+use crate::execution::{engine_err, execute, AdaptiveLog, ExecContext};
 use crate::plan_cache::{PlanMemo, Planned};
 use catalyst::adaptive::{self, AdaptivePlanChange};
 use catalyst::error::Result;
@@ -19,7 +19,6 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::plan::LogicalPlan;
 use catalyst::row::Row;
 use catalyst::rules::RuleHealthReport;
-use catalyst::CatalystError;
 use engine::{CacheBudgetStats, CancelToken, MemoryPool, MemoryStats, RddRef};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -85,7 +84,7 @@ impl QueryExecution {
     /// Attach a cancellation token. Subsequent executions of this handle
     /// check it cooperatively: at every partition boundary, every 256
     /// rows (every batch on the vectorized path), and in the scheduler's
-    /// wait loop. A fired token unwinds in-flight tasks, releasing
+    /// wait loop. A fired token ends in-flight tasks' streams, releasing
     /// memory reservations and deleting spill files, and surfaces as an
     /// `execution failed: job cancelled` error from
     /// [`QueryExecution::collect`].
@@ -211,10 +210,7 @@ impl QueryExecution {
             .clone()
             .map(engine::cancel::install);
         let start = Instant::now();
-        let rows = self
-            .to_rdd()?
-            .try_collect()
-            .map_err(|e| CatalystError::Internal(format!("execution failed: {e}")))?;
+        let rows = self.to_rdd()?.try_collect().map_err(engine_err)?;
         let wall_ns = start.elapsed().as_nanos() as u64;
         let recovery =
             RecoveryEvents::delta(&before, &self.ctx.spark_context().metrics().snapshot());

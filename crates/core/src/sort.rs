@@ -26,7 +26,8 @@
 
 use crate::exchange::{Exchange, Route};
 use crate::execution::{
-    bind_all, engine_err, execute_node, lower_node, note_eager_ns, ExecContext, IterChunks,
+    bind_all, engine_err, execute_node, lower_node, note_eager_ns, task_iter, try_map, ExecContext,
+    IterChunks,
 };
 use crate::spill::{self, SpillCtx};
 use catalyst::error::Result;
@@ -37,7 +38,7 @@ use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, ColumnVector, RowBatch, VectorData};
-use engine::{BoxIter, MemoryReservation, RddRef};
+use engine::{task, BoxIter, MemoryReservation, RddRef};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -309,16 +310,12 @@ pub(crate) fn execute_sort(
         input.output().into_iter().map(|c| c.dtype),
         keys.descending_mask,
     );
-    // An RDD closure has no error channel but its task: the scheduler
-    // hands the failure to the caller as an error.
-    let keyed = child.map(move |row| match keys.key(&row) {
-        Ok(key) => (key, row),
-        Err(e) => panic!("sort key failed: {e}"),
-    });
+    let keyed = try_map(&child, move |row| Ok((keys.key(&row)?, row)));
     let partitioned = exchange.range_rows(&keyed, ctx)?;
     let sctx = ctx.spill_ctx(id);
-    Ok(partitioned
-        .map_partitions(move |it| Box::new(spill::external_sort(it, &layout, &sctx).map(|p| p.1))))
+    Ok(partitioned.map_partitions(move |it| {
+        Box::new(task_iter(spill::external_sort(it, &layout, &sctx)).map(|p| p.1))
+    }))
 }
 
 // ---- block pipeline ----
@@ -369,14 +366,13 @@ impl BlockKeys {
     }
 
     /// `batch`'s block columns: its own, then the computed keys.
-    fn columns(&self, batch: &RowBatch) -> Vec<Arc<ColumnVector>> {
+    fn columns(&self, batch: &RowBatch) -> Result<Vec<Arc<ColumnVector>>> {
         let mut columns = batch.columns().to_vec();
         if !self.computed.is_empty() {
-            let keys = vectorized::eval_projection_batch(&self.computed, batch)
-                .expect("sort key evaluation failed");
+            let keys = vectorized::eval_projection_batch(&self.computed, batch)?;
             columns.extend_from_slice(keys.columns());
         }
-        columns
+        Ok(columns)
     }
 
     /// The key columns of `columns`, over `batch`'s selection.
@@ -390,8 +386,8 @@ impl BlockKeys {
     }
 
     /// `batch`'s keys, evaluated by kernels, over its selection.
-    pub(crate) fn key_batch(&self, batch: &RowBatch) -> RowBatch {
-        self.keys_of(&self.columns(batch), batch)
+    pub(crate) fn key_batch(&self, batch: &RowBatch) -> Result<RowBatch> {
+        Ok(self.keys_of(&self.columns(batch)?, batch))
     }
 
     /// One map task's blocks: every selected lane of `batches` routed by
@@ -402,13 +398,13 @@ impl BlockKeys {
         batches: BoxIter<RowBatch>,
         route: &Route,
         reducers: usize,
-    ) -> Vec<(usize, SortBlock)> {
+    ) -> Result<Vec<(usize, SortBlock)>> {
         let mut parts: Vec<Vec<Vec<Arc<ColumnVector>>>> =
             vec![vec![Vec::new(); self.dtypes.len()]; reducers];
         let mut rows = vec![0usize; reducers];
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); reducers];
         for batch in batches {
-            let columns = self.columns(&batch);
+            let columns = self.columns(&batch)?;
             members.iter_mut().for_each(Vec::clear);
             route.split(&self.keys_of(&columns, &batch), &mut members);
             for (r, lanes) in members.iter().enumerate() {
@@ -426,7 +422,7 @@ impl BlockKeys {
                 }
             }
         }
-        (parts.into_iter().zip(rows).enumerate())
+        Ok((parts.into_iter().zip(rows).enumerate())
             .filter(|(_, (_, rows))| *rows > 0)
             .map(|(r, (parts, rows))| {
                 let columns = (self.dtypes.iter().zip(&parts))
@@ -434,7 +430,7 @@ impl BlockKeys {
                     .collect();
                 (r, SortBlock { columns, rows })
             })
-            .collect()
+            .collect())
     }
 
     /// Sort one reducer's blocks (in map-id order). The blocks are
@@ -444,7 +440,7 @@ impl BlockKeys {
         self: &Arc<Self>,
         mut blocks: BoxIter<SortBlock>,
         sctx: &SpillCtx,
-    ) -> Sorted {
+    ) -> Result<Sorted> {
         let mut reservation = sctx.pool.register();
         let mut held: Vec<SortBlock> = Vec::new();
         while let Some(block) = blocks.next() {
@@ -466,7 +462,7 @@ impl BlockKeys {
                     self.descending_mask,
                 );
                 let pairs = Box::new(reserved.chain(unread));
-                return Sorted::Spilled(spill::external_sort(pairs, &layout, sctx));
+                return spill::external_sort(pairs, &layout, sctx).map(Sorted::Spilled);
             }
             held.push(block);
         }
@@ -489,13 +485,13 @@ impl BlockKeys {
             lane_order(&keys, a as usize, &keys, b as usize, self.descending_mask)
         });
         drop(keys);
-        Sorted::Lanes(SortedLanes {
+        Ok(Sorted::Lanes(SortedLanes {
             columns,
             perm,
             key_cols: self.key_cols.clone(),
             width: self.width,
             _reservation: reservation,
-        })
+        }))
     }
 }
 
@@ -617,7 +613,7 @@ fn batch_sort(
     let child = lower_node(exchange.input, exchange.input_id, ctx)?.batches(exchange.input, ctx);
     let sketch_start = Instant::now();
     let for_sketch = keys.clone();
-    let key_batches = child.map(move |b| for_sketch.key_batch(&b));
+    let key_batches = try_map(&child, move |b| for_sketch.key_batch(&b));
     let route = exchange.range(&key_batches, &keys.key_dtypes, keys.descending_mask, ctx)?;
     note_eager_ns(ctx, id, sketch_start);
     let Some(route) = route else {
@@ -625,19 +621,19 @@ fn batch_sort(
     };
     let reducers = exchange.partitions();
     let map_keys = keys.clone();
-    let blocks =
-        child.map_partitions(move |it| Box::new(map_keys.ship(it, &route, reducers).into_iter()));
+    let blocks = child.map_partitions(move |it| task_iter(map_keys.ship(it, &route, reducers)));
     let dtypes: Arc<Vec<DataType>> =
         Arc::new(input.output().into_iter().map(|c| c.dtype).collect());
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     let sctx = ctx.spill_ctx(id);
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
-        match keys.sort(Box::new(it.map(|(_, block)| block)), &sctx) {
-            Sorted::Lanes(sorted) => Box::new(
+        match task::ok(keys.sort(Box::new(it.map(|(_, block)| block)), &sctx)) {
+            None => Box::new(std::iter::empty()),
+            Some(Sorted::Lanes(sorted)) => Box::new(
                 chunks(sorted.perm.len(), batch_size)
                     .map(move |range| RowBatch::new(sorted.gather(range.clone()), range.len())),
             ),
-            Sorted::Spilled(pairs) => Box::new(IterChunks::new(
+            Some(Sorted::Spilled(pairs)) => Box::new(IterChunks::new(
                 Box::new(pairs.map(|(_, row)| row)),
                 dtypes.clone(),
                 batch_size,

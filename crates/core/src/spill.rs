@@ -19,17 +19,22 @@
 //! Rows cross the disk boundary through [`SpillCodec`] — the colfile
 //! column codec with an exact-roundtrip guarantee — so spilled execution
 //! is byte-identical to in-memory execution. Spill files delete
-//! themselves on drop; a panicking task unwinds through the operator
-//! state holding them, so injected faults cannot leak disk.
+//! themselves on drop. A failing task records its error in its slot
+//! (`engine::task`) and ends its stream, dropping the operator state
+//! that holds them, and the scheduler reports the error only after every
+//! sibling task has finished, so neither errors nor injected faults leak
+//! disk. A spill read that fails mid-stream does the same.
 
+use crate::join::Keyed;
 use crate::sort::{KeyedRow, SortKey};
+use catalyst::error::Result;
 use catalyst::physical::metrics::OperatorMetrics;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::Acc;
 use columnar::SpillCodec;
-use engine::{BoxIter, MemoryPool, SpillFile};
+use engine::{task, BoxIter, MemoryPool, SpillFile};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -169,7 +174,7 @@ pub(crate) fn external_sort(
     input: BoxIter<KeyedRow>,
     layout: &SortLayout,
     ctx: &SpillCtx,
-) -> BoxIter<KeyedRow> {
+) -> Result<BoxIter<KeyedRow>> {
     let mut reservation = ctx.pool.register();
     let mut runs: Vec<SpillFile> = Vec::new();
     let mut buf: Vec<KeyedRow> = Vec::new();
@@ -177,11 +182,10 @@ pub(crate) fn external_sort(
         let bytes = key.approx_bytes() + row.approx_bytes();
         if !reservation.try_grow(bytes) && !buf.is_empty() {
             buf.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut file = ctx.pool.spill_file().expect("spill create failed");
+            let mut file = ctx.pool.spill_file()?;
             let mut pairs = buf.drain(..).peekable();
             while pairs.peek().is_some() {
-                file.append(&layout.encode_block(pairs.by_ref().take(BLOCK_ROWS)))
-                    .expect("spill write failed");
+                file.append(&layout.encode_block(pairs.by_ref().take(BLOCK_ROWS)))?;
             }
             drop(pairs);
             ctx.note_spill(file.bytes_written());
@@ -199,17 +203,17 @@ pub(crate) fn external_sort(
         .map(|file| {
             let layout = layout.clone();
             let mut run: BoxIter<KeyedRow> = Box::new(
-                BlockRows::open(file, layout.codec.clone()).map(move |r| layout.decode_pair(r)),
+                BlockRows::open(file, layout.codec.clone())?.map(move |r| layout.decode_pair(r)),
             );
-            (run.next(), run)
+            Ok((run.next(), run))
         })
-        .collect();
-    Box::new(MergeIter {
+        .collect::<Result<_>>()?;
+    Ok(Box::new(MergeIter {
         runs,
         tail: buf.into_iter(),
         tail_head: None,
         _reservation: reservation,
-    })
+    }))
 }
 
 // ---- grace hash join ----
@@ -286,54 +290,54 @@ impl SpillBuckets {
         }
     }
 
-    pub(crate) fn push(&mut self, ctx: &SpillCtx, key: &Option<Row>, row: &Row) {
+    pub(crate) fn push(&mut self, ctx: &SpillCtx, key: &Option<Row>, row: &Row) -> Result<()> {
         let b = match key {
             Some(k) => bucket(k, self.depth),
             None => 0,
         };
         self.bufs[b].push(self.layout.encode_pair(key, row));
         if self.bufs[b].len() >= BLOCK_ROWS {
-            self.flush(ctx, b);
+            self.flush(ctx, b)?;
         }
+        Ok(())
     }
 
-    fn flush(&mut self, ctx: &SpillCtx, b: usize) {
+    fn flush(&mut self, ctx: &SpillCtx, b: usize) -> Result<()> {
         if self.bufs[b].is_empty() {
-            return;
+            return Ok(());
         }
-        let file = self.files[b]
-            .get_or_insert_with(|| ctx.pool.spill_file().expect("spill create failed"));
-        file.append(&self.layout.codec.encode_block(&self.bufs[b]))
-            .expect("spill write failed");
+        let file = match &mut self.files[b] {
+            Some(file) => file,
+            empty => empty.insert(ctx.pool.spill_file()?),
+        };
+        file.append(&self.layout.codec.encode_block(&self.bufs[b]))?;
         self.bufs[b].clear();
+        Ok(())
     }
 
     /// Seal all buckets, recording one spill per written file, and return
     /// per-bucket pair iterators (empty buckets yield empty iterators).
-    pub(crate) fn finish(mut self, ctx: &SpillCtx) -> Vec<BoxIter<(Option<Row>, Row)>> {
+    pub(crate) fn finish(mut self, ctx: &SpillCtx) -> Result<Vec<BoxIter<Keyed>>> {
         for b in 0..FANOUT {
-            self.flush(ctx, b);
+            self.flush(ctx, b)?;
         }
         self.files
             .into_iter()
-            .map(|file| -> BoxIter<(Option<Row>, Row)> {
-                match file {
-                    None => Box::new(std::iter::empty()),
-                    Some(file) => {
-                        ctx.note_spill(file.bytes_written());
-                        let layout = self.layout.clone();
-                        Box::new(
-                            BlockRows::open(file, layout.codec.clone())
-                                .map(move |flat| layout.decode_pair(flat)),
-                        )
-                    }
-                }
+            .map(|file| -> Result<BoxIter<Keyed>> {
+                let Some(file) = file else {
+                    return Ok(Box::new(std::iter::empty()));
+                };
+                ctx.note_spill(file.bytes_written());
+                let layout = self.layout.clone();
+                let rows = BlockRows::open(file, layout.codec.clone())?;
+                Ok(Box::new(rows.map(move |flat| layout.decode_pair(flat))))
             })
             .collect()
     }
 }
 
-/// Streaming row reader over a sealed spill file.
+/// Streaming row reader over a sealed spill file. A failed read or
+/// decode ends the stream and fails the task.
 struct BlockRows {
     /// Keeps the backing file alive (and deleted when reading finishes).
     _file: SpillFile,
@@ -343,14 +347,14 @@ struct BlockRows {
 }
 
 impl BlockRows {
-    fn open(mut file: SpillFile, codec: SpillCodec) -> BlockRows {
-        let blocks = file.blocks().expect("spill reopen failed");
-        BlockRows {
+    fn open(mut file: SpillFile, codec: SpillCodec) -> Result<BlockRows> {
+        let blocks = file.blocks()?;
+        Ok(BlockRows {
             _file: file,
             blocks,
             codec,
             buf: Vec::new().into_iter(),
-        }
+        })
     }
 }
 
@@ -362,12 +366,8 @@ impl Iterator for BlockRows {
             if let Some(row) = self.buf.next() {
                 return Some(row);
             }
-            let block = self.blocks.next()?.expect("spill read failed");
-            self.buf = self
-                .codec
-                .decode_block(&block)
-                .expect("spill decode failed")
-                .into_iter();
+            let block = task::ok(self.blocks.next()?)?;
+            self.buf = task::ok(self.codec.decode_block(&block))?.into_iter();
         }
     }
 }
@@ -408,6 +408,11 @@ fn accs_from_row(row: Row) -> Vec<Acc> {
     }
 }
 
+/// Merge two partial-accumulator lists of the same calls, `a` first.
+pub(crate) fn merge_accs(a: Vec<Acc>, b: Vec<Acc>) -> Result<Vec<Acc>> {
+    a.into_iter().zip(b).map(|(x, y)| x.merge(y)).collect()
+}
+
 /// Rough reservation size of one aggregation-table entry.
 fn entry_bytes(key: &Row, accs: &[Acc]) -> u64 {
     key.approx_bytes() + 16 + accs.iter().map(Acc::approx_bytes).sum::<u64>()
@@ -423,7 +428,7 @@ pub fn merge_agg_partition(
     layout: &AggLayout,
     ctx: &SpillCtx,
     depth: usize,
-) -> Vec<(Row, Vec<Acc>)> {
+) -> Result<Vec<(Row, Vec<Acc>)>> {
     let mut reservation = ctx.pool.register();
     let reserve = depth < MAX_DEPTH;
     let mut table: HashMap<Row, Vec<Acc>> = HashMap::new();
@@ -433,18 +438,14 @@ pub fn merge_agg_partition(
         if reserve && !reservation.try_grow(bytes) && !table.is_empty() {
             let dump = buckets.get_or_insert_with(|| SpillBuckets::new(layout.side.clone(), depth));
             for (k, a) in table.drain() {
-                dump.push(ctx, &Some(k), &accs_row(&a));
+                dump.push(ctx, &Some(k), &accs_row(&a))?;
             }
             reservation.free();
             reservation.try_grow(bytes);
         }
         match table.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged: Vec<Acc> = std::mem::take(e.get_mut())
-                    .into_iter()
-                    .zip(accs)
-                    .map(|(a, b)| a.merge(b))
-                    .collect();
+                let merged = merge_accs(std::mem::take(e.get_mut()), accs)?;
                 *e.get_mut() = merged;
             }
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -453,22 +454,22 @@ pub fn merge_agg_partition(
         }
     }
     let Some(mut dump) = buckets else {
-        return table.into_iter().collect();
+        return Ok(table.into_iter().collect());
     };
     // Dump the final table too, then merge each bucket recursively.
     for (k, a) in table.drain() {
-        dump.push(ctx, &Some(k), &accs_row(&a));
+        dump.push(ctx, &Some(k), &accs_row(&a))?;
     }
     reservation.free();
     let mut out = Vec::new();
-    for sub in dump.finish(ctx) {
+    for sub in dump.finish(ctx)? {
         let decoded: BoxIter<(Row, Vec<Acc>)> = Box::new(sub.map(move |(k, acc_row)| {
             (
                 k.expect("aggregate spill entry lost its key"),
                 accs_from_row(acc_row),
             )
         }));
-        out.extend(merge_agg_partition(decoded, layout, ctx, depth + 1));
+        out.extend(merge_agg_partition(decoded, layout, ctx, depth + 1)?);
     }
-    out
+    Ok(out)
 }

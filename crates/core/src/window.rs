@@ -17,7 +17,9 @@
 //! configuration's, and the block pipeline's spill fallback.
 
 use crate::exchange::Exchange;
-use crate::execution::{bind_all, execute_node, lower_node, ExecContext, IterChunks};
+use crate::execution::{
+    bind_all, execute_node, lower_node, task_iter, try_map, ExecContext, IterChunks,
+};
 use crate::sort::{
     chunks, descending_mask, lane_order, BlockKeys, KeyedRow, SortKey, Sorted, SortedLanes,
 };
@@ -33,7 +35,7 @@ use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, Acc, ColumnVector, RowBatch, VectorData, NULL_LANE};
-use engine::RddRef;
+use engine::{task, RddRef};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -222,19 +224,19 @@ fn framed_agg(
     func: AggFunc,
     frame: &WindowFrame,
     n: usize,
-    update: impl Fn(&mut Acc, usize),
+    update: impl Fn(&mut Acc, usize) -> Result<()>,
     peer_start: &[usize],
     peer_end: &[usize],
     frames: &mut u64,
-) -> Vec<Value> {
+) -> Result<Vec<Value>> {
     let init = || Acc::new(func, false);
     if frame.is_whole_partition() {
         let mut acc = init();
         for k in 0..n {
-            update(&mut acc, k);
+            update(&mut acc, k)?;
         }
         *frames += 1;
-        vec![acc.finish(); n]
+        Ok(vec![acc.finish(); n])
     } else if frame.start == FrameBound::UnboundedPreceding {
         // Growing frame: the end bound is nondecreasing in `i`, so one
         // running accumulator serves every row.
@@ -244,15 +246,15 @@ fn framed_agg(
             .map(|i| {
                 let target = frame_hi(frame, i, n, peer_end).map_or(0, |h| h + 1);
                 while consumed < target {
-                    update(&mut acc, consumed);
+                    update(&mut acc, consumed)?;
                     consumed += 1;
                 }
                 *frames += 1;
-                if target == 0 {
+                Ok(if target == 0 {
                     init().finish()
                 } else {
                     acc.clone().finish()
-                }
+                })
             })
             .collect()
     } else {
@@ -265,22 +267,17 @@ fn framed_agg(
                     frame_hi(frame, i, n, peer_end),
                 ) {
                     for k in lo..=hi {
-                        update(&mut acc, k);
+                        update(&mut acc, k)?;
                     }
                 }
                 *frames += 1;
-                acc.finish()
+                Ok(acc.finish())
             })
             .collect()
     }
 }
 
 // ---- rows: the reference, and the spill fallback ----
-
-/// `arg` of one row: a failure fails the task.
-fn arg_value(arg: &Expr, row: &Row) -> Value {
-    interpreter::eval(arg, row).expect("expression failed")
-}
 
 /// Evaluate one window call over a full partition, producing one value
 /// per row. `frames` counts evaluated aggregate frames (the `frames=`
@@ -291,9 +288,9 @@ fn eval_window_call(
     peer_start: &[usize],
     peer_end: &[usize],
     frames: &mut u64,
-) -> Vec<Value> {
+) -> Result<Vec<Value>> {
     let n = inputs.len();
-    match call {
+    Ok(match call {
         WindowCall::RowNumber => (1..=n as i64).map(Value::Long).collect(),
         WindowCall::Rank => (0..n)
             .map(|i| Value::Long(peer_start[i] as i64 + 1))
@@ -316,20 +313,20 @@ fn eval_window_call(
             lead,
         } => (0..n)
             .map(|i| match shifted(i, n, *offset, *lead) {
-                Some(j) => arg_value(arg, &inputs[j]),
-                None => default.clone(),
+                Some(j) => interpreter::eval(arg, &inputs[j]),
+                None => Ok(default.clone()),
             })
-            .collect(),
+            .collect::<Result<_>>()?,
         WindowCall::Agg { func, arg, frame } => {
             let update = |acc: &mut Acc, k: usize| {
                 acc.update(match arg {
                     None => Value::Long(1), // COUNT(*): every row counts
-                    Some(a) => arg_value(a, &inputs[k]),
+                    Some(a) => interpreter::eval(a, &inputs[k])?,
                 })
             };
-            framed_agg(*func, frame, n, update, peer_start, peer_end, frames)
+            framed_agg(*func, frame, n, update, peer_start, peer_end, frames)?
         }
-    }
+    })
 }
 
 /// Row `i`'s `lag`/`lead` row in a partition of `n`, if inside it.
@@ -350,7 +347,7 @@ fn eval_window_partition(
     np: usize,
     calls: &[WindowCall],
     frames: &mut u64,
-) -> Vec<Row> {
+) -> Result<Vec<Row>> {
     let (keys, inputs): (Vec<SortKey>, Vec<Row>) = group.into_iter().unzip();
     let oks: Vec<&[Value]> = keys.iter().map(|k| &k.values()[np..]).collect();
     // Peer groups: maximal runs of equal ORDER BY keys.
@@ -358,8 +355,8 @@ fn eval_window_partition(
     let cols: Vec<Vec<Value>> = calls
         .iter()
         .map(|c| eval_window_call(c, &inputs, &peer_start, &peer_end, frames))
-        .collect();
-    inputs
+        .collect::<Result<_>>()?;
+    Ok(inputs
         .into_iter()
         .enumerate()
         .map(|(i, row)| {
@@ -369,7 +366,7 @@ fn eval_window_partition(
             }
             Row::new(values)
         })
-        .collect()
+        .collect())
 }
 
 /// Streams one sorted engine partition, buffering one window partition
@@ -410,8 +407,8 @@ impl Iterator for WindowPartitionIter {
                     break;
                 }
             }
-            self.out =
-                eval_window_partition(group, self.np, &self.calls, &mut self.frames).into_iter();
+            let rows = eval_window_partition(group, self.np, &self.calls, &mut self.frames);
+            self.out = task::ok(rows)?.into_iter();
         }
     }
 }
@@ -457,9 +454,9 @@ pub(crate) fn execute_window(
     let mask = descending_mask(order_by) << np;
 
     // Key every row once: (pkeys ++ okeys, input).
-    let keyed = child.map(move |row| {
-        let key = key_exprs.iter().map(|e| arg_value(e, &row)).collect();
-        (SortKey::new(key, mask), row)
+    let keyed = try_map(&child, move |row| {
+        let key = key_exprs.iter().map(|e| interpreter::eval(e, &row));
+        Ok((SortKey::new(key.collect::<Result<_>>()?, mask), row))
     });
 
     // Co-locate each window partition: hash shuffle on the partition
@@ -476,8 +473,11 @@ pub(crate) fn execute_window(
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
 
     Ok(partitioned.map_partitions(move |it| {
+        let Some(sorted) = task::ok(spill::external_sort(it, &layout, &sctx)) else {
+            return Box::new(std::iter::empty());
+        };
         Box::new(WindowPartitionIter {
-            sorted: spill::external_sort(it, &layout, &sctx),
+            sorted,
             pending: None,
             np,
             calls: calls.clone(),
@@ -535,7 +535,7 @@ fn batch_window(
     let map_keys = keys.clone();
     let blocks = lower_node(exchange.input, exchange.input_id, ctx)?
         .batches(exchange.input, ctx)
-        .map_partitions(move |it| Box::new(map_keys.ship(it, &route, reducers).into_iter()));
+        .map_partitions(move |it| task_iter(map_keys.ship(it, &route, reducers)));
 
     let call_dtypes: Arc<Vec<DataType>> = Arc::new(
         (window_exprs.iter())
@@ -551,20 +551,24 @@ fn batch_window(
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
-        match keys.sort(Box::new(it.map(|(_, block)| block)), &sctx) {
-            Sorted::Lanes(sorted) => {
+        match task::ok(keys.sort(Box::new(it.map(|(_, block)| block)), &sctx)) {
+            None => Box::new(std::iter::empty()),
+            Some(Sorted::Lanes(sorted)) => {
                 let mut frames = 0;
                 let outputs = eval_lanes(&sorted, &calls, &call_dtypes, np, &mut frames);
                 if let Some(node) = &node {
                     node.add_extra("frames", frames);
                 }
+                let Some(outputs) = task::ok(outputs) else {
+                    return Box::new(std::iter::empty());
+                };
                 Box::new(chunks(sorted.perm.len(), batch_size).map(move |range| {
                     let mut columns = sorted.gather(range.clone());
                     columns.extend(outputs.iter().map(|c| slice(c, range.clone())));
                     RowBatch::new(columns, range.len())
                 }))
             }
-            Sorted::Spilled(pairs) => {
+            Some(Sorted::Spilled(pairs)) => {
                 let rows = WindowPartitionIter {
                     sorted: pairs,
                     pending: None,
@@ -624,7 +628,7 @@ impl LaneOut {
         rows: &[u32],
         (peer_start, peer_end): (&[usize], &[usize]),
         frames: &mut u64,
-    ) {
+    ) -> Result<()> {
         let n = rows.len();
         match (self, call) {
             (LaneOut::Long(out), WindowCall::RowNumber) => out.extend(1..=n as i64),
@@ -652,10 +656,11 @@ impl LaneOut {
                 };
                 out.extend(framed_agg(
                     *func, frame, n, update, peer_start, peer_end, frames,
-                ))
+                )?)
             }
             _ => unreachable!("a call's output was built for another call"),
         }
+        Ok(())
     }
 
     /// The finished lanes of a call declared `dtype`.
@@ -687,18 +692,19 @@ fn eval_lanes(
     dtypes: &[DataType],
     np: usize,
     frames: &mut u64,
-) -> Vec<Arc<ColumnVector>> {
+) -> Result<Vec<Arc<ColumnVector>>> {
     let n = sorted.perm.len();
     let input = RowBatch::new(sorted.input().to_vec(), n);
     let args: Vec<Option<Arc<ColumnVector>>> = (calls.iter())
         .map(|call| {
-            call.arg().map(|arg| {
-                let out = vectorized::eval_projection_batch(std::slice::from_ref(arg), &input)
-                    .expect("window argument evaluation failed");
-                out.column(0).clone()
-            })
+            call.arg()
+                .map(|arg| {
+                    let out = vectorized::eval_projection_batch(std::slice::from_ref(arg), &input)?;
+                    Ok(out.column(0).clone())
+                })
+                .transpose()
         })
-        .collect();
+        .collect::<Result<_>>()?;
     let keys = sorted.keys();
     let (pkeys, okeys) = keys.split_at(np);
     let mut outs: Vec<LaneOut> = calls.iter().map(LaneOut::for_call).collect();
@@ -716,11 +722,11 @@ fn eval_lanes(
         let (peer_start, peer_end) = peer_groups(rows.len(), same);
         for ((call, arg), out) in calls.iter().zip(&args).zip(&mut outs) {
             let peers = (&peer_start[..], &peer_end[..]);
-            out.extend(call, arg.as_deref(), rows, peers, frames);
+            out.extend(call, arg.as_deref(), rows, peers, frames)?;
         }
         start = end;
     }
-    (outs.into_iter().zip(calls).zip(args.iter().zip(dtypes)))
+    Ok((outs.into_iter().zip(calls).zip(args.iter().zip(dtypes)))
         .map(|((out, call), (arg, dtype))| Arc::new(out.finish(call, arg.as_deref(), dtype)))
-        .collect()
+        .collect())
 }

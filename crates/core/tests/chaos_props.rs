@@ -226,6 +226,9 @@ fn chaotic_runs_match_fault_free_results() {
             q.join_type, q.aggregate, q.reference, q.cache_dim, q.kill_slot
         );
 
+        // Injected faults are retried; nothing ever panics for real.
+        let panics = baseline.metrics.task_panics + chaotic.metrics.task_panics;
+        assert_eq!(panics, 0, "seed {seed}: a task panicked");
         let stats = plan.stats();
         task_panics += stats.task_panics;
         executor_deaths += stats.executor_deaths;

@@ -14,6 +14,7 @@
 
 mod common;
 
+use catalyst::error::CatalystError;
 use catalyst::physical::PhysicalPlan;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -269,5 +270,78 @@ fn sorts_and_windows_agree_with_the_reference_in_order() {
     ] {
         let n = seen.get(want).copied().unwrap_or(0);
         assert!(n >= floor, "only {n} queries with {want}: {seen:?}");
+    }
+}
+
+/// A SUM that overflows fails the same way in production and the
+/// reference — `Eval("integer overflow in '+'")`, the interpreter's
+/// `Value::add` error — whether the row kernel, the accumulator lanes or
+/// the window frames add, at every reducer count and budget. The error
+/// is deterministic, so no task is launched twice and none is retried.
+#[test]
+fn overflowing_sums_fail_alike_once_per_task() {
+    let overflow = CatalystError::Eval("integer overflow in '+'".into());
+    let sum_schema: SchemaRef = Arc::new(Schema::new(vec![
+        StructField::new("g", DataType::Long, false),
+        StructField::new("a", DataType::Long, false),
+    ]));
+    // 2 000 rows; ten of them are i64::MAX, all in group 0.
+    let rows: Vec<Row> = (0..2000i64)
+        .map(|i| {
+            let a = if i % 200 == 0 { i64::MAX } else { i % 97 };
+            Row::new(vec![
+                Value::Long(if a == i64::MAX { 0 } else { i % 7 }),
+                Value::Long(a),
+            ])
+        })
+        .collect();
+    let queries = [
+        "SELECT SUM(a) FROM t",
+        "SELECT g, SUM(a) FROM t GROUP BY g",
+        "SELECT g, SUM(a) OVER (PARTITION BY g ORDER BY a \
+         ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t",
+        "SELECT g, SUM(a) OVER (PARTITION BY g ORDER BY a \
+         ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) FROM t",
+    ];
+    for sql in queries {
+        for reducers in [1usize, 3, 8] {
+            for (reference, budget) in [(true, 0), (false, 0), (false, 64 << 10)] {
+                let what =
+                    format!("{sql} (reducers={reducers}, reference={reference}, budget={budget})");
+                let ctx = SQLContext::new_local(4);
+                ctx.set_conf(|c| {
+                    c.reference = reference;
+                    c.memory_budget_bytes = budget;
+                    c.shuffle_partitions = reducers;
+                });
+                let sc = ctx.spark_context().clone();
+                sc.set_chaos(None);
+                let rdd = sc.parallelize(rows.clone(), 3);
+                ctx.dataframe_from_rdd("t", sum_schema.clone(), rdd)
+                    .unwrap()
+                    .register_temp_table("t");
+                // Every launch passes the injector: record its site.
+                let launches = Arc::new(std::sync::Mutex::new(Vec::new()));
+                let log = launches.clone();
+                sc.set_failure_injector(Some(Arc::new(move |site| {
+                    log.lock()
+                        .unwrap()
+                        .push((site.stage_id, site.partition, site.attempt));
+                    false
+                })));
+                let before = sc.metrics().snapshot();
+                let got = ctx.sql(sql).unwrap().collect();
+                let after = sc.metrics().snapshot();
+                assert_eq!(got.err(), Some(overflow.clone()), "{what}");
+                assert_eq!(after.task_failures, before.task_failures, "{what}");
+                assert_eq!(after.task_panics, before.task_panics, "{what}");
+                let mut sites = launches.lock().unwrap().clone();
+                assert!(sites.iter().all(|s| s.2 == 0), "a retried task: {what}");
+                sites.sort_unstable();
+                let n = sites.len();
+                sites.dedup();
+                assert_eq!(sites.len(), n, "a task launched twice: {what}");
+            }
+        }
     }
 }

@@ -135,6 +135,8 @@ struct Outcome {
     stats: Option<MemoryStats>,
     /// Physical-operator names that recorded a nonzero `spill_count`.
     spilled_ops: Vec<String>,
+    /// Task attempts that panicked (the engine's `task_panics`).
+    task_panics: u64,
 }
 
 /// Execute `q` on a fresh context under `budget` bytes (0 = unbounded),
@@ -213,6 +215,7 @@ fn run(q: &GenQuery, reference: bool, budget: u64, chaos: Option<Arc<ChaosPlan>>
         plan: qe.physical().to_string(),
         stats: qe.memory_stats(),
         spilled_ops,
+        task_panics: ctx.spark_context().metrics().snapshot().task_panics,
     }
 }
 
@@ -493,12 +496,13 @@ fn order_by_sequence_is_the_same_at_every_budget() {
     assert!(spilled >= 12, "only {spilled} bounded sorts spilled");
 }
 
-/// Spilling under chaos-injected task panics, fetch failures, and
+/// Spilling under chaos-injected task faults, fetch failures, and
 /// executor deaths: results still match a fault-free unbounded run of the
-/// other configuration, and no spill file outlives the query even when
-/// tasks die mid-spill (the files are dropped during unwind and
-/// re-created by the retry). Static plans run only in the sweep's
-/// reference rows.
+/// other configuration, no task panics, and no spill file outlives the
+/// query even when a task fails mid-spill (the failing task ends its
+/// stream and drops its files, the stage waits for its siblings before
+/// it is retried, and the retry re-creates them). Static plans run only
+/// in the sweep's reference rows.
 #[test]
 fn chaotic_spilling_runs_leak_nothing_and_match() {
     const CHAOS_ITERS: u64 = 24;
@@ -531,6 +535,7 @@ fn chaotic_spilling_runs_leak_nothing_and_match() {
             stats.spill_files_created, stats.spill_files_deleted,
             "seed {seed}: chaos run leaked spill files"
         );
+        assert_eq!(chaotic.task_panics, 0, "seed {seed}: a task panicked");
         let s = plan.stats();
         if s.task_panics + s.executor_deaths + s.fetch_failures > 0 {
             faulted += 1;

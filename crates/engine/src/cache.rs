@@ -371,7 +371,10 @@ impl<T: Data> Rdd for CachedRdd<T> {
             Metrics::add(&self.ctx.metrics().cache_recomputes, 1);
         }
         let data: Vec<T> = self.parent.compute(split, tc).collect();
-        cm.put(self.id, split, Arc::new(data.clone()));
+        // A failed task's partition is partial: never store it.
+        if !crate::task::failed() {
+            cm.put(self.id, split, Arc::new(data.clone()));
+        }
         Box::new(data.into_iter())
     }
 }

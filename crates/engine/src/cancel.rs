@@ -3,13 +3,12 @@
 //! A [`CancelToken`] is shared between the driver thread that owns a job
 //! and everything that runs on its behalf. Cancellation is *cooperative*:
 //! nothing is killed. Task-side code calls [`check`] at partition
-//! boundaries (and every few hundred rows in tight iterators); when the
-//! token has fired, the check raises a [`CancelSignal`] panic payload
-//! that unwinds the task, releasing memory reservations and spill files
-//! via their `Drop` impls — the same mechanism
-//! [`crate::shuffle::FetchFailedSignal`] uses for fetch failures. The
-//! scheduler recognises the payload and aborts the job with
-//! [`crate::EngineError::Cancelled`] instead of retrying the task.
+//! boundaries (and every few hundred rows in tight iterators); once the
+//! token has fired, the check returns [`crate::EngineError::Cancelled`],
+//! which the task records in its error slot ([`crate::task`]) before
+//! ending its stream. Dropping the stream releases memory reservations
+//! and spill files. The scheduler reads the slot and aborts the job
+//! instead of retrying the task.
 //!
 //! The driver side installs the token thread-locally ([`install`]) so the
 //! scheduler's result-wait loop can abandon a stage between task
@@ -20,6 +19,7 @@
 //! once the instant passes, whether or not anyone called
 //! [`CancelToken::cancel`].
 
+use crate::error::EngineError;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -109,40 +109,16 @@ impl CancelToken {
     }
 }
 
-/// Panic payload raised by [`check`] inside a task. The scheduler
-/// downcasts it (like `FetchFailedSignal`) and aborts the job without
-/// retrying.
-pub struct CancelSignal {
-    /// Why the owning token fired.
-    pub reason: CancelReason,
-}
-
-/// Task-side cancellation point: unwind with a [`CancelSignal`] if the
+/// Task-side cancellation point: [`EngineError::Cancelled`] once the
 /// token has fired. Call at partition boundaries and periodically inside
 /// long row loops.
-pub fn check(token: &CancelToken) {
-    if let Some(reason) = token.state() {
-        install_quiet_cancel_panic_hook();
-        std::panic::panic_any(CancelSignal { reason });
+pub fn check(token: &CancelToken) -> Result<(), EngineError> {
+    match token.state() {
+        Some(reason) => Err(EngineError::Cancelled {
+            reason: reason.describe().to_string(),
+        }),
+        None => Ok(()),
     }
-}
-
-/// Cancellation travels as a panic the scheduler catches and turns into
-/// `EngineError::Cancelled`; the default hook would still spray a
-/// backtrace onto stderr for every routine cancellation. Install (once
-/// per process) a filtering hook that stays silent for [`CancelSignal`]
-/// payloads and delegates everything else — the same idiom the shuffle
-/// layer uses for fetch-failure signals.
-fn install_quiet_cancel_panic_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CancelSignal>().is_none() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 thread_local! {
@@ -213,14 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn check_raises_cancel_signal() {
+    fn check_returns_cancelled_once_fired() {
         let t = CancelToken::new();
+        assert!(check(&t).is_ok());
         t.cancel();
-        let err = std::panic::catch_unwind(|| check(&t)).unwrap_err();
-        let sig = err
-            .downcast_ref::<CancelSignal>()
-            .expect("CancelSignal payload");
-        assert_eq!(sig.reason, CancelReason::Cancelled);
+        assert!(matches!(
+            check(&t),
+            Err(EngineError::Cancelled { reason }) if reason == "query cancelled"
+        ));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Engine error type.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors surfaced by job execution.
 #[derive(Debug, Clone)]
@@ -30,6 +31,11 @@ pub enum EngineError {
         /// Human-readable cause ("query cancelled" / "query deadline exceeded").
         reason: String,
     },
+    /// A task found map output `map_id` of `shuffle_id` missing; the
+    /// scheduler resubmits the parent map stage.
+    FetchFailed { shuffle_id: usize, map_id: usize },
+    /// A task's own error (the SQL layer's typed error), never retried.
+    Task(Arc<dyn std::error::Error + Send + Sync>),
     /// An I/O problem in the simulated file store.
     Io(String),
     /// Anything else (mis-shapen job, missing shuffle output after retries).
@@ -59,6 +65,10 @@ impl fmt::Display for EngineError {
                  after {attempts} map-stage resubmissions"
             ),
             EngineError::Cancelled { reason } => write!(f, "job cancelled: {reason}"),
+            EngineError::FetchFailed { shuffle_id, map_id } => {
+                write!(f, "fetch failed: shuffle {shuffle_id}, map {map_id}")
+            }
+            EngineError::Task(e) => write!(f, "{e}"),
             EngineError::Io(msg) => write!(f, "io error: {msg}"),
             EngineError::Internal(msg) => write!(f, "internal engine error: {msg}"),
         }

@@ -21,7 +21,6 @@ use crate::rdd::{BoxIter, Data, Dependency, Rdd, RddBase, RddId, RddRef, TaskCon
 use crate::scheduler;
 use crate::shuffle::{Aggregator, ShuffleDependency, ShuffleDependencyBase, SizeFn};
 use crate::SparkContext;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -219,42 +218,11 @@ where
 
     fn compute(&self, split: usize, _tc: &TaskContext) -> BoxIter<(K, C)> {
         let spec = &self.specs[split];
-        let sid = self.dep.shuffle_id();
-        let mut read = 0u64;
-        let out: Vec<(K, C)> = if let Some(agg) = self.dep.aggregator_ref() {
-            let mut merged: HashMap<K, Option<C>> = HashMap::new();
-            for map_id in spec.map_start..spec.map_end {
-                let bucket = crate::shuffle::fetch_bucket(&self.ctx, sid, map_id);
-                let typed = ShuffleDependency::<K, V, C>::unerase(&bucket);
-                for reduce in &typed[spec.reduce_start..spec.reduce_end] {
-                    for (k, c) in reduce {
-                        read += 1;
-                        let slot = merged.entry(k.clone()).or_insert(None);
-                        *slot = Some(match slot.take() {
-                            Some(prev) => (agg.merge_combiners)(prev, c.clone()),
-                            None => c.clone(),
-                        });
-                    }
-                }
-            }
-            merged
-                .into_iter()
-                .map(|(k, c)| (k, c.expect("combiner")))
-                .collect()
-        } else {
-            let mut all = Vec::new();
-            for map_id in spec.map_start..spec.map_end {
-                let bucket = crate::shuffle::fetch_bucket(&self.ctx, sid, map_id);
-                let typed = ShuffleDependency::<K, V, C>::unerase(&bucket);
-                for reduce in &typed[spec.reduce_start..spec.reduce_end] {
-                    read += reduce.len() as u64;
-                    all.extend(reduce.iter().cloned());
-                }
-            }
-            all
-        };
-        self.ctx.metrics().record_shuffle_read(sid, read);
-        Box::new(out.into_iter())
+        let records = (self.dep).read(
+            spec.map_start..spec.map_end,
+            spec.reduce_start..spec.reduce_end,
+        );
+        Box::new(crate::task::ok(records).into_iter().flatten())
     }
 }
 

@@ -97,7 +97,7 @@ impl FileStore {
         let sc2 = sc.clone();
         let replication = self.replication;
         let checksums = self.checksums;
-        rdd.run_job(move |partition, it| {
+        rdd.run_job(move |partition, it| -> std::io::Result<()> {
             // Buffer the partition once; each replica is a full write, as
             // in the HDFS write pipeline.
             let mut content = String::new();
@@ -108,18 +108,20 @@ impl FileStore {
             let bytes = content.as_bytes();
             for r in 0..replication {
                 let path = dir2.join(format!("part-{partition:05}.r{r}"));
-                let mut file =
-                    std::io::BufWriter::new(fs::File::create(&path).expect("create part"));
-                file.write_all(bytes).expect("write part");
-                file.flush().expect("flush part");
+                let mut file = std::io::BufWriter::new(fs::File::create(&path)?);
+                file.write_all(bytes)?;
+                file.flush()?;
                 Metrics::add(&sc2.metrics().fs_bytes_written, bytes.len() as u64);
             }
             if checksums {
                 let crc = crc32(bytes);
                 let path = dir2.join(format!("part-{partition:05}.crc"));
-                fs::write(path, crc.to_le_bytes()).expect("write crc");
+                fs::write(path, crc.to_le_bytes())?;
             }
-        })?;
+            Ok(())
+        })?
+        .into_iter()
+        .collect::<std::io::Result<()>>()?;
         Ok(())
     }
 
@@ -144,16 +146,22 @@ impl FileStore {
         let checksums = self.checksums;
         Ok(sc.generate(parts.len(), move |p| {
             let mut content = String::new();
-            fs::File::open(&parts[p])
-                .and_then(|mut f| f.read_to_string(&mut content))
-                .expect("read part");
+            let read = fs::File::open(&parts[p]).and_then(|mut f| f.read_to_string(&mut content));
+            if crate::task::ok(read).is_none() {
+                return Box::new(std::iter::empty());
+            }
             Metrics::add(&sc2.metrics().fs_bytes_read, content.len() as u64);
             if checksums {
                 let crc_path = parts[p].with_extension("crc");
                 if let Ok(stored) = fs::read(crc_path) {
                     let stored = u32::from_le_bytes(stored.try_into().unwrap_or_default());
-                    let computed = crc32(content.as_bytes());
-                    assert_eq!(stored, computed, "checksum mismatch reading {:?}", parts[p]);
+                    if stored != crc32(content.as_bytes()) {
+                        let part = parts[p].display();
+                        crate::task::fail(EngineError::Io(format!(
+                            "checksum mismatch reading {part}"
+                        )));
+                        return Box::new(std::iter::empty());
+                    }
                 }
             }
             let lines: Vec<String> = content.lines().map(|s| s.to_string()).collect();

@@ -14,12 +14,16 @@
 //!
 //! # Fault tolerance
 //!
-//! Recovery follows the RDD lineage protocol end to end:
+//! Tasks fail by value: task-side code records its error in the task's
+//! slot ([`task`]) and ends its stream; the scheduler decides once,
+//! following the RDD lineage protocol:
 //!
-//! * **Task failure** — a panicking (or fault-injected) task is retried
-//!   in place up to `max_task_retries` times.
-//! * **Fetch failure** — a missing shuffle bucket raises a
-//!   [`shuffle::FetchFailedSignal`]; the scheduler unregisters the lost
+//! * **Task failure** — a task's own error (a SQL evaluation error, say)
+//!   aborts the job after one attempt as [`EngineError::Task`]; an
+//!   injected fault or a panic (a bug, counted in `task_panics`) is
+//!   retried in place up to `max_task_retries` times.
+//! * **Fetch failure** — a missing shuffle bucket is an
+//!   [`EngineError::FetchFailed`]; the scheduler unregisters the lost
 //!   map output and resubmits the parent map stage (only missing
 //!   partitions), bounded by `max_stage_retries` resubmissions per
 //!   shuffle ([`EngineError::StageRetriesExhausted`] beyond that).
@@ -31,7 +35,7 @@
 //! Faults are driven either by the targeted
 //! [`context::FailureInjector`] hook or by a seeded, budgeted
 //! [`chaos::ChaosPlan`] (auto-installed when `ENGINE_CHAOS_SEED` is set)
-//! that deterministically schedules task panics, fetch failures, and
+//! that deterministically schedules task faults, fetch failures, and
 //! executor deaths — the chaos test harness runs whole suites under it.
 //!
 //! # Example
@@ -64,10 +68,11 @@ pub mod pool;
 pub mod rdd;
 pub mod scheduler;
 pub mod shuffle;
+pub mod task;
 
 pub use broadcast::Broadcast;
 pub use cache::{CacheBudgetStats, EvictionPolicy};
-pub use cancel::{CancelReason, CancelSignal, CancelToken};
+pub use cancel::{CancelReason, CancelToken};
 pub use chaos::{ChaosConf, ChaosPlan, ChaosStats, FaultKind};
 pub use context::{EngineConf, SparkContext};
 pub use error::{EngineError, Result};

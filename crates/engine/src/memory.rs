@@ -18,10 +18,12 @@
 //!
 //! [`SpillFile`]s are length-prefixed block files in the pool's spill
 //! directory. They delete themselves on `Drop`, which is also the
-//! task-failure cleanup path: a panicking task unwinds through the
-//! operator state that owns its spill files, so injected faults (chaos
-//! task panics, executor deaths) cannot leak disk. The pool counts
-//! files created/deleted so tests can assert exactly that.
+//! task-failure cleanup path: a failing task records its error and ends
+//! its stream, dropping the operator state that owns its spill files,
+//! and the scheduler returns an error only after every sibling task has
+//! finished, so neither errors nor injected faults (chaos task faults,
+//! executor deaths) leak disk. The pool counts files created/deleted so
+//! tests can assert exactly that.
 
 use parking_lot::Mutex;
 use std::fs::File;

@@ -28,8 +28,12 @@ pub struct ShuffleStats {
 pub struct Metrics {
     /// Tasks launched (including retries).
     pub tasks_launched: AtomicU64,
-    /// Tasks that failed and were retried.
+    /// Task attempts that failed by injected fault or panic and were
+    /// retried (a task's own recorded error is not retried).
     pub task_failures: AtomicU64,
+    /// Task attempts that panicked. A panic is a bug: task-side errors
+    /// travel through the task's error slot, so this stays 0.
+    pub task_panics: AtomicU64,
     /// Records written to the shuffle store by map tasks.
     pub shuffle_records_written: AtomicU64,
     /// Records read from the shuffle store by reduce tasks.
@@ -109,6 +113,7 @@ impl Metrics {
     pub fn reset(&self) {
         self.tasks_launched.store(0, Ordering::Relaxed);
         self.task_failures.store(0, Ordering::Relaxed);
+        self.task_panics.store(0, Ordering::Relaxed);
         self.shuffle_records_written.store(0, Ordering::Relaxed);
         self.shuffle_records_read.store(0, Ordering::Relaxed);
         self.stages_run.store(0, Ordering::Relaxed);
@@ -131,6 +136,7 @@ impl Metrics {
         MetricsSnapshot {
             tasks_launched: Metrics::get(&self.tasks_launched),
             task_failures: Metrics::get(&self.task_failures),
+            task_panics: Metrics::get(&self.task_panics),
             shuffle_records_written: Metrics::get(&self.shuffle_records_written),
             shuffle_records_read: Metrics::get(&self.shuffle_records_read),
             stages_run: Metrics::get(&self.stages_run),
@@ -154,6 +160,7 @@ impl Metrics {
 pub struct MetricsSnapshot {
     pub tasks_launched: u64,
     pub task_failures: u64,
+    pub task_panics: u64,
     pub shuffle_records_written: u64,
     pub shuffle_records_read: u64,
     pub stages_run: u64,

@@ -16,7 +16,6 @@ pub struct ShuffledRdd<K: Data, V: Data, C: Data> {
     ctx: SparkContext,
     num_reduce: usize,
     num_maps: usize,
-    aggregated: bool,
 }
 
 impl<K, V, C> ShuffledRdd<K, V, C>
@@ -36,7 +35,6 @@ where
         let ctx = parent.context();
         let num_maps = parent.num_partitions();
         let num_reduce = partitioner.num_partitions();
-        let aggregated = aggregator.is_some();
         let dep = Arc::new(ShuffleDependency::new(
             parent,
             partitioner,
@@ -49,52 +47,7 @@ where
             ctx,
             num_reduce,
             num_maps,
-            aggregated,
         }
-    }
-
-    /// Internal: fetch and merge all buckets for reduce partition `split`.
-    fn fetch(&self, split: usize) -> Vec<(K, C)> {
-        let sid = self.dep.shuffle_id();
-        let mut read = 0u64;
-        let out = if self.aggregated {
-            let agg = self.dep_aggregator();
-            let mut merged: HashMap<K, Option<C>> = HashMap::new();
-            for map_id in 0..self.num_maps {
-                let bucket = crate::shuffle::fetch_bucket(&self.ctx, sid, map_id);
-                let typed = ShuffleDependency::<K, V, C>::unerase(&bucket);
-                for (k, c) in &typed[split] {
-                    read += 1;
-                    let slot = merged.entry(k.clone()).or_insert(None);
-                    *slot = Some(match slot.take() {
-                        Some(prev) => (agg.merge_combiners)(prev, c.clone()),
-                        None => c.clone(),
-                    });
-                }
-            }
-            merged
-                .into_iter()
-                .map(|(k, c)| (k, c.expect("combiner")))
-                .collect()
-        } else {
-            let mut all = Vec::new();
-            for map_id in 0..self.num_maps {
-                let bucket = crate::shuffle::fetch_bucket(&self.ctx, sid, map_id);
-                let typed = ShuffleDependency::<K, V, C>::unerase(&bucket);
-                read += typed[split].len() as u64;
-                all.extend(typed[split].iter().cloned());
-            }
-            all
-        };
-        self.ctx.metrics().record_shuffle_read(sid, read);
-        out
-    }
-
-    fn dep_aggregator(&self) -> Aggregator<K, V, C> {
-        self.dep
-            .aggregator_ref()
-            .cloned()
-            .expect("aggregated shuffle without aggregator")
     }
 }
 
@@ -131,7 +84,8 @@ where
 {
     type Item = (K, C);
     fn compute(&self, split: usize, _tc: &TaskContext) -> BoxIter<(K, C)> {
-        Box::new(self.fetch(split).into_iter())
+        let records = self.dep.read(0..self.num_maps, split..split + 1);
+        Box::new(crate::task::ok(records).into_iter().flatten())
     }
 }
 
@@ -211,31 +165,19 @@ where
     type Item = (K, (Vec<V>, Vec<W>));
 
     fn compute(&self, split: usize, _tc: &TaskContext) -> BoxIter<(K, (Vec<V>, Vec<W>))> {
+        let reduce = split..split + 1;
+        let sides = (self.left.read(0..self.left_maps, reduce.clone()))
+            .and_then(|left| Ok((left, self.right.read(0..self.right_maps, reduce)?)));
+        let Some((left, right)) = crate::task::ok(sides) else {
+            return Box::new(std::iter::empty());
+        };
         let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
-        let mut left_read = 0u64;
-        for map_id in 0..self.left_maps {
-            let bucket = crate::shuffle::fetch_bucket(&self.ctx, self.left.shuffle_id(), map_id);
-            let typed = ShuffleDependency::<K, V, V>::unerase(&bucket);
-            for (k, v) in &typed[split] {
-                left_read += 1;
-                groups.entry(k.clone()).or_default().0.push(v.clone());
-            }
+        for (k, v) in left {
+            groups.entry(k).or_default().0.push(v);
         }
-        let mut right_read = 0u64;
-        for map_id in 0..self.right_maps {
-            let bucket = crate::shuffle::fetch_bucket(&self.ctx, self.right.shuffle_id(), map_id);
-            let typed = ShuffleDependency::<K, W, W>::unerase(&bucket);
-            for (k, w) in &typed[split] {
-                right_read += 1;
-                groups.entry(k.clone()).or_default().1.push(w.clone());
-            }
+        for (k, w) in right {
+            groups.entry(k).or_default().1.push(w);
         }
-        self.ctx
-            .metrics()
-            .record_shuffle_read(self.left.shuffle_id(), left_read);
-        self.ctx
-            .metrics()
-            .record_shuffle_read(self.right.shuffle_id(), right_read);
         Box::new(groups.into_iter())
     }
 }

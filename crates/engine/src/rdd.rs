@@ -41,17 +41,6 @@ pub struct TaskContext {
     pub attempt: usize,
 }
 
-impl TaskContext {
-    /// Context for driver-local evaluation (tests, single-partition reads).
-    pub fn driver() -> Self {
-        TaskContext {
-            stage_id: usize::MAX,
-            partition: 0,
-            attempt: 0,
-        }
-    }
-}
-
 /// A dependency edge in the lineage graph.
 #[derive(Clone)]
 pub enum Dependency {

@@ -6,16 +6,25 @@
 //! already complete in the [`crate::shuffle::ShuffleManager`] (e.g. an
 //! earlier job computed it), the map stage is not rerun.
 //!
-//! Fault recovery follows the lineage protocol:
+//! Tasks fail by value: each task attempt runs with an error slot
+//! ([`crate::task`]), and the scheduler decides once, when the task
+//! returns, what its recorded error means. Fault recovery follows the
+//! lineage protocol:
 //!
-//! * A task that fails outright (panic or injected fault) is retried in
-//!   place, up to `max_task_retries` attempts.
-//! * A task that raises [`FetchFailedSignal`] is *not* retried in place —
-//!   the input it needs is gone. The scheduler unregisters the lost map
-//!   output, resubmits the parent map stage (only its missing
+//! * A task that records [`EngineError::FetchFailed`] is *not* retried in
+//!   place — the input it needs is gone. The scheduler unregisters the
+//!   lost map output, resubmits the parent map stage (only its missing
 //!   partitions), and reruns the failed stage. Resubmissions are bounded
 //!   by `max_stage_retries` per shuffle; exhausting them aborts the job
 //!   with [`EngineError::StageRetriesExhausted`].
+//! * A task that records [`EngineError::Cancelled`] or an error of its
+//!   own aborts the job after that one attempt: a rerun would fail the
+//!   same way.
+//! * An injected fault, or a panic caught by the one `catch_unwind` net
+//!   around a task (counted in `task_panics`; a panic is a bug), is
+//!   retried in place, up to `max_task_retries` attempts.
+//! * Whatever ends a stage early waits for its launched sibling tasks to
+//!   finish first and skips the ones still queued.
 //! * Executor loss (`SparkContext::lose_executor`) drops every bucket
 //!   the executor produced; map stages re-check completeness after
 //!   running so mid-stage losses are recomputed before dependents run.
@@ -25,13 +34,15 @@
 //! nested inside tasks (e.g. a cache materializer) make progress even
 //! when every worker is blocked.
 
+use crate::chaos::FaultKind;
 use crate::context::{FailureSite, SparkContext};
 use crate::error::{EngineError, Result};
 use crate::metrics::Metrics;
 use crate::rdd::{BoxIter, Data, Dependency, Rdd, RddBase, TaskContext};
-use crate::shuffle::{FetchFailedSignal, ShuffleDependencyBase};
+use crate::shuffle::ShuffleDependencyBase;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,104 +79,49 @@ pub fn collect_shuffle_dependencies(root: Arc<dyn RddBase>) -> Vec<Arc<dyn Shuff
     out
 }
 
-/// How one stage attempt ended.
-enum StageError {
-    /// A task observed missing shuffle output; the parent map stage must
-    /// be resubmitted.
-    Fetch { shuffle_id: usize, map_id: usize },
-    /// A terminal error (task retries exhausted, pool gone, ...).
-    Err(EngineError),
-}
-
+/// How one task attempt ended.
 enum TaskOutcome<R> {
+    /// The task returned with an empty error slot.
     Ok(R),
-    FetchFailed { shuffle_id: usize, map_id: usize },
-    Cancelled(crate::cancel::CancelReason),
-    Failed(String),
+    /// The task recorded an error: decided once, never retried in place.
+    Failed(EngineError),
+    /// An injected fault or a panic: retried up to `max_task_retries`.
+    Retry(String),
+    /// Not run: the stage had already failed when the task was dequeued.
+    Skipped,
 }
 
-/// Run `task` for the given partitions on the executor pool, retrying
-/// plain failures up to the configured limit. Returns results in the
-/// order of `partitions`. A fetch failure aborts the attempt immediately
-/// (it can never be fixed by an in-place retry) and is reported to the
-/// caller for map-stage resubmission.
+/// Run `task` for the given partitions on the executor pool; results in
+/// the order of `partitions`. A task's recorded error ([`crate::task`])
+/// fails the stage at once — [`EngineError::FetchFailed`] for the caller
+/// to resubmit the map stage. Injected faults and panics are retried in
+/// place up to the configured limit. An error returns only after every
+/// launched sibling has finished (releasing what it holds); queued
+/// siblings are skipped.
 fn run_tasks<R: Send + 'static>(
     sc: &SparkContext,
     stage_id: usize,
     partitions: Vec<usize>,
     task: Arc<dyn Fn(&TaskContext) -> R + Send + Sync>,
-) -> std::result::Result<Vec<R>, StageError> {
+) -> Result<Vec<R>> {
     Metrics::add(&sc.metrics().stages_run, 1);
     if partitions.is_empty() {
         return Ok(vec![]);
     }
     let (tx, rx) = crossbeam::channel::unbounded::<(usize, usize, TaskOutcome<R>)>();
+    let abandoned = Arc::new(AtomicBool::new(false));
 
     let submit = |partition: usize, attempt: usize| {
         let tx = tx.clone();
         let task = task.clone();
         let injector = sc.failure_injector();
         let sc2 = sc.clone();
+        let abandoned = abandoned.clone();
         sc.pool().execute(move || {
-            Metrics::add(&sc2.metrics().tasks_launched, 1);
-            let tc = TaskContext {
-                stage_id,
-                partition,
-                attempt,
-            };
-            if let Some(inj) = &injector {
-                if inj(FailureSite {
-                    stage_id,
-                    partition,
-                    attempt,
-                }) {
-                    let _ = tx.send((
-                        partition,
-                        attempt,
-                        TaskOutcome::Failed("injected task failure".into()),
-                    ));
-                    return;
-                }
-            }
-            if let Some(chaos) = sc2.chaos() {
-                if let Some(kind) = chaos.task_fault(stage_id, partition, attempt) {
-                    use crate::chaos::FaultKind;
-                    let reason = match kind {
-                        FaultKind::ExecutorDeath => {
-                            // Stolen tasks run on the driver; its blocks
-                            // live under the DRIVER_OWNER slot, so "the
-                            // node running this task" is always killable.
-                            let ex = crate::pool::current_executor()
-                                .unwrap_or(crate::cache::DRIVER_OWNER);
-                            sc2.lose_executor(ex);
-                            format!("chaos: executor {ex} died running stage {stage_id}")
-                        }
-                        _ => "chaos: injected task panic".to_string(),
-                    };
-                    let _ = tx.send((partition, attempt, TaskOutcome::Failed(reason)));
-                    return;
-                }
-            }
-            let start = std::time::Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| task(&tc)));
-            Metrics::add(
-                &sc2.metrics().task_time_ns,
-                start.elapsed().as_nanos() as u64,
-            );
-            let outcome = match result {
-                Ok(r) => TaskOutcome::Ok(r),
-                Err(p) => {
-                    if let Some(sig) = p.downcast_ref::<FetchFailedSignal>() {
-                        TaskOutcome::FetchFailed {
-                            shuffle_id: sig.shuffle_id,
-                            map_id: sig.map_id,
-                        }
-                    } else if let Some(sig) = p.downcast_ref::<crate::cancel::CancelSignal>() {
-                        TaskOutcome::Cancelled(sig.reason)
-                    } else {
-                        TaskOutcome::Failed(panic_message(p))
-                    }
-                }
+            let outcome = if abandoned.load(Ordering::SeqCst) {
+                TaskOutcome::Skipped
+            } else {
+                run_attempt(&sc2, injector, &*task, stage_id, partition, attempt)
             };
             let _ = tx.send((partition, attempt, outcome));
             // Wake the driver's result-wait loop (it blocks on the pool's
@@ -186,12 +142,13 @@ fn run_tasks<R: Send + 'static>(
     let max_retries = sc.conf().max_task_retries;
     let mut results: Vec<Option<R>> = partitions.iter().map(|_| None).collect();
     let mut remaining = partitions.len();
-    // Submitted tasks that have not reported an outcome yet. Cancellation
-    // waits for these to unwind before returning, so a cancelled job's
-    // resources (memory reservations, spill files) are released — not
-    // merely *about to be* released — when the error surfaces.
+    // Submitted tasks that have not reported an outcome yet.
     let mut outstanding = partitions.len();
-    let drain_on_cancel = |mut outstanding: usize| {
+    // Fail the stage, but only after the outstanding siblings report:
+    // queued ones are skipped, running ones hit their own checks (a
+    // fired cancel token) or finish.
+    let fail = |mut outstanding: usize, err: EngineError| {
+        abandoned.store(true, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while outstanding > 0 && std::time::Instant::now() < deadline {
             let generation = sc.pool().activity_generation();
@@ -199,9 +156,9 @@ fn run_tasks<R: Send + 'static>(
                 outstanding -= 1;
                 continue;
             }
-            // Queued tasks of this stage must still run (each hits its
-            // cancel check at open and unwinds immediately); keep the
-            // pool moving so the drain can't starve itself.
+            // Queued tasks of this stage must still be dequeued to
+            // report; keep the pool moving so the drain can't starve
+            // itself.
             if let Some(stolen) = sc.pool().try_steal() {
                 stolen();
                 continue;
@@ -209,6 +166,7 @@ fn run_tasks<R: Send + 'static>(
             sc.pool()
                 .wait_for_activity(generation, Duration::from_millis(25));
         }
+        Err(err)
     };
     while remaining > 0 {
         // Wait for a result, but keep the pool moving: run queued tasks
@@ -231,15 +189,11 @@ fn run_tasks<R: Send + 'static>(
             if let Some(msg) = rx.try_recv() {
                 break msg;
             }
-            if let Some(token) = &cancel_token {
-                if let Some(reason) = token.state() {
-                    // Abandon the stage, but only after in-flight tasks
-                    // hit their own cancellation checks and unwind.
-                    drain_on_cancel(outstanding);
-                    return Err(StageError::Err(EngineError::Cancelled {
-                        reason: reason.describe().to_string(),
-                    }));
-                }
+            if let Some(err) = cancel_token
+                .as_ref()
+                .and_then(|t| crate::cancel::check(t).err())
+            {
+                return fail(outstanding, err);
             }
             if let Some(stolen) = sc.pool().try_steal() {
                 stolen();
@@ -256,40 +210,87 @@ fn run_tasks<R: Send + 'static>(
                     remaining -= 1;
                 }
             }
-            TaskOutcome::FetchFailed { shuffle_id, map_id } => {
-                // Not a task-level failure: the input is gone. Hand the
-                // stage back for map-stage resubmission; straggler sends
-                // into the dropped channel are harmless.
-                return Err(StageError::Fetch { shuffle_id, map_id });
-            }
-            TaskOutcome::Cancelled(reason) => {
-                // Cooperative cancellation is never retried: the token
-                // stays fired, so a rerun would cancel itself again.
-                // Sibling tasks unwind on their own checks; wait them out
-                // so cancellation implies resources are released.
-                drain_on_cancel(outstanding);
-                return Err(StageError::Err(EngineError::Cancelled {
-                    reason: reason.describe().to_string(),
-                }));
-            }
-            TaskOutcome::Failed(reason) => {
+            // A fetch failure hands the stage back for map-stage
+            // resubmission; a cancellation or the task's own error ends
+            // the job. None of them is fixed by an in-place retry.
+            TaskOutcome::Failed(err) => return fail(outstanding, err),
+            TaskOutcome::Retry(reason) => {
                 Metrics::add(&sc.metrics().task_failures, 1);
                 if attempt + 1 > max_retries {
-                    return Err(StageError::Err(EngineError::TaskFailed {
+                    let err = EngineError::TaskFailed {
                         stage: stage_id,
                         partition,
                         reason,
-                    }));
+                    };
+                    return fail(outstanding, err);
                 }
                 submit(partition, attempt + 1);
                 outstanding += 1;
             }
+            TaskOutcome::Skipped => unreachable!("tasks are skipped only after the stage failed"),
         }
     }
     Ok(results
         .into_iter()
         .map(|r| r.expect("task result"))
         .collect())
+}
+
+/// One attempt of one task on the calling (executor) thread: injected
+/// faults first, then the task body under its error slot and the one
+/// `catch_unwind` net, which turns a panic — a bug — into a retry.
+fn run_attempt<R>(
+    sc: &SparkContext,
+    injector: Option<crate::context::FailureInjector>,
+    task: &(dyn Fn(&TaskContext) -> R + Send + Sync),
+    stage_id: usize,
+    partition: usize,
+    attempt: usize,
+) -> TaskOutcome<R> {
+    Metrics::add(&sc.metrics().tasks_launched, 1);
+    let site = FailureSite {
+        stage_id,
+        partition,
+        attempt,
+    };
+    if injector.is_some_and(|inj| inj(site)) {
+        return TaskOutcome::Retry("injected task failure".into());
+    }
+    if let Some(kind) = sc
+        .chaos()
+        .and_then(|c| c.task_fault(stage_id, partition, attempt))
+    {
+        return TaskOutcome::Retry(match kind {
+            FaultKind::ExecutorDeath => {
+                // Stolen tasks run on the driver; its blocks live under
+                // the DRIVER_OWNER slot, so "the node running this task"
+                // is always killable.
+                let ex = crate::pool::current_executor().unwrap_or(crate::cache::DRIVER_OWNER);
+                sc.lose_executor(ex);
+                format!("chaos: executor {ex} died running stage {stage_id}")
+            }
+            _ => "chaos: injected task panic".to_string(),
+        });
+    }
+    let tc = TaskContext {
+        stage_id,
+        partition,
+        attempt,
+    };
+    let start = std::time::Instant::now();
+    let (result, recorded) = crate::task::scoped(|| catch_unwind(AssertUnwindSafe(|| task(&tc))));
+    Metrics::add(
+        &sc.metrics().task_time_ns,
+        start.elapsed().as_nanos() as u64,
+    );
+    match (result, recorded) {
+        (Err(payload), _) => {
+            Metrics::add(&sc.metrics().task_panics, 1);
+            TaskOutcome::Retry(panic_message(payload))
+        }
+        (Ok(_), Some(err)) => TaskOutcome::Failed(err),
+        (Ok(r), None) => TaskOutcome::Ok(r),
+    }
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
@@ -373,11 +374,11 @@ fn ensure_shuffles(
                     // Re-check completeness: an executor death during the
                     // stage can drop buckets that had already reported.
                     Ok(_) => continue,
-                    Err(StageError::Fetch { shuffle_id, map_id }) => {
+                    Err(EngineError::FetchFailed { shuffle_id, map_id }) => {
                         rec.note_fetch_failure(sc, stage_id, shuffle_id, map_id)?;
                         continue 'restart;
                     }
-                    Err(StageError::Err(e)) => return Err(e),
+                    Err(e) => return Err(e),
                 }
             }
         }
@@ -429,10 +430,10 @@ pub fn run_job<T: Data, U: Send + 'static>(
             Arc::new(move |tc: &TaskContext| func2(tc.partition, rdd2.compute(tc.partition, tc))),
         ) {
             Ok(results) => return Ok(results),
-            Err(StageError::Fetch { shuffle_id, map_id }) => {
+            Err(EngineError::FetchFailed { shuffle_id, map_id }) => {
                 rec.note_fetch_failure(sc, stage_id, shuffle_id, map_id)?;
             }
-            Err(StageError::Err(e)) => return Err(e),
+            Err(e) => return Err(e),
         }
     }
 }

@@ -10,12 +10,15 @@
 //!
 //! Reads go through [`fetch_bucket`]. A missing bucket (dropped by
 //! [`ShuffleManager::remove_output`], an executor loss, or an injected
-//! chaos fault) raises a [`FetchFailedSignal`] panic that the scheduler
-//! catches and answers by unregistering the lost map output and
-//! resubmitting the parent map stage from lineage — the RDD recovery
-//! protocol, bounded by `max_stage_retries` resubmissions per shuffle.
+//! chaos fault) is an [`EngineError::FetchFailed`] the reading task
+//! records in its error slot ([`crate::task`]). The scheduler answers it
+//! by unregistering the lost map output and resubmitting the parent map
+//! stage from lineage — the RDD recovery protocol, bounded by
+//! `max_stage_retries` resubmissions per shuffle. A map task that
+//! recorded an error publishes no buckets.
 
 use crate::context::SparkContext;
+use crate::error::{EngineError, Result};
 use crate::partitioner::Partitioner;
 use crate::rdd::{Data, Rdd, RddBase, TaskContext};
 use parking_lot::Mutex;
@@ -23,6 +26,7 @@ use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Upcast a typed RDD handle to its scheduler-facing base object.
@@ -33,49 +37,18 @@ pub fn as_base<T: Data>(rdd: Arc<dyn Rdd<Item = T>>) -> Arc<dyn RddBase> {
 /// Type-erased map-task output: one `Vec<(K, C)>` per reduce partition.
 pub type Bucket = Arc<dyn Any + Send + Sync>;
 
-/// Raised (via `panic_any`) when a shuffle fetch fails — the bucket is
-/// gone or a chaos plan faulted the read. The scheduler downcasts panics
-/// to this type and resubmits the parent map stage instead of retrying
-/// the reading task in place.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchFailedSignal {
-    /// Shuffle whose output could not be fetched.
-    pub shuffle_id: usize,
-    /// Map partition whose bucket is missing.
-    pub map_id: usize,
-}
-
-/// Fetch one map task's bucket, or raise [`FetchFailedSignal`] if it is
+/// Fetch one map task's bucket: [`EngineError::FetchFailed`] if it is
 /// missing or the context's chaos plan faults the read. Every shuffle
 /// read path in the engine funnels through here so that lost output is
-/// always recoverable, never a hard panic.
-pub fn fetch_bucket(ctx: &SparkContext, shuffle_id: usize, map_id: usize) -> Bucket {
-    install_quiet_fetch_panic_hook();
-    if let Some(chaos) = ctx.chaos() {
-        if chaos.fetch_fault(shuffle_id, map_id) {
-            std::panic::panic_any(FetchFailedSignal { shuffle_id, map_id });
-        }
-    }
+/// always recoverable.
+pub fn fetch_bucket(ctx: &SparkContext, shuffle_id: usize, map_id: usize) -> Result<Bucket> {
+    let faulted = ctx
+        .chaos()
+        .is_some_and(|chaos| chaos.fetch_fault(shuffle_id, map_id));
     match ctx.shuffle_manager().get(shuffle_id, map_id) {
-        Some(b) => b,
-        None => std::panic::panic_any(FetchFailedSignal { shuffle_id, map_id }),
+        Some(b) if !faulted => Ok(b),
+        _ => Err(EngineError::FetchFailed { shuffle_id, map_id }),
     }
-}
-
-/// Fetch failures travel as panics, which the default hook would spray
-/// onto stderr even though the scheduler catches and handles them.
-/// Install (once per process) a filtering hook that stays silent for
-/// [`FetchFailedSignal`] payloads and delegates everything else.
-fn install_quiet_fetch_panic_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<FetchFailedSignal>().is_none() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 /// Stores map-task output buckets, keyed by `(shuffle, map partition)`.
@@ -221,8 +194,9 @@ impl ShuffleManager {
 
     /// Drop all output of one shuffle. The next job that needs it finds
     /// the shuffle incomplete and reruns its map stage from lineage
-    /// (`scheduler::ensure_shuffles`); a concurrent reader instead hits a
-    /// [`FetchFailedSignal`] and the scheduler resubmits the map stage.
+    /// (`scheduler::ensure_shuffles`); a concurrent reader instead records
+    /// [`EngineError::FetchFailed`] and the scheduler resubmits the map
+    /// stage.
     pub fn invalidate(&self, shuffle_id: usize) {
         let mut st = self.state.lock();
         st.outputs.retain(|(sid, _), _| *sid != shuffle_id);
@@ -297,7 +271,8 @@ pub trait ShuffleDependencyBase: Send + Sync {
     fn num_reduce_partitions(&self) -> usize;
     /// Execute the map task for `map_partition`: compute the parent
     /// partition, bucket records by reducer, optionally combine map-side,
-    /// and publish to the shuffle manager.
+    /// and publish to the shuffle manager — unless the task recorded an
+    /// error ([`crate::task::failed`]).
     fn run_map_task(&self, map_partition: usize, tc: &TaskContext);
 }
 
@@ -364,16 +339,36 @@ where
         Arc::new(buckets)
     }
 
-    /// The aggregator, if this is a combining shuffle.
-    pub fn aggregator_ref(&self) -> Option<&Aggregator<K, V, C>> {
-        self.aggregator.as_ref()
-    }
-
-    /// Downcast a stored bucket back to its typed form.
-    pub fn unerase(bucket: &Bucket) -> &Vec<Vec<(K, C)>> {
-        bucket
-            .downcast_ref::<Vec<Vec<(K, C)>>>()
-            .expect("shuffle bucket type mismatch")
+    /// The records of reduce buckets `reducers` in map outputs `maps`,
+    /// combiners merged across maps when the shuffle aggregates. A
+    /// missing map output is [`EngineError::FetchFailed`].
+    pub(crate) fn read(&self, maps: Range<usize>, reducers: Range<usize>) -> Result<Vec<(K, C)>> {
+        let (mut records, mut read) = (Vec::new(), 0u64);
+        let mut merged: HashMap<K, Option<C>> = HashMap::new();
+        for map_id in maps {
+            let bucket = fetch_bucket(&self.ctx, self.shuffle_id, map_id)?;
+            let typed =
+                (bucket.downcast_ref::<Vec<Vec<(K, C)>>>()).expect("shuffle bucket type mismatch");
+            for reduce in &typed[reducers.clone()] {
+                read += reduce.len() as u64;
+                let Some(agg) = &self.aggregator else {
+                    records.extend(reduce.iter().cloned());
+                    continue;
+                };
+                for (k, c) in reduce {
+                    let slot = merged.entry(k.clone()).or_insert(None);
+                    *slot = Some(match slot.take() {
+                        Some(prev) => (agg.merge_combiners)(prev, c.clone()),
+                        None => c.clone(),
+                    });
+                }
+            }
+        }
+        self.ctx
+            .metrics()
+            .record_shuffle_read(self.shuffle_id, read);
+        records.extend(merged.into_iter().map(|(k, c)| (k, c.expect("combiner"))));
+        Ok(records)
     }
 }
 
@@ -441,6 +436,9 @@ where
             }
         }
 
+        if crate::task::failed() {
+            return;
+        }
         // Per-bucket byte accounting: measured via the caller's size_fn
         // when available, otherwise approximated from the in-memory record
         // footprint (the store holds typed Vec<(K, C)> buckets, not

@@ -300,6 +300,8 @@ fn panicking_task_is_retried_and_recovers() {
         x
     });
     assert_eq!(rdd.collect(), vec![1]);
+    // The one real panic went through the scheduler's net.
+    assert_eq!(Metrics::get(&sc.metrics().task_panics), 1);
 }
 
 #[test]

@@ -11,7 +11,9 @@ use engine::scheduler::collect_shuffle_dependencies;
 use engine::{
     ChaosConf, ChaosPlan, EngineError, HashPartitioner, MaterializedShuffle, PairRdd, SparkContext,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn narrow_only_jobs_have_no_shuffle_stages() {
@@ -270,4 +272,69 @@ fn lost_executor_shuffle_and_cache_recompute_from_lineage() {
         m.cache_recomputes >= 1,
         "lost cache blocks must be recomputed"
     );
+}
+
+/// Sets its flag when dropped: stands in for a reservation or a spill
+/// file held by a running task.
+struct DropGuard(Arc<AtomicBool>);
+
+impl Drop for DropGuard {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_recorded_error_fails_the_job_once_and_only_after_its_siblings_finish() {
+    let sc = SparkContext::new(2);
+    sc.set_chaos(None);
+    let started = Arc::new(AtomicBool::new(false));
+    let dropped = Arc::new(AtomicBool::new(false));
+    let (s, d) = (started.clone(), dropped.clone());
+    let res = sc.parallelize(vec![0i64, 1], 2).run_job(move |p, _| {
+        if p == 0 {
+            // Fail only once the sibling holds its guard.
+            let t0 = Instant::now();
+            while !s.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            engine::task::fail(EngineError::Io("partition 0 is wrong".into()));
+        } else {
+            let _guard = DropGuard(d.clone());
+            s.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+    assert!(matches!(res, Err(EngineError::Io(m)) if m == "partition 0 is wrong"));
+    assert!(
+        dropped.load(Ordering::SeqCst),
+        "run_job returned while a sibling task still held its guard"
+    );
+    // Deterministic: one attempt per task, nothing retried, no panic.
+    let m = sc.metrics().snapshot();
+    assert_eq!(
+        (m.tasks_launched, m.task_failures, m.task_panics),
+        (2, 0, 0)
+    );
+}
+
+#[test]
+fn a_failed_task_publishes_neither_shuffle_output_nor_cache_blocks() {
+    let sc = SparkContext::new(2);
+    sc.set_chaos(None);
+    let failing = sc.parallelize((0..40i64).collect(), 4).map(|x| {
+        if x == 0 {
+            engine::task::fail(EngineError::Io("bad row".into()));
+        }
+        x
+    });
+    let shuffled = failing.map(|x| (x % 3, x)).reduce_by_key(|a, b| a + b, 2);
+    let sid = collect_shuffle_dependencies(shuffled.as_inner())[0].shuffle_id();
+    assert!(shuffled.try_collect().is_err());
+    // Map partition 0 holds the bad row: its bucket was never put.
+    assert!(sc.shuffle_manager().missing_maps(sid, 4).contains(&0));
+
+    let cached = failing.cache();
+    assert!(cached.try_collect().is_err());
+    assert!(sc.cache_manager().peek(cached.as_inner().id(), 0).is_none());
 }

@@ -19,8 +19,8 @@
 //!   queues with per-session in-flight caps over a fixed worker pool;
 //! - **cooperative cancellation** — explicit `cancel` or a per-query
 //!   deadline fires an `engine::CancelToken` that partition iterators
-//!   and the DAG scheduler check, unwinding with memory reservations
-//!   and spill files released.
+//!   and the DAG scheduler check, ending the query's tasks with memory
+//!   reservations and spill files released.
 //!
 //! Everything is configured through `spark.sql.service.*` confs on the
 //! root context passed to [`SqlServer::start`].

@@ -66,6 +66,9 @@ impl ServiceConf {
 pub struct Outcome {
     /// Column names and result rows, or the error message.
     pub rows: Result<(Vec<String>, Vec<Row>), String>,
+    /// The query failed because its token fired (explicit cancel or
+    /// deadline), as opposed to failing on its own.
+    pub cancelled: bool,
     /// End-to-end execution wall time (excludes queueing).
     pub wall_ns: u64,
     /// Spill files the query's memory pool created / deleted.
@@ -79,6 +82,7 @@ impl Default for Outcome {
     fn default() -> Outcome {
         Outcome {
             rows: Ok((Vec::new(), Vec::new())),
+            cancelled: false,
             wall_ns: 0,
             spill_files_created: 0,
             spill_files_deleted: 0,
@@ -323,8 +327,8 @@ impl Scheduler {
     /// slot, and (by dropping `reservation` at the caller) release the
     /// admission grant. Wakes every waiter so queued queries re-try
     /// admission.
-    pub fn finish(&self, task: &QueryTask, outcome: Outcome, cancelled: bool) {
-        if cancelled {
+    pub fn finish(&self, task: &QueryTask, outcome: Outcome) {
+        if outcome.cancelled {
             self.counters.cancelled.fetch_add(1, Ordering::SeqCst);
         }
         task.finish(outcome);
@@ -397,7 +401,7 @@ mod tests {
         for _ in 0..6 {
             let (task, r) = sched.next().unwrap();
             order.push(task.session.clone());
-            sched.finish(&task, Outcome::default(), false);
+            sched.finish(&task, Outcome::default());
             drop(r);
         }
         // b and c each get a turn before a's backlog drains.
@@ -420,7 +424,7 @@ mod tests {
             let (t2, r2) = sched2.next().unwrap();
             assert_eq!(t2.id, 2);
             assert!(r2.is_some());
-            sched2.finish(&t2, Outcome::default(), false);
+            sched2.finish(&t2, Outcome::default());
         });
         // Give the waiter time to hit the denial path.
         std::thread::sleep(Duration::from_millis(80));
@@ -428,7 +432,7 @@ mod tests {
         assert!(second.queued_by_admission.load(Ordering::SeqCst));
         assert_eq!(sched.counters.queued_by_admission.load(Ordering::SeqCst), 1);
         // Releasing the first grant admits the queued query.
-        sched.finish(&t1, Outcome::default(), false);
+        sched.finish(&t1, Outcome::default());
         drop(r1);
         waiter.join().unwrap();
         drop(first);

@@ -395,34 +395,19 @@ fn stats_json(shared: &Shared) -> Json {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some((task, reservation)) = shared.sched.next() {
-        // A panic anywhere in query execution must not kill the worker:
-        // the task would never finish and its fetch would hang forever.
+        // Query errors come back as values; this net only keeps a bug
+        // (a panic on the driver side of a query) from killing the
+        // worker, whose task would then never finish.
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_query(shared, &task)))
-                .unwrap_or_else(|payload| {
-                    let msg = if payload
-                        .downcast_ref::<engine::cancel::CancelSignal>()
-                        .is_some()
-                    {
-                        format!("query {}: cancelled", task.id)
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        format!("query {} panicked: {s}", task.id)
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        format!("query {} panicked: {s}", task.id)
-                    } else {
-                        format!("query {} panicked", task.id)
-                    };
-                    Outcome {
-                        rows: Err(msg),
-                        ..Outcome::default()
-                    }
+                .unwrap_or_else(|_| Outcome {
+                    rows: Err(format!("query {} panicked", task.id)),
+                    ..Outcome::default()
                 });
-        let cancelled =
-            matches!(&outcome.rows, Err(e) if e.contains("cancelled") || e.contains("deadline"));
         // Release the admission grant first, then let finish() wake the
         // queue so a denied query's re-check sees the freed budget.
         drop(reservation);
-        shared.sched.finish(&task, outcome, cancelled);
+        shared.sched.finish(&task, outcome);
     }
 }
 
@@ -439,6 +424,7 @@ fn run_query(shared: &Arc<Shared>, task: &QueryTask) -> Outcome {
     if let Some(reason) = task.token.state() {
         return Outcome {
             rows: Err(format!("query {}: {}", task.id, reason.describe())),
+            cancelled: true,
             ..Outcome::default()
         };
     }
@@ -458,6 +444,9 @@ fn run_query(shared: &Arc<Shared>, task: &QueryTask) -> Outcome {
         Ok((columns, rows, memory))
     });
     let wall_ns = start.elapsed().as_nanos() as u64;
+    // A failed query counts as cancelled when its token fired: the error
+    // text (which may name a table called `deadline`) plays no part.
+    let cancelled = task.token.is_cancelled();
     let cache_after = ctx.spark_context().cache_manager().budget_stats();
     let evictions = cache_after.evictions.saturating_sub(cache_before.evictions);
     match result {
@@ -466,6 +455,7 @@ fn run_query(shared: &Arc<Shared>, task: &QueryTask) -> Outcome {
                 .map(|m| (m.spill_files_created, m.spill_files_deleted))
                 .unwrap_or((0, 0));
             Outcome {
+                cancelled: cancelled && rows.is_err(),
                 rows: rows.map(|r| (columns, r)).map_err(|e| e.to_string()),
                 wall_ns,
                 spill_files_created: created,
@@ -475,6 +465,7 @@ fn run_query(shared: &Arc<Shared>, task: &QueryTask) -> Outcome {
         }
         Err(e) => Outcome {
             rows: Err(e.to_string()),
+            cancelled,
             wall_ns,
             spill_files_created: 0,
             spill_files_deleted: 0,
@@ -592,6 +583,7 @@ mod tests {
     fn outcome(rows: std::result::Result<(Vec<String>, Vec<Row>), String>) -> Outcome {
         Outcome {
             rows,
+            cancelled: false,
             wall_ns: 1_234_567,
             spill_files_created: 3,
             spill_files_deleted: 3,

@@ -272,6 +272,24 @@ fn deadline_cancels_like_an_explicit_cancel() {
     server.stop();
 }
 
+/// A query counts as cancelled when its token fired, whatever its error
+/// text says: an unknown table named `deadline` is an analysis error.
+#[test]
+fn an_error_naming_a_deadline_is_not_a_cancellation() {
+    let root = root_with_tables();
+    let mut server = SqlServer::start(root).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let msg = client
+        .sql("SELECT * FROM deadline")
+        .unwrap_err()
+        .to_string();
+    assert!(msg.contains("table 'deadline' not found"), "{msg}");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("cancelled").and_then(Json::as_i64), Some(0));
+    client.close().unwrap();
+    server.stop();
+}
+
 /// (d) A bounded cache budget evicts under multi-session CACHE TABLE
 /// pressure while every query still completes.
 #[test]

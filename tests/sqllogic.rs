@@ -379,6 +379,13 @@ fn run_file(name: &str) {
                 }
             }
             let after = ctx.plan_cache_stats();
+            let panics = ctx.spark_context().metrics().snapshot().task_panics;
+            assert_eq!(
+                panics,
+                0,
+                "{}: a task panicked\ncell: {cell}",
+                path.display()
+            );
             if pass == 1 && !has_statements {
                 assert_eq!(
                     (after.hits - before.hits, after.misses - before.misses),
