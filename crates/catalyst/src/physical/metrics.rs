@@ -68,6 +68,13 @@ impl OperatorMetrics {
             .or_insert(0) += n;
     }
 
+    /// Raise a named side metric to `value` if it is below it.
+    pub fn max_extra(&self, name: &str, value: u64) {
+        let mut extras = self.extras.lock().unwrap();
+        let slot = extras.entry(name.to_string()).or_insert(0);
+        *slot = (*slot).max(value);
+    }
+
     /// Overwrite a named side metric.
     pub fn set_extra(&self, name: &str, value: u64) {
         self.extras.lock().unwrap().insert(name.to_string(), value);

@@ -12,8 +12,10 @@
 //! task ships lanes ([`AccLane::gather`] splits them by reducer), the
 //! reducer folds them with [`AccLane::merge`] — [`Acc::merge`] lane by
 //! lane — and finishes them as columns ([`AccLane::finish_column`],
-//! [`Acc::finish`] lane by lane). Only a reduce side denied memory turns
-//! its lanes into [`Acc`]s ([`AccLane::partial`]) for the spill path.
+//! [`Acc::finish`] lane by lane). A reduce side denied memory spills its
+//! lanes as typed columns ([`AccLane::state_columns`]) and reads them
+//! back as lanes ([`AccLane::from_state`]): the batch pipeline builds no
+//! [`Acc`] at any budget.
 //!
 //! One [`AccLane`] holds the accumulator state of one aggregate call for
 //! *every* group, as primitive lanes indexed by group id. Updates run in
@@ -285,7 +287,7 @@ pub enum LaneAgg {
 }
 
 /// Typed accumulator lanes for one aggregate call across all groups.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum AccLane {
     /// COUNT(*) / COUNT(col): one count per group.
     Count {
@@ -769,6 +771,152 @@ impl AccLane {
         }
     }
 
+    /// The lane's per-group state as columns, so it can cross the disk
+    /// boundary typed: [`from_state`](Self::from_state) with a lane of
+    /// the same call as its template rebuilds it exactly. A value
+    /// column's null mask marks the groups that saw no value, so their
+    /// lanes keep whatever filler they held; the call's fixed parts
+    /// (MIN or MAX, input type, SUM or AVG) stay with the template.
+    pub fn state_columns(&self) -> Vec<ColumnVector> {
+        let unseen = |seen: &[bool]| Some(seen.iter().map(|s| !s).collect());
+        let long = |lanes: &[i64], nulls| {
+            ColumnVector::new(DataType::Long, VectorData::Long(lanes.to_vec()), nulls)
+        };
+        let double = |lanes: &[f64], seen: &[bool]| {
+            let data = VectorData::Double(lanes.to_vec());
+            ColumnVector::new(DataType::Double, data, unseen(seen))
+        };
+        let counts = |c: &Option<Vec<i64>>| c.as_deref().map(|c| long(c, None));
+        match self {
+            AccLane::Count { counts, .. } => vec![long(counts, None)],
+            AccLane::SumLong {
+                sums,
+                seen,
+                wide,
+                avg_counts,
+                ..
+            } => {
+                let wide =
+                    ColumnVector::new(DataType::Boolean, VectorData::Bool(wide.clone()), None);
+                let mut cols = vec![long(sums, unseen(seen)), wide];
+                cols.extend(counts(avg_counts));
+                cols
+            }
+            AccLane::SumDouble {
+                sums,
+                seen,
+                avg_counts,
+            } => {
+                let mut cols = vec![double(sums, seen)];
+                cols.extend(counts(avg_counts));
+                cols
+            }
+            AccLane::ExtremeLong { vals, seen, .. } => vec![long(vals, unseen(seen))],
+            AccLane::ExtremeDouble { vals, seen, .. } => vec![double(vals, seen)],
+            AccLane::ExtremeStr { vals, .. } => {
+                let empty: Arc<str> = Arc::from("");
+                let lanes = vals
+                    .iter()
+                    .map(|v| v.clone().unwrap_or_else(|| empty.clone()));
+                let nulls = vals.iter().map(Option::is_none).collect();
+                vec![ColumnVector::new(
+                    DataType::String,
+                    VectorData::Str(lanes.collect()),
+                    Some(nulls),
+                )]
+            }
+        }
+    }
+
+    /// The lane of `rows` groups whose [`state_columns`](Self::state_columns)
+    /// are the next columns of `cols`, for `template`'s call. Fails when
+    /// a column is missing or has the wrong storage or length: state read
+    /// back from disk may be corrupt.
+    pub fn from_state(
+        template: &AccLane,
+        rows: usize,
+        cols: &mut impl Iterator<Item = ColumnVector>,
+    ) -> Result<AccLane> {
+        let mut next = || state_column(cols, rows);
+        let seen = |nulls: Vec<bool>| nulls.into_iter().map(|n| !n).collect();
+        let longs = |col: (VectorData, Vec<bool>)| match col {
+            (VectorData::Long(v), nulls) => Ok((v, nulls)),
+            (other, _) => Err(corrupt_state(format!(
+                "expected integer lanes, got {other:?}"
+            ))),
+        };
+        Ok(match template {
+            AccLane::Count { all_rows, .. } => AccLane::Count {
+                counts: longs(next()?)?.0,
+                all_rows: *all_rows,
+            },
+            AccLane::SumLong {
+                int_input,
+                avg_counts,
+                ..
+            } => {
+                let (sums, unseen) = longs(next()?)?;
+                let VectorData::Bool(wide) = next()?.0 else {
+                    return Err(corrupt_state("expected the widening flags"));
+                };
+                AccLane::SumLong {
+                    sums,
+                    seen: seen(unseen),
+                    wide,
+                    int_input: *int_input,
+                    avg_counts: match avg_counts {
+                        Some(_) => Some(longs(next()?)?.0),
+                        None => None,
+                    },
+                }
+            }
+            AccLane::SumDouble { avg_counts, .. } => {
+                let (VectorData::Double(sums), unseen) = next()? else {
+                    return Err(corrupt_state("expected float sums"));
+                };
+                AccLane::SumDouble {
+                    sums,
+                    seen: seen(unseen),
+                    avg_counts: match avg_counts {
+                        Some(_) => Some(longs(next()?)?.0),
+                        None => None,
+                    },
+                }
+            }
+            AccLane::ExtremeLong { is_min, dtype, .. } => {
+                let (vals, unseen) = longs(next()?)?;
+                AccLane::ExtremeLong {
+                    vals,
+                    seen: seen(unseen),
+                    is_min: *is_min,
+                    dtype: dtype.clone(),
+                }
+            }
+            AccLane::ExtremeDouble { is_min, .. } => {
+                let (VectorData::Double(vals), unseen) = next()? else {
+                    return Err(corrupt_state("expected float extremes"));
+                };
+                AccLane::ExtremeDouble {
+                    vals,
+                    seen: seen(unseen),
+                    is_min: *is_min,
+                }
+            }
+            AccLane::ExtremeStr { is_min, .. } => {
+                let (VectorData::Str(lanes), unseen) = next()? else {
+                    return Err(corrupt_state("expected string extremes"));
+                };
+                let vals = (lanes.into_iter().zip(unseen))
+                    .map(|(s, null)| (!null).then_some(s))
+                    .collect();
+                AccLane::ExtremeStr {
+                    vals,
+                    is_min: *is_min,
+                }
+            }
+        })
+    }
+
     /// The finished values of groups `0..n` as one column — lane by lane
     /// what [`partial`](Self::partial)`(g).`[`finish`](Acc::finish)`()`
     /// returns. The column is typed when every value has the `declared`
@@ -972,6 +1120,29 @@ impl AccLane {
             }
         }
     }
+}
+
+/// The next state column of `rows` lanes, as lanes and a null mask.
+fn state_column(
+    cols: &mut impl Iterator<Item = ColumnVector>,
+    rows: usize,
+) -> Result<(VectorData, Vec<bool>)> {
+    let col = cols
+        .next()
+        .ok_or_else(|| corrupt_state("a column is missing"))?;
+    let lanes = col.len();
+    let nulls = col.nulls.unwrap_or_else(|| vec![false; rows]);
+    if lanes != rows || nulls.len() != rows {
+        return Err(corrupt_state(format!(
+            "a column has {lanes} lanes, not {rows}"
+        )));
+    }
+    Ok((col.data, nulls))
+}
+
+/// The error of accumulator state that does not read back.
+fn corrupt_state(msg: impl Into<String>) -> CatalystError {
+    CatalystError::Internal(format!("corrupt accumulator state: {}", msg.into()))
 }
 
 /// How a value must compare with a MIN (`is_min`) or MAX state to
@@ -1255,6 +1426,87 @@ mod tests {
         assert!(
             matches!(sum.partial(0), Acc::Sum(Some(Value::Long(x))) if x == i32::MAX as i64 + 1)
         );
+    }
+
+    #[test]
+    fn lane_state_round_trips_through_columns() {
+        let cases = [
+            (
+                DataType::Int,
+                vec![
+                    Value::Int(i32::MAX),
+                    Value::Null,
+                    Value::Int(3),
+                    Value::Int(5),
+                ],
+            ),
+            (
+                DataType::Long,
+                vec![Value::Long(-4), Value::Null, Value::Long(9), Value::Long(1)],
+            ),
+            (
+                DataType::Date,
+                vec![Value::Date(7), Value::Null, Value::Date(2), Value::Date(8)],
+            ),
+            (
+                DataType::Double,
+                vec![
+                    Value::Double(0.1),
+                    Value::Null,
+                    Value::Double(-0.0),
+                    Value::Double(0.2),
+                ],
+            ),
+            (
+                DataType::String,
+                vec![
+                    Value::str("b"),
+                    Value::Null,
+                    Value::str(""),
+                    Value::str("a"),
+                ],
+            ),
+        ];
+        // Group 1 sees only a NULL; group 0 folds two values (an INT sum
+        // widens there).
+        let asg = [(0u32, 0u32), (1, 1), (2, 0), (3, 2)];
+        let aggs = [
+            LaneAgg::CountStar,
+            LaneAgg::Count,
+            LaneAgg::Sum,
+            LaneAgg::Avg,
+            LaneAgg::Min,
+            LaneAgg::Max,
+        ];
+        let mut checked = 0;
+        for (dtype, values) in &cases {
+            for agg in aggs {
+                let Some(mut lane) = AccLane::for_input(agg, dtype) else {
+                    continue;
+                };
+                let col = ColumnVector::from_values(dtype, values.clone());
+                let arg = (agg != LaneAgg::CountStar).then_some(&col);
+                lane.update(arg, &asg, 3).unwrap();
+                let template = AccLane::for_input(agg, dtype).unwrap();
+                let mut cols = lane.state_columns().into_iter();
+                let back = AccLane::from_state(&template, 3, &mut cols).unwrap();
+                assert!(cols.next().is_none(), "{agg:?} over {dtype:?}");
+                assert_eq!(format!("{back:?}"), format!("{lane:?}"));
+                // State that does not fit its template does not read back.
+                let short =
+                    AccLane::from_state(&template, 4, &mut lane.state_columns().into_iter());
+                assert!(short.is_err(), "{agg:?} over {dtype:?}");
+                assert!(AccLane::from_state(&template, 3, &mut std::iter::empty()).is_err());
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3 * 6 + 2 * 4, "every lane kind × input type");
+        let wide = AccLane::for_input(LaneAgg::Sum, &DataType::Int).unwrap();
+        let strings = vec![ColumnVector::from_values(
+            &DataType::String,
+            vec![Value::str("x")],
+        )];
+        assert!(AccLane::from_state(&wide, 1, &mut strings.into_iter()).is_err());
     }
 
     #[test]

@@ -28,10 +28,16 @@ use std::sync::Arc;
 /// keys fall back to boxed row interning per lane.
 const MAX_SIG_COLS: usize = 4;
 
-/// An unkeyed word-at-a-time multiply hasher (the FxHash family). The
-/// tables below hold engine data, and SipHash was a third of a lookup.
+/// An unkeyed word-at-a-time multiply hasher (the FxHash family) for
+/// the tables below, which hold engine data. A multiply carries bits
+/// upward only, so [`finish`](Hasher::finish) folds the state's 128-bit
+/// product with the constant back onto itself: every input bit then
+/// reaches the low bits a table indexes by and the top bits it tags by.
 #[derive(Default)]
 struct FastHasher(u64);
+
+/// The multiplier of [`FastHasher`]'s chain and of its final fold.
+const FAST_MUL: u64 = 0xf135_7aea_2e62_a9c5;
 
 impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -44,7 +50,7 @@ impl Hasher for FastHasher {
     }
 
     fn write_u64(&mut self, i: u64) {
-        self.0 = self.0.wrapping_add(i).wrapping_mul(0xf135_7aea_2e62_a9c5);
+        self.0 = self.0.wrapping_add(i).wrapping_mul(FAST_MUL);
     }
 
     fn write_usize(&mut self, i: usize) {
@@ -52,7 +58,8 @@ impl Hasher for FastHasher {
     }
 
     fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+        let wide = self.0 as u128 * FAST_MUL as u128;
+        (wide >> 64) as u64 ^ wide as u64
     }
 }
 
@@ -152,6 +159,13 @@ impl ColumnInterner {
 fn route_hash(v: &impl Hash) -> u64 {
     let mut h = FastHasher::default();
     v.hash(&mut h);
+    h.finish()
+}
+
+/// The hash of a multi-column key from its columns' value hashes.
+fn combine(column_hashes: impl Iterator<Item = u64>) -> u64 {
+    let mut h = FastHasher::default();
+    column_hashes.for_each(|x| h.write_u64(x));
     h.finish()
 }
 
@@ -256,14 +270,24 @@ impl BatchGroups {
         }
         let w = per_value.len();
         (0..self.len)
-            .map(|g| {
-                let mut h = FastHasher::default();
-                for (j, hashes) in per_value.iter().enumerate() {
-                    h.write_u64(hashes[self.ids[g * w + j] as usize]);
-                }
-                h.finish()
-            })
+            .map(|g| combine((0..w).map(|j| per_value[j][self.ids[g * w + j] as usize])))
             .collect()
+    }
+
+    /// One hash per lane of the key columns `keys`, `rows` lanes each:
+    /// the hash [`group_hashes`](Self::group_hashes) gives the same key,
+    /// so lanes are routed by key equality without being interned.
+    pub fn key_hashes(keys: &[Arc<ColumnVector>], rows: usize) -> Vec<u64> {
+        let lane = |c: &ColumnVector, i: usize| route_hash(&c.get(i));
+        match keys {
+            [key] => (0..rows).map(|i| lane(key, i)).collect(),
+            _ if keys.len() > MAX_SIG_COLS => (0..rows)
+                .map(|i| route_hash(&Row::new(keys.iter().map(|c| c.get(i)).collect())))
+                .collect(),
+            _ => (0..rows)
+                .map(|i| combine(keys.iter().map(|c| lane(c, i))))
+                .collect(),
+        }
     }
 
     /// Assign a group id to every selected lane of `key_batch` (the
@@ -654,6 +678,61 @@ mod tests {
             let (ah, bh) = (a.group_hashes(), b.group_hashes());
             assert_eq!((ah[2], ah[1]), (bh[0], bh[1]), "width {width}");
         }
+    }
+
+    #[test]
+    fn key_hashes_are_group_hashes_lane_by_lane() {
+        // Widths 1, 2 and 5 (the last past the signature path), Int lanes
+        // against the Long keys they equal, NULLs included.
+        for width in [1usize, 2, 5] {
+            let column = |int: bool, j: usize| {
+                let v = |x: i64| match (j, x, int) {
+                    (_, 0, _) => Value::Null,
+                    (0, _, true) => Value::Int(x as i32),
+                    (0, _, false) => Value::Long(x),
+                    _ => Value::str(format!("s{}", x % 3)),
+                };
+                let dtype = if j == 0 {
+                    DataType::Long
+                } else {
+                    DataType::String
+                };
+                Arc::new(ColumnVector::from_values(&dtype, (0..6).map(v).collect()))
+            };
+            let (mut groups, mut out) = (BatchGroups::new(), Vec::new());
+            let longs: Vec<_> = (0..width).map(|j| column(false, j)).collect();
+            groups.assign(&RowBatch::new(longs.clone(), 6), &mut out);
+            let ints: Vec<_> = (0..width).map(|j| column(true, j)).collect();
+            assert_eq!(
+                BatchGroups::key_hashes(&ints, 6),
+                groups.group_hashes(),
+                "width {width}"
+            );
+            assert_eq!(BatchGroups::key_hashes(&longs, 6), groups.group_hashes());
+        }
+    }
+
+    #[test]
+    fn fast_hashes_keep_every_input_bit() {
+        // Keys that differ only in their eighth byte, as `url{i}` keys
+        // do: a hash table indexes by the low bits and tags by the top
+        // seven, so both must tell nearly every key apart.
+        let keys: Vec<String> = (10_000..100_000).map(|i| format!("url{i}")).collect();
+        let pairs: std::collections::HashSet<(u64, u64)> = keys
+            .iter()
+            .map(|k| {
+                let mut h = FastHasher::default();
+                k.as_str().hash(&mut h);
+                let x = h.finish();
+                (x & ((1 << 17) - 1), x >> 57)
+            })
+            .collect();
+        assert!(
+            pairs.len() * 100 >= keys.len() * 99,
+            "{} distinct (index, tag) pairs over {} keys",
+            pairs.len(),
+            keys.len()
+        );
     }
 
     #[test]

@@ -211,6 +211,40 @@ impl EncodedColumn {
         }
     }
 
+    /// Encode an execution [`ColumnVector`] as plain typed parts, lane
+    /// for lane, with no [`Value`] per lane: integer, float, boolean and
+    /// string lanes copy (booleans bit-pack), a null mask becomes the
+    /// null bitmap, and statistics stay at their defaults. Boxed lanes
+    /// take the spill codec's exact encoding.
+    /// [`decode_vector`](Self::decode_vector) gives the lanes back.
+    pub fn from_vector(v: &ColumnVector) -> EncodedColumn {
+        use catalyst::vectorized::VectorData;
+        let len = v.len();
+        let data = match v.data() {
+            VectorData::Long(lanes) => ColumnData::Long(lanes.clone()),
+            VectorData::Double(lanes) => ColumnData::Double(lanes.clone()),
+            VectorData::Bool(lanes) => ColumnData::Bool {
+                words: encoding::bool_pack(lanes),
+                len,
+            },
+            VectorData::Str(lanes) => ColumnData::Str(lanes.clone()),
+            VectorData::Values(_) => {
+                let values: Vec<Value> = (0..len).map(|i| v.get(i)).collect();
+                return crate::spill::encode_exact(v.dtype(), &values);
+            }
+        };
+        let nulls = v.nulls().map(|mask| {
+            let mut bits = Bitmap::new(len);
+            (0..len).filter(|&i| mask[i]).for_each(|i| bits.set(i));
+            bits
+        });
+        let stats = ColumnStats {
+            row_count: len as u64,
+            ..ColumnStats::default()
+        };
+        EncodedColumn::from_parts(v.dtype().clone(), nulls, stats, data, len)
+    }
+
     /// Logical length.
     pub fn len(&self) -> usize {
         self.len

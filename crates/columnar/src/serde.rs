@@ -104,13 +104,13 @@ pub fn get_value(buf: &mut Bytes) -> Result<Value> {
         8 => Value::Date(checked(buf, 4)?.get_i32()),
         9 => Value::Timestamp(checked(buf, 8)?.get_i64()),
         10 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 1)?;
             let mut v = vec![0u8; n];
-            checked(buf, n)?.copy_to_slice(&mut v);
+            buf.copy_to_slice(&mut v);
             Value::Binary(Arc::from(v.into_boxed_slice()))
         }
         11 | 12 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 1)?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
                 items.push(get_value(buf)?);
@@ -133,9 +133,9 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 
 /// Read a length-prefixed UTF-8 string.
 pub fn get_str(buf: &mut Bytes) -> Result<String> {
-    let n = checked(buf, 4)?.get_u32() as usize;
+    let n = count(buf, 1)?;
     let mut v = vec![0u8; n];
-    checked(buf, n)?.copy_to_slice(&mut v);
+    buf.copy_to_slice(&mut v);
     String::from_utf8(v).map_err(|_| corrupt("invalid utf8"))
 }
 
@@ -151,6 +151,17 @@ pub fn checked(buf: &mut Bytes, n: usize) -> Result<&mut Bytes> {
     } else {
         Ok(buf)
     }
+}
+
+/// Read a `u32` item count and check that the data left can hold that
+/// many items of at least `min_bytes` each, so a corrupt count fails
+/// here instead of sizing an allocation.
+fn count(buf: &mut Bytes, min_bytes: usize) -> Result<usize> {
+    let n = checked(buf, 4)?.get_u32() as usize;
+    if n.saturating_mul(min_bytes) > buf.remaining() {
+        return Err(corrupt(format!("count {n} overruns the data")));
+    }
+    Ok(n)
 }
 
 /// Bounds-checked single byte read.
@@ -215,7 +226,7 @@ pub fn get_dtype(buf: &mut Bytes) -> Result<DataType> {
         10 => DataType::Binary,
         11 => DataType::Array(Box::new(get_dtype(buf)?)),
         12 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 6)?;
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = get_str(buf)?;
@@ -333,12 +344,14 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
     let nulls = match checked_u8(buf)? {
         0 => None,
         _ => {
-            let nwords = checked(buf, 4)?.get_u32() as usize;
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(checked(buf, 8)?.get_u64());
+            let nwords = count(buf, 8)?;
+            if nwords != len.div_ceil(64) {
+                return Err(corrupt(format!("{nwords} null words for {len} rows")));
             }
-            Some(Bitmap::from_words(words, len))
+            Some(Bitmap::from_words(
+                (0..nwords).map(|_| buf.get_u64()).collect(),
+                len,
+            ))
         }
     };
     let min = get_value(buf)?;
@@ -346,8 +359,8 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
     let null_count = checked(buf, 8)?.get_u64();
     let row_count = checked(buf, 8)?.get_u64();
     let ndv_k = checked(buf, 4)?.get_u32() as usize;
-    let ndv_len = checked(buf, 4)?.get_u32() as usize;
-    let mut ndv_hashes = Vec::with_capacity(ndv_len.min(4096));
+    let ndv_len = count(buf, 8)?;
+    let mut ndv_hashes = Vec::with_capacity(ndv_len);
     for _ in 0..ndv_len {
         ndv_hashes.push(checked(buf, 8)?.get_u64());
     }
@@ -360,7 +373,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
     };
     let data = match checked_u8(buf)? {
         0 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 4)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(checked(buf, 4)?.get_i32());
@@ -368,7 +381,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Int(v)
         }
         1 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 8)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(checked(buf, 8)?.get_i64());
@@ -376,7 +389,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Long(v)
         }
         2 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 8)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 let x = checked(buf, 4)?.get_i32();
@@ -386,7 +399,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::RleInt(v)
         }
         3 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 12)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 let x = checked(buf, 8)?.get_i64();
@@ -396,7 +409,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::RleLong(v)
         }
         4 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 4)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(checked(buf, 4)?.get_f32());
@@ -404,7 +417,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Float(v)
         }
         5 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 8)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(checked(buf, 8)?.get_f64());
@@ -412,7 +425,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Double(v)
         }
         6 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 4)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(Arc::from(get_str(buf)?));
@@ -420,12 +433,12 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Str(v)
         }
         7 => {
-            let nd = checked(buf, 4)?.get_u32() as usize;
+            let nd = count(buf, 4)?;
             let mut dict = Vec::with_capacity(nd);
             for _ in 0..nd {
                 dict.push(Arc::from(get_str(buf)?));
             }
-            let nc = checked(buf, 4)?.get_u32() as usize;
+            let nc = count(buf, 4)?;
             let mut codes = Vec::with_capacity(nc);
             for _ in 0..nc {
                 codes.push(checked(buf, 4)?.get_u32());
@@ -434,7 +447,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
         }
         8 => {
             let blen = checked(buf, 8)?.get_u64() as usize;
-            let nwords = checked(buf, 4)?.get_u32() as usize;
+            let nwords = count(buf, 8)?;
             let mut words = Vec::with_capacity(nwords);
             for _ in 0..nwords {
                 words.push(checked(buf, 8)?.get_u64());
@@ -442,7 +455,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Bool { words, len: blen }
         }
         9 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 1)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(get_value(buf)?);
@@ -450,7 +463,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             ColumnData::Values(v)
         }
         10 => {
-            let n = checked(buf, 4)?.get_u32() as usize;
+            let n = count(buf, 1)?;
             let mut cols = Vec::with_capacity(n);
             for _ in 0..n {
                 cols.push(get_column(buf)?);
@@ -459,7 +472,48 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
         }
         other => return Err(corrupt(format!("bad column tag {other}"))),
     };
+    check_payload(&data, len)?;
     Ok(EncodedColumn::from_parts(dtype, nulls, stats, data, len))
+}
+
+/// Does a payload read back hold exactly `len` rows that decode without
+/// indexing out of bounds?
+fn check_payload(data: &ColumnData, len: usize) -> Result<()> {
+    let rows = match data {
+        ColumnData::Int(v) => v.len(),
+        ColumnData::Long(v) => v.len(),
+        ColumnData::Float(v) => v.len(),
+        ColumnData::Double(v) => v.len(),
+        ColumnData::Str(v) => v.len(),
+        ColumnData::Values(v) => v.len(),
+        ColumnData::RleInt(runs) => runs.iter().map(|r| r.1 as usize).sum(),
+        ColumnData::RleLong(runs) => runs.iter().map(|r| r.1 as usize).sum(),
+        ColumnData::DictStr { dict, codes } => {
+            if codes.iter().any(|&c| c as usize >= dict.len()) {
+                return Err(corrupt("dictionary code out of range"));
+            }
+            codes.len()
+        }
+        ColumnData::Bool { words, len: bits } => {
+            if words.len() != bits.div_ceil(64) {
+                return Err(corrupt(format!(
+                    "{} words for {bits} booleans",
+                    words.len()
+                )));
+            }
+            *bits
+        }
+        ColumnData::StructCols(cols) => match cols.iter().find(|c| c.len() != len) {
+            Some(c) => c.len(),
+            None => len,
+        },
+    };
+    if rows != len {
+        return Err(corrupt(format!(
+            "payload of {rows} rows in a column of {len}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

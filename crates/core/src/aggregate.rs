@@ -20,12 +20,18 @@
 //!    [`vectorized::eval_projection_batch`], so a `Filter`, `Project` or
 //!    top-N above reads batches.
 //!
-//! `(key, Vec<Acc>)` pairs exist on this path in two places only, both
-//! under a bounded pool: a denied map-side reservation ships blocks early
-//! and restarts (no pairs), and a denied reduce-side reservation drains
-//! the lane table, still reserved, through
-//! [`vectorized::AccLane::partial`], followed by the blocks still unread,
-//! into the grace path [`spill::merge_agg_partition`].
+//! No `(key, Vec<Acc>)` pair exists on this path at any budget. A denied
+//! map-side reservation ships blocks early and restarts. A denied
+//! reduce-side reservation stops interning and spills what the reducer
+//! holds, in the shape it holds it: the lane table, then every block
+//! still unread, as key columns and accumulator-state columns
+//! ([`vectorized::AccLane::state_columns`]) split by a depth-salted key
+//! hash into [`spill::BlockBuckets`]. Each bucket is read back in write
+//! order and merged by the same lane merge, recursively when denied
+//! again, and finishes as a batch of its own. The table's partials are
+//! written before the blocks that follow them, so every group's
+//! partials merge in map-id order and sums stay bit-identical to the
+//! in-memory merge.
 //!
 //! **Row kernel** ([`partial_agg_partition`]): one [`AggCall`] per call
 //! folding [`Acc::update`] into `(key, Vec<Acc>)` pairs, routed by a hash
@@ -201,15 +207,6 @@ impl AggPlan {
     /// columns (the batch pipeline's finish).
     fn finish_batch(&self, internal: &RowBatch) -> Result<RowBatch> {
         vectorized::eval_projection_batch(&self.final_exprs, internal)
-    }
-
-    /// Finish `(key, accumulators)` pairs as one batch.
-    fn finish_pairs(&self, pairs: Vec<(Row, Vec<Acc>)>) -> Result<RowBatch> {
-        let rows: Vec<Row> = (pairs.into_iter())
-            .map(|(key, accs)| AggPlan::internal_row(key, accs))
-            .collect();
-        let dtypes = [self.key_dtypes.clone(), self.agg_dtypes.clone()].concat();
-        self.finish_batch(&RowBatch::from_rows(&dtypes, &rows))
     }
 }
 
@@ -408,8 +405,10 @@ fn batch_aggregate(
             ))
         });
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
-        let blocks = Box::new(it.map(|(_, block)| block));
-        task_iter(merge_blocks(blocks, &plan, &specs, &sctx, node.as_ref()))
+        let reducer = Reducer::new(&plan, &specs, &sctx, node.as_ref());
+        let mut out = Vec::new();
+        let merged = reducer.merge(&mut it.map(|(_, block)| Ok(block)), 0, &mut out);
+        task_iter(merged.map(|()| out))
     }))
 }
 
@@ -424,13 +423,30 @@ struct AggBlock {
 }
 
 impl AggBlock {
-    /// The block's groups as `(key, accumulators)` pairs — only for the
-    /// reduce side's spill fallback.
-    fn into_pairs(self) -> impl Iterator<Item = (Row, Vec<Acc>)> {
-        (0..self.rows).map(move |i| {
-            let key = Row::new(self.keys.iter().map(|c| c.get(i)).collect());
-            (key, self.lanes.iter().map(|l| l.partial(i)).collect())
-        })
+    /// The block as spill columns: its keys, then each lane's state.
+    fn columns(&self) -> Vec<Arc<ColumnVector>> {
+        let states = self.lanes.iter().flat_map(AccLane::state_columns);
+        self.keys
+            .iter()
+            .cloned()
+            .chain(states.map(Arc::new))
+            .collect()
+    }
+
+    /// The block [`columns`](Self::columns) wrote, its `rows` lanes read
+    /// back as `templates`' calls.
+    fn from_columns(
+        rows: usize,
+        columns: Vec<ColumnVector>,
+        key_width: usize,
+        templates: &[AccLane],
+    ) -> Result<AggBlock> {
+        let mut columns = columns.into_iter();
+        let keys = columns.by_ref().take(key_width).map(Arc::new).collect();
+        let lanes = (templates.iter())
+            .map(|t| AccLane::from_state(t, rows, &mut columns))
+            .collect::<Result<_>>()?;
+        Ok(AggBlock { keys, lanes, rows })
     }
 }
 
@@ -528,97 +544,126 @@ fn batch_partial_agg(
     Ok(out)
 }
 
-/// A denied reduce-side table as `(key, partials)` pairs. The table keeps
-/// its `reservation` until it is dropped, which a `chain` does once the
-/// last pair is read, so the grace path reading these pairs counts the
-/// table's bytes as taken and spills earlier.
-fn drain_table(
-    groups: BatchGroups,
-    lanes: Vec<AccLane>,
-    reservation: MemoryReservation,
-) -> impl Iterator<Item = (Row, Vec<Acc>)> {
-    (0..groups.len()).map(move |g| {
-        let _held = &reservation;
-        (groups.key(g), lanes.iter().map(|l| l.partial(g)).collect())
-    })
+/// One reducer's merge: its plan, its calls' empty lanes and its spill
+/// layout.
+struct Reducer<'a> {
+    plan: &'a AggPlan,
+    /// An empty lane per call: what a merge starts from, and the
+    /// template spilled lane states read back as.
+    templates: Vec<AccLane>,
+    /// Spilled block columns: the key types, then the lanes' state types.
+    spill_dtypes: Vec<DataType>,
+    sctx: &'a SpillCtx,
+    node: Option<&'a Arc<OperatorMetrics>>,
 }
 
-/// Merge one reducer's blocks (in map-id order) lane by lane and finish
-/// them as one batch. A denied reservation hands the table, as partials,
-/// and the blocks still unread to [`spill::merge_agg_partition`].
-fn merge_blocks(
-    mut blocks: BoxIter<AggBlock>,
-    plan: &AggPlan,
-    specs: &[LaneSpec],
-    sctx: &SpillCtx,
-    node: Option<&Arc<OperatorMetrics>>,
-) -> Result<Option<RowBatch>> {
-    let mut reservation = sctx.pool.register();
-    let mut groups = BatchGroups::new();
-    let mut lanes: Vec<AccLane> = specs.iter().map(new_lane).collect();
-    let mut asg: Vec<(u32, u32)> = Vec::new();
-    while let Some(block) = blocks.next() {
-        let prev = groups.len();
-        groups.assign(&RowBatch::new(block.keys.clone(), block.rows), &mut asg);
-        for (lane, theirs) in lanes.iter_mut().zip(block.lanes.iter()) {
-            lane.merge(theirs, &asg, groups.len())?;
-        }
-        // A merged group costs what the grace path charges for its entry,
-        // so a table is denied at the size the fallback's would be.
-        let new_bytes: u64 = (prev..groups.len())
-            .map(|g| {
-                groups.key_bytes(g) + 16 + lanes.iter().map(|l| l.approx_bytes(g)).sum::<u64>()
-            })
-            .sum();
-        if new_bytes > 0 && !reservation.try_grow(new_bytes) {
-            let table = drain_table(groups, lanes, reservation);
-            let pairs: BoxIter<(Row, Vec<Acc>)> =
-                Box::new(table.chain(blocks.flat_map(AggBlock::into_pairs)));
-            let layout = spill::AggLayout::new(plan.key_dtypes.clone());
-            let merged = spill::merge_agg_partition(pairs, &layout, sctx, 0)?;
-            if let Some(node) = node {
-                node.add_extra("groups", merged.len() as u64);
-            }
-            return plan.finish_pairs(merged).map(Some);
-        }
-    }
-    let n = groups.len();
-    if n == 0 {
-        return Ok(None);
-    }
-    if let Some(node) = node {
-        node.add_extra("groups", n as u64);
-    }
-    let mut columns = groups.key_columns(&plan.key_dtypes);
-    columns.extend(
-        (lanes.iter().zip(&plan.agg_dtypes))
-            .map(|(lane, dtype)| Arc::new(lane.finish_column(n, dtype))),
-    );
-    plan.finish_batch(&RowBatch::new(columns, n)).map(Some)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use engine::MemoryPool;
-
-    #[test]
-    fn a_drained_table_keeps_its_reservation_until_its_last_pair() {
-        let pool = MemoryPool::bounded(1000, std::env::temp_dir());
-        let mut reservation = pool.register();
-        assert!(reservation.try_grow(600));
-        let keys: Vec<Row> = (0..3).map(|k| Row::new(vec![Value::Long(k)])).collect();
-        let (mut groups, mut asg) = (BatchGroups::new(), Vec::new());
-        groups.assign(&RowBatch::from_rows(&[DataType::Long], &keys), &mut asg);
-        let mut count =
-            AccLane::for_input(vectorized::LaneAgg::CountStar, &DataType::Long).unwrap();
-        count.update(None, &asg, groups.len()).unwrap();
-        // Read the pool while the pairs are pulled, and once more after
-        // the table is exhausted, as the grace path's chain does.
-        let used: Vec<u64> = drain_table(groups, vec![count], reservation)
-            .map(|_| pool.stats().used)
-            .chain(std::iter::once_with(|| pool.stats().used))
+impl<'a> Reducer<'a> {
+    fn new(
+        plan: &'a AggPlan,
+        specs: &[LaneSpec],
+        sctx: &'a SpillCtx,
+        node: Option<&'a Arc<OperatorMetrics>>,
+    ) -> Reducer<'a> {
+        let templates: Vec<AccLane> = specs.iter().map(new_lane).collect();
+        let states = templates.iter().flat_map(AccLane::state_columns);
+        let spill_dtypes = (plan.key_dtypes.iter().cloned())
+            .chain(states.map(|c| c.dtype().clone()))
             .collect();
-        assert_eq!(used, vec![600, 600, 600, 0]);
+        Reducer {
+            plan,
+            templates,
+            spill_dtypes,
+            sctx,
+            node,
+        }
+    }
+
+    /// Merge `blocks` (in map-id order, or a bucket's in write order) lane
+    /// by lane and finish them into `out`: one batch, or, once a
+    /// reservation is denied at a `depth` below [`spill::MAX_DEPTH`], one
+    /// per spill bucket. From that depth on the merge runs unreserved.
+    fn merge(
+        &self,
+        blocks: &mut dyn Iterator<Item = Result<AggBlock>>,
+        depth: usize,
+        out: &mut Vec<RowBatch>,
+    ) -> Result<()> {
+        let mut reservation = self.sctx.pool.register();
+        let mut groups = BatchGroups::new();
+        let mut lanes = self.templates.clone();
+        let mut asg: Vec<(u32, u32)> = Vec::new();
+        while let Some(block) = blocks.next() {
+            let block = block?;
+            let prev = groups.len();
+            groups.assign(&RowBatch::new(block.keys.clone(), block.rows), &mut asg);
+            for (lane, theirs) in lanes.iter_mut().zip(block.lanes.iter()) {
+                lane.merge(theirs, &asg, groups.len())?;
+            }
+            if depth == spill::MAX_DEPTH {
+                continue;
+            }
+            // A merged group costs what the row kernel's grace path
+            // charges for its entry.
+            let new_bytes: u64 = (prev..groups.len())
+                .map(|g| {
+                    groups.key_bytes(g) + 16 + lanes.iter().map(|l| l.approx_bytes(g)).sum::<u64>()
+                })
+                .sum();
+            if new_bytes > 0 && !reservation.try_grow(new_bytes) {
+                let table = AggBlock {
+                    keys: groups.key_columns(&self.plan.key_dtypes),
+                    lanes: lanes.into(),
+                    rows: groups.len(),
+                };
+                drop(groups);
+                return self.spill(table, reservation, blocks, depth, out);
+            }
+        }
+        let n = groups.len();
+        if n == 0 {
+            return Ok(());
+        }
+        if let Some(node) = self.node {
+            node.add_extra("groups", n as u64);
+        }
+        let mut columns = groups.key_columns(&self.plan.key_dtypes);
+        columns.extend(
+            (lanes.iter().zip(&self.plan.agg_dtypes))
+                .map(|(lane, dtype)| Arc::new(lane.finish_column(n, dtype))),
+        );
+        out.push(self.plan.finish_batch(&RowBatch::new(columns, n))?);
+        Ok(())
+    }
+
+    /// Spill a denied `table`, which frees its `reservation` once it is
+    /// written, and then the `blocks` still unread into buckets, and
+    /// merge each bucket one depth down.
+    fn spill(
+        &self,
+        table: AggBlock,
+        reservation: MemoryReservation,
+        blocks: &mut dyn Iterator<Item = Result<AggBlock>>,
+        depth: usize,
+        out: &mut Vec<RowBatch>,
+    ) -> Result<()> {
+        let key_width = self.plan.key_dtypes.len();
+        let mut buckets = spill::BlockBuckets::new(self.spill_dtypes.clone(), key_width, depth);
+        buckets.push(self.sctx, &table.columns(), table.rows)?;
+        drop((table, reservation));
+        for block in blocks {
+            let block = block?;
+            buckets.push(self.sctx, &block.columns(), block.rows)?;
+        }
+        if let Some(node) = self.node {
+            node.max_extra("spill_depth", depth as u64 + 1);
+        }
+        for bucket in buckets.finish(self.sctx)? {
+            let mut blocks = bucket.map(|read| {
+                let (rows, columns) = read?;
+                AggBlock::from_columns(rows, columns, key_width, &self.templates)
+            });
+            self.merge(&mut blocks, depth + 1, out)?;
+        }
+        Ok(())
     }
 }

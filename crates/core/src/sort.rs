@@ -447,7 +447,7 @@ impl BlockKeys {
             if !reservation.try_grow(block.approx_bytes()) {
                 let keys = self.clone();
                 // The held blocks keep their reservation until their last
-                // pair is read, as a drained GROUP BY table does.
+                // pair is read, so the external sort counts them as taken.
                 let reserved = held.into_iter().flat_map(move |b| {
                     let _held = &reservation;
                     b.into_pairs(&keys)

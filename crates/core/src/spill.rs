@@ -12,13 +12,19 @@
 //! * The hash join (`join.rs`) goes grace: both sides re-partition to
 //!   disk through `SpillBuckets` by a depth-salted key hash and each
 //!   sub-partition joins recursively.
-//! * [`merge_agg_partition`] spills its partial-aggregate hash table the
-//!   same way, re-partitioning `(key, accumulators)` pairs and merging
-//!   each bucket recursively.
+//! * The row kernel's [`merge_agg_partition`] spills its partial-aggregate
+//!   hash table the same way, re-partitioning `(key, accumulators)` pairs
+//!   and merging each bucket recursively.
+//! * The batch GROUP BY's reduce side (`aggregate.rs`) spills column
+//!   blocks through `BlockBuckets`: key columns and accumulator-state
+//!   columns, split by a depth-salted key hash, one encoded block per
+//!   part, and each bucket read back as blocks in write order.
 //!
-//! Rows cross the disk boundary through [`SpillCodec`] — the colfile
-//! column codec with an exact-roundtrip guarantee — so spilled execution
-//! is byte-identical to in-memory execution. Spill files delete
+//! Rows and column blocks cross the disk boundary through [`SpillCodec`]
+//! — the colfile column codec with an exact-roundtrip guarantee (typed
+//! lanes as typed parts, boxed values boxed) — so spilled execution is
+//! byte-identical to in-memory execution. This module is the only one
+//! in the crate that opens spill files or encodes for them. Spill files delete
 //! themselves on drop. A failing task records its error in its slot
 //! (`engine::task`) and ends its stream, dropping the operator state
 //! that holds them, and the scheduler reports the error only after every
@@ -32,7 +38,7 @@ use catalyst::physical::metrics::OperatorMetrics;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use catalyst::vectorized::Acc;
+use catalyst::vectorized::{Acc, BatchGroups, ColumnVector};
 use columnar::SpillCodec;
 use engine::{task, BoxIter, MemoryPool, SpillFile};
 use std::collections::HashMap;
@@ -472,4 +478,200 @@ pub fn merge_agg_partition(
         out.extend(merge_agg_partition(decoded, layout, ctx, depth + 1)?);
     }
     Ok(out)
+}
+
+// ---- spillable batch aggregation ----
+
+/// The bucket, in `0..FANOUT`, of each of `rows` lanes of the key columns
+/// `keys` at re-partitioning `depth`. The per-lane key hash agrees with
+/// key equality ([`BatchGroups::key_hashes`]); a depth salt and a folded
+/// multiply remix it, and the bucket is taken from the top of the
+/// result, so it is independent of the `hash % reducers` that routed the
+/// lanes to this reducer and of the bucket one depth up.
+fn lane_buckets(keys: &[Arc<ColumnVector>], rows: usize, depth: usize) -> Vec<usize> {
+    let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
+    (BatchGroups::key_hashes(keys, rows).into_iter())
+        .map(|h| {
+            let wide = (h ^ salt) as u128 * 0xd6e8_feb8_6659_fd93u128;
+            let mixed = (wide >> 64) as u64 ^ wide as u64;
+            ((mixed as u128 * FANOUT as u128) >> 64) as usize
+        })
+        .collect()
+}
+
+/// A reduce side's spill buckets for column blocks: every block pushed
+/// is split by key bucket ([`ColumnVector::gather`]), and each non-empty
+/// part is appended to its bucket's file as one encoded block.
+pub(crate) struct BlockBuckets {
+    codec: SpillCodec,
+    key_width: usize,
+    depth: usize,
+    files: Vec<Option<SpillFile>>,
+}
+
+impl BlockBuckets {
+    /// Buckets for blocks of columns of `dtypes`, the first `key_width`
+    /// of them the key, at re-partitioning `depth`.
+    pub(crate) fn new(dtypes: Vec<DataType>, key_width: usize, depth: usize) -> BlockBuckets {
+        BlockBuckets {
+            codec: SpillCodec::new(dtypes),
+            key_width,
+            depth,
+            files: (0..FANOUT).map(|_| None).collect(),
+        }
+    }
+
+    /// Split a block of `rows` lanes by bucket and append each part.
+    pub(crate) fn push(
+        &mut self,
+        ctx: &SpillCtx,
+        columns: &[Arc<ColumnVector>],
+        rows: usize,
+    ) -> Result<()> {
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); FANOUT];
+        let buckets = lane_buckets(&columns[..self.key_width], rows, self.depth);
+        for (lane, b) in buckets.into_iter().enumerate() {
+            members[b].push(lane as u32);
+        }
+        for (lanes, file) in members.iter().zip(&mut self.files) {
+            if lanes.is_empty() {
+                continue;
+            }
+            let part: Vec<Arc<ColumnVector>> = if lanes.len() == rows {
+                columns.to_vec()
+            } else {
+                columns.iter().map(|c| Arc::new(c.gather(lanes))).collect()
+            };
+            let file = match file {
+                Some(file) => file,
+                empty => empty.insert(ctx.pool.spill_file()?),
+            };
+            file.append(&self.codec.encode_vectors(&part, lanes.len()))?;
+        }
+        Ok(())
+    }
+
+    /// Seal the buckets, recording one spill per written file, and return
+    /// a reader per non-empty bucket.
+    pub(crate) fn finish(self, ctx: &SpillCtx) -> Result<Vec<SpilledBlocks>> {
+        (self.files.into_iter().flatten())
+            .map(|mut file| {
+                ctx.note_spill(file.bytes_written());
+                Ok(SpilledBlocks {
+                    blocks: file.blocks()?,
+                    _file: file,
+                    codec: self.codec.clone(),
+                })
+            })
+            .collect()
+    }
+}
+
+/// One bucket's blocks, in write order, as `(rows, columns)`. A read or
+/// decode that fails is an error item: the caller fails its task.
+pub(crate) struct SpilledBlocks {
+    /// Keeps the backing file alive (and deleted when reading finishes).
+    _file: SpillFile,
+    blocks: engine::memory::SpillBlockIter,
+    codec: SpillCodec,
+}
+
+impl Iterator for SpilledBlocks {
+    type Item = Result<(usize, Vec<ColumnVector>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(match self.blocks.next()? {
+            Ok(block) => self.codec.decode_vectors(&block),
+            Err(e) => Err(e.into()),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use catalyst::vectorized::RowBatch;
+
+    #[test]
+    fn one_reducers_groups_reach_every_bucket() {
+        // An 8-reducer exchange sends a reducer the groups whose hash is
+        // its index modulo 8; their buckets must not inherit that.
+        let keys: Vec<Value> = (0..20_000)
+            .map(|i| Value::str(format!("10.0.{i}")))
+            .collect();
+        let (mut groups, mut asg) = (BatchGroups::new(), Vec::new());
+        let batch = RowBatch::from_rows(
+            &[DataType::String],
+            &keys
+                .into_iter()
+                .map(|k| Row::new(vec![k]))
+                .collect::<Vec<_>>(),
+        );
+        groups.assign(&batch, &mut asg);
+        let mine: Vec<u32> = (groups.group_hashes().iter().enumerate())
+            .filter(|(_, h)| *h % 8 == 3)
+            .map(|(g, _)| g as u32)
+            .collect();
+        let column = Arc::new(groups.key_columns(&[DataType::String])[0].gather(&mine));
+        for depth in 0..3 {
+            let mut sizes = [0usize; FANOUT];
+            for b in lane_buckets(std::slice::from_ref(&column), mine.len(), depth) {
+                sizes[b] += 1;
+            }
+            let fair = mine.len() / FANOUT;
+            assert!(
+                sizes.iter().all(|&n| n > fair / 2 && n < fair * 2),
+                "depth {depth}: bucket sizes {sizes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_spilled_blocks_fail_their_task_without_a_panic() {
+        let columns = vec![
+            Arc::new(ColumnVector::from_values(
+                &DataType::Long,
+                (0..100).map(Value::Long).collect(),
+            )),
+            Arc::new(ColumnVector::from_values(
+                &DataType::String,
+                (0..100).map(|i| Value::str(format!("s{i}"))).collect(),
+            )),
+        ];
+        let dtypes = vec![DataType::Long, DataType::String];
+        let block = SpillCodec::new(dtypes.clone()).encode_vectors(&columns, 100);
+        let mut flipped = block.clone();
+        flipped[7] ^= 1; // the column count
+        let truncated = block[..block.len() / 2].to_vec();
+        let dir = std::env::temp_dir().join(format!("spill-corrupt-{}", std::process::id()));
+        let pool = MemoryPool::bounded(1 << 20, dir);
+        for (bad, sound) in [(block, true), (truncated, false), (flipped, false)] {
+            // Read the block back inside a task, as a reduce side does.
+            let (sc, dtypes, pool) = (engine::SparkContext::new(1), dtypes.clone(), pool.clone());
+            sc.set_chaos(None);
+            let rows = sc.parallelize(vec![bad], 1).map_partitions(move |it| {
+                let ctx = SpillCtx {
+                    pool: pool.clone(),
+                    node: None,
+                };
+                let read = |bad: Vec<u8>| -> Result<Vec<usize>> {
+                    let mut file = pool.spill_file()?;
+                    file.append(&bad)?;
+                    let mut buckets = BlockBuckets::new(dtypes.clone(), 1, 0);
+                    buckets.files[0] = Some(file);
+                    let blocks = buckets.finish(&ctx)?.into_iter().flatten();
+                    blocks.map(|b| b.map(|(rows, _)| rows)).collect()
+                };
+                crate::execution::task_iter(read(it.flatten().collect()))
+            });
+            match rows.try_collect() {
+                Ok(rows) => assert!(sound && rows == vec![100], "a corrupt block decoded"),
+                Err(e) => assert!(!sound, "a sound block failed: {e}"),
+            }
+            assert_eq!(sc.metrics().snapshot().task_panics, 0);
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.spill_files_created, 3);
+        assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
+    }
 }

@@ -372,82 +372,140 @@ fn distinct_aggregates_spill_and_match_unbounded() {
     );
 }
 
-/// The batch pipeline's reduce side under a budget its lane table
-/// outgrows: the denied table drains into the grace path with the blocks
-/// still unread, spills, and answers what the unbounded lane merge does
-/// — INT sums widened in the merge, MIN strings, AVG and NULL keys
-/// included.
+/// One query over `fact` with the batch GROUP BY under `budget` bytes
+/// (0 = unbounded): its rows as sorted debug strings (so f64 sums compare
+/// bit for bit), the pool's stats, and the extras of the aggregate node.
+fn batch_aggregate(
+    rows: &[Row],
+    schema: &SchemaRef,
+    sql: &str,
+    budget: u64,
+) -> (
+    Vec<String>,
+    Option<engine::MemoryStats>,
+    std::collections::BTreeMap<String, u64>,
+) {
+    let ctx = SQLContext::new_local(2);
+    // The aggregate's extras are asserted exactly: no retried task.
+    ctx.spark_context().set_chaos(None);
+    ctx.set_conf(|c| {
+        c.memory_budget_bytes = budget;
+        c.shuffle_partitions = 2;
+    });
+    let rdd = ctx.spark_context().parallelize(rows.to_vec(), 3);
+    ctx.dataframe_from_rdd("fact", schema.clone(), rdd)
+        .unwrap()
+        .register_temp_table("fact");
+    let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+    let mut out: Vec<String> = qe
+        .collect()
+        .unwrap()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    out.sort();
+    let metrics = qe.metrics();
+    let extras = (0..metrics.len())
+        .map(|id| metrics.node(id).extras())
+        .find(|extras| extras.contains_key("partial_groups"))
+        .expect("the batch pipeline did not run");
+    assert!(extras.contains_key("groups"), "{extras:?}");
+    (out, qe.memory_stats(), extras)
+}
+
+/// The batch pipeline's reduce side under budgets its lane table
+/// outgrows: the denied table and the blocks still unread spill as
+/// columns into buckets, each bucket merges one depth down (again when
+/// denied), and the answer is what the unbounded lane merge gives — two
+/// key columns with NULLs, non-dyadic DOUBLE sums bit for bit, INT sums
+/// widened in the merge, MIN/MAX strings, AVG and COUNT. A key no bucket
+/// can split, larger than the budget, recurses to the last depth and
+/// merges there unreserved.
 #[test]
 fn batch_aggregate_reduce_side_spills_and_matches_unbounded() {
-    let run = |budget: u64| {
-        let ctx = SQLContext::new_local(2);
-        ctx.set_conf(|c| {
-            c.memory_budget_bytes = budget;
-            c.shuffle_partitions = 2;
-        });
-        let schema = Arc::new(Schema::new(vec![
-            StructField::new("k", DataType::Long, true),
-            StructField::new("i", DataType::Int, true),
-            StructField::new("s", DataType::String, true),
-        ]));
-        let rows = (0..12_000i64)
-            .map(|n| {
-                Row::new(vec![
-                    if n % 101 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Long(n % 3000)
-                    },
-                    Value::Int(if n % 3000 < 5 { i32::MAX / 2 } else { n as i32 }),
-                    Value::str(format!("s{:05}", (n * 7919) % 12_000)),
-                ])
-            })
-            .collect();
-        let rdd = ctx.spark_context().parallelize(rows, 3);
-        ctx.dataframe_from_rdd("fact", schema, rdd)
-            .unwrap()
-            .register_temp_table("fact");
-        let df = ctx
-            .sql("SELECT k, count(*), sum(i), min(s), avg(i) FROM fact GROUP BY k")
-            .unwrap();
-        let qe = df.query_execution().unwrap();
-        let mut rows: Vec<String> = qe
-            .collect()
-            .unwrap()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        rows.sort();
-        let metrics = qe.metrics();
-        let blocks = (0..metrics.len()).any(|id| {
-            let extras = metrics.node(id).extras();
-            extras.contains_key("partial_groups") && extras.contains_key("groups")
-        });
-        assert!(blocks, "the batch pipeline did not run");
-        (rows, qe.memory_stats())
-    };
-    let (expect, none) = run(0);
+    let schema: SchemaRef = Arc::new(Schema::new(vec![
+        StructField::new("k", DataType::Long, true),
+        StructField::new("k2", DataType::String, true),
+        StructField::new("i", DataType::Int, true),
+        StructField::new("d", DataType::Double, true),
+        StructField::new("s", DataType::String, true),
+        StructField::new("h", DataType::String, true),
+    ]));
+    // Three map partitions of 4 000 rows, each holding every key once
+    // (NULL keys aside), so each group's DOUBLE partials are one per map
+    // task at every budget and their merge order alone decides the bits.
+    let hot = Value::str("h".repeat(40 << 10));
+    let rows: Vec<Row> = (0..12_000i64)
+        .map(|n| {
+            let key = n % 4000;
+            let null_key = key % 101 == 0;
+            Row::new(vec![
+                if null_key {
+                    Value::Null
+                } else {
+                    Value::Long(key)
+                },
+                if key % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("g{}", key % 7))
+                },
+                Value::Int(if key < 5 { i32::MAX / 2 } else { n as i32 }),
+                // Dyadic for the NULL key's many rows per partition.
+                Value::Double(if null_key {
+                    0.5
+                } else {
+                    n as f64 * 0.1 + 1.0 / 3.0
+                }),
+                Value::str(format!("s{:05}", (n * 7919) % 12_000)),
+                hot.clone(),
+            ])
+        })
+        .collect();
+    let sql = "SELECT k, k2, count(*), count(d), sum(i), sum(d), min(s), max(s), avg(i), \
+               avg(d) FROM fact GROUP BY k, k2";
+    let (expect, none, _) = batch_aggregate(&rows, &schema, sql, 0);
     assert!(none.is_none());
-    assert_eq!(expect.len(), 3001);
+    assert!(expect.len() > 3900, "{} groups", expect.len());
     assert!(
-        expect.iter().any(|r| r.contains("Long(4294967292)")),
+        expect.iter().any(|r| r.contains("Long(3221225469)")),
         "no INT sum widened: {:?}",
         &expect[..3]
     );
-    let (got, stats) = run(64 << 10);
-    assert_eq!(got, expect, "spilled lane merge diverged");
-    let stats = stats.expect("bounded run must expose pool stats");
-    assert!(stats.spill_count > 0, "the reduce side was never denied");
-    assert!(stats.spill_files_created > 0);
-    // The denied lane table stays reserved while the grace path drains it.
-    assert!(
-        stats.peak <= stats.budget,
-        "peak reservation {} exceeded the {}-byte budget",
-        stats.peak,
-        stats.budget
-    );
-    assert_eq!(
-        stats.spill_files_created, stats.spill_files_deleted,
-        "spill files leaked past query completion"
-    );
+    let check = |stats: Option<engine::MemoryStats>| {
+        let stats = stats.expect("bounded run must expose pool stats");
+        assert!(stats.spill_count > 0, "the reduce side was never denied");
+        assert!(
+            stats.peak <= stats.budget,
+            "peak reservation {} exceeded the {}-byte budget",
+            stats.peak,
+            stats.budget
+        );
+        assert_eq!(
+            stats.spill_files_created, stats.spill_files_deleted,
+            "spill files leaked past query completion"
+        );
+    };
+    let mut deepest = 0;
+    for budget in [64u64 << 10, 16 << 10] {
+        let (got, stats, extras) = batch_aggregate(&rows, &schema, sql, budget);
+        assert_eq!(got, expect, "spilled lane merge diverged at {budget} bytes");
+        check(stats);
+        // EXPLAIN ANALYZE shows the spills on the HashAggregate itself.
+        for extra in ["spill_count", "spill_bytes", "groups"] {
+            assert!(extras.get(extra).is_some_and(|&n| n > 0), "{extras:?}");
+        }
+        assert_eq!(extras["groups"], expect.len() as u64);
+        deepest = deepest.max(extras.get("spill_depth").copied().unwrap_or(0));
+    }
+    assert!(deepest >= 2, "no bucket was denied again (depth {deepest})");
+
+    let sql = "SELECT h, count(*), sum(d), min(s), max(i) FROM fact GROUP BY h";
+    let (expect, _, _) = batch_aggregate(&rows, &schema, sql, 0);
+    assert_eq!(expect.len(), 1);
+    let (got, stats, extras) = batch_aggregate(&rows, &schema, sql, 16 << 10);
+    assert_eq!(got, expect, "a hot key's spilled merge diverged");
+    check(stats);
+    // Six is the spill module's `MAX_DEPTH`.
+    assert_eq!(extras.get("spill_depth"), Some(&6), "{extras:?}");
 }

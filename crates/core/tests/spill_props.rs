@@ -91,6 +91,8 @@ struct GenQuery {
     /// baseline then runs in production.
     reference: bool,
     budget: u64,
+    /// Group by `(g, s)`, a Long and a String key, instead of `(g, k)`.
+    string_key: bool,
 }
 
 fn arb_query(rng: &mut StdRng) -> GenQuery {
@@ -125,6 +127,7 @@ fn arb_query(rng: &mut StdRng) -> GenQuery {
         sort,
         reference: rng.random_bool(0.25),
         budget,
+        string_key: rng.random_bool(0.5),
     }
 }
 
@@ -172,14 +175,27 @@ fn run(q: &GenQuery, reference: bool, budget: u64, chaos: Option<Arc<ChaosPlan>>
         None => fact,
     };
     if q.aggregate {
+        // A DOUBLE sum compares bit for bit, so its fold order must be the
+        // same at every budget. Over the bare fact table it is: a map
+        // partition holds fewer than 257 rows, so at most one row of each
+        // group, and partials merge in map order. A join repeats and
+        // reorders rows, so there the DOUBLE is dyadic and sums exactly.
+        let scale = if q.join.is_some() { 0.5 } else { 0.1 };
+        let second_key = if q.string_key { col("s") } else { col("k") };
         df = df
             // High-cardinality grouping (hundreds of groups) so the
             // aggregation hash table actually outgrows small budgets.
-            .group_by(vec![col("v").rem(lit(257i64)).alias("g"), col("k")])
+            .group_by(vec![col("v").rem(lit(257i64)).alias("g"), second_key])
             .agg(vec![
                 count_star().alias("n"),
+                count(col("s")).alias("cs"),
                 sum(col("v")).alias("sv"),
+                sum(col("v").mul(lit(scale))).alias("sd"),
+                // INT sums that widen to BIGINT once two rows meet.
+                sum(col("v").add(lit(2_147_482_000i64)).cast(DataType::Int)).alias("si"),
+                avg(col("v")).alias("av"),
                 min(col("s")).alias("ms"),
+                max(col("s")).alias("xs"),
             ])
             .expect("aggregate");
     }
@@ -380,6 +396,7 @@ fn external_sort_reproduces_in_memory_order_exactly() {
         sort: false, // ordered below, un-sorted comparison
         reference: true,
         budget: 4 << 10,
+        string_key: false,
     };
     let order = |budget: u64| {
         let ctx = SQLContext::new_local(2);

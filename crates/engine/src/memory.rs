@@ -280,8 +280,10 @@ impl SpillFile {
         if let Some(f) = self.file.take() {
             f.sync_all().ok();
         }
+        let file = File::open(&self.path)?;
         Ok(SpillBlockIter {
-            reader: BufReader::new(File::open(&self.path)?),
+            remaining: file.metadata()?.len(),
+            reader: BufReader::new(file),
         })
     }
 }
@@ -298,6 +300,9 @@ impl Drop for SpillFile {
 /// Streaming reader over a [`SpillFile`]'s blocks.
 pub struct SpillBlockIter {
     reader: BufReader<File>,
+    /// Bytes of the file not yet read: a block length beyond them is
+    /// corrupt, and is an error rather than an allocation of that size.
+    remaining: u64,
 }
 
 impl Iterator for SpillBlockIter {
@@ -310,7 +315,17 @@ impl Iterator for SpillBlockIter {
             Err(e) => return Some(Err(e)),
             Ok(()) => {}
         }
-        let mut block = vec![0u8; u64::from_le_bytes(len) as usize];
+        let len = u64::from_le_bytes(len);
+        self.remaining = self.remaining.saturating_sub(8);
+        if len > self.remaining {
+            let msg = format!("spill block of {len} bytes overruns the file");
+            return Some(Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                msg,
+            )));
+        }
+        self.remaining -= len;
+        let mut block = vec![0u8; len as usize];
         match self.reader.read_exact(&mut block) {
             Err(e) => Some(Err(e)),
             Ok(()) => Some(Ok(block)),
@@ -392,5 +407,25 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.spill_files_created, s.spill_files_deleted);
         std::fs::remove_dir_all(path).ok();
+    }
+
+    #[test]
+    fn a_block_length_past_the_end_of_its_file_is_an_error() {
+        use std::io::{Seek, SeekFrom};
+        let dir = std::env::temp_dir().join(format!("engine-mem-len-{}", std::process::id()));
+        let pool = MemoryPool::bounded(10, dir.clone());
+        let mut f = pool.spill_file().unwrap();
+        f.append(b"block").unwrap();
+        let mut raw = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&f.path)
+            .unwrap();
+        raw.seek(SeekFrom::Start(0)).unwrap();
+        raw.write_all(&(1u64 << 40).to_le_bytes()).unwrap();
+        let read: Vec<_> = f.blocks().unwrap().collect();
+        assert_eq!(read.len(), 1);
+        assert!(read[0].is_err());
+        drop(f);
+        std::fs::remove_dir_all(dir).ok();
     }
 }
