@@ -122,7 +122,10 @@ impl Acc {
                 xa.extend(yb);
                 Acc::Distinct(xa, f)
             }
-            _ => unreachable!("mismatched accumulators"),
+            (x, y) => {
+                let msg = format!("mismatched accumulators {x:?} and {y:?}");
+                return Err(CatalystError::Internal(msg));
+            }
         })
     }
 
@@ -185,28 +188,26 @@ impl Acc {
         Value::Array(Arc::new(items))
     }
 
-    /// Decode a spilled accumulator. Panics on malformed input — spill
-    /// files are written and read by the same process.
-    pub fn from_value(v: &Value) -> Acc {
+    /// Decode a spilled accumulator. A value that is not one is an
+    /// error.
+    pub fn from_value(v: &Value) -> Result<Acc> {
+        let corrupt = || CatalystError::Internal(format!("corrupt spilled accumulator {v:?}"));
         let Value::Array(items) = v else {
-            panic!("corrupt spilled accumulator")
+            return Err(corrupt());
         };
         let opt = |v: &Value| if v.is_null() { None } else { Some(v.clone()) };
-        match (items.first(), items.get(1)) {
-            (Some(Value::Long(0)), Some(Value::Long(n))) => Acc::Count(*n),
-            (Some(Value::Long(1)), Some(s)) => Acc::Sum(opt(s)),
-            (Some(Value::Long(2)), Some(m)) => Acc::Min(opt(m)),
-            (Some(Value::Long(3)), Some(m)) => Acc::Max(opt(m)),
-            (Some(Value::Long(4)), Some(s)) => match items.get(2) {
-                Some(Value::Long(n)) => Acc::Avg(opt(s), *n),
-                _ => panic!("corrupt spilled AVG accumulator"),
-            },
-            (Some(Value::Long(5)), Some(Value::Long(tag))) => Acc::Distinct(
-                items[2..].iter().cloned().collect(),
-                agg_func_from_tag(*tag),
-            ),
-            _ => panic!("corrupt spilled accumulator"),
-        }
+        Ok(match (items.first(), items.get(1), items.get(2)) {
+            (Some(Value::Long(0)), Some(Value::Long(n)), _) => Acc::Count(*n),
+            (Some(Value::Long(1)), Some(s), _) => Acc::Sum(opt(s)),
+            (Some(Value::Long(2)), Some(m), _) => Acc::Min(opt(m)),
+            (Some(Value::Long(3)), Some(m), _) => Acc::Max(opt(m)),
+            (Some(Value::Long(4)), Some(s), Some(Value::Long(n))) => Acc::Avg(opt(s), *n),
+            (Some(Value::Long(5)), Some(Value::Long(tag)), _) => {
+                let f = agg_func_from_tag(*tag).ok_or_else(corrupt)?;
+                Acc::Distinct(items[2..].iter().cloned().collect(), f)
+            }
+            _ => return Err(corrupt()),
+        })
     }
 
     /// Rough in-memory footprint, for reservation accounting.
@@ -232,15 +233,15 @@ fn agg_func_tag(f: AggFunc) -> i64 {
     }
 }
 
-fn agg_func_from_tag(t: i64) -> AggFunc {
-    match t {
+fn agg_func_from_tag(t: i64) -> Option<AggFunc> {
+    Some(match t {
         0 => AggFunc::Count,
         1 => AggFunc::Sum,
         2 => AggFunc::Min,
         3 => AggFunc::Max,
         4 => AggFunc::Avg,
-        _ => panic!("corrupt spilled aggregate function tag {t}"),
-    }
+        _ => return None,
+    })
 }
 
 fn merge_opt_add(a: Option<Value>, b: Option<Value>) -> Result<Option<Value>> {

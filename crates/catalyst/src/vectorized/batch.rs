@@ -199,7 +199,8 @@ impl ColumnVector {
                 }
                 VectorData::Str(lanes)
             }
-            _ => unreachable!("conformance check covers only typed dtypes"),
+            // Only an empty column of a type with no lanes conforms.
+            _ => return ColumnVector::from_boxed(dtype.clone(), values),
         };
         ColumnVector::new(dtype.clone(), data, any_null.then_some(nulls))
     }

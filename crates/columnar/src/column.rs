@@ -211,12 +211,12 @@ impl EncodedColumn {
         }
     }
 
-    /// Encode an execution [`ColumnVector`] as plain typed parts, lane
-    /// for lane, with no [`Value`] per lane: integer, float, boolean and
-    /// string lanes copy (booleans bit-pack), a null mask becomes the
-    /// null bitmap, and statistics stay at their defaults. Boxed lanes
-    /// take the spill codec's exact encoding.
-    /// [`decode_vector`](Self::decode_vector) gives the lanes back.
+    /// Encode an execution [`ColumnVector`] as plain parts, lane for
+    /// lane, with no [`Value`] per typed lane: integer, float, boolean
+    /// and string lanes copy (booleans bit-pack), a null mask becomes the
+    /// null bitmap, boxed lanes stay boxed, and statistics stay at their
+    /// defaults. [`decode_vector`](Self::decode_vector) gives the lanes
+    /// back exactly.
     pub fn from_vector(v: &ColumnVector) -> EncodedColumn {
         use catalyst::vectorized::VectorData;
         let len = v.len();
@@ -228,10 +228,7 @@ impl EncodedColumn {
                 len,
             },
             VectorData::Str(lanes) => ColumnData::Str(lanes.clone()),
-            VectorData::Values(_) => {
-                let values: Vec<Value> = (0..len).map(|i| v.get(i)).collect();
-                return crate::spill::encode_exact(v.dtype(), &values);
-            }
+            VectorData::Values(_) => ColumnData::Values((0..len).map(|i| v.get(i)).collect()),
         };
         let nulls = v.nulls().map(|mask| {
             let mut bits = Bitmap::new(len);

@@ -1,125 +1,59 @@
-//! Row ↔ bytes and column-vector ↔ bytes codec for operator spill
-//! files, built on the colfile column format ([`crate::serde`]).
+//! Column-vector ↔ bytes codec for operator spill files, built on the
+//! colfile column format ([`crate::serde`]).
 //!
-//! A spilled buffer is a sequence of *blocks*; each block is a batch of
-//! rows encoded column-wise with [`EncodedColumn`] — the same dictionary
-//! / RLE / bit-packing machinery the columnar cache uses, so spilled
-//! data compresses instead of serializing boxed values one by one.
+//! A spilled buffer is a sequence of *blocks*; each block is a row count,
+//! a column count and one column per layout type. Every lane vector is
+//! copied into a plain typed part ([`EncodedColumn::from_vector`]) and
+//! decoded straight back into lanes ([`EncodedColumn::decode_vector`]):
+//! no compression search and no statistics, which no spill reader looks
+//! at. Boxed lanes stay boxed.
 //!
-//! The one extra requirement spill files have over cache batches is
-//! **exact** round-trips: differential tests compare spilled runs
-//! byte-for-byte against in-memory runs, and execution rows sometimes
-//! hold values whose variant is narrower than the declared column type
-//! (`Value::Int` in a `Long` column), which the typed encodings would
-//! silently widen on decode. [`SpillCodec`] therefore checks each block's
-//! column for exact variant agreement with the declared type and falls
-//! back to the boxed [`ColumnData::Values`] payload (which round-trips
-//! any value losslessly) when they disagree.
-//!
-//! Blocks of execution column vectors ([`SpillCodec::encode_vectors`])
-//! skip the per-value step: typed lanes are already exact, so each lane
-//! vector is copied into a plain typed part
-//! ([`EncodedColumn::from_vector`]) and decoded straight back into lanes;
-//! only boxed lanes take the check above.
+//! Spill files need **exact** round-trips: differential tests compare
+//! spilled runs byte-for-byte against in-memory runs, and execution rows
+//! sometimes hold values whose variant is narrower than the declared
+//! column type (`Value::Int` in a `Long` column). Typed lanes are exact
+//! by construction, and [`ColumnVector::from_values`] boxes any column
+//! whose values disagree with its type, so the row adapters
+//! ([`SpillCodec::encode_block`], [`SpillCodec::decode_block`]) give back
+//! every value with its own variant.
 
-use crate::column::{ColumnData, EncodedColumn};
+use crate::column::EncodedColumn;
 use crate::serde;
-use crate::stats::ColumnStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use catalyst::error::Result;
 use catalyst::row::Row;
 use catalyst::types::DataType;
-use catalyst::value::Value;
-use catalyst::vectorized::ColumnVector;
+use catalyst::vectorized::{ColumnVector, RowBatch};
 use std::sync::Arc;
 
-/// Encodes and decodes blocks of rows with a fixed column layout.
+/// Encodes and decodes blocks of columns with a fixed column layout.
 #[derive(Clone, Debug)]
 pub struct SpillCodec {
     dtypes: Vec<DataType>,
 }
 
-/// Does this value decode back to exactly itself under `dtype`'s typed
-/// encoding? (Nulls always do, via the null bitmap.)
-fn variant_matches(dtype: &DataType, v: &Value) -> bool {
-    match (dtype, v) {
-        (_, Value::Null) => true,
-        (DataType::Int, Value::Int(_)) => true,
-        (DataType::Date, Value::Date(_)) => true,
-        (DataType::Long, Value::Long(_)) => true,
-        (DataType::Timestamp, Value::Timestamp(_)) => true,
-        (DataType::Float, Value::Float(_)) => true,
-        (DataType::Double, Value::Double(_)) => true,
-        (DataType::String, Value::Str(_)) => true,
-        (DataType::Boolean, Value::Boolean(_)) => true,
-        (DataType::Struct(fields), Value::Struct(items)) => {
-            fields.len() == items.len()
-                && fields
-                    .iter()
-                    .zip(items.iter())
-                    .all(|(f, item)| variant_matches(&f.dtype, item))
-        }
-        // Every other dtype already encodes as boxed `Values`.
-        (
-            DataType::Null
-            | DataType::Decimal(_, _)
-            | DataType::Binary
-            | DataType::Array(_)
-            | DataType::Map(_, _),
-            _,
-        ) => true,
-        _ => false,
-    }
-}
-
-/// Encode one column losslessly: typed when every value agrees with the
-/// declared type, boxed otherwise.
-pub(crate) fn encode_exact(dtype: &DataType, values: &[Value]) -> EncodedColumn {
-    if values.iter().all(|v| variant_matches(dtype, v)) {
-        EncodedColumn::encode(dtype, values)
-    } else {
-        let stats = ColumnStats {
-            row_count: values.len() as u64,
-            ..ColumnStats::default()
-        };
-        EncodedColumn::from_parts(
-            dtype.clone(),
-            None,
-            stats,
-            ColumnData::Values(values.to_vec()),
-            values.len(),
-        )
-    }
-}
-
 impl SpillCodec {
-    /// A codec for rows whose columns have the given types. Rows narrower
-    /// or wider than the layout are a caller bug and will corrupt blocks.
+    /// A codec for blocks whose columns have the given types. Blocks
+    /// narrower or wider than the layout are a caller bug and will
+    /// corrupt the file.
     pub fn new(dtypes: Vec<DataType>) -> SpillCodec {
         SpillCodec { dtypes }
     }
 
-    /// Column count of the layout.
-    pub fn width(&self) -> usize {
-        self.dtypes.len()
+    /// The layout's column types.
+    pub fn dtypes(&self) -> &[DataType] {
+        &self.dtypes
     }
 
-    /// Encode one block of rows.
+    /// Encode one block of rows: the rows as column vectors
+    /// ([`RowBatch::from_rows`]), then [`encode_vectors`](Self::encode_vectors).
     pub fn encode_block(&self, rows: &[Row]) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32(rows.len() as u32);
-        buf.put_u32(self.dtypes.len() as u32);
-        let mut values = Vec::with_capacity(rows.len());
-        for (i, dt) in self.dtypes.iter().enumerate() {
-            values.clear();
-            values.extend(rows.iter().map(|r| r.get(i).clone()));
-            serde::put_column(&mut buf, &encode_exact(dt, &values));
-        }
-        buf.freeze().as_slice().to_vec()
+        let batch = RowBatch::from_rows(&self.dtypes, rows);
+        self.encode_vectors(batch.columns(), rows.len())
     }
 
     /// Encode one block of column vectors, `rows` lanes each, lane for
-    /// lane ([`EncodedColumn::from_vector`]): no [`Value`] per typed lane.
+    /// lane ([`EncodedColumn::from_vector`]).
     pub fn encode_vectors(&self, columns: &[Arc<ColumnVector>], rows: usize) -> Vec<u8> {
         debug_assert_eq!(columns.len(), self.dtypes.len(), "block width");
         let mut buf = BytesMut::new();
@@ -138,7 +72,14 @@ impl SpillCodec {
     /// error.
     pub fn decode_vectors(&self, block: &[u8]) -> Result<(usize, Vec<ColumnVector>)> {
         let mut buf = Bytes::from(block);
-        let (nrows, ncols) = self.header(&mut buf)?;
+        let nrows = serde::checked(&mut buf, 4)?.get_u32() as usize;
+        let ncols = serde::checked(&mut buf, 4)?.get_u32() as usize;
+        if ncols != self.dtypes.len() {
+            return Err(serde::corrupt(format!(
+                "spill block has {ncols} columns, layout expects {}",
+                self.dtypes.len()
+            )));
+        }
         let mut columns = Vec::with_capacity(ncols);
         for dtype in &self.dtypes {
             let col = serde::get_column(&mut buf)?;
@@ -154,33 +95,11 @@ impl SpillCodec {
         Ok((nrows, columns))
     }
 
-    /// A block's row and column counts, checked against the layout.
-    fn header(&self, buf: &mut Bytes) -> Result<(usize, usize)> {
-        let nrows = serde::checked(buf, 4)?.get_u32() as usize;
-        let ncols = serde::checked(buf, 4)?.get_u32() as usize;
-        if ncols != self.dtypes.len() {
-            return Err(serde::corrupt(format!(
-                "spill block has {ncols} columns, layout expects {}",
-                self.dtypes.len()
-            )));
-        }
-        Ok((nrows, ncols))
-    }
-
     /// Decode one block back into rows.
     pub fn decode_block(&self, block: &[u8]) -> Result<Vec<Row>> {
-        let mut buf = Bytes::from(block);
-        let (nrows, ncols) = self.header(&mut buf)?;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let col = serde::get_column(&mut buf)?;
-            if col.len() != nrows {
-                return Err(serde::corrupt("spill block column length mismatch"));
-            }
-            columns.push(col.decode_all());
-        }
+        let (nrows, columns) = self.decode_vectors(block)?;
         Ok((0..nrows)
-            .map(|r| Row::new(columns.iter().map(|c| c[r].clone()).collect()))
+            .map(|r| Row::new(columns.iter().map(|c| c.get(r)).collect()))
             .collect())
     }
 }
@@ -188,6 +107,7 @@ impl SpillCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catalyst::value::Value;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -198,6 +118,13 @@ mod tests {
             DataType::Double,
             DataType::Array(Box::new(DataType::Long)),
         ])
+    }
+
+    /// Encode and decode `rows`, comparing Debug forms: `==` is
+    /// `Value::total_cmp`, which equates `Int(7)` with `Long(7)`.
+    fn assert_roundtrip_exact(c: &SpillCodec, rows: &[Row]) {
+        let back = c.decode_block(&c.encode_block(rows)).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{rows:?}"));
     }
 
     #[test]
@@ -217,29 +144,82 @@ mod tests {
                 Value::Array(Arc::new(vec![])),
             ]),
         ];
-        let c = codec();
-        let block = c.encode_block(&rows);
-        assert_eq!(c.decode_block(&block).unwrap(), rows);
+        assert_roundtrip_exact(&codec(), &rows);
+        let point = DataType::struct_type(vec![
+            catalyst::types::StructField::new("x", DataType::Int, true),
+            catalyst::types::StructField::new("tag", DataType::String, true),
+        ]);
+        let c = SpillCodec::new(vec![
+            DataType::Date,
+            DataType::Timestamp,
+            DataType::Float,
+            DataType::Boolean,
+            point,
+        ]);
+        let rows: Vec<Row> = (0..5)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Date(18_000 + i),
+                    Value::Timestamp(1_600_000_000_000_000 + i as i64),
+                    Value::Float(i as f32 + 0.25),
+                    Value::Boolean(i % 2 == 0),
+                    Value::Struct(Arc::new(vec![Value::Int(i), Value::str(format!("p{i}"))])),
+                ])
+            })
+            .chain([Row::new(vec![Value::Null; 5])])
+            .collect();
+        assert_roundtrip_exact(&c, &rows);
     }
 
     #[test]
     fn mismatched_variants_roundtrip_via_boxed_fallback() {
-        // An Int value in a Long column would widen under the typed
-        // encoding; the codec must bring it back exactly.
-        let c = SpillCodec::new(vec![DataType::Long, DataType::String]);
+        // An Int in a Long column, a Float in a Double column and a
+        // Boolean in a String column would each change variant in a
+        // typed lane; the codec must bring them back exactly.
+        let c = SpillCodec::new(vec![DataType::Long, DataType::String, DataType::Double]);
         let rows = vec![
-            Row::new(vec![Value::Int(7), Value::str("x")]),
-            Row::new(vec![Value::Long(8), Value::Boolean(true)]),
+            Row::new(vec![Value::Int(7), Value::str("x"), Value::Float(1.5)]),
+            Row::new(vec![
+                Value::Long(8),
+                Value::Boolean(true),
+                Value::Double(2.5),
+            ]),
+            Row::new(vec![Value::Null, Value::Null, Value::Null]),
         ];
-        let block = c.encode_block(&rows);
-        assert_eq!(c.decode_block(&block).unwrap(), rows);
+        assert_roundtrip_exact(&c, &rows);
     }
 
     #[test]
     fn empty_block_roundtrip() {
-        let c = codec();
-        let block = c.encode_block(&[]);
-        assert_eq!(c.decode_block(&block).unwrap(), Vec::<Row>::new());
+        assert_roundtrip_exact(&codec(), &[]);
+    }
+
+    #[test]
+    fn blocks_carry_no_statistics() {
+        // 256 distinct values per column: a statistics sketch would add
+        // a hash per value. A block is its payload plus a fixed header.
+        let c = SpillCodec::new(vec![DataType::Double, DataType::String]);
+        let rows: Vec<Row> = (0..256)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Double(i as f64 * 1.5),
+                    Value::str(format!("s{i}")),
+                ])
+            })
+            .collect();
+        let strings: usize = (0..256).map(|i| 4 + format!("s{i}").len()).sum();
+        let payload = 256 * 8 + strings;
+        // Row and column counts, then per column: type, length, null
+        // flag, two NULL bounds, two counts, the sketch's two counts and
+        // the payload's tag and length.
+        let header = 8 + 2 * (1 + 8 + 1 + 2 + 16 + 8 + 5);
+        let block = c.encode_block(&rows);
+        assert!(
+            block.len() <= payload + header,
+            "{} bytes for a {payload}-byte payload",
+            block.len()
+        );
+        assert_roundtrip_exact(&c, &rows);
     }
 
     /// A random vector of `kind` (0..=9): every `VectorData` storage,

@@ -261,7 +261,7 @@ pub(crate) fn execute_aggregate(
             task_iter(partial_agg_partition(it, &key_fns, &calls, &map_sctx))
         });
     let shuffled = exchange.hash(&partials, ctx);
-    let layout = spill::AggLayout::new(plan.key_dtypes.clone());
+    let layout = spill::agg_layout(plan.key_dtypes.clone());
     let merged = shuffled
         .map_partitions(move |it| task_iter(spill::merge_agg_partition(it, &layout, &sctx, 0)));
     Ok(try_map(&merged, move |(key, accs)| {
@@ -551,8 +551,8 @@ struct Reducer<'a> {
     /// An empty lane per call: what a merge starts from, and the
     /// template spilled lane states read back as.
     templates: Vec<AccLane>,
-    /// Spilled block columns: the key types, then the lanes' state types.
-    spill_dtypes: Vec<DataType>,
+    /// Spilled blocks: the key columns, then the lanes' state columns.
+    spill: spill::PairLayout,
     sctx: &'a SpillCtx,
     node: Option<&'a Arc<OperatorMetrics>>,
 }
@@ -566,13 +566,12 @@ impl<'a> Reducer<'a> {
     ) -> Reducer<'a> {
         let templates: Vec<AccLane> = specs.iter().map(new_lane).collect();
         let states = templates.iter().flat_map(AccLane::state_columns);
-        let spill_dtypes = (plan.key_dtypes.iter().cloned())
-            .chain(states.map(|c| c.dtype().clone()))
-            .collect();
+        let spill =
+            spill::PairLayout::new(plan.key_dtypes.clone(), states.map(|c| c.dtype().clone()));
         Reducer {
             plan,
             templates,
-            spill_dtypes,
+            spill,
             sctx,
             node,
         }
@@ -647,7 +646,7 @@ impl<'a> Reducer<'a> {
         out: &mut Vec<RowBatch>,
     ) -> Result<()> {
         let key_width = self.plan.key_dtypes.len();
-        let mut buckets = spill::BlockBuckets::new(self.spill_dtypes.clone(), key_width, depth);
+        let mut buckets = spill::BlockBuckets::new(self.spill.clone(), depth);
         buckets.push(self.sctx, &table.columns(), table.rows)?;
         drop((table, reservation));
         for block in blocks {
@@ -657,7 +656,7 @@ impl<'a> Reducer<'a> {
         if let Some(node) = self.node {
             node.max_extra("spill_depth", depth as u64 + 1);
         }
-        for bucket in buckets.finish(self.sctx)? {
+        for bucket in buckets.finish(self.sctx)?.into_iter().flatten() {
             let mut blocks = bucket.map(|read| {
                 let (rows, columns) = read?;
                 AggBlock::from_columns(rows, columns, key_width, &self.templates)

@@ -19,7 +19,7 @@ use crate::execution::{
     bind_all, engine_err, execute_node, lower_node, note_eager_ns, predicate, task_iter,
     try_flat_map, try_map, value_fn, ExecContext, Lowered, PredFn, ValueFn,
 };
-use crate::spill::{SideLayout, SpillBuckets, SpillCtx, MAX_DEPTH};
+use crate::spill::{self, BlockBuckets, PairLayout, SpillCtx, MAX_DEPTH};
 use catalyst::adaptive::{rules as adaptive_rules, AdaptivePlanChange, AdaptiveRule};
 use catalyst::error::Result;
 use catalyst::expr::Expr;
@@ -69,7 +69,7 @@ pub(crate) fn pair_bytes(k: &Option<Row>, row: &Row) -> u64 {
 
 /// One side's spill layout and column count.
 struct SideSpec {
-    layout: SideLayout,
+    layout: PairLayout,
     width: usize,
 }
 
@@ -204,10 +204,7 @@ impl<'a> JoinSite<'a> {
         let side = |s: &JoinSide| {
             let attrs = s.plan.output();
             let keys = (s.keys.iter()).map(|e| e.data_type().unwrap_or(DataType::String));
-            let layout = SideLayout::new(
-                keys.collect(),
-                attrs.iter().map(|c| c.dtype.clone()).collect(),
-            );
+            let layout = PairLayout::new(keys.collect(), attrs.iter().map(|c| c.dtype.clone()));
             SideSpec {
                 layout,
                 width: attrs.len(),
@@ -628,22 +625,22 @@ fn hash_join_partition(
     if let Some(first) = overflow {
         // Everything buffered so far, plus the rest of both streams,
         // re-partitions to disk.
-        let mut bbuckets = SpillBuckets::new(spec.side(build_left).layout.clone(), depth);
+        let mut bbuckets = BlockBuckets::new(spec.side(build_left).layout.clone(), depth);
         for (k, rows) in table.drain() {
             for (row, _) in rows {
-                bbuckets.push(ctx, &Some(k.clone()), &row)?;
+                bbuckets.push_pair(ctx, Some(k.clone()), row)?;
             }
         }
         for row in null_key_build.drain(..) {
-            bbuckets.push(ctx, &None, &row)?;
+            bbuckets.push_pair(ctx, None, row)?;
         }
         reservation.free();
         for (k, row) in std::iter::once(first).chain(bit) {
-            bbuckets.push(ctx, &k, &row)?;
+            bbuckets.push_pair(ctx, k, row)?;
         }
-        let mut pbuckets = SpillBuckets::new(spec.side(!build_left).layout.clone(), depth);
+        let mut pbuckets = BlockBuckets::new(spec.side(!build_left).layout.clone(), depth);
         for (k, row) in pit {
-            pbuckets.push(ctx, &k, &row)?;
+            pbuckets.push_pair(ctx, k, row)?;
         }
         let mut out = Vec::new();
         for (bsub, psub) in bbuckets.finish(ctx)?.into_iter().zip(pbuckets.finish(ctx)?) {
@@ -653,8 +650,8 @@ fn hash_join_partition(
                 (psub, bsub)
             };
             out.extend(hash_join_partition(
-                lsub,
-                rsub,
+                spill::keyed_pairs(lsub),
+                spill::keyed_pairs(rsub),
                 spec,
                 build_side,
                 ctx,

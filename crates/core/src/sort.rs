@@ -305,16 +305,13 @@ pub(crate) fn execute_sort(
         .iter()
         .map(|e| e.data_type().unwrap_or(DataType::String))
         .collect();
-    let layout = spill::SortLayout::new(
-        key_dtypes,
-        input.output().into_iter().map(|c| c.dtype),
-        keys.descending_mask,
-    );
+    let layout = spill::PairLayout::new(key_dtypes, input.output().into_iter().map(|c| c.dtype));
+    let mask = keys.descending_mask;
     let keyed = try_map(&child, move |row| Ok((keys.key(&row)?, row)));
     let partitioned = exchange.range_rows(&keyed, ctx)?;
     let sctx = ctx.spill_ctx(id);
     Ok(partitioned.map_partitions(move |it| {
-        Box::new(task_iter(spill::external_sort(it, &layout, &sctx)).map(|p| p.1))
+        Box::new(task_iter(spill::external_sort(it, &layout, mask, &sctx)).map(|p| p.1))
     }))
 }
 
@@ -456,13 +453,13 @@ impl BlockKeys {
                 let unread = std::iter::once(block)
                     .chain(blocks)
                     .flat_map(move |b| b.into_pairs(&keys));
-                let layout = spill::SortLayout::new(
+                let layout = spill::PairLayout::new(
                     self.key_dtypes.clone(),
                     self.dtypes[..self.width].iter().cloned(),
-                    self.descending_mask,
                 );
                 let pairs = Box::new(reserved.chain(unread));
-                return spill::external_sort(pairs, &layout, sctx).map(Sorted::Spilled);
+                let mask = self.descending_mask;
+                return spill::external_sort(pairs, &layout, mask, sctx).map(Sorted::Spilled);
             }
             held.push(block);
         }

@@ -10,30 +10,36 @@
 //!   buffer) at the end. Ties merge by run index, which reproduces the
 //!   stable in-memory sort exactly.
 //! * The hash join (`join.rs`) goes grace: both sides re-partition to
-//!   disk through `SpillBuckets` by a depth-salted key hash and each
-//!   sub-partition joins recursively.
-//! * The row kernel's [`merge_agg_partition`] spills its partial-aggregate
-//!   hash table the same way, re-partitioning `(key, accumulators)` pairs
-//!   and merging each bucket recursively.
-//! * The batch GROUP BY's reduce side (`aggregate.rs`) spills column
-//!   blocks through `BlockBuckets`: key columns and accumulator-state
-//!   columns, split by a depth-salted key hash, one encoded block per
-//!   part, and each bucket read back as blocks in write order.
+//!   disk through `BlockBuckets` and bucket *b* of one side joins
+//!   bucket *b* of the other, recursively.
+//! * The row kernel's `merge_agg_partition` re-partitions its
+//!   partial-aggregate hash table the same way, as `(key, accumulators)`
+//!   pairs, and merges each bucket recursively.
+//! * The batch GROUP BY's reduce side (`aggregate.rs`) pushes its lane
+//!   table and the blocks still unread, as key columns and
+//!   accumulator-state columns, into the same buckets.
 //!
-//! Rows and column blocks cross the disk boundary through [`SpillCodec`]
-//! — the colfile column codec with an exact-roundtrip guarantee (typed
-//! lanes as typed parts, boxed values boxed) — so spilled execution is
-//! byte-identical to in-memory execution. This module is the only one
-//! in the crate that opens spill files or encodes for them. Spill files delete
-//! themselves on drop. A failing task records its error in its slot
-//! (`engine::task`) and ends its stream, dropping the operator state
-//! that holds them, and the scheduler reports the error only after every
-//! sibling task has finished, so neither errors nor injected faults leak
-//! disk. A spill read that fails mid-stream does the same.
+//! Every spill has one shape, a `PairLayout`: key columns, then row
+//! columns. A sort spills `(SortKey, Row)` pairs, a join side `(key,
+//! row)` pairs (the NULL-key sentinel as all-NULL key columns, which a
+//! join key never has), the row GROUP BY `(key, [accumulators])` pairs
+//! and the batch GROUP BY its key and state columns. Pairs cross the disk
+//! boundary as column blocks through [`SpillCodec`] — typed lanes as
+//! typed parts, boxed values boxed — so spilled execution is
+//! byte-identical to in-memory execution. Buckets split by one
+//! depth-salted hash of the key lanes (`lane_buckets`), and every file,
+//! a bucket or a sorted run, reads back through `SpilledBlocks` in write
+//! order. This module is the only one in the crate that opens spill
+//! files or encodes for them. Spill files delete themselves on drop. A
+//! failing task records its error in its slot (`engine::task`) and ends
+//! its stream, dropping the operator state that holds them, and the
+//! scheduler reports the error only after every sibling task has
+//! finished, so neither errors nor injected faults leak disk. A spill
+//! read that fails mid-stream does the same.
 
 use crate::join::Keyed;
 use crate::sort::{KeyedRow, SortKey};
-use catalyst::error::Result;
+use catalyst::error::{CatalystError, Result};
 use catalyst::physical::metrics::OperatorMetrics;
 use catalyst::row::Row;
 use catalyst::types::DataType;
@@ -42,7 +48,6 @@ use catalyst::vectorized::{Acc, BatchGroups, ColumnVector};
 use columnar::SpillCodec;
 use engine::{task, BoxIter, MemoryPool, SpillFile};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Rows per encoded spill block.
@@ -74,64 +79,64 @@ impl SpillCtx {
     }
 }
 
-/// Depth-salted hash bucket for recursive re-partitioning. Using a
-/// different seed per depth breaks up collisions the previous round's
-/// partitioning created.
-fn bucket(key: &Row, depth: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    0x9E37_79B9_7F4A_7C15u64
-        .wrapping_mul(depth as u64 + 1)
-        .hash(&mut h);
-    key.hash(&mut h);
-    (h.finish() as usize) % FANOUT
-}
+// ---- the pair layout ----
 
-// ---- external sort ----
-
-/// Spill layout of a sort: a `(key, row)` pair crosses the disk boundary
-/// flattened to `key ++ row`, and only then — pairs that never spill are
-/// never flattened.
+/// The one spill layout: key columns, then row columns. A `(key, row)`
+/// pair crosses the disk boundary as one lane of each, and only then —
+/// pairs that never spill are never flattened.
 #[derive(Clone)]
-pub(crate) struct SortLayout {
+pub(crate) struct PairLayout {
     codec: SpillCodec,
     key_width: usize,
-    descending_mask: u64,
 }
 
-impl SortLayout {
-    /// Layout for keys and rows of the given column types, ordered per
-    /// `descending_mask` (see [`SortKey`]).
+impl PairLayout {
+    /// The layout of keys and rows of the given column types.
     pub(crate) fn new(
         mut key_dtypes: Vec<DataType>,
         row_dtypes: impl IntoIterator<Item = DataType>,
-        descending_mask: u64,
-    ) -> SortLayout {
+    ) -> PairLayout {
         let key_width = key_dtypes.len();
         key_dtypes.extend(row_dtypes);
-        SortLayout {
+        PairLayout {
             codec: SpillCodec::new(key_dtypes),
             key_width,
-            descending_mask,
         }
     }
 
-    fn encode_block(&self, pairs: impl Iterator<Item = KeyedRow>) -> Vec<u8> {
-        let flat: Vec<Row> = pairs
-            .map(|(key, row)| {
-                let mut values = key.into_values();
-                values.extend(row.into_values());
-                Row::new(values)
-            })
+    /// `pairs` as one block of columns, values moved; a `None` key is
+    /// all-NULL key columns.
+    fn block(
+        &self,
+        pairs: impl Iterator<Item = (Option<Row>, Row)>,
+    ) -> (Vec<Arc<ColumnVector>>, usize) {
+        let dtypes = self.codec.dtypes();
+        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); dtypes.len()];
+        let mut rows = 0;
+        for (key, row) in pairs {
+            let key = key.map_or_else(|| vec![Value::Null; self.key_width], Row::into_values);
+            let values = key.into_iter().chain(row.into_values());
+            (columns.iter_mut().zip(values)).for_each(|(column, v)| column.push(v));
+            rows += 1;
+        }
+        let columns = (columns.into_iter().zip(dtypes))
+            .map(|(values, dtype)| Arc::new(ColumnVector::from_values(dtype, values)))
             .collect();
-        self.codec.encode_block(&flat)
+        (columns, rows)
     }
 
-    fn decode_pair(&self, flat: Row) -> KeyedRow {
-        let mut values = flat.into_values();
-        let row = Row::new(values.split_off(self.key_width));
-        (SortKey::new(values, self.descending_mask), row)
+    /// The `(key, row)` pairs of a decoded block, in lane order.
+    fn pairs(&self, rows: usize, columns: Vec<ColumnVector>) -> impl Iterator<Item = (Row, Row)> {
+        let key_width = self.key_width;
+        (0..rows).map(move |r| {
+            let mut key: Vec<Value> = columns.iter().map(|c| c.get(r)).collect();
+            let row = Row::new(key.split_off(key_width));
+            (Row::new(key), row)
+        })
     }
 }
+
+// ---- external sort ----
 
 /// K-way merge over spilled runs plus the final in-memory run (always the
 /// highest run index). Equal keys pop lowest-run-first, which is arrival
@@ -174,28 +179,34 @@ impl Iterator for MergeIter {
 /// Sort `(key, row)` pairs by key under the pool's budget — the sort of
 /// every ORDER BY and every window partition. Pairs buffer in memory
 /// while the reservation grows; when it is denied, the buffer is sorted
-/// and spilled as one run, and all runs k-way merge at the end. A pool
-/// that never denies makes this exactly an in-memory stable sort.
+/// and spilled as one run of `layout` blocks, and all runs k-way merge
+/// at the end, their keys ordered by `descending_mask` (see [`SortKey`]).
+/// A pool that never denies makes this exactly an in-memory stable sort.
 pub(crate) fn external_sort(
     input: BoxIter<KeyedRow>,
-    layout: &SortLayout,
+    layout: &PairLayout,
+    descending_mask: u64,
     ctx: &SpillCtx,
 ) -> Result<BoxIter<KeyedRow>> {
     let mut reservation = ctx.pool.register();
-    let mut runs: Vec<SpillFile> = Vec::new();
+    let mut runs: Vec<SpilledBlocks> = Vec::new();
     let mut buf: Vec<KeyedRow> = Vec::new();
     for (key, row) in input {
         let bytes = key.approx_bytes() + row.approx_bytes();
         if !reservation.try_grow(bytes) && !buf.is_empty() {
             buf.sort_by(|a, b| a.0.cmp(&b.0));
             let mut file = ctx.pool.spill_file()?;
-            let mut pairs = buf.drain(..).peekable();
+            let pairs = buf
+                .drain(..)
+                .map(|(k, r)| (Some(Row::new(k.into_values())), r));
+            let mut pairs = pairs.peekable();
             while pairs.peek().is_some() {
-                file.append(&layout.encode_block(pairs.by_ref().take(BLOCK_ROWS)))?;
+                let (columns, rows) = layout.block(pairs.by_ref().take(BLOCK_ROWS));
+                file.append(&layout.codec.encode_vectors(&columns, rows))?;
             }
             drop(pairs);
             ctx.note_spill(file.bytes_written());
-            runs.push(file);
+            runs.push(SpilledBlocks::open(file, layout.clone())?);
             reservation.free();
             // Re-reserve for the row that overflowed; a single row larger
             // than the fair share proceeds unreserved (it must go somewhere).
@@ -204,16 +215,12 @@ pub(crate) fn external_sort(
         buf.push((key, row));
     }
     buf.sort_by(|a, b| a.0.cmp(&b.0));
-    let runs = runs
-        .into_iter()
-        .map(|file| {
-            let layout = layout.clone();
-            let mut run: BoxIter<KeyedRow> = Box::new(
-                BlockRows::open(file, layout.codec.clone())?.map(move |r| layout.decode_pair(r)),
-            );
-            Ok((run.next(), run))
+    let runs = (runs.into_iter())
+        .map(|run| {
+            let mut run = sorted_run(run, descending_mask);
+            (run.next(), run)
         })
-        .collect::<Result<_>>()?;
+        .collect();
     Ok(Box::new(MergeIter {
         runs,
         tail: buf.into_iter(),
@@ -222,184 +229,205 @@ pub(crate) fn external_sort(
     }))
 }
 
-// ---- grace hash join ----
-
-/// Spill layout of one join side: `[present flag] ++ key ++ row`, so a
-/// keyed pair — including the NULL-key sentinel outer joins rely on —
-/// round-trips through the colfile codec.
-#[derive(Clone)]
-pub struct SideLayout {
-    codec: SpillCodec,
-    key_width: usize,
+/// A spilled run's pairs, their keys ordered by `descending_mask`.
+fn sorted_run(run: SpilledBlocks, descending_mask: u64) -> BoxIter<KeyedRow> {
+    Box::new((run.pairs()).map(move |(k, r)| (SortKey::new(k.into_values(), descending_mask), r)))
 }
 
-impl SideLayout {
-    /// Layout for a side whose join keys and output columns have the
-    /// given types.
-    pub fn new(key_dtypes: Vec<DataType>, row_dtypes: Vec<DataType>) -> SideLayout {
-        let key_width = key_dtypes.len();
-        let mut dtypes = vec![DataType::Boolean];
-        dtypes.extend(key_dtypes);
-        dtypes.extend(row_dtypes);
-        SideLayout {
-            codec: SpillCodec::new(dtypes),
-            key_width,
-        }
-    }
+// ---- spill buckets ----
 
-    fn encode_pair(&self, key: &Option<Row>, row: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.codec.width());
-        match key {
-            Some(k) => {
-                values.push(Value::Boolean(true));
-                values.extend(k.values().iter().cloned());
-            }
-            None => {
-                values.push(Value::Boolean(false));
-                values.extend(std::iter::repeat_n(Value::Null, self.key_width));
-            }
-        }
-        values.extend(row.values().iter().cloned());
-        Row::new(values)
-    }
-
-    fn decode_pair(&self, flat: Row) -> (Option<Row>, Row) {
-        let mut values = flat.into_values();
-        let row = Row::new(values.split_off(1 + self.key_width));
-        let present = matches!(values[0], Value::Boolean(true));
-        let key = if present {
-            Some(Row::new(values.split_off(1)))
-        } else {
-            None
-        };
-        (key, row)
-    }
+/// The bucket, in `0..FANOUT`, of each of `rows` lanes of the key columns
+/// `keys` at re-partitioning `depth`. The per-lane key hash agrees with
+/// key equality ([`BatchGroups::key_hashes`]), so `Int 1` and `Long 1`
+/// share a bucket; a depth salt and a folded multiply remix it, and the
+/// bucket is taken from the top of the result, so it is independent of
+/// the `hash % reducers` that routed the lanes to this task and of the
+/// bucket one depth up.
+fn lane_buckets(keys: &[Arc<ColumnVector>], rows: usize, depth: usize) -> Vec<usize> {
+    let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
+    (BatchGroups::key_hashes(keys, rows).into_iter())
+        .map(|h| {
+            let wide = (h ^ salt) as u128 * 0xd6e8_feb8_6659_fd93u128;
+            let mixed = (wide >> 64) as u64 ^ wide as u64;
+            ((mixed as u128 * FANOUT as u128) >> 64) as usize
+        })
+        .collect()
 }
 
-/// One side's spill buckets: rows partitioned by depth-salted key hash
-/// (NULL keys to bucket 0 — they never match, but outer joins must still
-/// see them exactly once).
-pub(crate) struct SpillBuckets {
-    files: Vec<Option<SpillFile>>,
-    bufs: Vec<Vec<Row>>,
-    layout: SideLayout,
+/// One bucket: its file, once written, and the parts pushed since its
+/// last block.
+#[derive(Default)]
+struct Bucket {
+    file: Option<SpillFile>,
+    parts: Vec<Vec<Arc<ColumnVector>>>,
+    rows: usize,
+}
+
+/// The spill buckets of one re-partitioning depth, the one bucket writer.
+/// Every block pushed is split by key bucket ([`lane_buckets`],
+/// [`ColumnVector::gather`]); a bucket's parts wait until they hold
+/// [`BLOCK_ROWS`] lanes and are then appended to its file as one block, so
+/// each file holds its lanes in push order. Pairs pushed one at a time
+/// stage until they fill about a block per bucket.
+pub(crate) struct BlockBuckets {
+    layout: PairLayout,
     depth: usize,
+    staged: Vec<(Option<Row>, Row)>,
+    buckets: Vec<Bucket>,
 }
 
-impl SpillBuckets {
-    pub(crate) fn new(layout: SideLayout, depth: usize) -> SpillBuckets {
-        SpillBuckets {
-            files: (0..FANOUT).map(|_| None).collect(),
-            bufs: vec![Vec::new(); FANOUT],
+impl BlockBuckets {
+    /// Empty buckets of `layout` blocks at re-partitioning `depth`.
+    pub(crate) fn new(layout: PairLayout, depth: usize) -> BlockBuckets {
+        BlockBuckets {
             layout,
             depth,
+            staged: Vec::new(),
+            buckets: (0..FANOUT).map(|_| Bucket::default()).collect(),
         }
     }
 
-    pub(crate) fn push(&mut self, ctx: &SpillCtx, key: &Option<Row>, row: &Row) -> Result<()> {
-        let b = match key {
-            Some(k) => bucket(k, self.depth),
-            None => 0,
-        };
-        self.bufs[b].push(self.layout.encode_pair(key, row));
-        if self.bufs[b].len() >= BLOCK_ROWS {
-            self.flush(ctx, b)?;
+    /// Push one pair; a `None` key (a join's NULL key) is all-NULL key
+    /// columns, which share one bucket.
+    pub(crate) fn push_pair(&mut self, ctx: &SpillCtx, key: Option<Row>, row: Row) -> Result<()> {
+        self.staged.push((key, row));
+        if self.staged.len() < BLOCK_ROWS * FANOUT {
+            return Ok(());
+        }
+        self.push_staged(ctx)
+    }
+
+    fn push_staged(&mut self, ctx: &SpillCtx) -> Result<()> {
+        let (columns, rows) = self.layout.block(self.staged.drain(..));
+        self.push(ctx, &columns, rows)
+    }
+
+    /// Split a block of `rows` lanes by bucket and add each part to its
+    /// bucket, writing every bucket that fills.
+    pub(crate) fn push(
+        &mut self,
+        ctx: &SpillCtx,
+        columns: &[Arc<ColumnVector>],
+        rows: usize,
+    ) -> Result<()> {
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); FANOUT];
+        let buckets = lane_buckets(&columns[..self.layout.key_width], rows, self.depth);
+        for (lane, b) in buckets.into_iter().enumerate() {
+            members[b].push(lane as u32);
+        }
+        for (b, lanes) in members.iter().enumerate() {
+            if lanes.is_empty() {
+                continue;
+            }
+            let part = if lanes.len() == rows {
+                columns.to_vec()
+            } else {
+                columns.iter().map(|c| Arc::new(c.gather(lanes))).collect()
+            };
+            self.buckets[b].parts.push(part);
+            self.buckets[b].rows += lanes.len();
+            if self.buckets[b].rows >= BLOCK_ROWS {
+                self.write(ctx, b)?;
+            }
         }
         Ok(())
     }
 
-    fn flush(&mut self, ctx: &SpillCtx, b: usize) -> Result<()> {
-        if self.bufs[b].is_empty() {
+    /// Append bucket `b`'s waiting parts to its file as one block.
+    fn write(&mut self, ctx: &SpillCtx, b: usize) -> Result<()> {
+        let Bucket { file, parts, rows } = &mut self.buckets[b];
+        if *rows == 0 {
             return Ok(());
         }
-        let file = match &mut self.files[b] {
+        let dtypes = self.layout.codec.dtypes();
+        let columns: Vec<Arc<ColumnVector>> = match parts.len() {
+            1 => parts.pop().expect("one part"),
+            _ => (dtypes.iter().enumerate())
+                .map(|(j, dtype)| {
+                    let column: Vec<_> = parts.iter().map(|p| p[j].clone()).collect();
+                    Arc::new(ColumnVector::concat(dtype, &column))
+                })
+                .collect(),
+        };
+        let file = match file {
             Some(file) => file,
             empty => empty.insert(ctx.pool.spill_file()?),
         };
-        file.append(&self.layout.codec.encode_block(&self.bufs[b]))?;
-        self.bufs[b].clear();
+        file.append(&self.layout.codec.encode_vectors(&columns, *rows))?;
+        parts.clear();
+        *rows = 0;
         Ok(())
     }
 
-    /// Seal all buckets, recording one spill per written file, and return
-    /// per-bucket pair iterators (empty buckets yield empty iterators).
-    pub(crate) fn finish(mut self, ctx: &SpillCtx) -> Result<Vec<BoxIter<Keyed>>> {
+    /// Write what waits, seal the buckets, recording one spill per
+    /// written file, and return every bucket's reader by index: `None`
+    /// for a bucket that received nothing.
+    pub(crate) fn finish(mut self, ctx: &SpillCtx) -> Result<Vec<Option<SpilledBlocks>>> {
+        self.push_staged(ctx)?;
         for b in 0..FANOUT {
-            self.flush(ctx, b)?;
+            self.write(ctx, b)?;
         }
-        self.files
-            .into_iter()
-            .map(|file| -> Result<BoxIter<Keyed>> {
-                let Some(file) = file else {
-                    return Ok(Box::new(std::iter::empty()));
+        (self.buckets.into_iter())
+            .map(|bucket| {
+                let Some(file) = bucket.file else {
+                    return Ok(None);
                 };
                 ctx.note_spill(file.bytes_written());
-                let layout = self.layout.clone();
-                let rows = BlockRows::open(file, layout.codec.clone())?;
-                Ok(Box::new(rows.map(move |flat| layout.decode_pair(flat))))
+                SpilledBlocks::open(file, self.layout.clone()).map(Some)
             })
             .collect()
     }
 }
 
-/// Streaming row reader over a sealed spill file. A failed read or
-/// decode ends the stream and fails the task.
-struct BlockRows {
+/// The one spill reader: a sealed file's blocks, in write order, as
+/// `(rows, columns)`. A read or decode that fails is an error item.
+pub(crate) struct SpilledBlocks {
     /// Keeps the backing file alive (and deleted when reading finishes).
     _file: SpillFile,
     blocks: engine::memory::SpillBlockIter,
-    codec: SpillCodec,
-    buf: std::vec::IntoIter<Row>,
+    layout: PairLayout,
 }
 
-impl BlockRows {
-    fn open(mut file: SpillFile, codec: SpillCodec) -> Result<BlockRows> {
-        let blocks = file.blocks()?;
-        Ok(BlockRows {
+impl SpilledBlocks {
+    fn open(mut file: SpillFile, layout: PairLayout) -> Result<SpilledBlocks> {
+        Ok(SpilledBlocks {
+            blocks: file.blocks()?,
             _file: file,
-            blocks,
-            codec,
-            buf: Vec::new().into_iter(),
+            layout,
+        })
+    }
+
+    /// The file's `(key, row)` pairs, in write order. A failed read or
+    /// decode fails the task and ends the stream.
+    pub(crate) fn pairs(self) -> impl Iterator<Item = (Row, Row)> + Send {
+        let layout = self.layout.clone();
+        (self.map_while(task::ok)).flat_map(move |(rows, columns)| layout.pairs(rows, columns))
+    }
+}
+
+impl Iterator for SpilledBlocks {
+    type Item = Result<(usize, Vec<ColumnVector>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(match self.blocks.next()? {
+            Ok(block) => self.layout.codec.decode_vectors(&block),
+            Err(e) => Err(e.into()),
         })
     }
 }
 
-impl Iterator for BlockRows {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(row);
-            }
-            let block = task::ok(self.blocks.next()?)?;
-            self.buf = task::ok(self.codec.decode_block(&block))?.into_iter();
-        }
-    }
+/// A join side's bucket as keyed rows: all-NULL key columns are the
+/// NULL-key sentinel, since a join key has no NULL column.
+pub(crate) fn keyed_pairs(bucket: Option<SpilledBlocks>) -> BoxIter<Keyed> {
+    Box::new(
+        (bucket.into_iter().flat_map(SpilledBlocks::pairs)).map(|(key, row)| {
+            let sentinel = key.values().iter().all(Value::is_null);
+            ((!sentinel).then_some(key), row)
+        }),
+    )
 }
 
 // ---- spillable aggregation ----
-
-/// Spill layout for `(group key, accumulators)` pairs: the key columns
-/// plus one Array column holding the tagged accumulator encodings
-/// (`Acc::to_value`), stored through the same bucket writer the grace
-/// join uses.
-#[derive(Clone)]
-pub struct AggLayout {
-    side: SideLayout,
-}
-
-impl AggLayout {
-    /// Layout for group keys with the given column types.
-    pub fn new(key_dtypes: Vec<DataType>) -> AggLayout {
-        AggLayout {
-            side: SideLayout::new(
-                key_dtypes,
-                vec![DataType::Array(Box::new(DataType::String))],
-            ),
-        }
-    }
-}
 
 fn accs_row(accs: &[Acc]) -> Row {
     Row::new(vec![Value::Array(Arc::new(
@@ -407,11 +435,18 @@ fn accs_row(accs: &[Acc]) -> Row {
     ))])
 }
 
-fn accs_from_row(row: Row) -> Vec<Acc> {
-    match row.into_values().pop() {
-        Some(Value::Array(items)) => items.iter().map(Acc::from_value).collect(),
-        _ => panic!("corrupt aggregate spill entry"),
-    }
+/// A spilled bucket's `(key, accumulators)` entries. An entry that is
+/// not one fails the task and ends the stream.
+fn agg_entries(bucket: SpilledBlocks) -> BoxIter<(Row, Vec<Acc>)> {
+    Box::new((bucket.pairs()).map_while(|(key, row)| {
+        let accs = match row.into_values().pop() {
+            Some(Value::Array(items)) => items.iter().map(Acc::from_value).collect(),
+            other => Err(CatalystError::Internal(format!(
+                "corrupt aggregate spill entry {other:?}"
+            ))),
+        };
+        Some((key, task::ok(accs)?))
+    }))
 }
 
 /// Merge two partial-accumulator lists of the same calls, `a` first.
@@ -424,27 +459,34 @@ fn entry_bytes(key: &Row, accs: &[Acc]) -> u64 {
     key.approx_bytes() + 16 + accs.iter().map(Acc::approx_bytes).sum::<u64>()
 }
 
+/// The spill layout of `(group key, accumulators)` pairs for group keys
+/// of `key_dtypes`: the key columns, then one Array column of the tagged
+/// accumulator encodings ([`Acc::to_value`]).
+pub(crate) fn agg_layout(key_dtypes: Vec<DataType>) -> PairLayout {
+    PairLayout::new(key_dtypes, [DataType::Array(Box::new(DataType::String))])
+}
+
 /// Merge a stream of `(key, accumulators)` partials into one set of final
 /// accumulators per key, spilling the hash table under memory pressure:
-/// a denied grow dumps the table to disk partitioned by depth-salted key
-/// hash, and each bucket merges recursively. Output order is
+/// a denied grow dumps the table into [`BlockBuckets`] of `layout`
+/// ([`agg_layout`]), and each bucket merges recursively. Output order is
 /// unspecified (hash order), like the in-memory combine.
-pub fn merge_agg_partition(
+pub(crate) fn merge_agg_partition(
     input: BoxIter<(Row, Vec<Acc>)>,
-    layout: &AggLayout,
+    layout: &PairLayout,
     ctx: &SpillCtx,
     depth: usize,
 ) -> Result<Vec<(Row, Vec<Acc>)>> {
     let mut reservation = ctx.pool.register();
     let reserve = depth < MAX_DEPTH;
     let mut table: HashMap<Row, Vec<Acc>> = HashMap::new();
-    let mut buckets: Option<SpillBuckets> = None;
+    let mut buckets: Option<BlockBuckets> = None;
     for (key, accs) in input {
         let bytes = entry_bytes(&key, &accs);
         if reserve && !reservation.try_grow(bytes) && !table.is_empty() {
-            let dump = buckets.get_or_insert_with(|| SpillBuckets::new(layout.side.clone(), depth));
+            let dump = buckets.get_or_insert_with(|| BlockBuckets::new(layout.clone(), depth));
             for (k, a) in table.drain() {
-                dump.push(ctx, &Some(k), &accs_row(&a))?;
+                dump.push_pair(ctx, Some(k), accs_row(&a))?;
             }
             reservation.free();
             reservation.try_grow(bytes);
@@ -464,127 +506,19 @@ pub fn merge_agg_partition(
     };
     // Dump the final table too, then merge each bucket recursively.
     for (k, a) in table.drain() {
-        dump.push(ctx, &Some(k), &accs_row(&a))?;
+        dump.push_pair(ctx, Some(k), accs_row(&a))?;
     }
     reservation.free();
     let mut out = Vec::new();
-    for sub in dump.finish(ctx)? {
-        let decoded: BoxIter<(Row, Vec<Acc>)> = Box::new(sub.map(move |(k, acc_row)| {
-            (
-                k.expect("aggregate spill entry lost its key"),
-                accs_from_row(acc_row),
-            )
-        }));
-        out.extend(merge_agg_partition(decoded, layout, ctx, depth + 1)?);
+    for bucket in dump.finish(ctx)?.into_iter().flatten() {
+        out.extend(merge_agg_partition(
+            agg_entries(bucket),
+            layout,
+            ctx,
+            depth + 1,
+        )?);
     }
     Ok(out)
-}
-
-// ---- spillable batch aggregation ----
-
-/// The bucket, in `0..FANOUT`, of each of `rows` lanes of the key columns
-/// `keys` at re-partitioning `depth`. The per-lane key hash agrees with
-/// key equality ([`BatchGroups::key_hashes`]); a depth salt and a folded
-/// multiply remix it, and the bucket is taken from the top of the
-/// result, so it is independent of the `hash % reducers` that routed the
-/// lanes to this reducer and of the bucket one depth up.
-fn lane_buckets(keys: &[Arc<ColumnVector>], rows: usize, depth: usize) -> Vec<usize> {
-    let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
-    (BatchGroups::key_hashes(keys, rows).into_iter())
-        .map(|h| {
-            let wide = (h ^ salt) as u128 * 0xd6e8_feb8_6659_fd93u128;
-            let mixed = (wide >> 64) as u64 ^ wide as u64;
-            ((mixed as u128 * FANOUT as u128) >> 64) as usize
-        })
-        .collect()
-}
-
-/// A reduce side's spill buckets for column blocks: every block pushed
-/// is split by key bucket ([`ColumnVector::gather`]), and each non-empty
-/// part is appended to its bucket's file as one encoded block.
-pub(crate) struct BlockBuckets {
-    codec: SpillCodec,
-    key_width: usize,
-    depth: usize,
-    files: Vec<Option<SpillFile>>,
-}
-
-impl BlockBuckets {
-    /// Buckets for blocks of columns of `dtypes`, the first `key_width`
-    /// of them the key, at re-partitioning `depth`.
-    pub(crate) fn new(dtypes: Vec<DataType>, key_width: usize, depth: usize) -> BlockBuckets {
-        BlockBuckets {
-            codec: SpillCodec::new(dtypes),
-            key_width,
-            depth,
-            files: (0..FANOUT).map(|_| None).collect(),
-        }
-    }
-
-    /// Split a block of `rows` lanes by bucket and append each part.
-    pub(crate) fn push(
-        &mut self,
-        ctx: &SpillCtx,
-        columns: &[Arc<ColumnVector>],
-        rows: usize,
-    ) -> Result<()> {
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); FANOUT];
-        let buckets = lane_buckets(&columns[..self.key_width], rows, self.depth);
-        for (lane, b) in buckets.into_iter().enumerate() {
-            members[b].push(lane as u32);
-        }
-        for (lanes, file) in members.iter().zip(&mut self.files) {
-            if lanes.is_empty() {
-                continue;
-            }
-            let part: Vec<Arc<ColumnVector>> = if lanes.len() == rows {
-                columns.to_vec()
-            } else {
-                columns.iter().map(|c| Arc::new(c.gather(lanes))).collect()
-            };
-            let file = match file {
-                Some(file) => file,
-                empty => empty.insert(ctx.pool.spill_file()?),
-            };
-            file.append(&self.codec.encode_vectors(&part, lanes.len()))?;
-        }
-        Ok(())
-    }
-
-    /// Seal the buckets, recording one spill per written file, and return
-    /// a reader per non-empty bucket.
-    pub(crate) fn finish(self, ctx: &SpillCtx) -> Result<Vec<SpilledBlocks>> {
-        (self.files.into_iter().flatten())
-            .map(|mut file| {
-                ctx.note_spill(file.bytes_written());
-                Ok(SpilledBlocks {
-                    blocks: file.blocks()?,
-                    _file: file,
-                    codec: self.codec.clone(),
-                })
-            })
-            .collect()
-    }
-}
-
-/// One bucket's blocks, in write order, as `(rows, columns)`. A read or
-/// decode that fails is an error item: the caller fails its task.
-pub(crate) struct SpilledBlocks {
-    /// Keeps the backing file alive (and deleted when reading finishes).
-    _file: SpillFile,
-    blocks: engine::memory::SpillBlockIter,
-    codec: SpillCodec,
-}
-
-impl Iterator for SpilledBlocks {
-    type Item = Result<(usize, Vec<ColumnVector>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(match self.blocks.next()? {
-            Ok(block) => self.codec.decode_vectors(&block),
-            Err(e) => Err(e.into()),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -627,51 +561,171 @@ mod tests {
     }
 
     #[test]
+    fn equal_keys_of_different_types_share_a_bucket() {
+        let ints: Vec<Value> = (0..2000).map(Value::Int).collect();
+        let longs: Vec<Value> = (0..2000).map(|i| Value::Long(i as i64)).collect();
+        let mixed: Vec<Value> = (0..2000)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Value::Int(i)
+                } else {
+                    Value::Long(i as i64)
+                }
+            })
+            .collect();
+        let buckets = |dtype: DataType, values: Vec<Value>| {
+            let column = Arc::new(ColumnVector::from_values(&dtype, values));
+            (0..3)
+                .map(|depth| lane_buckets(std::slice::from_ref(&column), 2000, depth))
+                .collect::<Vec<_>>()
+        };
+        let by_int = buckets(DataType::Int, ints);
+        assert_eq!(
+            by_int,
+            buckets(DataType::Long, longs),
+            "typed Int and Long lanes"
+        );
+        assert_eq!(
+            by_int,
+            buckets(DataType::Long, mixed),
+            "boxed Int-in-Long lanes"
+        );
+    }
+
+    /// `n` pairs of a BIGINT key and a string row.
+    fn pairs(n: i64) -> impl Iterator<Item = (Option<Row>, Row)> {
+        (0..n).map(|i| {
+            let row = Row::new(vec![Value::str(format!("s{i}"))]);
+            (Some(Row::new(vec![Value::Long(i)])), row)
+        })
+    }
+
+    fn long_string() -> PairLayout {
+        PairLayout::new(vec![DataType::Long], [DataType::String])
+    }
+
+    #[test]
+    fn grace_buckets_write_whole_blocks_by_index() {
+        let dir = std::env::temp_dir().join(format!("spill-blocks-{}", std::process::id()));
+        let ctx = SpillCtx {
+            pool: MemoryPool::bounded(1 << 20, dir),
+            node: None,
+        };
+        let mut buckets = BlockBuckets::new(long_string(), 0);
+        for (key, row) in pairs(20_000) {
+            buckets.push_pair(&ctx, key, row).unwrap();
+        }
+        let readers = buckets.finish(&ctx).unwrap();
+        assert_eq!(readers.len(), FANOUT, "one reader slot per bucket");
+        let mut total = 0;
+        for (b, reader) in readers.into_iter().enumerate() {
+            let blocks: Vec<usize> = reader.unwrap().map(|r| r.unwrap().0).collect();
+            // Every block but a bucket's last is at least a block's worth.
+            let (last, whole) = blocks.split_last().unwrap();
+            assert!(
+                whole.iter().all(|&n| n >= BLOCK_ROWS),
+                "bucket {b}: {blocks:?}"
+            );
+            total += whole.iter().sum::<usize>() + last;
+        }
+        assert_eq!(total, 20_000);
+        let stats = ctx.pool.stats();
+        assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
+    }
+
+    /// How an operator reads one spill file back: `Ok(rows)` when it read
+    /// the file whole, an error — returned, or recorded in the task's
+    /// slot — when not.
+    type Reader = fn(SpilledBlocks, &SpillCtx) -> Result<usize>;
+
+    /// A spill file's bytes, and whether they are sound.
+    type Case = (Vec<u8>, bool);
+
+    #[test]
     fn corrupt_spilled_blocks_fail_their_task_without_a_panic() {
-        let columns = vec![
-            Arc::new(ColumnVector::from_values(
-                &DataType::Long,
-                (0..100).map(Value::Long).collect(),
-            )),
-            Arc::new(ColumnVector::from_values(
-                &DataType::String,
-                (0..100).map(|i| Value::str(format!("s{i}"))).collect(),
-            )),
+        let encode = |layout: &PairLayout, pairs: Box<dyn Iterator<Item = _>>| {
+            let (columns, rows) = layout.block(pairs);
+            layout.codec.encode_vectors(&columns, rows)
+        };
+        let block = encode(&long_string(), Box::new(pairs(100)));
+        let agg = agg_layout(vec![DataType::Long]);
+        let accs = (0..100).map(|i| {
+            (
+                Some(Row::new(vec![Value::Long(i)])),
+                accs_row(&[Acc::Count(i)]),
+            )
+        });
+        let damaged = |block: Vec<u8>| {
+            let mut flipped = block.clone();
+            flipped[7] ^= 1; // the column count
+            let truncated = block[..block.len() / 2].to_vec();
+            vec![(block, true), (truncated, false), (flipped, false)]
+        };
+        let mut agg_cases = damaged(encode(&agg, Box::new(accs)));
+        // Blocks that decode, but whose accumulator column holds strings,
+        // or a COUNT and a SUM partial for one key.
+        agg_cases.push((encode(&agg, Box::new(pairs(100))), false));
+        let clash = [Acc::Count(1), Acc::Sum(None)]
+            .map(|acc| (Some(Row::new(vec![Value::Long(0)])), accs_row(&[acc])));
+        agg_cases.push((encode(&agg, Box::new(clash.into_iter())), false));
+        let readers: [(&str, PairLayout, Vec<Case>, Reader); 4] = [
+            (
+                "batch GROUP BY bucket",
+                long_string(),
+                damaged(block.clone()),
+                |bucket, _| bucket.map(|read| read.map(|(rows, _)| rows)).sum(),
+            ),
+            (
+                "external-sort run",
+                long_string(),
+                damaged(block.clone()),
+                |run, _| Ok(sorted_run(run, 0).count()),
+            ),
+            (
+                "grace-join bucket",
+                long_string(),
+                damaged(block),
+                |bucket, _| Ok(keyed_pairs(Some(bucket)).count()),
+            ),
+            ("row GROUP BY bucket", agg, agg_cases, |bucket, ctx| {
+                let layout = agg_layout(vec![DataType::Long]);
+                Ok(merge_agg_partition(agg_entries(bucket), &layout, ctx, 1)?.len())
+            }),
         ];
-        let dtypes = vec![DataType::Long, DataType::String];
-        let block = SpillCodec::new(dtypes.clone()).encode_vectors(&columns, 100);
-        let mut flipped = block.clone();
-        flipped[7] ^= 1; // the column count
-        let truncated = block[..block.len() / 2].to_vec();
         let dir = std::env::temp_dir().join(format!("spill-corrupt-{}", std::process::id()));
         let pool = MemoryPool::bounded(1 << 20, dir);
-        for (bad, sound) in [(block, true), (truncated, false), (flipped, false)] {
-            // Read the block back inside a task, as a reduce side does.
-            let (sc, dtypes, pool) = (engine::SparkContext::new(1), dtypes.clone(), pool.clone());
-            sc.set_chaos(None);
-            let rows = sc.parallelize(vec![bad], 1).map_partitions(move |it| {
-                let ctx = SpillCtx {
-                    pool: pool.clone(),
-                    node: None,
-                };
-                let read = |bad: Vec<u8>| -> Result<Vec<usize>> {
-                    let mut file = pool.spill_file()?;
-                    file.append(&bad)?;
-                    let mut buckets = BlockBuckets::new(dtypes.clone(), 1, 0);
-                    buckets.files[0] = Some(file);
-                    let blocks = buckets.finish(&ctx)?.into_iter().flatten();
-                    blocks.map(|b| b.map(|(rows, _)| rows)).collect()
-                };
-                crate::execution::task_iter(read(it.flatten().collect()))
-            });
-            match rows.try_collect() {
-                Ok(rows) => assert!(sound && rows == vec![100], "a corrupt block decoded"),
-                Err(e) => assert!(!sound, "a sound block failed: {e}"),
+        let mut files = 0;
+        for (what, layout, cases, read) in readers {
+            for (bytes, sound) in cases {
+                // Read the file back inside a task, as the operator does.
+                files += 1;
+                let (sc, layout, pool) =
+                    (engine::SparkContext::new(1), layout.clone(), pool.clone());
+                sc.set_chaos(None);
+                let rows = sc.parallelize(vec![bytes], 1).map_partitions(move |it| {
+                    let ctx = SpillCtx {
+                        pool: pool.clone(),
+                        node: None,
+                    };
+                    let run = |bytes: Vec<u8>| -> Result<Vec<usize>> {
+                        let mut file = pool.spill_file()?;
+                        file.append(&bytes)?;
+                        Ok(vec![read(
+                            SpilledBlocks::open(file, layout.clone())?,
+                            &ctx,
+                        )?])
+                    };
+                    crate::execution::task_iter(run(it.flatten().collect()))
+                });
+                match rows.try_collect() {
+                    Ok(rows) => assert!(sound && rows == vec![100], "{what}: a corrupt file read"),
+                    Err(e) => assert!(!sound, "{what}: a sound file failed: {e}"),
+                }
+                assert_eq!(sc.metrics().snapshot().task_panics, 0, "{what}");
             }
-            assert_eq!(sc.metrics().snapshot().task_panics, 0);
         }
         let stats = pool.stats();
-        assert_eq!(stats.spill_files_created, 3);
+        assert_eq!(stats.spill_files_created, files);
         assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
     }
 }

@@ -468,12 +468,12 @@ pub(crate) fn execute_window(
         .chain(okey_exprs.iter())
         .map(|e| e.data_type().unwrap_or(DataType::String))
         .collect();
-    let layout = spill::SortLayout::new(key_dtypes, input_attrs.into_iter().map(|c| c.dtype), mask);
+    let layout = spill::PairLayout::new(key_dtypes, input_attrs.into_iter().map(|c| c.dtype));
     let sctx = ctx.spill_ctx(id);
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
 
     Ok(partitioned.map_partitions(move |it| {
-        let Some(sorted) = task::ok(spill::external_sort(it, &layout, &sctx)) else {
+        let Some(sorted) = task::ok(spill::external_sort(it, &layout, mask, &sctx)) else {
             return Box::new(std::iter::empty());
         };
         Box::new(WindowPartitionIter {

@@ -201,6 +201,80 @@ fn a_budgeted_join_builds_the_planned_side() {
     assert!(stats.peak <= stats.budget);
 }
 
+/// An INT = BIGINT equi-join forced into grace (a 16 KiB budget, two
+/// inputs far over it) equals the unbounded run and the reference: the
+/// spill buckets hash key lanes, and equal keys of different variants
+/// (typed `Long` lanes, boxed `Int`s) must still meet in one bucket.
+/// NULL keys and unmatched keys on both sides ride along through a FULL
+/// OUTER join.
+#[test]
+fn int_bigint_grace_join_matches_unbounded_and_reference() {
+    let run = |budget: u64, reference: bool| {
+        let ctx = SQLContext::new_local(2);
+        ctx.set_conf(|c| {
+            c.memory_budget_bytes = budget;
+            c.reference = reference;
+            c.broadcast_threshold = 0;
+            c.shuffle_partitions = 4;
+        });
+        let side = |name: &str, dtype: DataType, key: fn(i64) -> Value| {
+            let schema = Arc::new(Schema::new(vec![
+                StructField::new(format!("{name}k"), dtype, true),
+                StructField::new(format!("{name}p"), DataType::String, true),
+            ]));
+            let rows = (0..3000i64)
+                .map(|i| {
+                    let k = if i % 13 == 0 { Value::Null } else { key(i) };
+                    Row::new(vec![k, Value::str(format!("{name}-{i}"))])
+                })
+                .collect();
+            let rdd = ctx.spark_context().parallelize(rows, 3);
+            let df = ctx.dataframe_from_rdd(name, schema, rdd).unwrap();
+            df.register_temp_table(name);
+        };
+        side("a", DataType::Int, |i| Value::Int((i % 500) as i32));
+        // A BIGINT column whose odd rows hold INT values, as execution
+        // rows may: its key lanes are boxed, the cast INT side's typed.
+        side("b", DataType::Long, |i| match i % 2 {
+            0 => Value::Long(i % 700),
+            _ => Value::Int((i % 700) as i32),
+        });
+        let df = ctx
+            .sql("SELECT ak, ap, bk, bp FROM a FULL OUTER JOIN b ON ak = bk")
+            .unwrap();
+        let qe = df.query_execution().unwrap();
+        let mut rows: Vec<String> = qe
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        let join_spills: u64 = (ctx
+            .query_log()
+            .last()
+            .expect("the query was logged")
+            .operators)
+            .iter()
+            .filter(|op| op.operator.contains("Join"))
+            .flat_map(|op| op.extras.iter())
+            .filter(|(k, _)| k == "spill_count")
+            .map(|(_, v)| *v)
+            .sum();
+        (rows, join_spills, qe.memory_stats())
+    };
+    let (expect, _, none) = run(0, true);
+    assert!(none.is_none());
+    assert!(expect.len() > 10_000, "{} rows", expect.len());
+    let (unbounded, _, _) = run(0, false);
+    assert_eq!(unbounded, expect, "the unbounded join diverged");
+    let (got, join_spills, stats) = run(16 << 10, false);
+    assert_eq!(got, expect, "the grace join diverged");
+    assert!(join_spills > 0, "the join never went grace");
+    let stats = stats.expect("bounded run must expose pool stats");
+    assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
+}
+
 #[test]
 fn set_statement_controls_memory_confs_end_to_end() {
     let ctx = SQLContext::new_local(2);
