@@ -17,17 +17,22 @@
 //!    would. `Sort` gathers the permutation into batches of
 //!    `vectorize_batch_size`; `Window` walks it.
 //!
-//! `(key, row)` pairs ([`KeyedRow`]) exist in two places only: the
-//! reference configuration's row path (key → range shuffle →
-//! [`spill::external_sort`]), and the block pipeline's spill fallback.
-//! A reducer reserves its blocks as they arrive; on the first denial it
-//! hands them, still reserved until read, and the blocks not yet read to
-//! [`spill::external_sort`] as pairs — the one external sort.
+//! 4. *Sorted lane runs.* A reducer reserves its blocks as they arrive.
+//!    A denial with blocks held sorts them by the same permutation and
+//!    writes them as one sorted run of column blocks
+//!    ([`spill::write_lane_run`]), as it does a block past the fair
+//!    share on its own; the lanes held at the end are the last run, and [`RunMerge`] merges the runs by [`lane_order`], ties
+//!    to the lower run, which is the unbounded stable sort. `Sort` keeps
+//!    the merged batches' input columns; `Window` evaluates the window
+//!    partitions they finish.
+//!
+//! `(key, row)` pairs ([`KeyedRow`]) belong to the reference
+//! configuration's row path alone (key → range shuffle →
+//! [`spill::external_sort`]) and to the row `TakeOrdered`.
 
 use crate::exchange::{Exchange, Route};
 use crate::execution::{
     bind_all, engine_err, execute_node, lower_node, note_eager_ns, task_iter, try_map, ExecContext,
-    IterChunks,
 };
 use crate::spill::{self, SpillCtx};
 use catalyst::error::Result;
@@ -166,6 +171,14 @@ impl<'a> KeyLanes<'a> {
             lanes,
             nulls: column.nulls(),
         }
+    }
+
+    /// Views of columns `key_cols` of `columns`, in that order.
+    pub(crate) fn of(columns: &'a [Arc<ColumnVector>], key_cols: &[usize]) -> Vec<KeyLanes<'a>> {
+        key_cols
+            .iter()
+            .map(|&c| KeyLanes::new(&columns[c]))
+            .collect()
     }
 
     /// Views of every column in `columns`.
@@ -315,6 +328,32 @@ pub(crate) fn execute_sort(
     }))
 }
 
+/// Lower a `TakeOrdered` operator: per-partition top-`n`, then a
+/// driver-side merge.
+pub(crate) fn execute_take_ordered(
+    input: &Arc<PhysicalPlan>,
+    orders: &[SortOrder],
+    n: usize,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<Row>> {
+    let child = execute_node(input, id + 1, ctx)?;
+    let eager_start = Instant::now();
+    let keys = KeyEval::bind(orders, &input.output())?;
+    let tops = child
+        .run_job(move |_, it| top_n(it, n, &keys))
+        .map_err(engine_err)?
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    let mut all: Vec<KeyedRow> = tops.into_iter().flatten().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    all.truncate(n);
+    note_eager_ns(ctx, id, eager_start);
+    Ok(ctx
+        .sc
+        .parallelize(all.into_iter().map(|(_, r)| r).collect(), 1))
+}
+
 // ---- block pipeline ----
 
 /// How a block pipeline's sort keys sit among its columns: a block holds
@@ -430,65 +469,105 @@ impl BlockKeys {
             .collect())
     }
 
-    /// Sort one reducer's blocks (in map-id order). The blocks are
-    /// reserved as they arrive; a denied reservation hands them, as
-    /// pairs, with the blocks not yet read to [`spill::external_sort`].
-    pub(crate) fn sort(
-        self: &Arc<Self>,
-        mut blocks: BoxIter<SortBlock>,
-        sctx: &SpillCtx,
-    ) -> Result<Sorted> {
-        let mut reservation = sctx.pool.register();
-        let mut held: Vec<SortBlock> = Vec::new();
-        while let Some(block) = blocks.next() {
-            if !reservation.try_grow(block.approx_bytes()) {
-                let keys = self.clone();
-                // The held blocks keep their reservation until their last
-                // pair is read, so the external sort counts them as taken.
-                let reserved = held.into_iter().flat_map(move |b| {
-                    let _held = &reservation;
-                    b.into_pairs(&keys)
-                });
-                let keys = self.clone();
-                let unread = std::iter::once(block)
-                    .chain(blocks)
-                    .flat_map(move |b| b.into_pairs(&keys));
-                let layout = spill::PairLayout::new(
-                    self.key_dtypes.clone(),
-                    self.dtypes[..self.width].iter().cloned(),
-                );
-                let pairs = Box::new(reserved.chain(unread));
-                let mask = self.descending_mask;
-                return spill::external_sort(pairs, &layout, mask, sctx).map(Sorted::Spilled);
-            }
-            held.push(block);
-        }
-        let rows: usize = held.iter().map(|b| b.rows).sum();
-        let columns: Vec<Arc<ColumnVector>> = (self.dtypes.iter().enumerate())
+    /// Views of the key columns among a block's `columns`, in key order.
+    pub(crate) fn key_lanes<'a>(&self, columns: &'a [Arc<ColumnVector>]) -> Vec<KeyLanes<'a>> {
+        KeyLanes::of(columns, &self.key_cols)
+    }
+
+    /// Input column count: a block's first `width` columns.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// `blocks` of this pipeline's columns end to end, column by column.
+    pub(crate) fn concat(&self, blocks: &[&[Arc<ColumnVector>]]) -> Vec<Arc<ColumnVector>> {
+        (self.dtypes.iter().enumerate())
             .map(|(j, dtype)| {
-                let parts: Vec<Arc<ColumnVector>> =
-                    held.iter().map(|b| b.columns[j].clone()).collect();
+                let parts: Vec<Arc<ColumnVector>> = blocks.iter().map(|b| b[j].clone()).collect();
                 concat(dtype, &parts)
             })
-            .collect();
+            .collect()
+    }
+
+    /// `held` end to end, and the permutation that stable-sorts them.
+    fn sort_lanes(&self, held: Vec<SortBlock>) -> (Vec<Arc<ColumnVector>>, Vec<u32>) {
+        let rows: usize = held.iter().map(|b| b.rows).sum();
+        let blocks: Vec<&[Arc<ColumnVector>]> = held.iter().map(|b| &b.columns[..]).collect();
+        let columns = self.concat(&blocks);
         drop(held);
-        let keys: Vec<KeyLanes> = self
-            .key_cols
-            .iter()
-            .map(|&c| KeyLanes::new(&columns[c]))
-            .collect();
+        let keys = self.key_lanes(&columns);
         let mut perm: Vec<u32> = (0..rows as u32).collect();
         perm.sort_by(|&a, &b| {
             lane_order(&keys, a as usize, &keys, b as usize, self.descending_mask)
         });
-        drop(keys);
-        Ok(Sorted::Lanes(SortedLanes {
+        (columns, perm)
+    }
+
+    /// `blocks` sorted and written as one run ([`spill::write_lane_run`]),
+    /// to be read back as merge input.
+    fn spill_run(
+        &self,
+        blocks: Vec<SortBlock>,
+        sctx: &SpillCtx,
+    ) -> Result<BoxIter<Result<LaneBlock>>> {
+        let (columns, perm) = self.sort_lanes(blocks);
+        let run = spill::write_lane_run(&columns, &perm, &self.dtypes, sctx)?;
+        Ok(Box::new(run.map(|block| {
+            let (rows, columns) = block?;
+            Ok((rows, columns.into_iter().map(Arc::new).collect()))
+        })))
+    }
+
+    /// Sort one reducer's blocks (in map-id order). Each block is
+    /// reserved as it arrives. A denied reservation with blocks held
+    /// sorts them and writes them as one sorted run, frees the
+    /// reservation and reserves the block that overflowed; a block past
+    /// the fair share on its own is written as a run of its own. A
+    /// reducer never denied returns its lanes and their permutation; one
+    /// that spilled merges its runs, the lanes still held as the last,
+    /// into batches of `batch_size` lanes.
+    pub(crate) fn sort(
+        self: &Arc<Self>,
+        blocks: BoxIter<SortBlock>,
+        sctx: &SpillCtx,
+        batch_size: usize,
+    ) -> Result<Sorted> {
+        let mut reservation = sctx.pool.register();
+        let mut held: Vec<SortBlock> = Vec::new();
+        let mut runs: Vec<BoxIter<Result<LaneBlock>>> = Vec::new();
+        for block in blocks {
+            let bytes = block.approx_bytes();
+            if !reservation.try_grow(bytes) {
+                if !held.is_empty() {
+                    runs.push(self.spill_run(std::mem::take(&mut held), sctx)?);
+                    reservation.free();
+                }
+                if !reservation.try_grow(bytes) {
+                    runs.push(self.spill_run(vec![block], sctx)?);
+                    continue;
+                }
+            }
+            held.push(block);
+        }
+        let (columns, perm) = self.sort_lanes(held);
+        let lanes = SortedLanes {
             columns,
             perm,
             key_cols: self.key_cols.clone(),
             width: self.width,
             _reservation: reservation,
-        }))
+        };
+        if runs.is_empty() {
+            return Ok(Sorted::Lanes(lanes));
+        }
+        runs.push(lanes.into_blocks());
+        Ok(Sorted::Runs(RunMerge::new(
+            runs,
+            self.key_cols.clone(),
+            self.descending_mask,
+            self.dtypes.clone(),
+            batch_size,
+        )))
     }
 }
 
@@ -513,25 +592,14 @@ impl SortBlock {
     fn approx_bytes(&self) -> u64 {
         self.columns.iter().map(|c| c.approx_bytes()).sum()
     }
-
-    /// The block's lanes as `(key, row)` pairs — only for the spill
-    /// fallback.
-    fn into_pairs(self, keys: &BlockKeys) -> impl Iterator<Item = KeyedRow> {
-        let (key_cols, width, mask) = (keys.key_cols.clone(), keys.width, keys.descending_mask);
-        (0..self.rows).map(move |i| {
-            let key = key_cols.iter().map(|&c| self.columns[c].get(i)).collect();
-            let row = self.columns[..width].iter().map(|c| c.get(i)).collect();
-            (SortKey::new(key, mask), Row::new(row))
-        })
-    }
 }
 
 /// One reducer's lanes in key order.
 pub(crate) enum Sorted {
     /// In memory: the lanes and their sorting permutation.
     Lanes(SortedLanes),
-    /// Past the budget: sorted pairs from [`spill::external_sort`].
-    Spilled(BoxIter<KeyedRow>),
+    /// Past the budget: the sorted runs, merged.
+    Runs(RunMerge),
 }
 
 /// A reducer's concatenated block columns and the permutation that
@@ -553,10 +621,7 @@ impl SortedLanes {
 
     /// Views of the key columns, in key order.
     pub(crate) fn keys(&self) -> Vec<KeyLanes<'_>> {
-        self.key_cols
-            .iter()
-            .map(|&c| KeyLanes::new(&self.columns[c]))
-            .collect()
+        KeyLanes::of(&self.columns, &self.key_cols)
     }
 
     /// The input's columns gathered at sorted positions `range`.
@@ -566,6 +631,161 @@ impl SortedLanes {
             .iter()
             .map(|c| Arc::new(c.gather(lanes)))
             .collect()
+    }
+
+    /// Every column in sorted order, as blocks of [`spill::BLOCK_ROWS`]
+    /// lanes: a merge's last run. The reservation goes with the last
+    /// block.
+    fn into_blocks(self) -> BoxIter<Result<LaneBlock>> {
+        Box::new(
+            chunks(self.perm.len(), spill::BLOCK_ROWS).map(move |range| {
+                let lanes = &self.perm[range];
+                let columns = self.columns.iter().map(|c| Arc::new(c.gather(lanes)));
+                Ok((lanes.len(), columns.collect()))
+            }),
+        )
+    }
+}
+
+/// Sorted lanes of a block pipeline's columns: the lane count, then the
+/// columns.
+pub(crate) type LaneBlock = (usize, Vec<Arc<ColumnVector>>);
+
+/// The k-way merge of sorted runs, each a stream of [`LaneBlock`]s, by
+/// [`lane_order`] over their key columns. Equal keys go to the lower run
+/// index: runs are numbered in arrival order, so the merge is the stable
+/// sort of all their lanes. A linear scan over the runs' current blocks
+/// picks each lane; an output batch of `batch_size` lanes concatenates
+/// the blocks it drew from and gathers the picks. It carries a block's
+/// first `dtypes.len()` columns.
+pub(crate) struct RunMerge {
+    /// Each run's blocks not yet current.
+    runs: Vec<BoxIter<Result<LaneBlock>>>,
+    /// Each run's current block.
+    heads: Vec<LaneBlock>,
+    /// Each run's next lane in its current block.
+    next: Vec<usize>,
+    /// Where each current block starts in the batch being built, once it
+    /// has given a lane to it.
+    offset: Vec<Option<u32>>,
+    key_cols: Vec<usize>,
+    descending_mask: u64,
+    dtypes: Vec<DataType>,
+    batch_size: usize,
+}
+
+impl RunMerge {
+    pub(crate) fn new(
+        runs: Vec<BoxIter<Result<LaneBlock>>>,
+        key_cols: Vec<usize>,
+        descending_mask: u64,
+        dtypes: Vec<DataType>,
+        batch_size: usize,
+    ) -> RunMerge {
+        let k = runs.len();
+        RunMerge {
+            runs,
+            heads: vec![(0, Vec::new()); k],
+            next: vec![0; k],
+            offset: vec![None; k],
+            key_cols,
+            descending_mask,
+            dtypes,
+            batch_size: batch_size.max(1),
+        }
+    }
+
+    /// Carry only a block's first `width` columns.
+    pub(crate) fn keep(mut self, width: usize) -> RunMerge {
+        self.dtypes.truncate(width);
+        self
+    }
+
+    /// Give every run whose block is used up its next block, and drop
+    /// the runs that have none; the others keep their order.
+    fn refill(&mut self) -> Result<()> {
+        for r in (0..self.runs.len()).rev() {
+            while self.next[r] == self.heads[r].0 {
+                match self.runs[r].next().transpose()? {
+                    Some(block) => {
+                        self.heads[r] = block;
+                        self.next[r] = 0;
+                        self.offset[r] = None;
+                    }
+                    None => {
+                        drop(self.runs.remove(r));
+                        self.heads.remove(r);
+                        self.next.remove(r);
+                        self.offset.remove(r);
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The next batch's lanes: indices into the current blocks placed end
+    /// to end in `parts`.
+    fn pick(&mut self, parts: &mut Vec<LaneBlock>) -> Result<Vec<u32>> {
+        self.offset.iter_mut().for_each(|o| *o = None);
+        let mut lanes: Vec<u32> = Vec::with_capacity(self.batch_size);
+        let mut end = 0u32;
+        while lanes.len() < self.batch_size {
+            self.refill()?;
+            if self.heads.is_empty() {
+                break;
+            }
+            let views: Vec<Vec<KeyLanes>> = (self.heads.iter())
+                .map(|(_, columns)| KeyLanes::of(columns, &self.key_cols))
+                .collect();
+            loop {
+                let mut best = 0;
+                for r in 1..views.len() {
+                    let o = lane_order(
+                        &views[r],
+                        self.next[r],
+                        &views[best],
+                        self.next[best],
+                        self.descending_mask,
+                    );
+                    if o == Ordering::Less {
+                        best = r;
+                    }
+                }
+                let offset = *self.offset[best].get_or_insert_with(|| {
+                    parts.push(self.heads[best].clone());
+                    end += self.heads[best].0 as u32;
+                    end - self.heads[best].0 as u32
+                });
+                lanes.push(offset + self.next[best] as u32);
+                self.next[best] += 1;
+                if self.next[best] == self.heads[best].0 || lanes.len() == self.batch_size {
+                    break;
+                }
+            }
+        }
+        Ok(lanes)
+    }
+}
+
+impl Iterator for RunMerge {
+    type Item = Result<LaneBlock>;
+
+    fn next(&mut self) -> Option<Result<LaneBlock>> {
+        let mut parts = Vec::new();
+        let lanes = match self.pick(&mut parts) {
+            Ok(lanes) if lanes.is_empty() => return None,
+            Ok(lanes) => lanes,
+            Err(e) => return Some(Err(e)),
+        };
+        let columns = (self.dtypes.iter().enumerate())
+            .map(|(j, dtype)| {
+                let column: Vec<Arc<ColumnVector>> = parts.iter().map(|p| p.1[j].clone()).collect();
+                Arc::new(concat(dtype, &column).gather(&lanes))
+            })
+            .collect();
+        Some(Ok((lanes.len(), columns)))
     }
 }
 
@@ -619,50 +839,22 @@ fn batch_sort(
     let reducers = exchange.partitions();
     let map_keys = keys.clone();
     let blocks = child.map_partitions(move |it| task_iter(map_keys.ship(it, &route, reducers)));
-    let dtypes: Arc<Vec<DataType>> =
-        Arc::new(input.output().into_iter().map(|c| c.dtype).collect());
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     let sctx = ctx.spill_ctx(id);
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
-        match task::ok(keys.sort(Box::new(it.map(|(_, block)| block)), &sctx)) {
+        let blocks = Box::new(it.map(|(_, block)| block));
+        match task::ok(keys.sort(blocks, &sctx, batch_size)) {
             None => Box::new(std::iter::empty()),
             Some(Sorted::Lanes(sorted)) => Box::new(
                 chunks(sorted.perm.len(), batch_size)
                     .map(move |range| RowBatch::new(sorted.gather(range.clone()), range.len())),
             ),
-            Some(Sorted::Spilled(pairs)) => Box::new(IterChunks::new(
-                Box::new(pairs.map(|(_, row)| row)),
-                dtypes.clone(),
-                batch_size,
-            )),
+            Some(Sorted::Runs(merge)) => Box::new(
+                (merge.keep(keys.width).map_while(task::ok))
+                    .map(|(rows, columns)| RowBatch::new(columns, rows)),
+            ),
         }
     }))
-}
-
-/// Lower a `TakeOrdered` operator: per-partition top-`n`, then a
-/// driver-side merge.
-pub(crate) fn execute_take_ordered(
-    input: &Arc<PhysicalPlan>,
-    orders: &[SortOrder],
-    n: usize,
-    id: usize,
-    ctx: &ExecContext,
-) -> Result<RddRef<Row>> {
-    let child = execute_node(input, id + 1, ctx)?;
-    let eager_start = Instant::now();
-    let keys = KeyEval::bind(orders, &input.output())?;
-    let tops = child
-        .run_job(move |_, it| top_n(it, n, &keys))
-        .map_err(engine_err)?
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-    let mut all: Vec<KeyedRow> = tops.into_iter().flatten().collect();
-    all.sort_by(|a, b| a.0.cmp(&b.0));
-    all.truncate(n);
-    note_eager_ns(ctx, id, eager_start);
-    Ok(ctx
-        .sc
-        .parallelize(all.into_iter().map(|(_, r)| r).collect(), 1))
 }
 
 #[cfg(test)]
@@ -764,6 +956,71 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Merging sorted runs is the stable sort of their lanes in run
+    /// order: equal keys leave the lower run first. Runs of 0–40 lanes
+    /// arrive in blocks of 1–8; a key column may be typed in one run and
+    /// boxed, or INT against BIGINT, in another.
+    #[test]
+    fn merged_runs_are_the_stable_sort_of_their_lanes() {
+        let mut rng = StdRng::seed_from_u64(0x3E6E);
+        for _ in 0..300 {
+            let width = rng.random_range(1usize..4);
+            let dtypes: Vec<DataType> = (0..width)
+                .map(|_| DTYPES[rng.random_range(0..DTYPES.len())].clone())
+                .collect();
+            let mask = rng.random_range(0u64..1 << width);
+            let (mut runs, mut expect) = (Vec::new(), Vec::new());
+            for r in 0..rng.random_range(2usize..6) {
+                let n = rng.random_range(0usize..40);
+                // Block column 0 tags each lane with its run and place.
+                let tags = (0..n).map(|i| Value::Long((r * 100 + i) as i64)).collect();
+                let mut columns = vec![Arc::new(ColumnVector::from_values(&DataType::Long, tags))];
+                for dtype in &dtypes {
+                    let dtype = match (dtype, rng.random_bool(0.5)) {
+                        (DataType::Int, true) => DataType::Long,
+                        (dtype, _) => dtype.clone(),
+                    };
+                    columns.push(arb_column(&mut rng, &dtype, n));
+                }
+                let keys = KeyLanes::all(&columns[1..]);
+                let mut perm: Vec<u32> = (0..n as u32).collect();
+                perm.sort_by(|&a, &b| lane_order(&keys, a as usize, &keys, b as usize, mask));
+                let sorted: Vec<Arc<ColumnVector>> =
+                    columns.iter().map(|c| Arc::new(c.gather(&perm))).collect();
+                for i in 0..n {
+                    let key = sorted[1..].iter().map(|c| c.get(i)).collect();
+                    expect.push((SortKey::new(key, mask), sorted[0].get(i)));
+                }
+                let mut blocks: Vec<Result<LaneBlock>> = Vec::new();
+                let mut start = 0;
+                while start < n {
+                    let end = (start + rng.random_range(1usize..9)).min(n);
+                    let lanes: Vec<u32> = (start as u32..end as u32).collect();
+                    let block = sorted.iter().map(|c| Arc::new(c.gather(&lanes)));
+                    blocks.push(Ok((end - start, block.collect())));
+                    start = end;
+                }
+                runs.push(Box::new(blocks.into_iter()) as BoxIter<Result<LaneBlock>>);
+            }
+            expect.sort_by(|a, b| a.0.cmp(&b.0));
+            let expect: Vec<Value> = expect.into_iter().map(|(_, tag)| tag).collect();
+            let batch_size = rng.random_range(1usize..12);
+            let key_cols = (1..=width).collect();
+            let mut block_dtypes = vec![DataType::Long];
+            block_dtypes.extend(dtypes);
+            let merge = RunMerge::new(runs, key_cols, mask, block_dtypes, batch_size).keep(1);
+            let batches: Vec<LaneBlock> = merge.map(|b| b.unwrap()).collect();
+            let sizes: Vec<usize> = batches.iter().map(|(rows, _)| *rows).collect();
+            if let Some((_, whole)) = sizes.split_last() {
+                assert!(whole.iter().all(|&n| n == batch_size), "{sizes:?}");
+            }
+            let got: Vec<Value> = (batches.iter())
+                .flat_map(|(rows, columns)| (0..*rows).map(|i| columns[0].get(i)))
+                .collect();
+            assert_eq!(got, expect, "mask {mask:b}");
         }
     }
 }

@@ -5,10 +5,13 @@
 //! against the execution's [`engine::MemoryPool`] and grows it as its
 //! buffer fills. A denied grow is the spill signal:
 //!
-//! * `external_sort` sorts what it has, writes the run to a
-//!   [`SpillFile`], and k-way merges all runs (plus the final in-memory
-//!   buffer) at the end. Ties merge by run index, which reproduces the
-//!   stable in-memory sort exactly.
+//! * The block pipeline's `Sort` and `Window` (`sort.rs`) sort the lanes
+//!   they hold by their lane permutation and write them with
+//!   `write_lane_run` as one sorted run of column blocks, every block
+//!   column in sorted order; `sort::RunMerge` merges the runs, ties by
+//!   run index, which reproduces the stable in-memory sort exactly.
+//! * The reference's row sort, `external_sort`, does the same over
+//!   `(SortKey, Row)` pairs.
 //! * The hash join (`join.rs`) goes grace: both sides re-partition to
 //!   disk through `BlockBuckets` and bucket *b* of one side joins
 //!   bucket *b* of the other, recursively.
@@ -20,7 +23,8 @@
 //!   accumulator-state columns, into the same buckets.
 //!
 //! Every spill has one shape, a `PairLayout`: key columns, then row
-//! columns. A sort spills `(SortKey, Row)` pairs, a join side `(key,
+//! columns. A lane run is all row columns (its keys are among them), the
+//! reference's row sort spills `(SortKey, Row)` pairs, a join side `(key,
 //! row)` pairs (the NULL-key sentinel as all-NULL key columns, which a
 //! join key never has), the row GROUP BY `(key, [accumulators])` pairs
 //! and the batch GROUP BY its key and state columns. Pairs cross the disk
@@ -28,9 +32,9 @@
 //! typed parts, boxed values boxed — so spilled execution is
 //! byte-identical to in-memory execution. Buckets split by one
 //! depth-salted hash of the key lanes (`lane_buckets`), and every file,
-//! a bucket or a sorted run, reads back through `SpilledBlocks` in write
-//! order. This module is the only one in the crate that opens spill
-//! files or encodes for them. Spill files delete themselves on drop. A
+//! a bucket or a sorted run of lanes or pairs, reads back through
+//! `SpilledBlocks` in write order. This module is the only one in the
+//! crate that opens spill files or encodes for them. Spill files delete themselves on drop. A
 //! failing task records its error in its slot (`engine::task`) and ends
 //! its stream, dropping the operator state that holds them, and the
 //! scheduler reports the error only after every sibling task has
@@ -51,7 +55,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rows per encoded spill block.
-const BLOCK_ROWS: usize = 256;
+pub(crate) const BLOCK_ROWS: usize = 256;
 /// Sub-partitions per spill round (grace join / aggregate re-partition).
 const FANOUT: usize = 8;
 /// Past this re-partitioning depth, buffers build un-reserved rather
@@ -232,6 +236,29 @@ pub(crate) fn external_sort(
 /// A spilled run's pairs, their keys ordered by `descending_mask`.
 fn sorted_run(run: SpilledBlocks, descending_mask: u64) -> BoxIter<KeyedRow> {
     Box::new((run.pairs()).map(move |(k, r)| (SortKey::new(k.into_values(), descending_mask), r)))
+}
+
+// ---- sorted lane runs ----
+
+/// Write one sorted run of a block pipeline's lanes: `columns` (of types
+/// `dtypes`) read in `perm` order, gathered [`BLOCK_ROWS`] lanes at a
+/// time and appended as blocks of every column to one file, recorded as
+/// one spill. The run reads back in sorted order.
+pub(crate) fn write_lane_run(
+    columns: &[Arc<ColumnVector>],
+    perm: &[u32],
+    dtypes: &[DataType],
+    ctx: &SpillCtx,
+) -> Result<SpilledBlocks> {
+    let layout = PairLayout::new(Vec::new(), dtypes.iter().cloned());
+    let mut file = ctx.pool.spill_file()?;
+    for lanes in perm.chunks(BLOCK_ROWS) {
+        let block: Vec<Arc<ColumnVector>> =
+            columns.iter().map(|c| Arc::new(c.gather(lanes))).collect();
+        file.append(&layout.codec.encode_vectors(&block, lanes.len()))?;
+    }
+    ctx.note_spill(file.bytes_written());
+    SpilledBlocks::open(file, layout)
 }
 
 // ---- spill buckets ----

@@ -10,18 +10,19 @@
 //! `lag`/`lead` gather the argument lane at shifted positions (the typed
 //! default outside the partition), and framed aggregates fold [`Acc`]
 //! over the argument lane with the frame machine the row path uses. The
-//! output batch is the input lanes plus one lane per call.
+//! output batch is the input lanes plus one lane per call. A reducer
+//! that spilled walks its merged sorted runs instead ([`RunWindows`]),
+//! one batch of finished window partitions at a time, with the same
+//! lane evaluation under the identity permutation.
 //!
 //! The row path — key each row, shuffle, [`spill::external_sort`] the
 //! pairs, walk one window partition at a time — is the reference
-//! configuration's, and the block pipeline's spill fallback.
+//! configuration's only.
 
 use crate::exchange::Exchange;
-use crate::execution::{
-    bind_all, execute_node, lower_node, task_iter, try_map, ExecContext, IterChunks,
-};
+use crate::execution::{bind_all, execute_node, lower_node, task_iter, try_map, ExecContext};
 use crate::sort::{
-    chunks, descending_mask, lane_order, BlockKeys, KeyedRow, SortKey, Sorted, SortedLanes,
+    chunks, descending_mask, lane_order, BlockKeys, KeyLanes, KeyedRow, LaneBlock, SortKey, Sorted,
 };
 use crate::spill;
 use catalyst::error::{CatalystError, Result};
@@ -35,7 +36,7 @@ use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, Acc, ColumnVector, RowBatch, VectorData, NULL_LANE};
-use engine::{task, RddRef};
+use engine::{task, BoxIter, RddRef};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -277,7 +278,7 @@ fn framed_agg(
     }
 }
 
-// ---- rows: the reference, and the spill fallback ----
+// ---- rows: the reference ----
 
 /// Evaluate one window call over a full partition, producing one value
 /// per row. `frames` counts evaluated aggregate frames (the `frames=`
@@ -542,20 +543,24 @@ fn batch_window(
             .map(|e| e.data_type().unwrap_or(DataType::String))
             .collect(),
     );
-    let out_dtypes: Arc<Vec<DataType>> = Arc::new(
-        (input_attrs.into_iter().map(|c| c.dtype))
-            .chain(call_dtypes.iter().cloned())
-            .collect(),
-    );
     let sctx = ctx.spill_ctx(id);
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
-        match task::ok(keys.sort(Box::new(it.map(|(_, block)| block)), &sctx)) {
+        let blocks = Box::new(it.map(|(_, block)| block));
+        match task::ok(keys.sort(blocks, &sctx, batch_size)) {
             None => Box::new(std::iter::empty()),
             Some(Sorted::Lanes(sorted)) => {
                 let mut frames = 0;
-                let outputs = eval_lanes(&sorted, &calls, &call_dtypes, np, &mut frames);
+                let outputs = eval_lanes(
+                    sorted.input(),
+                    &sorted.keys(),
+                    &sorted.perm,
+                    &calls,
+                    &call_dtypes,
+                    np,
+                    &mut frames,
+                );
                 if let Some(node) = &node {
                     node.add_extra("frames", frames);
                 }
@@ -568,22 +573,15 @@ fn batch_window(
                     RowBatch::new(columns, range.len())
                 }))
             }
-            Some(Sorted::Spilled(pairs)) => {
-                let rows = WindowPartitionIter {
-                    sorted: pairs,
-                    pending: None,
-                    np,
-                    calls: calls.clone(),
-                    out: Vec::new().into_iter(),
-                    frames: 0,
-                    node: node.clone(),
-                };
-                Box::new(IterChunks::new(
-                    Box::new(rows),
-                    out_dtypes.clone(),
-                    batch_size,
-                ))
-            }
+            Some(Sorted::Runs(merge)) => Box::new(RunWindows {
+                merged: Box::new(merge.map_while(task::ok)),
+                open: Vec::new(),
+                keys: keys.clone(),
+                calls: calls.clone(),
+                call_dtypes: call_dtypes.clone(),
+                np,
+                node: node.clone(),
+            }),
         }
     }))
 }
@@ -683,18 +681,21 @@ impl LaneOut {
     }
 }
 
-/// Every call's output lanes over one reducer's sorted lanes, in sorted
-/// order. Arguments are evaluated by kernels over the unsorted lanes and
-/// read through the permutation.
+/// Every call's output lanes over sorted lanes, in sorted order: `perm`
+/// orders the lanes of the `input` columns and of the key views `keys`
+/// (PARTITION BY, then ORDER BY). Arguments are evaluated by kernels
+/// over the unsorted lanes and read through the permutation.
 fn eval_lanes(
-    sorted: &SortedLanes,
+    input: &[Arc<ColumnVector>],
+    keys: &[KeyLanes],
+    perm: &[u32],
     calls: &[WindowCall],
     dtypes: &[DataType],
     np: usize,
     frames: &mut u64,
 ) -> Result<Vec<Arc<ColumnVector>>> {
-    let n = sorted.perm.len();
-    let input = RowBatch::new(sorted.input().to_vec(), n);
+    let n = perm.len();
+    let input = RowBatch::new(input.to_vec(), n);
     let args: Vec<Option<Arc<ColumnVector>>> = (calls.iter())
         .map(|call| {
             call.arg()
@@ -705,10 +706,8 @@ fn eval_lanes(
                 .transpose()
         })
         .collect::<Result<_>>()?;
-    let keys = sorted.keys();
     let (pkeys, okeys) = keys.split_at(np);
     let mut outs: Vec<LaneOut> = calls.iter().map(LaneOut::for_call).collect();
-    let perm = &sorted.perm;
     let mut start = 0;
     while start < n {
         let first = perm[start] as usize;
@@ -729,4 +728,99 @@ fn eval_lanes(
     Ok((outs.into_iter().zip(calls).zip(args.iter().zip(dtypes)))
         .map(|((out, call), (arg, dtype))| Arc::new(out.finish(call, arg.as_deref(), dtype)))
         .collect())
+}
+
+/// The window over a spilled reducer's merged runs. Each merged batch is
+/// cut at its last PARTITION BY boundary: the window partitions it
+/// finishes, with the one left open before them, are evaluated by
+/// [`eval_lanes`] under the identity permutation and leave as one batch.
+/// The open partition, held until a boundary or the end, is unreserved,
+/// as one window partition of the row path is.
+struct RunWindows {
+    merged: BoxIter<LaneBlock>,
+    /// The lanes of the window partition not yet finished, in order.
+    open: Vec<LaneBlock>,
+    keys: Arc<BlockKeys>,
+    calls: Arc<Vec<WindowCall>>,
+    call_dtypes: Arc<Vec<DataType>>,
+    np: usize,
+    node: Option<Arc<OperatorMetrics>>,
+}
+
+impl RunWindows {
+    /// The finished window partitions, `batch` cut at its last
+    /// PARTITION BY boundary behind the open lanes; `None` while it
+    /// finishes none.
+    fn cut(&mut self, batch: LaneBlock) -> Option<Vec<LaneBlock>> {
+        let np = self.np;
+        let keys = self.keys.key_lanes(&batch.1);
+        let pkeys = &keys[..np];
+        let boundary = |a: &[KeyLanes], i: usize, b: &[KeyLanes], j: usize| {
+            lane_order(a, i, b, j, 0) != Ordering::Equal
+        };
+        let cut = (1..batch.0)
+            .rev()
+            .find(|&i| boundary(pkeys, i - 1, pkeys, i));
+        let cut = cut.or_else(|| {
+            let (rows, open) = self.open.last()?;
+            let before = self.keys.key_lanes(open);
+            boundary(&before[..np], rows - 1, pkeys, 0).then_some(0)
+        });
+        let Some(cut) = cut else {
+            self.open.push(batch);
+            return None;
+        };
+        let mut finished = std::mem::take(&mut self.open);
+        let (rows, columns) = batch;
+        if cut > 0 {
+            finished.push((cut, columns.iter().map(|c| slice(c, 0..cut)).collect()));
+        }
+        let rest = columns.iter().map(|c| slice(c, cut..rows)).collect();
+        self.open.push((rows - cut, rest));
+        Some(finished)
+    }
+
+    /// Whole window partitions' lanes, in order, with every call's lanes.
+    fn eval(&self, lanes: Vec<LaneBlock>) -> Result<RowBatch> {
+        let rows: usize = lanes.iter().map(|(n, _)| n).sum();
+        let blocks: Vec<&[Arc<ColumnVector>]> = lanes.iter().map(|(_, c)| &c[..]).collect();
+        let mut columns = self.keys.concat(&blocks);
+        let perm: Vec<u32> = (0..rows as u32).collect();
+        let width = self.keys.width();
+        let mut frames = 0;
+        let outputs = eval_lanes(
+            &columns[..width],
+            &self.keys.key_lanes(&columns),
+            &perm,
+            &self.calls,
+            &self.call_dtypes,
+            self.np,
+            &mut frames,
+        );
+        if let Some(node) = &self.node {
+            node.add_extra("frames", frames);
+        }
+        columns.truncate(width);
+        columns.extend(outputs?);
+        Ok(RowBatch::new(columns, rows))
+    }
+}
+
+impl Iterator for RunWindows {
+    type Item = RowBatch;
+
+    fn next(&mut self) -> Option<RowBatch> {
+        let finished = loop {
+            match self.merged.next() {
+                Some(batch) => {
+                    if let Some(finished) = self.cut(batch) {
+                        break finished;
+                    }
+                }
+                None if self.open.is_empty() => return None,
+                None => break std::mem::take(&mut self.open),
+            }
+        };
+        task::ok(self.eval(finished))
+    }
 }

@@ -583,3 +583,96 @@ fn batch_aggregate_reduce_side_spills_and_matches_unbounded() {
     // Six is the spill module's `MAX_DEPTH`.
     assert_eq!(extras.get("spill_depth"), Some(&6), "{extras:?}");
 }
+
+/// A batch `Window` whose reducer spills sorted runs walks window
+/// partitions that straddle its merged batches: with batches of 5 lanes,
+/// one reducer holds partitions of 1 lane, of exactly one batch and of
+/// many batches, and partitions that begin on a batch's first lane.
+/// `rank`, `lag` with a default and a running SUM must equal the
+/// unbounded run and the reference, in order.
+#[test]
+fn window_partitions_straddle_merged_batches() {
+    let schema: SchemaRef = Arc::new(Schema::new(vec![
+        StructField::new("id", DataType::Long, false),
+        StructField::new("g", DataType::Long, true),
+        StructField::new("o", DataType::Long, true),
+        StructField::new("v", DataType::Long, true),
+        StructField::new("p", DataType::String, true),
+    ]));
+    // Partition sizes in key order (NULL first), so the lanes they start
+    // at are 0, 1, 5, 10, 11, 14, 37, 40, 45, 46 and 446: partition 2 is
+    // lanes 5..10, one whole batch; 3 is one lane at a batch's first; 5
+    // and 9 span many batches.
+    let sizes = [1usize, 4, 5, 1, 3, 23, 3, 5, 1, 400, 7];
+    let mut rows = Vec::new();
+    for (g, &n) in sizes.iter().enumerate() {
+        for i in 0..n {
+            let id = rows.len() as i64;
+            rows.push(Row::new(vec![
+                Value::Long(id),
+                if g == 0 {
+                    Value::Null
+                } else {
+                    Value::Long(g as i64)
+                },
+                Value::Long((i % 7) as i64),
+                if id % 5 == 3 {
+                    Value::Null
+                } else {
+                    Value::Long(id * 3 - 40)
+                },
+                Value::str(format!("{id:0>150}")),
+            ]));
+        }
+    }
+    // Interleave the partitions across map tasks.
+    rows.sort_by_key(|r| (r.values()[0].as_i64().unwrap() * 7919) % 461);
+    let sql = "SELECT id, g, o, v, p, \
+               rank() OVER (PARTITION BY g ORDER BY o) AS r, \
+               lag(v, 1, -1) OVER (PARTITION BY g ORDER BY o) AS lg, \
+               sum(v) OVER (PARTITION BY g ORDER BY o) AS rs FROM t";
+    let run = |budget: u64, reference: bool| {
+        let ctx = SQLContext::new_local(2);
+        ctx.spark_context().set_chaos(None);
+        ctx.set_conf(|c| {
+            c.memory_budget_bytes = budget;
+            c.reference = reference;
+            c.shuffle_partitions = 1;
+            c.vectorize_batch_size = 5;
+        });
+        let rdd = ctx.spark_context().parallelize(rows.clone(), 4);
+        ctx.dataframe_from_rdd("t", schema.clone(), rdd)
+            .unwrap()
+            .register_temp_table("t");
+        let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+        let out: Vec<String> = (qe.collect().unwrap().iter())
+            .map(|r| format!("{r:?}"))
+            .collect();
+        let spills: Vec<u64> = (ctx.query_log().last().expect("the query was logged"))
+            .operators
+            .iter()
+            .filter(|op| op.operator.contains("Window"))
+            .map(|op| {
+                (op.extras.iter())
+                    .filter(|(k, _)| k == "spill_count")
+                    .map(|(_, v)| *v)
+                    .sum()
+            })
+            .collect();
+        (out, spills, qe.memory_stats())
+    };
+    let (expect, _, _) = run(0, true);
+    assert_eq!(expect.len(), sizes.iter().sum::<usize>());
+    let (unbounded, spills, _) = run(0, false);
+    assert_eq!(unbounded, expect, "the unbounded window diverged");
+    assert_eq!(spills, vec![0]);
+    let (got, spills, stats) = run(16 << 10, false);
+    assert_eq!(got, expect, "the spilled window diverged");
+    assert!(
+        spills.len() == 1 && spills[0] >= 2,
+        "Window spills {spills:?}"
+    );
+    let stats = stats.expect("bounded run must expose pool stats");
+    assert!(stats.peak <= stats.budget);
+    assert_eq!(stats.spill_files_created, stats.spill_files_deleted);
+}
