@@ -291,8 +291,9 @@ impl QueryExecution {
         Ok(out)
     }
 
-    /// Copy engine-side per-shuffle I/O counters onto the Exchange nodes
-    /// that minted each shuffle, as `shuffle_*` extras.
+    /// Move engine-side per-shuffle I/O counters onto the Exchange nodes
+    /// that minted each shuffle, as `shuffle_*` extras. The engine's
+    /// entries are taken, so none outlives the query.
     fn attribute_shuffle_stats(&self) {
         let em = self.ctx.spark_context().metrics();
         for id in 0..self.metrics.len() {
@@ -301,16 +302,10 @@ impl QueryExecution {
             if sids.is_empty() {
                 continue;
             }
-            let (mut written, mut bytes, mut read) = (0u64, 0u64, 0u64);
-            for sid in sids {
-                let s = em.shuffle_stats(sid);
-                written += s.records_written;
-                bytes += s.bytes_written;
-                read += s.records_read;
-            }
-            node.set_extra("shuffle_records_written", written);
-            node.set_extra("shuffle_bytes_written", bytes);
-            node.set_extra("shuffle_records_read", read);
+            let s = em.take_shuffle_stats(&sids);
+            node.set_extra("shuffle_records_written", s.records_written);
+            node.set_extra("shuffle_bytes_written", s.bytes_written);
+            node.set_extra("shuffle_records_read", s.records_read);
         }
     }
 
@@ -671,6 +666,33 @@ mod tests {
         assert!(
             json.contains("\"memory\":{\"budget\":4096,\"peak\":4000,\"spill_count\":3"),
             "{json}"
+        );
+    }
+
+    #[test]
+    fn a_collected_query_leaves_no_shuffle_stats_behind() {
+        use catalyst::schema::Schema;
+        use catalyst::types::{DataType, StructField};
+        use catalyst::value::Value;
+        let ctx = SQLContext::new_local(2);
+        let schema = Arc::new(Schema::new(vec![
+            StructField::new("k", DataType::Long, false),
+            StructField::new("v", DataType::Long, false),
+        ]));
+        let rows = (0..60)
+            .map(|i| Row::new(vec![Value::Long(i % 5), Value::Long(i)]))
+            .collect();
+        ctx.register_rows("t", schema, rows).unwrap();
+        let qe = (ctx.sql("SELECT k, sum(v) FROM t GROUP BY k ORDER BY k"))
+            .and_then(|df| df.query_execution())
+            .unwrap();
+        assert_eq!(qe.collect().unwrap().len(), 5);
+        let sc = ctx.spark_context();
+        let minted: Vec<usize> = (0..sc.current_shuffle_id()).collect();
+        assert!(!minted.is_empty(), "the query shuffled nothing");
+        assert_eq!(
+            sc.metrics().take_shuffle_stats(&minted),
+            engine::metrics::ShuffleStats::default()
         );
     }
 

@@ -577,6 +577,41 @@ fn uncache_and_dropping_the_context_release_the_cached_blocks() {
     assert_eq!(recomputes(), 0, "a release is not a loss to recover from");
 }
 
+#[test]
+fn repeated_queries_keep_no_shuffle_output() {
+    let ctx = SQLContext::new_local(2);
+    // Every row's string is one allocation the test holds, so anything
+    // that keeps rows of a finished query shows in its strong count.
+    let shared: Arc<str> = Arc::from("shared");
+    let rows = (0..200)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                Value::Int(i % 7),
+                Value::Long(i as i64),
+                Value::Str(shared.clone()),
+            ])
+        })
+        .collect();
+    ctx.register_rows("t", schema(), rows).unwrap();
+    let run_both = || {
+        let sorted = ctx.sql("SELECT id, s FROM t ORDER BY s, id").unwrap();
+        assert_eq!(sorted.collect().unwrap().len(), 200);
+        let grouped = (ctx.sql("SELECT k, s, count(*) FROM t GROUP BY k, s")).unwrap();
+        assert_eq!(grouped.collect().unwrap().len(), 7);
+    };
+    run_both();
+    let after_first = Arc::strong_count(&shared);
+    for pass in 2..=6 {
+        run_both();
+        assert_eq!(
+            Arc::strong_count(&shared),
+            after_first,
+            "pass {pass} left rows of earlier queries alive"
+        );
+    }
+}
+
 // ---- the query log is a ring ----
 
 #[test]

@@ -1,8 +1,8 @@
 //! Deterministic failure injection ("chaos") for fault-tolerance testing.
 //!
 //! A [`ChaosPlan`] decides, from a seed and pure hashing, where faults
-//! strike: a task panics at launch, an executor dies (atomically dropping
-//! every shuffle bucket and cache block it owns — see
+//! strike: a task panics at launch, an executor dies (losing every
+//! shuffle bucket and cache block it owns — see
 //! [`crate::SparkContext::lose_executor`]), or a shuffle fetch fails even
 //! though the bucket exists. Decisions depend only on `(seed, stage,
 //! partition)` / `(seed, shuffle, map)`, so a given seed reproduces the
@@ -32,12 +32,13 @@ pub enum FaultKind {
     /// The task fails at launch (stands in for an uncaught task panic);
     /// the scheduler retries it in place up to `max_task_retries`.
     TaskPanic,
-    /// The executor running the task dies: its shuffle buckets and cache
-    /// blocks are dropped atomically, then the task fails. Downstream
-    /// reads of the dropped buckets surface as fetch failures.
+    /// The executor running the task dies: its cache blocks are dropped
+    /// and its shuffle buckets count as missing from then on, then the
+    /// task fails. Downstream reads of the lost buckets surface as fetch
+    /// failures.
     ExecutorDeath,
     /// A shuffle fetch fails (as if the serving executor's files were
-    /// lost); the scheduler unregisters that map output and resubmits the
+    /// lost); the scheduler removes that map output and resubmits the
     /// parent map stage.
     FetchFailure,
 }

@@ -1,15 +1,16 @@
 //! The driver-side entry point: configuration, id allocation, and the
-//! shared services (shuffle store, cache, executor pool, metrics).
+//! shared services (cache, executor pool, metrics). Shuffle output is
+//! not among them: each [`crate::shuffle::ShuffleDependency`] owns its
+//! own.
 
 use crate::broadcast::Broadcast;
-use crate::cache::CacheManager;
+use crate::cache::{CacheManager, DRIVER_OWNER};
 use crate::chaos::{ChaosConf, ChaosPlan};
 use crate::metrics::Metrics;
 use crate::ops::{GeneratedRdd, ParallelCollection};
 use crate::pool::ThreadPool;
 use crate::rdd::{BoxIter, Data, RddRef};
-use crate::shuffle::ShuffleManager;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Where a task failure is about to happen — handed to the failure
@@ -58,7 +59,9 @@ struct ContextInner {
     next_shuffle_id: AtomicUsize,
     next_broadcast_id: AtomicUsize,
     next_stage_id: AtomicUsize,
-    shuffle: ShuffleManager,
+    /// Losses per executor, the driver's last: shuffle output stamped
+    /// with an older count was written before its executor was lost.
+    losses: Box<[AtomicU64]>,
     cache: CacheManager,
     pool: ThreadPool,
     metrics: Metrics,
@@ -88,6 +91,7 @@ impl SparkContext {
     /// can run under fault injection without code changes.
     pub fn with_conf(conf: EngineConf) -> Self {
         let pool = ThreadPool::new(conf.executor_threads);
+        let losses = (0..=pool.size()).map(|_| AtomicU64::new(0)).collect();
         let chaos = ChaosConf::from_env().map(|c| Arc::new(ChaosPlan::new(c)));
         SparkContext {
             inner: Arc::new(ContextInner {
@@ -96,7 +100,7 @@ impl SparkContext {
                 next_shuffle_id: AtomicUsize::new(0),
                 next_broadcast_id: AtomicUsize::new(0),
                 next_stage_id: AtomicUsize::new(0),
-                shuffle: ShuffleManager::default(),
+                losses,
                 cache: CacheManager::default(),
                 pool,
                 metrics: Metrics::default(),
@@ -162,19 +166,34 @@ impl SparkContext {
         self.inner.chaos.read().clone()
     }
 
-    /// Kill executor `executor`: atomically drop every shuffle bucket and
-    /// cache block it produced. Lineage makes the loss recoverable — the
-    /// scheduler reruns the missing map partitions on next access and the
-    /// cache manager recomputes lost blocks from their parent RDDs.
+    /// Kill executor `executor` ([`DRIVER_OWNER`] for the driver): drop
+    /// every cache block it produced and bump its loss generation. The
+    /// shuffle half is lazy — no registry of live shuffles is walked;
+    /// every map output the executor wrote before the bump counts as
+    /// missing wherever its dependency is read or asked what is missing.
+    /// Lineage makes the loss recoverable: the scheduler reruns the
+    /// missing map partitions on next access and the cache manager
+    /// recomputes lost blocks from their parent RDDs.
     pub fn lose_executor(&self, executor: usize) {
-        self.inner.shuffle.drop_executor(executor);
+        if let Some(losses) = self.losses_of(executor) {
+            losses.fetch_add(1, Ordering::SeqCst);
+        }
         self.inner.cache.drop_executor(executor);
         Metrics::add(&self.inner.metrics.executors_lost, 1);
     }
 
-    /// The shuffle block store.
-    pub fn shuffle_manager(&self) -> &ShuffleManager {
-        &self.inner.shuffle
+    /// How often `executor` has been lost (0 for an id no executor has).
+    pub(crate) fn loss_generation(&self, executor: usize) -> u64 {
+        self.losses_of(executor)
+            .map_or(0, |losses| losses.load(Ordering::SeqCst))
+    }
+
+    fn losses_of(&self, executor: usize) -> Option<&AtomicU64> {
+        let (driver, executors) = self.inner.losses.split_last()?;
+        match executor {
+            DRIVER_OWNER => Some(driver),
+            _ => executors.get(executor),
+        }
     }
 
     /// The partition cache.

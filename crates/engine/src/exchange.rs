@@ -3,17 +3,21 @@
 //!
 //! A [`MaterializedShuffle`] eagerly runs a shuffle's map stage (plus any
 //! shuffles upstream of it) via [`crate::scheduler::materialize_shuffle`],
-//! then exposes the *measured* per-bucket byte sizes recorded by the
-//! [`crate::shuffle::ShuffleManager`]. A consumer can inspect those sizes
-//! and read the output back through arbitrary [`ShuffleReadSpec`] windows:
+//! then exposes the *measured* per-bucket byte sizes its
+//! [`crate::shuffle::ShuffleDependency`] recorded when the map output was
+//! written into it. A consumer can inspect those sizes and read the
+//! output back through arbitrary [`ShuffleReadSpec`] windows:
 //! several reduce buckets merged into one output partition (partition
 //! coalescing), or a single oversized reduce bucket split by map-task
 //! ranges into several output partitions (skew splitting). The classic
 //! one-partition-per-reducer shape is [`MaterializedShuffle::read_all`].
 //!
-//! Reads keep a [`Dependency::Shuffle`] edge on the originating
-//! dependency, so lineage-based recovery still works: if the shuffle
-//! output is invalidated, the next job re-runs the map stage.
+//! The handle and every reader RDD it builds hold the dependency, and the
+//! dependency holds the map output: the output is freed when the last of
+//! them is dropped, and no store outlives them. Reads keep a
+//! [`Dependency::Shuffle`] edge on the dependency, so lineage-based
+//! recovery still works: if map output is lost (an executor loss, a
+//! fetch failure), the next job re-runs the missing map tasks.
 
 use crate::error::Result;
 use crate::partitioner::Partitioner;
@@ -125,9 +129,7 @@ where
 
     /// Measured bytes per bucket, indexed `[map][reduce]`.
     pub fn map_output_sizes(&self) -> Vec<Vec<u64>> {
-        self.ctx
-            .shuffle_manager()
-            .map_output_sizes(self.dep.shuffle_id())
+        self.dep.map_output_sizes()
     }
 
     /// Measured bytes per reduce partition (summed over map outputs).

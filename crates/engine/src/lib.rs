@@ -7,7 +7,8 @@
 //! boundaries and runs tasks on a pool of executor threads.
 //!
 //! The "cluster" is simulated inside one process: executors are worker
-//! threads, the shuffle service is an in-memory block store, broadcast is
+//! threads, each shuffle dependency holds its own map output in memory
+//! (freed with the lineage that references it), broadcast is
 //! an `Arc` handed to every task, and "HDFS" is a directory of part files
 //! (used by the Figure 10 pipeline experiment to model materialization
 //! between separate jobs).
@@ -23,14 +24,15 @@
 //!   injected fault or a panic (a bug, counted in `task_panics`) is
 //!   retried in place up to `max_task_retries` times.
 //! * **Fetch failure** — a missing shuffle bucket is an
-//!   [`EngineError::FetchFailed`]; the scheduler unregisters the lost
-//!   map output and resubmits the parent map stage (only missing
+//!   [`EngineError::FetchFailed`]; the scheduler removes the lost map
+//!   output from its dependency and resubmits the parent map stage (only missing
 //!   partitions), bounded by `max_stage_retries` resubmissions per
 //!   shuffle ([`EngineError::StageRetriesExhausted`] beyond that).
-//! * **Executor loss** — [`SparkContext::lose_executor`] atomically
-//!   drops every shuffle bucket and cache block that executor produced;
-//!   shuffle output is recomputed on next access and cached partitions
-//!   are recomputed from their parent RDDs.
+//! * **Executor loss** — [`SparkContext::lose_executor`] drops every
+//!   cache block that executor produced and bumps its loss generation,
+//!   so the shuffle output it wrote before counts as missing; shuffle
+//!   output is recomputed on next access and cached partitions are
+//!   recomputed from their parent RDDs.
 //!
 //! Faults are driven either by the targeted
 //! [`context::FailureInjector`] hook or by a seeded, budgeted

@@ -34,9 +34,9 @@ pub struct Metrics {
     /// Task attempts that panicked. A panic is a bug: task-side errors
     /// travel through the task's error slot, so this stays 0.
     pub task_panics: AtomicU64,
-    /// Records written to the shuffle store by map tasks.
+    /// Records published by map tasks.
     pub shuffle_records_written: AtomicU64,
-    /// Records read from the shuffle store by reduce tasks.
+    /// Records fetched by reduce tasks.
     pub shuffle_records_read: AtomicU64,
     /// Stages executed.
     pub stages_run: AtomicU64,
@@ -58,7 +58,7 @@ pub struct Metrics {
     pub stage_resubmissions: AtomicU64,
     /// Map tasks re-run for a shuffle that had previously completed.
     pub map_tasks_recomputed: AtomicU64,
-    /// Executors lost (their shuffle buckets and cache blocks dropped).
+    /// Executors lost (their shuffle buckets and cache blocks with them).
     pub executors_lost: AtomicU64,
     /// Cached partitions recomputed from lineage after their block was lost.
     pub cache_recomputes: AtomicU64,
@@ -99,14 +99,18 @@ impl Metrics {
             .records_read += records;
     }
 
-    /// I/O stats of one shuffle (zeroes if it never ran).
-    pub fn shuffle_stats(&self, shuffle_id: usize) -> ShuffleStats {
-        self.per_shuffle
-            .lock()
-            .unwrap()
-            .get(&shuffle_id)
-            .copied()
-            .unwrap_or_default()
+    /// Take the I/O stats of `shuffle_ids`, summed (zeroes for shuffles
+    /// that never ran): their entries leave the table, so a context
+    /// whose queries are attributed keeps no entry per past shuffle.
+    pub fn take_shuffle_stats(&self, shuffle_ids: &[usize]) -> ShuffleStats {
+        let mut per = self.per_shuffle.lock().unwrap();
+        let mut sum = ShuffleStats::default();
+        for s in shuffle_ids.iter().filter_map(|id| per.remove(id)) {
+            sum.records_written += s.records_written;
+            sum.bytes_written += s.bytes_written;
+            sum.records_read += s.records_read;
+        }
+        sum
     }
 
     /// Reset every counter to zero (useful between benchmark phases).
@@ -192,27 +196,28 @@ mod tests {
     }
 
     #[test]
-    fn per_shuffle_stats_accumulate_and_reset() {
+    fn per_shuffle_stats_accumulate_and_are_taken_once() {
         let m = Metrics::default();
         m.record_shuffle_write(3, 10, 160);
         m.record_shuffle_write(3, 5, 80);
         m.record_shuffle_read(3, 15);
         m.record_shuffle_write(4, 1, 16);
+        m.record_shuffle_write(5, 2, 32);
         assert_eq!(
-            m.shuffle_stats(3),
+            m.take_shuffle_stats(&[3]),
             ShuffleStats {
                 records_written: 15,
                 bytes_written: 240,
                 records_read: 15
             }
         );
-        assert_eq!(m.shuffle_stats(4).records_written, 1);
-        assert_eq!(m.shuffle_stats(99), ShuffleStats::default());
+        assert_eq!(m.take_shuffle_stats(&[3]), ShuffleStats::default());
+        assert_eq!(m.take_shuffle_stats(&[4, 99]).records_written, 1);
         // The global counters moved in lockstep.
-        assert_eq!(Metrics::get(&m.shuffle_records_written), 16);
+        assert_eq!(Metrics::get(&m.shuffle_records_written), 18);
         assert_eq!(Metrics::get(&m.shuffle_records_read), 15);
         m.reset();
-        assert_eq!(m.shuffle_stats(3), ShuffleStats::default());
+        assert_eq!(m.take_shuffle_stats(&[5]), ShuffleStats::default());
     }
 
     #[test]

@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 /// Marker bound for element types an RDD may carry.
 ///
-/// Elements cross executor-thread boundaries and may be retained by the
-/// shuffle and cache managers, hence `Send + Sync + 'static`; lineage
-/// recomputation requires `Clone`.
+/// Elements cross executor-thread boundaries and may be retained by
+/// shuffle dependencies and the cache manager, hence
+/// `Send + Sync + 'static`; lineage recomputation requires `Clone`.
 pub trait Data: Clone + Send + Sync + 'static {}
 impl<T: Clone + Send + Sync + 'static> Data for T {}
 

@@ -2,9 +2,12 @@
 //! boundaries, runs map stages in dependency order, then the result
 //! stage, retrying failed tasks up to `max_task_retries`.
 //!
-//! Stage skipping works like Spark's: if a shuffle's map output is
-//! already complete in the [`crate::shuffle::ShuffleManager`] (e.g. an
-//! earlier job computed it), the map stage is not rerun.
+//! Stage skipping works like Spark's: if a shuffle dependency already
+//! holds complete map output (an earlier job over the same lineage
+//! computed it), the map stage is not rerun. The scheduler keeps no
+//! shuffle state of its own: it asks each dependency it finds in the
+//! job's lineage ([`collect_shuffle_dependencies`]) what is missing, and
+//! output lives as long as that lineage is held.
 //!
 //! Tasks fail by value: each task attempt runs with an error slot
 //! ([`crate::task`]), and the scheduler decides once, when the task
@@ -12,11 +15,12 @@
 //! lineage protocol:
 //!
 //! * A task that records [`EngineError::FetchFailed`] is *not* retried in
-//!   place — the input it needs is gone. The scheduler unregisters the
-//!   lost map output, resubmits the parent map stage (only its missing
-//!   partitions), and reruns the failed stage. Resubmissions are bounded
-//!   by `max_stage_retries` per shuffle; exhausting them aborts the job
-//!   with [`EngineError::StageRetriesExhausted`].
+//!   place — the input it needs is gone. The scheduler removes the lost
+//!   map output from its dependency, resubmits the parent map stage
+//!   (only its missing partitions), and reruns the failed stage.
+//!   Resubmissions are bounded by `max_stage_retries` per shuffle;
+//!   exhausting them aborts the job with
+//!   [`EngineError::StageRetriesExhausted`].
 //! * A task that records [`EngineError::Cancelled`] or an error of its
 //!   own aborts the job after that one attempt: a rerun would fail the
 //!   same way.
@@ -25,9 +29,11 @@
 //!   retried in place, up to `max_task_retries` attempts.
 //! * Whatever ends a stage early waits for its launched sibling tasks to
 //!   finish first and skips the ones still queued.
-//! * Executor loss (`SparkContext::lose_executor`) drops every bucket
-//!   the executor produced; map stages re-check completeness after
-//!   running so mid-stage losses are recomputed before dependents run.
+//! * Executor loss (`SparkContext::lose_executor`) is lazy: it bumps the
+//!   executor's loss generation, and every map output the executor wrote
+//!   before then counts as missing. Map stages re-check completeness
+//!   after running, so mid-stage losses are recomputed before dependents
+//!   run.
 //!
 //! While a stage is in flight the driver thread steals queued pool tasks
 //! and runs them itself ([`crate::pool::ThreadPool::try_steal`]), so jobs
@@ -123,6 +129,10 @@ fn run_tasks<R: Send + 'static>(
             } else {
                 run_attempt(&sc2, injector, &*task, stage_id, partition, attempt)
             };
+            // Let go of the task (and the lineage it holds) before the
+            // driver can see the outcome: once a job returns, no executor
+            // still keeps its shuffle output alive.
+            drop(task);
             let _ = tx.send((partition, attempt, outcome));
             // Wake the driver's result-wait loop (it blocks on the pool's
             // activity condvar, not on the channel).
@@ -311,18 +321,22 @@ struct RecoveryState {
 }
 
 impl RecoveryState {
-    /// React to an observed fetch failure: unregister the lost output and
-    /// charge one resubmission against the shuffle, failing the job once
+    /// React to an observed fetch failure: remove the lost output from
+    /// its dependency among the job's `shuffles` and charge one
+    /// resubmission against the shuffle, failing the job once
     /// `max_stage_retries` is exceeded.
     fn note_fetch_failure(
         &mut self,
         sc: &SparkContext,
         stage_id: usize,
+        shuffles: &[Arc<dyn ShuffleDependencyBase>],
         shuffle_id: usize,
         map_id: usize,
     ) -> Result<()> {
         Metrics::add(&sc.metrics().fetch_failures, 1);
-        sc.shuffle_manager().remove_output(shuffle_id, map_id);
+        if let Some(sd) = shuffles.iter().find(|sd| sd.shuffle_id() == shuffle_id) {
+            sd.remove_output(map_id);
+        }
         let count = self.resubmissions.entry(shuffle_id).or_insert(0);
         *count += 1;
         let max = sc.conf().max_stage_retries;
@@ -349,16 +363,12 @@ fn ensure_shuffles(
 ) -> Result<()> {
     'restart: loop {
         for sd in shuffles {
-            let sid = sd.shuffle_id();
-            let num_maps = sd.parent().num_partitions();
             loop {
-                let missing = sc.shuffle_manager().missing_maps(sid, num_maps);
+                let missing = sd.missing_maps();
                 if missing.is_empty() {
-                    // Record completion (feeds ever_complete).
-                    sc.shuffle_manager().is_complete(sid, num_maps);
                     break;
                 }
-                if sc.shuffle_manager().ever_complete(sid) {
+                if sd.was_complete() {
                     // This shuffle was whole before: we are recomputing
                     // lost output from lineage, not running a fresh stage.
                     Metrics::add(&sc.metrics().map_tasks_recomputed, missing.len() as u64);
@@ -372,10 +382,10 @@ fn ensure_shuffles(
                     Arc::new(move |tc: &TaskContext| sd2.run_map_task(tc.partition, tc)),
                 ) {
                     // Re-check completeness: an executor death during the
-                    // stage can drop buckets that had already reported.
+                    // stage can lose buckets that had already reported.
                     Ok(_) => continue,
                     Err(EngineError::FetchFailed { shuffle_id, map_id }) => {
-                        rec.note_fetch_failure(sc, stage_id, shuffle_id, map_id)?;
+                        rec.note_fetch_failure(sc, stage_id, shuffles, shuffle_id, map_id)?;
                         continue 'restart;
                     }
                     Err(e) => return Err(e),
@@ -390,7 +400,7 @@ fn ensure_shuffles(
 /// upstream of it — without running a result stage. Already-complete
 /// shuffles are skipped, so re-materializing is free. This is the
 /// primitive adaptive query execution uses: run a stage, observe its real
-/// output sizes via [`crate::shuffle::ShuffleManager::map_output_sizes`],
+/// output sizes via [`crate::shuffle::ShuffleDependency::map_output_sizes`],
 /// then plan the next stage. Lost output is recomputed from lineage under
 /// the same bounded-resubmission rules as a full job.
 pub fn materialize_shuffle(sc: &SparkContext, dep: Arc<dyn ShuffleDependencyBase>) -> Result<()> {
@@ -431,7 +441,7 @@ pub fn run_job<T: Data, U: Send + 'static>(
         ) {
             Ok(results) => return Ok(results),
             Err(EngineError::FetchFailed { shuffle_id, map_id }) => {
-                rec.note_fetch_failure(sc, stage_id, shuffle_id, map_id)?;
+                rec.note_fetch_failure(sc, stage_id, &shuffles, shuffle_id, map_id)?;
             }
             Err(e) => return Err(e),
         }

@@ -1,32 +1,41 @@
-//! In-memory shuffle service and the shuffle dependency.
+//! Shuffle dependencies and the map output they own.
 //!
 //! A shuffle dependency splits the lineage graph into stages: the map
 //! stage runs [`ShuffleDependencyBase::run_map_task`] for every parent
-//! partition, writing per-reducer buckets into the [`ShuffleManager`];
-//! reduce-side RDDs ([`crate::pair::ShuffledRdd`]) then read and merge
-//! those buckets. Buckets are stored type-erased (`Arc<dyn Any>`) since
-//! all "executors" share one address space — the in-process analogue of
-//! Spark's shuffle files.
+//! partition, and each map task publishes its per-reducer buckets into
+//! the dependency itself, one slot per map partition. Reduce-side RDDs
+//! ([`crate::pair::ShuffledRdd`], [`crate::exchange::MaterializedShuffle`])
+//! hold the dependency and read from it. There is no context-wide store:
+//! map output lives exactly as long as some RDD references its
+//! dependency, so a query's shuffles are freed with the lineage that
+//! could recompute them — the in-process analogue of Spark's shuffle
+//! files.
 //!
-//! Reads go through [`fetch_bucket`]. A missing bucket (dropped by
-//! [`ShuffleManager::remove_output`], an executor loss, or an injected
-//! chaos fault) is an [`EngineError::FetchFailed`] the reading task
-//! records in its error slot ([`crate::task`]). The scheduler answers it
-//! by unregistering the lost map output and resubmitting the parent map
-//! stage from lineage — the RDD recovery protocol, bounded by
+//! A read of a missing output (dropped by
+//! [`ShuffleDependencyBase::remove_output`], written by an executor lost
+//! since, or faulted by the chaos plan) is an [`EngineError::FetchFailed`]
+//! the reading task records in its error slot ([`crate::task`]). The
+//! scheduler answers it by removing that map output and resubmitting the
+//! parent map stage from lineage — the RDD recovery protocol, bounded by
 //! `max_stage_retries` resubmissions per shuffle. A map task that
 //! recorded an error publishes no buckets.
+//!
+//! Executor loss is lazy: [`SparkContext::lose_executor`] bumps the
+//! executor's loss generation, and an output stamped with an older
+//! generation counts as missing wherever it is looked at.
 
+use crate::cache::DRIVER_OWNER;
 use crate::context::SparkContext;
 use crate::error::{EngineError, Result};
 use crate::partitioner::Partitioner;
 use crate::rdd::{Data, Rdd, RddBase, TaskContext};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Upcast a typed RDD handle to its scheduler-facing base object.
@@ -34,193 +43,18 @@ pub fn as_base<T: Data>(rdd: Arc<dyn Rdd<Item = T>>) -> Arc<dyn RddBase> {
     rdd
 }
 
-/// Type-erased map-task output: one `Vec<(K, C)>` per reduce partition.
-pub type Bucket = Arc<dyn Any + Send + Sync>;
-
-/// Fetch one map task's bucket: [`EngineError::FetchFailed`] if it is
-/// missing or the context's chaos plan faults the read. Every shuffle
-/// read path in the engine funnels through here so that lost output is
-/// always recoverable.
-pub fn fetch_bucket(ctx: &SparkContext, shuffle_id: usize, map_id: usize) -> Result<Bucket> {
-    let faulted = ctx
-        .chaos()
-        .is_some_and(|chaos| chaos.fetch_fault(shuffle_id, map_id));
-    match ctx.shuffle_manager().get(shuffle_id, map_id) {
-        Some(b) if !faulted => Ok(b),
-        _ => Err(EngineError::FetchFailed { shuffle_id, map_id }),
-    }
-}
-
-/// Stores map-task output buckets, keyed by `(shuffle, map partition)`.
-#[derive(Default)]
-pub struct ShuffleManager {
-    state: Mutex<ShuffleState>,
-}
-
-#[derive(Default)]
-struct ShuffleState {
-    /// (shuffle_id, map_id) -> per-reducer buckets.
-    outputs: HashMap<(usize, usize), Bucket>,
-    /// (shuffle_id, map_id) -> serialized bytes per reducer bucket,
-    /// recorded at write time so consumers (adaptive planning, EXPLAIN
-    /// ANALYZE) see measured sizes rather than row counts times a guess.
-    sizes: HashMap<(usize, usize), Vec<u64>>,
-    /// shuffle_id -> completed map partitions.
-    completed: HashMap<usize, HashSet<usize>>,
-    /// (shuffle_id, map_id) -> executor that produced the bucket
-    /// (`usize::MAX` for the driver), so losing an executor can drop
-    /// exactly the outputs it held.
-    owners: HashMap<(usize, usize), usize>,
-    /// Shuffles that were complete at least once — distinguishes
-    /// first-time map stages from recovery recomputation in metrics.
-    ever_completed: HashSet<usize>,
-}
-
-impl ShuffleManager {
-    /// Record the output of one map task together with the byte size of
-    /// each per-reducer bucket (`bucket_bytes[r]` = bytes destined for
-    /// reduce partition `r`). Returns true when this `(shuffle, map)`
-    /// output was newly registered, false when it overwrote an existing
-    /// one (a speculative or retried task) — callers use this to avoid
-    /// double-counting shuffle-write metrics.
-    pub fn put(
-        &self,
-        shuffle_id: usize,
-        map_id: usize,
-        bucket: Bucket,
-        bucket_bytes: Vec<u64>,
-    ) -> bool {
-        let owner = crate::pool::current_executor().unwrap_or(usize::MAX);
-        let mut st = self.state.lock();
-        let fresh = st.outputs.insert((shuffle_id, map_id), bucket).is_none();
-        st.sizes.insert((shuffle_id, map_id), bucket_bytes);
-        st.owners.insert((shuffle_id, map_id), owner);
-        st.completed.entry(shuffle_id).or_default().insert(map_id);
-        fresh
-    }
-
-    /// Unregister one map task's output (a fetch failure was observed);
-    /// the scheduler then resubmits just the missing map partitions.
-    pub fn remove_output(&self, shuffle_id: usize, map_id: usize) {
-        let mut st = self.state.lock();
-        st.outputs.remove(&(shuffle_id, map_id));
-        st.sizes.remove(&(shuffle_id, map_id));
-        st.owners.remove(&(shuffle_id, map_id));
-        if let Some(done) = st.completed.get_mut(&shuffle_id) {
-            done.remove(&map_id);
-        }
-    }
-
-    /// Drop every shuffle bucket the given executor produced — the
-    /// shuffle half of losing an executor. Returns the ids of shuffles
-    /// that lost output.
-    pub fn drop_executor(&self, executor: usize) -> Vec<usize> {
-        let mut st = self.state.lock();
-        let lost: Vec<(usize, usize)> = st
-            .owners
-            .iter()
-            .filter(|(_, owner)| **owner == executor)
-            .map(|(key, _)| *key)
-            .collect();
-        for key in &lost {
-            st.outputs.remove(key);
-            st.sizes.remove(key);
-            st.owners.remove(key);
-            if let Some(done) = st.completed.get_mut(&key.0) {
-                done.remove(&key.1);
-            }
-        }
-        let mut shuffles: Vec<usize> = lost.into_iter().map(|(sid, _)| sid).collect();
-        shuffles.sort_unstable();
-        shuffles.dedup();
-        shuffles
-    }
-
-    /// Map partitions of `shuffle_id` with no registered output, out of
-    /// `num_maps` total.
-    pub fn missing_maps(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
-        let st = self.state.lock();
-        let done = st.completed.get(&shuffle_id);
-        (0..num_maps)
-            .filter(|m| !done.is_some_and(|s| s.contains(m)))
-            .collect()
-    }
-
-    /// True when `shuffle_id` was observed complete at some point, even
-    /// if output has since been lost.
-    pub fn ever_complete(&self, shuffle_id: usize) -> bool {
-        self.state.lock().ever_completed.contains(&shuffle_id)
-    }
-
-    /// Measured byte sizes of one shuffle's map output, indexed
-    /// `[map][reduce]` with maps in ascending map-id order. Empty until
-    /// at least one map task of the shuffle has reported.
-    pub fn map_output_sizes(&self, shuffle_id: usize) -> Vec<Vec<u64>> {
-        let st = self.state.lock();
-        let mut map_ids: Vec<usize> = st
-            .completed
-            .get(&shuffle_id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        map_ids.sort_unstable();
-        map_ids
-            .iter()
-            .filter_map(|m| st.sizes.get(&(shuffle_id, *m)).cloned())
-            .collect()
-    }
-
-    /// Fetch the output of one map task, if present.
-    pub fn get(&self, shuffle_id: usize, map_id: usize) -> Option<Bucket> {
-        self.state
-            .lock()
-            .outputs
-            .get(&(shuffle_id, map_id))
-            .cloned()
-    }
-
-    /// True when every one of `num_maps` map partitions has reported.
-    /// Also remembers completion (see [`ShuffleManager::ever_complete`]).
-    pub fn is_complete(&self, shuffle_id: usize, num_maps: usize) -> bool {
-        let mut st = self.state.lock();
-        let complete = st
-            .completed
-            .get(&shuffle_id)
-            .is_some_and(|s| s.len() >= num_maps);
-        if complete {
-            st.ever_completed.insert(shuffle_id);
-        }
-        complete
-    }
-
-    /// Drop all output of one shuffle. The next job that needs it finds
-    /// the shuffle incomplete and reruns its map stage from lineage
-    /// (`scheduler::ensure_shuffles`); a concurrent reader instead records
-    /// [`EngineError::FetchFailed`] and the scheduler resubmits the map
-    /// stage.
-    pub fn invalidate(&self, shuffle_id: usize) {
-        let mut st = self.state.lock();
-        st.outputs.retain(|(sid, _), _| *sid != shuffle_id);
-        st.sizes.retain(|(sid, _), _| *sid != shuffle_id);
-        st.owners.retain(|(sid, _), _| *sid != shuffle_id);
-        st.completed.remove(&shuffle_id);
-    }
-
-    /// Drop every shuffle output in the context.
-    pub fn invalidate_all(&self) {
-        let mut st = self.state.lock();
-        st.outputs.clear();
-        st.sizes.clear();
-        st.owners.clear();
-        st.completed.clear();
-    }
-
-    /// Ids of all shuffles with at least one stored output.
-    pub fn known_shuffles(&self) -> Vec<usize> {
-        let st = self.state.lock();
-        let mut ids: Vec<usize> = st.completed.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
+/// One map task's published output.
+struct MapOutput<K, C> {
+    /// One `Vec<(K, C)>` per reduce partition.
+    buckets: Arc<Vec<Vec<(K, C)>>>,
+    /// Bytes per reduce bucket, recorded at write time so consumers
+    /// (adaptive planning, EXPLAIN ANALYZE) see measured sizes rather
+    /// than row counts times a guess.
+    sizes: Vec<u64>,
+    /// Executor that wrote it ([`DRIVER_OWNER`] for the driver).
+    executor: usize,
+    /// That executor's loss generation when it wrote the output.
+    generation: u64,
 }
 
 /// How map output is combined before/after the wire.
@@ -271,9 +105,19 @@ pub trait ShuffleDependencyBase: Send + Sync {
     fn num_reduce_partitions(&self) -> usize;
     /// Execute the map task for `map_partition`: compute the parent
     /// partition, bucket records by reducer, optionally combine map-side,
-    /// and publish to the shuffle manager — unless the task recorded an
-    /// error ([`crate::task::failed`]).
+    /// and publish the buckets into this dependency — unless the task
+    /// recorded an error ([`crate::task::failed`]).
     fn run_map_task(&self, map_partition: usize, tc: &TaskContext);
+    /// Map partitions with no live output. An empty answer means the
+    /// shuffle is complete, which the dependency remembers
+    /// ([`ShuffleDependencyBase::was_complete`]).
+    fn missing_maps(&self) -> Vec<usize>;
+    /// Drop one map task's output (a fetch failure was observed); the
+    /// scheduler then resubmits just the missing map partitions.
+    fn remove_output(&self, map_id: usize);
+    /// True when the shuffle was complete at some point, even if output
+    /// has since been lost — tells recovery from a first run in metrics.
+    fn was_complete(&self) -> bool;
 }
 
 /// Measures the byte footprint of one shuffled record. The engine cannot
@@ -292,6 +136,9 @@ pub struct ShuffleDependency<K: Data, V: Data, C: Data> {
     map_side_combine: bool,
     size_fn: Option<SizeFn<K, C>>,
     ctx: SparkContext,
+    /// One slot per map partition.
+    outputs: Mutex<Vec<Option<MapOutput<K, C>>>>,
+    was_complete: AtomicBool,
 }
 
 impl<K, V, C> ShuffleDependency<K, V, C>
@@ -322,6 +169,7 @@ where
         size_fn: Option<SizeFn<K, C>>,
     ) -> Self {
         let ctx = parent.context();
+        let outputs = (0..parent.num_partitions()).map(|_| None).collect();
         ShuffleDependency {
             shuffle_id: ctx.new_shuffle_id(),
             parent,
@@ -330,13 +178,63 @@ where
             map_side_combine,
             size_fn,
             ctx,
+            outputs: Mutex::new(outputs),
+            was_complete: AtomicBool::new(false),
         }
     }
 
-    /// Bucket type stored in the shuffle manager: one `Vec<(K, C)>` per
-    /// reduce partition.
-    fn erase(buckets: Vec<Vec<(K, C)>>) -> Bucket {
-        Arc::new(buckets)
+    /// The output in `slot`, unless its executor was lost after writing it.
+    fn live<'a>(&self, slot: &'a Option<MapOutput<K, C>>) -> Option<&'a MapOutput<K, C>> {
+        slot.as_ref()
+            .filter(|o| self.ctx.loss_generation(o.executor) == o.generation)
+    }
+
+    /// Publish one map task's output, written by `executor`, with the
+    /// byte size of each per-reducer bucket. Returns true when no live
+    /// output of `map_id` was there, false when it replaced one (a
+    /// speculative or retried task) — callers use this to avoid
+    /// double-counting shuffle-write metrics.
+    fn put(
+        &self,
+        map_id: usize,
+        buckets: Vec<Vec<(K, C)>>,
+        sizes: Vec<u64>,
+        executor: usize,
+    ) -> bool {
+        let output = MapOutput {
+            buckets: Arc::new(buckets),
+            sizes,
+            executor,
+            generation: self.ctx.loss_generation(executor),
+        };
+        let mut outputs = self.outputs.lock();
+        let fresh = self.live(&outputs[map_id]).is_none();
+        outputs[map_id] = Some(output);
+        fresh
+    }
+
+    /// Measured byte sizes of the live map outputs, indexed
+    /// `[map][reduce]` in ascending map-id order.
+    pub fn map_output_sizes(&self) -> Vec<Vec<u64>> {
+        let outputs = self.outputs.lock();
+        (outputs.iter())
+            .filter_map(|slot| self.live(slot).map(|o| o.sizes.clone()))
+            .collect()
+    }
+
+    /// The buckets of one map output: [`EngineError::FetchFailed`] if it
+    /// is missing or the context's chaos plan faults the read. Every read
+    /// funnels through here so that lost output is always recoverable.
+    fn fetch(&self, map_id: usize) -> Result<Arc<Vec<Vec<(K, C)>>>> {
+        let shuffle_id = self.shuffle_id;
+        let faulted = (self.ctx.chaos()).is_some_and(|chaos| chaos.fetch_fault(shuffle_id, map_id));
+        let buckets = self
+            .live(&self.outputs.lock()[map_id])
+            .map(|o| o.buckets.clone());
+        match buckets {
+            Some(b) if !faulted => Ok(b),
+            _ => Err(EngineError::FetchFailed { shuffle_id, map_id }),
+        }
     }
 
     /// The records of reduce buckets `reducers` in map outputs `maps`,
@@ -346,10 +244,8 @@ where
         let (mut records, mut read) = (Vec::new(), 0u64);
         let mut merged: HashMap<K, Option<C>> = HashMap::new();
         for map_id in maps {
-            let bucket = fetch_bucket(&self.ctx, self.shuffle_id, map_id)?;
-            let typed =
-                (bucket.downcast_ref::<Vec<Vec<(K, C)>>>()).expect("shuffle bucket type mismatch");
-            for reduce in &typed[reducers.clone()] {
+            let buckets = self.fetch(map_id)?;
+            for reduce in &buckets[reducers.clone()] {
                 read += reduce.len() as u64;
                 let Some(agg) = &self.aggregator else {
                     records.extend(reduce.iter().cloned());
@@ -441,7 +337,7 @@ where
         }
         // Per-bucket byte accounting: measured via the caller's size_fn
         // when available, otherwise approximated from the in-memory record
-        // footprint (the store holds typed Vec<(K, C)> buckets, not
+        // footprint (the dependency holds typed Vec<(K, C)> buckets, not
         // serialized frames).
         let mut bucket_bytes: Vec<u64> = Vec::with_capacity(n);
         let mut bytes = 0u64;
@@ -454,13 +350,9 @@ where
             bytes += b;
             bucket_bytes.push(b);
         }
-        let fresh = self.ctx.shuffle_manager().put(
-            self.shuffle_id,
-            map_partition,
-            Self::erase(buckets),
-            bucket_bytes,
-        );
-        // Only count output the store newly registered; a retried map task
+        let executor = crate::pool::current_executor().unwrap_or(DRIVER_OWNER);
+        let fresh = self.put(map_partition, buckets, bucket_bytes, executor);
+        // Only count output newly registered; a retried map task
         // overwriting its own bucket must not inflate shuffle volume.
         if fresh {
             self.ctx
@@ -468,66 +360,121 @@ where
                 .record_shuffle_write(self.shuffle_id, written, bytes);
         }
     }
+
+    fn missing_maps(&self) -> Vec<usize> {
+        let outputs = self.outputs.lock();
+        let missing: Vec<usize> = (0..outputs.len())
+            .filter(|&m| self.live(&outputs[m]).is_none())
+            .collect();
+        if missing.is_empty() {
+            self.was_complete.store(true, Ordering::Relaxed);
+        }
+        missing
+    }
+
+    fn remove_output(&self, map_id: usize) {
+        self.outputs.lock()[map_id] = None;
+    }
+
+    fn was_complete(&self) -> bool {
+        self.was_complete.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioner::HashPartitioner;
 
-    #[test]
-    fn manager_roundtrip_and_invalidate() {
-        let m = ShuffleManager::default();
-        let buckets: Vec<Vec<(i64, i64)>> = vec![vec![(1, 2)], vec![]];
-        m.put(7, 0, Arc::new(buckets), vec![16, 0]);
-        assert!(m.get(7, 0).is_some());
-        assert!(m.is_complete(7, 1));
-        assert!(!m.is_complete(7, 2));
-        assert_eq!(m.map_output_sizes(7), vec![vec![16, 0]]);
-        m.invalidate(7);
-        assert!(m.get(7, 0).is_none());
-        assert!(!m.is_complete(7, 1));
-        assert!(m.map_output_sizes(7).is_empty());
+    /// A raw two-reducer shuffle over `maps` empty map partitions, on a
+    /// context with two executors and no chaos plan.
+    fn dep(maps: usize) -> ShuffleDependency<i64, i64, i64> {
+        let sc = SparkContext::new(2);
+        sc.set_chaos(None);
+        let parent = sc.parallelize(Vec::<(i64, i64)>::new(), maps).as_inner();
+        ShuffleDependency::new(parent, Arc::new(HashPartitioner::new(2)), None, false)
+    }
+
+    fn empty() -> Vec<Vec<(i64, i64)>> {
+        vec![vec![], vec![]]
     }
 
     #[test]
-    fn invalidate_all_clears_everything() {
-        let m = ShuffleManager::default();
-        m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]);
-        m.put(2, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]);
-        assert_eq!(m.known_shuffles(), vec![1, 2]);
-        m.invalidate_all();
-        assert!(m.known_shuffles().is_empty());
+    fn output_round_trips_through_the_dependency() {
+        let d = dep(2);
+        assert_eq!(d.missing_maps(), vec![0, 1]);
+        d.put(0, vec![vec![(1, 2)], vec![]], vec![16, 0], DRIVER_OWNER);
+        assert_eq!(d.read(0..1, 0..2).unwrap(), vec![(1, 2)]);
+        assert_eq!(d.missing_maps(), vec![1]);
+        assert_eq!(d.map_output_sizes(), vec![vec![16, 0]]);
+        assert!(matches!(
+            d.read(0..2, 0..2),
+            Err(EngineError::FetchFailed { map_id: 1, .. })
+        ));
+        assert!(!d.was_complete());
+        d.put(1, empty(), vec![0, 0], DRIVER_OWNER);
+        assert!(d.missing_maps().is_empty());
+        assert!(d.was_complete());
     }
 
     #[test]
     fn map_output_sizes_ordered_by_map_id() {
-        let m = ShuffleManager::default();
-        m.put(3, 1, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![8, 24]);
-        m.put(3, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![0, 48]);
-        assert_eq!(m.map_output_sizes(3), vec![vec![0, 48], vec![8, 24]]);
+        let d = dep(2);
+        d.put(1, empty(), vec![8, 24], DRIVER_OWNER);
+        d.put(0, empty(), vec![0, 48], DRIVER_OWNER);
+        assert_eq!(d.map_output_sizes(), vec![vec![0, 48], vec![8, 24]]);
     }
 
     #[test]
-    fn put_reports_whether_output_is_new() {
-        let m = ShuffleManager::default();
-        assert!(m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]));
-        assert!(!m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]));
-        m.remove_output(1, 0);
-        assert!(m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]));
+    fn a_rewrite_is_not_fresh() {
+        let d = dep(1);
+        assert!(d.put(0, empty(), vec![], DRIVER_OWNER));
+        assert!(!d.put(0, empty(), vec![], DRIVER_OWNER));
+        d.remove_output(0);
+        assert!(d.put(0, empty(), vec![], DRIVER_OWNER));
     }
 
     #[test]
-    fn remove_output_leaves_shuffle_partially_complete() {
-        let m = ShuffleManager::default();
-        m.put(5, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]);
-        m.put(5, 1, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]);
-        assert!(m.is_complete(5, 2));
-        m.remove_output(5, 1);
-        assert!(!m.is_complete(5, 2));
-        assert_eq!(m.missing_maps(5, 2), vec![1]);
-        assert!(m.get(5, 0).is_some());
-        assert!(m.get(5, 1).is_none());
-        // Completion is remembered even after loss.
-        assert!(m.ever_complete(5));
+    fn remove_output_leaves_the_shuffle_partial() {
+        let d = dep(2);
+        d.put(0, empty(), vec![], DRIVER_OWNER);
+        d.put(1, empty(), vec![], DRIVER_OWNER);
+        assert!(d.missing_maps().is_empty());
+        d.remove_output(1);
+        assert_eq!(d.missing_maps(), vec![1]);
+        assert!(d.read(0..1, 0..2).is_ok());
+        assert!(d.read(1..2, 0..2).is_err());
+    }
+
+    #[test]
+    fn completion_is_remembered_after_a_loss() {
+        let d = dep(2);
+        d.put(0, empty(), vec![], 0);
+        d.put(1, empty(), vec![], 1);
+        assert!(d.missing_maps().is_empty());
+        d.remove_output(0);
+        d.ctx.lose_executor(1);
+        assert_eq!(d.missing_maps(), vec![0, 1]);
+        assert!(d.was_complete());
+    }
+
+    #[test]
+    fn output_written_before_its_executor_was_lost_is_missing() {
+        let d = dep(3);
+        d.put(0, empty(), vec![1, 0], 1);
+        d.put(1, empty(), vec![2, 0], 0);
+        d.put(2, empty(), vec![3, 0], DRIVER_OWNER);
+        d.ctx.lose_executor(1);
+        assert_eq!(d.missing_maps(), vec![0]);
+        assert_eq!(d.map_output_sizes(), vec![vec![2, 0], vec![3, 0]]);
+        assert!(d.read(0..1, 0..2).is_err());
+        // Written by the same executor after the loss: live, and new.
+        assert!(d.put(0, empty(), vec![1, 0], 1));
+        assert!(d.missing_maps().is_empty());
+        d.ctx.lose_executor(DRIVER_OWNER);
+        assert_eq!(d.missing_maps(), vec![2]);
+        // An id no executor has loses nothing.
+        d.ctx.lose_executor(7);
+        assert_eq!(d.missing_maps(), vec![2]);
     }
 }

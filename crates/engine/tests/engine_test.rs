@@ -3,6 +3,7 @@
 
 use engine::metrics::Metrics;
 use engine::pair::SortedPairRdd;
+use engine::scheduler::collect_shuffle_dependencies;
 use engine::{PairRdd, SparkContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -332,13 +333,36 @@ fn invalidated_shuffle_is_recomputed() {
         v.sort();
         v
     };
-    sc.shuffle_manager().invalidate_all();
+    for sd in collect_shuffle_dependencies(rdd.as_inner()) {
+        for map_id in 0..sd.parent().num_partitions() {
+            sd.remove_output(map_id);
+        }
+        assert_eq!(sd.missing_maps(), vec![0, 1, 2, 3]);
+    }
     let second = {
         let mut v = rdd.collect();
         v.sort();
         v
     };
     assert_eq!(first, second);
+}
+
+#[test]
+fn dropping_an_rdd_frees_its_shuffle_output() {
+    let sc = SparkContext::new(2);
+    let sentinel = Arc::new(());
+    let held = sentinel.clone();
+    let rdd = sc
+        .parallelize((0..100i64).collect(), 4)
+        .map(move |i| (i % 4, held.clone()))
+        .reduce_by_key(|a, _| a, 2);
+    let out = rdd.collect();
+    assert_eq!(out.len(), 4);
+    // The map output holds clones until the lineage that owns it goes.
+    assert!(Arc::strong_count(&sentinel) > 1 + out.len());
+    drop(out);
+    drop(rdd);
+    assert_eq!(Arc::strong_count(&sentinel), 1);
 }
 
 #[test]

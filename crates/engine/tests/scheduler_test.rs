@@ -86,10 +86,20 @@ fn stage_skipping_across_jobs_counts_stages() {
     assert_eq!(after_first, 2);
     rdd.count(); // job 2: result stage only (map output reused)
     assert_eq!(Metrics::get(&sc.metrics().stages_run), 3);
-    // Invalidate, forcing the map stage to rerun.
-    sc.shuffle_manager().invalidate_all();
+    // Drop the map output through the lineage, forcing the map stage to
+    // rerun.
+    drop_all_output(&rdd);
     rdd.count();
     assert_eq!(Metrics::get(&sc.metrics().stages_run), 5);
+}
+
+/// Remove every map output of every shuffle in `rdd`'s lineage.
+fn drop_all_output<T: engine::Data>(rdd: &engine::RddRef<T>) {
+    for sd in collect_shuffle_dependencies(rdd.as_inner()) {
+        for map_id in 0..sd.parent().num_partitions() {
+            sd.remove_output(map_id);
+        }
+    }
 }
 
 #[test]
@@ -139,7 +149,7 @@ fn fetch_failure_resubmits_map_stage_and_recovers() {
         v
     };
     // Fresh fault-free state, then exactly one injected fetch failure.
-    sc.shuffle_manager().invalidate_all();
+    drop_all_output(&rdd);
     sc.metrics().reset();
     sc.set_chaos(Some(Arc::new(ChaosPlan::new(ChaosConf {
         task_fault_prob: 0.0,
@@ -329,10 +339,10 @@ fn a_failed_task_publishes_neither_shuffle_output_nor_cache_blocks() {
         x
     });
     let shuffled = failing.map(|x| (x % 3, x)).reduce_by_key(|a, b| a + b, 2);
-    let sid = collect_shuffle_dependencies(shuffled.as_inner())[0].shuffle_id();
+    let dep = collect_shuffle_dependencies(shuffled.as_inner()).remove(0);
     assert!(shuffled.try_collect().is_err());
     // Map partition 0 holds the bad row: its bucket was never put.
-    assert!(sc.shuffle_manager().missing_maps(sid, 4).contains(&0));
+    assert!(dep.missing_maps().contains(&0));
 
     let cached = failing.cache();
     assert!(cached.try_collect().is_err());
