@@ -20,10 +20,10 @@
 //!
 //! The module is pure: it computes decisions ([`AdaptivePlanChange`]) and
 //! plan rewrites from observed sizes but performs no execution itself.
-//! The stage driver is core's `exchange.rs`: it materializes the pair of
-//! `Exchange` nodes under a shuffled join through the engine's
-//! `MaterializedShuffle` and consults these rules before the join reads
-//! them. Every adopted
+//! The stage driver is core's `exchange.rs`: it runs the map stages of
+//! the pair of `Exchange` nodes under a shuffled join, reads the measured
+//! sizes off each engine `ShuffleDependency` and consults these rules
+//! before the join reads them. Every adopted
 //! rewrite must first pass [`crate::validation::PlanValidator`]; a
 //! rejected rewrite falls back to the original plan and the query still
 //! runs.

@@ -13,9 +13,10 @@
 //! shuffled join's two exchanges are read as a [`HashPair`], stage by
 //! stage from measured sizes.
 //!
-//! Each exchange records the id of the shuffle it minted on its own
-//! metrics node, where `QueryExecution` attributes the engine's
-//! per-shuffle counters, and its read checks the cancel token.
+//! Each shuffle is an engine [`ShuffleDependency`] read by its one reader.
+//! An exchange records the id of the shuffle it minted on its own metrics
+//! node and hands the shuffle's I/O counters to the execution, which
+//! writes them onto that node; its read checks the cancel token.
 
 use crate::execution::{cancel_checked, engine_err, ExecContext};
 use crate::join::{pair_bytes, Keyed};
@@ -30,10 +31,11 @@ use catalyst::value::Value;
 use catalyst::vectorized::{ColumnVector, RowBatch};
 use engine::pair::SortedPairRdd;
 use engine::rdd::Dependency;
-use engine::shuffle::SizeFn;
+use engine::scheduler::materialize_shuffle;
+use engine::shuffle::{ShuffleDependencyBase, SizeFn};
 use engine::{
-    Data, HashPartitioner, MaterializedShuffle, PairRdd, Partitioner, RangePartitioner, RddRef,
-    Reservoir, ShuffleReadSpec,
+    Data, HashPartitioner, PairRdd, Partitioner, RangePartitioner, RddRef, Reservoir,
+    ShuffleDependency, ShuffleReadSpec,
 };
 use std::cmp::Ordering;
 use std::hash::Hash;
@@ -80,10 +82,12 @@ impl<'a> Exchange<'a> {
         }
     }
 
-    /// Record that this exchange minted engine shuffle `sid`.
-    fn minted(&self, sid: usize, ctx: &ExecContext) {
+    /// Record that this exchange minted `shuffle`: its id on the metrics
+    /// node, its I/O counters in the execution's shuffle log.
+    fn minted(&self, shuffle: &dyn ShuffleDependencyBase, ctx: &ExecContext) {
         if let Some(pm) = &ctx.metrics {
-            pm.node(self.id).add_shuffle_id(sid);
+            pm.node(self.id).add_shuffle_id(shuffle.shuffle_id());
+            ctx.shuffles.lock().unwrap().push((self.id, shuffle.io()));
         }
     }
 
@@ -92,7 +96,7 @@ impl<'a> Exchange<'a> {
     fn read<T: Data>(&self, shuffled: RddRef<T>, ctx: &ExecContext) -> RddRef<T> {
         for dep in shuffled.as_inner().dependencies() {
             if let Dependency::Shuffle(dep) = dep {
-                self.minted(dep.shuffle_id(), ctx);
+                self.minted(&*dep, ctx);
             }
         }
         cancel_checked(&shuffled, ctx)
@@ -303,7 +307,7 @@ impl Partitioner<SortKey> for PrefixPartitioner {
     }
 }
 
-type JoinShuffle = MaterializedShuffle<Option<Row>, Row, Row>;
+type JoinShuffle = Arc<ShuffleDependency<Option<Row>, Row, Row>>;
 
 /// One of a [`HashPair`]'s exchanges: its keyed rows, and their shuffle
 /// once its map stage ran.
@@ -319,11 +323,11 @@ impl PairSide<'_> {
         if self.shuffle.is_none() {
             let size_fn: SizeFn<Option<Row>, Row> = Arc::new(pair_bytes);
             let partitioner = Arc::new(HashPartitioner::new(self.exchange.partitions()));
-            let shuffle =
-                MaterializedShuffle::create(&self.records, partitioner, None, false, Some(size_fn))
-                    .map_err(engine_err)?;
-            self.exchange.minted(shuffle.shuffle_id(), ctx);
-            self.shuffle = Some(shuffle);
+            let records = self.records.as_inner();
+            let dep = ShuffleDependency::new(records, partitioner, None, false, Some(size_fn));
+            materialize_shuffle(&ctx.sc, dep.clone()).map_err(engine_err)?;
+            self.exchange.minted(&*dep, ctx);
+            self.shuffle = Some(dep);
         }
         Ok(self.shuffle.as_ref().expect("materialized above"))
     }

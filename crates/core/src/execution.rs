@@ -34,7 +34,7 @@ use catalyst::source::RowIter;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, RowBatch};
-use engine::{task, Data, MemoryPool, RddRef, SparkContext};
+use engine::{task, Data, MemoryPool, RddRef, ShuffleIo, SparkContext};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -107,6 +107,10 @@ impl AdaptiveLog {
     }
 }
 
+/// Each shuffle an instrumented run minted: its Exchange's pre-order id
+/// and the shuffle's own I/O counters, kept for `QueryExecution`.
+pub type ShuffleLog = Arc<Mutex<Vec<(usize, Arc<ShuffleIo>)>>>;
+
 /// Everything execution needs.
 pub struct ExecContext {
     /// The engine.
@@ -119,6 +123,8 @@ pub struct ExecContext {
     /// Adaptive decisions made while lowering (stage-by-stage execution
     /// records coalescing, demotions, and skew splits here).
     pub adaptive: AdaptiveLog,
+    /// The shuffles the Exchanges minted, recorded when instrumented.
+    pub shuffles: ShuffleLog,
     /// Memory pool governing the buffering operators of this execution:
     /// they reserve what they buffer and spill when a grow is denied.
     /// With no `spark.sql.memory.budgetBytes` the pool never denies.
@@ -142,28 +148,16 @@ fn pool_from_conf(conf: &SqlConf) -> Arc<MemoryPool> {
 }
 
 impl ExecContext {
-    /// An uninstrumented execution context.
+    /// An uninstrumented execution context; `QueryExecution` fills in the
+    /// instruments of a metered run.
     pub fn new(sc: SparkContext, conf: SqlConf) -> Self {
-        let mem = pool_from_conf(&conf);
         ExecContext {
             sc,
+            mem: pool_from_conf(&conf),
             conf,
             metrics: None,
             adaptive: AdaptiveLog::default(),
-            mem,
-            cancel: None,
-        }
-    }
-
-    /// An instrumented context recording into `metrics`.
-    pub fn instrumented(sc: SparkContext, conf: SqlConf, metrics: Arc<PlanMetrics>) -> Self {
-        let mem = pool_from_conf(&conf);
-        ExecContext {
-            sc,
-            conf,
-            metrics: Some(metrics),
-            adaptive: AdaptiveLog::default(),
-            mem,
+            shuffles: ShuffleLog::default(),
             cancel: None,
         }
     }

@@ -10,7 +10,7 @@
 //! to individual operators instead of whole queries.
 
 use crate::context::SQLContext;
-use crate::execution::{engine_err, execute, AdaptiveLog, ExecContext};
+use crate::execution::{engine_err, execute, AdaptiveLog, ExecContext, ShuffleLog};
 use crate::plan_cache::{PlanMemo, Planned};
 use catalyst::adaptive::{self, AdaptivePlanChange};
 use catalyst::error::Result;
@@ -19,7 +19,8 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::plan::LogicalPlan;
 use catalyst::row::Row;
 use catalyst::rules::RuleHealthReport;
-use engine::{CacheBudgetStats, CancelToken, MemoryPool, MemoryStats, RddRef};
+use engine::{CacheBudgetStats, CancelToken, MemoryPool, MemoryStats, RddRef, ShuffleStats};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -42,6 +43,8 @@ pub struct QueryExecution {
     /// Computed on first request: see [`QueryExecution::rule_health`].
     rule_health: OnceLock<RuleHealthReport>,
     adaptive_log: AdaptiveLog,
+    /// Shuffles minted by the most recent run, for attribution.
+    shuffle_log: ShuffleLog,
     /// Memory pool of the most recent run (set by [`QueryExecution::to_rdd`]).
     mem_pool: Mutex<Option<Arc<MemoryPool>>>,
     /// Session-scoped id assigned when the handle was created.
@@ -70,6 +73,7 @@ impl QueryExecution {
             metrics,
             rule_health: OnceLock::new(),
             adaptive_log: AdaptiveLog::default(),
+            shuffle_log: ShuffleLog::default(),
             mem_pool: Mutex::new(None),
             query_id,
             cancel: Mutex::new(None),
@@ -153,16 +157,17 @@ impl QueryExecution {
     /// attached: every operator meters rows and time into
     /// [`QueryExecution::metrics`] when the RDD executes.
     pub fn to_rdd(&self) -> Result<RddRef<Row>> {
-        let mut ctx = ExecContext::instrumented(
-            self.ctx.spark_context().clone(),
-            self.ctx.conf(),
-            self.metrics.clone(),
-        );
-        // Adaptive decisions are per-run: lowering materializes stages
-        // eagerly, so the log fills in during `execute`.
+        // Adaptive decisions and minted shuffles are per-run: lowering
+        // materializes stages eagerly, so the logs fill in during `execute`.
         self.adaptive_log.clear();
-        ctx.adaptive = self.adaptive_log.clone();
-        ctx.cancel = self.cancel.lock().unwrap().clone();
+        self.shuffle_log.lock().unwrap().clear();
+        let ctx = ExecContext {
+            metrics: Some(self.metrics.clone()),
+            adaptive: self.adaptive_log.clone(),
+            shuffles: self.shuffle_log.clone(),
+            cancel: self.cancel.lock().unwrap().clone(),
+            ..ExecContext::new(self.ctx.spark_context().clone(), self.ctx.conf())
+        };
         *self.mem_pool.lock().unwrap() = Some(ctx.mem.clone());
         execute(self.physical(), &ctx)
     }
@@ -291,18 +296,15 @@ impl QueryExecution {
         Ok(out)
     }
 
-    /// Move engine-side per-shuffle I/O counters onto the Exchange nodes
-    /// that minted each shuffle, as `shuffle_*` extras. The engine's
-    /// entries are taken, so none outlives the query.
+    /// Write the I/O counters of the shuffles this run minted onto the
+    /// Exchange nodes that minted them, as `shuffle_*` extras.
     fn attribute_shuffle_stats(&self) {
-        let em = self.ctx.spark_context().metrics();
-        for id in 0..self.metrics.len() {
+        let mut totals: BTreeMap<usize, ShuffleStats> = BTreeMap::new();
+        for (id, io) in self.shuffle_log.lock().unwrap().iter() {
+            *totals.entry(*id).or_default() += io.stats();
+        }
+        for (id, s) in totals {
             let node = self.metrics.node(id);
-            let sids = node.shuffle_ids();
-            if sids.is_empty() {
-                continue;
-            }
-            let s = em.take_shuffle_stats(&sids);
             node.set_extra("shuffle_records_written", s.records_written);
             node.set_extra("shuffle_bytes_written", s.bytes_written);
             node.set_extra("shuffle_records_read", s.records_read);
@@ -666,33 +668,6 @@ mod tests {
         assert!(
             json.contains("\"memory\":{\"budget\":4096,\"peak\":4000,\"spill_count\":3"),
             "{json}"
-        );
-    }
-
-    #[test]
-    fn a_collected_query_leaves_no_shuffle_stats_behind() {
-        use catalyst::schema::Schema;
-        use catalyst::types::{DataType, StructField};
-        use catalyst::value::Value;
-        let ctx = SQLContext::new_local(2);
-        let schema = Arc::new(Schema::new(vec![
-            StructField::new("k", DataType::Long, false),
-            StructField::new("v", DataType::Long, false),
-        ]));
-        let rows = (0..60)
-            .map(|i| Row::new(vec![Value::Long(i % 5), Value::Long(i)]))
-            .collect();
-        ctx.register_rows("t", schema, rows).unwrap();
-        let qe = (ctx.sql("SELECT k, sum(v) FROM t GROUP BY k ORDER BY k"))
-            .and_then(|df| df.query_execution())
-            .unwrap();
-        assert_eq!(qe.collect().unwrap().len(), 5);
-        let sc = ctx.spark_context();
-        let minted: Vec<usize> = (0..sc.current_shuffle_id()).collect();
-        assert!(!minted.is_empty(), "the query shuffled nothing");
-        assert_eq!(
-            sc.metrics().take_shuffle_stats(&minted),
-            engine::metrics::ShuffleStats::default()
         );
     }
 

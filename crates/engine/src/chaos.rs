@@ -11,7 +11,9 @@
 //!
 //! Termination is guaranteed by construction: faults only hit attempt 0
 //! of a task, each `(shuffle, map)` fetch fails at most once (unless
-//! [`ChaosConf::repeat_fetch_faults`] is set to test retry exhaustion),
+//! [`ChaosConf::repeat_fetch_faults`] is set to test retry exhaustion;
+//! the shuffle dependency keeps the once-per-map flag, so it goes with
+//! the shuffle),
 //! and every fault kind has a budget. With the default budgets a context
 //! absorbs all injected faults well inside `max_task_retries` ×
 //! `max_stage_retries`.
@@ -22,9 +24,7 @@
 //! Tests that assert exact task/stage counters opt out with
 //! `sc.set_chaos(None)`.
 
-use parking_lot::Mutex;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The kinds of fault a [`ChaosPlan`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +126,6 @@ pub struct ChaosPlan {
     task_panics: AtomicU64,
     executor_deaths: AtomicU64,
     fetch_failures: AtomicU64,
-    /// `(shuffle, map)` pairs that already failed a fetch, so retried
-    /// fetches succeed and recovery converges.
-    fetch_seen: Mutex<HashSet<(usize, usize)>>,
 }
 
 impl ChaosPlan {
@@ -139,7 +136,6 @@ impl ChaosPlan {
             task_panics: AtomicU64::new(0),
             executor_deaths: AtomicU64::new(0),
             fetch_failures: AtomicU64::new(0),
-            fetch_seen: Mutex::new(HashSet::new()),
         }
     }
 
@@ -203,13 +199,15 @@ impl ChaosPlan {
     }
 
     /// Decide whether fetching map output `(shuffle_id, map_id)` should
-    /// fail right now.
-    pub fn fetch_fault(&self, shuffle_id: usize, map_id: usize) -> bool {
+    /// fail right now. `decided` is that output's flag, set the first
+    /// time it is a fault candidate: a retried fetch then succeeds and
+    /// recovery converges.
+    pub fn fetch_fault(&self, shuffle_id: usize, map_id: usize, decided: &AtomicBool) -> bool {
         let h = hash3(self.conf.seed, 0xFE7C_u64, shuffle_id as u64, map_id as u64);
         if !below(h, self.conf.fetch_fault_prob) {
             return false;
         }
-        if !self.conf.repeat_fetch_faults && !self.fetch_seen.lock().insert((shuffle_id, map_id)) {
+        if !self.conf.repeat_fetch_faults && decided.swap(true, Ordering::SeqCst) {
             return false;
         }
         claim(&self.fetch_failures, self.conf.max_fetch_failures)
@@ -275,7 +273,7 @@ mod tests {
         });
         for stage in 0..100 {
             plan.task_fault(stage, 0, 0);
-            plan.fetch_fault(stage, 0);
+            plan.fetch_fault(stage, 0, &AtomicBool::new(false));
         }
         let s = plan.stats();
         assert_eq!(s.task_panics, 2);
@@ -300,12 +298,13 @@ mod tests {
             max_fetch_failures: 100,
             ..ChaosConf::seeded(5)
         });
-        assert!(plan.fetch_fault(1, 0));
+        let (map0, map1) = (AtomicBool::new(false), AtomicBool::new(false));
+        assert!(plan.fetch_fault(1, 0, &map0));
         assert!(
-            !plan.fetch_fault(1, 0),
+            !plan.fetch_fault(1, 0, &map0),
             "second fetch of the same output must succeed"
         );
-        assert!(plan.fetch_fault(1, 1));
+        assert!(plan.fetch_fault(1, 1, &map1));
     }
 
     #[test]
@@ -316,7 +315,8 @@ mod tests {
             repeat_fetch_faults: true,
             ..ChaosConf::seeded(5)
         });
-        assert!(plan.fetch_fault(1, 0));
-        assert!(plan.fetch_fault(1, 0));
+        let map0 = AtomicBool::new(false);
+        assert!(plan.fetch_fault(1, 0, &map0));
+        assert!(plan.fetch_fault(1, 0, &map0));
     }
 }

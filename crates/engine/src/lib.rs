@@ -7,8 +7,10 @@
 //! boundaries and runs tasks on a pool of executor threads.
 //!
 //! The "cluster" is simulated inside one process: executors are worker
-//! threads, each shuffle dependency holds its own map output in memory
-//! (freed with the lineage that references it), broadcast is
+//! threads, each shuffle dependency holds its own map output and I/O
+//! counters in memory (freed with the lineage that references it) and is
+//! read back by one reader RDD over a list of read windows
+//! ([`ShuffleReadSpec`]), broadcast is
 //! an `Arc` handed to every task, and "HDFS" is a directory of part files
 //! (used by the Figure 10 pipeline experiment to model materialization
 //! between separate jobs).
@@ -59,7 +61,6 @@ pub mod cancel;
 pub mod chaos;
 pub mod context;
 pub mod error;
-pub mod exchange;
 pub mod hdfs;
 pub mod memory;
 pub mod metrics;
@@ -78,8 +79,8 @@ pub use cancel::{CancelReason, CancelToken};
 pub use chaos::{ChaosConf, ChaosPlan, ChaosStats, FaultKind};
 pub use context::{EngineConf, SparkContext};
 pub use error::{EngineError, Result};
-pub use exchange::{MaterializedShuffle, ShuffleReadSpec};
 pub use memory::{MemoryPool, MemoryReservation, MemoryStats, SpillFile};
 pub use pair::PairRdd;
 pub use partitioner::{HashPartitioner, Partitioner, RangePartitioner, Reservoir};
 pub use rdd::{BoxIter, Data, Rdd, RddBase, RddRef};
+pub use shuffle::{ShuffleDependency, ShuffleIo, ShuffleReadSpec, ShuffleStats};

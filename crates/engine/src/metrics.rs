@@ -4,24 +4,10 @@
 //! any executor thread. Experiments use them to report shuffle volume and
 //! task counts alongside wall-clock time; tests use them to assert that a
 //! plan actually avoided work (e.g. predicate pushdown shuffling fewer
-//! records).
+//! records). One shuffle's own volume is counted by its dependency
+//! ([`crate::shuffle::ShuffleIo`]) and goes with it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// I/O volume of one shuffle, keyed by shuffle id — what lets the SQL
-/// layer attribute shuffle traffic to the operator that induced the
-/// exchange.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShuffleStats {
-    /// Records published by map tasks.
-    pub records_written: u64,
-    /// Approximate bytes published by map tasks.
-    pub bytes_written: u64,
-    /// Records fetched by reduce tasks.
-    pub records_read: u64,
-}
 
 /// Global counters for one context.
 #[derive(Debug, Default)]
@@ -62,8 +48,6 @@ pub struct Metrics {
     pub executors_lost: AtomicU64,
     /// Cached partitions recomputed from lineage after their block was lost.
     pub cache_recomputes: AtomicU64,
-    /// Per-shuffle I/O, keyed by shuffle id.
-    per_shuffle: Mutex<HashMap<usize, ShuffleStats>>,
 }
 
 impl Metrics {
@@ -77,40 +61,6 @@ impl Metrics {
     #[inline]
     pub fn get(counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)
-    }
-
-    /// Record one map task's shuffle output (global counter + per-shuffle).
-    pub fn record_shuffle_write(&self, shuffle_id: usize, records: u64, bytes: u64) {
-        Metrics::add(&self.shuffle_records_written, records);
-        let mut per = self.per_shuffle.lock().unwrap();
-        let e = per.entry(shuffle_id).or_default();
-        e.records_written += records;
-        e.bytes_written += bytes;
-    }
-
-    /// Record one reduce task's shuffle fetch (global counter + per-shuffle).
-    pub fn record_shuffle_read(&self, shuffle_id: usize, records: u64) {
-        Metrics::add(&self.shuffle_records_read, records);
-        self.per_shuffle
-            .lock()
-            .unwrap()
-            .entry(shuffle_id)
-            .or_default()
-            .records_read += records;
-    }
-
-    /// Take the I/O stats of `shuffle_ids`, summed (zeroes for shuffles
-    /// that never ran): their entries leave the table, so a context
-    /// whose queries are attributed keeps no entry per past shuffle.
-    pub fn take_shuffle_stats(&self, shuffle_ids: &[usize]) -> ShuffleStats {
-        let mut per = self.per_shuffle.lock().unwrap();
-        let mut sum = ShuffleStats::default();
-        for s in shuffle_ids.iter().filter_map(|id| per.remove(id)) {
-            sum.records_written += s.records_written;
-            sum.bytes_written += s.bytes_written;
-            sum.records_read += s.records_read;
-        }
-        sum
     }
 
     /// Reset every counter to zero (useful between benchmark phases).
@@ -132,7 +82,6 @@ impl Metrics {
         self.map_tasks_recomputed.store(0, Ordering::Relaxed);
         self.executors_lost.store(0, Ordering::Relaxed);
         self.cache_recomputes.store(0, Ordering::Relaxed);
-        self.per_shuffle.lock().unwrap().clear();
     }
 
     /// Snapshot of all counters, for printing in experiment harnesses.
@@ -193,31 +142,6 @@ mod tests {
         assert_eq!(Metrics::get(&m.tasks_launched), 5);
         m.reset();
         assert_eq!(Metrics::get(&m.tasks_launched), 0);
-    }
-
-    #[test]
-    fn per_shuffle_stats_accumulate_and_are_taken_once() {
-        let m = Metrics::default();
-        m.record_shuffle_write(3, 10, 160);
-        m.record_shuffle_write(3, 5, 80);
-        m.record_shuffle_read(3, 15);
-        m.record_shuffle_write(4, 1, 16);
-        m.record_shuffle_write(5, 2, 32);
-        assert_eq!(
-            m.take_shuffle_stats(&[3]),
-            ShuffleStats {
-                records_written: 15,
-                bytes_written: 240,
-                records_read: 15
-            }
-        );
-        assert_eq!(m.take_shuffle_stats(&[3]), ShuffleStats::default());
-        assert_eq!(m.take_shuffle_stats(&[4, 99]).records_written, 1);
-        // The global counters moved in lockstep.
-        assert_eq!(Metrics::get(&m.shuffle_records_written), 18);
-        assert_eq!(Metrics::get(&m.shuffle_records_read), 15);
-        m.reset();
-        assert_eq!(m.take_shuffle_stats(&[5]), ShuffleStats::default());
     }
 
     #[test]

@@ -1,186 +1,14 @@
 //! Operations on RDDs of key-value pairs: shuffles, joins, sorting.
+//!
+//! Every shuffle here is a [`ShuffleDependency`] read one partition per
+//! reducer; `cogroup` (and `join` on it) zips two such reads.
 
 use crate::partitioner::{HashPartitioner, Partitioner, RangePartitioner, Reservoir};
-use crate::rdd::{BoxIter, Data, Dependency, Rdd, RddBase, RddId, RddRef, TaskContext};
-use crate::shuffle::{Aggregator, ShuffleDependency, ShuffleDependencyBase};
-use crate::SparkContext;
+use crate::rdd::{Data, RddRef};
+use crate::shuffle::{Aggregator, ShuffleDependency};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// Reduce-side RDD of a shuffle: partition `i` merges bucket `i` of every
-/// map task's output.
-pub struct ShuffledRdd<K: Data, V: Data, C: Data> {
-    id: RddId,
-    dep: Arc<ShuffleDependency<K, V, C>>,
-    ctx: SparkContext,
-    num_reduce: usize,
-    num_maps: usize,
-}
-
-impl<K, V, C> ShuffledRdd<K, V, C>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    C: Data,
-{
-    /// Build a shuffled RDD from a pair RDD, a partitioner and an optional
-    /// aggregator.
-    pub fn new(
-        parent: Arc<dyn Rdd<Item = (K, V)>>,
-        partitioner: Arc<dyn Partitioner<K>>,
-        aggregator: Option<Aggregator<K, V, C>>,
-        map_side_combine: bool,
-    ) -> Self {
-        let ctx = parent.context();
-        let num_maps = parent.num_partitions();
-        let num_reduce = partitioner.num_partitions();
-        let dep = Arc::new(ShuffleDependency::new(
-            parent,
-            partitioner,
-            aggregator,
-            map_side_combine,
-        ));
-        ShuffledRdd {
-            id: ctx.new_rdd_id(),
-            dep,
-            ctx,
-            num_reduce,
-            num_maps,
-        }
-    }
-}
-
-impl<K, V, C> RddBase for ShuffledRdd<K, V, C>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    C: Data,
-{
-    fn id(&self) -> RddId {
-        self.id
-    }
-    fn num_partitions(&self) -> usize {
-        self.num_reduce
-    }
-    fn dependencies(&self) -> Vec<Dependency> {
-        vec![Dependency::Shuffle(
-            self.dep.clone() as Arc<dyn ShuffleDependencyBase>
-        )]
-    }
-    fn context(&self) -> SparkContext {
-        self.ctx.clone()
-    }
-    fn name(&self) -> &'static str {
-        "shuffle"
-    }
-}
-
-impl<K, V, C> Rdd for ShuffledRdd<K, V, C>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    C: Data,
-{
-    type Item = (K, C);
-    fn compute(&self, split: usize, _tc: &TaskContext) -> BoxIter<(K, C)> {
-        let records = self.dep.read(0..self.num_maps, split..split + 1);
-        Box::new(crate::task::ok(records).into_iter().flatten())
-    }
-}
-
-/// Reduce-side RDD co-grouping two shuffles with the same partitioner —
-/// the substrate for engine-level joins.
-pub struct CoGroupedRdd<K: Data, V: Data, W: Data> {
-    id: RddId,
-    left: Arc<ShuffleDependency<K, V, V>>,
-    right: Arc<ShuffleDependency<K, W, W>>,
-    ctx: SparkContext,
-    num_reduce: usize,
-    left_maps: usize,
-    right_maps: usize,
-}
-
-impl<K, V, W> CoGroupedRdd<K, V, W>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    W: Data,
-{
-    /// Shuffle both sides with `partitions` hash buckets.
-    pub fn new(
-        left: Arc<dyn Rdd<Item = (K, V)>>,
-        right: Arc<dyn Rdd<Item = (K, W)>>,
-        partitions: usize,
-    ) -> Self {
-        let ctx = left.context();
-        let left_maps = left.num_partitions();
-        let right_maps = right.num_partitions();
-        let lp: Arc<dyn Partitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        let rp: Arc<dyn Partitioner<K>> = Arc::new(HashPartitioner::new(partitions));
-        CoGroupedRdd {
-            id: ctx.new_rdd_id(),
-            left: Arc::new(ShuffleDependency::new(left, lp, None, false)),
-            right: Arc::new(ShuffleDependency::new(right, rp, None, false)),
-            ctx,
-            num_reduce: partitions.max(1),
-            left_maps,
-            right_maps,
-        }
-    }
-}
-
-impl<K, V, W> RddBase for CoGroupedRdd<K, V, W>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    W: Data,
-{
-    fn id(&self) -> RddId {
-        self.id
-    }
-    fn num_partitions(&self) -> usize {
-        self.num_reduce
-    }
-    fn dependencies(&self) -> Vec<Dependency> {
-        vec![
-            Dependency::Shuffle(self.left.clone() as Arc<dyn ShuffleDependencyBase>),
-            Dependency::Shuffle(self.right.clone() as Arc<dyn ShuffleDependencyBase>),
-        ]
-    }
-    fn context(&self) -> SparkContext {
-        self.ctx.clone()
-    }
-    fn name(&self) -> &'static str {
-        "cogroup"
-    }
-}
-
-impl<K, V, W> Rdd for CoGroupedRdd<K, V, W>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-    W: Data,
-{
-    type Item = (K, (Vec<V>, Vec<W>));
-
-    fn compute(&self, split: usize, _tc: &TaskContext) -> BoxIter<(K, (Vec<V>, Vec<W>))> {
-        let reduce = split..split + 1;
-        let sides = (self.left.read(0..self.left_maps, reduce.clone()))
-            .and_then(|left| Ok((left, self.right.read(0..self.right_maps, reduce)?)));
-        let Some((left, right)) = crate::task::ok(sides) else {
-            return Box::new(std::iter::empty());
-        };
-        let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
-        for (k, v) in left {
-            groups.entry(k).or_default().0.push(v);
-        }
-        for (k, w) in right {
-            groups.entry(k).or_default().1.push(w);
-        }
-        Box::new(groups.into_iter())
-    }
-}
 
 /// Key-value operations available on `RddRef<(K, V)>`.
 pub trait PairRdd<K: Data + Hash + Eq, V: Data> {
@@ -245,12 +73,14 @@ impl<K: Data + Hash + Eq, V: Data> PairRdd<K, V> for RddRef<(K, V)> {
         partitioner: Arc<dyn Partitioner<K>>,
         map_side_combine: bool,
     ) -> RddRef<(K, C)> {
-        RddRef::new(Arc::new(ShuffledRdd::new(
+        ShuffleDependency::new(
             self.as_inner(),
             partitioner,
             Some(aggregator),
             map_side_combine,
-        )))
+            None,
+        )
+        .read_all()
     }
 
     fn reduce_by_key(
@@ -293,12 +123,8 @@ impl<K: Data + Hash + Eq, V: Data> PairRdd<K, V> for RddRef<(K, V)> {
     }
 
     fn partition_by(&self, partitioner: Arc<dyn Partitioner<K>>) -> RddRef<(K, V)> {
-        RddRef::new(Arc::new(ShuffledRdd::<K, V, V>::new(
-            self.as_inner(),
-            partitioner,
-            None,
-            false,
-        )))
+        ShuffleDependency::<K, V, V>::new(self.as_inner(), partitioner, None, false, None)
+            .read_all()
     }
 
     fn join<W: Data>(&self, other: &RddRef<(K, W)>, num_partitions: usize) -> RddRef<(K, (V, W))> {
@@ -319,11 +145,18 @@ impl<K: Data + Hash + Eq, V: Data> PairRdd<K, V> for RddRef<(K, V)> {
         other: &RddRef<(K, W)>,
         num_partitions: usize,
     ) -> RddRef<(K, (Vec<V>, Vec<W>))> {
-        RddRef::new(Arc::new(CoGroupedRdd::new(
-            self.as_inner(),
-            other.as_inner(),
-            num_partitions,
-        )))
+        let partitioner: Arc<dyn Partitioner<K>> = Arc::new(HashPartitioner::new(num_partitions));
+        let left = self.partition_by(partitioner.clone());
+        left.zip_partitions(&other.partition_by(partitioner), |left, right| {
+            let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
+            for (k, v) in left {
+                groups.entry(k).or_default().0.push(v);
+            }
+            for (k, w) in right {
+                groups.entry(k).or_default().1.push(w);
+            }
+            Box::new(groups.into_iter())
+        })
     }
 
     fn count_by_key(&self) -> HashMap<K, u64> {

@@ -7,7 +7,10 @@
 //! computed it), the map stage is not rerun. The scheduler keeps no
 //! shuffle state of its own: it asks each dependency it finds in the
 //! job's lineage ([`collect_shuffle_dependencies`]) what is missing, and
-//! output lives as long as that lineage is held.
+//! map output and its I/O counters live in the dependency as long as
+//! that lineage is held. Every reduce side is the dependency's one
+//! reader ([`crate::shuffle::ShuffleDependency::read`]), whose shuffle
+//! edge is how a job finds the dependency.
 //!
 //! Tasks fail by value: each task attempt runs with an error slot
 //! ([`crate::task`]), and the scheduler decides once, when the task

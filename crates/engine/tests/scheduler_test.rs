@@ -7,9 +7,9 @@
 //! `ENGINE_CHAOS_SEED` (the chaos CI job).
 
 use engine::metrics::Metrics;
-use engine::scheduler::collect_shuffle_dependencies;
+use engine::scheduler::{collect_shuffle_dependencies, materialize_shuffle};
 use engine::{
-    ChaosConf, ChaosPlan, EngineError, HashPartitioner, MaterializedShuffle, PairRdd, SparkContext,
+    ChaosConf, ChaosPlan, EngineError, HashPartitioner, PairRdd, ShuffleDependency, SparkContext,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -229,14 +229,14 @@ fn executor_death_mid_materialize_is_retried_not_deadlocked() {
         ..ChaosConf::seeded(7)
     }))));
     let parent = sc.parallelize((0..200i64).map(|i| (i % 8, 1i64)).collect(), 4);
-    let mat: MaterializedShuffle<i64, i64, i64> = MaterializedShuffle::create(
-        &parent,
+    let mat = ShuffleDependency::<i64, i64, i64>::new(
+        parent.as_inner(),
         Arc::new(HashPartitioner::new(4)),
         None,
         false,
         None,
-    )
-    .expect("materialization must survive executor death");
+    );
+    materialize_shuffle(&sc, mat.clone()).expect("materialization must survive executor death");
     let mut got = mat.read_all().collect();
     got.sort();
     let mut want: Vec<(i64, i64)> = (0..200i64).map(|i| (i % 8, 1i64)).collect();
