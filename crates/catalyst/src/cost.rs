@@ -17,7 +17,7 @@
 
 use crate::expr::{BinaryOperator, ColumnRef, Expr, ExprId};
 use crate::plan::{JoinType, LogicalPlan};
-use crate::source::ColumnStatistics;
+use crate::source::{ColumnStatistics, ColumnStats};
 use crate::tree::TreeNode;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -55,38 +55,9 @@ impl StatsIndex {
             }
             LogicalPlan::LocalRelation { output, rows } if rows.len() <= 65_536 => {
                 for (i, c) in output.iter().enumerate() {
-                    let mut sketch = crate::ndv::NdvSketch::default();
-                    let mut nulls = 0u64;
-                    let mut min: Option<Value> = None;
-                    let mut max: Option<Value> = None;
-                    for r in rows.iter() {
-                        let v = r.get(i);
-                        if v.is_null() {
-                            nulls += 1;
-                            continue;
-                        }
-                        sketch.insert(v);
-                        use std::cmp::Ordering::*;
-                        match &min {
-                            Some(m) if v.total_cmp(m) != Less => {}
-                            _ => min = Some(v.clone()),
-                        }
-                        match &max {
-                            Some(m) if v.total_cmp(m) != Greater => {}
-                            _ => max = Some(v.clone()),
-                        }
-                    }
-                    idx.cols.insert(
-                        c.id,
-                        ColumnStatistics {
-                            min,
-                            max,
-                            null_count: Some(nulls),
-                            row_count: Some(rows.len() as u64),
-                            ndv: Some(sketch.estimate()),
-                            partial: false,
-                        },
-                    );
+                    let mut fold = ColumnStats::default();
+                    rows.iter().for_each(|r| fold.update(r.get(i)));
+                    idx.cols.insert(c.id, fold.into_statistics());
                 }
             }
             _ => {}

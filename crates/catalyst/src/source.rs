@@ -130,6 +130,71 @@ pub struct ColumnStatistics {
     pub partial: bool,
 }
 
+/// One column's statistics, folded one value at a time: min and max by
+/// [`Value::total_cmp`], null and row counts, and a distinct-count sketch
+/// of the non-null values. This is the only such fold: the columnar
+/// encoder, in-memory tables and `LocalRelation` estimates feed it, and
+/// per-block folds [`merge`](Self::merge) into relation-level ones.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ColumnStats {
+    /// Minimum non-null value.
+    pub min: Option<Value>,
+    /// Maximum non-null value.
+    pub max: Option<Value>,
+    /// Number of nulls.
+    pub null_count: u64,
+    /// Number of values folded.
+    pub row_count: u64,
+    /// Distinct-count sketch over the non-null values.
+    pub ndv: crate::ndv::NdvSketch,
+}
+
+impl ColumnStats {
+    /// Fold one value in.
+    pub fn update(&mut self, v: &Value) {
+        self.row_count += 1;
+        if v.is_null() {
+            self.null_count += 1;
+            return;
+        }
+        self.ndv.insert(v);
+        self.widen(Some(v), Some(v));
+    }
+
+    /// Fold another fold of the same column in.
+    pub fn merge(&mut self, other: &ColumnStats) {
+        self.null_count += other.null_count;
+        self.row_count += other.row_count;
+        self.ndv.merge(&other.ndv);
+        self.widen(other.min.as_ref(), other.max.as_ref());
+    }
+
+    /// Lower min to `lo` and raise max to `hi`; a tie keeps the value
+    /// seen first.
+    fn widen(&mut self, lo: Option<&Value>, hi: Option<&Value>) {
+        use std::cmp::Ordering::{Greater, Less};
+        if let Some(lo) = lo.filter(|v| self.min.as_ref().is_none_or(|m| v.total_cmp(m) == Less)) {
+            self.min = Some(lo.clone());
+        }
+        if let Some(hi) = hi.filter(|v| self.max.as_ref().is_none_or(|m| v.total_cmp(m) == Greater))
+        {
+            self.max = Some(hi.clone());
+        }
+    }
+
+    /// The fold as exact relation-level statistics.
+    pub fn into_statistics(self) -> ColumnStatistics {
+        ColumnStatistics {
+            ndv: Some(self.ndv.estimate()),
+            min: self.min,
+            max: self.max,
+            null_count: Some(self.null_count),
+            row_count: Some(self.row_count),
+            partial: false,
+        }
+    }
+}
+
 /// A table exposed to the optimizer by a data source.
 pub trait BaseRelation: Send + Sync {
     /// Human-readable name (file path, table name…).
@@ -356,40 +421,18 @@ impl MemoryTable {
         if total as usize > STATS_CAP {
             return None;
         }
-        let mut out: Vec<ColumnStatistics> = (0..self.schema.len())
-            .map(|_| ColumnStatistics {
-                null_count: Some(0),
-                row_count: Some(total),
-                ..Default::default()
-            })
-            .collect();
-        let mut sketches: Vec<crate::ndv::NdvSketch> =
-            vec![crate::ndv::NdvSketch::default(); self.schema.len()];
-        for part in &self.partitions {
-            for row in part.iter() {
-                for (i, s) in out.iter_mut().enumerate() {
-                    let v = row.get(i);
-                    if v.is_null() {
-                        s.null_count = s.null_count.map(|n| n + 1);
-                        continue;
-                    }
-                    sketches[i].insert(v);
-                    use std::cmp::Ordering;
-                    match &s.min {
-                        Some(m) if v.sql_cmp(m) != Some(Ordering::Less) => {}
-                        _ => s.min = Some(v.clone()),
-                    }
-                    match &s.max {
-                        Some(m) if v.sql_cmp(m) != Some(Ordering::Greater) => {}
-                        _ => s.max = Some(v.clone()),
-                    }
-                }
+        let mut folds = vec![ColumnStats::default(); self.schema.len()];
+        for row in self.partitions.iter().flat_map(|p| p.iter()) {
+            for (i, fold) in folds.iter_mut().enumerate() {
+                fold.update(row.get(i));
             }
         }
-        for (s, sk) in out.iter_mut().zip(&sketches) {
-            s.ndv = Some(sk.estimate());
-        }
-        Some(out)
+        Some(
+            folds
+                .into_iter()
+                .map(ColumnStats::into_statistics)
+                .collect(),
+        )
     }
 }
 

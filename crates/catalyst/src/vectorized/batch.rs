@@ -76,6 +76,26 @@ fn pick<T: Clone>(lanes: &[T], indices: &[u32], filler: T) -> Vec<T> {
         .collect()
 }
 
+/// `values` moved into lanes by `lane`; a value it has no lane for is a
+/// NULL, which sets `nulls` (allocated on the first one) and takes
+/// `filler`.
+fn typed_lanes<T: Clone>(
+    values: Vec<Value>,
+    nulls: &mut Option<Vec<bool>>,
+    filler: T,
+    lane: impl Fn(Value) -> Option<T>,
+) -> Vec<T> {
+    let n = values.len();
+    (values.into_iter().enumerate())
+        .map(|(i, v)| {
+            lane(v).unwrap_or_else(|| {
+                nulls.get_or_insert_with(|| vec![false; n])[i] = true;
+                filler.clone()
+            })
+        })
+        .collect()
+}
+
 /// A typed column of lanes plus an optional null mask.
 ///
 /// `nulls[i] == true` means lane `i` is NULL; the corresponding data lane
@@ -139,70 +159,39 @@ impl ColumnVector {
         if !conforms {
             return ColumnVector::from_boxed(dtype.clone(), values);
         }
-        let n = values.len();
-        let mut nulls = vec![false; n];
-        let mut any_null = false;
+        let mut nulls = None;
         let data = match dtype {
             DataType::Int | DataType::Long | DataType::Date | DataType::Timestamp => {
-                let mut lanes = vec![0i64; n];
-                for (i, v) in values.into_iter().enumerate() {
-                    match v {
-                        Value::Int(x) => lanes[i] = x as i64,
-                        Value::Long(x) | Value::Timestamp(x) => lanes[i] = x,
-                        Value::Date(x) => lanes[i] = x as i64,
-                        _ => {
-                            nulls[i] = true;
-                            any_null = true;
-                        }
-                    }
-                }
-                VectorData::Long(lanes)
+                VectorData::Long(typed_lanes(values, &mut nulls, 0, |v| match v {
+                    Value::Int(x) | Value::Date(x) => Some(x as i64),
+                    Value::Long(x) | Value::Timestamp(x) => Some(x),
+                    _ => None,
+                }))
             }
             DataType::Float | DataType::Double => {
-                let mut lanes = vec![0f64; n];
-                for (i, v) in values.into_iter().enumerate() {
-                    match v {
-                        Value::Float(x) => lanes[i] = x as f64,
-                        Value::Double(x) => lanes[i] = x,
-                        _ => {
-                            nulls[i] = true;
-                            any_null = true;
-                        }
-                    }
-                }
-                VectorData::Double(lanes)
+                VectorData::Double(typed_lanes(values, &mut nulls, 0.0, |v| match v {
+                    Value::Float(x) => Some(x as f64),
+                    Value::Double(x) => Some(x),
+                    _ => None,
+                }))
             }
             DataType::Boolean => {
-                let mut lanes = vec![false; n];
-                for (i, v) in values.into_iter().enumerate() {
-                    match v {
-                        Value::Boolean(x) => lanes[i] = x,
-                        _ => {
-                            nulls[i] = true;
-                            any_null = true;
-                        }
-                    }
-                }
-                VectorData::Bool(lanes)
+                VectorData::Bool(typed_lanes(values, &mut nulls, false, |v| match v {
+                    Value::Boolean(x) => Some(x),
+                    _ => None,
+                }))
             }
             DataType::String => {
                 let empty: Arc<str> = Arc::from("");
-                let mut lanes = vec![empty; n];
-                for (i, v) in values.into_iter().enumerate() {
-                    match v {
-                        Value::Str(s) => lanes[i] = s,
-                        _ => {
-                            nulls[i] = true;
-                            any_null = true;
-                        }
-                    }
-                }
-                VectorData::Str(lanes)
+                VectorData::Str(typed_lanes(values, &mut nulls, empty, |v| match v {
+                    Value::Str(s) => Some(s),
+                    _ => None,
+                }))
             }
             // Only an empty column of a type with no lanes conforms.
             _ => return ColumnVector::from_boxed(dtype.clone(), values),
         };
-        ColumnVector::new(dtype.clone(), data, any_null.then_some(nulls))
+        ColumnVector::new(dtype.clone(), data, nulls)
     }
 
     /// Number of lanes.

@@ -450,8 +450,13 @@ fn binary_kernel(
                 Some(nulls),
             ))
         };
-        let cmp = |f: fn(f64, f64) -> bool| {
-            let lanes = (0..n).map(|i| f(lv.f64_at(i), rv.f64_at(i))).collect();
+        // Doubles compare by `f64::total_cmp`, the order of
+        // `Value::total_cmp`: NaN above every number and equal to itself,
+        // -0.0 below 0.0.
+        let cmp = |f: fn(std::cmp::Ordering) -> bool| {
+            let lanes = (0..n)
+                .map(|i| f(lv.f64_at(i).total_cmp(&rv.f64_at(i))))
+                .collect();
             Arc::new(ColumnVector::new(
                 DataType::Boolean,
                 VectorData::Bool(lanes),
@@ -464,12 +469,12 @@ fn binary_kernel(
             Mul => arith(|a, b| a * b, false),
             Div => arith(|a, b| a / b, true),
             Mod => arith(|a, b| a % b, true),
-            Eq => cmp(|a, b| a == b),
-            NotEq => cmp(|a, b| a != b),
-            Lt => cmp(|a, b| a < b),
-            LtEq => cmp(|a, b| a <= b),
-            Gt => cmp(|a, b| a > b),
-            GtEq => cmp(|a, b| a >= b),
+            Eq => cmp(|o| o == std::cmp::Ordering::Equal),
+            NotEq => cmp(|o| o != std::cmp::Ordering::Equal),
+            Lt => cmp(|o| o == std::cmp::Ordering::Less),
+            LtEq => cmp(|o| o != std::cmp::Ordering::Greater),
+            Gt => cmp(|o| o == std::cmp::Ordering::Greater),
+            GtEq => cmp(|o| o != std::cmp::Ordering::Less),
             And | Or => unreachable!(),
         });
     }

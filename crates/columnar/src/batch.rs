@@ -1,5 +1,12 @@
-//! Columnar batches: a horizontal slice of a cached table, one encoded
-//! column per field, with per-column statistics for batch skipping.
+//! Columnar batches: a horizontal slice of a cached table or a colfile
+//! row group, one encoded column per field, with per-column statistics
+//! for batch skipping.
+//!
+//! A batch is written from lanes and read as lanes: the row entry points
+//! ([`ColumnarBatch::from_rows`], [`ColumnarBatch::decode`],
+//! [`batch_rows`]) are thin wrappers over [`ColumnVector`]s, and every row
+//! scan of a stored batch is its batch scan
+//! ([`ColumnarBatch::scan_to_row_batch`]) compacted into rows.
 
 use crate::column::EncodedColumn;
 use crate::stats::ColumnStats;
@@ -23,10 +30,8 @@ pub struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
-    /// Encode rows into a batch. Takes the rows by value so each
-    /// [`Value`] is *moved* into its column (one transpose, no per-value
-    /// clone through a scratch vector — see the `vectorized` bench for
-    /// the before/after).
+    /// Encode rows into a batch: each column's values are moved into
+    /// lanes ([`ColumnVector::from_values`]) and encoded from them.
     pub fn from_rows(schema: SchemaRef, rows: Vec<Row>) -> Self {
         let num_rows = rows.len();
         let mut cols: Vec<Vec<Value>> = (0..schema.len())
@@ -38,11 +43,10 @@ impl ColumnarBatch {
                 col.push(vals.next().unwrap_or(Value::Null));
             }
         }
-        let columns = schema
-            .fields()
-            .iter()
-            .zip(&cols)
-            .map(|(field, vals)| EncodedColumn::encode(&field.dtype, vals))
+        let columns = (schema.fields().iter().zip(cols))
+            .map(|(field, vals)| {
+                EncodedColumn::encode(&ColumnVector::from_values(&field.dtype, vals))
+            })
             .collect();
         ColumnarBatch {
             schema,
@@ -80,17 +84,7 @@ impl ColumnarBatch {
     /// Decode back to rows, optionally projecting a subset of columns
     /// (column pruning: untouched columns are never decoded).
     pub fn decode(&self, projection: Option<&[usize]>) -> Vec<Row> {
-        let indices: Vec<usize> = match projection {
-            Some(p) => p.to_vec(),
-            None => (0..self.columns.len()).collect(),
-        };
-        let decoded: Vec<Vec<Value>> = indices
-            .iter()
-            .map(|&i| self.columns[i].decode_all())
-            .collect();
-        (0..self.num_rows)
-            .map(|r| Row::new(decoded.iter().map(|c| c[r].clone()).collect()))
-            .collect()
+        self.to_row_batch(projection).into_selected_rows()
     }
 
     /// Could any row satisfy all `filters`? (`false` ⇒ skip the batch.)
@@ -98,7 +92,7 @@ impl ColumnarBatch {
     pub fn may_match(&self, filters: &[Filter]) -> bool {
         for f in filters {
             if let Ok(i) = self.schema.index_of(f.column()) {
-                if !self.columns[i].stats.may_match(f) {
+                if !crate::stats::may_match(&self.columns[i].stats, f) {
                     return false;
                 }
             }
@@ -159,25 +153,20 @@ impl ColumnarBatch {
     }
 
     /// Re-encode an execution batch (compacting its selection vector) —
-    /// the inverse of [`ColumnarBatch::to_row_batch`]. Column order must
-    /// match `schema`.
+    /// the inverse of [`ColumnarBatch::to_row_batch`]. Column order and
+    /// types must match `schema`.
     pub fn from_row_batch(schema: SchemaRef, batch: &RowBatch) -> Self {
         assert_eq!(schema.len(), batch.num_columns(), "column count mismatch");
-        let num_rows = batch.selected_count();
-        let columns = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(j, field)| {
-                let mut vals = Vec::with_capacity(num_rows);
-                batch.for_each_selected(|i| vals.push(batch.column(j).get(i)));
-                EncodedColumn::encode(&field.dtype, &vals)
+        let columns = (batch.columns().iter())
+            .map(|c| match batch.selection() {
+                Some(sel) => EncodedColumn::encode(&c.gather(sel)),
+                None => EncodedColumn::encode(c),
             })
             .collect();
         ColumnarBatch {
             schema,
             columns,
-            num_rows,
+            num_rows: batch.selected_count(),
         }
     }
 

@@ -1,7 +1,6 @@
 //! Column encodings (§3.6: "columnar compression schemes such as
 //! dictionary encoding and run-length encoding").
 
-use catalyst::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,18 +24,6 @@ pub fn rle_decode<T: Copy>(runs: &[(T, u32)]) -> Vec<T> {
         out.extend(std::iter::repeat_n(v, n as usize));
     }
     out
-}
-
-/// Value at logical index `i` of a run-length sequence (linear scan —
-/// fine for iteration-with-cursor use; random access uses decode).
-pub fn rle_get<T: Copy>(runs: &[(T, u32)], mut i: usize) -> Option<T> {
-    for &(v, n) in runs {
-        if i < n as usize {
-            return Some(v);
-        }
-        i -= n as usize;
-    }
-    None
 }
 
 /// Dictionary-encode strings: returns (dictionary, codes).
@@ -76,12 +63,6 @@ pub fn str_bytes(s: &Arc<str>) -> u64 {
     16 + s.len() as u64
 }
 
-/// Approximate heap bytes of a boxed [`Value`] (used for the fallback
-/// plain-value encoding of complex types).
-pub fn value_bytes(v: &Value) -> u64 {
-    v.approx_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,9 +73,6 @@ mod tests {
         let runs = rle_encode(&data);
         assert_eq!(runs, vec![(1, 3), (2, 2), (3, 1), (1, 2)]);
         assert_eq!(rle_decode(&runs), data);
-        assert_eq!(rle_get(&runs, 4), Some(2));
-        assert_eq!(rle_get(&runs, 7), Some(1));
-        assert_eq!(rle_get(&runs, 8), None);
     }
 
     #[test]

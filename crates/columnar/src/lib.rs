@@ -1,8 +1,10 @@
 //! In-memory columnar storage (§3.6 of the Spark SQL paper).
 //!
-//! Cached DataFrames are stored as [`batch::ColumnarBatch`]es: one
-//! encoded, compressed vector per column with null bitmaps and min/max
-//! statistics. Dictionary and run-length encoding reduce the footprint by
+//! Cached DataFrames and colfile row groups are stored as
+//! [`batch::ColumnarBatch`]es: one encoded, compressed vector per column
+//! with null bitmaps and min/max statistics, written from execution
+//! lanes ([`EncodedColumn::encode`]) and read back as lanes
+//! ([`EncodedColumn::decode_vector`]). Dictionary and run-length encoding reduce the footprint by
 //! an order of magnitude versus rows of boxed objects (measured by the
 //! `mem_footprint` experiment binary), and per-batch statistics let
 //! cached scans skip batches that cannot match pushed-down filters.

@@ -4,9 +4,11 @@
 //! A spilled buffer is a sequence of *blocks*; each block is a row count,
 //! a column count and one column per layout type. Every lane vector is
 //! copied into a plain typed part ([`EncodedColumn::from_vector`]) and
-//! decoded straight back into lanes ([`EncodedColumn::decode_vector`]):
+//! decoded straight back into lanes ([`EncodedColumn::decode_vector`],
+//! the one decoder, which cached and colfile columns also go through):
 //! no compression search and no statistics, which no spill reader looks
-//! at. Boxed lanes stay boxed.
+//! at — those belong to [`EncodedColumn::encode`], which stores cache
+//! and colfile columns. Boxed lanes stay boxed.
 //!
 //! Spill files need **exact** round-trips: differential tests compare
 //! spilled runs byte-for-byte against in-memory runs, and execution rows

@@ -1,8 +1,8 @@
 //! Property tests for the columnar ↔ vectorized-execution bridge:
 //! `encode → decode_vector`, `from_rows → to_row_batch(projection)`, and
 //! the `from_row_batch` re-encode must all round-trip arbitrary typed
-//! data — including null-heavy, all-null, and empty batches — with no
-//! intermediate `Vec<Row>`.
+//! lanes — including null-heavy, all-null, and empty batches. The oracle
+//! is the source data itself: there is one decoder.
 //!
 //! Deterministic seeded sweeps in the style of `encoding_props.rs` (the
 //! build environment vendors only a minimal rand shim).
@@ -11,6 +11,7 @@ use catalyst::row::Row;
 use catalyst::schema::{Schema, SchemaRef};
 use catalyst::types::{DataType, StructField};
 use catalyst::value::Value;
+use catalyst::vectorized::ColumnVector;
 use columnar::{ColumnarBatch, EncodedColumn};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -90,10 +91,15 @@ fn arb_rows(rng: &mut StdRng, schema: &SchemaRef, len: usize) -> Vec<Row> {
         .collect()
 }
 
-/// `encode → decode_vector`: every lane equals the source value, and the
-/// vector agrees lane-for-lane with the row-path `decode_all`.
+/// Rows as Debug strings: tells `Int(1)` from `Long(1)`.
+fn shown(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// `encode → decode_vector`: every lane equals the source lane, with its
+/// variant, storage and null mask.
 #[test]
-fn decode_vector_matches_source_and_row_decode() {
+fn decode_vector_gives_the_source_lanes_back() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(0x0DEC ^ (seed * 0x9E37_79B9));
         let dtype = arb_dtype(&mut rng);
@@ -102,25 +108,30 @@ fn decode_vector_matches_source_and_row_decode() {
         let vals: Vec<Value> = (0..len)
             .map(|_| arb_value(&mut rng, &dtype, null_p))
             .collect();
-        let encoded = EncodedColumn::encode(&dtype, &vals);
-        let vector = encoded.decode_vector();
+        let source = ColumnVector::from_values(&dtype, vals.clone());
+        let vector = EncodedColumn::encode(&source).decode_vector();
         assert_eq!(vector.len(), vals.len(), "seed {seed}: length");
-        let row_decoded = encoded.decode_all();
+        assert_eq!(
+            std::mem::discriminant(vector.data()),
+            std::mem::discriminant(source.data()),
+            "seed {seed}: storage"
+        );
+        assert_eq!(vector.nulls(), source.nulls(), "seed {seed}: null mask");
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(&vector.get(i), v, "seed {seed}: lane {i} vs source");
             assert_eq!(
-                vector.get(i),
-                row_decoded[i],
-                "seed {seed}: lane {i} vs decode_all"
+                format!("{:?}", vector.get(i)),
+                format!("{v:?}"),
+                "seed {seed}: lane {i} variant"
             );
             assert_eq!(vector.is_null(i), v.is_null(), "seed {seed}: null flag {i}");
         }
     }
 }
 
-/// `from_rows → to_row_batch(projection)`: the projected vectors equal
-/// the row-path `decode(projection)`, for full, partial, and empty
-/// projections — and for empty batches.
+/// `from_rows → to_row_batch(projection)`: the projected vectors hold the
+/// projected source rows, for full, partial, and empty projections — and
+/// for empty batches.
 #[test]
 fn to_row_batch_matches_row_decode_under_projection() {
     for seed in 0..120u64 {
@@ -146,9 +157,18 @@ fn to_row_batch_matches_row_decode_under_projection() {
             rb.selection().is_none(),
             "seed {seed}: plain decode has no selection"
         );
-        let expect = batch.decode(projection.as_deref());
+        let expect: Vec<Row> = match &projection {
+            Some(p) => rows.iter().map(|r| r.project(p)).collect(),
+            None => rows.clone(),
+        };
         let got: Vec<Row> = (0..rb.num_rows()).map(|i| rb.row(i)).collect();
         assert_eq!(got, expect, "seed {seed}: projection {projection:?}");
+        assert_eq!(shown(&got), shown(&expect), "seed {seed}: variants");
+        assert_eq!(
+            shown(&batch.decode(projection.as_deref())),
+            shown(&expect),
+            "seed {seed}: decode {projection:?}"
+        );
     }
 }
 
@@ -173,6 +193,11 @@ fn from_row_batch_reencodes_with_and_without_selection() {
         let re = ColumnarBatch::from_row_batch(schema.clone(), &rb);
         assert_eq!(re.num_rows(), rows.len(), "seed {seed}");
         assert_eq!(re.decode(None), rows, "seed {seed}: full re-encode");
+        assert_eq!(
+            shown(&re.decode(None)),
+            shown(&rows),
+            "seed {seed}: variants"
+        );
 
         // Selected round-trip: only the selected rows survive, in order.
         let selection: Vec<u32> = (0..len)
@@ -187,5 +212,18 @@ fn from_row_batch_reencodes_with_and_without_selection() {
         let re = ColumnarBatch::from_row_batch(schema.clone(), &selected);
         assert_eq!(re.num_rows(), expect.len(), "seed {seed}: selected count");
         assert_eq!(re.decode(None), expect, "seed {seed}: selected re-encode");
+        assert_eq!(
+            shown(&re.decode(None)),
+            shown(&expect),
+            "seed {seed}: variants"
+        );
+        for (j, c) in re.columns().iter().enumerate() {
+            let fresh = EncodedColumn::encode(&ColumnVector::from_values(
+                &schema.fields()[j].dtype,
+                expect.iter().map(|r| r.get(j).clone()).collect(),
+            ));
+            assert_eq!(c.stats, fresh.stats, "seed {seed}: column {j} statistics");
+            assert_eq!(c.bytes(), fresh.bytes(), "seed {seed}: column {j} bytes");
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! columnar batches (dictionary/RLE, see the `columnar` crate) on first
 //! use. The cached relation is itself a `PrunedFilteredScan`-tier data
 //! source: later queries prune columns (undecoded) and skip whole batches
-//! via min/max statistics. With `columnar_cache_enabled = false` the rows
+//! via min/max statistics. Both of its scans are one batch scan
+//! (`ColumnarBatch::scan_to_row_batch`); the row scan compacts those
+//! batches into rows. With `columnar_cache_enabled = false` the rows
 //! are kept as plain objects — the "Spark native cache" baseline the
 //! paper compares against.
 //!
@@ -20,6 +22,7 @@ use catalyst::error::{CatalystError, Result};
 use catalyst::row::Row;
 use catalyst::schema::SchemaRef;
 use catalyst::source::{BaseRelation, BatchIter, Filter, RowIter, ScanCapability};
+use catalyst::vectorized::RowBatch;
 use columnar::stats::{merge_batch_stats, to_relation_statistics};
 use columnar::{batch_rows, ColumnStats, ColumnarBatch};
 use engine::metrics::Metrics;
@@ -363,46 +366,8 @@ impl BaseRelation for CachedRelation {
                 Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
             }
             PartitionData::Columnar { batches, .. } => {
-                // Batch skipping via statistics; then decode only the
-                // columns the projection and the filters actually touch.
-                let mut out: Vec<Row> = Vec::new();
-                let schema = self.schema.clone();
-                if filters.is_empty() {
-                    for b in batches.iter() {
-                        out.extend(b.decode(projection));
-                    }
-                    return Ok(Box::new(out.into_iter()));
-                }
-                // Columns needed: filter columns + projected columns.
-                let filter_cols: Vec<(usize, &Filter)> = filters
-                    .iter()
-                    .filter_map(|f| schema.index_of(f.column()).ok().map(|i| (i, f)))
-                    .collect();
-                let proj: Vec<usize> = match projection {
-                    Some(p) => p.to_vec(),
-                    None => (0..schema.len()).collect(),
-                };
-                let mut needed: Vec<usize> = proj.clone();
-                needed.extend(filter_cols.iter().map(|(i, _)| *i));
-                needed.sort_unstable();
-                needed.dedup();
-                let pos_of = |col: usize| needed.binary_search(&col).expect("needed col");
-                for b in batches.iter() {
-                    if !b.may_match(filters) {
-                        continue;
-                    }
-                    for row in b.decode(Some(&needed)) {
-                        let ok = filter_cols
-                            .iter()
-                            .all(|(i, f)| f.matches(row.get(pos_of(*i))));
-                        if ok {
-                            out.push(Row::new(
-                                proj.iter().map(|&c| row.get(pos_of(c)).clone()).collect(),
-                            ));
-                        }
-                    }
-                }
-                Ok(Box::new(out.into_iter()))
+                let batches = scan_batches(batches.clone(), projection, filters);
+                Ok(Box::new(batches.flat_map(RowBatch::into_selected_rows)))
             }
         }
     }
@@ -421,24 +386,7 @@ impl BaseRelation for CachedRelation {
             // the executor.
             return Ok(None);
         };
-        // Stream batches straight out of the cache: statistics skip whole
-        // batches, then each survivor decodes only the needed columns into
-        // vectors with the filters applied as a selection vector.
-        let batches = batches.clone();
-        let projection: Option<Vec<usize>> = projection.map(<[usize]>::to_vec);
-        let filters = filters.to_vec();
-        let mut i = 0;
-        Ok(Some(Box::new(std::iter::from_fn(move || {
-            while i < batches.len() {
-                let b = &batches[i];
-                i += 1;
-                if !b.may_match(&filters) {
-                    continue;
-                }
-                return Some(b.scan_to_row_batch(projection.as_deref(), &filters));
-            }
-            None
-        }))))
+        Ok(Some(scan_batches(batches.clone(), projection, filters)))
     }
 
     fn handled_filters(&self, filters: &[Filter]) -> Vec<bool> {
@@ -454,6 +402,23 @@ impl BaseRelation for CachedRelation {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+}
+
+/// Stream cached batches out as a vectorized scan: statistics skip whole
+/// batches, then each survivor decodes only the columns the projection
+/// and the filters touch, with the filters as its selection vector.
+fn scan_batches(
+    batches: Arc<Vec<ColumnarBatch>>,
+    projection: Option<&[usize]>,
+    filters: &[Filter],
+) -> BatchIter {
+    let projection: Option<Vec<usize>> = projection.map(<[usize]>::to_vec);
+    let filters = filters.to_vec();
+    Box::new((0..batches.len()).filter_map(move |i| {
+        let b = &batches[i];
+        b.may_match(&filters)
+            .then(|| b.scan_to_row_batch(projection.as_deref(), &filters))
+    }))
 }
 
 #[cfg(test)]

@@ -47,11 +47,18 @@ fn arb_value(rng: &mut StdRng, dtype: &DataType, nullable: bool) -> Value {
     match dtype {
         DataType::Long => Value::Long(rng.random_range(0i64..80) - 40),
         DataType::Int => Value::Int((rng.random_range(0i64..80) - 40) as i32),
-        DataType::Double => Value::Double(rng.random_range(0i64..400) as f64 / 4.0 - 50.0),
+        DataType::Double => match rng.random_range(0usize..EDGE_DOUBLES.len() + 8) {
+            i if i < EDGE_DOUBLES.len() => Value::Double(EDGE_DOUBLES[i]),
+            _ => Value::Double(rng.random_range(0i64..400) as f64 / 4.0 - 50.0),
+        },
         DataType::String => Value::str(STR_POOL[rng.random_range(0..STR_POOL.len())]),
         _ => Value::Boolean(rng.random_bool(0.5)),
     }
 }
+
+/// Doubles where IEEE comparison and the engine's total order disagree:
+/// NaN is above every number and equal to itself, -0.0 is below 0.0.
+const EDGE_DOUBLES: &[f64] = &[f64::NAN, -0.0, 0.0, f64::INFINITY];
 
 /// A random base table: guaranteed non-null Long key `k` plus 1..4
 /// nullable columns of random type, with a healthy share of NULLs.
@@ -779,5 +786,54 @@ fn grouped_blocks_agree_with_the_reference() {
     ] {
         let n = seen.get(want).copied().unwrap_or(0);
         assert!(n >= 5, "only {n} queries with {want}: {seen:?}");
+    }
+}
+
+/// The comparisons where IEEE order and the engine's total order part:
+/// NaN is above every number and equal to itself, -0.0 is below 0.0.
+/// Production's kernels must give the reference's rows.
+#[test]
+fn edge_double_comparisons_agree_with_the_reference() {
+    let schema: SchemaRef = Arc::new(Schema::new(vec![StructField::new(
+        "x",
+        DataType::Double,
+        true,
+    )]));
+    let xs = [
+        Some(f64::NAN),
+        Some(-0.0),
+        Some(0.0),
+        Some(1.0),
+        Some(2.0),
+        None,
+    ];
+    let rows: Vec<Row> = (xs.iter())
+        .map(|x| Row::new(vec![x.map_or(Value::Null, Value::Double)]))
+        .collect();
+    let queries = [
+        "SELECT x FROM t WHERE x > 1.5",
+        "SELECT x FROM t WHERE x < 0.0",
+        "SELECT x FROM t WHERE x = x",
+        "SELECT count(*) FROM t WHERE x > 100.0",
+        "SELECT x FROM t WHERE x >= 0.0",
+        "SELECT x FROM t WHERE x <= 0.0",
+        "SELECT x FROM t WHERE x <> 2.0",
+        "SELECT x FROM t WHERE x = 0.0",
+        "SELECT x, x > 1.0, x = x, x < 1.0 FROM t",
+    ];
+    for sql in queries {
+        let mut results = Vec::new();
+        for reference in [true, false] {
+            let ctx = SQLContext::new_local(2);
+            ctx.set_conf(|c| c.reference = reference);
+            ctx.register_rows("t", schema.clone(), rows.clone())
+                .expect("register");
+            let mut out: Vec<String> = (ctx.sql(sql).expect(sql).collect().expect(sql).iter())
+                .map(|r| format!("{r:?}"))
+                .collect();
+            out.sort();
+            results.push(out);
+        }
+        assert_eq!(results[1], results[0], "{sql}: production vs reference");
     }
 }

@@ -4,9 +4,12 @@
 //!
 //! Layout: magic, schema, then row groups; each row group stores one
 //! encoded column chunk per field (dictionary/RLE/bit-packed, with null
-//! bitmap and min/max statistics). Scans prune columns (untouched chunks
-//! are never decoded) and skip entire row groups whose statistics cannot
-//! match the pushed filters.
+//! bitmap and min/max statistics), written from lanes by
+//! [`ColumnarBatch::from_rows`]. Scans skip entire row groups whose
+//! statistics cannot match the pushed filters, then decode only the
+//! needed chunks into lanes with the filters as a selection vector
+//! ([`ColumnarBatch::scan_to_row_batch`]); the row scan is that batch
+//! scan compacted into rows.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use catalyst::error::{CatalystError, Result};
@@ -14,6 +17,7 @@ use catalyst::row::Row;
 use catalyst::schema::{Schema, SchemaRef};
 use catalyst::source::{BaseRelation, BatchIter, Filter, RowIter, ScanCapability};
 use catalyst::types::DataType;
+use catalyst::vectorized::RowBatch;
 use columnar::serde::{checked, get_column, get_dtype, put_column, put_dtype};
 use columnar::ColumnarBatch;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +132,25 @@ impl ColFileRelation {
             .map_err(|e| CatalystError::DataSource(format!("cannot write '{path}': {e}")))
     }
 
+    /// Row group `partition` as one batch: `None` when there is no such
+    /// group or its statistics rule the filters out; otherwise only the
+    /// needed columns decoded into lanes, with the filters as the batch's
+    /// selection vector.
+    fn scan_group(
+        &self,
+        partition: usize,
+        projection: Option<&[usize]>,
+        filters: &[Filter],
+    ) -> Option<RowBatch> {
+        let group = self.file.groups.get(partition)?;
+        if !group.may_match(filters) {
+            self.groups_skipped.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.groups_read.fetch_add(1, Ordering::Relaxed);
+        Some(group.scan_to_row_batch(projection, filters))
+    }
+
     /// Row groups skipped by statistics so far.
     pub fn groups_skipped(&self) -> u64 {
         self.groups_skipped.load(Ordering::Relaxed)
@@ -177,36 +200,10 @@ impl BaseRelation for ColFileRelation {
         projection: Option<&[usize]>,
         filters: &[Filter],
     ) -> Result<RowIter> {
-        let Some(group) = self.file.groups.get(partition) else {
-            return Ok(Box::new(std::iter::empty()));
-        };
-        // Statistics-based row-group skipping.
-        if !group.may_match(filters) {
-            self.groups_skipped.fetch_add(1, Ordering::Relaxed);
-            return Ok(Box::new(std::iter::empty()));
-        }
-        self.groups_read.fetch_add(1, Ordering::Relaxed);
-        // Decode only the needed columns; re-check advisory filters per
-        // row against the *projected* row when possible, else decode the
-        // filter columns too. We keep it exact by evaluating filters on
-        // the full row before projecting.
-        let schema = group.schema().clone();
-        let rows = group.decode(None);
-        let filters = filters.to_vec();
-        let proj: Option<Vec<usize>> = projection.map(|p| p.to_vec());
-        Ok(Box::new(rows.into_iter().filter_map(move |row| {
-            for f in &filters {
-                if let Ok(i) = schema.index_of(f.column()) {
-                    if !f.matches(row.get(i)) {
-                        return None;
-                    }
-                }
-            }
-            Some(match &proj {
-                Some(p) => row.project(p),
-                None => row,
-            })
-        })))
+        let batch = self.scan_group(partition, projection, filters);
+        Ok(Box::new(
+            batch.into_iter().flat_map(RowBatch::into_selected_rows),
+        ))
     }
 
     fn scan_partition_vectors(
@@ -215,19 +212,8 @@ impl BaseRelation for ColFileRelation {
         projection: Option<&[usize]>,
         filters: &[Filter],
     ) -> Result<Option<BatchIter>> {
-        let Some(group) = self.file.groups.get(partition) else {
-            return Ok(Some(Box::new(std::iter::empty())));
-        };
-        if !group.may_match(filters) {
-            self.groups_skipped.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(Box::new(std::iter::empty())));
-        }
-        self.groups_read.fetch_add(1, Ordering::Relaxed);
-        // One row group = one partition: decode the needed columns into
-        // vectors, filters become the batch's selection vector — no Row
-        // materialization on the way to the executor.
-        let batch = group.scan_to_row_batch(projection, filters);
-        Ok(Some(Box::new(std::iter::once(batch))))
+        let batch = self.scan_group(partition, projection, filters);
+        Ok(Some(Box::new(batch.into_iter())))
     }
 
     fn handled_filters(&self, filters: &[Filter]) -> Vec<bool> {
