@@ -41,13 +41,13 @@ pub fn may_match(stats: &ColumnStats, filter: &Filter) -> bool {
             None => true,
         },
         Filter::In(_, vs) => vs.iter().any(contains),
-        // Prefix match: min/max on strings bound the prefix range.
+        // Strings starting with `p` sort from `p` on, one contiguous
+        // range: none lies below `p`, and a value above `p` that does not
+        // start with it sorts after all of them.
         Filter::StringStartsWith(_, p) => match (&stats.min, &stats.max) {
             (Some(Value::Str(min)), Some(Value::Str(max))) => {
-                min.as_ref() <= p.as_str() || min.starts_with(p.as_str()) || {
-                    // p could sort between min and max.
-                    max.as_ref() >= p.as_str()
-                }
+                let p = p.as_str();
+                max.as_ref() >= p && (min.as_ref() <= p || min.starts_with(p))
             }
             _ => true,
         },
@@ -142,5 +142,58 @@ mod tests {
             &all_null,
             &Filter::Eq("x".into(), Value::Long(1))
         ));
+    }
+
+    fn strings(values: &[&str]) -> ColumnStats {
+        let values: Vec<Value> = values.iter().map(|&v| Value::str(v)).collect();
+        fold(&values)
+    }
+
+    fn starts_with(p: &str) -> Filter {
+        Filter::StringStartsWith("s".into(), p.into())
+    }
+
+    #[test]
+    fn prefix_filters_skip_batches_outside_the_prefix_range() {
+        let s = strings(&["apple", "banana"]);
+        assert!(!may_match(&s, &starts_with("zebra")));
+        assert!(!may_match(&s, &starts_with("aa")));
+        assert!(!may_match(&s, &starts_with("bb")));
+        for p in ["", "a", "ap", "apple", "b", "banana", "az"] {
+            assert!(may_match(&s, &starts_with(p)), "{p}");
+        }
+    }
+
+    /// Statistics of values one of which starts with `p` never let a
+    /// prefix filter skip them, and a skip does happen for some batches.
+    #[test]
+    fn prefix_filters_never_skip_a_batch_holding_a_match() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const ALPHABET: &[&str] = &["a", "b", "z", "é", "\u{0}", "ab"];
+        let mut rng = StdRng::seed_from_u64(0x5747);
+        let word = |rng: &mut StdRng, max: usize| -> String {
+            (0..rng.random_range(0..max + 1))
+                .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+                .collect()
+        };
+        let mut skipped = 0;
+        for _ in 0..5_000 {
+            let mut values: Vec<Value> = (0..rng.random_range(1usize..5))
+                .map(|_| Value::str(word(&mut rng, 4)))
+                .collect();
+            if rng.random_bool(0.2) {
+                values.push(Value::Null);
+            }
+            let filter = starts_with(&word(&mut rng, 3));
+            let stats = fold(&values);
+            let holds_a_match = values.iter().any(|v| filter.matches(v));
+            if holds_a_match {
+                assert!(may_match(&stats, &filter), "{values:?} {filter:?}");
+            } else if !may_match(&stats, &filter) {
+                skipped += 1;
+            }
+        }
+        assert!(skipped > 100, "only {skipped} batches skipped");
     }
 }

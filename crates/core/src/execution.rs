@@ -393,7 +393,7 @@ impl IterChunks {
         IterChunks {
             inner,
             dtypes,
-            batch_size,
+            batch_size: batch_size.max(1),
         }
     }
 }
@@ -402,18 +402,14 @@ impl Iterator for IterChunks {
     type Item = RowBatch;
 
     fn next(&mut self) -> Option<RowBatch> {
-        let mut buf = Vec::with_capacity(self.batch_size);
-        while buf.len() < self.batch_size {
-            match self.inner.next() {
-                Some(row) => buf.push(row),
-                None => break,
-            }
-        }
-        if buf.is_empty() {
-            None
-        } else {
-            Some(RowBatch::from_rows(&self.dtypes, &buf))
-        }
+        // Sized by what the source says is left, not by the batch size:
+        // a few rows do not pay for a 4096-row buffer.
+        let first = self.inner.next()?;
+        let left = self.inner.size_hint().0;
+        let mut buf = Vec::with_capacity(self.batch_size.min(left + 1));
+        buf.push(first);
+        buf.extend(self.inner.by_ref().take(self.batch_size - 1));
+        Some(RowBatch::from_rows(&self.dtypes, &buf))
     }
 }
 
@@ -473,10 +469,9 @@ fn metered_batches(rdd: &RddRef<RowBatch>, node: Arc<OperatorMetrics>) -> RddRef
 /// form — the caller then takes the row path for the whole subtree.
 /// Batch subtrees grow from batchable leaves (Scan, LocalData) upward
 /// through Filter and Project, and through every `BroadcastHashJoin`,
-/// every grouped `HashAggregate` the batch pipeline takes, every `Sort`
-/// and every `Window` (whose inputs adapt to batches); everything else
-/// adapts at the boundary via
-/// [`RowBatch::into_selected_rows`].
+/// every grouped `HashAggregate` the batch pipeline takes, every `Sort`,
+/// `TakeOrdered` and `Window` (whose inputs adapt to batches); everything
+/// else adapts at the boundary via [`RowBatch::into_selected_rows`].
 fn try_execute_batched(
     plan: &PhysicalPlan,
     id: usize,
@@ -567,6 +562,10 @@ fn try_lower_batched(
         } => aggregate::execute_batch_aggregate(input, groupings, output_exprs, id, ctx),
 
         PhysicalPlan::Sort { input, orders } => sort::execute_batch_sort(input, orders, id, ctx),
+
+        PhysicalPlan::TakeOrdered { input, orders, n } => {
+            sort::execute_batch_take_ordered(input, orders, *n, id, ctx)
+        }
 
         PhysicalPlan::Window {
             input,

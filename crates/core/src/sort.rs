@@ -21,14 +21,24 @@
 //!    A denial with blocks held sorts them by the same permutation and
 //!    writes them as one sorted run of column blocks
 //!    ([`spill::write_lane_run`]), as it does a block past the fair
-//!    share on its own; the lanes held at the end are the last run, and [`RunMerge`] merges the runs by [`lane_order`], ties
-//!    to the lower run, which is the unbounded stable sort. `Sort` keeps
-//!    the merged batches' input columns; `Window` evaluates the window
-//!    partitions they finish.
+//!    share on its own; the lanes held at the end are the last run, and
+//!    [`RunMerge`] merges the runs by [`lane_order`], ties to the lower
+//!    run, which is the unbounded stable sort. `Sort` keeps the merged
+//!    batches' input columns; `Window` evaluates the window partitions
+//!    they finish.
+//! 5. *Top-N.* `TakeOrdered` needs no exchange. Each task cuts every
+//!    batch's selected lanes to its best `n` (`select_nth_unstable_by`
+//!    under [`lane_order`], lane index breaking ties), keeps them in
+//!    arrival order, and cuts the candidates it holds back to `n` by the
+//!    permutation sort once they pass [`COMPACT_AT`] × `n`; it hands the
+//!    driver one sorted block of at most `n` lanes. The driver
+//!    concatenates the blocks in partition order, stable-sorts them by
+//!    [`lane_order`] and keeps `n`, so ties go to the earlier partition,
+//!    then the earlier arrival, as a stable sort of rows would.
 //!
-//! `(key, row)` pairs ([`KeyedRow`]) belong to the reference
-//! configuration's row path alone (key → range shuffle →
-//! [`spill::external_sort`]) and to the row `TakeOrdered`.
+//! `(key, row)` pairs ([`KeyedRow`]) and keys evaluated a row at a time
+//! belong to the reference configuration alone: its row `Sort` (key →
+//! range shuffle → [`spill::external_sort`]) and its row `TakeOrdered`.
 
 use crate::exchange::{Exchange, Route};
 use crate::execution::{
@@ -243,7 +253,7 @@ pub(crate) fn lane_order(
 pub(crate) type KeyedRow = (SortKey, Row);
 
 /// ORDER BY expressions bound to an input, evaluated a row at a time: the
-/// row sort's and the top-N's keys.
+/// reference's row sort's and row top-N's keys.
 struct KeyEval {
     bound: Vec<Expr>,
     descending_mask: u64,
@@ -328,8 +338,8 @@ pub(crate) fn execute_sort(
     }))
 }
 
-/// Lower a `TakeOrdered` operator: per-partition top-`n`, then a
-/// driver-side merge.
+/// Lower a `TakeOrdered` operator as rows: per-partition top-`n`, then
+/// a driver-side merge — the reference configuration's path.
 pub(crate) fn execute_take_ordered(
     input: &Arc<PhysicalPlan>,
     orders: &[SortOrder],
@@ -569,7 +579,81 @@ impl BlockKeys {
             batch_size,
         )))
     }
+
+    /// One task's first `n` lanes of `batches` in key order, equal keys
+    /// in arrival order, as one block in that order; `None` when no lane
+    /// is selected. Each batch gives at most its best `n` selected lanes
+    /// ([`best_of`](Self::best_of)); the candidates held are cut back to
+    /// `n` once they pass `COMPACT_AT × n` lanes. A cut block sorts ahead
+    /// of the blocks that arrive after it, so the stable sort keeps equal
+    /// keys in arrival order across cuts.
+    fn take_ordered(&self, batches: BoxIter<RowBatch>, n: usize) -> Result<Option<SortBlock>> {
+        let mut held: Vec<SortBlock> = Vec::new();
+        let mut rows = 0;
+        for batch in batches {
+            let Some(block) = self.best_of(&batch, n)? else {
+                continue;
+            };
+            rows += block.rows;
+            held.push(block);
+            if rows > COMPACT_AT * n {
+                held = vec![self.first_n(held, n)];
+                rows = held[0].rows;
+            }
+        }
+        Ok((!held.is_empty()).then(|| self.first_n(held, n)))
+    }
+
+    /// `batch`'s block columns at its best `n` selected lanes (`n > 0`),
+    /// in arrival order, or `None` when it selects none. A batch selecting
+    /// `n` lanes or fewer skips the selection, and one selecting all its
+    /// lanes shares its columns.
+    fn best_of(&self, batch: &RowBatch, n: usize) -> Result<Option<SortBlock>> {
+        let selected = batch.selected_count();
+        if selected == 0 {
+            return Ok(None);
+        }
+        let columns = self.columns(batch)?;
+        let mut lanes: Vec<u32> = match batch.selection() {
+            None if selected <= n => {
+                let rows = batch.num_rows();
+                return Ok(Some(SortBlock { columns, rows }));
+            }
+            None => (0..batch.num_rows() as u32).collect(),
+            Some(selection) => selection.to_vec(),
+        };
+        if selected > n {
+            let keys = self.key_lanes(&columns);
+            lanes.select_nth_unstable_by(n - 1, |&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                lane_order(&keys, a, &keys, b, self.descending_mask).then(a.cmp(&b))
+            });
+            lanes.truncate(n);
+            lanes.sort_unstable();
+        }
+        let columns = columns.iter().map(|c| Arc::new(c.gather(&lanes))).collect();
+        Ok(Some(SortBlock {
+            columns,
+            rows: lanes.len(),
+        }))
+    }
+
+    /// The first `n` lanes of `held` end to end in key order, equal keys
+    /// in their order there, gathered in that order.
+    fn first_n(&self, held: Vec<SortBlock>, n: usize) -> SortBlock {
+        let (columns, mut perm) = self.sort_lanes(held);
+        perm.truncate(n);
+        let columns = columns.iter().map(|c| Arc::new(c.gather(&perm))).collect();
+        SortBlock {
+            columns,
+            rows: perm.len(),
+        }
+    }
 }
+
+/// A top-N task cuts the candidates it holds back to `n` once they pass
+/// this many times `n` lanes.
+const COMPACT_AT: usize = 4;
 
 /// `parts` end to end; a single part is shared, not copied.
 fn concat(dtype: &DataType, parts: &[Arc<ColumnVector>]) -> Arc<ColumnVector> {
@@ -855,6 +939,68 @@ fn batch_sort(
             ),
         }
     }))
+}
+
+/// Lower a `TakeOrdered` (pre-order id `id`) to the block top-N, or
+/// `None` in the reference configuration.
+pub(crate) fn execute_batch_take_ordered(
+    input: &Arc<PhysicalPlan>,
+    orders: &[SortOrder],
+    n: usize,
+    id: usize,
+    ctx: &ExecContext,
+) -> Option<Result<RddRef<RowBatch>>> {
+    if ctx.conf.reference {
+        return None;
+    }
+    Some(batch_take_ordered(input, orders, n, id, ctx))
+}
+
+/// Each task's top-`n` block ([`BlockKeys::take_ordered`]), merged on
+/// the driver into one batch: the blocks end to end in partition order,
+/// stable-sorted and cut to `n`. A single task's block is already that.
+/// The node's `candidates` extra counts the lanes the tasks handed over.
+fn batch_take_ordered(
+    input: &Arc<PhysicalPlan>,
+    orders: &[SortOrder],
+    n: usize,
+    id: usize,
+    ctx: &ExecContext,
+) -> Result<RddRef<RowBatch>> {
+    let exprs: Vec<Expr> = orders.iter().map(|o| o.expr.clone()).collect();
+    let keys = Arc::new(BlockKeys::new(
+        &exprs,
+        descending_mask(orders),
+        &input.output(),
+    )?);
+    let child = lower_node(input, id + 1, ctx)?.batches(input, ctx);
+    if n == 0 {
+        return Ok(ctx.sc.parallelize(Vec::new(), 1));
+    }
+    let eager_start = Instant::now();
+    let task_keys = keys.clone();
+    let tops = child
+        .run_job(move |_, it| task_keys.take_ordered(it, n))
+        .map_err(engine_err)?
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    let mut tops: Vec<SortBlock> = tops.into_iter().flatten().collect();
+    let candidates: usize = tops.iter().map(|b| b.rows).sum();
+    let top = match tops.len() {
+        0 | 1 => tops.pop(),
+        _ => Some(keys.first_n(tops, n)),
+    };
+    if let Some(pm) = &ctx.metrics {
+        pm.node(id).add_extra("candidates", candidates as u64);
+    }
+    note_eager_ns(ctx, id, eager_start);
+    let batches = (top.into_iter())
+        .map(|mut b| {
+            b.columns.truncate(keys.width);
+            RowBatch::new(b.columns, b.rows)
+        })
+        .collect();
+    Ok(ctx.sc.parallelize(batches, 1))
 }
 
 #[cfg(test)]

@@ -684,3 +684,29 @@ fn batch_sort_and_window_spill_under_64k_and_match_unbounded() {
         );
     }
 }
+
+/// The block top-N hands the driver at most `n` lanes per task: its
+/// TakeOrdered line shows them as `candidates`, at most partitions × `n`.
+#[test]
+fn explain_analyze_shows_the_top_n_candidates() {
+    let ctx = SQLContext::new_local(2);
+    big_table(&ctx, 3, std::time::Duration::ZERO);
+    let n = 5;
+    let df = ctx
+        .sql(&format!(
+            "SELECT k, s FROM big ORDER BY s DESC, k LIMIT {n}"
+        ))
+        .unwrap();
+    let text = df.explain_analyze().unwrap();
+    let line = (text.lines())
+        .find(|l| l.contains("TakeOrdered"))
+        .unwrap_or_else(|| panic!("no TakeOrdered in:\n{text}"));
+    let candidates: u64 = (line.split("[candidates=").nth(1))
+        .and_then(|rest| rest.split(']').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no candidates in: {line}\n{text}"));
+    assert!(
+        (n as u64..=3 * n as u64).contains(&candidates),
+        "{candidates} candidates for LIMIT {n} over 3 partitions: {line}"
+    );
+}
