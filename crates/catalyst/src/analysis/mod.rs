@@ -150,9 +150,10 @@ fn resolve_references(
             e.transform_up(&mut |e| resolve_expr(e, &attrs, functions, &mut err))
         });
         ch |= resolved.changed;
+        let widened = resolve_missing_references(resolved.data);
         Transformed {
-            data: resolved.data,
-            changed: ch,
+            data: widened.data,
+            changed: ch || widened.changed,
         }
     });
     if let Some(e) = err {
@@ -243,6 +244,74 @@ fn resolve_expr(
         }
         other => Transformed::no(other),
     }
+}
+
+/// Resolve the ORDER BY keys a projection dropped against that
+/// projection's input, as Spark's `ResolveMissingReferences` does: the
+/// projection under the sort is widened with the attributes the keys
+/// miss, and a projection above the sort drops them again. Only a plain
+/// projection is widened, once every item is named: under a DISTINCT or
+/// an aggregate a dropped column has no single value per output row, so
+/// those keys stay unresolved and analysis reports them. Runs on each
+/// node as [`resolve_references`] leaves it.
+fn resolve_missing_references(p: LogicalPlan) -> Transformed<LogicalPlan> {
+    let LogicalPlan::Sort { input, orders } = &p else {
+        return Transformed::no(p);
+    };
+    let LogicalPlan::Project {
+        input: child,
+        exprs,
+    } = input.as_ref()
+    else {
+        return Transformed::no(p);
+    };
+    if orders.iter().all(|o| o.expr.is_resolved()) {
+        return Transformed::no(p);
+    }
+    let Ok(output) = exprs
+        .iter()
+        .map(Expr::to_attribute)
+        .collect::<Result<Vec<_>>>()
+    else {
+        return Transformed::no(p);
+    };
+    if exprs.iter().any(Expr::contains_aggregate) {
+        return Transformed::no(p);
+    }
+    let available = child.output();
+    let mut missing: Vec<ColumnRef> = Vec::new();
+    for order in orders {
+        order.expr.for_each_node(&mut |e| {
+            let Expr::UnresolvedAttribute { qualifier, name } = e else {
+                return;
+            };
+            let mut found = (available.iter()).filter(|a| a.matches(qualifier.as_deref(), name));
+            if let (Some(a), None) = (found.next(), found.next()) {
+                if !missing.contains(a) && output.iter().all(|o| o.id != a.id) {
+                    missing.push(a.clone());
+                }
+            }
+        });
+    }
+    if missing.is_empty() {
+        return Transformed::no(p);
+    }
+    let widened = LogicalPlan::Project {
+        input: child.clone(),
+        exprs: exprs
+            .iter()
+            .cloned()
+            .chain(missing.into_iter().map(Expr::Column))
+            .collect(),
+    };
+    let sort = LogicalPlan::Sort {
+        input: Arc::new(widened),
+        orders: orders.clone(),
+    };
+    Transformed::yes(LogicalPlan::Project {
+        input: Arc::new(sort),
+        exprs: output.into_iter().map(Expr::Column).collect(),
+    })
 }
 
 /// Wrap unnamed projection/aggregate outputs in aliases so every output
@@ -865,6 +934,41 @@ mod tests {
         .filter(col("age").add(lit(1)));
         let err = a.analyze(plan).unwrap_err().to_string();
         assert!(err.contains("BOOLEAN"), "{err}");
+    }
+
+    #[test]
+    fn order_by_an_unselected_column_sorts_below_a_narrowing_projection() {
+        let (a, _) = analyzer();
+        let users = || LogicalPlan::UnresolvedRelation {
+            name: "users".into(),
+        };
+        let plan = (users().subquery_alias("u"))
+            .project(vec![col("name")])
+            .sort(vec![col("age").add(lit(1)).desc(), col("u.age").asc()])
+            .limit(1);
+        let analyzed = a.analyze(plan).unwrap();
+        assert!(analyzed.is_resolved());
+        let names: Vec<_> = analyzed.output().iter().map(|c| c.name.clone()).collect();
+        assert_eq!(names, vec![Arc::from("name")]);
+        // Limit, then the projection that drops `age` again, then the sort.
+        let LogicalPlan::Limit { input, .. } = &analyzed else {
+            panic!("{analyzed}");
+        };
+        let LogicalPlan::Project { input, .. } = input.as_ref() else {
+            panic!("{analyzed}");
+        };
+        assert!(
+            matches!(input.as_ref(), LogicalPlan::Sort { .. }),
+            "{analyzed}"
+        );
+
+        // Under DISTINCT the dropped column has no value per row.
+        let plan = (users().project(vec![col("name")]).distinct()).sort(vec![col("age").desc()]);
+        let err = a.analyze(plan).unwrap_err();
+        assert!(
+            matches!(&err, CatalystError::Analysis(m) if m.contains("age")),
+            "{err}"
+        );
     }
 
     #[test]

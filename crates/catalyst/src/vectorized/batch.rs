@@ -284,6 +284,44 @@ impl ColumnVector {
         ColumnVector::new(self.dtype.clone(), data, nulls)
     }
 
+    /// The lanes split into `parts` vectors by `route`, which gives each
+    /// lane its part: each part is [`gather`](Self::gather) of its lanes
+    /// in order, with the lanes moved rather than copied.
+    pub fn scatter(self, route: &[u32], parts: usize) -> Vec<ColumnVector> {
+        fn split<T>(lanes: Vec<T>, route: &[u32], parts: usize) -> Vec<Vec<T>> {
+            let mut out: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
+            for (lane, &p) in lanes.into_iter().zip(route) {
+                out[p as usize].push(lane);
+            }
+            out
+        }
+        fn each<T>(
+            lanes: Vec<T>,
+            route: &[u32],
+            parts: usize,
+            f: fn(Vec<T>) -> VectorData,
+        ) -> Vec<VectorData> {
+            split(lanes, route, parts).into_iter().map(f).collect()
+        }
+        let data = match self.data {
+            VectorData::Long(v) => each(v, route, parts, VectorData::Long),
+            VectorData::Double(v) => each(v, route, parts, VectorData::Double),
+            VectorData::Bool(v) => each(v, route, parts, VectorData::Bool),
+            VectorData::Str(v) => each(v, route, parts, VectorData::Str),
+            VectorData::Values(v) => each(v, route, parts, VectorData::Values),
+        };
+        let mut nulls = self.nulls.map(|mask| split(mask, route, parts).into_iter());
+        (data.into_iter())
+            .map(|data| {
+                ColumnVector::new(
+                    self.dtype.clone(),
+                    data,
+                    nulls.as_mut().and_then(Iterator::next),
+                )
+            })
+            .collect()
+    }
+
     /// [`gather`](Self::gather) with `fill` in place of NULL at
     /// [`NULL_LANE`]s: a `lag`/`lead` default outside its partition.
     pub fn gather_or(&self, indices: &[u32], fill: &Value) -> ColumnVector {
@@ -561,6 +599,34 @@ mod tests {
             let expect: Vec<Value> = [2, 0, 1, 2].iter().map(|&i| vals[i].clone()).collect();
             assert_eq!(values(&g), expect, "{dtype:?}");
             assert!(v.gather(&[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn scatter_is_a_gather_of_each_part() {
+        let typed = vec![
+            Value::str("a"),
+            Value::Null,
+            Value::str("c"),
+            Value::str("d"),
+        ];
+        let boxed = vec![Value::Int(1), Value::str("x"), Value::Null, Value::Int(4)];
+        for (dtype, vals) in [(DataType::String, typed), (DataType::Int, boxed)] {
+            let v = ColumnVector::from_values(&dtype, vals);
+            let route = [2, 0, 2, 0];
+            let parts = v.clone().scatter(&route, 3);
+            for (p, part) in parts.iter().enumerate() {
+                let lanes: Vec<u32> = (0..4u32)
+                    .filter(|&i| route[i as usize] == p as u32)
+                    .collect();
+                let want = v.gather(&lanes);
+                assert_eq!(values(part), values(&want), "{dtype:?} part {p}");
+                assert_eq!(part.nulls(), want.nulls(), "{dtype:?} part {p}");
+                assert_eq!(
+                    std::mem::discriminant(part.data()),
+                    std::mem::discriminant(want.data())
+                );
+            }
         }
     }
 

@@ -3,17 +3,27 @@
 //! [`BatchGroups`] interns each distinct key and hands back dense group
 //! ids, one `(lane, group)` pair per selected lane, in arrival order. Key
 //! equality is the row path's: [`Value`] equality, which canonicalizes
-//! numerics, so `Int(1)`/`Long(1)` are one key. Typed caches keep the hot
-//! loop from boxing: each key column (up to four) interns its values to
-//! dense ids through raw `i64`/`Arc<str>` caches, a single-column key's
-//! group is its value's id, and a multi-column key's group is found by its
-//! packed id *signature*. Keys stay in those columns: a new group costs
-//! its ids, not a [`Row`], and [`BatchGroups::key_columns`] hands every
-//! key back as column vectors; [`BatchGroups::group_hashes`] routes groups
-//! to reducers by a hash that agrees with key equality.
-//! [`BatchGroups::find`] looks keys up without interning them, so a hash
-//! join probes the groups its build side assigned with GROUP BY's key
-//! equality.
+//! numerics, so `Int(1)`/`Long(1)` are one key. Each key column (up to
+//! four) interns its values to dense ids, a single-column key's group is
+//! its value's id, and a multi-column key's group is found by its packed
+//! id *signature*. Keys stay in those columns: a new group costs its ids,
+//! not a [`Row`], and [`BatchGroups::key_columns`] hands every key back
+//! as column vectors.
+//!
+//! Each key is hashed once, and its hash is stored with it. A column
+//! keeps its distinct strings as string lanes, each beside its routing
+//! hash, and finds them through an open-addressing table of ids that
+//! matches on the hash, then on the string. A string lane is hashed
+//! straight from its bytes, with no [`Value`] built, and the hash is bit
+//! for bit the [`Value`] hash of that string. Integer lanes intern
+//! through a raw `i64` cache and store their hash when new. So
+//! [`BatchGroups::group_hashes`], which routes groups to reducers by a
+//! hash that agrees with key equality, hands back stored hashes;
+//! [`BatchGroups::key_columns`] builds string keys from the stored lanes;
+//! and [`BatchGroups::assign_hashed`] interns keys whose hashes arrived
+//! with them, as a reducer's blocks do. [`BatchGroups::find`] looks keys
+//! up without interning them, so a hash join probes the groups its build
+//! side assigned with GROUP BY's key equality.
 
 use super::batch::{ColumnVector, RowBatch, VectorData};
 use crate::row::Row;
@@ -77,83 +87,6 @@ fn long_key(dtype: &DataType, raw: i64) -> (u8, i64) {
     (class, raw)
 }
 
-/// Per-column value interner: a dense id per distinct value, in
-/// first-seen order. Integer and string lanes hash their raw lanes. Until
-/// some lane needs it (a boxed, float or other lane), no canonical
-/// `Value → id` map is kept: every value came through a raw cache, which
-/// then decides alone whether a value is new. Equal values get equal ids,
-/// so two key rows are equal iff their id signatures are.
-#[derive(Debug, Default)]
-struct ColumnInterner {
-    /// Distinct values by id.
-    values: Vec<Value>,
-    by_long: FastMap<(u8, i64), u32>,
-    by_str: FastMap<Arc<str>, u32>,
-    null_id: Option<u32>,
-    /// Canonical value → id over all of `values`, once built.
-    by_value: Option<FastMap<Value, u32>>,
-}
-
-impl ColumnInterner {
-    /// The id of lane `i` of `col`, if its value has one.
-    fn find(&self, col: &ColumnVector, i: usize) -> Option<u32> {
-        if col.is_null(i) {
-            return self.null_id;
-        }
-        let raw = match col.data() {
-            VectorData::Long(lanes) => self.by_long.get(&long_key(col.dtype(), lanes[i])),
-            VectorData::Str(lanes) => self.by_str.get(&lanes[i]),
-            _ => return self.find_value(&col.get(i)),
-        };
-        match (raw, &self.by_value) {
-            (Some(&id), _) => Some(id),
-            (None, Some(by_value)) => by_value.get(&col.get(i)).copied(),
-            (None, None) => None,
-        }
-    }
-
-    /// The id of the non-NULL value `v`, if it has one.
-    fn find_value(&self, v: &Value) -> Option<u32> {
-        if let Some(by_value) = &self.by_value {
-            return by_value.get(v).copied();
-        }
-        // Every value came through a raw cache: `v` can only equal a
-        // string or an integer of its own class.
-        let raw = match v {
-            Value::Str(s) => return self.by_str.get(s).copied(),
-            Value::Int(x) | Value::Date(x) => *x as i64,
-            Value::Long(x) | Value::Timestamp(x) => *x,
-            // A float equal to an integer: rare enough to scan for.
-            _ => return self.values.iter().position(|u| u == v).map(|id| id as u32),
-        };
-        self.by_long.get(&long_key(&v.dtype(), raw)).copied()
-    }
-
-    /// The id of lane `i` of `col`, interning its value if new.
-    fn id(&mut self, col: &ColumnVector, i: usize) -> u32 {
-        if let Some(id) = self.find(col, i) {
-            return id;
-        }
-        let id = self.values.len() as u32;
-        let v = col.get(i);
-        match col.data() {
-            _ if v.is_null() => self.null_id = Some(id),
-            VectorData::Long(lanes) => _ = self.by_long.insert(long_key(col.dtype(), lanes[i]), id),
-            VectorData::Str(lanes) => _ = self.by_str.insert(lanes[i].clone(), id),
-            // The first lane no raw cache covers builds the canonical map.
-            _ if self.by_value.is_none() => {
-                self.by_value = Some(self.values.iter().cloned().zip(0..).collect())
-            }
-            _ => {}
-        }
-        if let Some(by_value) = &mut self.by_value {
-            by_value.insert(v.clone(), id);
-        }
-        self.values.push(v);
-        id
-    }
-}
-
 /// The routing hash of a value or key row: equal [`Value`]s (`Int(1)`,
 /// `Long(1)`) hash alike, and every process hashes them the same way.
 fn route_hash(v: &impl Hash) -> u64 {
@@ -162,11 +95,355 @@ fn route_hash(v: &impl Hash) -> u64 {
     h.finish()
 }
 
+/// [`route_hash`] of `Value::Str(s)`, bit for bit, with no [`Value`]
+/// built.
+fn str_hash(s: &str) -> u64 {
+    let mut h = FastHasher::default();
+    2u8.hash(&mut h); // the string tag of `impl Hash for Value`
+    s.hash(&mut h);
+    h.finish()
+}
+
 /// The hash of a multi-column key from its columns' value hashes.
 fn combine(column_hashes: impl Iterator<Item = u64>) -> u64 {
     let mut h = FastHasher::default();
     column_hashes.for_each(|x| h.write_u64(x));
     h.finish()
+}
+
+/// Lane `i` of a key column, as an interner looks it up.
+enum Lane<'a> {
+    Null,
+    /// A string, typed or boxed.
+    Str(&'a Arc<str>),
+    /// A raw integer lane, as its [`long_key`].
+    Long((u8, i64)),
+    /// Any other value: boxed non-strings, floats, booleans.
+    Other,
+}
+
+fn lane(col: &ColumnVector, i: usize) -> Lane<'_> {
+    if col.is_null(i) {
+        return Lane::Null;
+    }
+    match col.data() {
+        VectorData::Str(lanes) => Lane::Str(&lanes[i]),
+        VectorData::Values(values) => match &values[i] {
+            Value::Str(s) => Lane::Str(s),
+            _ => Lane::Other,
+        },
+        VectorData::Long(lanes) => Lane::Long(long_key(col.dtype(), lanes[i])),
+        _ => Lane::Other,
+    }
+}
+
+/// The routing hash of lane `i` of `col`: [`route_hash`] of its value.
+fn lane_hash(col: &ColumnVector, i: usize) -> u64 {
+    match lane(col, i) {
+        Lane::Str(s) => str_hash(s),
+        _ => route_hash(&col.get(i)),
+    }
+}
+
+/// A column's distinct values in id order: string lanes while every
+/// non-NULL value is a string (the NULL id's lane holds `""`), boxed
+/// values from the first one that is not.
+#[derive(Debug)]
+enum Keys {
+    Str(Vec<Arc<str>>),
+    Values(Vec<Value>),
+}
+
+impl Default for Keys {
+    fn default() -> Keys {
+        Keys::Str(Vec::new())
+    }
+}
+
+impl Keys {
+    /// The string of id `id`, which holds one.
+    fn str_at(&self, id: u32) -> &str {
+        match self {
+            Keys::Str(lanes) => &lanes[id as usize],
+            Keys::Values(values) => values[id as usize].as_str().unwrap_or_default(),
+        }
+    }
+}
+
+/// The open-addressing table of a column's string ids: a power-of-two
+/// slot array at most three quarters full, probed linearly from the top
+/// bits of a string's hash. A slot holds the top half of the hash in its
+/// upper 32 bits and the id plus one in its lower 32 (zero is empty). It
+/// matches a lane on that half of the hash, then on string equality, and
+/// the half alone places the slot again when the table grows. The top bits serve because a reducer receives only
+/// the hashes of one residue modulo the reducer count, which fixes their
+/// low bits when that count is a power of two.
+#[derive(Debug, Default)]
+struct StrTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+/// The hash bits a [`StrTable`] slot keeps.
+const TAG: u64 = !0 << 32;
+
+impl StrTable {
+    /// The slot a probe for `hash` starts at.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of the string `s`, which hashes to `hash`, or the empty slot
+    /// it would take.
+    fn find(&self, hash: u64, s: &str, keys: &Keys) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            let id = slot as u32 - 1;
+            if slot & TAG == hash & TAG && keys.str_at(id) == s {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Put `id`, a string hashing to `hash`, in the empty slot `at` that
+    /// [`find`](Self::find) returned, growing first if the table would be
+    /// more than three quarters full.
+    fn insert(&mut self, mut at: usize, hash: u64, id: u32) {
+        if self.full(1) {
+            self.grow(self.len + 1);
+            at = self.vacant(hash);
+        }
+        self.slots[at] = hash & TAG | (id as u64 + 1);
+        self.len += 1;
+    }
+
+    /// Room for `additional` more strings without growing.
+    fn reserve(&mut self, additional: usize) {
+        if self.full(additional) {
+            self.grow(self.len + additional);
+        }
+    }
+
+    fn full(&self, additional: usize) -> bool {
+        (self.len + additional) * 4 > self.slots.len() * 3
+    }
+
+    /// Re-slot every id into a table with room for `len` strings.
+    fn grow(&mut self, len: usize) {
+        let size = (len * 4 / 3 + 1).next_power_of_two().max(16);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let at = self.vacant(slot);
+            self.slots[at] = slot;
+        }
+    }
+
+    /// The first empty slot of the probe sequence of `hash`, or of a
+    /// slot's hash bits.
+    fn vacant(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+}
+
+/// Per-column value interner: a dense id per distinct value, in
+/// first-seen order, each stored with its routing hash. Strings are
+/// found through the string table, integer lanes through a raw cache.
+/// Until some lane needs it (a boxed non-string, float or other lane), no
+/// canonical `Value → id` map is kept: every non-string value came through
+/// the raw cache, which then decides alone whether a value is new. Equal
+/// values get equal ids, so two key rows are equal iff their id
+/// signatures are.
+#[derive(Debug, Default)]
+struct ColumnInterner {
+    /// Distinct values by id.
+    keys: Keys,
+    /// The routing hash of each id's value.
+    hashes: Vec<u64>,
+    strs: StrTable,
+    by_long: FastMap<(u8, i64), u32>,
+    null_id: Option<u32>,
+    /// Canonical value → id over every id that is neither a string nor
+    /// NULL, once built.
+    by_value: Option<FastMap<Value, u32>>,
+}
+
+impl ColumnInterner {
+    /// Number of distinct values.
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Room for `n` more values from lanes of `col`.
+    fn reserve(&mut self, col: &ColumnVector, n: usize) {
+        self.hashes.reserve(n);
+        match &mut self.keys {
+            Keys::Str(lanes) => lanes.reserve(n),
+            Keys::Values(values) => values.reserve(n),
+        }
+        match col.data() {
+            VectorData::Long(_) => self.by_long.reserve(n),
+            VectorData::Str(_) => self.strs.reserve(n),
+            _ => {}
+        }
+    }
+
+    /// The value of id `id`.
+    fn value(&self, id: u32) -> Value {
+        match &self.keys {
+            _ if self.null_id == Some(id) => Value::Null,
+            Keys::Str(lanes) => Value::Str(lanes[id as usize].clone()),
+            Keys::Values(values) => values[id as usize].clone(),
+        }
+    }
+
+    /// `self.value(id).approx_bytes()`, without building the value.
+    fn bytes(&self, id: u32) -> u64 {
+        match &self.keys {
+            _ if self.null_id == Some(id) => Value::Null.approx_bytes(),
+            Keys::Str(lanes) => Value::str_bytes(&lanes[id as usize]),
+            Keys::Values(values) => values[id as usize].approx_bytes(),
+        }
+    }
+
+    /// The values of `ids`, in order, as a column of `dtype`: the stored
+    /// lanes of a string column, typed where every value conforms to
+    /// `dtype` and boxed (and so exact) where one does not. Every id is
+    /// some group's, so a NULL id is among them.
+    fn column(&self, dtype: &DataType, ids: impl Iterator<Item = u32> + Clone) -> ColumnVector {
+        match (&self.keys, dtype) {
+            (Keys::Str(lanes), DataType::String) => {
+                let data = ids.clone().map(|id| lanes[id as usize].clone());
+                let nulls = (self.null_id).map(|null| ids.map(|id| id == null).collect());
+                ColumnVector::new(DataType::String, VectorData::Str(data.collect()), nulls)
+            }
+            _ => ColumnVector::from_values(dtype, ids.map(|id| self.value(id)).collect()),
+        }
+    }
+
+    /// [`column`](Self::column) of every id in id order: a string
+    /// column's stored lanes move into it.
+    fn into_column(self, dtype: &DataType) -> ColumnVector {
+        match self.keys {
+            Keys::Str(lanes) if *dtype == DataType::String => {
+                let ids = 0..lanes.len() as u32;
+                let nulls = (self.null_id).map(|null| ids.map(|id| id == null).collect());
+                ColumnVector::new(DataType::String, VectorData::Str(lanes), nulls)
+            }
+            _ => self.column(dtype, 0..self.len() as u32),
+        }
+    }
+
+    /// The id of lane `i` of `col`, if its value has one.
+    fn find(&self, col: &ColumnVector, i: usize) -> Option<u32> {
+        match lane(col, i) {
+            Lane::Null => self.null_id,
+            Lane::Str(s) => self.strs.find(str_hash(s), s, &self.keys).ok(),
+            Lane::Long(key) => match (self.by_long.get(&key), &self.by_value) {
+                (Some(&id), _) => Some(id),
+                (None, Some(by_value)) => by_value.get(&col.get(i)).copied(),
+                (None, None) => None,
+            },
+            Lane::Other => self.find_value(&col.get(i)),
+        }
+    }
+
+    /// The id of `v`, a non-NULL value that is not a string, if it has
+    /// one.
+    fn find_value(&self, v: &Value) -> Option<u32> {
+        if let Some(by_value) = &self.by_value {
+            return by_value.get(v).copied();
+        }
+        // Every non-string value came through the raw cache: `v` can only
+        // equal an integer of its own class.
+        let raw = match v {
+            Value::Int(x) | Value::Date(x) => *x as i64,
+            Value::Long(x) | Value::Timestamp(x) => *x,
+            // A float equal to an integer: rare enough to scan for.
+            _ => return (0..self.len() as u32).find(|&id| self.value(id) == *v),
+        };
+        self.by_long.get(&long_key(&v.dtype(), raw)).copied()
+    }
+
+    /// The id of the string `s`, which hashes to `hash`, interning it if
+    /// new.
+    fn str_id(&mut self, s: &Arc<str>, hash: u64) -> u32 {
+        match self.strs.find(hash, s, &self.keys) {
+            Ok(id) => id,
+            Err(at) => {
+                let id = self.len() as u32;
+                self.hashes.push(hash);
+                self.push_key(Value::Str(s.clone()));
+                self.strs.insert(at, hash, id);
+                id
+            }
+        }
+    }
+
+    /// The id of lane `i` of `col`, interning its value if new. `hash` is
+    /// the lane's routing hash, if the caller has it.
+    fn id(&mut self, col: &ColumnVector, i: usize, hash: Option<u64>) -> u32 {
+        if let Lane::Str(s) = lane(col, i) {
+            return self.str_id(s, hash.unwrap_or_else(|| str_hash(s)));
+        }
+        if let Some(found) = self.find(col, i) {
+            return found;
+        }
+        let id = self.len() as u32;
+        let v = col.get(i);
+        self.hashes.push(hash.unwrap_or_else(|| route_hash(&v)));
+        match lane(col, i) {
+            Lane::Null => self.null_id = Some(id),
+            Lane::Long(key) => _ = self.by_long.insert(key, id),
+            // The first lane no cache covers builds the canonical map.
+            _ if self.by_value.is_none() => {
+                let ids =
+                    (0..id).filter(|&id| !matches!(self.value(id), Value::Str(_) | Value::Null));
+                self.by_value = Some(ids.map(|id| (self.value(id), id)).collect());
+            }
+            _ => {}
+        }
+        if let (Some(by_value), false) = (&mut self.by_value, v.is_null()) {
+            by_value.insert(v.clone(), id);
+        }
+        self.push_key(v);
+        id
+    }
+
+    /// Store the next id's value. The first value that is neither a
+    /// string nor NULL turns the string lanes into boxed values.
+    fn push_key(&mut self, v: Value) {
+        if let (Keys::Str(lanes), false) =
+            (&mut self.keys, matches!(v, Value::Str(_) | Value::Null))
+        {
+            let null = self.null_id.map(|id| id as usize);
+            let values = (lanes.drain(..).enumerate())
+                .map(|(id, s)| match Some(id) == null {
+                    true => Value::Null,
+                    false => Value::Str(s),
+                })
+                .collect();
+            self.keys = Keys::Values(values);
+        }
+        match (&mut self.keys, v) {
+            (Keys::Str(lanes), Value::Str(s)) => lanes.push(s),
+            (Keys::Str(lanes), _) => lanes.push(Arc::from("")),
+            (Keys::Values(values), v) => values.push(v),
+        }
+    }
 }
 
 /// Incremental key interner over batches of key columns.
@@ -210,13 +487,12 @@ impl BatchGroups {
         self.len == 0
     }
 
-    /// Column `j` of group `g`'s key (signature path only).
-    fn value(&self, g: usize, j: usize) -> &Value {
-        let id = match self.columns.len() {
-            1 => g,
-            w => self.ids[g * w + j] as usize,
-        };
-        &self.columns[j].values[id]
+    /// Group `g`'s value id in column `j` (signature path only).
+    fn id_of(&self, g: usize, j: usize) -> u32 {
+        match self.columns.len() {
+            1 => g as u32,
+            w => self.ids[g * w + j],
+        }
     }
 
     /// The key row of group `g`, built on demand.
@@ -224,11 +500,8 @@ impl BatchGroups {
         if self.columns.is_empty() {
             return self.wide[g].clone();
         }
-        Row::new(
-            (0..self.columns.len())
-                .map(|j| self.value(g, j).clone())
-                .collect(),
-        )
+        let values = self.columns.iter().enumerate();
+        Row::new(values.map(|(j, c)| c.value(self.id_of(g, j))).collect())
     }
 
     /// `self.key(g).approx_bytes()`, without building the row.
@@ -236,56 +509,64 @@ impl BatchGroups {
         if self.columns.is_empty() {
             return self.wide[g].approx_bytes();
         }
-        Row::approx_bytes_of((0..self.columns.len()).map(|j| self.value(g, j)))
+        let values = self.columns.iter().enumerate();
+        Row::approx_bytes_of([]) + values.map(|(j, c)| c.bytes(self.id_of(g, j))).sum::<u64>()
     }
 
     /// The keys of every group as columns of `dtypes`, in group order:
     /// typed where every value conforms to its column's type, boxed (and
-    /// so exact) where one does not.
-    pub fn key_columns(&self, dtypes: &[DataType]) -> Vec<Arc<ColumnVector>> {
-        (dtypes.iter().enumerate())
-            .map(|(j, dtype)| {
-                let values = (0..self.len).map(|g| match self.columns.is_empty() {
-                    true => self.wide[g].values()[j].clone(),
-                    false => self.value(g, j).clone(),
-                });
-                Arc::new(ColumnVector::from_values(dtype, values.collect()))
-            })
-            .collect()
+    /// so exact) where one does not. The interner's last use: a
+    /// single-column key's stored string lanes move into its column.
+    pub fn key_columns(self, dtypes: &[DataType]) -> Vec<Arc<ColumnVector>> {
+        match self.columns.len() {
+            0 => {
+                let column = |(j, dtype): (usize, &DataType)| {
+                    let values = self.wide.iter().map(|key| key.values()[j].clone());
+                    Arc::new(ColumnVector::from_values(dtype, values.collect()))
+                };
+                dtypes.iter().enumerate().map(column).collect()
+            }
+            1 => (dtypes.iter().zip(self.columns))
+                .map(|(dtype, c)| Arc::new(c.into_column(dtype)))
+                .collect(),
+            _ => (dtypes.iter().zip(&self.columns).enumerate())
+                .map(|(j, (dtype, c))| {
+                    let ids = (0..self.len).map(|g| self.id_of(g, j));
+                    Arc::new(c.column(dtype, ids))
+                })
+                .collect(),
+        }
     }
 
     /// One hash per group, in group order, that agrees with key
     /// equality: keys equal as [`Value`]s (`Int(1)` and `Long(1)`) hash
     /// alike in every interner and every process — what routes a group
-    /// to its reducer.
+    /// to its reducer. Each value's hash was stored when it was
+    /// interned.
     pub fn group_hashes(&self) -> Vec<u64> {
-        if self.columns.is_empty() {
-            return self.wide.iter().map(route_hash).collect();
+        match self.columns.as_slice() {
+            [] => self.wide.iter().map(route_hash).collect(),
+            [column] => column.hashes.clone(),
+            columns => (0..self.len)
+                .map(|g| {
+                    let values = columns.iter().enumerate();
+                    combine(values.map(|(j, c)| c.hashes[self.id_of(g, j) as usize]))
+                })
+                .collect(),
         }
-        let mut per_value: Vec<Vec<u64>> = (self.columns.iter())
-            .map(|c| c.values.iter().map(route_hash).collect())
-            .collect();
-        if per_value.len() == 1 {
-            return per_value.pop().expect("one column");
-        }
-        let w = per_value.len();
-        (0..self.len)
-            .map(|g| combine((0..w).map(|j| per_value[j][self.ids[g * w + j] as usize])))
-            .collect()
     }
 
     /// One hash per lane of the key columns `keys`, `rows` lanes each:
     /// the hash [`group_hashes`](Self::group_hashes) gives the same key,
     /// so lanes are routed by key equality without being interned.
     pub fn key_hashes(keys: &[Arc<ColumnVector>], rows: usize) -> Vec<u64> {
-        let lane = |c: &ColumnVector, i: usize| route_hash(&c.get(i));
         match keys {
-            [key] => (0..rows).map(|i| lane(key, i)).collect(),
+            [key] => (0..rows).map(|i| lane_hash(key, i)).collect(),
             _ if keys.len() > MAX_SIG_COLS => (0..rows)
                 .map(|i| route_hash(&Row::new(keys.iter().map(|c| c.get(i)).collect())))
                 .collect(),
             _ => (0..rows)
-                .map(|i| combine(keys.iter().map(|c| lane(c, i))))
+                .map(|i| combine(keys.iter().map(|c| lane_hash(c, i))))
                 .collect(),
         }
     }
@@ -294,6 +575,30 @@ impl BatchGroups {
     /// evaluated key columns), appending `(lane, group)` pairs to `out`
     /// in arrival order.
     pub fn assign(&mut self, key_batch: &RowBatch, out: &mut Vec<(u32, u32)>) {
+        self.assign_lanes(key_batch, None, out)
+    }
+
+    /// [`assign`](Self::assign) for keys that arrive with `hashes`, one
+    /// per lane of `key_batch`: the [`key_hashes`](Self::key_hashes) of
+    /// its lanes, as [`group_hashes`](Self::group_hashes) shipped them. A
+    /// single-column key is then not hashed again; a wider key hashes
+    /// each of its columns.
+    pub fn assign_hashed(
+        &mut self,
+        key_batch: &RowBatch,
+        hashes: &[u64],
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        debug_assert_eq!(hashes.len(), key_batch.num_rows());
+        self.assign_lanes(key_batch, Some(hashes), out)
+    }
+
+    fn assign_lanes(
+        &mut self,
+        key_batch: &RowBatch,
+        hashes: Option<&[u64]>,
+        out: &mut Vec<(u32, u32)>,
+    ) {
         let n = key_batch.selected_count();
         out.clear();
         out.reserve(n);
@@ -318,18 +623,24 @@ impl BatchGroups {
             self.columns = cols.iter().map(|_| ColumnInterner::default()).collect();
         }
         for (ci, c) in self.columns.iter_mut().zip(cols) {
-            ci.values.reserve(n);
-            match c.data() {
-                VectorData::Long(_) => ci.by_long.reserve(n),
-                VectorData::Str(_) => ci.by_str.reserve(n),
-                _ => {}
-            }
+            ci.reserve(c, n);
         }
         if let [col] = cols {
-            // A single column's value ids are its group ids.
+            // A single column's value ids are its group ids, and a key's
+            // hash is its value's.
             let interner = &mut self.columns[0];
-            key_batch.for_each_selected(|i| out.push((i as u32, interner.id(col, i))));
-            self.len = interner.values.len();
+            match (col.data(), col.nulls()) {
+                // The string key's loop: typed lanes, no NULL.
+                (VectorData::Str(lanes), None) => key_batch.for_each_selected(|i| {
+                    let hash = hashes.map_or_else(|| str_hash(&lanes[i]), |h| h[i]);
+                    out.push((i as u32, interner.str_id(&lanes[i], hash)))
+                }),
+                _ => key_batch.for_each_selected(|i| {
+                    let hash = hashes.map(|h| h[i]);
+                    out.push((i as u32, interner.id(col, i, hash)))
+                }),
+            }
+            self.len = interner.len();
             return;
         }
         key_batch.for_each_selected(|i| {
@@ -337,7 +648,7 @@ impl BatchGroups {
             let mut ids = [0u32; MAX_SIG_COLS];
             let mut sig = 0u128;
             for (j, c) in cols.iter().enumerate() {
-                ids[j] = self.columns[j].id(c, i);
+                ids[j] = self.columns[j].id(c, i, None);
                 sig |= (ids[j] as u128) << (32 * j);
             }
             let g = *self.sig_cache.entry(sig).or_insert(next);
@@ -668,15 +979,17 @@ mod tests {
             b.assign(&batch(true).with_selection(vec![3, 1]), &mut out);
             let rows = batch(false);
             let dtypes: Vec<DataType> = rows.columns().iter().map(|c| c.dtype().clone()).collect();
+            let (ah, bh) = (a.group_hashes(), b.group_hashes());
+            assert_eq!((ah[2], ah[1]), (bh[0], bh[1]), "width {width}");
+            for (g, lane) in [0usize, 1, 3].into_iter().enumerate() {
+                assert_eq!(a.key(g), rows.row(lane), "width {width}");
+                assert_eq!(a.key_bytes(g), a.key(g).approx_bytes(), "width {width}");
+            }
             let cols = a.key_columns(&dtypes);
             for (g, lane) in [0usize, 1, 3].into_iter().enumerate() {
                 let row = Row::new(cols.iter().map(|c| c.get(g)).collect());
                 assert_eq!(row, rows.row(lane), "width {width}");
-                assert_eq!(a.key(g), rows.row(lane), "width {width}");
-                assert_eq!(a.key_bytes(g), a.key(g).approx_bytes(), "width {width}");
             }
-            let (ah, bh) = (a.group_hashes(), b.group_hashes());
-            assert_eq!((ah[2], ah[1]), (bh[0], bh[1]), "width {width}");
         }
     }
 
@@ -732,6 +1045,111 @@ mod tests {
             "{} distinct (index, tag) pairs over {} keys",
             pairs.len(),
             keys.len()
+        );
+    }
+
+    /// Distinct string keys of 1 to 40 bytes, multi-byte ones, NULL and
+    /// `""`.
+    fn awkward_strings() -> Vec<Value> {
+        let mut keys: Vec<Value> = (1..=40).map(|n| Value::str("k".repeat(n))).collect();
+        keys.extend(["é", "日本語", "ü".repeat(9).as_str(), "a\u{0}b", "🦀x"].map(Value::str));
+        keys.extend([Value::Null, Value::str("")]);
+        keys
+    }
+
+    #[test]
+    fn a_slot_matches_on_the_string_not_the_hash_alone() {
+        // Every lane shipped with one hash: the table must still split
+        // the keys by string equality, into `assign`'s ids.
+        let mut keys = awkward_strings();
+        keys.extend(awkward_strings().into_iter().rev());
+        let batch = batch_of(DataType::String, keys);
+        let (mut plain, mut hashed) = (BatchGroups::new(), BatchGroups::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        plain.assign(&batch, &mut want);
+        hashed.assign_hashed(&batch, &vec![7; batch.num_rows()], &mut got);
+        assert_eq!(got, want);
+        assert_eq!(hashed.len(), awkward_strings().len());
+        let dtypes = [DataType::String];
+        let (a, b) = (plain.key_columns(&dtypes), hashed.key_columns(&dtypes));
+        let values = |c: &ColumnVector| (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>();
+        assert_eq!(values(&a[0]), values(&b[0]));
+    }
+
+    #[test]
+    fn typed_and_boxed_string_batches_share_groups_either_way_round() {
+        let keys = awkward_strings();
+        let typed = batch_of(DataType::String, keys.clone());
+        assert!(matches!(typed.column(0).data(), VectorData::Str(_)));
+        let boxed = RowBatch::new(
+            vec![Arc::new(ColumnVector::from_boxed(
+                DataType::String,
+                keys.clone(),
+            ))],
+            keys.len(),
+        );
+        for (first, second) in [(&typed, &boxed), (&boxed, &typed)] {
+            let (mut groups, mut a, mut b) = (BatchGroups::new(), Vec::new(), Vec::new());
+            groups.assign(first, &mut a);
+            assert_eq!(assert_find_agrees(&groups, second), a);
+            groups.assign(second, &mut b);
+            assert_eq!(a, b);
+            assert_eq!(groups.len(), keys.len());
+            assert_eq!(assert_find_agrees(&groups, first), a);
+            let reversed: Vec<u32> = (0..keys.len() as u32).rev().collect();
+            assert_find_agrees(&groups, &second.clone().with_selection(reversed));
+        }
+    }
+
+    #[test]
+    fn string_key_hashes_are_stored_group_hashes() {
+        let keys = awkward_strings();
+        let column = Arc::new(ColumnVector::from_values(&DataType::String, keys.clone()));
+        let (mut groups, mut out) = (BatchGroups::new(), Vec::new());
+        groups.assign(&RowBatch::new(vec![column.clone()], keys.len()), &mut out);
+        let lanes = BatchGroups::key_hashes(&[column], keys.len());
+        assert_eq!(lanes, groups.group_hashes());
+        let values: Vec<u64> = keys.iter().map(route_hash).collect();
+        assert_eq!(lanes, values);
+        // Two columns: each column's stored hashes combine as the lanes'.
+        let two = vec![
+            Arc::new(ColumnVector::from_values(&DataType::String, keys.clone())),
+            Arc::new(ColumnVector::from_values(
+                &DataType::String,
+                keys.iter().rev().cloned().collect(),
+            )),
+        ];
+        let (mut groups, n) = (BatchGroups::new(), keys.len());
+        groups.assign(&RowBatch::new(two.clone(), n), &mut out);
+        assert_eq!(BatchGroups::key_hashes(&two, n), groups.group_hashes());
+    }
+
+    #[test]
+    fn first_seen_ids_survive_the_table_growing() {
+        // 200 000 distinct keys over 100 batches, each batch also
+        // repeating keys of earlier ones.
+        let (mut groups, mut out) = (BatchGroups::new(), Vec::new());
+        let key = |k: usize| Value::str(format!("10.{}.{}", k % 251, k));
+        for b in 0..100usize {
+            let fresh = (b * 2000..(b + 1) * 2000).map(|k| (k, key(k)));
+            let seen = (0..200)
+                .map(|j| (b * 1999 * j) % (b * 2000).max(1))
+                .filter(|_| b > 0);
+            let keys: Vec<(usize, Value)> = fresh.chain(seen.map(|k| (k, key(k)))).collect();
+            let batch = batch_of(
+                DataType::String,
+                keys.iter().map(|(_, v)| v.clone()).collect(),
+            );
+            groups.assign(&batch, &mut out);
+            for ((k, _), (lane, g)) in keys.iter().zip(&out) {
+                assert_eq!(*g as usize, *k, "batch {b} lane {lane}");
+            }
+        }
+        assert_eq!(groups.len(), 200_000);
+        let probe = batch_of(DataType::String, vec![key(0), key(199_999), key(123_457)]);
+        assert_eq!(
+            assert_find_agrees(&groups, &probe),
+            vec![(0, 0), (1, 199_999), (2, 123_457)]
         );
     }
 

@@ -4,17 +4,21 @@
 //! [`vectorized::AccLane`]):
 //!
 //! 1. *Map blocks.* [`batch_partial_agg`] interns each input batch's group
-//!    keys in columns ([`vectorized::BatchGroups`]) and folds every call
-//!    into its lane. It then splits its groups by reducer — by a per-group
-//!    hash that agrees with `Value` equality, so `Int 1` and `Long 1`
-//!    meet — and emits one [`AggBlock`] (key columns, lane states, row
-//!    count) per non-empty reducer.
+//!    keys in columns ([`vectorized::BatchGroups`]), hashing each key
+//!    once and storing the hash with it, and folds every call into its
+//!    lane. It then splits its groups by reducer — by those stored
+//!    hashes, which agree with `Value` equality, so `Int 1` and `Long 1`
+//!    meet — and emits one [`AggBlock`] (key columns, their hashes, lane
+//!    states, row count) per non-empty reducer.
 //! 2. *Index exchange.* Blocks travel keyed by their reducer through the
 //!    `Exchange` under the aggregate, routed by index: a map task ships at
-//!    most one record per reducer, not one per group.
-//! 3. *Lane merge.* [`merge_blocks`] interns each block's key columns and
-//!    folds its states with [`vectorized::AccLane::merge`] (exactly
-//!    [`Acc::merge`]), blocks in map-id order.
+//!    most one record per reducer, not one per group, and the exchange
+//!    reports each block's [`AggBlock::approx_bytes`].
+//! 3. *Lane merge.* [`Reducer::merge`] interns each block's key columns by
+//!    the hashes the block carries
+//!    ([`vectorized::BatchGroups::assign_hashed`]), so no key is hashed
+//!    twice, and folds its states with [`vectorized::AccLane::merge`]
+//!    (exactly [`Acc::merge`]), blocks in map-id order.
 //! 4. *Batch finish.* One batch of the interner's key columns and the
 //!    lanes' finish columns runs the output list through
 //!    [`vectorized::eval_projection_batch`], so a `Filter`, `Project` or
@@ -28,7 +32,8 @@
 //! ([`vectorized::AccLane::state_columns`]) split by a depth-salted key
 //! hash into [`spill::BlockBuckets`]. Each bucket is read back in write
 //! order and merged by the same lane merge, recursively when denied
-//! again, and finishes as a batch of its own. The table's partials are
+//! again, and finishes as a batch of its own. A block read back carries
+//! no hashes: its keys are hashed again, once. The table's partials are
 //! written before the blocks that follow them, so every group's
 //! partials merge in map-id order and sums stay bit-identical to the
 //! in-memory merge.
@@ -404,7 +409,8 @@ fn batch_aggregate(
                 node.as_ref(),
             ))
         });
-    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+    let shuffled = exchange.by_index(&blocks, AggBlock::approx_bytes, ctx);
+    Ok(shuffled.map_partitions(move |it| {
         let reducer = Reducer::new(&plan, &specs, &sctx, node.as_ref());
         let mut out = Vec::new();
         let merged = reducer.merge(&mut it.map(|(_, block)| Ok(block)), 0, &mut out);
@@ -413,16 +419,28 @@ fn batch_aggregate(
 }
 
 /// One map task's partial aggregate for one reducer: the group keys as
-/// columns and one accumulator lane per call, both indexed by block row.
-/// Cloning shares both (the shuffle hands out clones).
+/// columns, their routing hashes, and one accumulator lane per call, all
+/// indexed by block row. A block read back from a spill has no hashes.
+/// Cloning shares all three (the shuffle hands out clones).
 #[derive(Clone)]
 struct AggBlock {
     keys: Vec<Arc<ColumnVector>>,
+    hashes: Option<Arc<[u64]>>,
     lanes: Arc<[AccLane]>,
     rows: usize,
 }
 
 impl AggBlock {
+    /// Approximate bytes of the keys, their hashes and the lane states:
+    /// what the exchange reports the block as.
+    fn approx_bytes(&self) -> u64 {
+        let keys: u64 = self.keys.iter().map(|c| c.approx_bytes()).sum();
+        let hashes = self.hashes.as_ref().map_or(0, |h| 8 * h.len() as u64);
+        let states =
+            (0..self.rows).map(|g| self.lanes.iter().map(|l| l.approx_bytes(g)).sum::<u64>());
+        keys + hashes + states.sum::<u64>()
+    }
+
     /// The block as spill columns: its keys, then each lane's state.
     fn columns(&self) -> Vec<Arc<ColumnVector>> {
         let states = self.lanes.iter().flat_map(AccLane::state_columns);
@@ -446,12 +464,18 @@ impl AggBlock {
         let lanes = (templates.iter())
             .map(|t| AccLane::from_state(t, rows, &mut columns))
             .collect::<Result<_>>()?;
-        Ok(AggBlock { keys, lanes, rows })
+        Ok(AggBlock {
+            keys,
+            hashes: None,
+            lanes,
+            rows,
+        })
     }
 }
 
 /// Ship a map task's `groups` and their `lanes` as one block per
-/// non-empty reducer, its groups in first-seen order.
+/// non-empty reducer, its groups in first-seen order, each with the hash
+/// it was routed by.
 fn ship(
     groups: BatchGroups,
     lanes: Vec<AccLane>,
@@ -462,17 +486,32 @@ fn ship(
     if groups.is_empty() {
         return;
     }
-    let keys = groups.key_columns(key_dtypes);
+    let hashes = groups.group_hashes();
+    let route: Vec<u32> = (hashes.iter())
+        .map(|hash| (hash % reducers as u64) as u32)
+        .collect();
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); reducers];
-    for (g, hash) in groups.group_hashes().into_iter().enumerate() {
-        members[(hash % reducers as u64) as usize].push(g as u32);
+    for (g, &reducer) in route.iter().enumerate() {
+        members[reducer as usize].push(g as u32);
     }
+    // Each group goes to one reducer: its key lanes move there.
+    let mut keys: Vec<_> = (groups.key_columns(key_dtypes).into_iter())
+        .map(|c| {
+            Arc::unwrap_or_clone(c)
+                .scatter(&route, reducers)
+                .into_iter()
+        })
+        .collect();
     for (reducer, rows) in members.iter().enumerate() {
+        let keys: Vec<Arc<ColumnVector>> = (keys.iter_mut())
+            .map(|parts| Arc::new(parts.next().expect("one part per reducer")))
+            .collect();
         if rows.is_empty() {
             continue;
         }
         let block = AggBlock {
-            keys: keys.iter().map(|c| Arc::new(c.gather(rows))).collect(),
+            keys,
+            hashes: Some(rows.iter().map(|&g| hashes[g as usize]).collect()),
             lanes: lanes.iter().map(|l| l.gather(rows)).collect(),
             rows: rows.len(),
         };
@@ -594,7 +633,11 @@ impl<'a> Reducer<'a> {
         while let Some(block) = blocks.next() {
             let block = block?;
             let prev = groups.len();
-            groups.assign(&RowBatch::new(block.keys.clone(), block.rows), &mut asg);
+            let keys = RowBatch::new(block.keys.clone(), block.rows);
+            match &block.hashes {
+                Some(hashes) => groups.assign_hashed(&keys, hashes, &mut asg),
+                None => groups.assign(&keys, &mut asg),
+            }
             for (lane, theirs) in lanes.iter_mut().zip(block.lanes.iter()) {
                 lane.merge(theirs, &asg, groups.len())?;
             }
@@ -610,11 +653,11 @@ impl<'a> Reducer<'a> {
                 .sum();
             if new_bytes > 0 && !reservation.try_grow(new_bytes) {
                 let table = AggBlock {
-                    keys: groups.key_columns(&self.plan.key_dtypes),
-                    lanes: lanes.into(),
                     rows: groups.len(),
+                    keys: groups.key_columns(&self.plan.key_dtypes),
+                    hashes: None,
+                    lanes: lanes.into(),
                 };
-                drop(groups);
                 return self.spill(table, reservation, blocks, depth, out);
             }
         }

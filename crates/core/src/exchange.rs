@@ -120,13 +120,17 @@ impl<'a> Exchange<'a> {
     pub(crate) fn by_index<V: Data>(
         &self,
         records: &RddRef<(usize, V)>,
+        bytes: fn(&V) -> u64,
         ctx: &ExecContext,
     ) -> RddRef<(usize, V)> {
         if let Partitioning::Single = self.partitioning {
             return self.read(records.coalesce(1), ctx);
         }
-        let partitioner = IndexPartitioner(self.partitions());
-        self.read(records.partition_by(Arc::new(partitioner)), ctx)
+        let partitioner = Arc::new(IndexPartitioner(self.partitions()));
+        let size_fn: SizeFn<usize, V> = Arc::new(move |_, block| bytes(block));
+        let dep =
+            ShuffleDependency::new(records.as_inner(), partitioner, None, false, Some(size_fn));
+        self.read(dep.read_all(), ctx)
     }
 
     /// Co-locate window rows by their key's PARTITION BY prefix (the

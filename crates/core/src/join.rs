@@ -4,11 +4,14 @@
 //! Every equi-join binds its site once ([`JoinSite::bind`]). In
 //! production a broadcast join — planned, or demoted by stage-by-stage
 //! execution — runs over batches: a [`BuildTable`] of the build side's
-//! lanes and chains, keyed by the [`BatchGroups`] interner GROUP BY uses,
-//! probed a key column at a time by [`Probe`]. The two shuffled forms
-//! differ only in how their two exchanges are read (`exchange.rs`) —
-//! statically, or as materialized stages re-planned from measured sizes
-//! — and share one tail with the reference's broadcast join:
+//! lanes and chains, keyed by the [`BatchGroups`] interner GROUP BY uses
+//! (`assign` on the build side, the lookup-only `find` on the probe
+//! side, each hashing a key once; a string key through the interner's
+//! string table), probed a key column at a time by [`Probe`]. The two
+//! shuffled forms differ only in how their two exchanges are read
+//! (`exchange.rs`) — statically, or as materialized stages re-planned
+//! from measured sizes — and share one tail with the reference's
+//! broadcast join:
 //! [`hash_join_partition`], which builds the side the planner chose
 //! under a memory reservation and goes grace (both sides re-partitioned
 //! to disk, sub-partitions joined recursively) only when a grow is

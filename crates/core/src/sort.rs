@@ -673,7 +673,9 @@ pub(crate) struct SortBlock {
 }
 
 impl SortBlock {
-    fn approx_bytes(&self) -> u64 {
+    /// Approximate bytes of the block's columns: what the exchange
+    /// reports it as.
+    pub(crate) fn approx_bytes(&self) -> u64 {
         self.columns.iter().map(|c| c.approx_bytes()).sum()
     }
 }
@@ -925,7 +927,8 @@ fn batch_sort(
     let blocks = child.map_partitions(move |it| task_iter(map_keys.ship(it, &route, reducers)));
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     let sctx = ctx.spill_ctx(id);
-    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+    let shuffled = exchange.by_index(&blocks, SortBlock::approx_bytes, ctx);
+    Ok(shuffled.map_partitions(move |it| {
         let blocks = Box::new(it.map(|(_, block)| block));
         match task::ok(keys.sort(blocks, &sctx, batch_size)) {
             None => Box::new(std::iter::empty()),

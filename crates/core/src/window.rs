@@ -22,7 +22,8 @@
 use crate::exchange::Exchange;
 use crate::execution::{bind_all, execute_node, lower_node, task_iter, try_map, ExecContext};
 use crate::sort::{
-    chunks, descending_mask, lane_order, BlockKeys, KeyLanes, KeyedRow, LaneBlock, SortKey, Sorted,
+    chunks, descending_mask, lane_order, BlockKeys, KeyLanes, KeyedRow, LaneBlock, SortBlock,
+    SortKey, Sorted,
 };
 use crate::spill;
 use catalyst::error::{CatalystError, Result};
@@ -546,7 +547,8 @@ fn batch_window(
     let sctx = ctx.spill_ctx(id);
     let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
-    Ok(exchange.by_index(&blocks, ctx).map_partitions(move |it| {
+    let shuffled = exchange.by_index(&blocks, SortBlock::approx_bytes, ctx);
+    Ok(shuffled.map_partitions(move |it| {
         let blocks = Box::new(it.map(|(_, block)| block));
         match task::ok(keys.sort(blocks, &sctx, batch_size)) {
             None => Box::new(std::iter::empty()),

@@ -5,6 +5,7 @@
 use catalyst::physical::metrics::subtree_size;
 use catalyst::physical::PhysicalPlan;
 use catalyst::value::Value;
+use catalyst::vectorized::ColumnVector;
 use catalyst::Row;
 use spark_sql::prelude::*;
 use std::sync::Arc;
@@ -630,6 +631,32 @@ fn batch_sort_and_window_ship_blocks_not_rows() {
             "{sql}: {written} shuffle records for 10 000 rows"
         );
     }
+}
+
+/// A batch GROUP BY's Exchange reports the bytes its blocks carry, not
+/// records × `size_of`: 10 000 distinct strings ship as a key column,
+/// with one hash, one COUNT state (16 bytes) and one SUM state (24
+/// bytes) per group.
+#[test]
+fn the_aggregate_exchange_reports_its_block_bytes() {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| c.shuffle_partitions = 4);
+    big_table(&ctx, 3, std::time::Duration::ZERO);
+    let sql = "SELECT s, count(*), sum(k) FROM big GROUP BY s";
+    let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+    assert_eq!(qe.collect().unwrap().len(), 10_000);
+    let exchanges = ids_where(qe.physical(), &|p| {
+        matches!(p, PhysicalPlan::Exchange { .. })
+    });
+    assert_eq!(exchanges.len(), 1, "{}", qe.physical());
+    let written = qe.metrics().node(exchanges[0]).extras()["shuffle_bytes_written"];
+    let keys = (0..10_000).map(|k| Value::str(format!("row-{k:05}")));
+    let key_column = ColumnVector::from_values(&DataType::String, keys.collect());
+    let blocks = key_column.approx_bytes() + 10_000 * (8 + 16 + 24);
+    assert!(
+        blocks / 2 <= written && written <= 2 * blocks,
+        "{written} shuffle bytes for blocks of about {blocks}"
+    );
 }
 
 /// The sketch job that picks a sort's range bounds runs while the Sort

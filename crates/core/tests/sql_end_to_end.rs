@@ -1,5 +1,6 @@
 //! End-to-end SQL tests: parse → analyze → optimize → plan → execute.
 
+use catalyst::error::CatalystError;
 use catalyst::value::Value;
 use catalyst::Row;
 use spark_sql::prelude::*;
@@ -262,6 +263,39 @@ fn order_by_desc_with_limit_takes_top_k() {
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0].get_str(0), "carol");
     assert_eq!(rows[1].get_str(0), "erin");
+}
+
+/// `ORDER BY` a column the SELECT list drops sorts below the projection
+/// that drops it, so `LIMIT` still plans a top-k; under `DISTINCT` the
+/// column has no single value per row and analysis refuses it.
+#[test]
+fn order_by_an_unselected_column_with_limit_takes_top_k() {
+    let ctx = ctx_with_tables();
+    let sql = "SELECT id, name FROM employees ORDER BY salary DESC LIMIT 3";
+    let rows = ctx.sql(sql).unwrap().collect().unwrap();
+    let names: Vec<&str> = rows.iter().map(|r| r.get_str(1)).collect();
+    assert_eq!(names, ["carol", "erin", "alice"]);
+    assert_eq!(rows[0].values().len(), 2);
+    let text: Vec<Row> = ctx
+        .sql(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .collect()
+        .unwrap();
+    let physical: String = (text.iter().map(|r| r.get_str(0)))
+        .skip_while(|l| !l.contains("Physical Plan"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(physical.contains("TakeOrdered 3"), "{physical}");
+    assert!(!physical.contains("Sort ["), "{physical}");
+
+    let err = ctx
+        .sql("SELECT DISTINCT name FROM employees ORDER BY salary")
+        .and_then(|df| df.collect())
+        .unwrap_err();
+    assert!(
+        matches!(&err, CatalystError::Analysis(m) if m.contains("salary")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -789,6 +789,118 @@ fn grouped_blocks_agree_with_the_reference() {
     }
 }
 
+// ---- high-cardinality string keys ----
+
+/// A string key from about 2 500 distinct values: NULL, `""`,
+/// multi-byte strings, and strings of 1 to 40 bytes.
+fn arb_string_key(rng: &mut StdRng) -> Value {
+    let k = rng.random_range(0usize..2500);
+    match rng.random_range(0u32..20) {
+        0 => Value::Null,
+        1 => Value::str(""),
+        2 | 3 => Value::str(format!("日本{k}é")),
+        4 => Value::str("ü".repeat(1 + k % 20)),
+        _ => Value::str(format!("{k}{}", "k".repeat(k % 37))),
+    }
+}
+
+/// `h(s, v)`, 6 000 facts with a unique `v`, and `d(s, w)`, 400
+/// dimension rows with a unique `w`, both keyed by [`arb_string_key`].
+fn string_key_tables(rng: &mut StdRng) -> [Vec<Row>; 2] {
+    [6000i64, 400].map(|n| {
+        (0..n)
+            .map(|i| Row::new(vec![arb_string_key(rng), Value::Long(i)]))
+            .collect()
+    })
+}
+
+/// GROUP BY and equi-join on the string key and on a `substr` of it,
+/// each with a total ORDER BY, so rows compare in order.
+const STRING_KEY_QUERIES: &[&str] = &[
+    "SELECT s, count(*), sum(v), min(v) FROM h GROUP BY s ORDER BY s",
+    "SELECT substr(s, 1, 4) AS p, count(*), max(v), min(s) FROM h \
+     GROUP BY substr(s, 1, 4) ORDER BY p",
+    "SELECT h.v, h.s, d.w FROM h JOIN d ON h.s = d.s ORDER BY h.v, d.w",
+    "SELECT d.s, count(*), sum(h.v), max(d.w) FROM h JOIN d ON h.s = d.s \
+     GROUP BY d.s ORDER BY d.s",
+];
+
+/// Run `sql` over `tables` in production or the reference, under
+/// `budget` bytes (0: unbounded): its rows in order, and the deepest
+/// reduce-side spill of a GROUP BY (`spill_depth`, 0 if none spilled).
+fn run_string_keys(
+    tables: &[Vec<Row>; 2],
+    sql: &str,
+    reference: bool,
+    budget: u64,
+    reducers: usize,
+    batch_size: usize,
+) -> (Vec<String>, u64) {
+    let ctx = SQLContext::new_local(2);
+    ctx.set_conf(|c| {
+        c.reference = reference;
+        c.memory_budget_bytes = budget;
+        c.shuffle_partitions = reducers;
+        c.vectorize_batch_size = batch_size;
+    });
+    for ((name, value), rows) in [("h", "v"), ("d", "w")].into_iter().zip(tables) {
+        let schema = Arc::new(Schema::new(vec![
+            StructField::new("s", DataType::String, true),
+            StructField::new(value, DataType::Long, false),
+        ]));
+        let rdd = ctx.spark_context().parallelize(rows.clone(), 3);
+        (ctx.dataframe_from_rdd(name, schema, rdd).unwrap()).register_temp_table(name);
+    }
+    let qe = ctx.sql(sql).unwrap().query_execution().unwrap();
+    let out = (common::collect_attributed(&ctx, &qe).iter())
+        .map(|r| format!("{r:?}"))
+        .collect();
+    let metrics = qe.metrics();
+    let depth = (0..metrics.len())
+        .filter_map(|id| metrics.node(id).extras().get("spill_depth").copied())
+        .max();
+    (out, depth.unwrap_or(0))
+}
+
+/// GROUP BY and joins on a high-cardinality string key agree with the
+/// reference in rows and order, unbounded and under a budget that makes
+/// the GROUP BY reducer spill: blocks read back from a spill carry no
+/// hashes, so their keys are hashed again.
+#[test]
+fn high_cardinality_string_keys_agree_with_the_reference() {
+    let mut spilled = 0;
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x57A ^ (seed * 0x9E37_79B9));
+        let tables = string_key_tables(&mut rng);
+        let (reducers, batch_size) = [(1, 1024), (3, 16), (8, 4096), (4, 100)][seed as usize];
+        for sql in STRING_KEY_QUERIES {
+            let run = |reference, budget| {
+                run_string_keys(&tables, sql, reference, budget, reducers, batch_size)
+            };
+            let (expect, _) = run(true, 0);
+            assert!(
+                expect.len() > 100,
+                "seed {seed}: {} rows: {sql}",
+                expect.len()
+            );
+            for budget in [0, 16 << 10] {
+                let (got, depth) = run(false, budget);
+                let what = format!("seed {seed}, budget {budget}, {reducers} reducers: {sql}");
+                assert_eq!(got.len(), expect.len(), "{what}");
+                for (g, e) in got.iter().zip(&expect) {
+                    assert_eq!(g, e, "{what}");
+                }
+                spilled += (budget > 0 && depth > 0) as u32;
+            }
+        }
+    }
+    // Floor: the GROUP BY reducers spilled, so the re-hash path ran.
+    assert!(
+        spilled >= 8,
+        "only {spilled} runs spilled a GROUP BY reducer"
+    );
+}
+
 /// The comparisons where IEEE order and the engine's total order part:
 /// NaN is above every number and equal to itself, -0.0 is below 0.0.
 /// Production's kernels must give the reference's rows.
