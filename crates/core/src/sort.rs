@@ -11,11 +11,18 @@
 //!    over the key batches, a window by the hash of its PARTITION BY
 //!    prefix — and each map task ships one [`SortBlock`] (input and key
 //!    columns) per non-empty reducer.
-//! 3. *Permutation sort.* A reducer concatenates its blocks in map-id
-//!    order and stable-sorts a `u32` permutation under [`lane_order`],
-//!    so equal keys keep map id, then arrival, as a stable sort of rows
-//!    would. `Sort` gathers the permutation into batches of
-//!    `vectorize_batch_size`; `Window` walks it.
+//! 3. *Prefix sort.* A reducer concatenates its blocks in map-id order
+//!    and sorts `(word, lane)` pairs, where the word is the first key
+//!    column's 8-byte prefix ([`KeyLanes::prefix`], inverted for DESC):
+//!    words that differ decide without reading a lane. Equal words fall
+//!    to [`lane_order`] from the second key column when the word is
+//!    exact ([`KeyLanes::exact`]: the word holds the whole value), from
+//!    the first otherwise, then to the lane index, so equal keys keep
+//!    map id, then arrival, as a stable sort of rows would. `Sort`
+//!    gathers the permutation into batches of `vectorize_batch_size`;
+//!    `Window` walks it, and finds its PARTITION BY boundaries by the
+//!    same words ([`KeyWalk`]). The `prefix_ties` metric counts the
+//!    comparisons that tied on words and read lanes.
 //!
 //! 4. *Sorted lane runs.* A reducer reserves its blocks as they arrive.
 //!    A denial with blocks held sorts them by the same permutation and
@@ -30,11 +37,12 @@
 //!    batch's selected lanes to its best `n` (`select_nth_unstable_by`
 //!    under [`lane_order`], lane index breaking ties), keeps them in
 //!    arrival order, and cuts the candidates it holds back to `n` by the
-//!    permutation sort once they pass [`COMPACT_AT`] × `n`; it hands the
+//!    prefix sort once they pass [`COMPACT_AT`] × `n`; it hands the
 //!    driver one sorted block of at most `n` lanes. The driver
-//!    concatenates the blocks in partition order, stable-sorts them by
-//!    [`lane_order`] and keeps `n`, so ties go to the earlier partition,
-//!    then the earlier arrival, as a stable sort of rows would.
+//!    concatenates the blocks in partition order, prefix-sorts them (the
+//!    stable sort under [`lane_order`]) and keeps `n`, so ties go to the
+//!    earlier partition, then the earlier arrival, as a stable sort of
+//!    rows would.
 //!
 //! `(key, row)` pairs ([`KeyedRow`]) and keys evaluated a row at a time
 //! belong to the reference configuration alone: its row `Sort` (key →
@@ -54,7 +62,7 @@ use catalyst::types::DataType;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, ColumnVector, RowBatch, VectorData};
 use engine::{task, BoxIter, MemoryReservation, RddRef};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::convert::Infallible;
@@ -199,6 +207,56 @@ impl<'a> KeyLanes<'a> {
     fn is_null(&self, i: usize) -> bool {
         self.nulls.is_some_and(|n| n[i])
     }
+
+    /// Lane `i`'s 8-byte prefix word, ascending: where two words differ,
+    /// they order as [`lane_cmp`] orders their lanes, and
+    /// [`exact`](Self::exact) says when equal words mean equal lanes.
+    /// NULL is 0; integers and floats flip their sign bit into unsigned
+    /// order (floats by their `total_cmp` key); a string is its first 7
+    /// bytes, zero-padded, over a low byte of `min(len, 8) + 1`; a boxed
+    /// lane is 0.
+    pub(crate) fn prefix(&self, i: usize) -> u64 {
+        const SIGN: u64 = 1 << 63;
+        if self.is_null(i) {
+            return 0;
+        }
+        match &self.lanes {
+            Lanes::Narrow(x) => (x[i] as i32 as i64 as u64) ^ SIGN,
+            Lanes::Wide(x) => x[i] as u64 ^ SIGN,
+            Lanes::Float(x) => float_word(f64::from(x[i] as f32)),
+            Lanes::Double(x) => float_word(x[i]),
+            Lanes::Bool(x) => 1 + u64::from(x[i]),
+            Lanes::Str(x) => {
+                let bytes = x[i].as_bytes();
+                let mut word = [0u8; 8];
+                let n = bytes.len().min(7);
+                word[..n].copy_from_slice(&bytes[..n]);
+                word[7] = bytes.len().min(8) as u8 + 1;
+                u64::from_be_bytes(word)
+            }
+            Lanes::Boxed => 0,
+        }
+    }
+
+    /// Whether two lanes whose [`prefix`](Self::prefix) words are both
+    /// `word` are equal. Integer and date words always say so; a long
+    /// or floating word does except at 0, which NULL shares with
+    /// `i64::MIN` and one NaN; a string word does when the string ends
+    /// within it; a boxed word never does.
+    pub(crate) fn exact(&self, word: u64) -> bool {
+        match self.lanes {
+            Lanes::Narrow(_) | Lanes::Bool(_) => true,
+            Lanes::Wide(_) | Lanes::Float(_) | Lanes::Double(_) => word != 0,
+            Lanes::Str(_) => word & 0xFF < 9,
+            Lanes::Boxed => false,
+        }
+    }
+}
+
+/// `x`'s [`f64::total_cmp`] key as an unsigned word.
+fn float_word(x: f64) -> u64 {
+    let bits = x.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63)
 }
 
 /// How lane `i` of `a` compares with lane `j` of `b`, ascending: exactly
@@ -366,6 +424,105 @@ pub(crate) fn execute_take_ordered(
 
 // ---- block pipeline ----
 
+/// Key column 0's prefix word of lane `i` ([`KeyLanes::prefix`]),
+/// inverted where that column is descending, so that words that differ
+/// order as [`lane_order`] orders their keys; 0 when there is no key.
+fn prefix_word(keys: &[KeyLanes], i: usize, descending_mask: u64) -> u64 {
+    match keys.first() {
+        Some(first) if descending_mask & 1 != 0 => !first.prefix(i),
+        Some(first) => first.prefix(i),
+        None => 0,
+    }
+}
+
+/// The first key column that two keys whose words are both `word` have
+/// still to compare by lanes: 1 where the word is exact, 0 otherwise.
+fn unsettled(keys: &[KeyLanes], word: u64, descending_mask: u64) -> usize {
+    let ascending = if descending_mask & 1 != 0 {
+        !word
+    } else {
+        word
+    };
+    keys.first()
+        .map_or(0, |first| usize::from(first.exact(ascending)))
+}
+
+/// The permutation that stable-sorts lanes `0..rows` of `keys` under
+/// [`lane_order`], and the lanes' prefix words in that order. It sorts
+/// `(word, lane)` pairs by word; equal words fall to [`lane_order`] from
+/// the first column they leave unsettled, then to the lane index, which
+/// is the stable sort's order. `ties` counts the comparisons that read
+/// lanes.
+fn prefix_sort(
+    keys: &[KeyLanes],
+    rows: usize,
+    descending_mask: u64,
+    ties: &mut u64,
+) -> (Vec<u32>, Vec<u64>) {
+    let mut pairs: Vec<(u64, u32)> = (0..rows)
+        .map(|i| (prefix_word(keys, i, descending_mask), i as u32))
+        .collect();
+    pairs.sort_unstable_by(|&(word, a), &(other, b)| {
+        word.cmp(&other).then_with(|| {
+            let from = unsettled(keys, word, descending_mask);
+            let o = match &keys[from..] {
+                [] => Ordering::Equal,
+                rest => {
+                    *ties += 1;
+                    let mask = descending_mask >> from;
+                    lane_order(rest, a as usize, rest, b as usize, mask)
+                }
+            };
+            o.then(a.cmp(&b))
+        })
+    });
+    pairs.into_iter().map(|(word, lane)| (lane, word)).unzip()
+}
+
+/// Lanes in key order as a walk over them reads them: the key columns,
+/// the permutation and the sorted lanes' prefix words.
+pub(crate) struct KeyWalk<'a> {
+    keys: Vec<KeyLanes<'a>>,
+    perm: Cow<'a, [u32]>,
+    words: Cow<'a, [u64]>,
+    descending_mask: u64,
+    /// Comparisons whose prefix words tied and whose lanes were read.
+    pub(crate) ties: u64,
+}
+
+impl KeyWalk<'_> {
+    /// Lane indices in key order.
+    pub(crate) fn perm(&self) -> &[u32] {
+        &self.perm
+    }
+
+    /// The number of key columns.
+    pub(crate) fn width(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the lanes at sorted positions `p - 1` and `p` hold equal
+    /// values in key columns `cols`, those before `cols` being equal. From
+    /// column 0 the prefix words answer first: words that differ say no
+    /// without reading a lane, and an exact word settles column 0.
+    pub(crate) fn same_as_previous(&mut self, p: usize, cols: std::ops::Range<usize>) -> bool {
+        let mut from = cols.start;
+        if from == 0 && cols.end > 0 {
+            let word = self.words[p];
+            if word != self.words[p - 1] {
+                return false;
+            }
+            from = unsettled(&self.keys, word, self.descending_mask);
+            if from < cols.end {
+                self.ties += 1;
+            }
+        }
+        let keys = &self.keys[from..cols.end];
+        let (a, b) = (self.perm[p - 1] as usize, self.perm[p] as usize);
+        lane_order(keys, a, keys, b, 0) == Ordering::Equal
+    }
+}
+
 /// How a block pipeline's sort keys sit among its columns: a block holds
 /// the input's columns, then the keys that are not bare input columns,
 /// evaluated by kernels.
@@ -499,18 +656,36 @@ impl BlockKeys {
             .collect()
     }
 
-    /// `held` end to end, and the permutation that stable-sorts them.
-    fn sort_lanes(&self, held: Vec<SortBlock>) -> (Vec<Arc<ColumnVector>>, Vec<u32>) {
+    /// `held` end to end, the permutation that stable-sorts them
+    /// ([`prefix_sort`]) and their prefix words in sorted order. `ties`
+    /// counts the comparisons that read lanes.
+    fn sort_lanes(&self, held: Vec<SortBlock>, ties: &mut u64) -> SortedColumns {
         let rows: usize = held.iter().map(|b| b.rows).sum();
         let blocks: Vec<&[Arc<ColumnVector>]> = held.iter().map(|b| &b.columns[..]).collect();
         let columns = self.concat(&blocks);
         drop(held);
         let keys = self.key_lanes(&columns);
-        let mut perm: Vec<u32> = (0..rows as u32).collect();
-        perm.sort_by(|&a, &b| {
-            lane_order(&keys, a as usize, &keys, b as usize, self.descending_mask)
-        });
-        (columns, perm)
+        let (perm, words) = prefix_sort(&keys, rows, self.descending_mask, ties);
+        (columns, perm, words)
+    }
+
+    /// A walk over `rows` lanes of `columns` that are in key order already.
+    pub(crate) fn in_order<'a>(
+        &self,
+        columns: &'a [Arc<ColumnVector>],
+        rows: usize,
+    ) -> KeyWalk<'a> {
+        let keys = self.key_lanes(columns);
+        let words = (0..rows)
+            .map(|i| prefix_word(&keys, i, self.descending_mask))
+            .collect::<Vec<_>>();
+        KeyWalk {
+            keys,
+            perm: Cow::Owned((0..rows as u32).collect()),
+            words: Cow::Owned(words),
+            descending_mask: self.descending_mask,
+            ties: 0,
+        }
     }
 
     /// `blocks` sorted and written as one run ([`spill::write_lane_run`]),
@@ -519,8 +694,9 @@ impl BlockKeys {
         &self,
         blocks: Vec<SortBlock>,
         sctx: &SpillCtx,
+        ties: &mut u64,
     ) -> Result<BoxIter<Result<LaneBlock>>> {
-        let (columns, perm) = self.sort_lanes(blocks);
+        let (columns, perm, _) = self.sort_lanes(blocks, ties);
         let run = spill::write_lane_run(&columns, &perm, &self.dtypes, sctx)?;
         Ok(Box::new(run.map(|block| {
             let (rows, columns) = block?;
@@ -535,12 +711,14 @@ impl BlockKeys {
     /// the fair share on its own is written as a run of its own. A
     /// reducer never denied returns its lanes and their permutation; one
     /// that spilled merges its runs, the lanes still held as the last,
-    /// into batches of `batch_size` lanes.
+    /// into batches of `batch_size` lanes. `ties` counts the sorts'
+    /// comparisons that read lanes.
     pub(crate) fn sort(
         self: &Arc<Self>,
         blocks: BoxIter<SortBlock>,
         sctx: &SpillCtx,
         batch_size: usize,
+        ties: &mut u64,
     ) -> Result<Sorted> {
         let mut reservation = sctx.pool.register();
         let mut held: Vec<SortBlock> = Vec::new();
@@ -549,21 +727,23 @@ impl BlockKeys {
             let bytes = block.approx_bytes();
             if !reservation.try_grow(bytes) {
                 if !held.is_empty() {
-                    runs.push(self.spill_run(std::mem::take(&mut held), sctx)?);
+                    runs.push(self.spill_run(std::mem::take(&mut held), sctx, ties)?);
                     reservation.free();
                 }
                 if !reservation.try_grow(bytes) {
-                    runs.push(self.spill_run(vec![block], sctx)?);
+                    runs.push(self.spill_run(vec![block], sctx, ties)?);
                     continue;
                 }
             }
             held.push(block);
         }
-        let (columns, perm) = self.sort_lanes(held);
+        let (columns, perm, words) = self.sort_lanes(held, ties);
         let lanes = SortedLanes {
             columns,
             perm,
+            words,
             key_cols: self.key_cols.clone(),
+            descending_mask: self.descending_mask,
             width: self.width,
             _reservation: reservation,
         };
@@ -641,7 +821,7 @@ impl BlockKeys {
     /// The first `n` lanes of `held` end to end in key order, equal keys
     /// in their order there, gathered in that order.
     fn first_n(&self, held: Vec<SortBlock>, n: usize) -> SortBlock {
-        let (columns, mut perm) = self.sort_lanes(held);
+        let (columns, mut perm, _) = self.sort_lanes(held, &mut 0);
         perm.truncate(n);
         let columns = columns.iter().map(|c| Arc::new(c.gather(&perm))).collect();
         SortBlock {
@@ -654,6 +834,10 @@ impl BlockKeys {
 /// A top-N task cuts the candidates it holds back to `n` once they pass
 /// this many times `n` lanes.
 const COMPACT_AT: usize = 4;
+
+/// Block columns end to end, the permutation that sorts their lanes, and
+/// the sorted lanes' prefix words.
+type SortedColumns = (Vec<Arc<ColumnVector>>, Vec<u32>, Vec<u64>);
 
 /// `parts` end to end; a single part is shared, not copied.
 fn concat(dtype: &DataType, parts: &[Arc<ColumnVector>]) -> Arc<ColumnVector> {
@@ -688,13 +872,16 @@ pub(crate) enum Sorted {
     Runs(RunMerge),
 }
 
-/// A reducer's concatenated block columns and the permutation that
-/// sorts them; it keeps the blocks' reservation until it is dropped.
+/// A reducer's concatenated block columns, the permutation that sorts
+/// them and the sorted lanes' prefix words; it keeps the blocks'
+/// reservation until it is dropped.
 pub(crate) struct SortedLanes {
     columns: Vec<Arc<ColumnVector>>,
     /// Lane indices in key order.
     pub(crate) perm: Vec<u32>,
+    words: Vec<u64>,
     key_cols: Vec<usize>,
+    descending_mask: u64,
     width: usize,
     _reservation: MemoryReservation,
 }
@@ -705,9 +892,15 @@ impl SortedLanes {
         &self.columns[..self.width]
     }
 
-    /// Views of the key columns, in key order.
-    pub(crate) fn keys(&self) -> Vec<KeyLanes<'_>> {
-        KeyLanes::of(&self.columns, &self.key_cols)
+    /// A walk over the lanes in key order.
+    pub(crate) fn walk(&self) -> KeyWalk<'_> {
+        KeyWalk {
+            keys: KeyLanes::of(&self.columns, &self.key_cols),
+            perm: Cow::Borrowed(&self.perm),
+            words: Cow::Borrowed(&self.words),
+            descending_mask: self.descending_mask,
+            ties: 0,
+        }
     }
 
     /// The input's columns gathered at sorted positions `range`.
@@ -927,10 +1120,16 @@ fn batch_sort(
     let blocks = child.map_partitions(move |it| task_iter(map_keys.ship(it, &route, reducers)));
     let batch_size = ctx.conf.vectorize_batch_size.max(1);
     let sctx = ctx.spill_ctx(id);
+    let node = ctx.metrics.as_ref().map(|pm| pm.node(id));
     let shuffled = exchange.by_index(&blocks, SortBlock::approx_bytes, ctx);
     Ok(shuffled.map_partitions(move |it| {
         let blocks = Box::new(it.map(|(_, block)| block));
-        match task::ok(keys.sort(blocks, &sctx, batch_size)) {
+        let mut ties = 0;
+        let sorted = keys.sort(blocks, &sctx, batch_size, &mut ties);
+        if let Some(node) = &node {
+            node.add_extra("prefix_ties", ties);
+        }
+        match task::ok(sorted) {
             None => Box::new(std::iter::empty()),
             Some(Sorted::Lanes(sorted)) => Box::new(
                 chunks(sorted.perm.len(), batch_size)
@@ -1017,15 +1216,26 @@ mod tests {
         let mut values = vec![Value::Null];
         values.extend(match dtype {
             DataType::Int => [i32::MIN, -1, 0, 1, i32::MAX].map(Value::Int).to_vec(),
+            // `i64::MIN`'s prefix word is NULL's.
             DataType::Long => [i64::MIN, -1, 0, 1, i64::MAX].map(Value::Long).to_vec(),
             DataType::Date => [-1, 0, 19_000].map(Value::Date).to_vec(),
             DataType::Timestamp => [-1, 0, 1 << 40].map(Value::Timestamp).to_vec(),
-            DataType::Float => [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0, 0.1, f32::MAX]
-                .map(Value::Float)
-                .to_vec(),
+            DataType::Float => [
+                f32::NAN,
+                -f32::NAN,
+                f32::NEG_INFINITY,
+                -0.0,
+                0.0,
+                0.1,
+                f32::MAX,
+            ]
+            .map(Value::Float)
+            .to_vec(),
             DataType::Double => [
                 f64::NAN,
                 -f64::NAN,
+                // The NaN whose prefix word is NULL's.
+                f64::from_bits(u64::MAX),
                 f64::NEG_INFINITY,
                 -0.0,
                 0.0,
@@ -1035,9 +1245,25 @@ mod tests {
             .map(Value::Double)
             .to_vec(),
             DataType::Boolean => [false, true].map(Value::Boolean).to_vec(),
-            _ => ["", "a", "ab", "b", "é", "человек", "Z"]
-                .map(Value::str)
-                .to_vec(),
+            // Strings that share a prefix word, or differ only past it or
+            // by a trailing NUL, and a character straddling byte 7.
+            _ => [
+                "",
+                "a",
+                "ab",
+                "ab\0",
+                "abcdefg",
+                "abcdefgh",
+                "abcdefghi",
+                "abcdefgh\0",
+                "abcdefé",
+                "b",
+                "é",
+                "человек",
+                "Z",
+            ]
+            .map(Value::str)
+            .to_vec(),
         });
         values
     }
@@ -1103,6 +1329,77 @@ mod tests {
                         key(&a, i),
                         key(&b, j)
                     );
+                }
+            }
+        }
+    }
+
+    /// Prefix words that differ order as [`lane_cmp`] orders their lanes,
+    /// equal exact words mean equal lanes, in both directions, typed and
+    /// boxed; the prefix sort is the stable sort under [`lane_order`] on
+    /// random 1–3-column blocks, and a walk over it finds the same runs
+    /// of equal keys as [`lane_order`] does.
+    #[test]
+    fn prefix_words_agree_with_lane_cmp() {
+        for dtype in DTYPES {
+            let edges = edge_values(dtype);
+            let n = edges.len();
+            let typed = ColumnVector::from_values(dtype, edges.clone());
+            let boxed = ColumnVector::from_boxed(dtype.clone(), edges.clone());
+            for column in [Arc::new(typed), Arc::new(boxed)] {
+                let keys = KeyLanes::all(std::slice::from_ref(&column));
+                for mask in [0, 1] {
+                    for i in 0..n {
+                        for j in 0..n {
+                            let (wi, wj) =
+                                (prefix_word(&keys, i, mask), prefix_word(&keys, j, mask));
+                            let o = lane_order(&keys, i, &keys, j, mask);
+                            let what = format!("{:?} vs {:?} (mask {mask})", edges[i], edges[j]);
+                            if wi != wj {
+                                assert_eq!(wi.cmp(&wj), o, "{what}: words {wi:#x} {wj:#x}");
+                            } else if unsettled(&keys, wi, mask) == 1 {
+                                assert_eq!(o, Ordering::Equal, "{what}: exact word {wi:#x}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x9AE1);
+        for _ in 0..300 {
+            let width = rng.random_range(1usize..4);
+            let rows = rng.random_range(0usize..200);
+            let columns: Vec<_> = (0..width)
+                .map(|_| {
+                    let dtype = &DTYPES[rng.random_range(0..DTYPES.len())];
+                    arb_column(&mut rng, dtype, rows)
+                })
+                .collect();
+            let mask = rng.random_range(0u64..1 << width);
+            let keys = KeyLanes::all(&columns);
+            let mut expect: Vec<u32> = (0..rows as u32).collect();
+            expect.sort_by(|&a, &b| lane_order(&keys, a as usize, &keys, b as usize, mask));
+            let (perm, words) = prefix_sort(&keys, rows, mask, &mut 0);
+            assert_eq!(perm, expect, "mask {mask:b}");
+            let mut walk = KeyWalk {
+                keys: KeyLanes::all(&columns),
+                perm: Cow::Borrowed(&perm),
+                words: Cow::Borrowed(&words),
+                descending_mask: mask,
+                ties: 0,
+            };
+            for p in 1..rows {
+                let (a, b) = (perm[p - 1] as usize, perm[p] as usize);
+                assert_eq!(words[p], prefix_word(&keys, b, mask));
+                for end in 0..=width {
+                    for start in 0..=end {
+                        let cols = &keys[start..end];
+                        let same = lane_order(cols, a, cols, b, 0) == Ordering::Equal;
+                        let before = lane_order(&keys[..start], a, &keys[..start], b, 0);
+                        if before == Ordering::Equal {
+                            assert_eq!(walk.same_as_previous(p, start..end), same);
+                        }
+                    }
                 }
             }
         }

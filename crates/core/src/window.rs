@@ -3,10 +3,13 @@
 //! Production keys every input lane by its PARTITION BY values, then its
 //! ORDER BY values, evaluated by kernels; routes the lanes to reducers by
 //! the hash of the PARTITION BY prefix (or all to one when there is
-//! none); and sorts each reducer's blocks by a lane permutation. Walking
-//! the permutation, runs of equal PARTITION BY lanes are window
-//! partitions and runs of equal ORDER BY lanes within them are peer
-//! groups. `row_number`, `rank` and `dense_rank` build Long lanes,
+//! none); and prefix-sorts each reducer's blocks (`sort.rs`, step 3).
+//! Walking the permutation, runs of equal PARTITION BY lanes are window
+//! partitions — a boundary is a change of prefix word, lanes compared
+//! only where words tie ([`KeyWalk::same_as_previous`]) — and runs of
+//! equal ORDER BY lanes within them are peer groups, held in one pair of
+//! buffers ([`Peers`]) refilled per window partition. `row_number`,
+//! `rank` and `dense_rank` build Long lanes,
 //! `lag`/`lead` gather the argument lane at shifted positions (the typed
 //! default outside the partition), and framed aggregates fold [`Acc`]
 //! over the argument lane with the frame machine the row path uses. The
@@ -22,8 +25,8 @@
 use crate::exchange::Exchange;
 use crate::execution::{bind_all, execute_node, lower_node, task_iter, try_map, ExecContext};
 use crate::sort::{
-    chunks, descending_mask, lane_order, BlockKeys, KeyLanes, KeyedRow, LaneBlock, SortBlock,
-    SortKey, Sorted,
+    chunks, descending_mask, lane_order, BlockKeys, KeyLanes, KeyWalk, KeyedRow, LaneBlock,
+    SortBlock, SortKey, Sorted,
 };
 use crate::spill;
 use catalyst::error::{CatalystError, Result};
@@ -202,21 +205,36 @@ fn frame_hi(frame: &WindowFrame, i: usize, n: usize, peer_end: &[usize]) -> Opti
     Some(hi)
 }
 
-/// Peer groups of `n` frame-ordered rows: each row's first and last
-/// peer, where `same(i, i - 1)` says row `i` ties with the row before.
-fn peer_groups(n: usize, same: impl Fn(usize, usize) -> bool) -> (Vec<usize>, Vec<usize>) {
-    let mut peer_start = vec![0usize; n];
-    let mut peer_end = vec![0usize; n];
-    for i in 1..n {
-        peer_start[i] = if same(i, i - 1) { peer_start[i - 1] } else { i };
-    }
-    if n > 0 {
-        peer_end[n - 1] = n - 1;
-        for i in (0..n - 1).rev() {
-            peer_end[i] = if same(i + 1, i) { peer_end[i + 1] } else { i };
+/// Peer groups of frame-ordered rows: each row's first and last peer.
+/// One value is refilled for every window partition of a walk.
+#[derive(Default)]
+struct Peers {
+    start: Vec<usize>,
+    end: Vec<usize>,
+}
+
+impl Peers {
+    /// The peer groups of `n` rows, where `same(i)` says row `i` ties with
+    /// the row before; each pair of neighbours is compared once.
+    fn fill(&mut self, n: usize, mut same: impl FnMut(usize) -> bool) {
+        self.start.clear();
+        for i in 0..n {
+            let start = if i > 0 && same(i) {
+                self.start[i - 1]
+            } else {
+                i
+            };
+            self.start.push(start);
+        }
+        self.end.clear();
+        self.end.resize(n, 0);
+        for i in (0..n).rev() {
+            self.end[i] = match self.start.get(i + 1) {
+                Some(&next) if next == self.start[i] => self.end[i + 1],
+                _ => i,
+            };
         }
     }
-    (peer_start, peer_end)
 }
 
 /// A framed aggregate over one window partition of `n` rows, one value
@@ -353,10 +371,11 @@ fn eval_window_partition(
     let (keys, inputs): (Vec<SortKey>, Vec<Row>) = group.into_iter().unzip();
     let oks: Vec<&[Value]> = keys.iter().map(|k| &k.values()[np..]).collect();
     // Peer groups: maximal runs of equal ORDER BY keys.
-    let (peer_start, peer_end) = peer_groups(inputs.len(), |a, b| oks[a] == oks[b]);
+    let mut peers = Peers::default();
+    peers.fill(inputs.len(), |i| oks[i] == oks[i - 1]);
     let cols: Vec<Vec<Value>> = calls
         .iter()
-        .map(|c| eval_window_call(c, &inputs, &peer_start, &peer_end, frames))
+        .map(|c| eval_window_call(c, &inputs, &peers.start, &peers.end, frames))
         .collect::<Result<_>>()?;
     Ok(inputs
         .into_iter()
@@ -550,14 +569,15 @@ fn batch_window(
     let shuffled = exchange.by_index(&blocks, SortBlock::approx_bytes, ctx);
     Ok(shuffled.map_partitions(move |it| {
         let blocks = Box::new(it.map(|(_, block)| block));
-        match task::ok(keys.sort(blocks, &sctx, batch_size)) {
+        let mut ties = 0;
+        let sorted = keys.sort(blocks, &sctx, batch_size, &mut ties);
+        match task::ok(sorted) {
             None => Box::new(std::iter::empty()),
             Some(Sorted::Lanes(sorted)) => {
-                let mut frames = 0;
+                let (mut frames, mut walk) = (0, sorted.walk());
                 let outputs = eval_lanes(
                     sorted.input(),
-                    &sorted.keys(),
-                    &sorted.perm,
+                    &mut walk,
                     &calls,
                     &call_dtypes,
                     np,
@@ -565,6 +585,7 @@ fn batch_window(
                 );
                 if let Some(node) = &node {
                     node.add_extra("frames", frames);
+                    node.add_extra("prefix_ties", ties + walk.ties);
                 }
                 let Some(outputs) = task::ok(outputs) else {
                     return Box::new(std::iter::empty());
@@ -575,15 +596,20 @@ fn batch_window(
                     RowBatch::new(columns, range.len())
                 }))
             }
-            Some(Sorted::Runs(merge)) => Box::new(RunWindows {
-                merged: Box::new(merge.map_while(task::ok)),
-                open: Vec::new(),
-                keys: keys.clone(),
-                calls: calls.clone(),
-                call_dtypes: call_dtypes.clone(),
-                np,
-                node: node.clone(),
-            }),
+            Some(Sorted::Runs(merge)) => {
+                if let Some(node) = &node {
+                    node.add_extra("prefix_ties", ties);
+                }
+                Box::new(RunWindows {
+                    merged: Box::new(merge.map_while(task::ok)),
+                    open: Vec::new(),
+                    keys: keys.clone(),
+                    calls: calls.clone(),
+                    call_dtypes: call_dtypes.clone(),
+                    np,
+                    node: node.clone(),
+                })
+            }
         }
     }))
 }
@@ -683,20 +709,21 @@ impl LaneOut {
     }
 }
 
-/// Every call's output lanes over sorted lanes, in sorted order: `perm`
-/// orders the lanes of the `input` columns and of the key views `keys`
-/// (PARTITION BY, then ORDER BY). Arguments are evaluated by kernels
-/// over the unsorted lanes and read through the permutation.
+/// Every call's output lanes over sorted lanes, in sorted order: `walk`
+/// orders the lanes of the `input` columns by its keys (PARTITION BY,
+/// then ORDER BY). Window partitions end where the walk's PARTITION BY
+/// columns change, which differing prefix words answer without reading a
+/// lane. Arguments are evaluated by kernels over the unsorted lanes and
+/// read through the permutation.
 fn eval_lanes(
     input: &[Arc<ColumnVector>],
-    keys: &[KeyLanes],
-    perm: &[u32],
+    walk: &mut KeyWalk,
     calls: &[WindowCall],
     dtypes: &[DataType],
     np: usize,
     frames: &mut u64,
 ) -> Result<Vec<Arc<ColumnVector>>> {
-    let n = perm.len();
+    let n = walk.perm().len();
     let input = RowBatch::new(input.to_vec(), n);
     let args: Vec<Option<Arc<ColumnVector>>> = (calls.iter())
         .map(|call| {
@@ -708,21 +735,18 @@ fn eval_lanes(
                 .transpose()
         })
         .collect::<Result<_>>()?;
-    let (pkeys, okeys) = keys.split_at(np);
+    let width = walk.width();
     let mut outs: Vec<LaneOut> = calls.iter().map(LaneOut::for_call).collect();
+    let mut peers = Peers::default();
     let mut start = 0;
     while start < n {
-        let first = perm[start] as usize;
         let end = (start + 1..n)
-            .find(|&e| lane_order(pkeys, first, pkeys, perm[e] as usize, 0) != Ordering::Equal)
+            .find(|&e| !walk.same_as_previous(e, 0..np))
             .unwrap_or(n);
-        let rows = &perm[start..end];
-        let same = |a: usize, b: usize| {
-            lane_order(okeys, rows[a] as usize, okeys, rows[b] as usize, 0) == Ordering::Equal
-        };
-        let (peer_start, peer_end) = peer_groups(rows.len(), same);
+        peers.fill(end - start, |i| walk.same_as_previous(start + i, np..width));
+        let rows = &walk.perm()[start..end];
         for ((call, arg), out) in calls.iter().zip(&args).zip(&mut outs) {
-            let peers = (&peer_start[..], &peer_end[..]);
+            let peers = (&peers.start[..], &peers.end[..]);
             out.extend(call, arg.as_deref(), rows, peers, frames)?;
         }
         start = end;
@@ -787,13 +811,11 @@ impl RunWindows {
         let rows: usize = lanes.iter().map(|(n, _)| n).sum();
         let blocks: Vec<&[Arc<ColumnVector>]> = lanes.iter().map(|(_, c)| &c[..]).collect();
         let mut columns = self.keys.concat(&blocks);
-        let perm: Vec<u32> = (0..rows as u32).collect();
         let width = self.keys.width();
-        let mut frames = 0;
+        let (mut frames, mut walk) = (0, self.keys.in_order(&columns, rows));
         let outputs = eval_lanes(
             &columns[..width],
-            &self.keys.key_lanes(&columns),
-            &perm,
+            &mut walk,
             &self.calls,
             &self.call_dtypes,
             self.np,
@@ -801,6 +823,7 @@ impl RunWindows {
         );
         if let Some(node) = &self.node {
             node.add_extra("frames", frames);
+            node.add_extra("prefix_ties", walk.ties);
         }
         columns.truncate(width);
         columns.extend(outputs?);

@@ -737,3 +737,55 @@ fn explain_analyze_shows_the_top_n_candidates() {
         "{candidates} candidates for LIMIT {n} over 3 partitions: {line}"
     );
 }
+
+/// The value of `[name=…]` on the first EXPLAIN ANALYZE line that starts
+/// with `op`.
+fn extra_on(text: &str, op: &str, name: &str) -> u64 {
+    let line = (text.lines())
+        .find(|l| l.trim_start().starts_with(op))
+        .unwrap_or_else(|| panic!("no {op} in:\n{text}"));
+    (line.split(&format!("[{name}=")).nth(1))
+        .and_then(|rest| rest.split(']').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in: {line}\n{text}"))
+}
+
+/// The batch Sort and Window report `prefix_ties`, the comparisons whose
+/// 8-byte key prefixes tied so that lanes were read: none for a unique
+/// BIGINT key, some for PARTITION BY strings sharing their first 8 bytes.
+#[test]
+fn explain_analyze_counts_prefix_ties() {
+    let ctx = SQLContext::new_local(2);
+    big_table(&ctx, 3, std::time::Duration::ZERO);
+    let text = (ctx.sql("SELECT k, s FROM big ORDER BY k"))
+        .unwrap()
+        .explain_analyze()
+        .unwrap();
+    assert_eq!(extra_on(&text, "Sort [", "prefix_ties"), 0, "{text}");
+
+    let schema = Arc::new(Schema::new(vec![
+        StructField::new("k", DataType::Long, false),
+        StructField::new("c", DataType::String, false),
+    ]));
+    let rows: Vec<Row> = (0..2_000i64)
+        .map(|k| {
+            Row::new(vec![
+                Value::Long(k),
+                Value::str(format!("category-{}", k % 5)),
+            ])
+        })
+        .collect();
+    let rdd = ctx.spark_context().parallelize(rows, 3);
+    (ctx.dataframe_from_rdd("cats", schema, rdd))
+        .unwrap()
+        .register_temp_table("cats");
+    let text = (ctx.sql("SELECT k, rank() OVER (PARTITION BY c ORDER BY k) AS r FROM cats"))
+        .unwrap()
+        .explain_analyze()
+        .unwrap();
+    let ties = extra_on(&text, "Window [", "prefix_ties");
+    assert!(
+        ties > 0,
+        "{ties} prefix ties over shared 8-byte prefixes:\n{text}"
+    );
+}

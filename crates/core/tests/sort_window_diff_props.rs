@@ -105,6 +105,7 @@ const CALLS: &[&str] = &[
 ];
 
 struct Query {
+    schema: SchemaRef,
     sql: String,
     rows: Vec<Row>,
     window: bool,
@@ -154,6 +155,7 @@ fn arb_query(rng: &mut StdRng) -> Query {
         format!("SELECT id, i, l, d, s, g FROM t ORDER BY {order_by}")
     };
     Query {
+        schema: schema(),
         sql,
         rows,
         window,
@@ -169,6 +171,8 @@ struct Outcome {
     /// Did the Sort or Window run as batches (report `batches`)?
     batches: bool,
     spilled: bool,
+    /// Comparisons whose key prefixes tied and fell to lanes.
+    prefix_ties: u64,
 }
 
 /// Pre-order ids of `plan`'s Sort and Window nodes.
@@ -194,7 +198,7 @@ fn run(q: &Query, reference: bool, budget: u64) -> Outcome {
         c.vectorize_batch_size = q.batch_size;
     });
     let rdd = ctx.spark_context().parallelize(q.rows.clone(), 3);
-    ctx.dataframe_from_rdd("t", schema(), rdd)
+    ctx.dataframe_from_rdd("t", q.schema.clone(), rdd)
         .unwrap()
         .register_temp_table("t");
     let qe = ctx.sql(&q.sql).unwrap().query_execution().unwrap();
@@ -215,6 +219,7 @@ fn run(q: &Query, reference: bool, budget: u64) -> Outcome {
         spilled: extras
             .iter()
             .any(|e| e.get("spill_count").is_some_and(|&n| n > 0)),
+        prefix_ties: extras.iter().filter_map(|e| e.get("prefix_ties")).sum(),
     }
 }
 
@@ -343,5 +348,146 @@ fn overflowing_sums_fail_alike_once_per_task() {
                 assert_eq!(sites.len(), n, "a task launched twice: {what}");
             }
         }
+    }
+}
+
+/// Strings whose 8-byte sort prefixes tie or nearly tie: equal in their
+/// first 7 to 9 bytes, with embedded and trailing NULs, a character
+/// straddling byte 7, and `""`.
+const SHARED_PREFIX: &[&str] = &[
+    "",
+    "abcdef",
+    "abcdefg",
+    "abcdefg\0",
+    "abcdefgh",
+    "abcdefgh\0",
+    "abcdefghi",
+    "abcdefghj",
+    "abcdefgi",
+    "abcdefé",
+    "abcdefgé",
+    "abc\0defgh",
+];
+
+/// Long keys around `i64::MIN`, whose prefix word is NULL's.
+const EDGE_LONGS: &[i64] = &[i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX];
+
+fn shared_prefix_schema() -> SchemaRef {
+    Arc::new(Schema::new(vec![
+        StructField::new("id", DataType::Long, false),
+        StructField::new("s", DataType::String, true),
+        StructField::new("t", DataType::String, true),
+        StructField::new("l", DataType::Long, true),
+    ]))
+}
+
+fn arb_shared_prefix_rows(rng: &mut StdRng, n: usize) -> Vec<Row> {
+    let string = |rng: &mut StdRng| match rng.random_bool(0.1) {
+        true => Value::Null,
+        false => Value::str(SHARED_PREFIX[rng.random_range(0..SHARED_PREFIX.len())]),
+    };
+    (0..n)
+        .map(|id| {
+            let (s, t) = (string(rng), string(rng));
+            let l = match rng.random_bool(0.1) {
+                true => Value::Null,
+                false => Value::Long(EDGE_LONGS[rng.random_range(0..EDGE_LONGS.len())]),
+            };
+            Row::new(vec![Value::Long(id as i64), s, t, l])
+        })
+        .collect()
+}
+
+/// Keys whose prefix words tie leave the order to the lanes: ORDER BY
+/// and PARTITION BY (one or two columns) over strings sharing their
+/// first bytes, NULL and `""`, and Long keys at `i64::MIN` return the
+/// reference's rows in its order, unbounded and under a 64 KiB budget.
+#[test]
+fn shared_prefix_keys_agree_with_the_reference() {
+    const KEYS: &[&str] = &["s", "t", "l", "substr(s, 2, 8)"];
+    const CALLS: &[&str] = &[
+        "rank() OVER ({o})",
+        "dense_rank() OVER ({o})",
+        "row_number() OVER ({o})",
+        "lag(id) OVER ({o})",
+        "lead(s, 1, 'none') OVER ({o})",
+        "count(*) OVER ({o} RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)",
+        "min(t) OVER ({o} ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING)",
+    ];
+    let mut seen: BTreeMap<String, u32> = BTreeMap::new();
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(0x8B17 ^ seed.wrapping_mul(0x9E37_79B9));
+        let n = rng.random_range(200usize..1500);
+        let rows = arb_shared_prefix_rows(&mut rng, n);
+        let mut pool: Vec<&str> = KEYS.to_vec();
+        let mut pick = |rng: &mut StdRng| pool.remove(rng.random_range(0..pool.len()));
+        let shape = ["order by", "partition by 1", "partition by 2"][seed as usize % 3];
+        let partitions = match shape {
+            "order by" => Vec::new(),
+            "partition by 1" => vec![pick(&mut rng)],
+            _ => vec![pick(&mut rng), pick(&mut rng)],
+        };
+        let order: Vec<String> = (0..rng.random_range(1usize..3))
+            .map(|_| {
+                let dir = if rng.random_bool(0.5) { "ASC" } else { "DESC" };
+                format!("{} {dir}", pick(&mut rng))
+            })
+            .collect();
+        let order = order.join(", ");
+        let sql = if partitions.is_empty() {
+            format!("SELECT id, s, t, l FROM t ORDER BY {order}")
+        } else {
+            let over = format!("PARTITION BY {} ORDER BY {order}", partitions.join(", "));
+            let calls: Vec<String> = (0..rng.random_range(1usize..4))
+                .map(|j| {
+                    let call = CALLS[rng.random_range(0..CALLS.len())];
+                    format!("{} AS w{j}", call.replace("{o}", &over))
+                })
+                .collect();
+            format!("SELECT id, s, t, l, {} FROM t", calls.join(", "))
+        };
+        let q = Query {
+            schema: shared_prefix_schema(),
+            sql,
+            rows,
+            window: !partitions.is_empty(),
+            partitioned: !partitions.is_empty(),
+            keys: partitions.len() + 1,
+            reducers: [1usize, 3, 8][rng.random_range(0..3)],
+            batch_size: [4usize, 16, 1024][rng.random_range(0..3)],
+        };
+        let what = format!(
+            "seed {seed}: {} (reducers={}, batch={}, rows={})",
+            q.sql,
+            q.reducers,
+            q.batch_size,
+            q.rows.len()
+        );
+        let expect = run(&q, true, 0);
+        for budget in [0, 64 << 10] {
+            let got = run(&q, false, budget);
+            assert!(got.batches, "production skipped the batch path: {what}");
+            assert_eq!(got.rows, expect.rows, "budget {budget}: {what}");
+            let mut count = |what: &str| *seen.entry(what.into()).or_default() += 1;
+            count(shape);
+            if got.prefix_ties > 0 {
+                count("prefix ties");
+            }
+            if got.spilled {
+                count("spilled");
+            }
+        }
+    }
+    // Meaningfulness floors: every shape runs, prefix ties fall to the
+    // lanes, and reducers spill.
+    for (want, floor) in [
+        ("order by", 10),
+        ("partition by 1", 10),
+        ("partition by 2", 10),
+        ("prefix ties", 20),
+        ("spilled", 5),
+    ] {
+        let n = seen.get(want).copied().unwrap_or(0);
+        assert!(n >= floor, "only {n} runs with {want}: {seen:?}");
     }
 }
