@@ -38,11 +38,12 @@
 //! make [`AccLane::for_input`] return `None`; the caller then runs the
 //! row kernel.
 
-use super::batch::{ColumnVector, VectorData};
+use super::batch::{ColumnVector, StrLane, VectorData};
 use crate::error::{CatalystError, Result};
 use crate::expr::AggFunc;
 use crate::types::DataType;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -342,7 +343,7 @@ pub enum AccLane {
     /// MIN/MAX over String lanes.
     ExtremeStr {
         /// Per-group current extreme (None = no non-NULL value yet).
-        vals: Vec<Option<Arc<str>>>,
+        vals: Vec<Option<StrLane>>,
         /// True for MIN, false for MAX.
         is_min: bool,
     },
@@ -566,18 +567,22 @@ impl AccLane {
             AccLane::ExtremeStr { vals, is_min } => {
                 let col = arg.expect("MIN/MAX needs its argument column");
                 let want = replacing(*is_min);
+                let lanes = col.str_lanes();
                 for &(i, g) in assignments {
                     let (i, g) = (i as usize, g as usize);
                     if col.is_null(i) {
                         continue;
                     }
-                    let s = match col.get(i) {
-                        Value::Str(s) => s,
-                        other => panic!("MIN/MAX string lane got {other:?}"),
+                    let s = match lanes {
+                        Some(lanes) => Cow::Borrowed(&lanes[i]),
+                        None => match col.get(i) {
+                            Value::Str(s) => Cow::Owned(StrLane::shared(s)),
+                            other => panic!("MIN/MAX string lane got {other:?}"),
+                        },
                     };
                     match &vals[g] {
-                        Some(cur) if s.as_ref().cmp(cur.as_ref()) != want => {}
-                        _ => vals[g] = Some(s),
+                        Some(cur) if s.as_ref().cmp(cur) != want => {}
+                        _ => vals[g] = Some(s.into_owned()),
                     }
                 }
             }
@@ -707,7 +712,7 @@ impl AccLane {
                     let (i, g) = (i as usize, g as usize);
                     let Some(s) = &theirs[i] else { continue };
                     match &vals[g] {
-                        Some(cur) if s.as_ref().cmp(cur.as_ref()) != want => {}
+                        Some(cur) if s.cmp(cur) != want => {}
                         _ => vals[g] = Some(s.clone()),
                     }
                 }
@@ -815,10 +820,7 @@ impl AccLane {
             AccLane::ExtremeLong { vals, seen, .. } => vec![long(vals, unseen(seen))],
             AccLane::ExtremeDouble { vals, seen, .. } => vec![double(vals, seen)],
             AccLane::ExtremeStr { vals, .. } => {
-                let empty: Arc<str> = Arc::from("");
-                let lanes = vals
-                    .iter()
-                    .map(|v| v.clone().unwrap_or_else(|| empty.clone()));
+                let lanes = vals.iter().map(|v| v.clone().unwrap_or_default());
                 let nulls = vals.iter().map(Option::is_none).collect();
                 vec![ColumnVector::new(
                     DataType::String,
@@ -980,11 +982,8 @@ impl AccLane {
                 unseen(seen),
             ),
             AccLane::ExtremeStr { vals, .. } => {
-                let empty: Arc<str> = Arc::from("");
                 let nulls: Vec<bool> = vals[..n].iter().map(Option::is_none).collect();
-                let lanes = vals[..n]
-                    .iter()
-                    .map(|v| v.clone().unwrap_or_else(|| empty.clone()));
+                let lanes = vals[..n].iter().map(|v| v.clone().unwrap_or_default());
                 ColumnVector::new(
                     DataType::String,
                     VectorData::Str(lanes.collect()),
@@ -1080,7 +1079,7 @@ impl AccLane {
                 }
             }
             AccLane::ExtremeStr { vals, is_min } => {
-                let v = vals.get(g).and_then(|o| o.clone()).map(Value::Str);
+                let v = (vals.get(g).and_then(Option::as_ref)).map(|s| Value::Str(s.to_arc()));
                 if *is_min {
                     Acc::Min(v)
                 } else {
@@ -1117,7 +1116,7 @@ impl AccLane {
                 16 + vals
                     .get(g)
                     .and_then(Option::as_ref)
-                    .map_or(0, |s| Value::str_bytes(s))
+                    .map_or(0, |s| Value::str_bytes(s.as_str()))
             }
         }
     }

@@ -4,11 +4,180 @@
 //! [`kernels`](super::kernels) operate over it. The only place lanes are
 //! copied back out into rows is [`RowBatch::into_selected_rows`] — the
 //! single batch→row compaction boundary of the engine.
+//!
+//! A string lane is a [`StrLane`], as wide as an `Arc<str>` (16 bytes).
+//! A string of at most [`StrLane::INLINE`] (7) bytes lives inside the
+//! lane, wherever it comes from — a kernel, a stored or spilled block, a
+//! [`Value`] — so it never touches the allocator or a refcount; a longer
+//! one shares its `Arc<str>`. Only this file knows which form a lane
+//! has: everything else reads [`StrLane::as_bytes`] (equality, hashing,
+//! order, prefix words) or [`StrLane::as_str`], so the two forms of one
+//! string are interchangeable.
 
 use crate::row::Row;
 use crate::types::DataType;
 use crate::value::Value;
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// One string lane: a string of at most [`INLINE`](Self::INLINE) bytes
+/// held in the lane, a longer one shared. The inline form sits in
+/// `Arc<str>`'s null-pointer niche, so a lane is no wider than the
+/// `Arc<str>` it replaces.
+///
+/// Build lanes with [`new`](Self::new) or [`shared`](Self::shared), which
+/// pick the form; compare, hash and order them as their bytes.
+#[derive(Clone)]
+pub struct StrLane(Repr);
+
+/// A lane's two forms. Private, so every inline lane holds at most
+/// [`StrLane::INLINE`] bytes of UTF-8 and every short string is inline.
+#[derive(Clone)]
+enum Repr {
+    /// The string's bytes, zero-padded, and its length.
+    Inline([u8; StrLane::INLINE], u8),
+    /// A string longer than [`StrLane::INLINE`] bytes.
+    Shared(Arc<str>),
+}
+
+impl StrLane {
+    /// The longest string a lane holds inline, in bytes.
+    pub const INLINE: usize = 7;
+
+    /// `s` as a lane: inline when it fits, else copied into a new
+    /// `Arc<str>`.
+    #[inline]
+    pub fn new(s: &str) -> StrLane {
+        match StrLane::inline(s) {
+            Some(lane) => lane,
+            None => StrLane(Repr::Shared(Arc::from(s))),
+        }
+    }
+
+    /// `s` as a lane: inline when it fits, else sharing `s`.
+    #[inline]
+    pub fn shared(s: Arc<str>) -> StrLane {
+        match StrLane::inline(&s) {
+            Some(lane) => lane,
+            None => StrLane(Repr::Shared(s)),
+        }
+    }
+
+    #[inline]
+    fn inline(s: &str) -> Option<StrLane> {
+        let n = s.len();
+        (n <= StrLane::INLINE).then(|| {
+            let mut bytes = [0u8; StrLane::INLINE];
+            bytes[..n].copy_from_slice(s.as_bytes());
+            StrLane(Repr::Inline(bytes, n as u8))
+        })
+    }
+
+    /// `s` in the shared form whatever its length — the form no
+    /// constructor gives a short string — for tests that check the two
+    /// forms agree.
+    #[cfg(test)]
+    pub(crate) fn forced_shared(s: &str) -> StrLane {
+        StrLane(Repr::Shared(Arc::from(s)))
+    }
+
+    /// True when the string is held in the lane.
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline(..))
+    }
+
+    /// The string's UTF-8 bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(bytes, n) => &bytes[..*n as usize],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// The string. An inline lane's bytes are checked as UTF-8 here.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline(..) => {
+                std::str::from_utf8(self.as_bytes()).expect("a string lane holds UTF-8")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The string as an `Arc<str>`: a new one for an inline lane, the
+    /// shared one otherwise.
+    #[inline]
+    pub fn to_arc(&self) -> Arc<str> {
+        match &self.0 {
+            Repr::Inline(..) => Arc::from(self.as_str()),
+            Repr::Shared(s) => s.clone(),
+        }
+    }
+
+    /// Length in bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// True for the empty string.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Default for StrLane {
+    fn default() -> StrLane {
+        StrLane::new("")
+    }
+}
+
+impl PartialEq for StrLane {
+    fn eq(&self, other: &StrLane) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for StrLane {}
+
+impl PartialOrd for StrLane {
+    fn partial_cmp(&self, other: &StrLane) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, which is `str` order.
+impl Ord for StrLane {
+    fn cmp(&self, other: &StrLane) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Hashes as the `str` it holds.
+impl Hash for StrLane {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for StrLane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for StrLane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// Physical lane storage of one [`ColumnVector`].
 ///
@@ -26,8 +195,9 @@ pub enum VectorData {
     Double(Vec<f64>),
     /// Boolean lanes.
     Bool(Vec<bool>),
-    /// String lanes (shared, clones are cheap).
-    Str(Vec<Arc<str>>),
+    /// String lanes: short strings inline, longer ones shared (clones
+    /// are cheap either way).
+    Str(Vec<StrLane>),
     /// Boxed values — the universal fallback representation.
     Values(Vec<Value>),
 }
@@ -181,13 +351,15 @@ impl ColumnVector {
                     _ => None,
                 }))
             }
-            DataType::String => {
-                let empty: Arc<str> = Arc::from("");
-                VectorData::Str(typed_lanes(values, &mut nulls, empty, |v| match v {
-                    Value::Str(s) => Some(s),
+            DataType::String => VectorData::Str(typed_lanes(
+                values,
+                &mut nulls,
+                StrLane::default(),
+                |v| match v {
+                    Value::Str(s) => Some(StrLane::shared(s)),
                     _ => None,
-                }))
-            }
+                },
+            )),
             // Only an empty column of a type with no lanes conforms.
             _ => return ColumnVector::from_boxed(dtype.clone(), values),
         };
@@ -245,7 +417,7 @@ impl ColumnVector {
                 _ => Value::Double(v[i]),
             },
             VectorData::Bool(v) => Value::Boolean(v[i]),
-            VectorData::Str(v) => Value::Str(v[i].clone()),
+            VectorData::Str(v) => Value::Str(v[i].to_arc()),
             VectorData::Values(v) => v[i].clone(),
         }
     }
@@ -271,7 +443,7 @@ impl ColumnVector {
             VectorData::Long(v) => VectorData::Long(pick(v, indices, 0)),
             VectorData::Double(v) => VectorData::Double(pick(v, indices, 0.0)),
             VectorData::Bool(v) => VectorData::Bool(pick(v, indices, false)),
-            VectorData::Str(v) => VectorData::Str(pick(v, indices, Arc::from(""))),
+            VectorData::Str(v) => VectorData::Str(pick(v, indices, StrLane::default())),
             VectorData::Values(v) => VectorData::Values(pick(v, indices, Value::Null)),
         };
         let nulls = match &self.nulls {
@@ -398,7 +570,8 @@ impl ColumnVector {
         }
     }
 
-    pub(super) fn str_lanes(&self) -> Option<&[Arc<str>]> {
+    /// String lanes, only for String columns.
+    pub fn str_lanes(&self) -> Option<&[StrLane]> {
         match (&self.dtype, &self.data) {
             (DataType::String, VectorData::Str(v)) => Some(v),
             _ => None,
@@ -692,6 +865,75 @@ mod tests {
             ]
         );
         assert!(ColumnVector::concat(&DataType::String, &[]).is_empty());
+    }
+
+    /// Strings around the inline limit: 0, 6, 7, 8 and 9 bytes, and a
+    /// 2-byte char ending at byte 7 and one straddling it.
+    const LANE_EDGES: [&str; 7] = [
+        "",
+        "six666",
+        "seven77",
+        "eight888",
+        "nine99999",
+        "abcdeé",
+        "abcdefé",
+    ];
+
+    #[test]
+    fn a_lane_is_as_wide_as_an_arc_str() {
+        assert_eq!(
+            std::mem::size_of::<StrLane>(),
+            std::mem::size_of::<Arc<str>>()
+        );
+    }
+
+    #[test]
+    fn new_and_shared_pick_the_form_by_length() {
+        for make in [StrLane::new, |s: &str| StrLane::shared(Arc::from(s))] {
+            for s in LANE_EDGES {
+                assert_eq!(make(s).is_inline(), s.len() <= StrLane::INLINE, "{s:?}");
+            }
+        }
+    }
+
+    /// The inline and shared forms of one string are the same string to
+    /// everything that reads a lane.
+    #[test]
+    fn both_forms_of_a_string_agree() {
+        use std::hash::DefaultHasher;
+        let hash = |lane: &StrLane| {
+            let mut h = DefaultHasher::new();
+            lane.hash(&mut h);
+            h.finish()
+        };
+        for s in LANE_EDGES {
+            let (made, shared) = (StrLane::new(s), StrLane::forced_shared(s));
+            assert!(!shared.is_inline());
+            for lane in [&made, &shared] {
+                assert_eq!(lane.as_bytes(), s.as_bytes(), "{s:?}");
+                assert_eq!(lane.as_str(), s);
+                assert_eq!(&*lane.to_arc(), s);
+                assert_eq!(lane.len(), s.len());
+                assert_eq!(hash(lane), hash(&StrLane::new(s)), "{s:?}");
+            }
+            assert_eq!(made, shared, "{s:?}");
+            assert_eq!(made.cmp(&shared), Ordering::Equal, "{s:?}");
+            // And as a column: the same values, whichever form it holds.
+            let column = |lane: &StrLane| {
+                let data = VectorData::Str(vec![lane.clone()]);
+                ColumnVector::new(DataType::String, data, None).get(0)
+            };
+            assert_eq!(column(&made), Value::str(s));
+            assert_eq!(column(&shared), Value::str(s));
+        }
+        // Order is byte order across forms and lengths.
+        for a in LANE_EDGES {
+            for b in LANE_EDGES {
+                let want = a.cmp(b);
+                assert_eq!(StrLane::new(a).cmp(&StrLane::forced_shared(b)), want);
+                assert_eq!(StrLane::forced_shared(a).cmp(&StrLane::new(b)), want);
+            }
+        }
     }
 
     #[test]

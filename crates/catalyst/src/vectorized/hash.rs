@@ -25,7 +25,7 @@
 //! up without interning them, so a hash join probes the groups its build
 //! side assigned with GROUP BY's key equality.
 
-use super::batch::{ColumnVector, RowBatch, VectorData};
+use super::batch::{ColumnVector, RowBatch, StrLane, VectorData};
 use crate::row::Row;
 use crate::types::DataType;
 use crate::value::Value;
@@ -95,12 +95,13 @@ fn route_hash(v: &impl Hash) -> u64 {
     h.finish()
 }
 
-/// [`route_hash`] of `Value::Str(s)`, bit for bit, with no [`Value`]
-/// built.
-fn str_hash(s: &str) -> u64 {
+/// [`route_hash`] of `Value::Str(s)`, bit for bit, from the string's
+/// bytes, with no [`Value`] built.
+fn str_hash(s: &[u8]) -> u64 {
     let mut h = FastHasher::default();
     2u8.hash(&mut h); // the string tag of `impl Hash for Value`
-    s.hash(&mut h);
+    h.write(s); // then what `str` hashes: its bytes and a terminator
+    h.write_u8(0xff);
     h.finish()
 }
 
@@ -114,8 +115,8 @@ fn combine(column_hashes: impl Iterator<Item = u64>) -> u64 {
 /// Lane `i` of a key column, as an interner looks it up.
 enum Lane<'a> {
     Null,
-    /// A string, typed or boxed.
-    Str(&'a Arc<str>),
+    /// The bytes of a string, typed or boxed.
+    Str(&'a [u8]),
     /// A raw integer lane, as its [`long_key`].
     Long((u8, i64)),
     /// Any other value: boxed non-strings, floats, booleans.
@@ -127,13 +128,25 @@ fn lane(col: &ColumnVector, i: usize) -> Lane<'_> {
         return Lane::Null;
     }
     match col.data() {
-        VectorData::Str(lanes) => Lane::Str(&lanes[i]),
+        VectorData::Str(lanes) => Lane::Str(lanes[i].as_bytes()),
         VectorData::Values(values) => match &values[i] {
-            Value::Str(s) => Lane::Str(s),
+            Value::Str(s) => Lane::Str(s.as_bytes()),
             _ => Lane::Other,
         },
         VectorData::Long(lanes) => Lane::Long(long_key(col.dtype(), lanes[i])),
         _ => Lane::Other,
+    }
+}
+
+/// Lane `i` of `col`, a string, as the lane an interner stores: a typed
+/// lane's clone, or a boxed string's `Arc` shared.
+fn str_lane(col: &ColumnVector, i: usize) -> StrLane {
+    match col.data() {
+        VectorData::Str(lanes) => lanes[i].clone(),
+        _ => match col.get(i) {
+            Value::Str(s) => StrLane::shared(s),
+            other => unreachable!("{other:?} is not a string"),
+        },
     }
 }
 
@@ -150,7 +163,7 @@ fn lane_hash(col: &ColumnVector, i: usize) -> u64 {
 /// values from the first one that is not.
 #[derive(Debug)]
 enum Keys {
-    Str(Vec<Arc<str>>),
+    Str(Vec<StrLane>),
     Values(Vec<Value>),
 }
 
@@ -161,11 +174,11 @@ impl Default for Keys {
 }
 
 impl Keys {
-    /// The string of id `id`, which holds one.
-    fn str_at(&self, id: u32) -> &str {
+    /// The bytes of the string of id `id`, which holds one.
+    fn str_at(&self, id: u32) -> &[u8] {
         match self {
-            Keys::Str(lanes) => &lanes[id as usize],
-            Keys::Values(values) => values[id as usize].as_str().unwrap_or_default(),
+            Keys::Str(lanes) => lanes[id as usize].as_bytes(),
+            Keys::Values(values) => values[id as usize].as_str().unwrap_or_default().as_bytes(),
         }
     }
 }
@@ -195,7 +208,7 @@ impl StrTable {
 
     /// The id of the string `s`, which hashes to `hash`, or the empty slot
     /// it would take.
-    fn find(&self, hash: u64, s: &str, keys: &Keys) -> Result<u32, usize> {
+    fn find(&self, hash: u64, s: &[u8], keys: &Keys) -> Result<u32, usize> {
         if self.slots.is_empty() {
             return Err(0);
         }
@@ -305,7 +318,7 @@ impl ColumnInterner {
     fn value(&self, id: u32) -> Value {
         match &self.keys {
             _ if self.null_id == Some(id) => Value::Null,
-            Keys::Str(lanes) => Value::Str(lanes[id as usize].clone()),
+            Keys::Str(lanes) => Value::Str(lanes[id as usize].to_arc()),
             Keys::Values(values) => values[id as usize].clone(),
         }
     }
@@ -314,7 +327,7 @@ impl ColumnInterner {
     fn bytes(&self, id: u32) -> u64 {
         match &self.keys {
             _ if self.null_id == Some(id) => Value::Null.approx_bytes(),
-            Keys::Str(lanes) => Value::str_bytes(&lanes[id as usize]),
+            Keys::Str(lanes) => Value::str_bytes(lanes[id as usize].as_str()),
             Keys::Values(values) => values[id as usize].approx_bytes(),
         }
     }
@@ -378,15 +391,18 @@ impl ColumnInterner {
         self.by_long.get(&long_key(&v.dtype(), raw)).copied()
     }
 
-    /// The id of the string `s`, which hashes to `hash`, interning it if
-    /// new.
-    fn str_id(&mut self, s: &Arc<str>, hash: u64) -> u32 {
+    /// The id of the string of bytes `s`, which hashes to `hash`,
+    /// interning it as the lane `lane` makes if new.
+    fn str_id(&mut self, s: &[u8], hash: u64, lane: impl FnOnce() -> StrLane) -> u32 {
         match self.strs.find(hash, s, &self.keys) {
             Ok(id) => id,
             Err(at) => {
                 let id = self.len() as u32;
                 self.hashes.push(hash);
-                self.push_key(Value::Str(s.clone()));
+                match &mut self.keys {
+                    Keys::Str(lanes) => lanes.push(lane()),
+                    Keys::Values(values) => values.push(Value::Str(lane().to_arc())),
+                }
                 self.strs.insert(at, hash, id);
                 id
             }
@@ -397,7 +413,8 @@ impl ColumnInterner {
     /// the lane's routing hash, if the caller has it.
     fn id(&mut self, col: &ColumnVector, i: usize, hash: Option<u64>) -> u32 {
         if let Lane::Str(s) = lane(col, i) {
-            return self.str_id(s, hash.unwrap_or_else(|| str_hash(s)));
+            let hash = hash.unwrap_or_else(|| str_hash(s));
+            return self.str_id(s, hash, || str_lane(col, i));
         }
         if let Some(found) = self.find(col, i) {
             return found;
@@ -423,25 +440,22 @@ impl ColumnInterner {
         id
     }
 
-    /// Store the next id's value. The first value that is neither a
-    /// string nor NULL turns the string lanes into boxed values.
+    /// Store the next id's value, which is not a string. The first value
+    /// that is not NULL turns the string lanes into boxed values.
     fn push_key(&mut self, v: Value) {
-        if let (Keys::Str(lanes), false) =
-            (&mut self.keys, matches!(v, Value::Str(_) | Value::Null))
-        {
+        if let (Keys::Str(lanes), false) = (&mut self.keys, v.is_null()) {
             let null = self.null_id.map(|id| id as usize);
             let values = (lanes.drain(..).enumerate())
                 .map(|(id, s)| match Some(id) == null {
                     true => Value::Null,
-                    false => Value::Str(s),
+                    false => Value::Str(s.to_arc()),
                 })
                 .collect();
             self.keys = Keys::Values(values);
         }
-        match (&mut self.keys, v) {
-            (Keys::Str(lanes), Value::Str(s)) => lanes.push(s),
-            (Keys::Str(lanes), _) => lanes.push(Arc::from("")),
-            (Keys::Values(values), v) => values.push(v),
+        match &mut self.keys {
+            Keys::Str(lanes) => lanes.push(StrLane::default()), // the NULL id
+            Keys::Values(values) => values.push(v),
         }
     }
 }
@@ -632,8 +646,9 @@ impl BatchGroups {
             match (col.data(), col.nulls()) {
                 // The string key's loop: typed lanes, no NULL.
                 (VectorData::Str(lanes), None) => key_batch.for_each_selected(|i| {
-                    let hash = hashes.map_or_else(|| str_hash(&lanes[i]), |h| h[i]);
-                    out.push((i as u32, interner.str_id(&lanes[i], hash)))
+                    let s = lanes[i].as_bytes();
+                    let hash = hashes.map_or_else(|| str_hash(s), |h| h[i]);
+                    out.push((i as u32, interner.str_id(s, hash, || lanes[i].clone())))
                 }),
                 _ => key_batch.for_each_selected(|i| {
                     let hash = hashes.map(|h| h[i]);
@@ -1122,6 +1137,42 @@ mod tests {
         let (mut groups, n) = (BatchGroups::new(), keys.len());
         groups.assign(&RowBatch::new(two.clone(), n), &mut out);
         assert_eq!(BatchGroups::key_hashes(&two, n), groups.group_hashes());
+    }
+
+    /// A string's inline and shared lanes are one key: one id, one hash,
+    /// the [`Value`] hash of the string.
+    #[test]
+    fn both_forms_of_a_string_get_one_id() {
+        let strs = [
+            "",
+            "six666",
+            "seven77",
+            "eight888",
+            "nine99999",
+            "abcdeé",
+            "abcdefé",
+        ];
+        let column = |lanes: Vec<StrLane>| {
+            let n = lanes.len();
+            let data = VectorData::Str(lanes);
+            let column = Arc::new(ColumnVector::new(DataType::String, data, None));
+            RowBatch::new(vec![column], n)
+        };
+        let made = column(strs.map(StrLane::new).to_vec());
+        let shared = column(strs.map(StrLane::forced_shared).to_vec());
+        for (first, second) in [(&made, &shared), (&shared, &made)] {
+            let (mut groups, mut a, mut b) = (BatchGroups::new(), Vec::new(), Vec::new());
+            groups.assign(first, &mut a);
+            groups.assign(second, &mut b);
+            assert_eq!(a, b);
+            assert_eq!(groups.len(), strs.len());
+            assert_eq!(assert_find_agrees(&groups, second), a);
+            let values = strs.map(|s| route_hash(&Value::str(s)));
+            assert_eq!(groups.group_hashes(), values);
+            for batch in [first, second] {
+                assert_eq!(BatchGroups::key_hashes(batch.columns(), strs.len()), values);
+            }
+        }
     }
 
     #[test]

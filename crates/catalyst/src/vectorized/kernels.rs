@@ -5,7 +5,7 @@
 //! [`vectorized`](crate::vectorized)). The interpreter defines the
 //! semantics; every kernel is tested against it lane by lane.
 
-use super::batch::{ColumnVector, NumLanes, RowBatch, VectorData};
+use super::batch::{ColumnVector, NumLanes, RowBatch, StrLane, VectorData};
 use crate::error::Result;
 use crate::expr::{BinaryOperator, Expr, ScalarFunc};
 use crate::interpreter;
@@ -222,28 +222,37 @@ fn substr_kernel(args: &[Expr], batch: &RowBatch) -> Result<Option<Arc<ColumnVec
     if let Some(len) = &len {
         nulls = union_nulls(nulls.as_deref(), len.nulls(), n);
     }
-    let empty: Arc<str> = Arc::from("");
-    let mut lanes = vec![empty.clone(); n];
-    batch.for_each_selected(|i| {
+    let lane = |i: usize| {
         if nulls.as_ref().is_some_and(|m| m[i]) {
-            return;
+            return StrLane::default();
         }
         let start = (pos.at(i).max(1) - 1) as usize;
         let take = len.as_ref().map_or(usize::MAX, |l| l.at(i).max(0) as usize);
-        let s = &strs[i];
-        lanes[i] = if start == 0 && take >= s.len() {
-            s.clone() // the whole string: no char has fewer than one byte
-        } else if s.is_ascii() {
+        let lane = &strs[i];
+        if start == 0 && take >= lane.len() {
+            return lane.clone(); // the whole string: no char has fewer than one byte
+        }
+        let s = lane.as_str();
+        let (from, to) = if s.is_ascii() {
             let from = start.min(s.len());
-            let to = from.saturating_add(take).min(s.len());
-            match from < to {
-                true => Arc::from(&s[from..to]),
-                false => empty.clone(),
-            }
+            (from, from.saturating_add(take).min(s.len()))
         } else {
-            Arc::from(s.chars().skip(start).take(take).collect::<String>())
+            let at = |s: &str, chars| s.char_indices().nth(chars).map_or(s.len(), |(b, _)| b);
+            let from = at(s, start);
+            (from, from + at(&s[from..], take))
         };
-    });
+        StrLane::new(&s[from..to])
+    };
+    let lanes = match batch.selection() {
+        None => (0..n).map(lane).collect(),
+        Some(selected) => {
+            let mut lanes = vec![StrLane::default(); n];
+            selected
+                .iter()
+                .for_each(|&i| lanes[i as usize] = lane(i as usize));
+            lanes
+        }
+    };
     Ok(Some(Arc::new(ColumnVector::new(
         DataType::String,
         VectorData::Str(lanes),
@@ -260,7 +269,10 @@ fn broadcast(v: &Value, n: usize) -> Option<Arc<ColumnVector>> {
         Value::Float(x) => (DataType::Float, VectorData::Double(vec![*x as f64; n])),
         Value::Double(x) => (DataType::Double, VectorData::Double(vec![*x; n])),
         Value::Boolean(x) => (DataType::Boolean, VectorData::Bool(vec![*x; n])),
-        Value::Str(s) => (DataType::String, VectorData::Str(vec![s.clone(); n])),
+        Value::Str(s) => (
+            DataType::String,
+            VectorData::Str(vec![StrLane::shared(s.clone()); n]),
+        ),
         _ => return None,
     };
     Some(Arc::new(ColumnVector::new(dtype, data, None)))
@@ -331,6 +343,24 @@ fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<b
     }
 }
 
+/// The test a comparison operator applies to an [`Ordering`], or `None`
+/// for an operator that does not compare.
+///
+/// [`Ordering`]: std::cmp::Ordering
+fn comparison(op: BinaryOperator) -> Option<fn(std::cmp::Ordering) -> bool> {
+    use std::cmp::Ordering::*;
+    use BinaryOperator::*;
+    Some(match op {
+        Eq => |o| o == Equal,
+        NotEq => |o| o != Equal,
+        Lt => |o| o == Less,
+        LtEq => |o| o != Greater,
+        Gt => |o| o == Greater,
+        GtEq => |o| o != Less,
+        _ => return None,
+    })
+}
+
 /// Binary kernels with the interpreter's semantics:
 /// three-valued AND/OR, an integer fast path wrapping at the declared
 /// width (Hive `/` always fractional, `%`/`/` by zero ⇒ NULL), a widening
@@ -343,6 +373,7 @@ fn binary_kernel(
 ) -> Option<Arc<ColumnVector>> {
     use BinaryOperator::*;
     let n = l.len();
+    let test = comparison(op);
 
     if op == And || op == Or {
         let (lv, rv) = (l.bool_lanes()?, r.bool_lanes()?);
@@ -384,6 +415,9 @@ fn binary_kernel(
     if let (Some(lv), Some(rv)) = (l.long_lanes(), r.long_lanes()) {
         let nulls = union_nulls(l.nulls(), r.nulls(), n);
         let int = l.dtype == DataType::Int && r.dtype == DataType::Int;
+        if let Some(test) = test {
+            return Some(long_cmp(lv, rv, nulls, test));
+        }
         return Some(match op {
             Add => long_arith(lv, rv, nulls, int, i64::wrapping_add),
             Sub => long_arith(lv, rv, nulls, int, i64::wrapping_sub),
@@ -420,19 +454,26 @@ fn binary_kernel(
                     Some(nulls),
                 ))
             }
-            Eq => long_cmp(lv, rv, nulls, |o| o == std::cmp::Ordering::Equal),
-            NotEq => long_cmp(lv, rv, nulls, |o| o != std::cmp::Ordering::Equal),
-            Lt => long_cmp(lv, rv, nulls, |o| o == std::cmp::Ordering::Less),
-            LtEq => long_cmp(lv, rv, nulls, |o| o != std::cmp::Ordering::Greater),
-            Gt => long_cmp(lv, rv, nulls, |o| o == std::cmp::Ordering::Greater),
-            GtEq => long_cmp(lv, rv, nulls, |o| o != std::cmp::Ordering::Less),
-            And | Or => unreachable!(),
+            _ => unreachable!("{op:?} is neither arithmetic nor a comparison"),
         });
     }
 
     // Float path: both sides numeric, at least one fractional.
     if let (Some(lv), Some(rv)) = (l.num_lanes(), r.num_lanes()) {
         let nulls = union_nulls(l.nulls(), r.nulls(), n);
+        // Doubles compare by `f64::total_cmp`, the order of
+        // `Value::total_cmp`: NaN above every number and equal to itself,
+        // -0.0 below 0.0.
+        if let Some(test) = test {
+            let lanes = (0..n)
+                .map(|i| test(lv.f64_at(i).total_cmp(&rv.f64_at(i))))
+                .collect();
+            return Some(Arc::new(ColumnVector::new(
+                DataType::Boolean,
+                VectorData::Bool(lanes),
+                nulls,
+            )));
+        }
         let arith = |f: fn(f64, f64) -> f64, zero_is_null: bool| {
             let mut nulls = nulls.clone().unwrap_or_else(|| vec![false; n]);
             let mut lanes = vec![0f64; n];
@@ -450,67 +491,37 @@ fn binary_kernel(
                 Some(nulls),
             ))
         };
-        // Doubles compare by `f64::total_cmp`, the order of
-        // `Value::total_cmp`: NaN above every number and equal to itself,
-        // -0.0 below 0.0.
-        let cmp = |f: fn(std::cmp::Ordering) -> bool| {
-            let lanes = (0..n)
-                .map(|i| f(lv.f64_at(i).total_cmp(&rv.f64_at(i))))
-                .collect();
-            Arc::new(ColumnVector::new(
-                DataType::Boolean,
-                VectorData::Bool(lanes),
-                nulls.clone(),
-            ))
-        };
         return Some(match op {
             Add => arith(|a, b| a + b, false),
             Sub => arith(|a, b| a - b, false),
             Mul => arith(|a, b| a * b, false),
             Div => arith(|a, b| a / b, true),
             Mod => arith(|a, b| a % b, true),
-            Eq => cmp(|o| o == std::cmp::Ordering::Equal),
-            NotEq => cmp(|o| o != std::cmp::Ordering::Equal),
-            Lt => cmp(|o| o == std::cmp::Ordering::Less),
-            LtEq => cmp(|o| o != std::cmp::Ordering::Greater),
-            Gt => cmp(|o| o == std::cmp::Ordering::Greater),
-            GtEq => cmp(|o| o != std::cmp::Ordering::Less),
-            And | Or => unreachable!(),
+            _ => unreachable!("{op:?} is neither arithmetic nor a comparison"),
         });
     }
 
     // String comparisons and concatenation.
     if let (Some(lv), Some(rv)) = (l.str_lanes(), r.str_lanes()) {
         let nulls = union_nulls(l.nulls(), r.nulls(), n);
-        if op == Add {
-            let lanes = (0..n)
-                .map(|i| Arc::from(format!("{}{}", lv[i], rv[i])))
-                .collect();
-            return Some(Arc::new(ColumnVector::new(
-                DataType::String,
-                VectorData::Str(lanes),
-                nulls,
-            )));
-        }
-        let cmp = |f: fn(std::cmp::Ordering) -> bool| {
-            let lanes = (0..n)
-                .map(|i| f(lv[i].as_ref().cmp(rv[i].as_ref())))
-                .collect();
-            Arc::new(ColumnVector::new(
-                DataType::Boolean,
-                VectorData::Bool(lanes),
-                nulls.clone(),
-            ))
+        let (dtype, lanes) = match (op, test) {
+            (_, Some(test)) => {
+                let lanes = (0..n).map(|i| test(lv[i].as_bytes().cmp(rv[i].as_bytes())));
+                (DataType::Boolean, VectorData::Bool(lanes.collect()))
+            }
+            (Add, None) => {
+                let mut joined = String::new();
+                let lanes = (0..n).map(|i| {
+                    joined.clear();
+                    joined.push_str(lv[i].as_str());
+                    joined.push_str(rv[i].as_str());
+                    StrLane::new(&joined)
+                });
+                (DataType::String, VectorData::Str(lanes.collect()))
+            }
+            _ => return None,
         };
-        return match op {
-            Eq => Some(cmp(|o| o == std::cmp::Ordering::Equal)),
-            NotEq => Some(cmp(|o| o != std::cmp::Ordering::Equal)),
-            Lt => Some(cmp(|o| o == std::cmp::Ordering::Less)),
-            LtEq => Some(cmp(|o| o != std::cmp::Ordering::Greater)),
-            Gt => Some(cmp(|o| o == std::cmp::Ordering::Greater)),
-            GtEq => Some(cmp(|o| o != std::cmp::Ordering::Less)),
-            _ => None,
-        };
+        return Some(Arc::new(ColumnVector::new(dtype, lanes, nulls)));
     }
 
     None
@@ -530,7 +541,7 @@ fn long_cmp(
     lv: &[i64],
     rv: &[i64],
     nulls: Option<Vec<bool>>,
-    f: impl Fn(std::cmp::Ordering) -> bool,
+    f: fn(std::cmp::Ordering) -> bool,
 ) -> Arc<ColumnVector> {
     let lanes = lv.iter().zip(rv).map(|(a, b)| f(a.cmp(b))).collect();
     Arc::new(ColumnVector::new(
@@ -664,6 +675,21 @@ mod tests {
                     .map(Value::str)
                     .to_vec(),
             ),
+            // Strings around the 7 bytes a lane holds inline.
+            (
+                DataType::String,
+                [
+                    "abcdefghij",
+                    "seven77",
+                    "eight888",
+                    "äöüßéèêñ",
+                    "",
+                    "abcdefé",
+                    "ab",
+                ]
+                .map(Value::str)
+                .to_vec(),
+            ),
         ];
         // One NULL lane per column, at a different lane each.
         for (c, (_, values)) in columns.iter_mut().enumerate() {
@@ -688,6 +714,20 @@ mod tests {
         }
         for op in [Add, Eq, NotEq, Lt, LtEq, Gt, GtEq] {
             exprs.push(bin(col(5), op, col(5)));
+            exprs.push(bin(col(8), op, col(9)));
+        }
+        // A string column against a broadcast string literal, on either
+        // side, with literals that fit a lane and ones that do not.
+        for lit in ["", "seven77", "eight888", "ab", "äö", "naïve"] {
+            let lit = || Expr::Literal(Value::str(lit));
+            for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                for c in [5, 8, 9] {
+                    exprs.push(bin(col(c), op, lit()));
+                    exprs.push(bin(lit(), op, col(c)));
+                }
+                exprs.push(bin(lit(), op, Expr::Literal(Value::str("b"))));
+            }
+            exprs.push(bin(col(9), Add, lit()));
         }
         // Literals broadcast at their own width.
         exprs.push(bin(col(0), Add, Expr::Literal(Value::Int(1))));
@@ -735,7 +775,7 @@ mod tests {
             args,
         };
         let int = |v: i64| Expr::Literal(Value::Long(v));
-        for s in [5, 8] {
+        for s in [5, 8, 9] {
             for pos in [-3, 0, 1, 2, 4, 100] {
                 exprs.push(substr(vec![col(s), int(pos)]));
                 for len in [-1, 0, 1, 3, 100] {
@@ -747,6 +787,12 @@ mod tests {
             for (p, l) in [(0, 1), (2, 3), (3, 2), (1, 0)] {
                 exprs.push(substr(vec![col(s), col(p), col(l)]));
             }
+        }
+        // Results that cross the 7 bytes a lane holds inline, from ASCII
+        // and from wider chars.
+        for (pos, len) in [(1, 6), (1, 7), (1, 8), (2, 7), (2, 8), (3, 9)] {
+            exprs.push(substr(vec![col(9), int(pos), int(len)]));
+            exprs.push(substr(vec![col(8), int(pos), int(len)]));
         }
         exprs.push(Expr::Not(Box::new(col(6))));
         exprs.push(bin(col(6), And, col(7)));

@@ -12,7 +12,8 @@
 //! Layout:
 //!
 //! * [`batch`] — the storage types: [`VectorData`], [`ColumnVector`],
-//!   [`RowBatch`] and the batch→row compaction point
+//!   [`StrLane`] (a string lane, short strings inline), [`RowBatch`]
+//!   and the batch→row compaction point
 //!   ([`RowBatch::into_selected_rows`]).
 //! * [`kernels`] — columnar expression kernels ([`eval_batch`],
 //!   [`eval_projection_batch`], [`filter_batch`]).
@@ -45,6 +46,6 @@ pub mod hash;
 pub mod kernels;
 
 pub use accumulators::{Acc, AccLane, LaneAgg};
-pub use batch::{ColumnVector, RowBatch, VectorData, NULL_LANE};
+pub use batch::{ColumnVector, RowBatch, StrLane, VectorData, NULL_LANE};
 pub use hash::BatchGroups;
 pub use kernels::{eval_batch, eval_projection_batch, filter_batch};

@@ -16,7 +16,7 @@ use crate::encoding;
 use crate::stats::ColumnStats;
 use catalyst::types::{DataType, StructField};
 use catalyst::value::Value;
-use catalyst::vectorized::{ColumnVector, VectorData};
+use catalyst::vectorized::{ColumnVector, StrLane, VectorData};
 use std::sync::Arc;
 
 /// Physical layout of one column.
@@ -35,11 +35,11 @@ pub enum ColumnData {
     /// Plain f64.
     Double(Vec<f64>),
     /// Plain strings.
-    Str(Vec<Arc<str>>),
+    Str(Vec<StrLane>),
     /// Dictionary-encoded strings.
     DictStr {
         /// Distinct values.
-        dict: Vec<Arc<str>>,
+        dict: Vec<StrLane>,
         /// Per-row dictionary codes.
         codes: Vec<u32>,
     },
@@ -341,12 +341,12 @@ fn compressed(v: &ColumnVector) -> Option<ColumnData> {
             },
         )?),
         DataType::String => {
-            let raw = lanes(v, strs, Arc::from(""), Arc::clone, |x| match x {
-                Value::Str(s) => Some(s.clone()),
+            let raw = lanes(v, strs, StrLane::default(), StrLane::clone, |x| match x {
+                Value::Str(s) => Some(StrLane::shared(s.clone())),
                 _ => None,
             })?;
-            let distinct: std::collections::HashSet<&str> =
-                raw.iter().map(|s| s.as_ref()).collect();
+            let distinct: std::collections::HashSet<&[u8]> =
+                raw.iter().map(StrLane::as_bytes).collect();
             if distinct.len() * 2 <= raw.len() {
                 let (dict, codes) = encoding::dict_encode(&raw);
                 ColumnData::DictStr { dict, codes }

@@ -1,8 +1,8 @@
 //! Column encodings (§3.6: "columnar compression schemes such as
 //! dictionary encoding and run-length encoding").
 
+use catalyst::vectorized::StrLane;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Run-length encode a sequence.
 pub fn rle_encode<T: PartialEq + Copy>(values: &[T]) -> Vec<(T, u32)> {
@@ -27,12 +27,12 @@ pub fn rle_decode<T: Copy>(runs: &[(T, u32)]) -> Vec<T> {
 }
 
 /// Dictionary-encode strings: returns (dictionary, codes).
-pub fn dict_encode(values: &[Arc<str>]) -> (Vec<Arc<str>>, Vec<u32>) {
-    let mut dict: Vec<Arc<str>> = Vec::new();
-    let mut index: HashMap<Arc<str>, u32> = HashMap::new();
+pub fn dict_encode(values: &[StrLane]) -> (Vec<StrLane>, Vec<u32>) {
+    let mut dict: Vec<StrLane> = Vec::new();
+    let mut index: HashMap<&[u8], u32> = HashMap::new();
     let mut codes = Vec::with_capacity(values.len());
     for v in values {
-        let code = *index.entry(v.clone()).or_insert_with(|| {
+        let code = *index.entry(v.as_bytes()).or_insert_with(|| {
             dict.push(v.clone());
             (dict.len() - 1) as u32
         });
@@ -59,7 +59,7 @@ pub fn bool_get(words: &[u64], i: usize) -> bool {
 }
 
 /// Approximate heap bytes of a string payload.
-pub fn str_bytes(s: &Arc<str>) -> u64 {
+pub fn str_bytes(s: &StrLane) -> u64 {
     16 + s.len() as u64
 }
 
@@ -77,13 +77,10 @@ mod tests {
 
     #[test]
     fn dict_roundtrip() {
-        let vals: Vec<Arc<str>> = ["a", "b", "a", "c", "b"]
-            .iter()
-            .map(|s| Arc::from(*s))
-            .collect();
+        let vals: Vec<StrLane> = ["a", "b", "a", "c", "b"].map(StrLane::new).to_vec();
         let (dict, codes) = dict_encode(&vals);
         assert_eq!(dict.len(), 3);
-        let decoded: Vec<Arc<str>> = codes.iter().map(|&c| dict[c as usize].clone()).collect();
+        let decoded: Vec<StrLane> = codes.iter().map(|&c| dict[c as usize].clone()).collect();
         assert_eq!(decoded, vals);
     }
 

@@ -16,6 +16,7 @@ use catalyst::error::{CatalystError, Result};
 use catalyst::ndv::NdvSketch;
 use catalyst::types::{DataType, StructField};
 use catalyst::value::Value;
+use catalyst::vectorized::StrLane;
 use std::sync::Arc;
 
 // ---- value serialization (tagged) ----
@@ -137,6 +138,16 @@ pub fn get_str(buf: &mut Bytes) -> Result<String> {
     let mut v = vec![0u8; n];
     buf.copy_to_slice(&mut v);
     String::from_utf8(v).map_err(|_| corrupt("invalid utf8"))
+}
+
+/// Read a length-prefixed UTF-8 string straight into a string lane, with
+/// no `String` in between.
+fn get_lane(buf: &mut Bytes) -> Result<StrLane> {
+    let n = count(buf, 1)?;
+    let s = std::str::from_utf8(&buf.as_slice()[..n]).map_err(|_| corrupt("invalid utf8"))?;
+    let lane = StrLane::new(s);
+    buf.advance(n);
+    Ok(lane)
 }
 
 /// The error readers surface for malformed input.
@@ -309,12 +320,12 @@ pub fn put_column(buf: &mut BytesMut, c: &EncodedColumn) {
         ColumnData::Str(v) => {
             buf.put_u8(6);
             buf.put_u32(v.len() as u32);
-            v.iter().for_each(|s| put_str(buf, s));
+            v.iter().for_each(|s| put_str(buf, s.as_str()));
         }
         ColumnData::DictStr { dict, codes } => {
             buf.put_u8(7);
             buf.put_u32(dict.len() as u32);
-            dict.iter().for_each(|s| put_str(buf, s));
+            dict.iter().for_each(|s| put_str(buf, s.as_str()));
             buf.put_u32(codes.len() as u32);
             codes.iter().for_each(|c| buf.put_u32(*c));
         }
@@ -428,7 +439,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             let n = count(buf, 4)?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
-                v.push(Arc::from(get_str(buf)?));
+                v.push(get_lane(buf)?);
             }
             ColumnData::Str(v)
         }
@@ -436,7 +447,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<EncodedColumn> {
             let nd = count(buf, 4)?;
             let mut dict = Vec::with_capacity(nd);
             for _ in 0..nd {
-                dict.push(Arc::from(get_str(buf)?));
+                dict.push(get_lane(buf)?);
             }
             let nc = count(buf, 4)?;
             let mut codes = Vec::with_capacity(nc);

@@ -229,7 +229,7 @@ mod tests {
     /// declared Float/Double, and boxed lanes that conform to their type
     /// and that do not.
     fn arb_vector(rng: &mut StdRng, kind: usize, n: usize) -> ColumnVector {
-        use catalyst::vectorized::VectorData;
+        use catalyst::vectorized::{StrLane, VectorData};
         let mut longs = || (0..n).map(|_| rng.random_range(-1000i64..1000)).collect();
         let (dtype, data) = match kind {
             0..=3 => {
@@ -252,7 +252,9 @@ mod tests {
                 VectorData::Bool((0..n).map(|i| i % 3 == 0).collect()),
             ),
             7 => {
-                let lanes = (0..n).map(|i| Arc::from(["", "a", "человек", "zz"][i % 4]));
+                // Inline (at most 7 bytes) and shared string lanes.
+                let strs = ["", "a", "человек", "zz", "seven77", "eight888"];
+                let lanes = (0..n).map(|i| StrLane::new(strs[i % strs.len()]));
                 (DataType::String, VectorData::Str(lanes.collect()))
             }
             8 => {

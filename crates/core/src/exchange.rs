@@ -27,7 +27,6 @@ use catalyst::physical::{BuildSide, Partitioning, PhysicalPlan};
 use catalyst::plan::JoinType;
 use catalyst::row::Row;
 use catalyst::types::DataType;
-use catalyst::value::Value;
 use catalyst::vectorized::{ColumnVector, RowBatch};
 use engine::pair::SortedPairRdd;
 use engine::rdd::Dependency;
@@ -38,7 +37,7 @@ use engine::{
     ShuffleDependency, ShuffleReadSpec,
 };
 use std::cmp::Ordering;
-use std::hash::Hash;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// An `Exchange` node bound for lowering by the operator above it.
@@ -267,18 +266,35 @@ impl Route {
                 });
             }
             Route::Hash { prefix, partitions } => {
-                // A `Vec` hashes as the slice a `PrefixPartitioner` hashes.
-                let partitioner = HashPartitioner::<Vec<Value>>::new(*partitions);
                 let columns = &keys.columns()[..*prefix];
-                let mut values = Vec::with_capacity(*prefix);
                 keys.for_each_selected(|i| {
-                    values.clear();
-                    values.extend(columns.iter().map(|c| c.get(i)));
-                    members[partitioner.partition(&values)].push(i as u32);
+                    members[hash_route(columns, i, *partitions)].push(i as u32);
                 });
             }
         }
     }
+}
+
+/// The reducer a [`PrefixPartitioner`] sends a key whose PARTITION BY
+/// values are lane `i` of `columns`. The `DefaultHasher` gets the writes
+/// hashing those values as a `[Value]` makes — the slice's length, then
+/// each value — with a string lane's written from its bytes (the tag
+/// `2u8`, the bytes, `str`'s `0xff` terminator), so no `Value` is built
+/// for it.
+fn hash_route(columns: &[Arc<ColumnVector>], i: usize, partitions: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    h.write_usize(columns.len());
+    for c in columns {
+        match c.str_lanes() {
+            Some(lanes) if !c.is_null(i) => {
+                h.write_u8(2);
+                h.write(lanes[i].as_bytes());
+                h.write_u8(0xff);
+            }
+            _ => c.get(i).hash(&mut h),
+        }
+    }
+    (h.finish() % partitions.max(1) as u64) as usize
 }
 
 /// Routes a record keyed by its reduce partition to that partition.
@@ -473,5 +489,73 @@ impl<'a> HashPair<'a> {
         }
         let (lread, rread) = (lmat.read(lspecs), rmat.read(rspecs));
         Ok((cancel_checked(&lread, ctx), cancel_checked(&rread, ctx)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use catalyst::value::Value;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// `Route::Hash` reads lanes where a [`PrefixPartitioner`] reads the
+    /// key's values; both must send every key to the same reducer.
+    #[test]
+    fn lane_routing_is_prefix_partitioner_routing() {
+        let strs = [
+            "",
+            "seven77",
+            "eight888",
+            "twenty-bytes-long-xx",
+            "naïve",
+            "日本",
+        ];
+        let edges = |dtype: &DataType| -> Vec<Value> {
+            let mut values = match dtype {
+                DataType::String => strs.map(Value::str).to_vec(),
+                DataType::Int => vec![Value::Int(0), Value::Int(-7), Value::Int(i32::MAX)],
+                DataType::Long => vec![Value::Long(1), Value::Long(i64::MIN)],
+                _ => vec![Value::Date(0), Value::Date(19_000)],
+            };
+            values.push(Value::Null);
+            values
+        };
+        let dtypes = [
+            DataType::String,
+            DataType::Int,
+            DataType::Long,
+            DataType::Date,
+        ];
+        let mut rng = StdRng::seed_from_u64(44);
+        for round in 0..200 {
+            let width = 1 + round % 3;
+            let rows = 1 + rng.random_range(0..40);
+            let columns: Vec<(DataType, Vec<Value>)> = (0..width)
+                .map(|_| {
+                    let dtype = dtypes[rng.random_range(0..dtypes.len())].clone();
+                    let pool = edges(&dtype);
+                    let values = (0..rows).map(|_| pool[rng.random_range(0..pool.len())].clone());
+                    (dtype, values.collect())
+                })
+                .collect();
+            let vectors: Vec<Arc<ColumnVector>> = (columns.iter())
+                .map(|(dtype, values)| Arc::new(ColumnVector::from_values(dtype, values.clone())))
+                .collect();
+            let partitions = 1 + rng.random_range(0..8);
+            let prefix = 1 + rng.random_range(0..width);
+            let route = Route::Hash { prefix, partitions };
+            let mut members = vec![Vec::new(); partitions];
+            route.split(&RowBatch::new(vectors, rows), &mut members);
+            let partitioner = PrefixPartitioner { prefix, partitions };
+            for (reducer, lanes) in members.iter().enumerate() {
+                for &i in lanes {
+                    let key = columns.iter().map(|(_, values)| values[i as usize].clone());
+                    let key = SortKey::new(key.collect(), 0);
+                    assert_eq!(partitioner.partition(&key), reducer, "{:?}", key.values());
+                }
+            }
+            assert_eq!(members.iter().map(Vec::len).sum::<usize>(), rows);
+        }
     }
 }

@@ -60,7 +60,7 @@ use catalyst::physical::PhysicalPlan;
 use catalyst::row::Row;
 use catalyst::types::DataType;
 use catalyst::value::Value;
-use catalyst::vectorized::{self, ColumnVector, RowBatch, VectorData};
+use catalyst::vectorized::{self, ColumnVector, RowBatch, StrLane, VectorData};
 use engine::{task, BoxIter, MemoryReservation, RddRef};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -161,7 +161,7 @@ enum Lanes<'a> {
     /// Double lanes.
     Double(&'a [f64]),
     Bool(&'a [bool]),
-    Str(&'a [Arc<str>]),
+    Str(&'a [StrLane]),
     /// Boxed values, compared as values.
     Boxed,
 }
