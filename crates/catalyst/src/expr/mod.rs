@@ -77,6 +77,21 @@ impl BinaryOperator {
         matches!(self, BinaryOperator::And | BinaryOperator::Or)
     }
 
+    /// The type `l op r` has: BOOLEAN for a comparison or connective,
+    /// DOUBLE for `/` (Hive), BIGINT for `%` of two integers and DOUBLE
+    /// for any other `%`, else the operands' common type (`None` when they
+    /// have none). Arithmetic is computed at this type.
+    pub fn result_type(self, l: &DataType, r: &DataType) -> Option<DataType> {
+        use BinaryOperator::*;
+        match self {
+            _ if self.is_comparison() || self.is_boolean() => Some(DataType::Boolean),
+            Div => Some(DataType::Double),
+            Mod if l.is_integral() && r.is_integral() => Some(DataType::Long),
+            Mod => Some(DataType::Double),
+            _ => DataType::tightest_common_type(l, r),
+        }
+    }
+
     /// SQL token for display.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -539,17 +554,9 @@ impl Expr {
                 }
                 let lt = left.data_type()?;
                 let rt = right.data_type()?;
-                match op {
-                    BinaryOperator::Div => Ok(DataType::Double),
-                    BinaryOperator::Mod => Ok(if lt.is_integral() && rt.is_integral() {
-                        DataType::Long
-                    } else {
-                        DataType::Double
-                    }),
-                    _ => DataType::tightest_common_type(&lt, &rt).ok_or_else(|| {
-                        CatalystError::analysis(format!("incompatible operand types {lt} and {rt}"))
-                    }),
-                }
+                op.result_type(&lt, &rt).ok_or_else(|| {
+                    CatalystError::analysis(format!("incompatible operand types {lt} and {rt}"))
+                })
             }
             Expr::Not(_)
             | Expr::IsNull(_)

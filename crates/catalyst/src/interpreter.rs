@@ -3,14 +3,16 @@
 //! Evaluates a bound expression against a row by recursively matching on
 //! node types — exactly the "large amounts of branches and virtual
 //! function calls" evaluation mode that §4.3.4 of the paper contrasts
-//! with code generation. It is the one definition of expression
-//! semantics: the columnar kernels in [`crate::vectorized`] remove the
-//! overhead and are tested against it lane by lane; Figure 4 measures
-//! the difference.
+//! with code generation. The columnar kernels in [`crate::vectorized`]
+//! remove that overhead; both evaluators unpack their operands and call
+//! the one definition of each scalar rule in [`crate::scalar`], so they
+//! differ in speed only (Figure 4 measures by how much), and the kernels
+//! are tested against this evaluator lane by lane.
 
 use crate::error::{CatalystError, Result};
 use crate::expr::{BinaryOperator, ColumnRef, Expr, ScalarFunc};
 use crate::row::Row;
+use crate::scalar;
 use crate::tree::{Transformed, TreeNode};
 use crate::types::DataType;
 use crate::value::Value;
@@ -61,7 +63,7 @@ pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
         Expr::BinaryOp { left, op, right } => eval_binary(left, *op, right, row),
         Expr::Not(e) => match eval(e, row)? {
             Value::Null => Ok(Value::Null),
-            Value::Boolean(b) => Ok(Value::Boolean(!b)),
+            Value::Boolean(b) => Ok(Value::Boolean(scalar::not(b))),
             v => Err(CatalystError::eval(format!("NOT applied to {}", v.dtype()))),
         },
         Expr::Negate(e) => eval(e, row)?.neg(),
@@ -222,76 +224,29 @@ pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
 }
 
 fn eval_binary(left: &Expr, op: BinaryOperator, right: &Expr, row: &Row) -> Result<Value> {
-    use BinaryOperator::*;
-    // AND/OR use SQL three-valued logic with short-circuiting.
-    if op == And || op == Or {
-        let l = eval(left, row)?;
-        let lb = l.as_bool();
-        match (op, lb) {
-            (And, Some(false)) => return Ok(Value::Boolean(false)),
-            (Or, Some(true)) => return Ok(Value::Boolean(true)),
-            _ => {}
-        }
-        let r = eval(right, row)?;
-        let rb = r.as_bool();
-        return Ok(match op {
-            And => match (lb, rb) {
-                (Some(false), _) | (_, Some(false)) => Value::Boolean(false),
-                (Some(true), Some(true)) => Value::Boolean(true),
-                _ => Value::Null,
-            },
-            Or => match (lb, rb) {
-                (Some(true), _) | (_, Some(true)) => Value::Boolean(true),
-                (Some(false), Some(false)) => Value::Boolean(false),
-                _ => Value::Null,
-            },
-            _ => unreachable!(),
-        });
+    if op.is_boolean() {
+        let f = if op == BinaryOperator::And {
+            scalar::and
+        } else {
+            scalar::or
+        };
+        let a = eval(left, row)?.as_bool();
+        // Short-circuit: the right side runs only when the left does not
+        // decide alone, i.e. when a NULL right side would leave it open.
+        let out = match f(a, None) {
+            Some(v) => Some(v),
+            None => f(a, eval(right, row)?.as_bool()),
+        };
+        return Ok(out.map_or(Value::Null, Value::Boolean));
     }
-
     let l = eval(left, row)?;
     let r = eval(right, row)?;
-    match op {
-        Add | Sub | Mul => match (l.as_i64(), r.as_i64()) {
-            // Integral arithmetic wraps at the declared width, as in Java
-            // (the paper-era Spark and Hive rule): INT with INT is INT,
-            // anything with a BIGINT is BIGINT.
-            (Some(a), Some(b)) => {
-                let v = match op {
-                    Add => a.wrapping_add(b),
-                    Sub => a.wrapping_sub(b),
-                    _ => a.wrapping_mul(b),
-                };
-                Ok(match (&l, &r) {
-                    (Value::Int(_), Value::Int(_)) => Value::Int(v as i32),
-                    _ => Value::Long(v),
-                })
-            }
-            _ => match op {
-                Add => l.add(&r),
-                Sub => l.sub(&r),
-                _ => l.mul(&r),
-            },
-        },
-        Div => l.div(&r),
-        Mod => l.rem(&r),
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => {
-            let cmp = l.sql_cmp(&r);
-            Ok(match cmp {
-                None => Value::Null,
-                Some(ord) => Value::Boolean(match op {
-                    Eq => ord == Ordering::Equal,
-                    NotEq => ord != Ordering::Equal,
-                    Lt => ord == Ordering::Less,
-                    LtEq => ord != Ordering::Greater,
-                    Gt => ord == Ordering::Greater,
-                    GtEq => ord != Ordering::Less,
-                    _ => unreachable!(),
-                }),
-            })
-        }
-        And | Or => unreachable!(),
+    if let Some(test) = scalar::comparison(op) {
+        return Ok(l
+            .sql_cmp(&r)
+            .map_or(Value::Null, |o| Value::Boolean(test(o))));
     }
+    l.arith(op, &r)
 }
 
 /// Apply a built-in scalar function to already-evaluated arguments.
@@ -323,13 +278,12 @@ pub fn apply_scalar_fn(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
     }
     match func {
         Substr => {
-            let s = req_str(&vals[0])?;
-            let pos = req_i64(&vals[1])?;
-            let len = vals.get(2).map(req_i64).transpose()?.unwrap_or(i64::MAX);
-            // SQL SUBSTR: 1-based; pos 0 behaves like 1.
-            let start = (pos.max(1) - 1) as usize;
-            let out: String = s.chars().skip(start).take(len.max(0) as usize).collect();
-            Ok(Value::str(out))
+            let len = vals.get(2).map(req_i64).transpose()?;
+            Ok(Value::str(scalar::substr(
+                req_str(&vals[0])?,
+                req_i64(&vals[1])?,
+                len,
+            )))
         }
         Length => Ok(Value::Int(req_str(&vals[0])?.chars().count() as i32)),
         Upper => Ok(Value::str(req_str(&vals[0])?.to_uppercase())),

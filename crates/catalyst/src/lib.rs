@@ -19,9 +19,10 @@
 //! 4. **Expression evaluation**: columnar kernels over batches
 //!    ([`vectorized`]) — this crate's substitute for the paper's
 //!    quasiquote-based code generation, since both remove per-row
-//!    interpretation overhead — with the tree-walking [`interpreter`]
-//!    as the definition of the semantics, the fallback where no kernel
-//!    exists, and the row-at-a-time evaluator.
+//!    interpretation overhead — and the tree-walking [`interpreter`]
+//!    as the fallback where no kernel exists and the row-at-a-time
+//!    evaluator. Both call the one definition of each scalar rule in
+//!    [`scalar`].
 //!
 //! Extension points mirror the paper's: user rule batches, planning
 //! strategies, data sources, UDFs and user-defined types.
@@ -43,6 +44,7 @@ pub mod optimizer;
 pub mod physical;
 pub mod plan;
 pub mod rules;
+pub mod scalar;
 pub mod schema;
 pub mod source;
 pub mod tree;

@@ -87,14 +87,18 @@ impl Filter {
 
     /// Evaluate against a value of the filtered column.
     pub fn matches(&self, v: &Value) -> bool {
-        use std::cmp::Ordering::*;
+        use crate::expr::BinaryOperator::*;
+        let holds = |op, w: &Value| {
+            let test = crate::scalar::comparison(op);
+            test.is_some_and(|test| v.sql_cmp(w).is_some_and(test))
+        };
         match self {
-            Filter::Eq(_, w) => v.sql_cmp(w) == Some(Equal),
-            Filter::Gt(_, w) => v.sql_cmp(w) == Some(Greater),
-            Filter::GtEq(_, w) => matches!(v.sql_cmp(w), Some(Greater | Equal)),
-            Filter::Lt(_, w) => v.sql_cmp(w) == Some(Less),
-            Filter::LtEq(_, w) => matches!(v.sql_cmp(w), Some(Less | Equal)),
-            Filter::In(_, list) => list.iter().any(|w| v.sql_cmp(w) == Some(Equal)),
+            Filter::Eq(_, w) => holds(Eq, w),
+            Filter::Gt(_, w) => holds(Gt, w),
+            Filter::GtEq(_, w) => holds(GtEq, w),
+            Filter::Lt(_, w) => holds(Lt, w),
+            Filter::LtEq(_, w) => holds(LtEq, w),
+            Filter::In(_, list) => list.iter().any(|w| holds(Eq, w)),
             Filter::IsNotNull(_) => !v.is_null(),
             Filter::IsNull(_) => v.is_null(),
             Filter::StringStartsWith(_, p) => v.as_str().is_some_and(|s| s.starts_with(p)),

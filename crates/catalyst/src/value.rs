@@ -10,6 +10,8 @@
 //! canonicalized) so they can serve directly as grouping and sort keys.
 
 use crate::error::{CatalystError, Result};
+use crate::expr::BinaryOperator;
+use crate::scalar::{self, Num, Numeric};
 use crate::types::DataType;
 use std::cmp::Ordering;
 use std::fmt;
@@ -177,55 +179,67 @@ impl Value {
         binary_numeric(self, other, "*", |a, b| a.checked_mul(b), |a, b| a * b)
     }
 
-    /// Divide; integral division by zero yields NULL (Hive semantics),
-    /// float division follows IEEE.
-    pub fn div(&self, other: &Value) -> Result<Value> {
+    /// `self op other` for an arithmetic `op`, as an expression computes
+    /// it: two numbers at the operation's result type by [`scalar::arith`]
+    /// (INT wraps, `/` and `%` by zero are NULL), anything else by
+    /// [`add`](Self::add), [`sub`](Self::sub) or [`mul`](Self::mul).
+    pub fn arith(&self, op: BinaryOperator, other: &Value) -> Result<Value> {
         if self.is_null() || other.is_null() {
             return Ok(Value::Null);
         }
-        match (self.as_f64(), other.as_f64()) {
-            (Some(a), Some(b)) => Ok(if b == 0.0 {
-                Value::Null
-            } else {
-                Value::Double(a / b)
-            }),
-            _ => Err(type_err("/", self, other)),
+        // A DECIMAL meets a number as a double: the result type is DOUBLE
+        // whenever it is numeric.
+        let num = |v: &Value| v.num().or_else(|| v.as_f64().map(Num::F));
+        let t = op.result_type(&self.dtype(), &other.dtype());
+        if let (Some(a), Some(b), Some(t)) =
+            (num(self), num(other), t.as_ref().and_then(Numeric::of))
+        {
+            return Ok(scalar::arith(op, a, b, t).map_or(Value::Null, |x| Value::from_num(x, t)));
+        }
+        match op {
+            BinaryOperator::Add => self.add(other),
+            BinaryOperator::Sub => self.sub(other),
+            BinaryOperator::Mul => self.mul(other),
+            _ => Err(type_err(op.symbol(), self, other)),
         }
     }
 
-    /// Modulo; by-zero yields NULL.
-    pub fn rem(&self, other: &Value) -> Result<Value> {
-        if self.is_null() || other.is_null() {
-            return Ok(Value::Null);
-        }
-        match (self, other) {
-            (a, b) if a.as_i64().is_some() && b.as_i64().is_some() => {
-                let (a, b) = (a.as_i64().unwrap(), b.as_i64().unwrap());
-                if b == 0 {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Long(a.wrapping_rem(b)))
-                }
-            }
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(a), Some(b)) if b != 0.0 => Ok(Value::Double(a % b)),
-                (Some(_), Some(_)) => Ok(Value::Null),
-                _ => Err(type_err("%", a, b)),
+    /// Arithmetic negation at the value's own type (see [`scalar`]).
+    pub fn neg(&self) -> Result<Value> {
+        let t = Numeric::of(&self.dtype());
+        match (self.num(), t) {
+            (Some(Num::I(x)), Some(t)) => Ok(Value::from_num(Num::I(scalar::neg_int(x, t)), t)),
+            (Some(Num::F(x)), Some(t)) => Ok(Value::from_num(Num::F(scalar::neg_float(x)), t)),
+            _ => match self {
+                Value::Null => Ok(Value::Null),
+                Value::Decimal(u, p, s) => Ok(Value::Decimal(-u, *p, *s)),
+                v => Err(CatalystError::eval(format!("cannot negate {v}"))),
             },
         }
     }
 
-    /// Arithmetic negation; integers wrap at their width (`-MIN` is
-    /// `MIN`), as in Java.
-    pub fn neg(&self) -> Result<Value> {
-        match self {
-            Value::Null => Ok(Value::Null),
-            Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
-            Value::Long(v) => Ok(Value::Long(v.wrapping_neg())),
-            Value::Float(v) => Ok(Value::Float(-v)),
-            Value::Double(v) => Ok(Value::Double(-v)),
-            Value::Decimal(u, p, s) => Ok(Value::Decimal(-u, *p, *s)),
-            v => Err(CatalystError::eval(format!("cannot negate {v}"))),
+    /// An INT, BIGINT, FLOAT or DOUBLE in the domain a kernel lane
+    /// stores it in; `None` for any other value.
+    #[inline]
+    pub fn num(&self) -> Option<Num> {
+        match *self {
+            Value::Int(v) => Some(Num::I(v.into())),
+            Value::Long(v) => Some(Num::I(v)),
+            Value::Float(v) => Some(Num::F(v.into())),
+            Value::Double(v) => Some(Num::F(v)),
+            _ => None,
+        }
+    }
+
+    /// The value of type `t` that `x`, a number already of that type,
+    /// holds.
+    #[inline]
+    pub fn from_num(x: Num, t: Numeric) -> Value {
+        match (x, t) {
+            (Num::I(x), Numeric::Int) => Value::Int(x as i32),
+            (Num::I(x), _) => Value::Long(x),
+            (Num::F(x), Numeric::Float) => Value::Float(x as f32),
+            (Num::F(x), _) => Value::Double(x),
         }
     }
 
@@ -246,7 +260,7 @@ impl Value {
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
             (Boolean(a), Boolean(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Str(a), Str(b)) => scalar::cmp_str(a.as_bytes(), b.as_bytes()),
             (Binary(a), Binary(b)) => a.as_ref().cmp(b.as_ref()),
             (Date(a), Date(b)) => a.cmp(b),
             (Timestamp(a), Timestamp(b)) => a.cmp(b),
@@ -264,7 +278,7 @@ impl Value {
             (a, b) => match (a.as_i64(), b.as_i64()) {
                 (Some(x), Some(y)) => x.cmp(&y),
                 _ => match (a.as_f64(), b.as_f64()) {
-                    (Some(x), Some(y)) => x.total_cmp(&y),
+                    (Some(x), Some(y)) => scalar::cmp_double(x, y),
                     _ => type_rank(a).cmp(&type_rank(b)),
                 },
             },
@@ -281,6 +295,30 @@ impl Value {
         if &self.dtype() == target {
             return Ok(self.clone());
         }
+        if let Some(t) = Numeric::of(target) {
+            let x = match self {
+                Value::Str(s) => {
+                    let s = s.trim();
+                    let v = match t {
+                        Numeric::Int => s.parse().map(Value::Int).ok(),
+                        Numeric::Long => s.parse().map(Value::Long).ok(),
+                        Numeric::Float => s.parse().map(Value::Float).ok(),
+                        Numeric::Double => s.parse().map(Value::Double).ok(),
+                    };
+                    return Ok(v.unwrap_or(Value::Null));
+                }
+                Value::Boolean(b) if t.is_integral() => Num::I(i64::from(*b)),
+                Value::Decimal(u, _, s) if t.is_integral() => {
+                    Num::I((u / 10i128.pow(*s as u32)) as i64)
+                }
+                // A DECIMAL casts to a float through the double it rounds to.
+                Value::Decimal(..) => Num::F(self.as_f64().unwrap_or_default()),
+                Value::Date(d) if t.is_integral() => Num::I(i64::from(*d)),
+                Value::Timestamp(x) if t == Numeric::Long => Num::I(*x),
+                v => v.num().ok_or_else(|| cast_err(self, target))?,
+            };
+            return Ok(Value::from_num(scalar::cast(x, t), t));
+        }
         let out = match target {
             T::Boolean => match self {
                 Value::Int(v) => Value::Boolean(*v != 0),
@@ -291,57 +329,6 @@ impl Value {
                     _ => Value::Null,
                 },
                 _ => return Err(cast_err(self, target)),
-            },
-            T::Int => match self {
-                Value::Long(v) => Value::Int(*v as i32),
-                Value::Float(v) => Value::Int(*v as i32),
-                Value::Double(v) => Value::Int(*v as i32),
-                Value::Boolean(b) => Value::Int(i32::from(*b)),
-                Value::Decimal(u, _, s) => Value::Int((u / 10i128.pow(*s as u32)) as i32),
-                Value::Str(s) => s
-                    .trim()
-                    .parse::<i32>()
-                    .map(Value::Int)
-                    .unwrap_or(Value::Null),
-                Value::Date(d) => Value::Int(*d),
-                _ => return Err(cast_err(self, target)),
-            },
-            T::Long => match self {
-                Value::Int(v) => Value::Long(*v as i64),
-                Value::Float(v) => Value::Long(*v as i64),
-                Value::Double(v) => Value::Long(*v as i64),
-                Value::Boolean(b) => Value::Long(i64::from(*b)),
-                Value::Decimal(u, _, s) => Value::Long((u / 10i128.pow(*s as u32)) as i64),
-                Value::Str(s) => s
-                    .trim()
-                    .parse::<i64>()
-                    .map(Value::Long)
-                    .unwrap_or(Value::Null),
-                Value::Timestamp(t) => Value::Long(*t),
-                Value::Date(d) => Value::Long(*d as i64),
-                _ => return Err(cast_err(self, target)),
-            },
-            T::Float => match self.as_f64() {
-                Some(v) => Value::Float(v as f32),
-                None => match self {
-                    Value::Str(s) => s
-                        .trim()
-                        .parse::<f32>()
-                        .map(Value::Float)
-                        .unwrap_or(Value::Null),
-                    _ => return Err(cast_err(self, target)),
-                },
-            },
-            T::Double => match self.as_f64() {
-                Some(v) => Value::Double(v),
-                None => match self {
-                    Value::Str(s) => s
-                        .trim()
-                        .parse::<f64>()
-                        .map(Value::Double)
-                        .unwrap_or(Value::Null),
-                    _ => return Err(cast_err(self, target)),
-                },
             },
             T::Decimal(p, s) => match self {
                 Value::Int(v) => Value::Decimal(*v as i128 * 10i128.pow(*s as u32), *p, *s),
@@ -676,14 +663,26 @@ mod tests {
 
     #[test]
     fn division_by_zero_is_null() {
-        assert_eq!(Value::Int(1).div(&Value::Int(0)).unwrap(), Value::Null);
-        assert_eq!(Value::Long(7).rem(&Value::Long(0)).unwrap(), Value::Null);
+        assert_eq!(
+            Value::Int(1)
+                .arith(BinaryOperator::Div, &Value::Int(0))
+                .unwrap(),
+            Value::Null
+        );
+        assert_eq!(
+            Value::Long(7)
+                .arith(BinaryOperator::Mod, &Value::Long(0))
+                .unwrap(),
+            Value::Null
+        );
     }
 
     #[test]
     fn division_promotes_to_double() {
         assert_eq!(
-            Value::Int(7).div(&Value::Int(2)).unwrap(),
+            Value::Int(7)
+                .arith(BinaryOperator::Div, &Value::Int(2))
+                .unwrap(),
             Value::Double(3.5)
         );
     }

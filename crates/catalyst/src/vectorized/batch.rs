@@ -285,16 +285,6 @@ pub(super) enum NumLanes<'a> {
     F(&'a [f64]),
 }
 
-impl NumLanes<'_> {
-    #[inline]
-    pub(super) fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            NumLanes::I(v) => v[i] as f64,
-            NumLanes::F(v) => v[i],
-        }
-    }
-}
-
 impl ColumnVector {
     /// Build a vector from raw parts. `nulls`, when present, must be as
     /// long as `data`.
@@ -576,31 +566,6 @@ impl ColumnVector {
             (DataType::String, VectorData::Str(v)) => Some(v),
             _ => None,
         }
-    }
-
-    /// Re-tag a vector to the dtype an expression declares (e.g. Long
-    /// lanes produced by integer arithmetic re-tagged as Int), mirroring
-    /// `Compiled::eval_value`. Incompatible combinations are returned
-    /// unchanged.
-    pub(super) fn retagged(self: Arc<Self>, declared: &DataType) -> Arc<ColumnVector> {
-        if &self.dtype == declared {
-            return self;
-        }
-        let compatible = matches!(
-            (&self.data, declared),
-            (VectorData::Long(_), DataType::Int | DataType::Long)
-                | (VectorData::Double(_), DataType::Float | DataType::Double)
-                | (VectorData::Bool(_), DataType::Boolean)
-                | (VectorData::Str(_), DataType::String)
-        );
-        if !compatible {
-            return self;
-        }
-        Arc::new(ColumnVector::new(
-            declared.clone(),
-            self.data.clone(),
-            self.nulls.clone(),
-        ))
     }
 }
 

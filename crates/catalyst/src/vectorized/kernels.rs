@@ -2,15 +2,21 @@
 //!
 //! A kernel where one exists, else the tree-walking interpreter on the
 //! selected lanes only (see the module docs in
-//! [`vectorized`](crate::vectorized)). The interpreter defines the
-//! semantics; every kernel is tested against it lane by lane.
+//! [`vectorized`](crate::vectorized)). A kernel holds no SQL rule of its
+//! own: it unions its operands' NULLs and calls, lane by lane, the
+//! function of [`scalar`] that the interpreter calls for one row, and
+//! tags its output with the expression's declared type. Every kernel is
+//! tested against the interpreter lane by lane, type tags and bits
+//! included.
 
 use super::batch::{ColumnVector, NumLanes, RowBatch, StrLane, VectorData};
 use crate::error::Result;
 use crate::expr::{BinaryOperator, Expr, ScalarFunc};
 use crate::interpreter;
+use crate::scalar::{self, Num, Numeric};
 use crate::types::DataType;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Evaluate `expr` over a batch, returning one output lane per physical
@@ -24,18 +30,12 @@ pub fn eval_batch(expr: &Expr, batch: &RowBatch) -> Result<Arc<ColumnVector>> {
     }
 }
 
-/// Evaluate a projection column-at-a-time. Output columns are re-tagged
-/// to each expression's declared type; the input selection carries over.
+/// Evaluate a projection column-at-a-time; each output column has its
+/// expression's declared type, and the input selection carries over.
 pub fn eval_projection_batch(exprs: &[Expr], batch: &RowBatch) -> Result<RowBatch> {
     let columns = exprs
         .iter()
-        .map(|e| {
-            let v = eval_batch(e, batch)?;
-            Ok(match e.data_type() {
-                Ok(declared) => v.retagged(&declared),
-                Err(_) => v,
-            })
-        })
+        .map(|e| eval_batch(e, batch))
         .collect::<Result<Vec<_>>>()?;
     Ok(RowBatch {
         columns,
@@ -82,186 +82,102 @@ fn fallback_eval(expr: &Expr, batch: &RowBatch) -> Result<Arc<ColumnVector>> {
 /// node in the subtree has no kernel and the caller must fall back for
 /// the whole subtree.
 fn eval_kernel(expr: &Expr, batch: &RowBatch) -> Result<Option<Arc<ColumnVector>>> {
-    match expr {
-        Expr::Literal(v) => Ok(broadcast(v, batch.num_rows)),
-        Expr::BoundRef { index, .. } => Ok(batch.columns.get(*index).cloned()),
-        Expr::Alias { child, .. } => eval_kernel(child, batch),
-        Expr::Cast { expr, dtype } => {
-            let Some(c) = eval_kernel(expr, batch)? else {
-                return Ok(None);
-            };
-            Ok(cast_kernel(&c, dtype))
-        }
-        Expr::Negate(e) => {
-            let Some(c) = eval_kernel(e, batch)? else {
-                return Ok(None);
-            };
-            Ok(match c.num_lanes() {
-                Some(NumLanes::I(v)) => Some(int_vector(
-                    v.iter().map(|x| x.wrapping_neg()),
-                    c.dtype == DataType::Int,
-                    c.nulls.clone(),
-                )),
-                Some(NumLanes::F(v)) => Some(Arc::new(ColumnVector::new(
-                    DataType::Double,
-                    VectorData::Double(v.iter().map(|x| -x).collect()),
-                    c.nulls.clone(),
-                ))),
-                None => None,
-            })
-        }
-        Expr::Not(e) => {
-            let Some(c) = eval_kernel(e, batch)? else {
-                return Ok(None);
-            };
-            Ok(c.bool_lanes().map(|v| {
-                Arc::new(ColumnVector::new(
-                    DataType::Boolean,
-                    VectorData::Bool(v.iter().map(|b| !b).collect()),
-                    c.nulls.clone(),
-                ))
-            }))
-        }
-        Expr::IsNull(e) => {
-            let Some(c) = eval_kernel(e, batch)? else {
-                return Ok(None);
-            };
-            Ok(Some(null_test(&c, batch.num_rows, true)))
-        }
-        Expr::IsNotNull(e) => {
-            let Some(c) = eval_kernel(e, batch)? else {
-                return Ok(None);
-            };
-            Ok(Some(null_test(&c, batch.num_rows, false)))
-        }
-        Expr::BinaryOp { left, op, right } => {
-            let Some(l) = eval_kernel(left, batch)? else {
-                return Ok(None);
-            };
-            let Some(r) = eval_kernel(right, batch)? else {
-                return Ok(None);
-            };
-            Ok(binary_kernel(&l, *op, &r))
-        }
+    let child = |e: &Expr| eval_kernel(e, batch);
+    Ok(match expr {
+        Expr::Literal(v) => broadcast(v, batch.num_rows),
+        Expr::BoundRef { index, .. } => batch.columns.get(*index).cloned(),
+        Expr::Alias { child: e, .. } => child(e)?,
+        Expr::Cast { expr, dtype } => child(expr)?.and_then(|c| cast_kernel(&c, dtype)),
+        Expr::Negate(e) => child(e)?.and_then(|c| negate_kernel(&c)),
+        Expr::Not(e) => child(e)?.and_then(|c| {
+            let lanes = c.bool_lanes()?.iter().map(|&b| Some(scalar::not(b)));
+            Some(collect_lanes(DataType::Boolean, c.nulls.clone(), lanes))
+        }),
+        Expr::IsNull(e) => child(e)?.map(|c| null_test(&c, true)),
+        Expr::IsNotNull(e) => child(e)?.map(|c| null_test(&c, false)),
+        Expr::BinaryOp { left, op, right } => match (child(left)?, child(right)?) {
+            (Some(l), Some(r)) => binary_kernel(&l, *op, &r),
+            _ => None,
+        },
         Expr::ScalarFn {
             func: ScalarFunc::Substr,
             args,
-        } => substr_kernel(args, batch),
-        _ => Ok(None),
+        } => substr_kernel(args, batch)?,
+        _ => None,
+    })
+}
+
+/// A lane type a kernel writes, and the storage its lanes make.
+trait Lane: Clone + Default {
+    fn vector(lanes: Vec<Self>) -> VectorData;
+}
+
+macro_rules! lane {
+    ($($t:ty => $storage:ident),*) => {$(
+        impl Lane for $t {
+            fn vector(lanes: Vec<$t>) -> VectorData {
+                VectorData::$storage(lanes)
+            }
+        }
+    )*};
+}
+
+lane!(i64 => Long, f64 => Double, bool => Bool, StrLane => Str);
+
+/// A kernel's output of `dtype` from `lanes`, one per input lane: NULL
+/// where `nulls` (its operands' NULLs, unioned) is set or the lane is
+/// `None`. Lanes under a NULL are computed from filler and ignored.
+fn collect_lanes<T: Lane>(
+    dtype: DataType,
+    mut nulls: Option<Vec<bool>>,
+    lanes: impl ExactSizeIterator<Item = Option<T>>,
+) -> Arc<ColumnVector> {
+    let n = lanes.len();
+    let lanes = (lanes.enumerate())
+        .map(|(i, lane)| {
+            lane.unwrap_or_else(|| {
+                nulls.get_or_insert_with(|| vec![false; n])[i] = true;
+                T::default()
+            })
+        })
+        .collect();
+    Arc::new(ColumnVector::new(dtype, T::vector(lanes), nulls))
+}
+
+/// [`collect_lanes`] of `f` over two operands' lanes, pairwise.
+fn zip_lanes<A, B, T: Lane>(
+    dtype: DataType,
+    nulls: Option<Vec<bool>>,
+    a: &[A],
+    b: &[B],
+    mut f: impl FnMut(&A, &B) -> Option<T>,
+) -> Arc<ColumnVector> {
+    collect_lanes(dtype, nulls, a.iter().zip(b).map(|(a, b)| f(a, b)))
+}
+
+fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<bool>> {
+    match (a, b) {
+        (None, None) => None,
+        (Some(x), None) | (None, Some(x)) => Some(x.to_vec()),
+        (Some(x), Some(y)) => Some((0..n).map(|i| x[i] || y[i]).collect()),
     }
 }
 
-/// An integer argument of a string kernel: one value for every lane, or
-/// Int/Long lanes.
-enum IntArg {
-    Const(i64),
-    Lanes(Arc<ColumnVector>),
-}
-
-impl IntArg {
-    /// The argument as a kernel takes it, or `None` (fall back): a NULL
-    /// or non-integer literal, or a subtree without integer lanes.
-    fn eval(e: &Expr, batch: &RowBatch) -> Result<Option<IntArg>> {
-        if let Expr::Literal(v) = e {
-            return Ok(match v {
-                Value::Int(x) => Some(IntArg::Const(*x as i64)),
-                Value::Long(x) => Some(IntArg::Const(*x)),
-                _ => None,
-            });
-        }
-        let Some(c) = eval_kernel(e, batch)? else {
-            return Ok(None);
-        };
-        Ok(c.long_lanes().is_some().then_some(IntArg::Lanes(c)))
-    }
-
-    fn at(&self, i: usize) -> i64 {
-        match self {
-            IntArg::Const(x) => *x,
-            IntArg::Lanes(c) => c.long_lanes().expect("checked in eval")[i],
-        }
-    }
-
-    fn nulls(&self) -> Option<&[bool]> {
-        match self {
-            IntArg::Const(_) => None,
-            IntArg::Lanes(c) => c.nulls(),
-        }
-    }
-}
-
-/// `SUBSTR(s, pos[, len])` over String lanes with the interpreter's char
-/// semantics — 1-based, a `pos` below 1 starts at the first char, a
-/// negative `len` takes nothing — slicing bytes where a lane is ASCII.
-/// Only selected lanes are computed; a NULL in any argument is NULL.
-fn substr_kernel(args: &[Expr], batch: &RowBatch) -> Result<Option<Arc<ColumnVector>>> {
-    let [s, pos, len @ ..] = args else {
-        return Ok(None);
-    };
-    if len.len() > 1 {
-        return Ok(None);
-    }
-    let Some(s) = eval_kernel(s, batch)? else {
-        return Ok(None);
-    };
-    let Some(strs) = s.str_lanes() else {
-        return Ok(None);
-    };
-    let Some(pos) = IntArg::eval(pos, batch)? else {
-        return Ok(None);
-    };
-    let len = match len.first() {
-        Some(e) => match IntArg::eval(e, batch)? {
-            Some(arg) => Some(arg),
-            None => return Ok(None),
-        },
-        None => None,
-    };
-    let n = batch.num_rows;
-    let mut nulls = union_nulls(s.nulls(), pos.nulls(), n);
-    if let Some(len) = &len {
-        nulls = union_nulls(nulls.as_deref(), len.nulls(), n);
-    }
-    let lane = |i: usize| {
-        if nulls.as_ref().is_some_and(|m| m[i]) {
-            return StrLane::default();
-        }
-        let start = (pos.at(i).max(1) - 1) as usize;
-        let take = len.as_ref().map_or(usize::MAX, |l| l.at(i).max(0) as usize);
-        let lane = &strs[i];
-        if start == 0 && take >= lane.len() {
-            return lane.clone(); // the whole string: no char has fewer than one byte
-        }
-        let s = lane.as_str();
-        let (from, to) = if s.is_ascii() {
-            let from = start.min(s.len());
-            (from, from.saturating_add(take).min(s.len()))
-        } else {
-            let at = |s: &str, chars| s.char_indices().nth(chars).map_or(s.len(), |(b, _)| b);
-            let from = at(s, start);
-            (from, from + at(&s[from..], take))
-        };
-        StrLane::new(&s[from..to])
-    };
-    let lanes = match batch.selection() {
-        None => (0..n).map(lane).collect(),
-        Some(selected) => {
-            let mut lanes = vec![StrLane::default(); n];
-            selected
-                .iter()
-                .for_each(|&i| lanes[i as usize] = lane(i as usize));
-            lanes
-        }
-    };
-    Ok(Some(Arc::new(ColumnVector::new(
-        DataType::String,
-        VectorData::Str(lanes),
-        nulls,
-    ))))
+/// `c`'s numeric lanes as floats of type `t`: its own lanes when they are
+/// floats, else each integer cast to `t`.
+fn floats(c: &ColumnVector, t: Numeric) -> Option<Cow<'_, [f64]>> {
+    Some(match c.num_lanes()? {
+        NumLanes::F(v) => Cow::Borrowed(v),
+        NumLanes::I(v) => Cow::Owned(
+            v.iter()
+                .map(|&x| scalar::cast_to_float(Num::I(x), t))
+                .collect(),
+        ),
+    })
 }
 
 /// Broadcast a literal into a full vector; non-primitive literals have no
-/// kernel (the code generator refuses them too).
+/// kernel.
 fn broadcast(v: &Value, n: usize) -> Option<Arc<ColumnVector>> {
     let (dtype, data) = match v {
         Value::Int(x) => (DataType::Int, VectorData::Long(vec![*x as i64; n])),
@@ -278,277 +194,164 @@ fn broadcast(v: &Value, n: usize) -> Option<Arc<ColumnVector>> {
     Some(Arc::new(ColumnVector::new(dtype, data, None)))
 }
 
-/// Numeric casts, as [`Value::cast_to`] does them: a BIGINT narrows to
-/// INT by wrapping, a float saturates; everything else falls back.
-fn cast_kernel(c: &Arc<ColumnVector>, target: &DataType) -> Option<Arc<ColumnVector>> {
-    let narrow = *target == DataType::Int;
-    match target {
-        DataType::Int | DataType::Long => match c.num_lanes()? {
-            NumLanes::I(v) if narrow && c.dtype != DataType::Int => {
-                Some(int_vector(v.iter().copied(), true, c.nulls.clone()))
-            }
-            NumLanes::I(_) => Some(c.clone().retagged(target)),
-            NumLanes::F(v) => Some(Arc::new(ColumnVector::new(
-                target.clone(),
-                VectorData::Long(
-                    v.iter()
-                        .map(|x| if narrow { *x as i32 as i64 } else { *x as i64 })
-                        .collect(),
-                ),
-                c.nulls.clone(),
-            ))),
-        },
-        DataType::Float | DataType::Double => match c.num_lanes()? {
-            NumLanes::I(v) => Some(Arc::new(ColumnVector::new(
-                target.clone(),
-                VectorData::Double(v.iter().map(|x| *x as f64).collect()),
-                c.nulls.clone(),
-            ))),
-            NumLanes::F(_) => Some(c.clone().retagged(target)),
-        },
-        _ => None,
-    }
-}
-
 /// `IS [NOT] NULL` as a lane test (never NULL itself).
-fn null_test(c: &ColumnVector, n: usize, want_null: bool) -> Arc<ColumnVector> {
-    let lanes = (0..n).map(|i| c.is_null(i) == want_null).collect();
-    Arc::new(ColumnVector::new(
-        DataType::Boolean,
-        VectorData::Bool(lanes),
-        None,
-    ))
+fn null_test(c: &ColumnVector, want_null: bool) -> Arc<ColumnVector> {
+    let lanes = (0..c.len()).map(|i| Some(c.is_null(i) == want_null));
+    collect_lanes(DataType::Boolean, None, lanes)
 }
 
-/// Integral lanes at their declared width: INT lanes wrap to 32 bits,
-/// as integral `+ - *` and unary `-` do in Java (the paper-era Spark and
-/// Hive rule); anything else is BIGINT.
-fn int_vector(
-    lanes: impl Iterator<Item = i64>,
-    int: bool,
-    nulls: Option<Vec<bool>>,
-) -> Arc<ColumnVector> {
-    let dtype = if int { DataType::Int } else { DataType::Long };
-    let lanes = lanes
-        .map(|x| if int { x as i32 as i64 } else { x })
-        .collect();
-    Arc::new(ColumnVector::new(dtype, VectorData::Long(lanes), nulls))
-}
-
-fn union_nulls(a: Option<&[bool]>, b: Option<&[bool]>, n: usize) -> Option<Vec<bool>> {
-    match (a, b) {
-        (None, None) => None,
-        (Some(x), None) | (None, Some(x)) => Some(x.to_vec()),
-        (Some(x), Some(y)) => Some((0..n).map(|i| x[i] || y[i]).collect()),
+/// `CAST(c AS target)` between numeric types; a cast to `c`'s own type is
+/// `c`. Other casts fall back.
+fn cast_kernel(c: &Arc<ColumnVector>, target: &DataType) -> Option<Arc<ColumnVector>> {
+    if c.dtype == *target {
+        return Some(c.clone());
     }
-}
-
-/// The test a comparison operator applies to an [`Ordering`], or `None`
-/// for an operator that does not compare.
-///
-/// [`Ordering`]: std::cmp::Ordering
-fn comparison(op: BinaryOperator) -> Option<fn(std::cmp::Ordering) -> bool> {
-    use std::cmp::Ordering::*;
-    use BinaryOperator::*;
-    Some(match op {
-        Eq => |o| o == Equal,
-        NotEq => |o| o != Equal,
-        Lt => |o| o == Less,
-        LtEq => |o| o != Greater,
-        Gt => |o| o == Greater,
-        GtEq => |o| o != Less,
-        _ => return None,
+    let (t, lanes, nulls) = (Numeric::of(target)?, c.num_lanes()?, c.nulls.clone());
+    let x = (0..c.len()).map(|i| match lanes {
+        NumLanes::I(v) => Num::I(v[i]),
+        NumLanes::F(v) => Num::F(v[i]),
+    });
+    Some(if t.is_integral() {
+        collect_lanes(
+            target.clone(),
+            nulls,
+            x.map(|x| Some(scalar::cast_to_int(x, t))),
+        )
+    } else {
+        collect_lanes(
+            target.clone(),
+            nulls,
+            x.map(|x| Some(scalar::cast_to_float(x, t))),
+        )
     })
 }
 
-/// Binary kernels with the interpreter's semantics:
-/// three-valued AND/OR, an integer fast path wrapping at the declared
-/// width (Hive `/` always fractional, `%`/`/` by zero ⇒ NULL), a widening
-/// float path, and string comparison/concatenation. Other type
-/// combinations return `None` and fall back.
+/// Unary `-` over numeric lanes, at the operand's type.
+fn negate_kernel(c: &ColumnVector) -> Option<Arc<ColumnVector>> {
+    let t = Numeric::of(&c.dtype)?;
+    let (dtype, nulls) = (c.dtype.clone(), c.nulls.clone());
+    Some(match c.num_lanes()? {
+        NumLanes::I(v) => {
+            collect_lanes(dtype, nulls, v.iter().map(|&x| Some(scalar::neg_int(x, t))))
+        }
+        NumLanes::F(v) => {
+            collect_lanes(dtype, nulls, v.iter().map(|&x| Some(scalar::neg_float(x))))
+        }
+    })
+}
+
+/// Binary operators over two vectors: AND/OR over Boolean lanes;
+/// comparisons over two numeric (integers exactly, else as doubles), two
+/// String or two Boolean vectors; arithmetic at the operation's result
+/// type; `+` of two strings. Anything else falls back.
 fn binary_kernel(
     l: &Arc<ColumnVector>,
     op: BinaryOperator,
     r: &Arc<ColumnVector>,
 ) -> Option<Arc<ColumnVector>> {
-    use BinaryOperator::*;
+    use DataType::Boolean;
     let n = l.len();
-    let test = comparison(op);
-
-    if op == And || op == Or {
-        let (lv, rv) = (l.bool_lanes()?, r.bool_lanes()?);
-        let mut lanes = vec![false; n];
-        let mut nulls = vec![false; n];
-        let mut any_null = false;
-        for i in 0..n {
-            let a = (!l.nulls.as_ref().is_some_and(|m| m[i])).then(|| lv[i]);
-            let b = (!r.nulls.as_ref().is_some_and(|m| m[i])).then(|| rv[i]);
-            let out = match op {
-                And => match (a, b) {
-                    (Some(false), _) | (_, Some(false)) => Some(false),
-                    (Some(true), Some(true)) => Some(true),
-                    _ => None,
-                },
-                _ => match (a, b) {
-                    (Some(true), _) | (_, Some(true)) => Some(true),
-                    (Some(false), Some(false)) => Some(false),
-                    _ => None,
-                },
-            };
-            match out {
-                Some(v) => lanes[i] = v,
-                None => {
-                    nulls[i] = true;
-                    any_null = true;
-                }
-            }
+    let nulls = union_nulls(l.nulls(), r.nulls(), n);
+    if let Some(test) = scalar::comparison(op) {
+        if let (Some(a), Some(b)) = (l.long_lanes(), r.long_lanes()) {
+            return Some(zip_lanes(Boolean, nulls, a, b, |a, b| Some(test(a.cmp(b)))));
         }
-        return Some(Arc::new(ColumnVector::new(
-            DataType::Boolean,
-            VectorData::Bool(lanes),
-            any_null.then_some(nulls),
-        )));
+        if let (Some(a), Some(b)) = (floats(l, Numeric::Double), floats(r, Numeric::Double)) {
+            return Some(zip_lanes(Boolean, nulls, &a, &b, |a, b| {
+                Some(test(scalar::cmp_double(*a, *b)))
+            }));
+        }
+        if let (Some(a), Some(b)) = (l.str_lanes(), r.str_lanes()) {
+            return Some(zip_lanes(Boolean, nulls, a, b, |a, b| {
+                Some(test(scalar::cmp_str(a.as_bytes(), b.as_bytes())))
+            }));
+        }
+        let (a, b) = (l.bool_lanes()?, r.bool_lanes()?);
+        return Some(zip_lanes(Boolean, nulls, a, b, |a, b| Some(test(a.cmp(b)))));
     }
-
-    // Integer fast path: arithmetic at the declared width, exact
-    // comparisons.
-    if let (Some(lv), Some(rv)) = (l.long_lanes(), r.long_lanes()) {
-        let nulls = union_nulls(l.nulls(), r.nulls(), n);
-        let int = l.dtype == DataType::Int && r.dtype == DataType::Int;
-        if let Some(test) = test {
-            return Some(long_cmp(lv, rv, nulls, test));
-        }
+    if op.is_boolean() {
+        let f = if op == BinaryOperator::And {
+            scalar::and
+        } else {
+            scalar::or
+        };
+        let (a, b) = (l.bool_lanes()?, r.bool_lanes()?);
+        let at = |c: &ColumnVector, v: &[bool], i| (!c.is_null(i)).then(|| v[i]);
+        let lanes = (0..n).map(|i| f(at(l, a, i), at(r, b, i)));
+        return Some(collect_lanes(Boolean, None, lanes));
+    }
+    let dtype = op.result_type(&l.dtype, &r.dtype)?;
+    if let (Some(a), Some(b), BinaryOperator::Add) = (l.str_lanes(), r.str_lanes(), op) {
+        let mut joined = String::new();
+        return Some(zip_lanes(dtype, nulls, a, b, |a, b| {
+            joined.clear();
+            joined.push_str(a.as_str());
+            joined.push_str(b.as_str());
+            Some(StrLane::new(&joined))
+        }));
+    }
+    let t = Numeric::of(&dtype)?;
+    // A loop of its own for each of `+ - *`, so the rule inlines into it.
+    use BinaryOperator::{Add, Mul, Sub};
+    if t.is_integral() {
+        let (a, b) = (l.long_lanes()?, r.long_lanes()?);
+        let f = scalar::int_arith;
         return Some(match op {
-            Add => long_arith(lv, rv, nulls, int, i64::wrapping_add),
-            Sub => long_arith(lv, rv, nulls, int, i64::wrapping_sub),
-            Mul => long_arith(lv, rv, nulls, int, i64::wrapping_mul),
-            Mod => {
-                let mut nulls = nulls.unwrap_or_else(|| vec![false; n]);
-                let mut lanes = vec![0i64; n];
-                for i in 0..n {
-                    if rv[i] == 0 {
-                        nulls[i] = true;
-                    } else if !nulls[i] {
-                        lanes[i] = lv[i].wrapping_rem(rv[i]);
-                    }
-                }
-                Arc::new(ColumnVector::new(
-                    DataType::Long,
-                    VectorData::Long(lanes),
-                    Some(nulls),
-                ))
-            }
-            Div => {
-                let mut nulls = nulls.unwrap_or_else(|| vec![false; n]);
-                let mut lanes = vec![0f64; n];
-                for i in 0..n {
-                    if rv[i] == 0 {
-                        nulls[i] = true;
-                    } else if !nulls[i] {
-                        lanes[i] = lv[i] as f64 / rv[i] as f64;
-                    }
-                }
-                Arc::new(ColumnVector::new(
-                    DataType::Double,
-                    VectorData::Double(lanes),
-                    Some(nulls),
-                ))
-            }
-            _ => unreachable!("{op:?} is neither arithmetic nor a comparison"),
+            Add => zip_lanes(dtype, nulls, a, b, |a, b| f(Add, *a, *b, t)),
+            Sub => zip_lanes(dtype, nulls, a, b, |a, b| f(Sub, *a, *b, t)),
+            Mul => zip_lanes(dtype, nulls, a, b, |a, b| f(Mul, *a, *b, t)),
+            _ => zip_lanes(dtype, nulls, a, b, |a, b| f(op, *a, *b, t)),
         });
     }
+    let (a, b) = (floats(l, t)?, floats(r, t)?);
+    let f = scalar::float_arith;
+    Some(match op {
+        Add => zip_lanes(dtype, nulls, &a, &b, |a, b| f(Add, *a, *b, t)),
+        Sub => zip_lanes(dtype, nulls, &a, &b, |a, b| f(Sub, *a, *b, t)),
+        Mul => zip_lanes(dtype, nulls, &a, &b, |a, b| f(Mul, *a, *b, t)),
+        _ => zip_lanes(dtype, nulls, &a, &b, |a, b| f(op, *a, *b, t)),
+    })
+}
 
-    // Float path: both sides numeric, at least one fractional.
-    if let (Some(lv), Some(rv)) = (l.num_lanes(), r.num_lanes()) {
-        let nulls = union_nulls(l.nulls(), r.nulls(), n);
-        // Doubles compare by `f64::total_cmp`, the order of
-        // `Value::total_cmp`: NaN above every number and equal to itself,
-        // -0.0 below 0.0.
-        if let Some(test) = test {
-            let lanes = (0..n)
-                .map(|i| test(lv.f64_at(i).total_cmp(&rv.f64_at(i))))
-                .collect();
-            return Some(Arc::new(ColumnVector::new(
-                DataType::Boolean,
-                VectorData::Bool(lanes),
-                nulls,
-            )));
+/// `SUBSTR(s, pos[, len])` over String and integer lanes,
+/// [`scalar::substr`] lane by lane; a whole string is its own lane.
+fn substr_kernel(args: &[Expr], batch: &RowBatch) -> Result<Option<Arc<ColumnVector>>> {
+    if !(2..=3).contains(&args.len()) {
+        return Ok(None);
+    }
+    let mut cols = Vec::with_capacity(args.len());
+    for a in args {
+        match eval_kernel(a, batch)? {
+            Some(c) => cols.push(c),
+            None => return Ok(None),
         }
-        let arith = |f: fn(f64, f64) -> f64, zero_is_null: bool| {
-            let mut nulls = nulls.clone().unwrap_or_else(|| vec![false; n]);
-            let mut lanes = vec![0f64; n];
-            for i in 0..n {
-                let b = rv.f64_at(i);
-                if zero_is_null && b == 0.0 {
-                    nulls[i] = true;
-                } else if !nulls[i] {
-                    lanes[i] = f(lv.f64_at(i), b);
-                }
-            }
-            Arc::new(ColumnVector::new(
-                DataType::Double,
-                VectorData::Double(lanes),
-                Some(nulls),
-            ))
-        };
-        return Some(match op {
-            Add => arith(|a, b| a + b, false),
-            Sub => arith(|a, b| a - b, false),
-            Mul => arith(|a, b| a * b, false),
-            Div => arith(|a, b| a / b, true),
-            Mod => arith(|a, b| a % b, true),
-            _ => unreachable!("{op:?} is neither arithmetic nor a comparison"),
-        });
     }
-
-    // String comparisons and concatenation.
-    if let (Some(lv), Some(rv)) = (l.str_lanes(), r.str_lanes()) {
-        let nulls = union_nulls(l.nulls(), r.nulls(), n);
-        let (dtype, lanes) = match (op, test) {
-            (_, Some(test)) => {
-                let lanes = (0..n).map(|i| test(lv[i].as_bytes().cmp(rv[i].as_bytes())));
-                (DataType::Boolean, VectorData::Bool(lanes.collect()))
-            }
-            (Add, None) => {
-                let mut joined = String::new();
-                let lanes = (0..n).map(|i| {
-                    joined.clear();
-                    joined.push_str(lv[i].as_str());
-                    joined.push_str(rv[i].as_str());
-                    StrLane::new(&joined)
-                });
-                (DataType::String, VectorData::Str(lanes.collect()))
-            }
-            _ => return None,
-        };
-        return Some(Arc::new(ColumnVector::new(dtype, lanes, nulls)));
-    }
-
-    None
-}
-
-fn long_arith(
-    lv: &[i64],
-    rv: &[i64],
-    nulls: Option<Vec<bool>>,
-    int: bool,
-    f: impl Fn(i64, i64) -> i64,
-) -> Arc<ColumnVector> {
-    int_vector(lv.iter().zip(rv).map(|(a, b)| f(*a, *b)), int, nulls)
-}
-
-fn long_cmp(
-    lv: &[i64],
-    rv: &[i64],
-    nulls: Option<Vec<bool>>,
-    f: fn(std::cmp::Ordering) -> bool,
-) -> Arc<ColumnVector> {
-    let lanes = lv.iter().zip(rv).map(|(a, b)| f(a.cmp(b))).collect();
-    Arc::new(ColumnVector::new(
-        DataType::Boolean,
-        VectorData::Bool(lanes),
-        nulls,
-    ))
+    let (Some(strs), Some(pos)) = (cols[0].str_lanes(), cols[1].long_lanes()) else {
+        return Ok(None);
+    };
+    let len = match cols.get(2).map(|c| c.long_lanes()) {
+        Some(None) => return Ok(None),
+        len => len.flatten(),
+    };
+    let n = batch.num_rows;
+    let nulls = (cols.iter()).fold(None, |m, c| union_nulls(m.as_deref(), c.nulls(), n));
+    // Only selected lanes are computed: a result longer than a lane holds
+    // inline costs an allocation.
+    let mut live = vec![batch.selection().is_none(); n];
+    batch.for_each_selected(|i| live[i] = true);
+    let lanes = (0..n).map(|i| {
+        let lane = &strs[i];
+        if !live[i] {
+            return Some(StrLane::default());
+        }
+        let out = scalar::substr(lane.as_str(), pos[i], len.map(|l| l[i]));
+        Some(if out.len() == lane.len() {
+            lane.clone()
+        } else {
+            StrLane::new(out)
+        })
+    });
+    Ok(Some(collect_lanes(DataType::String, nulls, lanes)))
 }
 
 #[cfg(test)]
@@ -583,17 +386,47 @@ mod tests {
         )
     }
 
+    /// The same value: the same type tag and, for floats, the same bits,
+    /// any NaN matching any NaN (`Value`'s `==` compares across types).
+    fn same(a: &Value, b: &Value) -> bool {
+        let bits = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => bits((*x).into(), (*y).into()),
+            (Value::Double(x), Value::Double(y)) => bits(*x, *y),
+            _ => a.dtype() == b.dtype() && a == b,
+        }
+    }
+
     /// `expr` has a kernel, and on every selected lane of `batch` that
-    /// kernel answers what the interpreter answers for the lane's row —
-    /// value and tag.
+    /// kernel answers what the interpreter answers for the lane's row:
+    /// the same tag and bits. Both have the type `expr` declares, and a
+    /// FLOAT lane holds an `f32`.
     fn assert_kernel_matches_interpreter(expr: &Expr, batch: &RowBatch) {
         let out = eval_kernel(expr, batch)
             .unwrap()
             .unwrap_or_else(|| panic!("no kernel for {expr}"));
+        let declared = expr.data_type().unwrap();
+        assert_eq!(out.dtype(), &declared, "{expr}: the kernel's type");
         batch.for_each_selected(|i| {
             let row = batch.row(i);
-            let want = interpreter::eval(expr, &row).unwrap();
-            assert_eq!(out.get(i), want, "{expr} on {row:?}");
+            let (got, want) = (out.get(i), interpreter::eval(expr, &row).unwrap());
+            assert!(
+                same(&got, &want),
+                "{expr} on {row:?}: kernel {got:?}, interpreter {want:?}"
+            );
+            assert!(
+                want.is_null() || want.dtype() == declared,
+                "{expr} on {row:?}: the interpreter's type {}",
+                want.dtype()
+            );
+            if let (VectorData::Double(v), DataType::Float, false) =
+                (out.data(), &declared, out.is_null(i))
+            {
+                assert!(same(
+                    &Value::Double(v[i]),
+                    &Value::Double((v[i] as f32).into())
+                ));
+            }
         });
     }
 
@@ -614,86 +447,195 @@ mod tests {
     }
 
     /// Every kernel, over the values where evaluators disagree if they
-    /// are going to — integer extremes, zero divisors (`/` and `%` by
-    /// zero are NULL), NULLs in three-valued logic — agrees
-    /// with the interpreter lane by lane. Integral arithmetic wraps at the
-    /// declared width: INT results at 32 bits, BIGINT at 64.
+    /// are going to, agrees with the interpreter lane by lane: every
+    /// operator over every pair of operand types it takes, numeric casts
+    /// and negation, over integer extremes, 2^24 + 1 and 2^53 + 1 (the
+    /// first integers FLOAT and DOUBLE cannot hold), NaN, ±0.0, ±∞, 0.1,
+    /// zero divisors (`/` and `%` by zero are NULL), NULLs in
+    /// three-valued logic and multi-byte strings. Integral arithmetic
+    /// wraps at the declared width (INT at 32 bits, BIGINT at 64), FLOAT
+    /// arithmetic and casts to FLOAT round to `f32`.
     #[test]
     fn every_kernel_matches_the_interpreter_lane_by_lane() {
-        let ints = [i32::MAX, i32::MIN, -1, 0, 7, 2, 46_341];
-        let ints2 = [1, -1, i32::MIN, 3, -7, 0, 46_341];
-        let longs = [
-            i64::MAX,
-            i64::MIN,
-            -1,
-            0,
-            2_000_000_000_000,
-            5,
-            3_037_000_500,
-        ];
-        let longs2 = [1, -1, -1, i64::MAX, 9, 0, 3_037_000_500];
-        let doubles = [1.5, -2.25, 0.0, 3e9, -3e9, 7.0, 0.5];
-        let strs = ["ab", "b", "", "ab", "zz", "a", "b"];
+        const NAN: f64 = f64::NAN;
+        const INF: f64 = f64::INFINITY;
+        const P24: i64 = 1 << 24;
+        const P53: i64 = 1 << 53;
+        let ints = |v: [i64; 15]| (DataType::Int, v.map(|x| Value::Int(x as i32)).to_vec());
+        let longs = |v: [i64; 15]| (DataType::Long, v.map(Value::Long).to_vec());
+        let floats = |v: [f64; 15]| (DataType::Float, v.map(|x| Value::Float(x as f32)).to_vec());
+        let doubles = |v: [f64; 15]| (DataType::Double, v.map(Value::Double).to_vec());
+        let strs = |v: [&str; 15]| (DataType::String, v.map(Value::str).to_vec());
+        let bools = |v: [Option<bool>; 15]| {
+            let v = v.map(|b| b.map_or(Value::Null, Value::Boolean));
+            (DataType::Boolean, v.to_vec())
+        };
+        let (max, min) = (i32::MAX as i64, i32::MIN as i64);
         let mut columns: Vec<(DataType, Vec<Value>)> = vec![
-            (DataType::Int, ints.iter().map(|v| Value::Int(*v)).collect()),
-            (
-                DataType::Int,
-                ints2.iter().map(|v| Value::Int(*v)).collect(),
-            ),
-            (
-                DataType::Long,
-                longs.iter().map(|v| Value::Long(*v)).collect(),
-            ),
-            (
-                DataType::Long,
-                longs2.iter().map(|v| Value::Long(*v)).collect(),
-            ),
-            (
-                DataType::Double,
-                doubles.iter().map(|v| Value::Double(*v)).collect(),
-            ),
-            (
-                DataType::String,
-                strs.iter().map(|v| Value::str(*v)).collect(),
-            ),
-            (
-                DataType::Boolean,
-                (0..7).map(|i| Value::Boolean(i % 3 == 0)).collect(),
-            ),
-            // Beside column 6: (T,F), (F,NULL), (NULL,NULL), (T,NULL) —
-            // the three-valued AND/OR cases.
-            (
-                DataType::Boolean,
-                [Some(false), None, None, None, Some(true), Some(false), None]
-                    .map(|b| b.map_or(Value::Null, Value::Boolean))
-                    .to_vec(),
-            ),
-            // Strings whose chars are wider than a byte, beside ASCII.
-            (
-                DataType::String,
-                ["héllo", "日本語テキスト", "", "abcdef", "naïve", "€", "x"]
-                    .map(Value::str)
-                    .to_vec(),
-            ),
-            // Strings around the 7 bytes a lane holds inline.
-            (
-                DataType::String,
+            // 0-1: INT.
+            ints([
+                max,
+                min,
+                -1,
+                0,
+                7,
+                2,
+                46_341,
+                P24 + 1,
+                1,
+                -7,
+                3,
+                100,
+                -46_341,
+                5,
+                P24,
+            ]),
+            ints([1, -1, min, 3, -7, 0, 46_341, 2, max, 7, -3, 0, 46_341, 2, 1]),
+            // 2-3: BIGINT.
+            longs(
                 [
-                    "abcdefghij",
-                    "seven77",
-                    "eight888",
-                    "äöüßéèêñ",
-                    "",
-                    "abcdefé",
-                    "ab",
+                    i64::MAX,
+                    i64::MIN,
+                    -1,
+                    0,
+                    2_000_000_000_000,
+                    5,
+                    3_037_000_500,
+                    P53 + 1,
                 ]
-                .map(Value::str)
-                .to_vec(),
+                .into_iter()
+                .chain([P24 + 1, -7, max + 1, min - 1, 100, 1, 9])
+                .collect::<Vec<_>>()
+                .try_into()
+                .unwrap(),
+            ),
+            longs([
+                1,
+                -1,
+                -1,
+                i64::MAX,
+                9,
+                0,
+                3_037_000_500,
+                2,
+                3,
+                0,
+                -1,
+                7,
+                i64::MIN,
+                P53 + 1,
+                -9,
+            ]),
+            // 4-5: FLOAT.
+            floats([
+                NAN,
+                -0.0,
+                0.0,
+                INF,
+                -INF,
+                0.1,
+                P24 as f64,
+                1.5,
+                -2.25,
+                f32::MAX as f64,
+                3e9,
+                7.0,
+                0.5,
+                -1.0,
+                (P24 + 2) as f64,
+            ]),
+            floats([
+                0.0,
+                1.0,
+                -0.0,
+                NAN,
+                2.0,
+                3.0,
+                0.1,
+                -0.0,
+                2.0,
+                f32::MAX as f64,
+                1e-45,
+                -7.0,
+                INF,
+                0.2,
+                3.0,
+            ]),
+            // 6-7: DOUBLE.
+            doubles([
+                NAN,
+                -0.0,
+                0.0,
+                INF,
+                -INF,
+                0.1,
+                (P53 + 1) as f64,
+                (P24 + 1) as f64,
+                3e9,
+                -3e9,
+                1.5,
+                7.0,
+                0.5,
+                1e300,
+                -2.25,
+            ]),
+            doubles([
+                -0.0, 1.0, 0.0, NAN, INF, 3.0, 0.2, 2.0, 0.0, 7.0, -1.5, 2.0, NAN, 1e300, 0.1,
+            ]),
+            // 8: STRING.
+            strs([
+                "ab", "b", "", "ab", "zz", "a", "b", "é", "abc", "", "zz", "ba", "a", "b", "ab",
+            ]),
+            // 9: strings whose chars are wider than a byte, beside ASCII.
+            strs([
+                "héllo",
+                "日本語テキスト",
+                "",
+                "abcdef",
+                "naïve",
+                "€",
+                "x",
+                "ab",
+                "é",
+                "日本",
+                "zz",
+                "naïve",
+                "€€",
+                "a",
+                "b",
+            ]),
+            // 10: strings around the 7 bytes a lane holds inline.
+            strs([
+                "abcdefghij",
+                "seven77",
+                "eight888",
+                "äöüßéèêñ",
+                "",
+                "abcdefé",
+                "ab",
+                "seven77",
+                "x",
+                "eight888",
+                "日本語",
+                "abcdefg",
+                "é",
+                "b",
+                "ab",
+            ]),
+            // 11-12: BOOLEAN; side by side they hold every pair of TRUE,
+            // FALSE and NULL, for three-valued AND/OR.
+            bools(
+                [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+                    .map(|i| [Some(true), Some(false), None][i]),
+            ),
+            bools(
+                [0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 1, 2, 2, 1, 0]
+                    .map(|i| [Some(true), Some(false), None][i]),
             ),
         ];
-        // One NULL lane per column, at a different lane each.
+        // One more NULL lane per column, at a different lane each.
         for (c, (_, values)) in columns.iter_mut().enumerate() {
-            values[(c + 3) % 7] = Value::Null;
+            values.insert((5 * c + 3) % 16, Value::Null);
         }
         let n = columns[0].1.len();
         let batch = RowBatch::new(
@@ -704,34 +646,78 @@ mod tests {
             n,
         );
         let col = |i: usize| bound(i, columns[i].0.clone());
+        let cast = |e: Expr, dtype: DataType| Expr::Cast {
+            expr: Box::new(e),
+            dtype,
+        };
         use BinaryOperator::*;
-        let numeric_pairs = [(0, 1), (2, 3), (0, 2), (0, 4), (4, 2)];
+        use DataType::{Double, Float, Int, Long};
+        const COMPARISONS: [BinaryOperator; 6] = [Eq, NotEq, Lt, LtEq, Gt, GtEq];
         let mut exprs = Vec::new();
-        for (l, r) in numeric_pairs {
-            for op in [Add, Sub, Mul, Div, Mod, Eq, NotEq, Lt, LtEq, Gt, GtEq] {
-                exprs.push(bin(col(l), op, col(r)));
+        // Every operator over every pair of operand types it takes.
+        let (numeric, strings, booleans) = (0..8, 8..11, 11..13);
+        for l in numeric.clone() {
+            for r in numeric.clone() {
+                for op in [Add, Sub, Mul, Div, Mod].into_iter().chain(COMPARISONS) {
+                    exprs.push(bin(col(l), op, col(r)));
+                }
             }
         }
-        for op in [Add, Eq, NotEq, Lt, LtEq, Gt, GtEq] {
-            exprs.push(bin(col(5), op, col(5)));
-            exprs.push(bin(col(8), op, col(9)));
+        for l in strings.clone() {
+            for r in strings.clone() {
+                for op in [Add].into_iter().chain(COMPARISONS) {
+                    exprs.push(bin(col(l), op, col(r)));
+                }
+            }
+        }
+        for l in booleans.clone() {
+            for r in booleans.clone() {
+                for op in [And, Or].into_iter().chain(COMPARISONS) {
+                    exprs.push(bin(col(l), op, col(r)));
+                }
+            }
+            exprs.push(Expr::Not(Box::new(col(l))));
+        }
+        // Negation and every numeric cast; a FLOAT cast seen through a
+        // DOUBLE, as coercion leaves it beside a DOUBLE or an integer.
+        for c in numeric {
+            exprs.push(Expr::Negate(Box::new(col(c))));
+            for t in [Int, Long, Float, Double] {
+                exprs.push(cast(col(c), t));
+            }
+            let float = || cast(col(c), Float);
+            exprs.push(bin(cast(float(), Double), Eq, cast(col(c), Double)));
+            exprs.push(bin(
+                cast(float(), Double),
+                Add,
+                Expr::Literal(Value::Double(0.0)),
+            ));
+            exprs.push(bin(
+                cast(float(), Double),
+                Mul,
+                Expr::Literal(Value::Double(1.0)),
+            ));
+            exprs.push(bin(float(), Mul, Expr::Literal(Value::Float(2.0))));
+            exprs.push(bin(Expr::Negate(Box::new(float())), Sub, float()));
         }
         // A string column against a broadcast string literal, on either
         // side, with literals that fit a lane and ones that do not.
         for lit in ["", "seven77", "eight888", "ab", "äö", "naïve"] {
             let lit = || Expr::Literal(Value::str(lit));
-            for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
-                for c in [5, 8, 9] {
+            for op in COMPARISONS {
+                for c in strings.clone() {
                     exprs.push(bin(col(c), op, lit()));
                     exprs.push(bin(lit(), op, col(c)));
                 }
                 exprs.push(bin(lit(), op, Expr::Literal(Value::str("b"))));
             }
-            exprs.push(bin(col(9), Add, lit()));
+            exprs.push(bin(col(10), Add, lit()));
         }
         // Literals broadcast at their own width.
         exprs.push(bin(col(0), Add, Expr::Literal(Value::Int(1))));
         exprs.push(bin(col(2), Mul, Expr::Literal(Value::Int(2))));
+        exprs.push(bin(col(4), Sub, Expr::Literal(Value::Float(0.1))));
+        exprs.push(bin(col(6), Div, Expr::Literal(Value::Double(-0.0))));
         // Nested INT arithmetic wraps at every step, so a comparison above
         // it sees the wrapped value.
         exprs.push(bin(
@@ -758,15 +744,6 @@ mod tests {
             Or,
             Expr::IsNotNull(Box::new(col(1))),
         ));
-        for c in [0, 2, 4] {
-            exprs.push(Expr::Negate(Box::new(col(c))));
-            for t in [DataType::Int, DataType::Long, DataType::Double] {
-                exprs.push(Expr::Cast {
-                    expr: Box::new(col(c)),
-                    dtype: t,
-                });
-            }
-        }
         // SUBSTR: ASCII and wider chars; `pos` 0, negative and past the
         // end; `len` 0, negative and absent; pos/len as Int and Long lanes
         // (extremes and NULLs included) and as literals.
@@ -775,7 +752,7 @@ mod tests {
             args,
         };
         let int = |v: i64| Expr::Literal(Value::Long(v));
-        for s in [5, 8, 9] {
+        for s in strings.clone() {
             for pos in [-3, 0, 1, 2, 4, 100] {
                 exprs.push(substr(vec![col(s), int(pos)]));
                 for len in [-1, 0, 1, 3, 100] {
@@ -791,12 +768,9 @@ mod tests {
         // Results that cross the 7 bytes a lane holds inline, from ASCII
         // and from wider chars.
         for (pos, len) in [(1, 6), (1, 7), (1, 8), (2, 7), (2, 8), (3, 9)] {
+            exprs.push(substr(vec![col(10), int(pos), int(len)]));
             exprs.push(substr(vec![col(9), int(pos), int(len)]));
-            exprs.push(substr(vec![col(8), int(pos), int(len)]));
         }
-        exprs.push(Expr::Not(Box::new(col(6))));
-        exprs.push(bin(col(6), And, col(7)));
-        exprs.push(bin(col(6), Or, col(7)));
         for c in 0..columns.len() {
             exprs.push(Expr::IsNull(Box::new(col(c))));
             exprs.push(Expr::IsNotNull(Box::new(col(c))));
@@ -804,19 +778,20 @@ mod tests {
         for e in &exprs {
             assert_kernel_matches_interpreter(e, &batch);
             // And on a selection, where unselected lanes are skipped.
-            assert_kernel_matches_interpreter(e, &batch.clone().with_selection(vec![1, 4, 6]));
+            let selected = batch.clone().with_selection(vec![1, 4, 6, 9, 14]);
+            assert_kernel_matches_interpreter(e, &selected);
         }
         // SUBSTR keeps String lanes typed; a NULL literal argument or a
         // non-string input falls back to the interpreter.
-        let prefix = substr(vec![col(8), int(1), int(2)]);
+        let prefix = substr(vec![col(9), int(1), int(2)]);
         let out = eval_kernel(&prefix, &batch).unwrap().unwrap();
         assert!(matches!(out.data(), VectorData::Str(_)));
-        assert_eq!(out.get(1), Value::str("日本"));
+        assert_eq!(out.get(2), Value::str("日本"));
         for fallback in [
-            substr(vec![col(5), Expr::Literal(Value::Null)]),
-            substr(vec![col(5), int(1), Expr::Literal(Value::Null)]),
+            substr(vec![col(8), Expr::Literal(Value::Null)]),
+            substr(vec![col(8), int(1), Expr::Literal(Value::Null)]),
             substr(vec![col(0), int(1), int(2)]),
-            substr(vec![col(5), col(4)]),
+            substr(vec![col(8), col(6)]),
         ] {
             assert!(
                 eval_kernel(&fallback, &batch).unwrap().is_none(),
@@ -827,7 +802,10 @@ mod tests {
         let sum = eval_batch(&bin(col(0), Add, col(1)), &batch).unwrap();
         assert_eq!(sum.get(0), Value::Int(i32::MIN));
         let square = eval_batch(&bin(col(0), Mul, col(1)), &batch).unwrap();
-        assert_eq!(square.get(6), Value::Int(46_341i32.wrapping_mul(46_341)));
+        assert_eq!(
+            square.get(13),
+            Value::Int((-46_341i32).wrapping_mul(46_341))
+        );
     }
 
     #[test]

@@ -26,16 +26,19 @@
 //! Design rules (documented in DESIGN.md):
 //!
 //! * **A kernel where one exists, else the interpreter on the selected
-//!   lanes.** Kernels cover Long/Double arithmetic with Hive division
-//!   semantics, three-valued AND/OR, string comparison/concat, SUBSTR,
-//!   numeric casts and null tests, each tested lane by lane against the
-//!   [`interpreter`](crate::interpreter), which defines the semantics
-//!   (division or modulo by zero yields NULL in both). Any other node
-//!   (CASE, LIKE, UDFs, decimals, dates, …) makes its whole subtree fall
-//!   back: the interpreter evaluates the *selected* rows only, producing
-//!   a boxed [`VectorData::Values`] column. Unselected lanes are never
-//!   evaluated, matching the row path where filtered-out rows never
-//!   reach the expression.
+//!   lanes.** Kernels cover INT/BIGINT/FLOAT/DOUBLE arithmetic,
+//!   comparisons, three-valued AND/OR/NOT, string comparison/concat,
+//!   SUBSTR, numeric casts, negation and null tests. A kernel holds no
+//!   rule of its own: it calls, lane by lane, the function of
+//!   [`scalar`](crate::scalar) that the
+//!   [`interpreter`](crate::interpreter) calls for one row, and tags its
+//!   output with the expression's declared type; each is tested lane by
+//!   lane against the interpreter, tags and bits included. Any other
+//!   node (CASE, LIKE, UDFs, decimals, dates, …) makes its whole subtree
+//!   fall back: the interpreter evaluates the *selected* rows only,
+//!   producing a boxed [`VectorData::Values`] column. Unselected lanes
+//!   are never evaluated, matching the row path where filtered-out rows
+//!   never reach the expression.
 //! * **Filters select, they don't copy.** A predicate refines the
 //!   selection vector; rows are compacted only at the batch→row adapter
 //!   boundary ([`RowBatch::into_selected_rows`]).

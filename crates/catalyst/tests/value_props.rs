@@ -5,6 +5,7 @@
 //! Deterministic seeded sweeps (formerly proptest; rewritten because the
 //! build environment vendors only a minimal rand shim).
 
+use catalyst::expr::BinaryOperator;
 use catalyst::types::DataType;
 use catalyst::value::Value;
 use rand::rngs::StdRng;
@@ -94,8 +95,14 @@ fn null_absorbs_arithmetic() {
         assert_eq!(Value::Null.add(&v).unwrap(), Value::Null);
         assert_eq!(v.sub(&Value::Null).unwrap(), Value::Null);
         assert_eq!(Value::Null.mul(&v).unwrap(), Value::Null);
-        assert_eq!(v.div(&Value::Null).unwrap(), Value::Null);
-        assert_eq!(v.rem(&Value::Null).unwrap(), Value::Null);
+        assert_eq!(
+            v.arith(BinaryOperator::Div, &Value::Null).unwrap(),
+            Value::Null
+        );
+        assert_eq!(
+            v.arith(BinaryOperator::Mod, &Value::Null).unwrap(),
+            Value::Null
+        );
     }
 }
 

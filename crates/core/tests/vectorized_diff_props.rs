@@ -29,11 +29,12 @@ struct GenCol {
 }
 
 fn arb_dtype(rng: &mut StdRng) -> DataType {
-    match rng.random_range(0u32..5) {
+    match rng.random_range(0u32..6) {
         0 => DataType::Long,
         1 => DataType::Int,
         2 => DataType::Double,
         3 => DataType::String,
+        4 => DataType::Float,
         _ => DataType::Boolean,
     }
 }
@@ -44,21 +45,36 @@ fn arb_value(rng: &mut StdRng, dtype: &DataType, nullable: bool) -> Value {
     if nullable && rng.random_bool(0.2) {
         return Value::Null;
     }
+    // An edge value one time in ten, for the numeric types.
+    let edge = rng.random_bool(0.1);
     match dtype {
+        DataType::Long if edge => Value::Long(P53 + 1),
         DataType::Long => Value::Long(rng.random_range(0i64..80) - 40),
+        DataType::Int if edge => Value::Int(P24 + 1),
         DataType::Int => Value::Int((rng.random_range(0i64..80) - 40) as i32),
         DataType::Double => match rng.random_range(0usize..EDGE_DOUBLES.len() + 8) {
             i if i < EDGE_DOUBLES.len() => Value::Double(EDGE_DOUBLES[i]),
             _ => Value::Double(rng.random_range(0i64..400) as f64 / 4.0 - 50.0),
+        },
+        DataType::Float => match rng.random_range(0usize..EDGE_DOUBLES.len() + 8) {
+            i if i < EDGE_DOUBLES.len() => Value::Float(EDGE_DOUBLES[i] as f32),
+            _ => Value::Float(rng.random_range(0i64..400) as f32 / 4.0 - 50.0),
         },
         DataType::String => Value::str(STR_POOL[rng.random_range(0..STR_POOL.len())]),
         _ => Value::Boolean(rng.random_bool(0.5)),
     }
 }
 
-/// Doubles where IEEE comparison and the engine's total order disagree:
-/// NaN is above every number and equal to itself, -0.0 is below 0.0.
-const EDGE_DOUBLES: &[f64] = &[f64::NAN, -0.0, 0.0, f64::INFINITY];
+/// Doubles where IEEE comparison and the engine's total order disagree
+/// (NaN is above every number and equal to itself, -0.0 is below 0.0),
+/// infinities, and 0.1, which a FLOAT holds only as 0.100000001490116….
+/// As FLOATs too.
+const EDGE_DOUBLES: &[f64] = &[f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 0.1];
+
+/// 2^24 and 2^53: 2^24 + 1 is the first integer a FLOAT cannot hold,
+/// 2^53 + 1 the first a DOUBLE cannot.
+const P24: i32 = 1 << 24;
+const P53: i64 = 1 << 53;
 
 /// A random base table: guaranteed non-null Long key `k` plus 1..4
 /// nullable columns of random type, with a healthy share of NULLs.
@@ -105,6 +121,12 @@ fn arb_predicate(rng: &mut StdRng, cols: &[GenCol]) -> Expr {
         },
         DataType::Int => col(&c.name).lt(lit((rng.random_range(0i64..40) - 20) as i32)),
         DataType::Double => col(&c.name).gt_eq(lit(rng.random_range(0i64..100) as f64 - 50.0)),
+        DataType::Float => match rng.random_range(0u32..3) {
+            0 => col(&c.name).lt(lit(rng.random_range(0i64..100) as f32 - 50.0)),
+            // A FLOAT column meets a DOUBLE literal as a DOUBLE.
+            1 => col(&c.name).eq(lit(0.1f64)),
+            _ => col(&c.name).mul(lit(2i64)).gt(lit(0.2f32)),
+        },
         DataType::String => {
             if rng.random_bool(0.5) {
                 col(&c.name).eq(lit(STR_POOL[rng.random_range(0..STR_POOL.len())]))
@@ -124,10 +146,10 @@ fn arb_predicate(rng: &mut StdRng, cols: &[GenCol]) -> Expr {
 }
 
 /// A projection: a non-empty subset of the visible columns, plus
-/// (sometimes) a computed expression — arithmetic with div/mod-by-zero
-/// hazards, string concat, boolean not — so both the typed kernels and
-/// the interpreter fallback see traffic. Returns the exprs and the
-/// resulting visible columns.
+/// (sometimes) a cast to FLOAT and a computed expression — arithmetic
+/// with div/mod-by-zero hazards, string concat, boolean not — so both the
+/// typed kernels and the interpreter fallback see traffic. Returns the
+/// exprs and the resulting visible columns.
 fn arb_projection(
     rng: &mut StdRng,
     cols: &[GenCol],
@@ -143,6 +165,21 @@ fn arb_projection(
     }
     let mut exprs: Vec<Expr> = keep.iter().map(|c| col(&c.name)).collect();
     let mut out = keep;
+    // A number cast to FLOAT: alone, in FLOAT arithmetic, or beside a
+    // DOUBLE, which sees whether the cast rounded.
+    let c = &cols[rng.random_range(0..cols.len() as u32) as usize];
+    if c.dtype.is_numeric() && rng.random_bool(0.5) {
+        let float = col(&c.name).cast(DataType::Float);
+        let (e, dtype) = match rng.random_range(0u32..3) {
+            0 => (float, DataType::Float),
+            1 => (float.mul(lit(2i64)), DataType::Float),
+            _ => (float.add(lit(0.0f64)), DataType::Double),
+        };
+        let name = format!("e{next_id}");
+        *next_id += 1;
+        exprs.push(e.alias(name.clone()));
+        out.push(GenCol { name, dtype });
+    }
     if rng.random_bool(0.7) {
         let c = &cols[rng.random_range(0..cols.len() as u32) as usize];
         let (e, dtype) = match &c.dtype {
@@ -161,6 +198,11 @@ fn arb_projection(
                 ),
             },
             DataType::Double => (col(&c.name).mul(lit(0.5f64)), DataType::Double),
+            DataType::Float => match rng.random_range(0u32..3) {
+                0 => (col(&c.name).mul(lit(2i64)), DataType::Float),
+                1 => (col(&c.name).add(lit(0.5f64)), DataType::Double),
+                _ => (col(&c.name).rem(lit(0.0f32)), DataType::Double),
+            },
             DataType::String => (col(&c.name).add(lit("!")), DataType::String),
             _ => (col(&c.name).not(), DataType::Boolean),
         };
